@@ -34,6 +34,7 @@ from .optimize import (
     interior_critical_points,
     maximize_1d,
     maximize_2d,
+    zero_clusters_1d,
 )
 from .oracle import (
     PRESETS,
@@ -140,37 +141,6 @@ class EdgeAnalysis:
         ]
 
 
-def _derivative_clusters(
-    form: RadicalForm1D, min_width: float = 1e-10, max_boxes: int = 400_000
-) -> tuple[list[Interval], bool]:
-    deriv = form.scaled_derivative()
-    stack = [(form.lo, form.hi)]
-    candidates: list[tuple[float, float]] = []
-    processed = 0
-    while stack:
-        t1, t2 = stack.pop()
-        processed += 1
-        if processed > max_boxes:
-            return [], False
-        v = deriv.value_iv(Interval(t1, t2))
-        if not v.contains_zero():
-            continue
-        if t2 - t1 <= min_width:
-            candidates.append((t1, t2))
-            continue
-        tm = 0.5 * (t1 + t2)
-        stack.append((t1, tm))
-        stack.append((tm, t2))
-    candidates.sort()
-    clusters: list[list[float]] = []
-    for t1, t2 in candidates:
-        if clusters and t1 <= clusters[-1][1] + min_width:
-            clusters[-1][1] = max(clusters[-1][1], t2)
-        else:
-            clusters.append([t1, t2])
-    return [Interval(c1, c2) for c1, c2 in clusters], True
-
-
 def _edge_endpoints(edge: EdgeId) -> tuple[Interval, Interval]:
     zero = Interval.point(0.0)
     if edge is EdgeId.X_ZERO:
@@ -184,10 +154,16 @@ def _edge_endpoints(edge: EdgeId) -> tuple[Interval, Interval]:
     return CONSTANTS.iv_b, CONSTANTS.iv_a
 
 
+#: box budget of the derivative-cluster search along one edge
+EDGE_MAX_BOXES = 400_000
+
+
 def analyze_form(form: RadicalForm1D, endpoints: tuple[Interval, Interval],
                  edge: EdgeId, cfg: BnBConfig) -> EdgeAnalysis:
-    clusters, conclusive = _derivative_clusters(form)
-    if not conclusive:
+    clusters = zero_clusters_1d(
+        form.scaled_derivative().value_iv, form.lo, form.hi, max_boxes=EDGE_MAX_BOXES
+    )
+    if clusters is None:
         ext = maximize_1d(form.value_iv, form.lo, form.hi, cfg)
         return EdgeAnalysis(edge, ext.value, ext.argmax, (), False, form.lo, form.hi)
     candidates = [endpoints[0], endpoints[1], *clusters]
@@ -734,10 +710,9 @@ CLAIMS: tuple[ClaimSpec, ...] = (
 CLAIM_IDS = tuple(c.claim_id for c in CLAIMS)
 CLAIMS_BY_ID = {c.claim_id: c for c in CLAIMS}
 
-#: first log-coefficient bound, recorded as published; the quoted derivation
-#: ("half the second-coefficient bound") would give 0.37125 instead, so the
-#: larger published figure is kept and flagged wherever it is reported.
-GAMMA1_BOUND = 0.7425
+#: the first log-coefficient bound is recorded as published; the quoted
+#: derivation ("half the second-coefficient bound") would give 0.37125 instead,
+#: so the larger published figure is kept and flagged wherever it is reported.
 GAMMA1_NOTE = (
     "first log-coefficient bound recorded as 0.7425; the quoted derivation a/2 "
     "evaluates to 0.37125, so the published figure is kept and flagged"

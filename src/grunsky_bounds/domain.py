@@ -115,9 +115,6 @@ class OmegaRegion:
     def cap(self, x: float) -> float:
         return lemma1_bound(x)
 
-    def cap_iv(self, x: Interval) -> Interval:
-        return lemma1_bound_iv(x)
-
     def cap_lower(self, x: float) -> float:
         """Downward-rounded cap: (x, cap_lower(x)) is guaranteed inside the region."""
         return cap_point_down(x)

@@ -6,8 +6,11 @@ transformations (TwoSum / Dekker's TwoProduct) followed by a one-ulp nudge
 only when the float result actually rounded; exact results keep exact
 endpoints.  This convention is used uniformly by every operation here.
 
-Division is deliberately not provided: no quantity in this toolkit needs it,
-and omitting it keeps the verified surface small.
+General division is not provided.  The only quotient in the toolkit is
+1/sqrt(R) over boxes where the radicand R is strictly positive: in the true
+gradient and Hessian of an objective, and in the branch-and-bound centered
+form.  `Interval.recip` therefore accepts strictly positive intervals only;
+`_recip_up` and `_recip_down` are its directed-rounded scalar halves.
 """
 
 from __future__ import annotations
@@ -91,6 +94,24 @@ def _sqrt_up(x: float) -> float:
     rr, err = _two_prod(r, r)
     if rr < x or (rr == x and err < 0.0):
         return math.nextafter(r, _INF)
+    return r
+
+
+def _recip_up(v: float) -> float:
+    """Upward-rounded 1/v for v > 0."""
+    r = 1.0 / v
+    p, err = _two_prod(r, v)
+    if p < 1.0 or (p == 1.0 and err < 0.0):
+        return math.nextafter(r, _INF)
+    return r
+
+
+def _recip_down(v: float) -> float:
+    """Downward-rounded 1/v for v > 0."""
+    r = 1.0 / v
+    p, err = _two_prod(r, v)
+    if p > 1.0 or (p == 1.0 and err > 0.0):
+        return math.nextafter(r, -_INF)
     return r
 
 
@@ -191,6 +212,12 @@ class Interval:
         lo = max(self.lo, 0.0)
         hi = max(self.hi, 0.0)
         return Interval(_sqrt_down(lo), _sqrt_up(hi))
+
+    def recip(self) -> Interval:
+        """Enclosure of 1/x over a strictly positive interval."""
+        if self.lo <= 0.0:
+            raise ValueError(f"reciprocal needs a strictly positive interval, got {self}")
+        return Interval(_recip_down(self.hi), _recip_up(self.lo))
 
     # -- set operations and predicates ---------------------------------------
 

@@ -6,9 +6,14 @@ Every objective has the shape
 
 where P is a polynomial with non-negative rational coefficients and the
 radical multiplier is M(x) = (m5c + m5l * x)/sqrt5 + m7c/sqrt7 with rational
-m5c, m5l, m7c.  A single generic evaluator, gradient and edge-restriction
-builder therefore serves all nine objectives; the per-objective data below is
-the only thing that differs.
+m5c, m5l, m7c.  The per-objective data below is the only thing that differs.
+
+P is stored once, as a table of exact `Fraction` terms, and `_diff` derives
+the tables of its first and second partial derivatives from it.  Those term
+tables are the single evaluator of the family: every interval evaluation
+(`Objective.value_iv`, `gradient_iv` and `hessian_iv`) runs the one term loop
+`_eval_terms` over them, and the scalar corner bounds of `MonotoneBounds`
+enclose the same tables.
 
 For verified sign certificates the gradient is used in its radical-scaled
 form
@@ -173,14 +178,7 @@ class Objective:
         if self.dimension == 1:
             y = Interval.point(0.0)
         prep = _prepared(self.id)
-        out = Interval.point(0.0)
-        for i, j, c in prep.terms:
-            term = c
-            if i:
-                term = term * x**i
-            if j:
-                term = term * y**j
-            out = out + term
+        out = _eval_terms(prep.p, x, y)
         if self.has_radical:
             out = out + prep.mult.eval_iv(x) * self.radicand_iv(x, y).sqrt_clamped()
         return out
@@ -209,41 +207,37 @@ class Objective:
             dy += -3.0 * m * y / sq
         return Gradient2(dx, dy)
 
-    def _poly_dx_iv(self, x: Interval, y: Interval) -> Interval:
-        out = Interval.point(0.0)
-        for i, j, c in _prepared(self.id).dx_terms:
-            term = c
-            if i:
-                term = term * x**i
-            if j:
-                term = term * y**j
-            out = out + term
-        return out
-
-    def _poly_dy_iv(self, x: Interval, y: Interval) -> Interval:
-        out = Interval.point(0.0)
-        for i, j, c in _prepared(self.id).dy_terms:
-            term = c
-            if i:
-                term = term * x**i
-            if j:
-                term = term * y**j
-            out = out + term
-        return out
-
-    def scaled_gradient_iv(self, x: Interval, y: Interval) -> tuple[Interval, Interval]:
-        """Division-free gradient enclosure, scaled by sqrt(R) when a radical is present."""
-        px = self._poly_dx_iv(x, y)
-        py = self._poly_dy_iv(x, y)
+    def gradient_iv(self, x: Interval, y: Interval) -> tuple[Interval, Interval]:
+        """True gradient enclosure; requires the radicand positive over the box."""
+        prep = _prepared(self.id)
+        px = _eval_terms(prep.px, x, y)
+        py = _eval_terms(prep.py, x, y)
         if not self.has_radical:
             return px, py
-        prep = _prepared(self.id)
-        r = self.radicand_iv(x, y)
-        sq = r.sqrt_clamped()
+        sq = self.radicand_iv(x, y).sqrt_clamped()
+        u = sq.recip()
         m = prep.mult.eval_iv(x)
-        g1 = px * sq + prep.m_lin_iv * r - m * x
-        g2 = py * sq - (m * y).scale(3.0)
-        return g1, g2
+        fx = px + prep.m_lin_iv * sq - m * x * u
+        fy = py - (m * y * u).scale(3.0)
+        return fx, fy
+
+    def hessian_iv(self, x: Interval, y: Interval) -> tuple[Interval, Interval, Interval]:
+        """Enclosure of (fxx, fxy, fyy) over a box with positive radicand."""
+        prep = _prepared(self.id)
+        pxx = _eval_terms(prep.pxx, x, y)
+        pxy = _eval_terms(prep.pxy, x, y)
+        pyy = _eval_terms(prep.pyy, x, y)
+        if not self.has_radical:
+            return pxx, pxy, pyy
+        sq = self.radicand_iv(x, y).sqrt_clamped()
+        u = sq.recip()
+        u3 = u * u * u
+        m = prep.mult.eval_iv(x)
+        beta = prep.m_lin_iv
+        fxx = pxx - (beta * x * u).scale(2.0) - m * u - m * x**2 * u3
+        fxy = pxy - (beta * y * u).scale(3.0) - (m * x * y * u3).scale(3.0)
+        fyy = pyy - (m * (u + (y**2 * u3).scale(3.0))).scale(3.0)
+        return fxx, fxy, fyy
 
     def scaled_gradient(self, x: float, y: float) -> tuple[float, float]:
         px = self._poly_dx(x, y)
@@ -348,13 +342,47 @@ def _restriction_cached(oid: ObjectiveId, edge: EdgeId) -> RadicalForm1D:
     return _build_restriction(OBJECTIVES[oid], edge)
 
 
+Terms = dict[tuple[int, int], Fraction]
+TermsIv = tuple[tuple[int, int, Interval], ...]
+
+
+def _diff(terms: Terms, di: int, dj: int) -> Terms:
+    """Exact partial derivative d^di/dx^di d^dj/dy^dj of a term table."""
+    return {
+        (i - di, j - dj): c * math.perm(i, di) * math.perm(j, dj)
+        for (i, j), c in terms.items()
+        if i >= di and j >= dj
+    }
+
+
+def _terms_iv(terms: Terms) -> TermsIv:
+    """(i, j, enclosure of c) in sorted (i, j) order, the evaluation order."""
+    return tuple((i, j, Interval.from_fraction(c)) for (i, j), c in sorted(terms.items()))
+
+
+def _eval_terms(terms: TermsIv, x: Interval, y: Interval) -> Interval:
+    """Interval sum of c * x^i * y^j over a term table."""
+    out = Interval.point(0.0)
+    for i, j, c in terms:
+        t = c
+        if i:
+            t = t * x**i
+        if j:
+            t = t * y**j
+        out = out + t
+    return out
+
+
 @dataclass(frozen=True)
 class _Prepared:
-    """Interval-converted constants, built once per objective."""
+    """Interval term tables of P and its partial derivatives, built once per objective."""
 
-    terms: tuple[tuple[int, int, Interval], ...]
-    dx_terms: tuple[tuple[int, int, Interval], ...]
-    dy_terms: tuple[tuple[int, int, Interval], ...]
+    p: TermsIv
+    px: TermsIv
+    py: TermsIv
+    pxx: TermsIv
+    pxy: TermsIv
+    pyy: TermsIv
     mult: MixedPoly
     m_lin_iv: Interval
 
@@ -362,20 +390,10 @@ class _Prepared:
 @lru_cache(maxsize=None)
 def _prepared(oid: ObjectiveId) -> _Prepared:
     obj = OBJECTIVES[oid]
-    terms = tuple(
-        (i, j, Interval.from_fraction(c)) for (i, j), c in sorted(obj.poly.items())
-    )
-    dx = tuple(
-        (i - 1, j, Interval.from_fraction(c * i))
-        for (i, j), c in sorted(obj.poly.items())
-        if i
-    )
-    dy = tuple(
-        (i, j - 1, Interval.from_fraction(c * j))
-        for (i, j), c in sorted(obj.poly.items())
-        if j
-    )
-    return _Prepared(terms, dx, dy, obj._mult(), Interval.from_fraction(obj.m5l) * INV_SQRT5)
+    # P, Px, Py, Pxx, Pxy, Pyy in the field order of _Prepared
+    orders = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
+    tables = [_terms_iv(_diff(obj.poly, di, dj)) for di, dj in orders]
+    return _Prepared(*tables, obj._mult(), Interval.from_fraction(obj.m5l) * INV_SQRT5)
 
 
 OBJECTIVES: dict[ObjectiveId, Objective] = {
@@ -481,10 +499,6 @@ def grad(oid: ObjectiveId, x: float, y: float = 0.0) -> Gradient2:
 
 def eval_boundary(rid: BoundaryRestrictionId, x: float) -> float:
     return OBJECTIVES[rid.parent].restriction(rid.edge).value(x)
-
-
-def eval_boundary_iv(rid: BoundaryRestrictionId, x: Interval) -> Interval:
-    return OBJECTIVES[rid.parent].restriction(rid.edge).value_iv(x)
 
 
 # -- fast directed-rounded range bounds for branch-and-bound ---------------------
@@ -608,23 +622,17 @@ def monotone_bounds(oid: ObjectiveId) -> MonotoneBounds:
     if any(c < 0 for c in obj.poly.values()) or obj.m5c < 0 or obj.m5l < 0 or obj.m7c < 0:
         raise ValueError(f"{oid} violates the monotone-coefficient assumption")
 
-    def enclose(pairs):
-        out = []
-        for (i, j), c in sorted(pairs):
-            iv = Interval.from_fraction(c)
-            out.append((i, j, iv.lo, iv.hi))
-        return tuple(out)
+    def endpoints(terms: TermsIv):
+        return tuple((i, j, c.lo, c.hi) for i, j, c in terms)
 
-    terms = enclose(obj.poly.items())
-    dx = enclose(((i - 1, j), c * i) for (i, j), c in obj.poly.items() if i)
-    dy = enclose(((i, j - 1), c * j) for (i, j), c in obj.poly.items() if j)
+    prep = _prepared(oid)
     q5c = Interval.from_fraction(obj.m5c) * INV_SQRT5
     q5l = Interval.from_fraction(obj.m5l) * INV_SQRT5
     q7c = Interval.from_fraction(obj.m7c) * INV_SQRT7
     return MonotoneBounds(
-        terms,
-        dx,
-        dy,
+        endpoints(prep.p),
+        endpoints(prep.px),
+        endpoints(prep.py),
         (q5c.lo, q5c.hi),
         (q5l.lo, q5l.hi),
         (q7c.lo, q7c.hi),

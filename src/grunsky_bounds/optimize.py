@@ -1,17 +1,22 @@
 """Verified global maximization over the admissible region.
 
-maximize_2d runs an interval branch-and-bound over the region: boxes are
-bisected along their longer side, clipped in y against the cap curve (the
-region is y-simple, so clipping is exact), pruned when their interval upper
-bound falls below the certified incumbent, and the final enclosure is derived
-from the surviving boxes.  Near the radicand-zero rim only value information
-is used; gradient certificates are never evaluated where the gradient is
-singular.
+maximize_1d and maximize_2d share one best-first branch-and-bound loop,
+`_best_first`.  In 2-D, boxes are bisected along their longer side, clipped
+in y against the cap curve (the region is y-simple, so clipping is exact),
+pruned when their upper bound falls below the certified incumbent, and the
+final enclosure is derived from the surviving boxes.  Near the radicand-zero
+rim only value information is used; gradient certificates are never evaluated
+where the gradient is singular.
+
+subdivide_1d is the one 1-D bisection routine: zero_clusters_1d (edge
+critical points, uniqueness proofs) and prove_positive_1d are built on it.
 
 interior_critical_points excludes gradient zeros with the division-free
 scaled gradient, then certifies each surviving cluster with a Krawczyk
-contraction (true gradient plus interval Hessian) on a small box around the
-numerically polished point, which proves existence and uniqueness there.
+contraction on a small box around the numerically polished point, which
+proves existence and uniqueness there.  The true gradient and the interval
+Hessian it needs come from `Objective.gradient_iv` and `Objective.hessian_iv`;
+this module evaluates no objective terms itself.
 """
 
 from __future__ import annotations
@@ -20,11 +25,10 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable
 
 from .domain import REGION, EdgeId, OmegaRegion, cap_sup_up
-from .interval import Interval, _sqrt_down, _two_prod, hull_of
+from .interval import Interval, _add_up, _mul_up, _recip_up, _sqrt_down, hull_of
 from .objectives import Objective, ObjectiveId, monotone_bounds
 
 IvFunc = Callable[[Interval], Interval]
@@ -37,30 +41,6 @@ RIM_WIDTH = 1e-3
 
 class NoBracketError(RuntimeError):
     """No verified sign change found on the scan grid."""
-
-
-def _recip_up(v: float) -> float:
-    """Upward-rounded 1/v for v > 0.  Certification-internal; the interval
-    layer itself deliberately has no division."""
-    r = 1.0 / v
-    p, err = _two_prod(r, v)
-    if p < 1.0 or (p == 1.0 and err < 0.0):
-        return math.nextafter(r, math.inf)
-    return r
-
-
-def _recip_down(v: float) -> float:
-    r = 1.0 / v
-    p, err = _two_prod(r, v)
-    if p > 1.0 or (p == 1.0 and err > 0.0):
-        return math.nextafter(r, -math.inf)
-    return r
-
-
-def _recip_iv(x: Interval) -> Interval:
-    if x.lo <= 0.0:
-        raise ValueError(f"reciprocal needs a strictly positive interval, got {x}")
-    return Interval(_recip_down(x.hi), _recip_up(x.lo))
 
 
 @dataclass(frozen=True)
@@ -119,67 +99,8 @@ class CriticalSearch:
 
 
 # ---------------------------------------------------------------------------
-# 1-D machinery
+# 1-D root isolation and subdivision
 # ---------------------------------------------------------------------------
-
-
-def maximize_1d(fn: IvFunc, lo: float, hi: float, cfg: BnBConfig | None = None) -> Extremum1D:
-    """Verified enclosure of max fn over [lo, hi] by interval branch-and-bound."""
-    if not lo < hi:
-        raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
-    cfg = cfg or BnBConfig()
-
-    incumbent = -math.inf
-
-    def sample(t: float) -> None:
-        nonlocal incumbent
-        v = fn(Interval.point(t)).lo
-        if v > incumbent:
-            incumbent = v
-
-    sample(lo)
-    sample(hi)
-    sample(0.5 * (lo + hi))
-
-    counter = itertools.count()
-    root_ub = fn(Interval(lo, hi)).hi
-    heap = [(-root_ub, next(counter), lo, hi)]
-    finished_ub = -math.inf
-    finished: list[tuple[float, float, float]] = []
-    processed = 0
-    converged = True
-
-    while heap:
-        neg_ub, _, t1, t2 = heapq.heappop(heap)
-        ub = -neg_ub
-        if ub <= incumbent + cfg.tol_value:
-            heapq.heappush(heap, (neg_ub, next(counter), t1, t2))
-            break
-        if processed >= cfg.max_boxes:
-            heapq.heappush(heap, (neg_ub, next(counter), t1, t2))
-            converged = False
-            break
-        processed += 1
-        if t2 - t1 <= cfg.tol_box:
-            finished_ub = max(finished_ub, ub)
-            finished.append((ub, t1, t2))
-            continue
-        tm = 0.5 * (t1 + t2)
-        sample(tm)
-        for u1, u2 in ((t1, tm), (tm, t2)):
-            ub_child = fn(Interval(u1, u2)).hi
-            if ub_child > incumbent:
-                heapq.heappush(heap, (-ub_child, next(counter), u1, u2))
-
-    top_ub = -heap[0][0] if heap else -math.inf
-    value_hi = max(incumbent, finished_ub, top_ub)
-    if value_hi - incumbent > cfg.tol_value and converged:
-        converged = False
-
-    pieces = [Interval(t1, t2) for ub, t1, t2 in finished if ub >= incumbent]
-    pieces.extend(Interval(t1, t2) for neg_ub, _, t1, t2 in heap if -neg_ub >= incumbent)
-    argmax = hull_of(pieces) if pieces else Interval(lo, hi)
-    return Extremum1D(Interval(incumbent, value_hi), argmax, processed, converged)
 
 
 def find_root_1d(
@@ -228,6 +149,57 @@ def find_root_1d(
     return Interval(t1, t2)
 
 
+def subdivide_1d(
+    fn: IvFunc, lo: float, hi: float, settled: Callable[[Interval], bool],
+    min_width: float, max_boxes: int,
+) -> list[tuple[float, float]] | None:
+    """Bisect [lo, hi] until every piece is settled or at most `min_width` wide.
+
+    A piece is settled when `settled(fn(piece))` holds.  Returns the unsettled
+    pieces of width at most `min_width`, sorted, or None when more than
+    `max_boxes` pieces would have to be evaluated.
+    """
+    stack = [(lo, hi)]
+    leaves: list[tuple[float, float]] = []
+    processed = 0
+    while stack:
+        t1, t2 = stack.pop()
+        processed += 1
+        if processed > max_boxes:
+            return None
+        if settled(fn(Interval(t1, t2))):
+            continue
+        if t2 - t1 <= min_width:
+            leaves.append((t1, t2))
+            continue
+        tm = 0.5 * (t1 + t2)
+        stack.append((t1, tm))
+        stack.append((tm, t2))
+    leaves.sort()
+    return leaves
+
+
+def zero_clusters_1d(
+    fn: IvFunc, lo: float, hi: float, min_width: float = 1e-10, max_boxes: int = 200_000
+) -> list[Interval] | None:
+    """Every zero of fn on [lo, hi] lies in one of the returned clusters.
+
+    Pieces whose enclosure excludes zero are certified zero-free; the rest
+    shrink to `min_width` and are merged into clusters when they lie within
+    `min_width` of each other.  None when the box budget runs out.
+    """
+    leaves = subdivide_1d(fn, lo, hi, lambda v: not v.contains_zero(), min_width, max_boxes)
+    if leaves is None:
+        return None
+    clusters: list[list[float]] = []
+    for t1, t2 in leaves:
+        if clusters and t1 <= clusters[-1][1] + min_width:
+            clusters[-1][1] = max(clusters[-1][1], t2)
+        else:
+            clusters.append([t1, t2])
+    return [Interval(c1, c2) for c1, c2 in clusters]
+
+
 @dataclass(frozen=True)
 class UniquenessResult:
     unique: bool
@@ -237,55 +209,20 @@ class UniquenessResult:
 
 
 def verify_uniqueness_1d(
-    fn: IvFunc,
-    lo: float,
-    hi: float,
-    min_width: float = 1e-10,
-    max_boxes: int = 200_000,
+    fn: IvFunc, lo: float, hi: float, min_width: float = 1e-10, max_boxes: int = 200_000
 ) -> UniquenessResult:
     """Prove fn has exactly one sign-change interval on [lo, hi].
 
-    Subdivides adaptively; subintervals whose enclosure excludes zero are
-    certified root-free, the rest shrink to clusters.  Unique means a single
-    cluster with verified opposite signs just outside it.
+    Unique means a single zero cluster with verified opposite signs just
+    outside it.
     """
-    stack = [(lo, hi)]
-    candidates: list[tuple[float, float]] = []
-    processed = 0
-    conclusive = True
-    while stack:
-        t1, t2 = stack.pop()
-        processed += 1
-        if processed > max_boxes:
-            conclusive = False
-            break
-        v = fn(Interval(t1, t2))
-        if not v.contains_zero():
-            continue
-        if t2 - t1 <= min_width:
-            candidates.append((t1, t2))
-            continue
-        tm = 0.5 * (t1 + t2)
-        stack.append((t1, tm))
-        stack.append((tm, t2))
-
-    if not conclusive:
+    clusters = zero_clusters_1d(fn, lo, hi, min_width, max_boxes)
+    if clusters is None:
         return UniquenessResult(False, False, None, 0)
-    if not candidates:
-        return UniquenessResult(False, True, None, 0)
-
-    candidates.sort()
-    clusters = [list(candidates[0])]
-    for t1, t2 in candidates[1:]:
-        if t1 <= clusters[-1][1] + min_width:
-            clusters[-1][1] = max(clusters[-1][1], t2)
-        else:
-            clusters.append([t1, t2])
-
     if len(clusters) != 1:
         return UniquenessResult(False, True, None, len(clusters))
 
-    c1, c2 = clusters[0]
+    c1, c2 = clusters[0].lo, clusters[0].hi
     left = max(lo, c1 - min_width)
     right = min(hi, c2 + min_width)
     vl = fn(Interval.point(left))
@@ -303,22 +240,7 @@ def prove_positive_1d(
     fn: IvFunc, lo: float, hi: float, min_width: float = 1e-9, max_boxes: int = 100_000
 ) -> bool:
     """True if interval subdivision proves fn > 0 everywhere on [lo, hi]."""
-    stack = [(lo, hi)]
-    processed = 0
-    while stack:
-        t1, t2 = stack.pop()
-        processed += 1
-        if processed > max_boxes:
-            return False
-        v = fn(Interval(t1, t2))
-        if v.lo > 0.0:
-            continue
-        if v.hi < 0.0 or t2 - t1 <= min_width:
-            return False
-        tm = 0.5 * (t1 + t2)
-        stack.append((t1, tm))
-        stack.append((tm, t2))
-    return True
+    return subdivide_1d(fn, lo, hi, lambda v: v.lo > 0.0, min_width, max_boxes) == []
 
 
 def prove_negative_1d(fn: IvFunc, lo: float, hi: float, **kw) -> bool:
@@ -326,8 +248,101 @@ def prove_negative_1d(fn: IvFunc, lo: float, hi: float, **kw) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# 2-D branch-and-bound
+# best-first branch-and-bound, shared by the 1-D and 2-D maximizers
 # ---------------------------------------------------------------------------
+
+
+class _Incumbent:
+    """Best certified lower bound found so far, and the point that gave it."""
+
+    __slots__ = ("value", "point")
+
+    def __init__(self, point=None) -> None:
+        self.value = -math.inf
+        self.point = point
+
+    def offer(self, value: float, point) -> None:
+        if value > self.value:
+            self.value = value
+            self.point = point
+
+
+def _best_first(root, bound, split, sample, best: _Incumbent, cfg: BnBConfig):
+    """Best-first branch-and-bound over boxes of any dimension.
+
+    `bound(box)` is a certified upper bound of the objective over the box;
+    `split(box)` returns the children, or None once the box is at `tol_box`;
+    `sample(child)`, if not None, offers point values to `best` before the
+    child is bounded.  The search stops when the best open bound is within
+    `tol_value` of the incumbent or the box budget runs out.  Returns the
+    certified upper bound, the boxes whose bound reaches the incumbent, the
+    number of boxes processed and whether the search converged.
+    """
+    counter = itertools.count()
+    heap = [(-bound(root), next(counter), root)]
+    finished: list[tuple[float, object]] = []
+    finished_ub = -math.inf
+    processed = 0
+    converged = True
+
+    while heap:
+        neg_ub, _, box = heapq.heappop(heap)
+        ub = -neg_ub
+        if ub <= best.value + cfg.tol_value:
+            heapq.heappush(heap, (neg_ub, next(counter), box))
+            break
+        if processed >= cfg.max_boxes:
+            heapq.heappush(heap, (neg_ub, next(counter), box))
+            converged = False
+            break
+        processed += 1
+        children = split(box)
+        if children is None:
+            finished_ub = max(finished_ub, ub)
+            finished.append((ub, box))
+            continue
+        for child in children:
+            if sample is not None:
+                sample(child)
+            ub_child = bound(child)
+            if ub_child > best.value:
+                heapq.heappush(heap, (-ub_child, next(counter), child))
+
+    top_ub = -heap[0][0] if heap else -math.inf
+    upper = max(best.value, finished_ub, top_ub)
+    if upper - best.value > cfg.tol_value:
+        converged = False
+    survivors = [box for ub, box in finished if ub >= best.value]
+    survivors.extend(box for neg_ub, _, box in heap if -neg_ub >= best.value)
+    return upper, survivors, processed, converged
+
+
+def maximize_1d(fn: IvFunc, lo: float, hi: float, cfg: BnBConfig | None = None) -> Extremum1D:
+    """Verified enclosure of max fn over [lo, hi] by interval branch-and-bound."""
+    if not lo < hi:
+        raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
+    cfg = cfg or BnBConfig()
+    best = _Incumbent()
+
+    def sample(t: float) -> None:
+        best.offer(fn(Interval.point(t)).lo, t)
+
+    def split(box: tuple[float, float]):
+        t1, t2 = box
+        if t2 - t1 <= cfg.tol_box:
+            return None
+        tm = 0.5 * (t1 + t2)
+        sample(tm)  # once per split, before either child is bounded
+        return (t1, tm), (tm, t2)
+
+    sample(lo)
+    sample(hi)
+    sample(0.5 * (lo + hi))
+    upper, survivors, processed, converged = _best_first(
+        (lo, hi), lambda box: fn(Interval(*box)).hi, split, None, best, cfg
+    )
+    argmax = hull_of([Interval(*box) for box in survivors]) if survivors else Interval(lo, hi)
+    return Extremum1D(Interval(best.value, upper), argmax, processed, converged)
 
 
 def _clip_box(
@@ -348,17 +363,23 @@ def maximize_2d(obj: Objective, region: OmegaRegion = REGION, cfg: BnBConfig | N
     ranges = monotone_bounds(obj.id)
 
     x_in = region.x_lo_inside
-    incumbent = -math.inf
-    best_point = (0.0, 0.0)
+    best = _Incumbent((0.0, 0.0))
 
     def sample(x: float, y: float) -> None:
-        nonlocal incumbent, best_point
         x = min(max(x, 0.0), x_in)
         y = min(max(y, 0.0), region.cap_lower(x))
-        v = ranges.lower(x, x, y, y)
-        if v > incumbent:
-            incumbent = v
-            best_point = (x, y)
+        best.offer(ranges.lower(x, x, y, y), (x, y))
+
+    def sample_box(box: tuple[float, float, float, float]) -> None:
+        x1, x2, y1, y2 = box
+        sample(x2, y2)
+        sample(0.5 * (x1 + x2), 0.5 * (y1 + y2))
+
+    def split(box: tuple[float, float, float, float]):
+        x1, x2, y1, y2 = box
+        if max(x2 - x1, y2 - y1) <= cfg.tol_box:
+            return None
+        return _split_clipped(region, box)
 
     # coarse seed so pruning starts immediately
     for i in range(9):
@@ -366,16 +387,10 @@ def maximize_2d(obj: Objective, region: OmegaRegion = REGION, cfg: BnBConfig | N
         for j in range(5):
             sample(x, region.cap_lower(x) * j / 4)
 
-    root = _clip_box(region, 0.0, region.x_hi, 0.0, region.y_sup_hi)
-    assert root is not None
-    counter = itertools.count()
-
-    from .interval import _add_up, _mul_up  # scalar rounding helpers
-
     def bound(box: tuple[float, float, float, float]) -> float:
         x1, x2, y1, y2 = box
         ub = ranges.upper(x1, x2, y1, y2)
-        if ub <= incumbent:
+        if ub <= best.value:
             return ub
         # centered-form tightening: f(p) <= f(m) + sup|grad| . |p - m|; valid
         # only where the radicand stays positive, i.e. away from the rim
@@ -393,61 +408,18 @@ def maximize_2d(obj: Objective, region: OmegaRegion = REGION, cfg: BnBConfig | N
         )
         return min(ub, cf)
 
-    heap = [(-bound(root), next(counter), root)]
-    finished: list[tuple[float, tuple[float, float, float, float]]] = []
-    finished_ub = -math.inf
-    processed = 0
-    converged = True
-
-    while heap:
-        neg_ub, _, box = heapq.heappop(heap)
-        ub = -neg_ub
-        if ub <= incumbent + cfg.tol_value:
-            heapq.heappush(heap, (neg_ub, next(counter), box))
-            break
-        if processed >= cfg.max_boxes:
-            heapq.heappush(heap, (neg_ub, next(counter), box))
-            converged = False
-            break
-        processed += 1
-        x1, x2, y1, y2 = box
-        if max(x2 - x1, y2 - y1) <= cfg.tol_box:
-            finished_ub = max(finished_ub, ub)
-            finished.append((ub, box))
-            continue
-        if x2 - x1 >= y2 - y1:
-            xm = 0.5 * (x1 + x2)
-            children = ((x1, xm, y1, y2), (xm, x2, y1, y2))
-        else:
-            ym = 0.5 * (y1 + y2)
-            children = ((x1, x2, y1, ym), (x1, x2, ym, y2))
-        for child in children:
-            clipped = _clip_box(region, *child)
-            if clipped is None:
-                continue
-            cx1, cx2, cy1, cy2 = clipped
-            sample(cx2, cy2)
-            sample(0.5 * (cx1 + cx2), 0.5 * (cy1 + cy2))
-            ub_child = bound(clipped)
-            if ub_child > incumbent:
-                heapq.heappush(heap, (-ub_child, next(counter), clipped))
-
-    top_ub = -heap[0][0] if heap else -math.inf
-    value_hi = max(incumbent, finished_ub, top_ub)
-    if value_hi - incumbent > cfg.tol_value and converged:
-        converged = False
-
-    survivors = [box for ub, box in finished if ub >= incumbent]
-    survivors.extend(box for neg_ub, _, box in heap if -neg_ub >= incumbent)
+    root = _clip_box(region, 0.0, region.x_hi, 0.0, region.y_sup_hi)
+    assert root is not None
+    upper, survivors, processed, converged = _best_first(root, bound, split, sample_box, best, cfg)
     if survivors:
         ax = hull_of([Interval(b[0], b[1]) for b in survivors])
         ay = hull_of([Interval(b[2], b[3]) for b in survivors])
     else:
-        ax = Interval.point(best_point[0])
-        ay = Interval.point(best_point[1])
+        ax = Interval.point(best.point[0])
+        ay = Interval.point(best.point[1])
 
-    kind = _classify_point(region, *best_point)
-    return Extremum(Interval(incumbent, value_hi), (ax, ay), kind, processed, converged)
+    kind = _classify_point(region, *best.point)
+    return Extremum(Interval(best.value, upper), (ax, ay), kind, processed, converged)
 
 
 def _classify_point(region: OmegaRegion, x: float, y: float, tol: float = 1e-7) -> EdgeId | None:
@@ -491,85 +463,6 @@ def _newton_polish(obj: Objective, x0: float, y0: float, steps: int = 60) -> tup
     return (x, y) if abs(obj.scaled_gradient(x, y)[0]) < 1e-10 else None
 
 
-@dataclass(frozen=True)
-class _SecondDerivs:
-    """Interval-coefficient term tables for the polynomial second derivatives."""
-
-    pxx: tuple[tuple[int, int, Interval], ...]
-    pxy: tuple[tuple[int, int, Interval], ...]
-    pyy: tuple[tuple[int, int, Interval], ...]
-
-
-def _poly_terms_iv(pairs) -> tuple[tuple[int, int, Interval], ...]:
-    return tuple((i, j, Interval.from_fraction(c)) for (i, j), c in sorted(pairs) if c)
-
-
-@lru_cache(maxsize=None)
-def _second_derivs(oid: ObjectiveId) -> _SecondDerivs:
-    from .objectives import OBJECTIVES
-
-    poly = OBJECTIVES[oid].poly
-    pxx = _poly_terms_iv((((i - 2, j), c * i * (i - 1)) for (i, j), c in poly.items() if i >= 2))
-    pxy = _poly_terms_iv((((i - 1, j - 1), c * i * j) for (i, j), c in poly.items() if i and j))
-    pyy = _poly_terms_iv((((i, j - 2), c * j * (j - 1)) for (i, j), c in poly.items() if j >= 2))
-    return _SecondDerivs(pxx, pxy, pyy)
-
-
-def _eval_terms(terms, x: Interval, y: Interval) -> Interval:
-    out = Interval.point(0.0)
-    for i, j, c in terms:
-        t = c
-        if i:
-            t = t * x**i
-        if j:
-            t = t * y**j
-        out = out + t
-    return out
-
-
-def _gradient_iv(obj: Objective, x: Interval, y: Interval) -> tuple[Interval, Interval]:
-    """True gradient enclosure; requires the radicand positive over the box."""
-    px = obj._poly_dx_iv(x, y)
-    py = obj._poly_dy_iv(x, y)
-    if not obj.has_radical:
-        return px, py
-    from .objectives import _prepared
-
-    prep = _prepared(obj.id)
-    r = obj.radicand_iv(x, y)
-    sq = r.sqrt_clamped()
-    u = _recip_iv(sq)
-    m = prep.mult.eval_iv(x)
-    fx = px + prep.m_lin_iv * sq - m * x * u
-    fy = py - (m * y * u).scale(3.0)
-    return fx, fy
-
-
-def _hessian_iv(
-    obj: Objective, x: Interval, y: Interval
-) -> tuple[Interval, Interval, Interval]:
-    """Enclosure of (fxx, fxy, fyy) over a box with positive radicand."""
-    sd = _second_derivs(obj.id)
-    pxx = _eval_terms(sd.pxx, x, y)
-    pxy = _eval_terms(sd.pxy, x, y)
-    pyy = _eval_terms(sd.pyy, x, y)
-    if not obj.has_radical:
-        return pxx, pxy, pyy
-    from .objectives import _prepared
-
-    prep = _prepared(obj.id)
-    r = obj.radicand_iv(x, y)
-    sq = r.sqrt_clamped()
-    u = _recip_iv(sq)
-    u3 = u * u * u
-    m = prep.mult.eval_iv(x)
-    beta = prep.m_lin_iv
-    fxx = pxx - (beta * x * u).scale(2.0) - m * u - m * x**2 * u3
-    fxy = pxy - (beta * y * u).scale(3.0) - (m * x * y * u3).scale(3.0)
-    fyy = pyy - (m * (u + (y**2 * u3).scale(3.0))).scale(3.0)
-    return fxx, fxy, fyy
-
-
 def _krawczyk_certify(
     obj: Objective, px: float, py: float
 ) -> tuple[Interval, Interval] | None:
@@ -585,8 +478,8 @@ def _krawczyk_certify(
         if obj.has_radical and obj.radicand_iv(bx, by).lo <= 0.0:
             continue
         try:
-            g1m, g2m = _gradient_iv(obj, Interval.point(px), Interval.point(py))
-            h11, h12, h22 = _hessian_iv(obj, bx, by)
+            g1m, g2m = obj.gradient_iv(Interval.point(px), Interval.point(py))
+            h11, h12, h22 = obj.hessian_iv(bx, by)
         except (ArithmeticError, ValueError):
             continue
         det = h11.mid * h22.mid - h12.mid * h12.mid

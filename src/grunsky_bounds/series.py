@@ -146,6 +146,3 @@ class BivariateSeries:
             sign = -sign
             power = power.mul(u)
         return out
-
-    def is_symmetric(self, tol: float = 0.0) -> bool:
-        return bool(np.max(np.abs(self.c - self.c.T)) <= tol)

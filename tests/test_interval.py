@@ -146,6 +146,23 @@ def test_monotonicity_of_operations():
         assert (u_big**3).contains_interval(u_small**3)
 
 
+def test_recip_encloses_exact_reciprocal():
+    rng = random.Random(2718)
+    for _ in range(5_000):
+        lo = rng.uniform(1e-6, 1e3)
+        iv = Interval(lo, lo + rng.uniform(0, 10))
+        r = iv.recip()
+        assert Fraction(r.lo) <= 1 / Fraction(iv.hi)
+        assert 1 / Fraction(iv.lo) <= Fraction(r.hi)
+    assert Interval(2.0, 4.0).recip() == Interval(0.25, 0.5)
+
+
+def test_recip_rejects_non_positive():
+    for iv in (Interval(0.0, 1.0), Interval(-1.0, 1.0), Interval(-2.0, -1.0)):
+        with pytest.raises(ValueError):
+            iv.recip()
+
+
 def test_scale_directions():
     v = Interval(1, 2).scale(-3.0)
     assert v.lo <= -6 <= -3 <= v.hi

@@ -167,6 +167,43 @@ def test_value_iv_contains_point_values():
             assert iv.lo - 1e-12 <= v <= iv.hi + 1e-12
 
 
+#: half-width of the boxes and difference steps in the derivative enclosure tests
+DERIV_H = 1e-6
+
+
+@pytest.mark.parametrize("oid", [o for o in ObjectiveId if o is not ObjectiveId.F1])
+def test_gradient_iv_contains_point_gradient(oid):
+    obj = OBJECTIVES[oid]
+    for x, y in _interior_points(20, seed=17):
+        box = (Interval(x - DERIV_H, x + DERIV_H), Interval(y - DERIV_H, y + DERIV_H))
+        gx, gy = obj.gradient_iv(*box)
+        g = obj.gradient(x, y)
+        assert gx.contains(g.dx) and gy.contains(g.dy)
+
+
+@pytest.mark.parametrize("oid", [o for o in ObjectiveId if o is not ObjectiveId.F1])
+def test_hessian_iv_contains_difference_quotients(oid):
+    obj = OBJECTIVES[oid]
+    # By the mean value theorem each exact central-difference quotient of the
+    # gradient equals a second derivative at a point of the segment, which lies
+    # in the box.  The float quotient adds the gradient's rounding error over
+    # 2h, about 1e-15 / 2e-6 here; a 1e-6 slack covers it with a wide margin
+    # and is still far below any error in the Hessian formulas.
+    slack = 1e-6
+    h = DERIV_H
+    for x, y in _interior_points(20, seed=19):
+        hxx, hxy, hyy = obj.hessian_iv(Interval(x - h, x + h), Interval(y - h, y + h))
+        gx_plus, gx_minus = obj.gradient(x + h, y), obj.gradient(x - h, y)
+        gy_plus, gy_minus = obj.gradient(x, y + h), obj.gradient(x, y - h)
+        for iv, q in (
+            (hxx, (gx_plus.dx - gx_minus.dx) / (2 * h)),
+            (hxy, (gx_plus.dy - gx_minus.dy) / (2 * h)),
+            (hxy, (gy_plus.dx - gy_minus.dx) / (2 * h)),
+            (hyy, (gy_plus.dy - gy_minus.dy) / (2 * h)),
+        ):
+            assert iv.lo - slack <= q <= iv.hi + slack
+
+
 def test_monotone_bounds_agree_with_interval_evaluation():
     rng = random.Random(17)
     for _ in range(200):

@@ -15,7 +15,9 @@ from grunsky_bounds.optimize import (
     interior_critical_points,
     maximize_1d,
     maximize_2d,
+    prove_positive_1d,
     verify_uniqueness_1d,
+    zero_clusters_1d,
 )
 
 A = CONSTANTS.a_float
@@ -82,11 +84,12 @@ def test_uniqueness_g6_derivative():
     assert 0.715 <= res.root.lo <= res.root.hi < 0.716
 
 
-def test_uniqueness_rejects_three_roots():
-    def fn(t: Interval) -> Interval:
-        return t * (t - Interval.point(0.1)) * (t - Interval.point(0.2))
+def _three_roots(t: Interval) -> Interval:
+    return t * (t - Interval.point(0.1)) * (t - Interval.point(0.2))
 
-    res = verify_uniqueness_1d(fn, -0.05, 0.3)
+
+def test_uniqueness_rejects_three_roots():
+    res = verify_uniqueness_1d(_three_roots, -0.05, 0.3)
     assert not res.unique
     assert res.conclusive
     assert res.zero_clusters == 3
@@ -95,6 +98,34 @@ def test_uniqueness_rejects_three_roots():
 def test_uniqueness_no_root_at_all():
     res = verify_uniqueness_1d(lambda t: t + Interval.point(5.0), 0.0, 1.0)
     assert not res.unique and res.conclusive and res.zero_clusters == 0
+
+
+# ---------------------------------------------------------------------------
+# zero_clusters_1d and prove_positive_1d: the shared 1-D subdivision
+# ---------------------------------------------------------------------------
+
+
+def test_zero_clusters_budget_exhausted():
+    assert zero_clusters_1d(_three_roots, -0.05, 0.3, max_boxes=3) is None
+
+
+def test_prove_positive_rejects_negative_part():
+    def fn(t: Interval) -> Interval:
+        return t - Interval.point(0.5)
+
+    assert not prove_positive_1d(fn, 0.0, 1.0)
+    # with a coarse floor the unsettled pieces come back as leaves, not a
+    # budget overrun
+    assert not prove_positive_1d(fn, 0.0, 1.0, min_width=0.1)
+
+
+def test_prove_positive_budget_exhausted():
+    # t^2 - t + 0.3 >= 0.05, but the whole-range enclosure is [-0.7, 1.3]
+    def fn(t: Interval) -> Interval:
+        return t**2 - t + Interval.point(0.3)
+
+    assert prove_positive_1d(fn, 0.0, 1.0)
+    assert not prove_positive_1d(fn, 0.0, 1.0, max_boxes=3)
 
 
 # ---------------------------------------------------------------------------
