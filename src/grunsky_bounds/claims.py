@@ -21,6 +21,7 @@ from .domain import CONSTANTS, REGION, EdgeId
 from .interval import Interval, hull_of
 from .objectives import (
     F1_FORM,
+    F2_REDUCED_POLY,
     OBJECTIVES,
     ObjectiveId,
     RadicalForm1D,
@@ -45,6 +46,7 @@ from .oracle import (
     grunsky_table,
     random_test_vector,
 )
+from .poly import rp_eval_iv
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -223,6 +225,7 @@ class SuiteContext:
         self._critical: dict[ObjectiveId, CriticalSearch] = {}
         self._tables = {}
         self._gammas: dict[str, GammaReport] = {}
+        self._f2_root: Interval | None = None
 
     # -- maximization layers -------------------------------------------------
 
@@ -264,6 +267,17 @@ class SuiteContext:
         ext = self.extremum(oid)
         consistent = ext.value.intersects(value)
         return Location(kind, argmax, value, separated, consistent)
+
+    def f2_reduced_root(self) -> Interval:
+        """Root of the reduced f2 stationarity polynomial on [0, 1/6]."""
+        if self._f2_root is None:
+            # looked up at call time: tracing wraps optimize.find_root_1d
+            from .optimize import find_root_1d
+
+            self._f2_root = find_root_1d(
+                lambda t: rp_eval_iv(F2_REDUCED_POLY, t), 0.0, 1.0 / 6.0, tol=1e-13
+            )
+        return self._f2_root
 
     # -- oracle layers ---------------------------------------------------------
 
@@ -489,16 +503,8 @@ def _edge_root(oid: ObjectiveId, edge: EdgeId):
     return run
 
 
-def _f2_reduced_root(ctx: SuiteContext) -> Interval:
-    from .optimize import find_root_1d
-    from .poly import rp_eval_iv
-    from .objectives import F2_REDUCED_POLY
-
-    return find_root_1d(lambda t: rp_eval_iv(F2_REDUCED_POLY, t), 0.0, 1.0 / 6.0, tol=1e-13)
-
-
 def _f2_reduced_curve_x(ctx: SuiteContext) -> Interval:
-    y = _f2_reduced_root(ctx)
+    y = ctx.f2_reduced_root()
     # x(y) = sqrt(3y^2/(1-6y)) is increasing on [0, 1/6), so the verified root
     # bracket maps to an x bracket; plain-float evaluation plus a relative
     # margin is ample against the 3-digit window
@@ -557,7 +563,7 @@ EDGE_CONSTANTS: tuple[EdgeConstant, ...] = (
     EdgeConstant("g9 root", "0.281", _edge_root(ObjectiveId.F6, EdgeId.CURVE_LOW)),
     EdgeConstant("f8 x=a root", "0.267", _edge_root(ObjectiveId.F8, EdgeId.X_A)),
     # the rejected interior stationary system of the fourth-coefficient objective
-    EdgeConstant("f2 reduced y", "0.153", _f2_reduced_root),
+    EdgeConstant("f2 reduced y", "0.153", SuiteContext.f2_reduced_root),
     EdgeConstant("f2 reduced x", "0.961", _f2_reduced_curve_x),
     # the certified interior stationary point of the Hankel objective
     EdgeConstant("f6 interior x", "0.605", _f6_interior_coord(0)),

@@ -11,6 +11,7 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -38,11 +39,31 @@ def _objective_id(name: str) -> ObjectiveId:
         raise argparse.ArgumentTypeError(f"unknown objective {name!r}; use f1..f9")
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("table", "json", "csv"), default="table")
     common.add_argument("--out", metavar="PATH", help="write the report to a file")
-    common.add_argument("--max-boxes", type=int, default=10_000_000)
+    common.add_argument("--max-boxes", type=_positive_int, default=10_000_000)
     common.add_argument("--seed", type=int, default=0, help="seed for randomized oracle checks")
 
     parser = argparse.ArgumentParser(
@@ -54,25 +75,25 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", parents=[common], help="run the verification suite")
     p_verify.add_argument("--claims", nargs="+", metavar="ID", choices=CLAIM_IDS,
                           help="subset of claim ids (default: all)")
-    p_verify.add_argument("--tol", type=float, default=1e-5, help="enclosure width target")
+    p_verify.add_argument("--tol", type=_positive_float, default=1e-5, help="enclosure width target")
 
     p_max = sub.add_parser("maximize", parents=[common],
                            help="maximize one objective over the region")
     p_max.add_argument("--objective", required=True, type=_objective_id)
-    p_max.add_argument("--tol", type=float, default=1e-6)
+    p_max.add_argument("--tol", type=_positive_float, default=1e-6)
 
     p_edges = sub.add_parser("edges", parents=[common],
                              help="per-edge maxima for one objective")
     p_edges.add_argument("--objective", required=True, type=_objective_id)
-    p_edges.add_argument("--tol", type=float, default=1e-6)
+    p_edges.add_argument("--tol", type=_positive_float, default=1e-6)
 
     p_gr = sub.add_parser("grunsky", parents=[common],
                           help="coefficient table and oracle checks")
     src = p_gr.add_mutually_exclusive_group(required=True)
     src.add_argument("--preset", choices=sorted(PRESETS))
     src.add_argument("--coeffs", metavar="FILE", help="file with one 're im' pair per line, from a1")
-    p_gr.add_argument("--order", type=int, default=8)
-    p_gr.add_argument("--vectors", type=int, default=20, help="random inequality test vectors")
+    p_gr.add_argument("--order", type=_positive_int, default=8)
+    p_gr.add_argument("--vectors", type=_positive_int, default=20, help="random inequality test vectors")
     return parser
 
 

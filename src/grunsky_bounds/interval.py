@@ -6,6 +6,20 @@ transformations (TwoSum / Dekker's TwoProduct) followed by a one-ulp nudge
 only when the float result actually rounded; exact results keep exact
 endpoints.  This convention is used uniformly by every operation here.
 
+The scalar helpers `_add_*`, `_mul_*`, `_sqrt_*` and `_recip_*` each write
+the transformation out inline rather than calling a shared TwoSum /
+TwoProduct, because the call would cost more than the arithmetic.  For
+operands well inside the float range (no overflow in the split, no underflow
+in the products), each returns the float next to the exact result in its
+direction, or the exact result itself when it is a float.
+
+`Interval.__mul__` forms only the endpoint products its sign case needs (two
+when either operand is one-signed, four when both straddle zero).  Directed
+rounding is monotone, so these round to the same floats as the min / max of
+all four products.  When an endpoint comes out as zero, its sign can depend
+on which of several equal products is taken, so the product is then formed
+from all four in the fixed order.
+
 General division is not provided.  The only quotient in the toolkit is
 1/sqrt(R) over boxes where the radicand R is strictly positive: in the true
 gradient and Hessian of an objective, and in the branch-and-bound centered
@@ -30,49 +44,49 @@ class NegativeRadicandError(ArithmeticError):
     """Radicand is entirely below the clamp tolerance: point outside the domain."""
 
 
-def _two_sum(x: float, y: float) -> tuple[float, float]:
-    s = x + y
-    bb = s - x
-    err = (x - (s - bb)) + (y - bb)
-    return s, err
-
-
-def _two_prod(x: float, y: float) -> tuple[float, float]:
-    p = x * y
-    cx = _SPLITTER * x
-    xh = cx - (cx - x)
-    xl = x - xh
-    cy = _SPLITTER * y
-    yh = cy - (cy - y)
-    yl = y - yh
-    err = ((xh * yh - p) + xh * yl + xl * yh) + xl * yl
-    return p, err
+# Each helper below computes the exact rounding error of its float result
+# inline (see the module docstring).  Veltkamp's split by _SPLITTER cuts a
+# double into two halves of at most 26 bits, whose products are exact.
 
 
 def _add_down(x: float, y: float) -> float:
-    s, err = _two_sum(x, y)
-    if err < 0.0:
+    s = x + y
+    bb = s - x
+    if (x - (s - bb)) + (y - bb) < 0.0:
         return math.nextafter(s, -_INF)
     return s
 
 
 def _add_up(x: float, y: float) -> float:
-    s, err = _two_sum(x, y)
-    if err > 0.0:
+    s = x + y
+    bb = s - x
+    if (x - (s - bb)) + (y - bb) > 0.0:
         return math.nextafter(s, _INF)
     return s
 
 
 def _mul_down(x: float, y: float) -> float:
-    p, err = _two_prod(x, y)
-    if err < 0.0:
+    p = x * y
+    c = _SPLITTER * x
+    xh = c - (c - x)
+    xl = x - xh
+    c = _SPLITTER * y
+    yh = c - (c - y)
+    yl = y - yh
+    if ((xh * yh - p) + xh * yl + xl * yh) + xl * yl < 0.0:
         return math.nextafter(p, -_INF)
     return p
 
 
 def _mul_up(x: float, y: float) -> float:
-    p, err = _two_prod(x, y)
-    if err > 0.0:
+    p = x * y
+    c = _SPLITTER * x
+    xh = c - (c - x)
+    xl = x - xh
+    c = _SPLITTER * y
+    yh = c - (c - y)
+    yl = y - yh
+    if ((xh * yh - p) + xh * yl + xl * yh) + xl * yl > 0.0:
         return math.nextafter(p, _INF)
     return p
 
@@ -81,8 +95,12 @@ def _sqrt_down(x: float) -> float:
     if x <= 0.0:
         return 0.0
     r = math.sqrt(x)
-    rr, err = _two_prod(r, r)
-    if rr > x or (rr == x and err > 0.0):
+    rr = r * r
+    c = _SPLITTER * r
+    rh = c - (c - r)
+    rl = r - rh
+    t = rh * rl
+    if rr > x or (rr == x and ((rh * rh - rr) + t + t) + rl * rl > 0.0):
         return math.nextafter(r, -_INF)
     return r
 
@@ -91,8 +109,12 @@ def _sqrt_up(x: float) -> float:
     if x <= 0.0:
         return 0.0
     r = math.sqrt(x)
-    rr, err = _two_prod(r, r)
-    if rr < x or (rr == x and err < 0.0):
+    rr = r * r
+    c = _SPLITTER * r
+    rh = c - (c - r)
+    rl = r - rh
+    t = rh * rl
+    if rr < x or (rr == x and ((rh * rh - rr) + t + t) + rl * rl < 0.0):
         return math.nextafter(r, _INF)
     return r
 
@@ -100,8 +122,14 @@ def _sqrt_up(x: float) -> float:
 def _recip_up(v: float) -> float:
     """Upward-rounded 1/v for v > 0."""
     r = 1.0 / v
-    p, err = _two_prod(r, v)
-    if p < 1.0 or (p == 1.0 and err < 0.0):
+    p = r * v
+    c = _SPLITTER * r
+    rh = c - (c - r)
+    rl = r - rh
+    c = _SPLITTER * v
+    vh = c - (c - v)
+    vl = v - vh
+    if p < 1.0 or (p == 1.0 and ((rh * vh - p) + rh * vl + rl * vh) + rl * vl < 0.0):
         return math.nextafter(r, _INF)
     return r
 
@@ -109,8 +137,14 @@ def _recip_up(v: float) -> float:
 def _recip_down(v: float) -> float:
     """Downward-rounded 1/v for v > 0."""
     r = 1.0 / v
-    p, err = _two_prod(r, v)
-    if p > 1.0 or (p == 1.0 and err > 0.0):
+    p = r * v
+    c = _SPLITTER * r
+    rh = c - (c - r)
+    rl = r - rh
+    c = _SPLITTER * v
+    vh = c - (c - v)
+    vl = v - vh
+    if p > 1.0 or (p == 1.0 and ((rh * vh - p) + rh * vl + rl * vh) + rl * vl > 0.0):
         return math.nextafter(r, -_INF)
     return r
 
@@ -138,9 +172,9 @@ class Interval:
     def __init__(self, lo: float, hi: float):
         lo = float(lo)
         hi = float(hi)
-        if math.isnan(lo) or math.isnan(hi):
-            raise ValueError("NaN endpoint")
-        if lo > hi:
+        if not lo <= hi:  # also false when either endpoint is NaN
+            if math.isnan(lo) or math.isnan(hi):
+                raise ValueError("NaN endpoint")
             raise ValueError(f"invalid interval [{lo!r}, {hi!r}]")
         self.lo = lo
         self.hi = hi
@@ -173,6 +207,33 @@ class Interval:
 
     def __mul__(self, other: Interval) -> Interval:
         a, b, c, d = self.lo, self.hi, other.lo, other.hi
+        # Directed rounding is monotone, so the endpoint product named by the
+        # sign case rounds to the same float as the min / max of all four.
+        if a >= 0.0:
+            if c >= 0.0:
+                lo, hi = _mul_down(a, c), _mul_up(b, d)
+            elif d <= 0.0:
+                lo, hi = _mul_down(b, c), _mul_up(a, d)
+            else:
+                lo, hi = _mul_down(b, c), _mul_up(b, d)
+        elif b <= 0.0:
+            if c >= 0.0:
+                lo, hi = _mul_down(a, d), _mul_up(b, c)
+            elif d <= 0.0:
+                lo, hi = _mul_down(b, d), _mul_up(a, c)
+            else:
+                lo, hi = _mul_down(a, d), _mul_up(a, c)
+        elif c >= 0.0:
+            lo, hi = _mul_down(a, d), _mul_up(b, d)
+        elif d <= 0.0:
+            lo, hi = _mul_down(b, c), _mul_up(a, c)
+        else:
+            lo = min(_mul_down(a, d), _mul_down(b, c))
+            hi = max(_mul_up(a, c), _mul_up(b, d))
+        if lo and hi:
+            return Interval(lo, hi)
+        # A zero endpoint may be +0.0 or -0.0 depending on which of the equal
+        # products is taken: keep the sign the four-product min / max gives.
         lo = min(_mul_down(a, c), _mul_down(a, d), _mul_down(b, c), _mul_down(b, d))
         hi = max(_mul_up(a, c), _mul_up(a, d), _mul_up(b, c), _mul_up(b, d))
         return Interval(lo, hi)

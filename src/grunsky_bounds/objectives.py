@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .domain import CONSTANTS, EdgeId, omega_contains
 from .interval import (
@@ -49,7 +49,7 @@ from .interval import (
     _sqrt_down,
     _sqrt_up,
 )
-from .poly import MixedPoly, RatPoly, rp_add, rp_eval_iv, rp_mul, rp_scale, rp_trim
+from .poly import MixedPoly, RatPoly, horner_iv, rp_add, rp_enclose, rp_mul, rp_scale, rp_trim
 
 _A = CONSTANTS.a  # Fraction(297, 400)
 _F0 = Fraction(0)
@@ -99,16 +99,21 @@ class RadicalForm1D:
     lo: float
     hi: float
 
+    @cached_property
+    def _s_iv(self) -> tuple[Interval, ...] | None:
+        """Enclosed radicand coefficients; None when there is no radical term."""
+        return None if self.v.is_zero() else rp_enclose(self.s)
+
     def value_iv(self, t: Interval) -> Interval:
         out = self.w.eval_iv(t)
-        if not self.v.is_zero():
-            out = out + self.v.eval_iv(t) * rp_eval_iv(self.s, t).sqrt_clamped()
+        if self._s_iv is not None:
+            out = out + self.v.eval_iv(t) * horner_iv(self._s_iv, t).sqrt_clamped()
         return out
 
     def value(self, t: float) -> float:
         out = self.w.eval_float(t)
-        if not self.v.is_zero():
-            s = rp_eval_iv(self.s, Interval.point(t))
+        if self._s_iv is not None:
+            s = horner_iv(self._s_iv, Interval.point(t))
             if s.hi < -CLAMP_TOL:
                 raise NegativeRadicandError(f"{self.label}: radicand negative at t={t}")
             out += self.v.eval_float(t) * math.sqrt(max(s.mid, 0.0))

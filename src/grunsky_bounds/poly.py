@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .interval import INV_SQRT3, INV_SQRT5, INV_SQRT7, Interval
 
@@ -21,7 +21,8 @@ _ZERO = ()
 
 
 @lru_cache(maxsize=None)
-def _iv_coeffs(p: RatPoly) -> tuple[Interval, ...]:
+def rp_enclose(p: RatPoly) -> tuple[Interval, ...]:
+    """Tightest float enclosure of each coefficient; built once per polynomial."""
     return tuple(Interval.from_fraction(c) for c in p)
 
 
@@ -71,8 +72,13 @@ def rp_eval_float(p: RatPoly, x: float) -> float:
 
 
 def rp_eval_iv(p: RatPoly, x: Interval) -> Interval:
+    return horner_iv(rp_enclose(p), x)
+
+
+def horner_iv(coeffs: tuple[Interval, ...], x: Interval) -> Interval:
+    """Horner evaluation over enclosed coefficients (see `rp_enclose`)."""
     acc = Interval.point(0.0)
-    for c in reversed(_iv_coeffs(p)):
+    for c in reversed(coeffs):
         acc = acc * x + c
     return acc
 
@@ -113,16 +119,18 @@ class MixedPoly:
             out += rp_eval_float(self.inv_sqrt7, x) / _S7
         return out
 
+    @cached_property
+    def _iv_parts(self) -> tuple[tuple[tuple[Interval, ...], Interval | None], ...]:
+        """Enclosed coefficients of each non-zero part, with its irrational factor."""
+        parts = ((self.one, None), (self.inv_sqrt3, INV_SQRT3),
+                 (self.inv_sqrt5, INV_SQRT5), (self.inv_sqrt7, INV_SQRT7))
+        return tuple((rp_enclose(p), factor) for p, factor in parts if p)
+
     def eval_iv(self, x: Interval) -> Interval:
         out = Interval.point(0.0)
-        if self.one:
-            out = out + rp_eval_iv(self.one, x)
-        if self.inv_sqrt3:
-            out = out + rp_eval_iv(self.inv_sqrt3, x) * INV_SQRT3
-        if self.inv_sqrt5:
-            out = out + rp_eval_iv(self.inv_sqrt5, x) * INV_SQRT5
-        if self.inv_sqrt7:
-            out = out + rp_eval_iv(self.inv_sqrt7, x) * INV_SQRT7
+        for coeffs, factor in self._iv_parts:
+            v = horner_iv(coeffs, x)
+            out = out + (v if factor is None else v * factor)
         return out
 
     def deriv(self) -> MixedPoly:

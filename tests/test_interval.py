@@ -10,6 +10,14 @@ from grunsky_bounds.interval import (
     CLAMP_TOL,
     Interval,
     NegativeRadicandError,
+    _add_down,
+    _add_up,
+    _mul_down,
+    _mul_up,
+    _recip_down,
+    _recip_up,
+    _sqrt_down,
+    _sqrt_up,
     hull_of,
 )
 
@@ -175,3 +183,110 @@ def test_invalid_interval_rejected():
         Interval(2, 1)
     with pytest.raises(ValueError):
         Interval(float("nan"), 1)
+
+
+# -- directed scalar helpers against exact rational arithmetic -----------------
+
+# operands whose results are exact, powers of two, ties under round-to-nearest
+# (1 + 2**-53, 3 * (1 + 2**-52), (2**27 + 1) * (2**27 - 1)) and signed zeros
+_ADVERSARIAL = [
+    0.0, -0.0, 1.0, -1.0, 0.5, 2.0, 3.0, -3.0, 2.0**-53, -(2.0**-53), 2.0**-52,
+    1.0 + 2.0**-52, -(1.0 + 2.0**-52), 2.0**27 + 1.0, 2.0**27 - 1.0, 0.1, 0.2,
+    0.3, 1.5, 2.25, 1e-3, -7.75, 2.0**40, 2.0**-40, 4.0 - 2.0**-50,
+]
+
+
+def _random_operands(seed: int, count: int) -> list[float]:
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        mant = rng.uniform(0.5, 1.0) if rng.random() < 0.8 else rng.randint(1, 2**20) / 2**20
+        out.append(rng.choice((-1.0, 1.0)) * math.ldexp(mant, rng.randint(-60, 60)))
+    return out
+
+
+def _assert_directed(down: float, up: float, exact: Fraction) -> None:
+    """down is the largest float <= exact and up the smallest float >= exact."""
+    assert Fraction(down) <= exact <= Fraction(up)
+    assert Fraction(math.nextafter(down, math.inf)) > exact
+    assert Fraction(math.nextafter(up, -math.inf)) < exact
+    if Fraction(float(exact)) == exact:
+        assert down == up == float(exact)
+
+
+def _operand_pairs():
+    pool = _ADVERSARIAL + _random_operands(31, 60)
+    rng = random.Random(32)
+    pairs = [(x, y) for x in _ADVERSARIAL for y in _ADVERSARIAL]
+    pairs += [(rng.choice(pool), rng.choice(pool)) for _ in range(4_000)]
+    return pairs
+
+
+def test_add_helpers_round_in_their_direction():
+    for x, y in _operand_pairs():
+        _assert_directed(_add_down(x, y), _add_up(x, y), Fraction(x) + Fraction(y))
+    assert _add_up(1.0, 2.0**-53) == math.nextafter(1.0, math.inf)  # tie rounds to even
+    assert _add_down(1.0, 2.0**-53) == 1.0
+
+
+def test_mul_helpers_round_in_their_direction():
+    for x, y in _operand_pairs():
+        _assert_directed(_mul_down(x, y), _mul_up(x, y), Fraction(x) * Fraction(y))
+    tie = (2.0**27 + 1.0, 2.0**27 - 1.0)  # exact product 2**54 - 1 is halfway
+    assert (_mul_down(*tie), _mul_up(*tie)) == (2.0**54 - 2.0, 2.0**54)
+
+
+def test_sqrt_helpers_round_in_their_direction():
+    pool = [abs(x) for x in _ADVERSARIAL + _random_operands(33, 3_000)]
+    for x in pool:
+        down, up = _sqrt_down(x), _sqrt_up(x)
+        q = Fraction(x)
+        assert Fraction(down) ** 2 <= q <= Fraction(up) ** 2
+        assert Fraction(math.nextafter(down, math.inf)) ** 2 > q
+        if up > 0.0:
+            assert Fraction(math.nextafter(up, -math.inf)) ** 2 < q
+        root = math.sqrt(x)
+        if Fraction(root) ** 2 == q:
+            assert down == up == root
+    assert (_sqrt_down(2.25), _sqrt_up(2.25)) == (1.5, 1.5)
+    assert _sqrt_down(-1.0) == _sqrt_up(-0.0) == 0.0
+
+
+def test_recip_helpers_round_in_their_direction():
+    pool = [abs(x) for x in _ADVERSARIAL + _random_operands(34, 3_000) if x != 0.0]
+    for v in pool:
+        _assert_directed(_recip_down(v), _recip_up(v), 1 / Fraction(v))
+
+
+# -- sign-split interval product against the four-product reference --------------
+
+
+def _four_product(u: Interval, v: Interval) -> tuple[str, str]:
+    a, b, c, d = u.lo, u.hi, v.lo, v.hi
+    lo = min(_mul_down(a, c), _mul_down(a, d), _mul_down(b, c), _mul_down(b, d))
+    hi = max(_mul_up(a, c), _mul_up(a, d), _mul_up(b, c), _mul_up(b, d))
+    return lo.hex(), hi.hex()
+
+
+def _sign_class(iv: Interval) -> str:
+    if iv.lo >= 0.0:
+        return "pos"
+    return "neg" if iv.hi <= 0.0 else "mixed"
+
+
+def test_mul_matches_four_product_reference_bitwise():
+    ends = [-3.0, -1.5, -(1.0 + 2.0**-52), -0.1, -0.0, 0.0, 0.1, 0.75, 1.0 + 2.0**-52, 2.0]
+    ends += _random_operands(35, 6)
+    intervals = [Interval(a, b) for a in ends for b in ends if a <= b]
+    rng = random.Random(36)
+    for _ in range(100):
+        a, b = sorted(rng.choice(ends) * rng.uniform(0.5, 2.0) for _ in range(2))
+        intervals.append(Interval(a, b))
+    cases = set()
+    for u in intervals:
+        for v in intervals:
+            w = u * v
+            assert (w.lo.hex(), w.hi.hex()) == _four_product(u, v), (u, v)
+            cases.add((_sign_class(u), _sign_class(v)))
+    assert len(cases) == 9
+    assert (Interval(-0.0, 0.0) * Interval(1.0, 2.0)).hi.hex() == "-0x0.0p+0"

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from grunsky_bounds.domain import CONSTANTS, EdgeId, cap_sup_up, lemma1_bound
-from grunsky_bounds.interval import Interval
+from grunsky_bounds.interval import INV_SQRT3, INV_SQRT5, INV_SQRT7, Interval
 from grunsky_bounds.objectives import (
     F1_FORM,
     F2_REDUCED_POLY,
@@ -450,3 +450,67 @@ def test_values_finite_on_whole_region_including_rim():
         y = lemma1_bound(x) if rng.random() < 0.5 else rng.uniform(0, lemma1_bound(x))
         v = OBJECTIVES[oid].value(x, y)
         assert math.isfinite(v)
+
+
+def _mixed_per_call(m, x: Interval) -> Interval:
+    """MixedPoly.eval_iv through rp_eval_iv, enclosing the coefficients on each call."""
+    out = Interval.point(0.0)
+    for p, factor in ((m.one, None), (m.inv_sqrt3, INV_SQRT3),
+                      (m.inv_sqrt5, INV_SQRT5), (m.inv_sqrt7, INV_SQRT7)):
+        if p:
+            v = rp_eval_iv(p, x)
+            out = out + (v if factor is None else v * factor)
+    return out
+
+
+def _form_per_call(form, t: Interval) -> Interval:
+    out = _mixed_per_call(form.w, t)
+    if not form.v.is_zero():
+        out = out + _mixed_per_call(form.v, t) * rp_eval_iv(form.s, t).sqrt_clamped()
+    return out
+
+
+def _hex(iv: Interval) -> tuple[str, str]:
+    return iv.lo.hex(), iv.hi.hex()
+
+
+_FORMS = [F1_FORM] + [
+    OBJECTIVES[oid].restriction(edge) for oid in ObjectiveId if oid is not ObjectiveId.F1
+    for edge in EdgeId
+]
+
+
+@pytest.mark.parametrize("form", _FORMS + [f.scaled_derivative() for f in _FORMS],
+                         ids=lambda f: f.label)
+def test_pre_enclosed_coefficients_match_per_call_path(form):
+    rng = random.Random(form.label)
+    for _ in range(40):
+        a, b = sorted(rng.uniform(form.lo, form.hi) for _ in range(2))
+        t = Interval(a, b)
+        assert _hex(form.value_iv(t)) == _hex(_form_per_call(form, t))
+        for m in (form.w, form.v):
+            assert _hex(m.eval_iv(t)) == _hex(_mixed_per_call(m, t))
+
+
+def test_f2_reduced_root_found_once_per_context(monkeypatch):
+    from grunsky_bounds import optimize
+    from grunsky_bounds.claims import EDGE_CONSTANTS, SuiteContext
+
+    calls = []
+    original = optimize.find_root_1d
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    # the context must look the root finder up on the module at call time
+    monkeypatch.setattr(optimize, "find_root_1d", counted)
+    specs = {spec.label: spec for spec in EDGE_CONSTANTS}
+    ctx = SuiteContext()
+    y = specs["f2 reduced y"].evaluate(ctx)
+    x = specs["f2 reduced x"].evaluate(ctx)
+    assert len(calls) == 1
+    assert 0.153 <= y.lo <= y.hi < 0.154
+    assert 0.961 <= x.lo <= x.hi < 0.962
+    specs["f2 reduced y"].evaluate(SuiteContext())
+    assert len(calls) == 2

@@ -134,3 +134,23 @@ def test_cli_writes_report_file(tmp_path):
     code = main(["verify", "--claims", "PROPERTY_CURVES", "--format", "csv", "--out", str(out)])
     assert code == 0
     assert out.read_text().startswith("claim_id,")
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["verify", "--max-boxes", "0"], "--max-boxes"),
+        (["verify", "--tol", "-1"], "--tol"),
+        (["verify", "--tol", "nan"], "--tol"),
+        (["maximize", "--objective", "f2", "--tol", "0"], "--tol"),
+        (["edges", "--objective", "f2", "--tol", "inf"], "--tol"),
+        (["grunsky", "--preset", "identity", "--order", "0"], "--order"),
+        (["grunsky", "--preset", "identity", "--vectors", "0"], "--vectors"),
+    ],
+)
+def test_cli_rejects_non_positive_flags(argv, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    err = capsys.readouterr().err.strip().splitlines()
+    assert exc.value.code == 2
+    assert f"error: argument {flag}: must be a positive" in err[-1]
