@@ -39,14 +39,21 @@ def _objective_id(name: str) -> ObjectiveId:
         raise argparse.ArgumentTypeError(f"unknown objective {name!r}; use f1..f9")
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
-    return value
+def _int_at_least(minimum: int, what: str):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be a {what} integer, got {value}")
+        return value
+
+    return parse
+
+
+_positive_int = _int_at_least(1, "positive")
+_non_negative_int = _int_at_least(0, "non-negative")
 
 
 def _positive_float(text: str) -> float:
@@ -64,7 +71,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("table", "json", "csv"), default="table")
     common.add_argument("--out", metavar="PATH", help="write the report to a file")
     common.add_argument("--max-boxes", type=_positive_int, default=10_000_000)
-    common.add_argument("--seed", type=int, default=0, help="seed for randomized oracle checks")
+    common.add_argument("--seed", type=_non_negative_int, default=0,
+                        help="seed for randomized oracle checks")
 
     parser = argparse.ArgumentParser(
         prog="grunsky-bounds",

@@ -11,7 +11,10 @@ the transformation out inline rather than calling a shared TwoSum /
 TwoProduct, because the call would cost more than the arithmetic.  For
 operands well inside the float range (no overflow in the split, no underflow
 in the products), each returns the float next to the exact result in its
-direction, or the exact result itself when it is a float.
+direction, or the exact result itself when it is a float.  Above about
+2**996 the split of `_mul_*` and `_recip_*` overflows and the error term is
+NaN; their tests are written so that a NaN error also nudges, which keeps
+the result outward, at most one ulp looser than the directed rounding.
 
 `Interval.__mul__` forms only the endpoint products its sign case needs (two
 when either operand is one-signed, four when both straddle zero).  Directed
@@ -73,7 +76,7 @@ def _mul_down(x: float, y: float) -> float:
     c = _SPLITTER * y
     yh = c - (c - y)
     yl = y - yh
-    if ((xh * yh - p) + xh * yl + xl * yh) + xl * yl < 0.0:
+    if not ((xh * yh - p) + xh * yl + xl * yh) + xl * yl >= 0.0:
         return math.nextafter(p, -_INF)
     return p
 
@@ -86,7 +89,7 @@ def _mul_up(x: float, y: float) -> float:
     c = _SPLITTER * y
     yh = c - (c - y)
     yl = y - yh
-    if ((xh * yh - p) + xh * yl + xl * yh) + xl * yl > 0.0:
+    if not ((xh * yh - p) + xh * yl + xl * yh) + xl * yl <= 0.0:
         return math.nextafter(p, _INF)
     return p
 
@@ -129,7 +132,7 @@ def _recip_up(v: float) -> float:
     c = _SPLITTER * v
     vh = c - (c - v)
     vl = v - vh
-    if p < 1.0 or (p == 1.0 and ((rh * vh - p) + rh * vl + rl * vh) + rl * vl < 0.0):
+    if p < 1.0 or (p == 1.0 and not ((rh * vh - p) + rh * vl + rl * vh) + rl * vl >= 0.0):
         return math.nextafter(r, _INF)
     return r
 
@@ -144,7 +147,7 @@ def _recip_down(v: float) -> float:
     c = _SPLITTER * v
     vh = c - (c - v)
     vl = v - vh
-    if p > 1.0 or (p == 1.0 and ((rh * vh - p) + rh * vl + rl * vh) + rl * vl > 0.0):
+    if p > 1.0 or (p == 1.0 and not ((rh * vh - p) + rh * vl + rl * vh) + rl * vl <= 0.0):
         return math.nextafter(r, -_INF)
     return r
 

@@ -5,18 +5,22 @@ maximize_1d and maximize_2d share one best-first branch-and-bound loop,
 in y against the cap curve (the region is y-simple, so clipping is exact),
 pruned when their upper bound falls below the certified incumbent, and the
 final enclosure is derived from the surviving boxes.  Near the radicand-zero
-rim only value information is used; gradient certificates are never evaluated
-where the gradient is singular.
+rim the BnB uses value information only: its centered form needs the true
+gradient, which is singular there.
 
 subdivide_1d is the one 1-D bisection routine: zero_clusters_1d (edge
 critical points, uniqueness proofs) and prove_positive_1d are built on it.
 
 interior_critical_points excludes gradient zeros with the division-free
-scaled gradient, then certifies each surviving cluster with a Krawczyk
-contraction on a small box around the numerically polished point, which
-proves existence and uniqueness there.  The true gradient and the interval
-Hessian it needs come from `Objective.gradient_iv` and `Objective.hessian_iv`;
-this module evaluates no objective terms itself.
+scaled gradient G = sqrt(R)*grad f, which stays bounded up to the rim R = 0,
+so the sign test runs first on every box, rim boxes included.  Only boxes
+that reach the rim and whose sign it cannot settle fall back to the rim
+branch, which stops at RIM_WIDTH and bounds them by value.  Each surviving
+cluster is then certified with a Krawczyk contraction on a small box around
+the numerically polished point, which proves existence and uniqueness there.
+The true gradient and the interval Hessian it needs come from
+`Objective.gradient_iv` and `Objective.hessian_iv`; this module evaluates no
+objective terms itself.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ IvFunc = Callable[[Interval], Interval]
 
 #: width below which a gradient-ambiguous box is treated as a critical cluster
 CLUSTER_WIDTH = 2e-5
-#: width at which boxes touching the radicand-zero rim stop being subdivided
+#: width at which rim boxes with an unsettled gradient sign stop being subdivided
 RIM_WIDTH = 1e-3
 
 
@@ -90,6 +94,13 @@ class CriticalPoint:
 
 @dataclass
 class CriticalSearch:
+    """Interior critical points of one objective, and what the search left.
+
+    `rim_boxes` are the fallback boxes that reach the rim R = 0 and whose
+    scaled-gradient signs could not be settled; `rim_value_ub` bounds the
+    objective over them (-inf when there are none).
+    """
+
     points: list[CriticalPoint] = field(default_factory=list)
     boundary_zeros: list[tuple[float, float]] = field(default_factory=list)
     rim_boxes: list[tuple[float, float, float, float]] = field(default_factory=list)
@@ -507,7 +518,10 @@ def interior_critical_points(
     """Isolate and certify every gradient zero in the interior of the region.
 
     Discarded boxes all carry an interval certificate that one scaled-gradient
-    component excludes zero; boxes touching the radicand-zero rim are reported
+    component excludes zero.  The certificate holds on boxes that reach the
+    radicand-zero rim as well: the ranges enclose G = sqrt(R)*grad f at every
+    box point with R >= 0, and G has the zeros of grad f where R > 0.  Rim
+    boxes whose sign stays unsettled are subdivided to RIM_WIDTH and reported
     separately (the rim is the upper boundary curve, whose values are covered
     by edge maximization).
     """
@@ -532,6 +546,9 @@ def interior_critical_points(
         x1, x2, y1, y2 = box
         wide = max(x2 - x1, y2 - y1)
         g1lo, g1hi, g2lo, g2hi, r_lo, r_hi = ranges.scaled_gradient_range(x1, x2, y1, y2)
+        # sign first: the certificate holds up to the rim (see the docstring)
+        if g1lo > 0.0 or g1hi < 0.0 or g2lo > 0.0 or g2hi < 0.0:
+            continue
         if obj.has_radical and r_lo <= 0.0:
             if wide <= RIM_WIDTH or r_hi <= 0.0:
                 out.rim_boxes.append(box)
@@ -540,8 +557,6 @@ def interior_critical_points(
                     out.rim_value_ub = ub
                 continue
             stack.extend(_split_clipped(region, box))
-            continue
-        if g1lo > 0.0 or g1hi < 0.0 or g2lo > 0.0 or g2hi < 0.0:
             continue
         if wide <= CLUSTER_WIDTH:
             candidates.append(box)

@@ -258,6 +258,24 @@ def test_recip_helpers_round_in_their_direction():
         _assert_directed(_recip_down(v), _recip_up(v), 1 / Fraction(v))
 
 
+def test_helpers_stay_outward_when_the_split_overflows():
+    # above about 2**996 the Veltkamp split overflows and the error term is NaN
+    x, y = 1.1 * 2.0**1000, 1.0 + 2.0**-52
+    w = Interval(x, x) * Interval(y, y)
+    assert Fraction(w.lo) <= Fraction(x) * Fraction(y) <= Fraction(w.hi)
+    rng = random.Random(37)
+    for _ in range(500):
+        big = math.ldexp(rng.uniform(1.0, 2.0), rng.randint(997, 1022))
+        small = rng.choice((-1.0, 1.0)) * rng.uniform(0.5, 1.0)
+        for down, up, exact in (
+            (_mul_down(big, small), _mul_up(big, small), Fraction(big) * Fraction(small)),
+            (_recip_down(big), _recip_up(big), 1 / Fraction(big)),
+        ):
+            assert Fraction(down) <= exact <= Fraction(up)
+            # at most one ulp looser than directed rounding on each side
+            assert math.nextafter(down, math.inf) >= math.nextafter(up, -math.inf)
+
+
 # -- sign-split interval product against the four-product reference --------------
 
 

@@ -227,6 +227,49 @@ def test_monotone_bounds_agree_with_interval_evaluation():
         assert hi >= iv.lo - 1e-9 and lo <= iv.hi + 1e-9
 
 
+# Sample points lie on the 2**-16 grid, so x*x, 3*y*y and R = 1 - x^2 - 3y^2
+# are exact in floats and R >= 0 is decided exactly.  The float
+# `scaled_gradient` then differs from the exact G only by round-to-nearest in
+# about ten operations on values below 25 in magnitude, under 10 * 25 * 2**-53
+# (about 3e-14); the slack leaves a factor of three on top of that.
+_GRID = 2.0**-16
+_FLOAT_SLACK = 1e-13
+
+
+def _grid_point(t: float, lo: float, hi: float) -> float | None:
+    k, m = math.ceil(lo / _GRID), math.floor(hi / _GRID)
+    return min(max(round(t / _GRID), k), m) * _GRID if k <= m else None
+
+
+def test_scaled_gradient_range_encloses_float_scaled_gradient():
+    """The sign certificate of the critical search holds up to the rim."""
+    rng = random.Random(41)
+    boxes = [(ObjectiveId.F2, 0.49, 0.51, 0.49, 0.51)]  # (1/2, 1/2) has R == 0 exactly
+    for _ in range(400):
+        oid = rng.choice([o for o in ObjectiveId if o is not ObjectiveId.F1])
+        hw = rng.uniform(1e-4, 0.05)
+        xc = rng.uniform(hw, A - hw)
+        cap = lemma1_bound(xc)
+        yc = cap if rng.random() < 0.5 else rng.uniform(hw, cap - hw)
+        boxes.append((oid, xc - hw, xc + hw, max(yc - hw, 0.0), yc + hw))
+    kinds = {"rim": 0, "interior": 0, "R == 0": 0}
+    for oid, x1, x2, y1, y2 in boxes:
+        obj = OBJECTIVES[oid]
+        g1lo, g1hi, g2lo, g2hi, r_lo, _ = monotone_bounds(oid).scaled_gradient_range(x1, x2, y1, y2)
+        kinds["rim" if r_lo <= 0.0 else "interior"] += 1
+        samples = [(0.5 * (x1 + x2), 0.5 * (y1 + y2))]
+        samples += [(rng.uniform(x1, x2), rng.uniform(y1, y2)) for _ in range(20)]
+        for x, y in samples:
+            x, y = _grid_point(x, x1, x2), _grid_point(y, y1, y2)
+            if x is None or y is None or 1.0 - x * x - 3.0 * y * y < 0.0:
+                continue
+            kinds["R == 0"] += 1.0 - x * x - 3.0 * y * y == 0.0
+            g1, g2 = obj.scaled_gradient(x, y)
+            assert g1lo - _FLOAT_SLACK <= g1 <= g1hi + _FLOAT_SLACK, (oid, x, y)
+            assert g2lo - _FLOAT_SLACK <= g2 <= g2hi + _FLOAT_SLACK, (oid, x, y)
+    assert kinds["rim"] >= 100 and kinds["interior"] >= 100 and kinds["R == 0"] >= 1
+
+
 # ---------------------------------------------------------------------------
 # boundary restrictions against independently transcribed closed forms
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from grunsky_bounds import optimize
 from grunsky_bounds.domain import CONSTANTS, REGION, EdgeId
 from grunsky_bounds.interval import Interval
 from grunsky_bounds.objectives import F1_FORM, OBJECTIVES, ObjectiveId
@@ -290,9 +291,58 @@ def test_critical_budget_downgrade():
     assert not cs.certified
 
 
-def test_rim_boxes_reported_for_radical_objectives():
-    cs = interior_critical_points(OBJECTIVES[ObjectiveId.F3], REGION, CFG)
-    assert len(cs.rim_boxes) > 0
+# Certified boxes of the interior critical points as float.hex of
+# (x.lo, x.hi, y.lo, y.hi), and the number of gradient zeros found on the
+# boundary, for each 2-D objective.
+CRITICAL_POINTS = {
+    ObjectiveId.F2: ([], 1),
+    ObjectiveId.F3: ([], 0),
+    ObjectiveId.F4: ([("0x1.44d52ce532d18p-1", "0x1.44d5339b2f782p-1",
+                       "0x1.6f9afe3b6622cp-2", "0x1.6f9b0ba75f702p-2")], 1),
+    ObjectiveId.F5: ([("0x1.6f696a9f27657p-1", "0x1.6f697155240c1p-1",
+                       "0x1.4041f0f592cd5p-2", "0x1.4041fe618c1abp-2")], 0),
+    ObjectiveId.F6: ([("0x1.3608063ad5caap-1", "0x1.36080cf0d2714p-1",
+                       "0x1.94976c854a22bp-2", "0x1.949779f143701p-2")], 0),
+    ObjectiveId.F7: ([], 0),
+    ObjectiveId.F8: ([], 1),
+    ObjectiveId.F9: ([], 0),
+}
+
+
+@pytest.mark.parametrize("oid", list(CRITICAL_POINTS))
+def test_critical_search_excludes_the_rim_by_gradient_sign(oid):
+    cs = interior_critical_points(OBJECTIVES[oid], REGION, CFG)
+    assert cs.certified
+    assert cs.rim_boxes == [] and cs.rim_value_ub == -math.inf
+    boxes = [tuple(e.hex() for iv in p.certified_box for e in (iv.lo, iv.hi)) for p in cs.points]
+    assert (boxes, len(cs.boundary_zeros)) == CRITICAL_POINTS[oid]
+
+
+class _NoSignAtRim:
+    """Monotone bounds whose gradient ranges straddle zero wherever r_lo <= 0."""
+
+    def __init__(self, inner):
+        self._inner = inner
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+    def scaled_gradient_range(self, x1, x2, y1, y2):
+        g1lo, g1hi, g2lo, g2hi, r_lo, r_hi = self._inner.scaled_gradient_range(x1, x2, y1, y2)
+        if r_lo <= 0.0:
+            g1lo, g1hi, g2lo, g2hi = min(g1lo, -1.0), max(g1hi, 1.0), min(g2lo, -1.0), max(g2hi, 1.0)
+        return g1lo, g1hi, g2lo, g2hi, r_lo, r_hi
+
+
+@pytest.mark.parametrize("oid", [ObjectiveId.F3, ObjectiveId.F5])
+def test_rim_fallback_bounds_unsettled_boxes_by_value(oid, monkeypatch):
+    obj = OBJECTIVES[oid]
+    ext = maximize_2d(obj, REGION, CFG)
+    plain = interior_critical_points(obj, REGION, CFG)
+    real = optimize.monotone_bounds
+    monkeypatch.setattr(optimize, "monotone_bounds", lambda o: _NoSignAtRim(real(o)))
+    cs = interior_critical_points(obj, REGION, CFG)
+    assert len(cs.rim_boxes) > 0 and cs.certified
     # rim values cannot exceed the certified global enclosure
-    ext = maximize_2d(OBJECTIVES[ObjectiveId.F3], REGION, CFG)
     assert cs.rim_value_ub <= ext.value.hi + 1e-9
+    assert cs.points == plain.points and cs.boundary_zeros == plain.boundary_zeros

@@ -154,3 +154,19 @@ def test_cli_rejects_non_positive_flags(argv, flag, capsys):
     err = capsys.readouterr().err.strip().splitlines()
     assert exc.value.code == 2
     assert f"error: argument {flag}: must be a positive" in err[-1]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--seed", "-1"],
+        ["verify", "--claims", "ORACLE_INEQ", "--seed", "-1"],
+        ["grunsky", "--preset", "identity", "--seed", "-1"],
+    ],
+)
+def test_cli_rejects_negative_seed(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    err = capsys.readouterr().err.strip().splitlines()
+    assert exc.value.code == 2
+    assert err[-1].endswith("error: argument --seed: must be a non-negative integer, got -1")
