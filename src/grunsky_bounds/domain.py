@@ -15,7 +15,17 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 
-from .interval import Interval, _add_down, _add_up, _mul_down, _mul_up, _sqrt_down, _sqrt_up
+from .interval import (
+    Interval,
+    _add_down,
+    _add_up,
+    _mul_down,
+    _mul_up,
+    _recip_down,
+    _recip_up,
+    _sqrt_down,
+    _sqrt_up,
+)
 
 #: membership slack for points produced by floating-point parameterizations
 BOUNDARY_SLACK = 1e-12
@@ -95,6 +105,30 @@ def cap_point_down(x: float) -> float:
     low = 0.5 * _add_down(1.0, _mul_down(x, x))
     high = _sqrt_down(_mul_down(_THIRD.lo, _add_down(1.0, -_mul_up(x, x))))
     return min(low, high)
+
+
+# Cap charts.  Each branch c of the cap is a cap on all of [0, 1], so
+# y = s * c(x) with s in [0, 1] covers the region over any x-range.  A chart
+# function returns outward ranges (c_lo, c_hi, dc_lo, dc_hi) of c and of its
+# slope c' over [x1, x2], 0 <= x1 <= x2 <= a, rounded as in the two
+# functions above.
+
+
+def low_chart(x1: float, x2: float) -> tuple[float, float, float, float]:
+    """c = (1 + x^2)/2 and c' = x, both increasing."""
+    return 0.5 * _add_down(1.0, _mul_down(x1, x1)), 0.5 * _add_up(1.0, _mul_up(x2, x2)), x1, x2
+
+
+def high_chart(x1: float, x2: float) -> tuple[float, float, float, float]:
+    """c = sqrt((1 - x^2)/3), decreasing, and c' = -x/(3c), decreasing."""
+    c_lo = _sqrt_down(_mul_down(_THIRD.lo, _add_down(1.0, -_mul_up(x2, x2))))
+    c_hi = _sqrt_up(_mul_up(_THIRD.hi, _add_up(1.0, -_mul_down(x1, x1))))
+    return (
+        c_lo,
+        c_hi,
+        -_mul_up(x2, _recip_up(_mul_down(3.0, c_lo))),
+        -_mul_down(x1, _recip_down(_mul_up(3.0, c_hi))),
+    )
 
 
 def omega_contains(x: float, y: float, slack: float = BOUNDARY_SLACK) -> bool:

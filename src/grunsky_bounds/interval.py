@@ -15,6 +15,10 @@ direction, or the exact result itself when it is a float.  Above about
 2**996 the split of `_mul_*` and `_recip_*` overflows and the error term is
 NaN; their tests are written so that a NaN error also nudges, which keeps
 the result outward, at most one ulp looser than the directed rounding.
+Below `_TINY` = 2**-969 (a product, or a radicand of `_sqrt_*`) the error
+terms can be subnormal and lose bits, so those helpers nudge there whenever
+their test does not, with the same one-ulp guarantee; the extra check sits
+on the no-nudge path only.
 
 `Interval.__mul__` forms only the endpoint products its sign case needs (two
 when either operand is one-signed, four when both straddle zero).  Directed
@@ -41,6 +45,12 @@ CLAMP_TOL = 1e-12
 
 _SPLITTER = 134217729.0  # 2**27 + 1, Dekker/Veltkamp splitting constant
 _INF = math.inf
+# The rounding error of x*y is a multiple of ulp(x)*ulp(y).  Where
+# |x*y| >= 2**-969 that is a multiple of 2**-1074, so the error and the split
+# products that compute it are floats and the sign test is exact.  Below, they
+# can be subnormal and lose bits: the product and square-root helpers then
+# nudge without trusting the test.
+_TINY = 2.0**-969
 
 
 class NegativeRadicandError(ArithmeticError):
@@ -78,6 +88,8 @@ def _mul_down(x: float, y: float) -> float:
     yl = y - yh
     if not ((xh * yh - p) + xh * yl + xl * yh) + xl * yl >= 0.0:
         return math.nextafter(p, -_INF)
+    if p < _TINY and -_TINY < p and x and y:
+        return math.nextafter(p, -_INF)
     return p
 
 
@@ -91,6 +103,8 @@ def _mul_up(x: float, y: float) -> float:
     yl = y - yh
     if not ((xh * yh - p) + xh * yl + xl * yh) + xl * yl <= 0.0:
         return math.nextafter(p, _INF)
+    if p < _TINY and -_TINY < p and x and y:
+        return math.nextafter(p, _INF)
     return p
 
 
@@ -103,7 +117,7 @@ def _sqrt_down(x: float) -> float:
     rh = c - (c - r)
     rl = r - rh
     t = rh * rl
-    if rr > x or (rr == x and ((rh * rh - rr) + t + t) + rl * rl > 0.0):
+    if rr > x or (rr == x and ((rh * rh - rr) + t + t) + rl * rl > 0.0) or x < _TINY:
         return math.nextafter(r, -_INF)
     return r
 
@@ -117,7 +131,7 @@ def _sqrt_up(x: float) -> float:
     rh = c - (c - r)
     rl = r - rh
     t = rh * rl
-    if rr < x or (rr == x and ((rh * rh - rr) + t + t) + rl * rl < 0.0):
+    if rr < x or (rr == x and ((rh * rh - rr) + t + t) + rl * rl < 0.0) or x < _TINY:
         return math.nextafter(r, _INF)
     return r
 

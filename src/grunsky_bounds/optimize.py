@@ -4,9 +4,14 @@ maximize_1d and maximize_2d share one best-first branch-and-bound loop,
 `_best_first`.  In 2-D, boxes are bisected along their longer side, clipped
 in y against the cap curve (the region is y-simple, so clipping is exact),
 pruned when their upper bound falls below the certified incumbent, and the
-final enclosure is derived from the surviving boxes.  Near the radicand-zero
-rim the BnB uses value information only: its centered form needs the true
-gradient, which is singular there.
+final enclosure is derived from the surviving boxes.  A box is bounded by
+the minimum of its monotone corner bound and a centred (mean-value) form.
+A box that reaches the cap curve within one cap branch c takes that form in
+the chart (x, s = y/c(x)), where the curve is the face s = 1, so the bound
+is exact to second order at a maximum on the curve; every other box takes
+it in (x, y).  Where the radicand reaches zero the BnB uses value
+information only: the centred forms need the true gradient, which is
+singular there.
 
 subdivide_1d is the one 1-D bisection routine: zero_clusters_1d (edge
 critical points, uniqueness proofs) and prove_positive_1d are built on it.
@@ -31,9 +36,19 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .domain import REGION, EdgeId, OmegaRegion, cap_sup_up
-from .interval import Interval, _add_up, _mul_up, _recip_up, _sqrt_down, hull_of
-from .objectives import Objective, ObjectiveId, monotone_bounds
+from .domain import REGION, EdgeId, OmegaRegion, cap_sup_up, high_chart, low_chart
+from .interval import (
+    Interval,
+    _add_up,
+    _mul_down,
+    _mul_up,
+    _recip_down,
+    _recip_up,
+    _sqrt_down,
+    _sqrt_up,
+    hull_of,
+)
+from .objectives import MonotoneBounds, Objective, ObjectiveId, monotone_bounds
 
 IvFunc = Callable[[Interval], Interval]
 
@@ -367,7 +382,12 @@ def _clip_box(
 
 
 def maximize_2d(obj: Objective, region: OmegaRegion = REGION, cfg: BnBConfig | None = None) -> Extremum:
-    """Verified enclosure of the global maximum of a 2-D objective over the region."""
+    """Verified enclosure of the global maximum of a 2-D objective over the region.
+
+    Each box is bounded by `ranges.upper` and, unless that already prunes it,
+    by `_centred_upper`: the curve-fitted chart form for boxes that reach the
+    cap curve within one branch, the (x, y) form otherwise.
+    """
     if obj.dimension != 2:
         raise ValueError(f"{obj.id} is not a 2-D objective")
     cfg = cfg or BnBConfig()
@@ -403,21 +423,7 @@ def maximize_2d(obj: Objective, region: OmegaRegion = REGION, cfg: BnBConfig | N
         ub = ranges.upper(x1, x2, y1, y2)
         if ub <= best.value:
             return ub
-        # centered-form tightening: f(p) <= f(m) + sup|grad| . |p - m|; valid
-        # only where the radicand stays positive, i.e. away from the rim
-        g1lo, g1hi, g2lo, g2hi, r_lo, _ = ranges.scaled_gradient_range(x1, x2, y1, y2)
-        if r_lo <= 0.0:
-            return ub
-        u_up = _recip_up(_sqrt_down(r_lo)) if ranges.has_radical else 1.0
-        xm, ym = 0.5 * (x1 + x2), 0.5 * (y1 + y2)
-        fm = ranges.upper(xm, xm, ym, ym)
-        mag1 = _mul_up(max(-g1lo, g1hi, 0.0), u_up)
-        mag2 = _mul_up(max(-g2lo, g2hi, 0.0), u_up)
-        cf = _add_up(
-            fm,
-            _add_up(_mul_up(mag1, _add_up(x2, -xm)), _mul_up(mag2, _add_up(y2, -ym))),
-        )
-        return min(ub, cf)
+        return min(ub, _centred_upper(ranges, region, box))
 
     root = _clip_box(region, 0.0, region.x_hi, 0.0, region.y_sup_hi)
     assert root is not None
@@ -431,6 +437,86 @@ def maximize_2d(obj: Objective, region: OmegaRegion = REGION, cfg: BnBConfig | N
 
     kind = _classify_point(region, *best.point)
     return Extremum(Interval(best.value, upper), (ax, ay), kind, processed, converged)
+
+
+def _radius(lo: float, hi: float, m: float) -> float:
+    """Upward-rounded radius of [lo, hi] about m: the float midpoint may be off-centre."""
+    return max(_add_up(hi, -m), _add_up(m, -lo))
+
+
+def _centred_upper(
+    ranges: MonotoneBounds, region: OmegaRegion, box: tuple[float, float, float, float]
+) -> float:
+    """Centred-form upper bound of the objective over box ∩ region.
+
+    A box that reaches the cap curve within one cap branch is bounded in that
+    branch's chart (x, s = y/c(x)), where the curve is the face s = 1; every
+    other box in (x, y).  inf where the radicand is not positive, since the
+    form needs the true gradient.
+    """
+    x1, x2, y1, y2 = box
+    iv_b = region.constants.iv_b
+    # Does the box reach the curve?  Plain floats suffice: the test only picks
+    # which of two sound bounds to use.
+    if x2 <= iv_b.hi and y2 + y2 >= 1.0 + x1 * x1:
+        return _chart_upper(ranges, low_chart, box)
+    if x1 >= iv_b.lo and 3.0 * y2 * y2 >= 1.0 - x2 * x2:
+        # the high branch is the rim R = 0, which the chart box then contains
+        return math.inf if ranges.has_radical else _chart_upper(ranges, high_chart, box)
+
+    # f(p) <= f(m) + sup|grad f| . |p - m| over the box
+    g1lo, g1hi, g2lo, g2hi, r_lo, _ = ranges.scaled_gradient_range(x1, x2, y1, y2)
+    if r_lo <= 0.0:
+        return math.inf
+    u_up = _recip_up(_sqrt_down(r_lo)) if ranges.has_radical else 1.0
+    xm, ym = 0.5 * (x1 + x2), 0.5 * (y1 + y2)
+    fm = ranges.upper(xm, xm, ym, ym)
+    mag1 = _mul_up(max(-g1lo, g1hi, 0.0), u_up)
+    mag2 = _mul_up(max(-g2lo, g2hi, 0.0), u_up)
+    return _add_up(
+        fm, _add_up(_mul_up(mag1, _radius(x1, x2, xm)), _mul_up(mag2, _radius(y1, y2, ym)))
+    )
+
+
+def _chart_upper(
+    ranges: MonotoneBounds,
+    chart: Callable[[float, float], tuple[float, float, float, float]],
+    box: tuple[float, float, float, float],
+) -> float:
+    """Centred form of g(x, s) = f(x, s*c(x)) over a chart box that covers box ∩ region.
+
+    The x-derivative g_x = f_x + f_y*s*c' is enclosed as a signed interval:
+    at a maximum tangent to the curve its two terms cancel, so the bound is
+    exact to second order there.
+    """
+    x1, x2, y1, y2 = box
+    c_lo, c_hi, dc_lo, dc_hi = chart(x1, x2)
+    s1 = _mul_down(y1, _recip_down(c_hi))
+    s2 = min(1.0, _mul_up(y2, _recip_up(c_lo)))
+    # the true gradient over the xy hull of the chart box
+    g1lo, g1hi, g2lo, g2hi, r_lo, r_hi = ranges.scaled_gradient_range(
+        x1, x2, _mul_down(s1, c_lo), _mul_up(s2, c_hi)
+    )
+    if r_lo <= 0.0:
+        return math.inf
+    fx = Interval(g1lo, g1hi)
+    fy = Interval(g2lo, g2hi)
+    if ranges.has_radical:
+        u = Interval(_recip_down(_sqrt_up(r_hi)), _recip_up(_sqrt_down(r_lo)))
+        fx = fx * u
+        fy = fy * u
+    gx = fx + fy * Interval(s1, s2) * Interval(dc_lo, dc_hi)
+    gs = fy * Interval(c_lo, c_hi)
+    xm, sm = 0.5 * (x1 + x2), 0.5 * (s1 + s2)
+    cm_lo, cm_hi = chart(xm, xm)[:2]
+    fm = ranges.upper(xm, xm, _mul_down(sm, cm_lo), _mul_up(sm, cm_hi))
+    return _add_up(
+        fm,
+        _add_up(
+            _mul_up(max(-gx.lo, gx.hi), _radius(x1, x2, xm)),
+            _mul_up(max(-gs.lo, gs.hi), _radius(s1, s2, sm)),
+        ),
+    )
 
 
 def _classify_point(region: OmegaRegion, x: float, y: float, tol: float = 1e-7) -> EdgeId | None:

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from grunsky_bounds.interval import (
+    _TINY,
     CLAMP_TOL,
     Interval,
     NegativeRadicandError,
@@ -274,6 +275,49 @@ def test_helpers_stay_outward_when_the_split_overflows():
             assert Fraction(down) <= exact <= Fraction(up)
             # at most one ulp looser than directed rounding on each side
             assert math.nextafter(down, math.inf) >= math.nextafter(up, -math.inf)
+
+
+def _tiny_float(rng: random.Random, lo_exp: int, hi_exp: int) -> float:
+    return rng.choice((-1.0, 1.0)) * math.ldexp(rng.uniform(0.5, 1.0), rng.randint(lo_exp, hi_exp))
+
+
+def test_helpers_stay_outward_when_the_product_underflows():
+    # below _TINY the error terms of the split can be subnormal and lose bits
+    x, y = 7.377944167289668e-147, 5.646738039741869e-169
+    w = Interval(x, x) * Interval(y, y)
+    assert Fraction(w.lo) <= Fraction(x) * Fraction(y) <= Fraction(w.hi)
+    rng = random.Random(39)
+    for _ in range(3_000):
+        x, y = _tiny_float(rng, -700, -300), _tiny_float(rng, -700, -300)
+        down, up, exact = _mul_down(x, y), _mul_up(x, y), Fraction(x) * Fraction(y)
+        assert Fraction(down) <= exact <= Fraction(up), (x, y)
+        assert math.nextafter(down, math.inf) >= math.nextafter(up, -math.inf)
+        r = abs(_tiny_float(rng, -1074, -969))
+        down, up = _sqrt_down(r), _sqrt_up(r)
+        assert Fraction(down) ** 2 <= Fraction(r) <= Fraction(up) ** 2, r
+        assert math.nextafter(down, math.inf) >= math.nextafter(up, -math.inf)
+    assert _mul_down(0.0, 2.0**-1000) == _mul_up(-(2.0**-1000), 0.0) == 0.0
+
+
+def test_helpers_are_exact_down_to_the_underflow_threshold():
+    # at and above _TINY the test is exact, so the helpers round as tightly as
+    # in the normal range, subnormal operands included
+    rng = random.Random(40)
+    checked = 0
+    while checked < 3_000:
+        ex = rng.randint(-1073, 1000)
+        ey = rng.randint(-968, -950) - ex
+        if ey < -1073 or ey > 1000:
+            continue
+        x, y = _tiny_float(rng, ex, ex), _tiny_float(rng, ey, ey)
+        if abs(x * y) < _TINY:
+            continue
+        checked += 1
+        _assert_directed(_mul_down(x, y), _mul_up(x, y), Fraction(x) * Fraction(y))
+        r = math.ldexp(rng.uniform(1.0, 2.0), rng.randint(-969, -940))
+        down, up = _sqrt_down(r), _sqrt_up(r)
+        assert Fraction(math.nextafter(down, math.inf)) ** 2 > Fraction(r)
+        assert Fraction(math.nextafter(up, -math.inf)) ** 2 < Fraction(r)
 
 
 # -- sign-split interval product against the four-product reference --------------

@@ -1,13 +1,24 @@
 """Branch-and-bound, root isolation, uniqueness and critical-point certification."""
 
 import math
+import random
+from fractions import Fraction
 
 import pytest
 
 from grunsky_bounds import optimize
-from grunsky_bounds.domain import CONSTANTS, REGION, EdgeId
+from grunsky_bounds.claims import analyze_edge
+from grunsky_bounds.domain import (
+    CONSTANTS,
+    REGION,
+    EdgeId,
+    cap_point_down,
+    cap_sup_up,
+    high_chart,
+    low_chart,
+)
 from grunsky_bounds.interval import Interval
-from grunsky_bounds.objectives import F1_FORM, OBJECTIVES, ObjectiveId
+from grunsky_bounds.objectives import F1_FORM, OBJECTIVES, ObjectiveId, monotone_bounds
 from grunsky_bounds.optimize import (
     BnBConfig,
     NoBracketError,
@@ -234,6 +245,110 @@ def test_enclosures_contain_sampled_values():
         grid = grid_maximum(oid, 200)
         assert grid <= ext.value.hi + 1e-12
         assert grid >= ext.value.lo - 1e-4  # coarse grid, generous slack
+
+
+TWO_D = [oid for oid in ObjectiveId if oid is not ObjectiveId.F1]
+
+
+@pytest.mark.parametrize("oid", TWO_D, ids=lambda oid: oid.value)
+def test_maximize_converges_at_1e_11(oid):
+    ext = maximize_2d(OBJECTIVES[oid], REGION, BnBConfig(tol_value=1e-11))
+    assert ext.converged
+    assert ext.value.hi - ext.value.lo <= 1e-11
+
+
+@pytest.mark.parametrize(
+    "oid, edge", [(ObjectiveId.F6, EdgeId.CURVE_LOW), (ObjectiveId.F7, EdgeId.X_A)]
+)
+def test_maximum_on_the_curve_meets_its_edge_enclosure(oid, edge):
+    ext = maximize_2d(OBJECTIVES[oid], REGION, BnBConfig(tol_value=1e-11))
+    assert ext.value.intersects(analyze_edge(oid, edge, CFG).value)
+
+
+def test_f6_box_count_at_1e_9():
+    # the maximum lies on curve_low, where the chart form bounds the boxes
+    ext = maximize_2d(OBJECTIVES[ObjectiveId.F6], REGION, BnBConfig(tol_value=1e-9))
+    assert ext.converged and ext.iterations <= 1_000
+
+
+def test_radius_covers_an_off_centre_midpoint():
+    lo, hi = 1.0, 1.0 + 3 * 2.0**-52
+    m = 0.5 * (lo + hi)  # the sum is a tie and rounds up, to 2 + 2**-50
+    assert m - lo > hi - m
+    assert optimize._radius(lo, hi, m) == m - lo
+    rng = random.Random(41)
+    for _ in range(2_000):
+        lo = rng.uniform(0.0, 1.0)
+        hi = lo + math.ldexp(rng.random(), -rng.randint(0, 40))
+        m = 0.5 * (lo + hi)
+        rad = Fraction(optimize._radius(lo, hi, m))
+        assert rad >= Fraction(hi) - Fraction(m) and rad >= Fraction(m) - Fraction(lo)
+
+
+#: float rounding of Objective.value at one point: a few dozen operations on
+#: values below 25, so at most about 1e-14
+_VALUE_SLACK = 1e-13
+
+
+def _curve_boxes(seed: int, count: int):
+    """Seeded boxes on a dyadic grid that reach the cap curve (y2 >= c_lo),
+    alternately within the low and the high cap branch."""
+    rng = random.Random(seed)
+    iv_b = CONSTANTS.iv_b
+    boxes = []
+    while len(boxes) < count:
+        high = len(boxes) % 2 == 1
+        w = 2.0 ** -rng.randint(4, 10)
+        x1 = w * rng.randrange(int(REGION.x_hi / w))
+        x2 = x1 + w
+        if x2 > REGION.x_hi or (x1 < iv_b.lo if high else x2 > iv_b.hi):
+            continue
+        c_lo = (high_chart if high else low_chart)(x1, x2)[0]
+        y2 = cap_sup_up(x1, x2)
+        if rng.random() < 0.5:  # a y-split can leave a top between c_lo and the clip
+            y2 = c_lo + rng.random() * (y2 - c_lo)
+        y1 = max(0.0, y2 - w * rng.choice((0.5, 1.0, 2.0, 4.0)))
+        boxes.append(((x1, x2, y1, y2), w))
+    return boxes
+
+
+def _region_points(box, w):
+    """Points of box ∩ region: a dyadic grid, plus the curve over grid abscissae."""
+    x1, x2, y1, y2 = box
+    step = w / 16
+    for i in range(17):
+        x = x1 + i * step
+        top = min(y2, cap_point_down(x))
+        if top < y1:
+            continue
+        yield x, top
+        for j in range(math.ceil(y1 / step), math.floor(top / step) + 1):
+            yield x, j * step
+
+
+def test_chart_bound_covers_the_region_part_of_curve_boxes(monkeypatch):
+    charts = []
+    real = optimize._chart_upper
+
+    def spy(ranges, chart, box):
+        charts.append(chart)
+        return real(ranges, chart, box)
+
+    monkeypatch.setattr(optimize, "_chart_upper", spy)
+    finite = {low_chart: 0, high_chart: 0}
+    for box, w in _curve_boxes(43, 120):
+        for oid in TWO_D:
+            charts.clear()
+            ub = optimize._centred_upper(monotone_bounds(oid), REGION, box)
+            if math.isinf(ub):
+                continue  # the radicand reaches zero: no centred form
+            assert len(charts) == 1  # every box here reaches the curve
+            finite[charts[0]] += 1
+            obj = OBJECTIVES[oid]
+            for x, y in _region_points(box, w):
+                assert obj.value(x, y) <= ub + _VALUE_SLACK, (oid, box, x, y)
+    # the high branch is the rim R = 0, so only f7 (no radical) gets a form there
+    assert finite[low_chart] >= 200 and finite[high_chart] >= 50
 
 
 # ---------------------------------------------------------------------------
