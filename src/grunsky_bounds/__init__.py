@@ -3,16 +3,12 @@
 from .domain import CONSTANTS, REGION, DomainConstants, EdgeId, OmegaRegion, lemma1_bound, omega_contains
 from .interval import CLAMP_TOL, Interval, NegativeRadicandError
 from .objectives import (
-    BoundaryRestrictionId,
     CLAIM_NAMES,
     F1_FORM,
     OBJECTIVES,
     Objective,
     ObjectiveId,
-    eval_boundary,
     eval_objective,
-    eval_objective_iv,
-    grad,
 )
 from .optimize import (
     BnBConfig,

@@ -6,6 +6,10 @@ value.  The printed convention is truncation: "v..." means the value lies in
 truncated (the high-curve restriction of the fifth-coefficient-difference
 objective at the right endpoint, printed 1.402 for a true 1.40199...); its
 window is widened to the half-ulp rounding window and the row carries a note.
+
+Edge endpoints, (x, y) lifts and edge order come from the table
+`domain.EDGES`.  A row that rests on an uncertified interior critical-point
+search is INCONCLUSIVE.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .domain import CONSTANTS, REGION, EdgeId
+from .domain import CAP_PIECES, CONSTANTS, EDGES, REGION, EdgeId
 from .interval import Interval, hull_of
 from .objectives import (
     F1_FORM,
@@ -143,19 +147,6 @@ class EdgeAnalysis:
         ]
 
 
-def _edge_endpoints(edge: EdgeId) -> tuple[Interval, Interval]:
-    zero = Interval.point(0.0)
-    if edge is EdgeId.X_ZERO:
-        return zero, Interval.point(0.5)
-    if edge is EdgeId.X_A:
-        return zero, CONSTANTS.iv_d
-    if edge is EdgeId.Y_ZERO:
-        return zero, CONSTANTS.iv_a
-    if edge is EdgeId.CURVE_LOW:
-        return zero, CONSTANTS.iv_b
-    return CONSTANTS.iv_b, CONSTANTS.iv_a
-
-
 #: box budget of the derivative-cluster search along one edge
 EDGE_MAX_BOXES = 400_000
 
@@ -179,30 +170,13 @@ def analyze_form(form: RadicalForm1D, endpoints: tuple[Interval, Interval],
 
 
 def analyze_edge(oid: ObjectiveId, edge: EdgeId, cfg: BnBConfig) -> EdgeAnalysis:
-    form = OBJECTIVES[oid].restriction(edge)
-    return analyze_form(form, _edge_endpoints(edge), edge, cfg)
-
-
-def edge_xy(edge: EdgeId, t: Interval) -> tuple[Interval, Interval]:
-    """Lift an edge parameter enclosure to an (x, y) enclosure."""
-    if edge is EdgeId.X_ZERO:
-        return Interval.point(0.0), t
-    if edge is EdgeId.X_A:
-        return CONSTANTS.iv_a, t
-    if edge is EdgeId.Y_ZERO:
-        return t, Interval.point(0.0)
-    if edge is EdgeId.CURVE_LOW:
-        return t, (Interval.point(1.0) + t**2).scale(0.5)
-    cap = ((Interval.point(1.0) - t**2) * Interval.from_fraction(Fraction(1, 3))).sqrt_clamped()
-    return t, cap
+    piece = EDGES[edge]
+    return analyze_form(OBJECTIVES[oid].restriction(edge), (piece.t_lo, piece.t_hi), edge, cfg)
 
 
 # ---------------------------------------------------------------------------
 # shared computation cache
 # ---------------------------------------------------------------------------
-
-
-EDGE_ORDER = (EdgeId.X_ZERO, EdgeId.X_A, EdgeId.Y_ZERO, EdgeId.CURVE_LOW, EdgeId.CURVE_HIGH)
 
 
 @dataclass(frozen=True)
@@ -253,9 +227,9 @@ class SuiteContext:
     def locate(self, oid: ObjectiveId) -> Location:
         """Attribute the global maximum to an edge or an interior critical point."""
         cands: list[tuple[Interval, str, tuple[Interval, Interval]]] = []
-        for e in EDGE_ORDER:
-            an = self.edge(oid, e)
-            cands.append((an.value, e.value, edge_xy(e, an.argmax)))
+        for piece in EDGES.values():
+            an = self.edge(oid, piece.id)
+            cands.append((an.value, piece.id.value, piece.lift(an.argmax)))
         cs = self.critical(oid)
         for cp in cs.points:
             box = cp.certified_box if cp.certified else cp.cluster
@@ -263,7 +237,7 @@ class SuiteContext:
         cands.sort(key=lambda c: c[0].hi, reverse=True)
         value, kind, argmax = cands[0]
         runner_up = cands[1][0].hi if len(cands) > 1 else -math.inf
-        separated = value.lo > runner_up and value.lo >= cs.rim_value_ub - 1e-9
+        separated = value.lo > runner_up
         ext = self.extremum(oid)
         consistent = ext.value.intersects(value)
         return Location(kind, argmax, value, separated, consistent)
@@ -327,10 +301,10 @@ def _value_outcome(
 
 def _run_thm1_a3(ctx: SuiteContext) -> ClaimOutcome:
     ext = ctx.f1_extremum()
-    analysis = analyze_form(
-        F1_FORM, (Interval.point(0.0), CONSTANTS.iv_a), EdgeId.Y_ZERO, ctx.cfg.bnb()
-    )
-    out = ClaimOutcome(PASS, ext.value, (analysis.argmax, Interval.point(0.0)), "x_a")
+    # f1 is the objective along y = 0, over that piece's parameter range
+    y_zero = EDGES[EdgeId.Y_ZERO]
+    analysis = analyze_form(F1_FORM, (y_zero.t_lo, y_zero.t_hi), EdgeId.Y_ZERO, ctx.cfg.bnb())
+    out = ClaimOutcome(PASS, ext.value, y_zero.lift(analysis.argmax), "x_a")
     problems = []
     if not ext.converged:
         out.status = INCONCLUSIVE
@@ -349,6 +323,14 @@ def _run_thm1_a3(ctx: SuiteContext) -> ClaimOutcome:
         out.status = FAIL
     out.note = "; ".join(problems)
     return out
+
+
+def _search_certified(cs: CriticalSearch, out: ClaimOutcome) -> list[str]:
+    """An uncertified critical-point search settles nothing: the row is INCONCLUSIVE."""
+    if cs.certified:
+        return []
+    out.status = INCONCLUSIVE
+    return ["interior critical-point search not certified"]
 
 
 def _cluster_in_window(an: EdgeAnalysis, target: str) -> list[str]:
@@ -374,12 +356,10 @@ def _run_thm1_a4(ctx: SuiteContext) -> ClaimOutcome:
 
 def _run_thm1_a5(ctx: SuiteContext) -> ClaimOutcome:
     def checks(ctx: SuiteContext, out: ClaimOutcome) -> list[str]:
-        problems = []
         cs = ctx.critical(ObjectiveId.F3)
+        problems = _search_certified(cs, out)
         if cs.points:
             problems.append(f"unexpected interior critical points: {len(cs.points)}")
-        if not cs.certified:
-            problems.append("interior exclusion not certified")
         problems += _cluster_in_window(ctx.edge(ObjectiveId.F3, EdgeId.X_A), "0.338")
         return problems
 
@@ -390,15 +370,13 @@ def _interior_claim(
     ctx: SuiteContext, oid: ObjectiveId, target: str, x_window: str, y_window: str
 ) -> ClaimOutcome:
     def checks(ctx: SuiteContext, out: ClaimOutcome) -> list[str]:
-        problems = []
+        cs = ctx.critical(oid)
+        problems = _search_certified(cs, out)
         if out.kind != "interior":
             problems.append(f"maximum attributed to {out.kind}, expected interior")
-        cs = ctx.critical(oid)
         certified = [p for p in cs.points if p.certified]
         if len(certified) != 1 or len(cs.points) != 1:
             problems.append(f"expected one certified interior critical point, found {len(cs.points)}")
-        elif not cs.certified:
-            problems.append("critical-point search not fully certified")
         else:
             bx, by = certified[0].certified_box
             if not inside_window(bx, x_window, 3):
@@ -420,10 +398,10 @@ def _run_thm2_d54(ctx: SuiteContext) -> ClaimOutcome:
 
 def _run_thm3_h22(ctx: SuiteContext) -> ClaimOutcome:
     def checks(ctx: SuiteContext, out: ClaimOutcome) -> list[str]:
-        problems = []
         cs = ctx.critical(ObjectiveId.F6)
+        problems = _search_certified(cs, out)
         certified = [p for p in cs.points if p.certified]
-        if len(certified) != 1 or not cs.certified:
+        if len(certified) != 1:
             problems.append(f"expected one certified interior critical point, found {len(cs.points)}")
         else:
             mid = Fraction(certified[0].value.mid)
@@ -449,12 +427,10 @@ def _run_gamma2(ctx: SuiteContext) -> ClaimOutcome:
 
 def _run_thm4_gamma3(ctx: SuiteContext) -> ClaimOutcome:
     def checks(ctx: SuiteContext, out: ClaimOutcome) -> list[str]:
-        problems = []
         cs = ctx.critical(ObjectiveId.F8)
+        problems = _search_certified(cs, out)
         if cs.points:
             problems.append(f"unexpected interior critical points: {len(cs.points)}")
-        if not cs.certified:
-            problems.append("interior exclusion not certified")
         if out.kind != EdgeId.X_A.value:
             problems.append(f"maximum attributed to {out.kind}, expected x_a")
         problems += _cluster_in_window(ctx.edge(ObjectiveId.F8, EdgeId.X_A), "0.267")
@@ -504,13 +480,9 @@ def _edge_root(oid: ObjectiveId, edge: EdgeId):
 
 
 def _f2_reduced_curve_x(ctx: SuiteContext) -> Interval:
+    """x = sqrt(3y^2/(1 - 6y)) over the verified root bracket y, below 1/6."""
     y = ctx.f2_reduced_root()
-    # x(y) = sqrt(3y^2/(1-6y)) is increasing on [0, 1/6), so the verified root
-    # bracket maps to an x bracket; plain-float evaluation plus a relative
-    # margin is ample against the 3-digit window
-    lo_x = math.sqrt(3.0 * y.lo * y.lo / (1.0 - 6.0 * y.lo))
-    hi_x = math.sqrt(3.0 * y.hi * y.hi / (1.0 - 6.0 * y.hi))
-    return Interval(min(lo_x, hi_x) * (1 - 1e-12), max(lo_x, hi_x) * (1 + 1e-12))
+    return ((y**2).scale(3.0) * (Interval.point(1.0) - y.scale(6.0)).recip()).sqrt_clamped()
 
 
 def _f6_interior_coord(which: int):
@@ -675,15 +647,10 @@ def _run_property_bnb(ctx: SuiteContext) -> ClaimOutcome:
 
 
 def _run_property_curves(ctx: SuiteContext) -> ClaimOutcome:
-    b = CONSTANTS.iv_b
-    low = (Interval.point(1.0) + b**2).scale(0.5)
-    high = ((Interval.point(1.0) - b**2) * Interval.from_fraction(Fraction(1, 3))).sqrt_clamped()
-    crossing = low - high
-    radicand = (
-        Interval.point(1.0)
-        - (b**2).scale(10.0)
-        - (b**4).scale(3.0)
-    )
+    # the low piece ends where the high one starts, at b
+    low, high = CAP_PIECES
+    crossing = low.lift(low.t_hi)[1] - high.lift(high.t_lo)[1]
+    radicand = rp_eval_iv(low.radicand, low.t_hi)
     ok = (
         max(abs(crossing.lo), abs(crossing.hi)) <= 1e-12
         and max(abs(radicand.lo), abs(radicand.hi)) <= 1e-12

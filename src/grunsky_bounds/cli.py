@@ -16,8 +16,8 @@ import sys
 
 import numpy as np
 
-from .claims import CLAIM_IDS, EDGE_ORDER, SuiteConfig, analyze_edge
-from .domain import REGION
+from .claims import CLAIM_IDS, SuiteConfig, analyze_edge
+from .domain import REGION, EdgeId
 from .objectives import CLAIM_NAMES, F1_FORM, OBJECTIVES, ObjectiveId
 from .optimize import maximize_1d, maximize_2d
 from .oracle import (
@@ -144,7 +144,7 @@ def _cmd_edges(args) -> int:
         return 2
     cfg = BnBConfig(tol_value=args.tol, max_boxes=args.max_boxes)
     print(f"{oid.value} ({CLAIM_NAMES[oid]}) edge maxima:")
-    for edge in EDGE_ORDER:
+    for edge in EdgeId:
         an = analyze_edge(oid, edge, cfg)
         roots = ", ".join(f"[{c.lo:.9f}, {c.hi:.9f}]" for c in an.clusters) or "none"
         print(f"  {edge.value:<11} max in [{an.value.lo:.10f}, {an.value.hi:.10f}]"

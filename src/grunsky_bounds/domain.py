@@ -6,14 +6,24 @@ Grunsky coefficient of a bi-univalent function) and by a piecewise cap on y:
 Both curves are caps valid on all of [0, 1], so the bound is simply their
 pointwise minimum; they intersect exactly where 3u^2 + 10u - 1 = 0 for
 u = x^2, which defines b.
+
+The boundary is described once, by the table `EDGES`: five `Edge` records,
+one per piece, in `EdgeId` order.  Each gives the piece as rational
+polynomials (x(t), y(t)) over an exact parameter range.  Edge restrictions,
+endpoints, (x, y) lifts, the float cap and the region's corners are derived
+from it.  The directed-rounding cap helpers and the two charts below stay
+plain functions, because the branch-and-bound calls them on every box.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
+from typing import Callable
+
+import numpy as np
 
 from .interval import (
     Interval,
@@ -26,6 +36,7 @@ from .interval import (
     _sqrt_down,
     _sqrt_up,
 )
+from .poly import RatPoly, rp_add, rp_enclose, rp_mul, rp_scale
 
 #: membership slack for points produced by floating-point parameterizations
 BOUNDARY_SLACK = 1e-12
@@ -77,19 +88,6 @@ class DomainConstants:
 CONSTANTS = DomainConstants()
 
 
-def lemma1_bound(x: float) -> float:
-    """Cap on |omega_13| given x = |omega_11|, for x in [0, 1]."""
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"x={x} outside [0, 1]")
-    return min(0.5 * (1.0 + x * x), math.sqrt((1.0 - x * x) / 3.0))
-
-
-def lemma1_bound_iv(x: Interval) -> Interval:
-    low = (Interval.point(1.0) + x**2).scale(0.5)
-    high = ((Interval.point(1.0) - x**2) * Interval.from_fraction(Fraction(1, 3))).sqrt_clamped()
-    return low.min_with(high)
-
-
 _THIRD = Interval.from_fraction(Fraction(1, 3))
 
 
@@ -131,6 +129,90 @@ def high_chart(x1: float, x2: float) -> tuple[float, float, float, float]:
     )
 
 
+# -- the boundary table ----------------------------------------------------------
+
+_F0 = Fraction(0)
+_F1 = Fraction(1)
+_T: RatPoly = (_F0, _F1)  # the parameter itself
+_ZERO = Interval.point(0.0)
+
+
+@dataclass(frozen=True)
+class Edge:
+    """One boundary piece: (x(t), y(t)) for t in [t_lo, t_hi].
+
+    `x` and `y` are rational polynomials in t, or y = sqrt(y(t)) with
+    `sqrt_y`; `t_lo` and `t_hi` enclose the exact end parameters.  A cap
+    piece has x = t and carries its cap as an interval lift `cap_iv`, a
+    float (or numpy) function `cap` and a directed-rounding `chart`.
+    """
+
+    id: EdgeId
+    x: RatPoly
+    y: RatPoly
+    t_lo: Interval
+    t_hi: Interval
+    sqrt_y: bool = False
+    cap_iv: Callable[[Interval], Interval] | None = None
+    cap: Callable | None = None
+    chart: Callable[[float, float], tuple[float, float, float, float]] | None = None
+
+    def lift(self, t: Interval) -> tuple[Interval, Interval]:
+        """Enclosure of (x(t), y(t)) over a parameter enclosure t."""
+        if self.cap_iv is not None:
+            return t, self.cap_iv(t)
+        return _straight(self.x, t), _straight(self.y, t)
+
+    @cached_property
+    def radicand(self) -> RatPoly:
+        """The shared radicand R = 1 - x^2 - 3y^2 along the piece, in t."""
+        y_sq = self.y if self.sqrt_y else rp_mul(self.y, self.y)
+        minus_x_sq = rp_scale(rp_mul(self.x, self.x), -_F1)
+        return rp_add(rp_add((_F1,), minus_x_sq), rp_scale(y_sq, Fraction(-3)))
+
+
+def _straight(p: RatPoly, t: Interval) -> Interval:
+    """A coordinate of a straight piece: the parameter itself, or a constant."""
+    if p == _T:
+        return t
+    return rp_enclose(p)[0] if p else _ZERO
+
+
+# The cap lifts are not Horner on y(t): the bits of a lift at a maximizer on
+# the curve reach the reported argmax (GAMMA2's lies on the high cap).
+EDGES: dict[EdgeId, Edge] = {
+    e.id: e
+    for e in (
+        Edge(EdgeId.X_ZERO, (), _T, _ZERO, Interval.point(0.5)),
+        Edge(EdgeId.X_A, (A_RATIONAL,), _T, _ZERO, CONSTANTS.iv_d),
+        Edge(EdgeId.Y_ZERO, _T, (), _ZERO, CONSTANTS.iv_a),
+        Edge(
+            EdgeId.CURVE_LOW, _T, (Fraction(1, 2), _F0, Fraction(1, 2)), _ZERO, CONSTANTS.iv_b,
+            cap_iv=lambda x: (Interval.point(1.0) + x**2).scale(0.5),
+            cap=lambda x: 0.5 * (1.0 + x * x),
+            chart=low_chart,
+        ),
+        Edge(
+            EdgeId.CURVE_HIGH, _T, (Fraction(1, 3), _F0, Fraction(-1, 3)), CONSTANTS.iv_b,
+            CONSTANTS.iv_a, sqrt_y=True,
+            cap_iv=lambda x: ((Interval.point(1.0) - x**2) * _THIRD).sqrt_clamped(),
+            cap=lambda x: np.sqrt((1.0 - x * x) / 3.0),
+            chart=high_chart,
+        ),
+    )
+}
+
+#: the two pieces of the cap curve, low then high
+CAP_PIECES = tuple(e for e in EDGES.values() if e.cap is not None)
+
+
+def lemma1_bound(x: float) -> float:
+    """Cap on |omega_13| given x = |omega_11|, for x in [0, 1]."""
+    if not 0.0 <= x <= 1.0:
+        raise ValueError(f"x={x} outside [0, 1]")
+    return float(min(e.cap(x) for e in CAP_PIECES))
+
+
 def omega_contains(x: float, y: float, slack: float = BOUNDARY_SLACK) -> bool:
     if x < -slack or y < -slack:
         return False
@@ -141,52 +223,9 @@ def omega_contains(x: float, y: float, slack: float = BOUNDARY_SLACK) -> bool:
 
 @dataclass(frozen=True)
 class OmegaRegion:
+    """The region, given by its constants; its boundary is the table `EDGES`."""
+
     constants: DomainConstants = CONSTANTS
-
-    def contains(self, x: float, y: float, slack: float = BOUNDARY_SLACK) -> bool:
-        return omega_contains(x, y, slack)
-
-    def cap(self, x: float) -> float:
-        return lemma1_bound(x)
-
-    def cap_lower(self, x: float) -> float:
-        """Downward-rounded cap: (x, cap_lower(x)) is guaranteed inside the region."""
-        return cap_point_down(x)
-
-    @property
-    def x_hi(self) -> float:
-        return self.constants.iv_a.hi
-
-    @property
-    def x_lo_inside(self) -> float:
-        return self.constants.iv_a.lo
-
-    @property
-    def y_sup_hi(self) -> float:
-        # global sup of the cap is at x = b, on the low curve
-        b = self.constants.iv_b
-        return (Interval.point(1.0) + b**2).scale(0.5).hi
-
-    def edge_point(self, edge: EdgeId, t: float) -> tuple[float, float]:
-        """Affine/graph parameterization of the five boundary pieces, t in [0, 1]."""
-        if not 0.0 <= t <= 1.0:
-            raise ValueError(f"t={t} outside [0, 1]")
-        a = self.constants.a_float
-        b = self.constants.b
-        d = self.constants.d
-        if edge is EdgeId.X_ZERO:
-            return 0.0, 0.5 * t
-        if edge is EdgeId.X_A:
-            return a, d * t
-        if edge is EdgeId.Y_ZERO:
-            return a * t, 0.0
-        if edge is EdgeId.CURVE_LOW:
-            x = b * t
-            return x, 0.5 * (1.0 + x * x)
-        if edge is EdgeId.CURVE_HIGH:
-            x = b + (a - b) * t
-            return x, math.sqrt((1.0 - x * x) / 3.0)
-        raise ValueError(f"unknown edge {edge}")
 
 
 REGION = OmegaRegion()

@@ -23,6 +23,10 @@ form
 
 which is division-free and has the same zeros and signs as the gradient
 wherever R > 0.
+
+Every restriction of an objective to a boundary piece comes from one
+function, `_build_restriction`, which substitutes the piece's (x(t), y(t))
+from the `domain.EDGES` table into P, M and R over the rationals.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-from .domain import CONSTANTS, EdgeId, omega_contains
+from .domain import CONSTANTS, EDGES, Edge, EdgeId, omega_contains
 from .interval import (
     CLAMP_TOL,
     INV_SQRT5,
@@ -49,7 +53,7 @@ from .interval import (
     _sqrt_down,
     _sqrt_up,
 )
-from .poly import MixedPoly, RatPoly, horner_iv, rp_add, rp_enclose, rp_mul, rp_scale, rp_trim
+from .poly import MixedPoly, RatPoly, horner_iv, rp_add, rp_enclose, rp_mul, rp_pow, rp_scale, rp_trim
 
 _A = CONSTANTS.a  # Fraction(297, 400)
 _F0 = Fraction(0)
@@ -80,12 +84,6 @@ CLAIM_NAMES = {
     ObjectiveId.F8: "third logarithmic coefficient modulus",
     ObjectiveId.F9: "fourth logarithmic coefficient modulus",
 }
-
-
-@dataclass(frozen=True)
-class Gradient2:
-    dx: float
-    dy: float
 
 
 @dataclass(frozen=True)
@@ -196,22 +194,6 @@ class Objective:
     def _poly_dy(self, x: float, y: float) -> float:
         return sum(float(c) * j * x**i * y ** (j - 1) for (i, j), c in self.poly.items() if j)
 
-    def gradient(self, x: float, y: float) -> Gradient2:
-        """Analytic gradient; requires the radicand strictly positive."""
-        if self.dimension == 1:
-            y = 0.0
-        dx = self._poly_dx(x, y)
-        dy = self._poly_dy(x, y)
-        if self.has_radical:
-            r = self.radicand(x, y)
-            if r <= 0.0:
-                raise NegativeRadicandError(f"gradient singular: radicand {r} at ({x}, {y})")
-            sq = math.sqrt(r)
-            m = self._mult_float(x)
-            dx += float(self.m5l) / math.sqrt(5.0) * sq - m * x / sq
-            dy += -3.0 * m * y / sq
-        return Gradient2(dx, dy)
-
     def gradient_iv(self, x: Interval, y: Interval) -> tuple[Interval, Interval]:
         """True gradient enclosure; requires the radicand positive over the box."""
         prep = _prepared(self.id)
@@ -256,95 +238,49 @@ class Objective:
         g2 = py * sq - 3.0 * m * y
         return g1, g2
 
-    # -- critical-point reduction ----------------------------------------------
-
-    def reduction_residual(self, x: float, y: float) -> float:
-        """Residual of 3y*df/dx - x*df/dy, in which the 1/sqrt(R) terms cancel."""
-        out = 3.0 * y * self._poly_dx(x, y) - x * self._poly_dy(x, y)
-        if self.m5l:
-            r = self.radicand(x, y)
-            if r < -CLAMP_TOL:
-                raise NegativeRadicandError(f"radicand {r} at ({x}, {y})")
-            out += 3.0 * float(self.m5l) / math.sqrt(5.0) * y * math.sqrt(max(r, 0.0))
-        return out
-
     # -- edge restrictions -------------------------------------------------------
 
     def restriction(self, edge: EdgeId) -> RadicalForm1D:
         return _restriction_cached(self.id, edge)
 
 
-def _poly_rows(poly: dict[tuple[int, int], Fraction]) -> dict[int, RatPoly]:
-    """Group P(x, y) = sum_j y^j * row_j(x)."""
-    rows: dict[int, list[Fraction]] = {}
-    for (i, j), c in poly.items():
-        row = rows.setdefault(j, [])
-        while len(row) <= i:
-            row.append(_F0)
-        row[i] += c
-    return {j: rp_trim(row) for j, row in rows.items()}
+def _build_restriction(obj: Objective, edge: Edge) -> RadicalForm1D:
+    """Substitute the piece's (x(t), y(t)) into P, M and R.
 
-
-def _build_restriction(obj: Objective, edge: EdgeId) -> RadicalForm1D:
-    rows = _poly_rows(obj.poly)
-    if max(rows, default=0) > 2:
-        raise ValueError("edge restrictions assume y-degree <= 2")
-    r0 = rows.get(0, ())
-    r1 = rows.get(1, ())
-    r2 = rows.get(2, ())
-    a = _A
-    label = f"{obj.id.value}|{edge.value}"
-
-    if edge in (EdgeId.X_ZERO, EdgeId.X_A):
-        # variable is y; x is pinned to an exact rational
-        x0 = _F0 if edge is EdgeId.X_ZERO else a
-        from .poly import rp_eval_fraction
-
-        q = rp_trim(
-            [rp_eval_fraction(r0, x0), rp_eval_fraction(r1, x0), rp_eval_fraction(r2, x0)]
-        )
-        mult = MixedPoly(
-            inv_sqrt5=rp_trim([obj.m5c + obj.m5l * x0]),
-            inv_sqrt7=rp_trim([obj.m7c]),
-        )
-        s = rp_trim([_F1 - x0 * x0, _F0, Fraction(-3)])
-        hi = 0.5 if edge is EdgeId.X_ZERO else CONSTANTS.iv_d.hi
-        return RadicalForm1D(label, MixedPoly(one=q), mult, s, 0.0, hi)
-
-    if edge is EdgeId.Y_ZERO:
-        q = r0
-        mult = MixedPoly(
-            inv_sqrt5=rp_trim([obj.m5c, obj.m5l]), inv_sqrt7=rp_trim([obj.m7c])
-        )
-        s = rp_trim([_F1, _F0, Fraction(-1)])
-        return RadicalForm1D(label, MixedPoly(one=q), mult, s, 0.0, CONSTANTS.iv_a.hi)
-
-    if edge is EdgeId.CURVE_LOW:
-        # y = (1 + x^2)/2; the shared radicand becomes (1 - 10x^2 - 3x^4)/4
-        cap: RatPoly = (Fraction(1, 2), _F0, Fraction(1, 2))
-        q = rp_add(r0, rp_add(rp_mul(r1, cap), rp_mul(r2, rp_mul(cap, cap))))
-        mult = MixedPoly(
-            inv_sqrt5=rp_trim([obj.m5c / 2, obj.m5l / 2]),
-            inv_sqrt7=rp_trim([obj.m7c / 2]),
-        )
-        s = rp_trim([_F1, _F0, Fraction(-10), _F0, Fraction(-3)])
-        return RadicalForm1D(label, MixedPoly(one=q), mult, s, 0.0, CONSTANTS.iv_b.hi)
-
-    if edge is EdgeId.CURVE_HIGH:
-        # y = sqrt((1 - x^2)/3); the shared radicand vanishes identically here
-        y_sq: RatPoly = (Fraction(1, 3), _F0, Fraction(-1, 3))
-        q = rp_add(r0, rp_mul(r2, y_sq))
-        mult = MixedPoly(one=r1)
-        return RadicalForm1D(
-            label, MixedPoly(one=q), mult, y_sq, CONSTANTS.iv_b.lo, CONSTANTS.iv_a.hi
-        )
-
-    raise ValueError(f"unknown edge {edge}")
+    On a `sqrt_y` piece the odd powers of y carry the radical sqrt(y(t)), so
+    the shared radicand must vanish there.  Elsewhere a rational q = sqrt(R(0))
+    is pulled out of the radical, which leaves the radicand 1 at t = 0.
+    """
+    even: RatPoly = ()
+    odd: RatPoly = ()
+    for (i, j), c in obj.poly.items():
+        k = j // 2 if edge.sqrt_y else j
+        term = rp_scale(rp_mul(rp_pow(edge.x, i), rp_pow(edge.y, k)), c)
+        if edge.sqrt_y and j % 2:
+            odd = rp_add(odd, term)
+        else:
+            even = rp_add(even, term)
+    label = f"{obj.id.value}|{edge.id.value}"
+    lo, hi = edge.t_lo.lo, edge.t_hi.hi
+    r = edge.radicand
+    if edge.sqrt_y:
+        if r and obj.has_radical:
+            raise ValueError(f"{label}: two radicals in one restriction")
+        return RadicalForm1D(label, MixedPoly(one=even), MixedPoly(one=odd), edge.y, lo, hi)
+    r0 = r[0] if r else _F0
+    q = Fraction(math.isqrt(r0.numerator), math.isqrt(r0.denominator)) if r0 > 0 else _F1
+    if q * q != r0:
+        q = _F1
+    mult = MixedPoly(
+        inv_sqrt5=rp_scale(rp_add((obj.m5c,), rp_scale(edge.x, obj.m5l)), q),
+        inv_sqrt7=rp_scale((obj.m7c,), q),
+    )
+    return RadicalForm1D(label, MixedPoly(one=even), mult, rp_scale(r, 1 / (q * q)), lo, hi)
 
 
 @lru_cache(maxsize=None)
 def _restriction_cached(oid: ObjectiveId, edge: EdgeId) -> RadicalForm1D:
-    return _build_restriction(OBJECTIVES[oid], edge)
+    return _build_restriction(OBJECTIVES[oid], EDGES[edge])
 
 
 Terms = dict[tuple[int, int], Fraction]
@@ -460,50 +396,10 @@ F1_FORM = RadicalForm1D(
 )
 
 
-class BoundaryRestrictionId(Enum):
-    G1 = ("g1", ObjectiveId.F2, EdgeId.CURVE_LOW)
-    G2 = ("g2", ObjectiveId.F2, EdgeId.CURVE_HIGH)
-    G3 = ("g3", ObjectiveId.F3, EdgeId.CURVE_LOW)
-    G4 = ("g4", ObjectiveId.F3, EdgeId.CURVE_HIGH)
-    G5 = ("g5", ObjectiveId.F4, EdgeId.CURVE_LOW)
-    G6 = ("g6", ObjectiveId.F4, EdgeId.CURVE_HIGH)
-    G7 = ("g7", ObjectiveId.F5, EdgeId.CURVE_LOW)
-    G8 = ("g8", ObjectiveId.F5, EdgeId.CURVE_HIGH)
-    G9 = ("g9", ObjectiveId.F6, EdgeId.CURVE_LOW)
-    G10 = ("g10", ObjectiveId.F6, EdgeId.CURVE_HIGH)
-
-    def __init__(self, label: str, parent: ObjectiveId, edge: EdgeId):
-        self.label = label
-        self.parent = parent
-        self.edge = edge
-
-
 def eval_objective(oid: ObjectiveId, x: float, y: float = 0.0) -> float:
     if oid is ObjectiveId.F1:
         return F1_FORM.value(x)
     return OBJECTIVES[oid].value(x, y)
-
-
-def eval_objective_iv(oid: ObjectiveId, x: Interval, y: Interval | None = None) -> Interval:
-    if oid is ObjectiveId.F1:
-        return F1_FORM.value_iv(x)
-    if y is None:
-        raise ValueError("2-D objective needs a y interval")
-    return OBJECTIVES[oid].value_iv(x, y)
-
-
-def grad(oid: ObjectiveId, x: float, y: float = 0.0) -> Gradient2:
-    if oid is ObjectiveId.F1:
-        # f1'(x) = 6x - (2/sqrt3) x / sqrt(1 - x^2)
-        r = 1.0 - x * x
-        if r <= 0.0:
-            raise NegativeRadicandError(f"gradient singular at x={x}")
-        return Gradient2(6.0 * x - 2.0 / math.sqrt(3.0) * x / math.sqrt(r), 0.0)
-    return OBJECTIVES[oid].gradient(x, y)
-
-
-def eval_boundary(rid: BoundaryRestrictionId, x: float) -> float:
-    return OBJECTIVES[rid.parent].restriction(rid.edge).value(x)
 
 
 # -- fast directed-rounded range bounds for branch-and-bound ---------------------
@@ -645,27 +541,6 @@ def monotone_bounds(oid: ObjectiveId) -> MonotoneBounds:
     )
 
 
-# -- reduction equations used to locate interior critical points ----------------
+# -- the reduced stationarity equation of f2, whose root leaves the region --------
 
 F2_REDUCED_POLY: RatPoly = (Fraction(14), Fraction(-78), Fraction(-126), Fraction(270))
-
-F6_CUBIC: RatPoly = rp_scale((_F0, Fraction(-11, 30), _F0, _F1), _F1)
-
-
-def f2_constraint_curve_x(y: float) -> float:
-    """x on the combined-equation curve x^2 = 3y^2/(1 - 6y); only defined for y < 1/6."""
-    if y >= 1.0 / 6.0:
-        raise ValueError(f"curve undefined for y={y} >= 1/6")
-    return math.sqrt(3.0 * y * y / (1.0 - 6.0 * y))
-
-
-def f4_h1(y: float) -> float:
-    """x as a function of y on the combined-equation curve of the f4 system."""
-    num = y * math.sqrt(6.0) * math.sqrt(float(3 * _A - 1))
-    den = math.sqrt(9.0 * y * float(4 * _A - 3) + float(6 * _A - 2))
-    return num / den
-
-
-def f6_h2(x: float) -> float:
-    """y as a function of x on the second-equation curve of the f6 system."""
-    return math.sqrt(20.0 - 29.0 * x * x) / (2.0 * math.sqrt(15.0))

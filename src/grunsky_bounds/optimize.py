@@ -18,9 +18,9 @@ critical points, uniqueness proofs) and prove_positive_1d are built on it.
 
 interior_critical_points excludes gradient zeros with the division-free
 scaled gradient G = sqrt(R)*grad f, which stays bounded up to the rim R = 0,
-so the sign test runs first on every box, rim boxes included.  Only boxes
-that reach the rim and whose sign it cannot settle fall back to the rim
-branch, which stops at RIM_WIDTH and bounds them by value.  Each surviving
+so the sign test runs first on every box, rim boxes included.  A box that
+reaches the rim and whose sign is still unsettled at CLUSTER_WIDTH is
+reported in `rim_boxes` and leaves the search uncertified.  Each surviving
 cluster is then certified with a Krawczyk contraction on a small box around
 the numerically polished point, which proves existence and uniqueness there.
 The true gradient and the interval Hessian it needs come from
@@ -36,7 +36,9 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .domain import REGION, EdgeId, OmegaRegion, cap_sup_up, high_chart, low_chart
+from .domain import (
+    CAP_PIECES, REGION, EdgeId, OmegaRegion, cap_point_down, cap_sup_up, high_chart, low_chart
+)
 from .interval import (
     Interval,
     _add_up,
@@ -54,8 +56,6 @@ IvFunc = Callable[[Interval], Interval]
 
 #: width below which a gradient-ambiguous box is treated as a critical cluster
 CLUSTER_WIDTH = 2e-5
-#: width at which rim boxes with an unsettled gradient sign stop being subdivided
-RIM_WIDTH = 1e-3
 
 
 class NoBracketError(RuntimeError):
@@ -111,15 +111,14 @@ class CriticalPoint:
 class CriticalSearch:
     """Interior critical points of one objective, and what the search left.
 
-    `rim_boxes` are the fallback boxes that reach the rim R = 0 and whose
-    scaled-gradient signs could not be settled; `rim_value_ub` bounds the
-    objective over them (-inf when there are none).
+    `rim_boxes` are the boxes of width CLUSTER_WIDTH that reach the rim R = 0
+    and whose scaled-gradient signs could not be settled; any of them leaves
+    the search uncertified.
     """
 
     points: list[CriticalPoint] = field(default_factory=list)
     boundary_zeros: list[tuple[float, float]] = field(default_factory=list)
     rim_boxes: list[tuple[float, float, float, float]] = field(default_factory=list)
-    rim_value_ub: float = -math.inf
     certified: bool = True
     iterations: int = 0
 
@@ -371,14 +370,18 @@ def maximize_1d(fn: IvFunc, lo: float, hi: float, cfg: BnBConfig | None = None) 
     return Extremum1D(Interval(best.value, upper), argmax, processed, converged)
 
 
-def _clip_box(
-    region: OmegaRegion, x1: float, x2: float, y1: float, y2: float
-) -> tuple[float, float, float, float] | None:
+def _clip_box(x1: float, x2: float, y1: float, y2: float) -> tuple[float, float, float, float] | None:
     """Clip the y-range of a box against the cap curve; None if outside the region."""
     y2c = min(y2, cap_sup_up(x1, x2))
     if y1 > y2c:
         return None
     return x1, x2, y1, y2c
+
+
+def _root_box(region: OmegaRegion) -> tuple[float, float, float, float]:
+    """[0, a] x [0, top of the cap], clipped; the cap peaks where the low piece ends."""
+    low = CAP_PIECES[0]
+    return _clip_box(0.0, region.constants.iv_a.hi, 0.0, low.lift(low.t_hi)[1].hi)
 
 
 def maximize_2d(obj: Objective, region: OmegaRegion = REGION, cfg: BnBConfig | None = None) -> Extremum:
@@ -393,12 +396,12 @@ def maximize_2d(obj: Objective, region: OmegaRegion = REGION, cfg: BnBConfig | N
     cfg = cfg or BnBConfig()
     ranges = monotone_bounds(obj.id)
 
-    x_in = region.x_lo_inside
+    x_in = region.constants.iv_a.lo
     best = _Incumbent((0.0, 0.0))
 
     def sample(x: float, y: float) -> None:
         x = min(max(x, 0.0), x_in)
-        y = min(max(y, 0.0), region.cap_lower(x))
+        y = min(max(y, 0.0), cap_point_down(x))
         best.offer(ranges.lower(x, x, y, y), (x, y))
 
     def sample_box(box: tuple[float, float, float, float]) -> None:
@@ -410,13 +413,13 @@ def maximize_2d(obj: Objective, region: OmegaRegion = REGION, cfg: BnBConfig | N
         x1, x2, y1, y2 = box
         if max(x2 - x1, y2 - y1) <= cfg.tol_box:
             return None
-        return _split_clipped(region, box)
+        return _split_clipped(box)
 
     # coarse seed so pruning starts immediately
     for i in range(9):
         x = x_in * i / 8
         for j in range(5):
-            sample(x, region.cap_lower(x) * j / 4)
+            sample(x, cap_point_down(x) * j / 4)
 
     def bound(box: tuple[float, float, float, float]) -> float:
         x1, x2, y1, y2 = box
@@ -425,9 +428,9 @@ def maximize_2d(obj: Objective, region: OmegaRegion = REGION, cfg: BnBConfig | N
             return ub
         return min(ub, _centred_upper(ranges, region, box))
 
-    root = _clip_box(region, 0.0, region.x_hi, 0.0, region.y_sup_hi)
-    assert root is not None
-    upper, survivors, processed, converged = _best_first(root, bound, split, sample_box, best, cfg)
+    upper, survivors, processed, converged = _best_first(
+        _root_box(region), bound, split, sample_box, best, cfg
+    )
     if survivors:
         ax = hull_of([Interval(b[0], b[1]) for b in survivors])
         ay = hull_of([Interval(b[2], b[3]) for b in survivors])
@@ -521,14 +524,15 @@ def _chart_upper(
 
 def _classify_point(region: OmegaRegion, x: float, y: float, tol: float = 1e-7) -> EdgeId | None:
     """Which boundary piece (if any) a near-maximal sample point sits on."""
-    if x >= region.x_lo_inside - tol:
+    if x >= region.constants.iv_a.lo - tol:
         return EdgeId.X_A
     if x <= tol:
         return EdgeId.X_ZERO
     if y <= tol:
         return EdgeId.Y_ZERO
-    if y >= region.cap_lower(x) - tol:
-        return EdgeId.CURVE_LOW if x <= region.constants.b else EdgeId.CURVE_HIGH
+    if y >= cap_point_down(x) - tol:
+        # the cap piece whose x-range reaches x
+        return next(piece.id for piece in CAP_PIECES if x <= piece.t_hi.mid)
     return None
 
 
@@ -606,10 +610,10 @@ def interior_critical_points(
     Discarded boxes all carry an interval certificate that one scaled-gradient
     component excludes zero.  The certificate holds on boxes that reach the
     radicand-zero rim as well: the ranges enclose G = sqrt(R)*grad f at every
-    box point with R >= 0, and G has the zeros of grad f where R > 0.  Rim
-    boxes whose sign stays unsettled are subdivided to RIM_WIDTH and reported
-    separately (the rim is the upper boundary curve, whose values are covered
-    by edge maximization).
+    box point with R >= 0, and G has the zeros of grad f where R > 0.  A
+    box that reaches the rim and whose sign stays unsettled down to
+    CLUSTER_WIDTH cannot be resolved here: it goes to `rim_boxes` and the
+    search is not certified.
     """
     if obj.dimension != 2:
         raise ValueError(f"{obj.id} is not a 2-D objective")
@@ -617,9 +621,7 @@ def interior_critical_points(
     out = CriticalSearch()
 
     ranges = monotone_bounds(obj.id)
-    root = _clip_box(region, 0.0, region.x_hi, 0.0, region.y_sup_hi)
-    assert root is not None
-    stack = [root]
+    stack = [_root_box(region)]
     candidates: list[tuple[float, float, float, float]] = []
     processed = 0
 
@@ -630,24 +632,17 @@ def interior_critical_points(
             out.certified = False
             break
         x1, x2, y1, y2 = box
-        wide = max(x2 - x1, y2 - y1)
-        g1lo, g1hi, g2lo, g2hi, r_lo, r_hi = ranges.scaled_gradient_range(x1, x2, y1, y2)
+        g1lo, g1hi, g2lo, g2hi, r_lo, _ = ranges.scaled_gradient_range(x1, x2, y1, y2)
         # sign first: the certificate holds up to the rim (see the docstring)
         if g1lo > 0.0 or g1hi < 0.0 or g2lo > 0.0 or g2hi < 0.0:
             continue
-        if obj.has_radical and r_lo <= 0.0:
-            if wide <= RIM_WIDTH or r_hi <= 0.0:
-                out.rim_boxes.append(box)
-                ub = ranges.upper(x1, x2, y1, y2)
-                if ub > out.rim_value_ub:
-                    out.rim_value_ub = ub
-                continue
-            stack.extend(_split_clipped(region, box))
-            continue
-        if wide <= CLUSTER_WIDTH:
+        if max(x2 - x1, y2 - y1) > CLUSTER_WIDTH:
+            stack.extend(_split_clipped(box))
+        elif r_lo <= 0.0:
+            out.rim_boxes.append(box)
+            out.certified = False
+        else:
             candidates.append(box)
-            continue
-        stack.extend(_split_clipped(region, box))
 
     out.iterations = processed
     clusters = _merge_boxes(candidates)
@@ -664,8 +659,8 @@ def interior_critical_points(
         on_boundary = (
             px <= edge_margin
             or py <= edge_margin
-            or px >= region.x_lo_inside - edge_margin
-            or py >= region.cap_lower(px) - edge_margin
+            or px >= region.constants.iv_a.lo - edge_margin
+            or py >= cap_point_down(px) - edge_margin
         )
         if on_boundary:
             if not any(abs(px - bx) < 1e-5 and abs(py - by) < 1e-5 for bx, by in out.boundary_zeros):
@@ -689,9 +684,7 @@ def interior_critical_points(
     return out
 
 
-def _split_clipped(
-    region: OmegaRegion, box: tuple[float, float, float, float]
-) -> list[tuple[float, float, float, float]]:
+def _split_clipped(box: tuple[float, float, float, float]) -> list[tuple[float, float, float, float]]:
     x1, x2, y1, y2 = box
     if x2 - x1 >= y2 - y1:
         xm = 0.5 * (x1 + x2)
@@ -701,7 +694,7 @@ def _split_clipped(
         raw = ((x1, x2, y1, ym), (x1, x2, ym, y2))
     out = []
     for child in raw:
-        clipped = _clip_box(region, *child)
+        clipped = _clip_box(*child)
         if clipped is not None:
             out.append(clipped)
     return out
@@ -766,7 +759,7 @@ def grid_maximum(oid: ObjectiveId, n: int = 500) -> float:
 
     obj = OBJECTIVES[oid]
     x = np.linspace(0.0, a, n)
-    cap = np.minimum(0.5 * (1.0 + x * x), np.sqrt((1.0 - x * x) / 3.0))
+    cap = np.minimum(*(piece.cap(x) for piece in CAP_PIECES))
     t = np.linspace(0.0, 1.0, n)
     xs = np.repeat(x, n)
     ys = np.outer(cap, t).ravel()

@@ -267,13 +267,3 @@ def parse_coefficients(text: str) -> PowerSeries:
     if coeffs[1] != 1:
         raise ValueError("first coefficient a1 must be 1")
     return PowerSeries(tuple(coeffs))
-
-
-def bridge_point(table: GrunskyTable) -> tuple[float, float]:
-    """(|omega_11|, |omega_13|) of a table, the coordinates used by the bounds."""
-    return abs(table.entry(1, 1)), abs(table.entry(1, 3))
-
-
-def hankel2(f: PowerSeries) -> complex:
-    """Second Hankel determinant a2*a4 - a3^2."""
-    return f.coeff(2) * f.coeff(4) - f.coeff(3) ** 2

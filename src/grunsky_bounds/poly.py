@@ -60,6 +60,13 @@ def rp_mul(p: RatPoly, q: RatPoly) -> RatPoly:
     return rp_trim(out)
 
 
+def rp_pow(p: RatPoly, n: int) -> RatPoly:
+    out: RatPoly = (Fraction(1),)
+    for _ in range(n):
+        out = rp_mul(out, p)
+    return out
+
+
 def rp_deriv(p: RatPoly) -> RatPoly:
     return rp_trim([i * c for i, c in enumerate(p)][1:])
 
@@ -79,13 +86,6 @@ def horner_iv(coeffs: tuple[Interval, ...], x: Interval) -> Interval:
     """Horner evaluation over enclosed coefficients (see `rp_enclose`)."""
     acc = Interval.point(0.0)
     for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
-def rp_eval_fraction(p: RatPoly, x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(p):
         acc = acc * x + c
     return acc
 

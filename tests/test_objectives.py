@@ -12,14 +12,8 @@ from grunsky_bounds.objectives import (
     F1_FORM,
     F2_REDUCED_POLY,
     OBJECTIVES,
-    BoundaryRestrictionId,
     ObjectiveId,
-    eval_boundary,
     eval_objective,
-    f2_constraint_curve_x,
-    f4_h1,
-    f6_h2,
-    grad,
     monotone_bounds,
 )
 from grunsky_bounds.optimize import (
@@ -29,6 +23,16 @@ from grunsky_bounds.optimize import (
     prove_positive_1d,
 )
 from grunsky_bounds.poly import rp_eval_iv
+from paper_formulas import (
+    F6_CUBIC,
+    BoundaryRestrictionId,
+    eval_boundary,
+    f2_constraint_curve_x,
+    f4_h1,
+    f6_h2,
+    grad,
+    reduction_residual,
+)
 
 A = CONSTANTS.a_float
 B = CONSTANTS.b
@@ -132,7 +136,7 @@ def test_gradient_f6_dy_vanishes_on_axis():
 
 def test_gradient_singular_on_rim():
     with pytest.raises(ArithmeticError):
-        OBJECTIVES[ObjectiveId.F2].gradient(0.5, math.sqrt((1 - 0.25) / 3))
+        grad(ObjectiveId.F2, 0.5, math.sqrt((1 - 0.25) / 3))
 
 
 def test_scaled_gradient_sign_matches_gradient():
@@ -177,7 +181,7 @@ def test_gradient_iv_contains_point_gradient(oid):
     for x, y in _interior_points(20, seed=17):
         box = (Interval(x - DERIV_H, x + DERIV_H), Interval(y - DERIV_H, y + DERIV_H))
         gx, gy = obj.gradient_iv(*box)
-        g = obj.gradient(x, y)
+        g = grad(oid, x, y)
         assert gx.contains(g.dx) and gy.contains(g.dy)
 
 
@@ -193,8 +197,8 @@ def test_hessian_iv_contains_difference_quotients(oid):
     h = DERIV_H
     for x, y in _interior_points(20, seed=19):
         hxx, hxy, hyy = obj.hessian_iv(Interval(x - h, x + h), Interval(y - h, y + h))
-        gx_plus, gx_minus = obj.gradient(x + h, y), obj.gradient(x - h, y)
-        gy_plus, gy_minus = obj.gradient(x, y + h), obj.gradient(x, y - h)
+        gx_plus, gx_minus = grad(oid, x + h, y), grad(oid, x - h, y)
+        gy_plus, gy_minus = grad(oid, x, y + h), grad(oid, x, y - h)
         for iv, q in (
             (hxx, (gx_plus.dx - gx_minus.dx) / (2 * h)),
             (hxy, (gx_plus.dy - gx_minus.dy) / (2 * h)),
@@ -379,10 +383,9 @@ def test_restriction_interval_contains_point_values():
 
 def test_f2_reduction_combination_is_division_free_polynomial():
     # 3y f_x - x f_y = 18y^2 + 36x^2 y - 6x^2 for the fourth-coefficient objective
-    obj = OBJECTIVES[ObjectiveId.F2]
     for x, y in _interior_points(30, seed=21):
         expected = 18 * y * y + 36 * x * x * y - 6 * x * x
-        assert abs(obj.reduction_residual(x, y) - expected) <= 1e-12
+        assert abs(reduction_residual(ObjectiveId.F2, x, y) - expected) <= 1e-12
 
 
 def test_f2_constraint_curve_leaves_region():
@@ -404,7 +407,7 @@ def test_f4_h1_reaches_reported_critical_point():
     assert polished is not None
     px, py = polished
     assert 0.634 <= px < 0.635 and 0.358 <= py < 0.359
-    assert abs(obj.reduction_residual(px, py)) <= 1e-10
+    assert abs(reduction_residual(ObjectiveId.F4, px, py)) <= 1e-10
     assert abs(f4_h1(py) - px) <= 1e-9
 
 
@@ -413,14 +416,12 @@ def test_f6_reduction_and_h2():
     y13 = f6_h2(x13)
     assert abs(y13 - math.sqrt(281.0 / 2.0) / 30.0) <= 1e-15
     assert 0.395 <= y13 < 0.396
-    obj = OBJECTIVES[ObjectiveId.F6]
-    assert abs(obj.reduction_residual(x13, y13)) <= 1e-10
+    assert abs(reduction_residual(ObjectiveId.F6, x13, y13)) <= 1e-10
     g = grad(ObjectiveId.F6, x13, y13)
     assert abs(g.dx) <= 1e-10 and abs(g.dy) <= 1e-10
 
 
 def test_f6_cubic_roots():
-    from grunsky_bounds.objectives import F6_CUBIC
     from grunsky_bounds.poly import rp_eval_float
 
     assert rp_eval_float(F6_CUBIC, 0.0) == 0.0
@@ -557,3 +558,20 @@ def test_f2_reduced_root_found_once_per_context(monkeypatch):
     assert 0.961 <= x.lo <= x.hi < 0.962
     specs["f2 reduced y"].evaluate(SuiteContext())
     assert len(calls) == 2
+
+
+def test_f2_reduced_curve_x_encloses_the_exact_curve():
+    from grunsky_bounds.claims import EDGE_CONSTANTS, SuiteContext
+
+    ctx = SuiteContext()
+    y = ctx.f2_reduced_root()
+    x = {spec.label: spec for spec in EDGE_CONSTANTS}["f2 reduced x"].evaluate(ctx)
+
+    def x_squared(t: float) -> Fraction:
+        q = Fraction(t)
+        return 3 * q * q / (1 - 6 * q)
+
+    for end in (y.lo, y.hi):
+        assert Fraction(x.lo) ** 2 <= x_squared(end) <= Fraction(x.hi) ** 2
+    assert 0.961 <= x.lo <= x.hi < 0.962
+    assert x.width < 4e-12

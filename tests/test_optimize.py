@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from grunsky_bounds import optimize
-from grunsky_bounds.claims import analyze_edge
+from grunsky_bounds.claims import SuiteContext, analyze_edge
 from grunsky_bounds.domain import (
     CONSTANTS,
     REGION,
@@ -31,6 +31,7 @@ from grunsky_bounds.optimize import (
     verify_uniqueness_1d,
     zero_clusters_1d,
 )
+from grunsky_bounds.report import run_suite
 
 A = CONSTANTS.a_float
 D = CONSTANTS.d
@@ -299,9 +300,9 @@ def _curve_boxes(seed: int, count: int):
     while len(boxes) < count:
         high = len(boxes) % 2 == 1
         w = 2.0 ** -rng.randint(4, 10)
-        x1 = w * rng.randrange(int(REGION.x_hi / w))
+        x1 = w * rng.randrange(int(CONSTANTS.iv_a.hi / w))
         x2 = x1 + w
-        if x2 > REGION.x_hi or (x1 < iv_b.lo if high else x2 > iv_b.hi):
+        if x2 > CONSTANTS.iv_a.hi or (x1 < iv_b.lo if high else x2 > iv_b.hi):
             continue
         c_lo = (high_chart if high else low_chart)(x1, x2)[0]
         y2 = cap_sup_up(x1, x2)
@@ -428,13 +429,18 @@ CRITICAL_POINTS = {
 def test_critical_search_excludes_the_rim_by_gradient_sign(oid):
     cs = interior_critical_points(OBJECTIVES[oid], REGION, CFG)
     assert cs.certified
-    assert cs.rim_boxes == [] and cs.rim_value_ub == -math.inf
+    assert cs.rim_boxes == []
     boxes = [tuple(e.hex() for iv in p.certified_box for e in (iv.lo, iv.hi)) for p in cs.points]
     assert (boxes, len(cs.boundary_zeros)) == CRITICAL_POINTS[oid]
 
 
+#: a point on the rim R = 0 (the high cap), just inside the region
+_RIM_POINT = (0.6, cap_point_down(0.6))
+
+
 class _NoSignAtRim:
-    """Monotone bounds whose gradient ranges straddle zero wherever r_lo <= 0."""
+    """Monotone bounds whose gradient ranges straddle zero on the rim boxes
+    (r_lo <= 0) that hold _RIM_POINT."""
 
     def __init__(self, inner):
         self._inner = inner
@@ -444,20 +450,32 @@ class _NoSignAtRim:
 
     def scaled_gradient_range(self, x1, x2, y1, y2):
         g1lo, g1hi, g2lo, g2hi, r_lo, r_hi = self._inner.scaled_gradient_range(x1, x2, y1, y2)
-        if r_lo <= 0.0:
+        px, py = _RIM_POINT
+        if r_lo <= 0.0 and x1 <= px <= x2 and y1 <= py <= y2:
             g1lo, g1hi, g2lo, g2hi = min(g1lo, -1.0), max(g1hi, 1.0), min(g2lo, -1.0), max(g2hi, 1.0)
         return g1lo, g1hi, g2lo, g2hi, r_lo, r_hi
 
 
 @pytest.mark.parametrize("oid", [ObjectiveId.F3, ObjectiveId.F5])
-def test_rim_fallback_bounds_unsettled_boxes_by_value(oid, monkeypatch):
+def test_unsettled_rim_box_leaves_the_search_uncertified(oid, monkeypatch):
     obj = OBJECTIVES[oid]
-    ext = maximize_2d(obj, REGION, CFG)
     plain = interior_critical_points(obj, REGION, CFG)
     real = optimize.monotone_bounds
     monkeypatch.setattr(optimize, "monotone_bounds", lambda o: _NoSignAtRim(real(o)))
     cs = interior_critical_points(obj, REGION, CFG)
-    assert len(cs.rim_boxes) > 0 and cs.certified
-    # rim values cannot exceed the certified global enclosure
-    assert cs.rim_value_ub <= ext.value.hi + 1e-9
+    assert not cs.certified and cs.rim_boxes
+    px, py = _RIM_POINT
+    for x1, x2, y1, y2 in cs.rim_boxes:
+        assert max(x2 - x1, y2 - y1) <= optimize.CLUSTER_WIDTH
+        assert x1 <= px <= x2 and y1 <= py <= y2
     assert cs.points == plain.points and cs.boundary_zeros == plain.boundary_zeros
+
+
+def test_unsettled_rim_box_makes_the_row_inconclusive(monkeypatch):
+    ctx = SuiteContext()
+    ctx.extremum(ObjectiveId.F3)  # the branch-and-bound runs on the real bounds
+    real = optimize.monotone_bounds
+    monkeypatch.setattr(optimize, "monotone_bounds", lambda o: _NoSignAtRim(real(o)))
+    [row] = run_suite(["THM1_A5"], ctx=ctx)
+    assert row.status == "INCONCLUSIVE"
+    assert "interior critical-point search not certified" in row.note

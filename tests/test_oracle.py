@@ -11,16 +11,15 @@ from grunsky_bounds.oracle import (
     BI_UNIVALENT_PRESETS,
     PRESETS,
     TestVector as Vector,
-    bridge_point,
     check_coefficient_identities,
     check_inequalities,
     gamma_from_series,
     grunsky_table,
-    hankel2,
     parse_coefficients,
     random_test_vector,
 )
 from grunsky_bounds.series import InsufficientOrderError, PowerSeries
+from paper_formulas import bridge_point, hankel2
 
 
 def test_identities_trivial_for_identity_function():

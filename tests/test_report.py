@@ -1,11 +1,13 @@
 """Report rows, emission formats, CLI exit codes, determinism."""
 
 import json
+import re
 
 import pytest
 
 from grunsky_bounds.claims import SuiteConfig
 from grunsky_bounds.cli import main
+from grunsky_bounds.domain import EdgeId
 from grunsky_bounds.report import CSV_COLUMNS, all_passed, emit, run_suite
 
 CHEAP = ["THM1_A3", "ORACLE_GAMMA", "PROPERTY_CURVES"]
@@ -110,6 +112,22 @@ def test_cli_budget_exhaustion_nonzero_exit(capsys):
     code = main(["maximize", "--objective", "f2", "--max-boxes", "5"])
     capsys.readouterr()
     assert code == 1
+
+
+def test_cli_edges_lists_the_pieces_in_table_order(capsys):
+    code = main(["edges", "--objective", "f6"])
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert code == 0
+    assert [row.split()[0] for row in rows] == [edge.value for edge in EdgeId]
+    low = re.search(r"max in \[([^,]+), ([^\]]+)\]", rows[3])
+    lo, hi = float(low.group(1)), float(low.group(2))
+    assert 1.280 <= lo <= hi < 1.281
+
+
+def test_cli_edges_rejects_the_1d_objective(capsys):
+    code = main(["edges", "--objective", "f1"])
+    capsys.readouterr()
+    assert code == 2
 
 
 def test_cli_maximize_f1(capsys):
