@@ -17,14 +17,12 @@ from .optimize import (
     Extremum,
     Extremum1D,
     NoBracketError,
-    UniquenessResult,
     find_root_1d,
     interior_critical_points,
     maximize_1d,
     maximize_2d,
     prove_negative_1d,
     prove_positive_1d,
-    verify_uniqueness_1d,
 )
 from .oracle import (
     BI_UNIVALENT_PRESETS,

@@ -147,14 +147,10 @@ class EdgeAnalysis:
         ]
 
 
-#: box budget of the derivative-cluster search along one edge
-EDGE_MAX_BOXES = 400_000
-
-
 def analyze_form(form: RadicalForm1D, endpoints: tuple[Interval, Interval],
                  edge: EdgeId, cfg: BnBConfig) -> EdgeAnalysis:
     clusters = zero_clusters_1d(
-        form.scaled_derivative().value_iv, form.lo, form.hi, max_boxes=EDGE_MAX_BOXES
+        form.scaled_derivative().value_iv, form.lo, form.hi, max_boxes=cfg.max_boxes
     )
     if clusters is None:
         ext = maximize_1d(form.value_iv, form.lo, form.hi, cfg)
@@ -249,7 +245,7 @@ class SuiteContext:
             from .optimize import find_root_1d
 
             self._f2_root = find_root_1d(
-                lambda t: rp_eval_iv(F2_REDUCED_POLY, t), 0.0, 1.0 / 6.0, tol=1e-13
+                lambda t: rp_eval_iv(F2_REDUCED_POLY, t), 0.0, 1.0 / 6.0, tol=1e-14
             )
         return self._f2_root
 

@@ -144,12 +144,17 @@ def _cmd_edges(args) -> int:
         return 2
     cfg = BnBConfig(tol_value=args.tol, max_boxes=args.max_boxes)
     print(f"{oid.value} ({CLAIM_NAMES[oid]}) edge maxima:")
+    conclusive = True
     for edge in EdgeId:
         an = analyze_edge(oid, edge, cfg)
-        roots = ", ".join(f"[{c.lo:.9f}, {c.hi:.9f}]" for c in an.clusters) or "none"
+        conclusive = conclusive and an.conclusive
+        if an.conclusive:
+            roots = ", ".join(f"[{c.lo:.9f}, {c.hi:.9f}]" for c in an.clusters) or "none"
+        else:
+            roots = "inconclusive (box budget exhausted)"
         print(f"  {edge.value:<11} max in [{an.value.lo:.10f}, {an.value.hi:.10f}]"
               f"  stationary: {roots}")
-    return 0
+    return 0 if conclusive else 1
 
 
 def _cmd_grunsky(args) -> int:

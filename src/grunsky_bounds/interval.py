@@ -305,10 +305,6 @@ class Interval:
     def intersects(self, other: Interval) -> bool:
         return self.lo <= other.hi and other.lo <= self.hi
 
-    def min_with(self, other: Interval) -> Interval:
-        """Enclosure of pointwise min over the two enclosed ranges."""
-        return Interval(min(self.lo, other.lo), min(self.hi, other.hi))
-
     @property
     def width(self) -> float:
         return self.hi - self.lo

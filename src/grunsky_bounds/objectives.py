@@ -53,7 +53,9 @@ from .interval import (
     _sqrt_down,
     _sqrt_up,
 )
-from .poly import MixedPoly, RatPoly, horner_iv, rp_add, rp_enclose, rp_mul, rp_pow, rp_scale, rp_trim
+from .poly import (
+    MixedPoly, RatPoly, horner_iv, rp_add, rp_deriv, rp_enclose, rp_mul, rp_pow, rp_scale, rp_trim
+)
 
 _A = CONSTANTS.a  # Fraction(297, 400)
 _F0 = Fraction(0)
@@ -119,7 +121,7 @@ class RadicalForm1D:
 
     def scaled_derivative(self) -> RadicalForm1D:
         """2*sqrt(S) * d/dt of this form; same zeros and signs where S > 0."""
-        s_prime = rp_trim([i * c for i, c in enumerate(self.s)][1:])
+        s_prime = rp_deriv(self.s)
         new_w = self.v.deriv().mul_rational(self.s).scale(Fraction(2)).add(
             self.v.mul_rational(s_prime)
         )
@@ -188,12 +190,6 @@ class Objective:
 
     # -- gradients ------------------------------------------------------------
 
-    def _poly_dx(self, x: float, y: float) -> float:
-        return sum(float(c) * i * x ** (i - 1) * y**j for (i, j), c in self.poly.items() if i)
-
-    def _poly_dy(self, x: float, y: float) -> float:
-        return sum(float(c) * j * x**i * y ** (j - 1) for (i, j), c in self.poly.items() if j)
-
     def gradient_iv(self, x: Interval, y: Interval) -> tuple[Interval, Interval]:
         """True gradient enclosure; requires the radicand positive over the box."""
         prep = _prepared(self.id)
@@ -225,18 +221,6 @@ class Objective:
         fxy = pxy - (beta * y * u).scale(3.0) - (m * x * y * u3).scale(3.0)
         fyy = pyy - (m * (u + (y**2 * u3).scale(3.0))).scale(3.0)
         return fxx, fxy, fyy
-
-    def scaled_gradient(self, x: float, y: float) -> tuple[float, float]:
-        px = self._poly_dx(x, y)
-        py = self._poly_dy(x, y)
-        if not self.has_radical:
-            return px, py
-        r = max(self.radicand(x, y), 0.0)
-        sq = math.sqrt(r)
-        m = self._mult_float(x)
-        g1 = px * sq + float(self.m5l) / math.sqrt(5.0) * r - m * x
-        g2 = py * sq - 3.0 * m * y
-        return g1, g2
 
     # -- edge restrictions -------------------------------------------------------
 
@@ -411,9 +395,6 @@ def eval_objective(oid: ObjectiveId, x: float, y: float = 0.0) -> float:
 # evaluating the monotone pieces at opposite corners, which matches the
 # generic interval evaluation but avoids allocating intervals in the hot
 # branch-and-bound loop.
-
-_S5F = math.sqrt(5.0)
-_S7F = math.sqrt(7.0)
 
 
 @dataclass(frozen=True)

@@ -14,18 +14,20 @@ information only: the centred forms need the true gradient, which is
 singular there.
 
 subdivide_1d is the one 1-D bisection routine: zero_clusters_1d (edge
-critical points, uniqueness proofs) and prove_positive_1d are built on it.
+critical points) and prove_positive_1d are built on it, and find_root_1d
+proves a single sign-changing cluster of zero_clusters_1d.
 
 interior_critical_points excludes gradient zeros with the division-free
 scaled gradient G = sqrt(R)*grad f, which stays bounded up to the rim R = 0,
 so the sign test runs first on every box, rim boxes included.  A box that
 reaches the rim and whose sign is still unsettled at CLUSTER_WIDTH is
-reported in `rim_boxes` and leaves the search uncertified.  Each surviving
-cluster is then certified with a Krawczyk contraction on a small box around
-the numerically polished point, which proves existence and uniqueness there.
-The true gradient and the interval Hessian it needs come from
-`Objective.gradient_iv` and `Objective.hessian_iv`; this module evaluates no
-objective terms itself.
+reported in `rim_boxes` and leaves the search uncertified.  The surviving
+candidate boxes go to one Newton-Krawczyk routine, `_certify_candidates`:
+one matrix Y = mid(H)^-1 gives both the Newton step that finds a zero and
+the Krawczyk test that proves a box about it holds exactly one zero, and
+every candidate is either covered by such a proven box or reported.  The
+true gradient and the interval Hessian H come from `Objective.gradient_iv`
+and `Objective.hessian_iv`; this module evaluates no objective terms itself.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ CLUSTER_WIDTH = 2e-5
 
 
 class NoBracketError(RuntimeError):
-    """No verified sign change found on the scan grid."""
+    """No single zero cluster with a verified sign change across it."""
 
 
 @dataclass(frozen=True)
@@ -96,7 +98,11 @@ class Extremum:
 
 @dataclass(frozen=True)
 class CriticalPoint:
-    """One isolated gradient zero: enclosing cluster and certified sub-box."""
+    """One gradient zero, or a candidate box that the proof could not settle.
+
+    `cluster` is the Krawczyk-proven box that covers the candidate box that
+    led to the zero, or that candidate box when the point is uncertified.
+    """
 
     cluster: tuple[Interval, Interval]
     certified_box: tuple[Interval, Interval] | None
@@ -129,49 +135,23 @@ class CriticalSearch:
 
 
 def find_root_1d(
-    fn: IvFunc, lo: float, hi: float, tol: float = 1e-12, scan_points: int = 1000
+    fn: IvFunc, lo: float, hi: float, tol: float = 1e-12, max_boxes: int = 200_000
 ) -> Interval:
-    """Enclosure of a verified sign change of fn on [lo, hi], by bisection."""
+    """Enclosure of the zeros of fn on [lo, hi]: one cluster with a sign change.
 
-    def sign_at(t: float) -> int:
-        v = fn(Interval.point(t))
-        if v.lo > 0.0:
-            return 1
-        if v.hi < 0.0:
-            return -1
-        return 0
-
-    ts = [lo + (hi - lo) * k / scan_points for k in range(scan_points + 1)]
-    signs = [sign_at(t) for t in ts]
-    bracket = None
-    prev_idx = None
-    for idx, s in enumerate(signs):
-        if s == 0:
-            continue
-        if prev_idx is not None and signs[prev_idx] * s < 0:
-            bracket = (ts[prev_idx], ts[idx], signs[prev_idx])
-            break
-        prev_idx = idx
-    if bracket is None:
-        raise NoBracketError(f"no sign change of {fn} on [{lo}, {hi}]")
-
-    t1, t2, s1 = bracket
-    while t2 - t1 > tol:
-        found = False
-        for frac in (0.5, 0.45, 0.55, 0.4, 0.6):
-            tm = t1 + frac * (t2 - t1)
-            sm = sign_at(tm)
-            if sm == 0:
-                continue
-            if sm == s1:
-                t1 = tm
-            else:
-                t2 = tm
-            found = True
-            break
-        if not found:
-            break  # enclosure is as tight as point evaluations allow
-    return Interval(t1, t2)
+    `zero_clusters_1d` must leave a single cluster, and fn must take opposite
+    verified signs at its two ends, so the cluster holds every zero and at
+    least one.  NoBracketError otherwise, and when the box budget runs out.
+    """
+    clusters = zero_clusters_1d(fn, lo, hi, tol, max_boxes)
+    if clusters is None:
+        raise NoBracketError(f"box budget exhausted isolating a zero of {fn} on [{lo}, {hi}]")
+    if len(clusters) == 1:
+        root = clusters[0]
+        a, b = fn(Interval.point(root.lo)), fn(Interval.point(root.hi))
+        if a.hi < 0.0 < b.lo or b.hi < 0.0 < a.lo:
+            return root
+    raise NoBracketError(f"no single sign-changing zero cluster of {fn} on [{lo}, {hi}]")
 
 
 def subdivide_1d(
@@ -223,42 +203,6 @@ def zero_clusters_1d(
         else:
             clusters.append([t1, t2])
     return [Interval(c1, c2) for c1, c2 in clusters]
-
-
-@dataclass(frozen=True)
-class UniquenessResult:
-    unique: bool
-    conclusive: bool
-    root: Interval | None
-    zero_clusters: int
-
-
-def verify_uniqueness_1d(
-    fn: IvFunc, lo: float, hi: float, min_width: float = 1e-10, max_boxes: int = 200_000
-) -> UniquenessResult:
-    """Prove fn has exactly one sign-change interval on [lo, hi].
-
-    Unique means a single zero cluster with verified opposite signs just
-    outside it.
-    """
-    clusters = zero_clusters_1d(fn, lo, hi, min_width, max_boxes)
-    if clusters is None:
-        return UniquenessResult(False, False, None, 0)
-    if len(clusters) != 1:
-        return UniquenessResult(False, True, None, len(clusters))
-
-    c1, c2 = clusters[0].lo, clusters[0].hi
-    left = max(lo, c1 - min_width)
-    right = min(hi, c2 + min_width)
-    vl = fn(Interval.point(left))
-    vr = fn(Interval.point(right))
-    sl = 1 if vl.lo > 0 else (-1 if vl.hi < 0 else 0)
-    sr = 1 if vr.lo > 0 else (-1 if vr.hi < 0 else 0)
-    if sl == 0 or sr == 0:
-        return UniquenessResult(False, False, Interval(c1, c2), 1)
-    if sl * sr < 0:
-        return UniquenessResult(True, True, Interval(left, right), 1)
-    return UniquenessResult(False, True, Interval(c1, c2), 1)
 
 
 def prove_positive_1d(
@@ -523,7 +467,7 @@ def _chart_upper(
 
 
 def _classify_point(region: OmegaRegion, x: float, y: float, tol: float = 1e-7) -> EdgeId | None:
-    """Which boundary piece (if any) a near-maximal sample point sits on."""
+    """Which boundary piece (if any) a point lies within `tol` of."""
     if x >= region.constants.iv_a.lo - tol:
         return EdgeId.X_A
     if x <= tol:
@@ -541,65 +485,120 @@ def _classify_point(region: OmegaRegion, x: float, y: float, tol: float = 1e-7) 
 # ---------------------------------------------------------------------------
 
 
-def _newton_polish(obj: Objective, x0: float, y0: float, steps: int = 60) -> tuple[float, float] | None:
-    """Float Newton iteration on the scaled gradient (no verification)."""
-    x, y = x0, y0
-    h = 1e-7
-    for _ in range(steps):
-        g1, g2 = obj.scaled_gradient(x, y)
-        if abs(g1) < 1e-14 and abs(g2) < 1e-14:
-            return x, y
-        j11 = (obj.scaled_gradient(x + h, y)[0] - obj.scaled_gradient(x - h, y)[0]) / (2 * h)
-        j12 = (obj.scaled_gradient(x, y + h)[0] - obj.scaled_gradient(x, y - h)[0]) / (2 * h)
-        j21 = (obj.scaled_gradient(x + h, y)[1] - obj.scaled_gradient(x - h, y)[1]) / (2 * h)
-        j22 = (obj.scaled_gradient(x, y + h)[1] - obj.scaled_gradient(x, y - h)[1]) / (2 * h)
-        det = j11 * j22 - j12 * j21
-        if abs(det) < 1e-14:
-            return None
-        dx = (j22 * g1 - j12 * g2) / det
-        dy = (-j21 * g1 + j11 * g2) / det
-        x, y = x - dx, y - dy
-        if not (-0.5 <= x <= 1.5 and -0.5 <= y <= 1.5):
-            return None
-    return (x, y) if abs(obj.scaled_gradient(x, y)[0]) < 1e-10 else None
+#: Newton steps from a candidate's midpoint.  An interior zero is reached in
+#: three; a loop run to a float fixed point would follow the zero at the
+#: origin down into subnormal floats.
+NEWTON_STEPS = 4
+
+#: half-width of the certified box about each interior gradient zero
+CERTIFIED_HALF = 1e-7
 
 
-def _krawczyk_certify(
-    obj: Objective, px: float, py: float
+def _krawczyk(
+    obj: Objective, px: float, py: float, bx: Interval, by: Interval
 ) -> tuple[Interval, Interval] | None:
-    """Certify existence and uniqueness of a gradient zero near (px, py).
+    """Krawczyk operator K(B) = p - Y g(p) + (I - Y H(B)) (B - p) on B = bx x by.
 
-    Standard Krawczyk operator on the true gradient with the interval Hessian
-    as the Lipschitz matrix: K contained in the interior of the box proves a
-    unique zero inside it.
+    g is the true gradient, H its interval Hessian over B and Y = mid(H(B))^-1.
+    K(B) inside the interior of B proves that B holds exactly one gradient
+    zero; on the point box B = p, K(B) is one Newton step.  None where g or H
+    is undefined on B or mid(H(B)) is singular.
     """
-    for half in (1e-7, 1e-6, 1e-8, 1e-5):
-        bx = Interval(px - half, px + half)
-        by = Interval(py - half, py + half)
-        if obj.has_radical and obj.radicand_iv(bx, by).lo <= 0.0:
-            continue
-        try:
-            g1m, g2m = obj.gradient_iv(Interval.point(px), Interval.point(py))
-            h11, h12, h22 = obj.hessian_iv(bx, by)
-        except (ArithmeticError, ValueError):
-            continue
-        det = h11.mid * h22.mid - h12.mid * h12.mid
-        if det == 0.0 or not math.isfinite(det):
-            continue
-        y11, y12 = h22.mid / det, -h12.mid / det
-        y21, y22 = -h12.mid / det, h11.mid / det
-        # I - Y * H, with H symmetric
-        e11 = Interval.point(1.0) - (h11.scale(y11) + h12.scale(y12))
-        e12 = -(h12.scale(y11) + h22.scale(y12))
-        e21 = -(h11.scale(y21) + h12.scale(y22))
-        e22 = Interval.point(1.0) - (h12.scale(y21) + h22.scale(y22))
-        rx = Interval(-half, half)
-        ry = Interval(-half, half)
-        k1 = Interval.point(px) - (g1m.scale(y11) + g2m.scale(y12)) + e11 * rx + e12 * ry
-        k2 = Interval.point(py) - (g1m.scale(y21) + g2m.scale(y22)) + e21 * rx + e22 * ry
-        if bx.lo < k1.lo and k1.hi < bx.hi and by.lo < k2.lo and k2.hi < by.hi:
-            return bx, by
+    ix, iy = Interval.point(px), Interval.point(py)
+    try:
+        g1, g2 = obj.gradient_iv(ix, iy)
+        h11, h12, h22 = obj.hessian_iv(bx, by)
+    except (ArithmeticError, ValueError):
+        return None
+    det = h11.mid * h22.mid - h12.mid * h12.mid
+    if det == 0.0 or not math.isfinite(det):
+        return None
+    # Y is symmetric, as H is
+    y11, y12, y22 = h22.mid / det, -h12.mid / det, h11.mid / det
+    e11 = Interval.point(1.0) - (h11.scale(y11) + h12.scale(y12))
+    e12 = -(h12.scale(y11) + h22.scale(y12))
+    e21 = -(h11.scale(y12) + h12.scale(y22))
+    e22 = Interval.point(1.0) - (h12.scale(y12) + h22.scale(y22))
+    # outward B - p: the endpoints of B need not lie on a float grid about p
+    rx, ry = bx - ix, by - iy
+    k1 = ix - (g1.scale(y11) + g2.scale(y12)) + e11 * rx + e12 * ry
+    k2 = iy - (g1.scale(y12) + g2.scale(y22)) + e21 * rx + e22 * ry
+    return k1, k2
+
+
+def _newton(obj: Objective, x: float, y: float) -> tuple[float, float] | None:
+    """NEWTON_STEPS Newton steps p <- mid(K(p)) on the true gradient (no proof).
+
+    None where the gradient or Hessian is undefined or singular on the way.
+    """
+    for _ in range(NEWTON_STEPS):
+        k = _krawczyk(obj, x, y, Interval.point(x), Interval.point(y))
+        if k is None:
+            return None
+        x, y = k[0].mid, k[1].mid
+    return x, y
+
+
+def _cover(
+    obj: Objective, px: float, py: float, cand: tuple[Interval, Interval]
+) -> tuple[Interval, Interval] | None:
+    """The box about (px, py) that covers `cand`, if Krawczyk proves it holds one zero.
+
+    Its half-width is at least CERTIFIED_HALF, so it holds the certified box
+    about (px, py); for the point cand = (px, py) it is that box.
+    """
+    cx, cy = cand
+    half = max(CERTIFIED_HALF, px - cx.lo, cx.hi - px, py - cy.lo, cy.hi - py)
+    bx = Interval(px - half, px + half).hull(cx)
+    by = Interval(py - half, py + half).hull(cy)
+    k = _krawczyk(obj, px, py, bx, by)
+    if k is not None and bx.lo < k[0].lo and k[0].hi < bx.hi and by.lo < k[1].lo and k[1].hi < by.hi:
+        return bx, by
     return None
+
+
+def _certify_candidates(
+    obj: Objective, region: OmegaRegion, candidates: list[tuple[float, float, float, float]],
+    out: CriticalSearch,
+) -> None:
+    """Turn the candidate boxes of the sign search into points of `out`.
+
+    A candidate inside a box already proven to hold one zero is skipped, and
+    so is one that the proof about a certified zero's centre stretches to
+    cover: that box holds the zero's certified box, so it is the candidate's
+    only zero.  Any other candidate runs Newton from its midpoint to a point
+    p, and the Krawczyk test runs on the box about p that covers it.  If p
+    lies on the region boundary, p is a boundary zero, kept once within 1e-5;
+    otherwise the proven box gives a new point, certified on the box
+    p +- CERTIFIED_HALF.  Where Newton or a proof fails, the candidate gives
+    an uncertified point and `out` is not certified.
+    """
+    edge_margin = 1e-6
+    proven: list[tuple[Interval, Interval]] = []  # boxes that hold exactly one zero
+    centres: list[tuple[float, float]] = []  # the Newton points of the certified zeros
+    for x1, x2, y1, y2 in candidates:
+        cand = (Interval(x1, x2), Interval(y1, y2))
+        if any(bx.contains_interval(cand[0]) and by.contains_interval(cand[1]) for bx, by in proven):
+            continue
+        cover = next(filter(None, (_cover(obj, cx, cy, cand) for cx, cy in centres)), None)
+        if cover is not None:
+            proven.append(cover)
+            continue
+        p = _newton(obj, cand[0].mid, cand[1].mid)
+        cover = _cover(obj, *p, cand) if p else None
+        if cover:
+            proven.append(cover)
+        if p and _classify_point(region, *p, edge_margin) is not None:
+            if not any(abs(p[0] - bx) < 1e-5 and abs(p[1] - by) < 1e-5 for bx, by in out.boundary_zeros):
+                out.boundary_zeros.append(p)
+            continue
+        box = _cover(obj, *p, (Interval.point(p[0]), Interval.point(p[1]))) if cover else None
+        if box:
+            out.points.append(CriticalPoint(cover, box, obj.value_iv(*box)))
+            centres.append(p)
+        else:
+            out.points.append(CriticalPoint(cand, None, obj.value_iv(*cand)))
+            out.certified = False
 
 
 def interior_critical_points(
@@ -645,42 +644,7 @@ def interior_critical_points(
             candidates.append(box)
 
     out.iterations = processed
-    clusters = _merge_boxes(candidates)
-    edge_margin = 1e-6
-    for cl in clusters:
-        cx1, cx2, cy1, cy2 = cl
-        hull = (Interval(cx1, cx2), Interval(cy1, cy2))
-        polished = _newton_polish(obj, 0.5 * (cx1 + cx2), 0.5 * (cy1 + cy2))
-        if polished is None:
-            out.points.append(CriticalPoint(hull, None, obj.value_iv(*hull)))
-            out.certified = False
-            continue
-        px, py = polished
-        on_boundary = (
-            px <= edge_margin
-            or py <= edge_margin
-            or px >= region.constants.iv_a.lo - edge_margin
-            or py >= cap_point_down(px) - edge_margin
-        )
-        if on_boundary:
-            if not any(abs(px - bx) < 1e-5 and abs(py - by) < 1e-5 for bx, by in out.boundary_zeros):
-                out.boundary_zeros.append((px, py))
-            continue
-        # several disconnected clusters may surround one zero; keep one entry
-        duplicate = False
-        for prev in out.points:
-            ref = prev.certified_box if prev.certified else prev.cluster
-            if abs(ref[0].mid - px) < 1e-3 and abs(ref[1].mid - py) < 1e-3:
-                duplicate = True
-                break
-        if duplicate:
-            continue
-        cert = _krawczyk_certify(obj, px, py)
-        if cert is None:
-            out.points.append(CriticalPoint(hull, None, obj.value_iv(*hull)))
-            out.certified = False
-        else:
-            out.points.append(CriticalPoint(hull, cert, obj.value_iv(*cert)))
+    _certify_candidates(obj, region, candidates, out)
     return out
 
 
@@ -698,45 +662,6 @@ def _split_clipped(box: tuple[float, float, float, float]) -> list[tuple[float, 
         if clipped is not None:
             out.append(clipped)
     return out
-
-
-def _merge_boxes(
-    boxes: list[tuple[float, float, float, float]]
-) -> list[tuple[float, float, float, float]]:
-    """Merge overlapping/adjacent boxes into connected cluster hulls."""
-    eps = 1e-9
-    clusters: list[list[float]] = []
-    for box in sorted(boxes):
-        x1, x2, y1, y2 = box
-        merged = False
-        for cl in clusters:
-            if x1 <= cl[1] + eps and x2 >= cl[0] - eps and y1 <= cl[3] + eps and y2 >= cl[2] - eps:
-                cl[0] = min(cl[0], x1)
-                cl[1] = max(cl[1], x2)
-                cl[2] = min(cl[2], y1)
-                cl[3] = max(cl[3], y2)
-                merged = True
-                break
-        if not merged:
-            clusters.append([x1, x2, y1, y2])
-    # a second pass handles chains discovered out of order
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(clusters)):
-            for j in range(i + 1, len(clusters)):
-                a, b = clusters[i], clusters[j]
-                if a[0] <= b[1] + eps and a[1] >= b[0] - eps and a[2] <= b[3] + eps and a[3] >= b[2] - eps:
-                    a[0] = min(a[0], b[0])
-                    a[1] = max(a[1], b[1])
-                    a[2] = min(a[2], b[2])
-                    a[3] = max(a[3], b[3])
-                    del clusters[j]
-                    changed = True
-                    break
-            if changed:
-                break
-    return [tuple(cl) for cl in clusters]
 
 
 # ---------------------------------------------------------------------------

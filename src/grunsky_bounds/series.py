@@ -109,12 +109,6 @@ class BivariateSeries:
     def zero(cls, order: int) -> BivariateSeries:
         return cls(np.zeros((order + 1, order + 1), dtype=complex), order)
 
-    @classmethod
-    def one(cls, order: int) -> BivariateSeries:
-        s = cls.zero(order)
-        s.c[0, 0] = 1.0
-        return s
-
     def mul(self, other: BivariateSeries) -> BivariateSeries:
         n = self.order
         out = np.zeros((n + 1, n + 1), dtype=complex)

@@ -1,8 +1,9 @@
 """Closed forms from the paper that only the tests evaluate.
 
-Float gradients, the critical-point reductions, the named boundary
-restrictions g1..g10 and the oracle's bridge to the region.  The library
-never needs them: it works with interval enclosures instead.
+Float gradients, plain and radical-scaled, the critical-point reductions,
+the named boundary restrictions g1..g10 and the oracle's bridge to the
+region.  The library never needs them: it works with interval enclosures
+instead.
 """
 
 from __future__ import annotations
@@ -28,6 +29,14 @@ class Gradient2:
     dy: float
 
 
+def poly_dx(oid: ObjectiveId, x: float, y: float) -> float:
+    return sum(float(c) * i * x ** (i - 1) * y**j for (i, j), c in OBJECTIVES[oid].poly.items() if i)
+
+
+def poly_dy(oid: ObjectiveId, x: float, y: float) -> float:
+    return sum(float(c) * j * x**i * y ** (j - 1) for (i, j), c in OBJECTIVES[oid].poly.items() if j)
+
+
 def grad(oid: ObjectiveId, x: float, y: float = 0.0) -> Gradient2:
     """Analytic gradient; requires the radicand strictly positive."""
     if oid is ObjectiveId.F1:
@@ -37,8 +46,8 @@ def grad(oid: ObjectiveId, x: float, y: float = 0.0) -> Gradient2:
             raise NegativeRadicandError(f"gradient singular at x={x}")
         return Gradient2(6.0 * x - 2.0 / math.sqrt(3.0) * x / math.sqrt(r), 0.0)
     obj = OBJECTIVES[oid]
-    dx = obj._poly_dx(x, y)
-    dy = obj._poly_dy(x, y)
+    dx = poly_dx(oid, x, y)
+    dy = poly_dy(oid, x, y)
     if obj.has_radical:
         r = obj.radicand(x, y)
         if r <= 0.0:
@@ -50,10 +59,25 @@ def grad(oid: ObjectiveId, x: float, y: float = 0.0) -> Gradient2:
     return Gradient2(dx, dy)
 
 
+def scaled_gradient(oid: ObjectiveId, x: float, y: float) -> tuple[float, float]:
+    """Float G = sqrt(R) * grad f, defined up to the rim R = 0."""
+    obj = OBJECTIVES[oid]
+    px = poly_dx(oid, x, y)
+    py = poly_dy(oid, x, y)
+    if not obj.has_radical:
+        return px, py
+    r = max(obj.radicand(x, y), 0.0)
+    sq = math.sqrt(r)
+    m = obj._mult_float(x)
+    g1 = px * sq + float(obj.m5l) / math.sqrt(5.0) * r - m * x
+    g2 = py * sq - 3.0 * m * y
+    return g1, g2
+
+
 def reduction_residual(oid: ObjectiveId, x: float, y: float) -> float:
     """Residual of 3y*df/dx - x*df/dy, in which the 1/sqrt(R) terms cancel."""
     obj = OBJECTIVES[oid]
-    out = 3.0 * y * obj._poly_dx(x, y) - x * obj._poly_dy(x, y)
+    out = 3.0 * y * poly_dx(oid, x, y) - x * poly_dy(oid, x, y)
     if obj.m5l:
         r = obj.radicand(x, y)
         if r < -CLAMP_TOL:

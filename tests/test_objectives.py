@@ -17,7 +17,7 @@ from grunsky_bounds.objectives import (
     monotone_bounds,
 )
 from grunsky_bounds.optimize import (
-    _newton_polish,
+    _newton,
     find_root_1d,
     prove_negative_1d,
     prove_positive_1d,
@@ -32,6 +32,7 @@ from paper_formulas import (
     f6_h2,
     grad,
     reduction_residual,
+    scaled_gradient,
 )
 
 A = CONSTANTS.a_float
@@ -143,7 +144,7 @@ def test_scaled_gradient_sign_matches_gradient():
     for x, y in _interior_points(50, seed=3):
         for oid in (ObjectiveId.F2, ObjectiveId.F5, ObjectiveId.F6):
             g = grad(oid, x, y)
-            s1, s2 = OBJECTIVES[oid].scaled_gradient(x, y)
+            s1, s2 = scaled_gradient(oid, x, y)
             assert math.copysign(1, g.dx) == math.copysign(1, s1) or abs(g.dx) < 1e-12
             assert math.copysign(1, g.dy) == math.copysign(1, s2) or abs(g.dy) < 1e-12
 
@@ -233,9 +234,10 @@ def test_monotone_bounds_agree_with_interval_evaluation():
 
 # Sample points lie on the 2**-16 grid, so x*x, 3*y*y and R = 1 - x^2 - 3y^2
 # are exact in floats and R >= 0 is decided exactly.  The float
-# `scaled_gradient` then differs from the exact G only by round-to-nearest in
-# about ten operations on values below 25 in magnitude, under 10 * 25 * 2**-53
-# (about 3e-14); the slack leaves a factor of three on top of that.
+# `paper_formulas.scaled_gradient` then differs from the exact G only by
+# round-to-nearest in about ten operations on values below 25 in magnitude,
+# under 10 * 25 * 2**-53 (about 3e-14); the slack leaves a factor of three on
+# top of that.
 _GRID = 2.0**-16
 _FLOAT_SLACK = 1e-13
 
@@ -258,7 +260,6 @@ def test_scaled_gradient_range_encloses_float_scaled_gradient():
         boxes.append((oid, xc - hw, xc + hw, max(yc - hw, 0.0), yc + hw))
     kinds = {"rim": 0, "interior": 0, "R == 0": 0}
     for oid, x1, x2, y1, y2 in boxes:
-        obj = OBJECTIVES[oid]
         g1lo, g1hi, g2lo, g2hi, r_lo, _ = monotone_bounds(oid).scaled_gradient_range(x1, x2, y1, y2)
         kinds["rim" if r_lo <= 0.0 else "interior"] += 1
         samples = [(0.5 * (x1 + x2), 0.5 * (y1 + y2))]
@@ -268,7 +269,7 @@ def test_scaled_gradient_range_encloses_float_scaled_gradient():
             if x is None or y is None or 1.0 - x * x - 3.0 * y * y < 0.0:
                 continue
             kinds["R == 0"] += 1.0 - x * x - 3.0 * y * y == 0.0
-            g1, g2 = obj.scaled_gradient(x, y)
+            g1, g2 = scaled_gradient(oid, x, y)
             assert g1lo - _FLOAT_SLACK <= g1 <= g1hi + _FLOAT_SLACK, (oid, x, y)
             assert g2lo - _FLOAT_SLACK <= g2 <= g2hi + _FLOAT_SLACK, (oid, x, y)
     assert kinds["rim"] >= 100 and kinds["interior"] >= 100 and kinds["R == 0"] >= 1
@@ -402,10 +403,9 @@ def test_f2_constraint_curve_domain_error():
 
 
 def test_f4_h1_reaches_reported_critical_point():
-    obj = OBJECTIVES[ObjectiveId.F4]
-    polished = _newton_polish(obj, 0.634, 0.358)
-    assert polished is not None
-    px, py = polished
+    # Newton on the true interval gradient, with the interval Hessian's
+    # midpoint inverse, from the reported three-digit point
+    px, py = _newton(OBJECTIVES[ObjectiveId.F4], 0.634, 0.358)
     assert 0.634 <= px < 0.635 and 0.358 <= py < 0.359
     assert abs(reduction_residual(ObjectiveId.F4, px, py)) <= 1e-10
     assert abs(f4_h1(py) - px) <= 1e-9

@@ -20,7 +20,9 @@ from grunsky_bounds.domain import (
 from grunsky_bounds.interval import Interval
 from grunsky_bounds.objectives import F1_FORM, OBJECTIVES, ObjectiveId, monotone_bounds
 from grunsky_bounds.optimize import (
+    CERTIFIED_HALF,
     BnBConfig,
+    CriticalSearch,
     NoBracketError,
     find_root_1d,
     grid_maximum,
@@ -28,7 +30,6 @@ from grunsky_bounds.optimize import (
     maximize_1d,
     maximize_2d,
     prove_positive_1d,
-    verify_uniqueness_1d,
     zero_clusters_1d,
 )
 from grunsky_bounds.report import run_suite
@@ -79,22 +80,20 @@ def test_find_root_requires_bracket():
 
 
 # ---------------------------------------------------------------------------
-# verify_uniqueness_1d
+# find_root_1d proves that one zero cluster holds every zero, and a sign change
 # ---------------------------------------------------------------------------
 
 
 def test_uniqueness_f2_edge_derivative():
     deriv = OBJECTIVES[ObjectiveId.F2].restriction(EdgeId.X_A).scaled_derivative()
-    res = verify_uniqueness_1d(deriv.value_iv, 1e-9, D * (1 - 1e-9))
-    assert res.unique and res.conclusive
-    assert 0.365 <= res.root.lo <= res.root.hi < 0.366
+    root = find_root_1d(deriv.value_iv, 1e-9, D * (1 - 1e-9))
+    assert 0.365 <= root.lo <= root.hi < 0.366
 
 
 def test_uniqueness_g6_derivative():
     deriv = OBJECTIVES[ObjectiveId.F4].restriction(EdgeId.CURVE_HIGH).scaled_derivative()
-    res = verify_uniqueness_1d(deriv.value_iv, CONSTANTS.iv_b.hi, CONSTANTS.iv_a.lo)
-    assert res.unique and res.conclusive
-    assert 0.715 <= res.root.lo <= res.root.hi < 0.716
+    root = find_root_1d(deriv.value_iv, CONSTANTS.iv_b.hi, CONSTANTS.iv_a.lo)
+    assert 0.715 <= root.lo <= root.hi < 0.716
 
 
 def _three_roots(t: Interval) -> Interval:
@@ -102,15 +101,20 @@ def _three_roots(t: Interval) -> Interval:
 
 
 def test_uniqueness_rejects_three_roots():
-    res = verify_uniqueness_1d(_three_roots, -0.05, 0.3)
-    assert not res.unique
-    assert res.conclusive
-    assert res.zero_clusters == 3
+    assert len(zero_clusters_1d(_three_roots, -0.05, 0.3)) == 3
+    with pytest.raises(NoBracketError, match="single"):
+        find_root_1d(_three_roots, -0.05, 0.3)
 
 
 def test_uniqueness_no_root_at_all():
-    res = verify_uniqueness_1d(lambda t: t + Interval.point(5.0), 0.0, 1.0)
-    assert not res.unique and res.conclusive and res.zero_clusters == 0
+    with pytest.raises(NoBracketError, match="single"):
+        find_root_1d(lambda t: t + Interval.point(5.0), 0.0, 1.0)
+
+
+def test_find_root_budget_exhausted():
+    assert find_root_1d(_three_roots, 0.15, 0.3).contains(0.2)
+    with pytest.raises(NoBracketError, match="budget"):
+        find_root_1d(_three_roots, 0.15, 0.3, max_boxes=3)
 
 
 # ---------------------------------------------------------------------------
@@ -381,6 +385,51 @@ def test_critical_f6_isolates_the_known_zero():
     assert abs(cp.value.mid - 1079.0 / 900.0) <= 1e-10
 
 
+#: the Hankel objective's interior zero (sqrt(11/30), sqrt(281/2)/30)
+_F6_ZERO = (math.sqrt(11.0 / 30.0), math.sqrt(281.0 / 2.0) / 30.0)
+
+
+def _offset_box(dx: float, dy: float, w: float = 1e-5) -> tuple[float, float, float, float]:
+    x, y = _F6_ZERO[0] + dx, _F6_ZERO[1] + dy
+    return x, x + w, y, y + w
+
+
+@pytest.mark.parametrize("near_first", [True, False])
+def test_certifier_gives_one_point_for_boxes_on_both_sides_of_a_zero(near_first):
+    near, far = _offset_box(1e-5, 1e-5), _offset_box(-7e-5, -7e-5)
+    out = CriticalSearch()
+    optimize._certify_candidates(
+        OBJECTIVES[ObjectiveId.F6], REGION, [near, far] if near_first else [far, near], out
+    )
+    assert out.certified and out.boundary_zeros == []
+    [cp] = out.points
+    bx, by = cp.certified_box
+    assert bx.lo <= _F6_ZERO[0] <= bx.hi and by.lo <= _F6_ZERO[1] <= by.hi
+    assert bx.width <= 2.0 * CERTIFIED_HALF + 1e-15
+
+
+def test_certifier_leaves_a_candidate_it_cannot_cover_uncertified():
+    # Newton from the midpoint finds the zero, but the Krawczyk test fails on
+    # a box this large (it holds up to half-width about 1e-3)
+    x1, x2, y1, y2 = _offset_box(-0.02, -0.02, w=0.04)
+    out = CriticalSearch()
+    optimize._certify_candidates(OBJECTIVES[ObjectiveId.F6], REGION, [(x1, x2, y1, y2)], out)
+    assert not out.certified
+    [cp] = out.points
+    assert not cp.certified
+    assert cp.cluster == (Interval(x1, x2), Interval(y1, y2))
+
+
+@pytest.mark.parametrize("p", [0.35898978923132446, 0.312751645895208, 0.3951089863709937])
+def test_krawczyk_radius_encloses_box_minus_centre(p):
+    box = Interval(p - CERTIFIED_HALF, p + CERTIFIED_HALF)
+    lo, hi = Fraction(box.lo) - Fraction(p), Fraction(box.hi) - Fraction(p)
+    # round-to-nearest endpoints put the box beyond p +- half on both sides
+    assert lo < -Fraction(CERTIFIED_HALF) and Fraction(CERTIFIED_HALF) < hi
+    radius = box - Interval.point(p)
+    assert Fraction(radius.lo) <= lo and hi <= Fraction(radius.hi)
+
+
 def test_critical_f4_certified_in_reported_window():
     cs = interior_critical_points(OBJECTIVES[ObjectiveId.F4], REGION, CFG)
     assert len(cs.points) == 1 and cs.certified
@@ -414,11 +463,11 @@ CRITICAL_POINTS = {
     ObjectiveId.F2: ([], 1),
     ObjectiveId.F3: ([], 0),
     ObjectiveId.F4: ([("0x1.44d52ce532d18p-1", "0x1.44d5339b2f782p-1",
-                       "0x1.6f9afe3b6622cp-2", "0x1.6f9b0ba75f702p-2")], 1),
+                       "0x1.6f9afe3b6622bp-2", "0x1.6f9b0ba75f701p-2")], 1),
     ObjectiveId.F5: ([("0x1.6f696a9f27657p-1", "0x1.6f697155240c1p-1",
                        "0x1.4041f0f592cd5p-2", "0x1.4041fe618c1abp-2")], 0),
-    ObjectiveId.F6: ([("0x1.3608063ad5caap-1", "0x1.36080cf0d2714p-1",
-                       "0x1.94976c854a22bp-2", "0x1.949779f143701p-2")], 0),
+    ObjectiveId.F6: ([("0x1.3608063ad5cd1p-1", "0x1.36080cf0d273bp-1",
+                       "0x1.94976c854a1e7p-2", "0x1.949779f1436bdp-2")], 0),
     ObjectiveId.F7: ([], 0),
     ObjectiveId.F8: ([], 1),
     ObjectiveId.F9: ([], 0),

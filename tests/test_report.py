@@ -124,6 +124,16 @@ def test_cli_edges_lists_the_pieces_in_table_order(capsys):
     assert 1.280 <= lo <= hi < 1.281
 
 
+def test_cli_edges_budget_exhaustion_marks_the_edge_inconclusive(capsys):
+    code = main(["edges", "--objective", "f2", "--max-boxes", "1"])
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert code == 1
+    assert [row.split()[0] for row in rows] == [edge.value for edge in EdgeId]
+    # the x_a derivative needs more than one box; an edge settled by one box is not marked
+    assert rows[1].endswith("stationary: inconclusive (box budget exhausted)")
+    assert "inconclusive" not in rows[4]
+
+
 def test_cli_edges_rejects_the_1d_objective(capsys):
     code = main(["edges", "--objective", "f1"])
     capsys.readouterr()
