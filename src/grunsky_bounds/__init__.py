@@ -1,15 +1,8 @@
 """Verified maxima of Grunsky-coefficient bound objectives for bi-univalent functions."""
 
-from .domain import CONSTANTS, REGION, DomainConstants, EdgeId, OmegaRegion, lemma1_bound, omega_contains
+from .domain import CONSTANTS, REGION, DomainConstants, EdgeId, OmegaRegion
 from .interval import CLAMP_TOL, Interval, NegativeRadicandError
-from .objectives import (
-    CLAIM_NAMES,
-    F1_FORM,
-    OBJECTIVES,
-    Objective,
-    ObjectiveId,
-    eval_objective,
-)
+from .objectives import CLAIM_NAMES, F1_FORM, OBJECTIVES, Objective, ObjectiveId
 from .optimize import (
     BnBConfig,
     CriticalPoint,
@@ -21,8 +14,6 @@ from .optimize import (
     interior_critical_points,
     maximize_1d,
     maximize_2d,
-    prove_negative_1d,
-    prove_positive_1d,
 )
 from .oracle import (
     BI_UNIVALENT_PRESETS,

@@ -60,17 +60,18 @@ INCONCLUSIVE = "INCONCLUSIVE"
 MAX_ENCLOSURE_WIDTH = 1e-4
 
 
+#: random test vectors of ORACLE_INEQ
+INEQUALITY_VECTORS = 200
+
+
 @dataclass(frozen=True)
 class SuiteConfig:
     tol_value: float = 1e-5
-    tol_box: float = 1e-9
     max_boxes: int = 10_000_000
     seed: int = 0
-    grid_n: int = 500
-    inequality_vectors: int = 200
 
     def bnb(self) -> BnBConfig:
-        return BnBConfig(self.tol_value, self.tol_box, self.max_boxes)
+        return BnBConfig(self.tol_value, self.max_boxes)
 
 
 @dataclass
@@ -592,7 +593,7 @@ def _run_oracle_identities(ctx: SuiteContext) -> ClaimOutcome:
 def _run_oracle_ineq(ctx: SuiteContext) -> ClaimOutcome:
     rng = np.random.default_rng(ctx.cfg.seed)
     worst = math.inf
-    for _ in range(ctx.cfg.inequality_vectors):
+    for _ in range(INEQUALITY_VECTORS):
         vec = random_test_vector(rng)
         for preset in PRESETS:
             rep = check_inequalities(ctx.table(preset), vec)
@@ -601,7 +602,7 @@ def _run_oracle_ineq(ctx: SuiteContext) -> ClaimOutcome:
     return ClaimOutcome(
         PASS if ok else FAIL,
         Interval.point(worst),
-        note=f"min inequality slack {worst:.2e} over {ctx.cfg.inequality_vectors} vectors",
+        note=f"min inequality slack {worst:.2e} over {INEQUALITY_VECTORS} vectors",
     )
 
 
@@ -627,7 +628,7 @@ def _run_property_bnb(ctx: SuiteContext) -> ClaimOutcome:
             value = ctx.f1_extremum().value
         else:
             value = ctx.extremum(oid).value
-        gmax = grid_maximum(oid, ctx.cfg.grid_n)
+        gmax = grid_maximum(oid)
         # 1e-12 allows for plain-float rounding in the grid evaluation itself
         if gmax > value.hi + 1e-12:
             problems.append(f"{oid.value}: grid max {gmax!r} exceeds enclosure high {value.hi!r}")

@@ -46,14 +46,16 @@ def _int_at_least(minimum: int, what: str):
         except ValueError:
             raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
         if value < minimum:
-            raise argparse.ArgumentTypeError(f"must be a {what} integer, got {value}")
+            raise argparse.ArgumentTypeError(f"must be {what}, got {value}")
         return value
 
     return parse
 
 
-_positive_int = _int_at_least(1, "positive")
-_non_negative_int = _int_at_least(0, "non-negative")
+_positive_int = _int_at_least(1, "a positive integer")
+_non_negative_int = _int_at_least(0, "a non-negative integer")
+# the coefficient identities read omega_17, which needs table order 4
+_table_order = _int_at_least(4, "a positive integer >= 4")
 
 
 def _positive_float(text: str) -> float:
@@ -100,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     src = p_gr.add_mutually_exclusive_group(required=True)
     src.add_argument("--preset", choices=sorted(PRESETS))
     src.add_argument("--coeffs", metavar="FILE", help="file with one 're im' pair per line, from a1")
-    p_gr.add_argument("--order", type=_positive_int, default=8)
+    p_gr.add_argument("--order", type=_table_order, default=8)
     p_gr.add_argument("--vectors", type=_positive_int, default=20, help="random inequality test vectors")
     return parser
 
@@ -158,14 +160,18 @@ def _cmd_edges(args) -> int:
 
 
 def _cmd_grunsky(args) -> int:
-    if args.preset:
-        f = PRESETS[args.preset](max(2 * args.order, 8))
-        name = args.preset
-    else:
-        with open(args.coeffs, encoding="utf-8") as handle:
-            f = parse_coefficients(handle.read())
-        name = args.coeffs
-    table = grunsky_table(f, args.order)
+    try:
+        if args.preset:
+            f = PRESETS[args.preset](2 * args.order)
+            name = args.preset
+        else:
+            with open(args.coeffs, encoding="utf-8") as handle:
+                f = parse_coefficients(handle.read())
+            name = args.coeffs
+        table = grunsky_table(f, args.order)
+    except (OSError, ValueError) as exc:
+        print(f"grunsky-bounds grunsky: error: {exc}", file=sys.stderr)
+        return 2
     print(f"odd-index coefficient table for {name} (order {args.order}):")
     show = min(args.order, 4)
     for p in range(1, 2 * show, 2):

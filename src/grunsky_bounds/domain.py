@@ -38,9 +38,6 @@ from .interval import (
 )
 from .poly import RatPoly, rp_add, rp_enclose, rp_mul, rp_scale
 
-#: membership slack for points produced by floating-point parameterizations
-BOUNDARY_SLACK = 1e-12
-
 A_RATIONAL = Fraction(297, 400)  # = 0.7425, cap on |omega_11|
 
 
@@ -204,21 +201,6 @@ EDGES: dict[EdgeId, Edge] = {
 
 #: the two pieces of the cap curve, low then high
 CAP_PIECES = tuple(e for e in EDGES.values() if e.cap is not None)
-
-
-def lemma1_bound(x: float) -> float:
-    """Cap on |omega_13| given x = |omega_11|, for x in [0, 1]."""
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"x={x} outside [0, 1]")
-    return float(min(e.cap(x) for e in CAP_PIECES))
-
-
-def omega_contains(x: float, y: float, slack: float = BOUNDARY_SLACK) -> bool:
-    if x < -slack or y < -slack:
-        return False
-    if x > CONSTANTS.iv_a.hi + slack:
-        return False
-    return y <= lemma1_bound(min(max(x, 0.0), 1.0)) + slack
 
 
 @dataclass(frozen=True)

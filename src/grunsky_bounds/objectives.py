@@ -37,13 +37,11 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-from .domain import CONSTANTS, EDGES, Edge, EdgeId, omega_contains
+from .domain import CONSTANTS, EDGES, Edge, EdgeId
 from .interval import (
-    CLAMP_TOL,
     INV_SQRT5,
     INV_SQRT7,
     Interval,
-    NegativeRadicandError,
     _add_down,
     _add_up,
     _mul_down,
@@ -110,15 +108,6 @@ class RadicalForm1D:
             out = out + self.v.eval_iv(t) * horner_iv(self._s_iv, t).sqrt_clamped()
         return out
 
-    def value(self, t: float) -> float:
-        out = self.w.eval_float(t)
-        if self._s_iv is not None:
-            s = horner_iv(self._s_iv, Interval.point(t))
-            if s.hi < -CLAMP_TOL:
-                raise NegativeRadicandError(f"{self.label}: radicand negative at t={t}")
-            out += self.v.eval_float(t) * math.sqrt(max(s.mid, 0.0))
-        return out
-
     def scaled_derivative(self) -> RadicalForm1D:
         """2*sqrt(S) * d/dt of this form; same zeros and signs where S > 0."""
         s_prime = rp_deriv(self.s)
@@ -146,38 +135,14 @@ class Objective:
             inv_sqrt7=rp_trim([self.m7c]),
         )
 
-    def _mult_float(self, x: float) -> float:
-        return (float(self.m5c) + float(self.m5l) * x) / math.sqrt(5.0) + float(
-            self.m7c
-        ) / math.sqrt(7.0)
-
     @property
     def has_radical(self) -> bool:
         return bool(self.m5c or self.m5l or self.m7c)
 
     # -- evaluation -----------------------------------------------------------
 
-    def radicand(self, x: float, y: float) -> float:
-        return 1.0 - x * x - 3.0 * y * y
-
     def radicand_iv(self, x: Interval, y: Interval) -> Interval:
         return Interval.point(1.0) - x**2 - (y**2).scale(3.0)
-
-    def value(self, x: float, y: float) -> float:
-        """Point evaluation; y is ignored for the 1-D objective."""
-        if self.dimension == 1:
-            y = 0.0
-        if not omega_contains(x, y, slack=1e-9):
-            raise ValueError(f"({x}, {y}) outside the admissible region")
-        out = 0.0
-        for (i, j), c in self.poly.items():
-            out += float(c) * x**i * y**j
-        if self.has_radical:
-            r = self.radicand(x, y)
-            if r < -CLAMP_TOL:
-                raise NegativeRadicandError(f"radicand {r} at ({x}, {y})")
-            out += self._mult_float(x) * math.sqrt(max(r, 0.0))
-        return out
 
     def value_iv(self, x: Interval, y: Interval) -> Interval:
         if self.dimension == 1:
@@ -378,12 +343,6 @@ F1_FORM = RadicalForm1D(
     0.0,
     CONSTANTS.iv_a.hi,
 )
-
-
-def eval_objective(oid: ObjectiveId, x: float, y: float = 0.0) -> float:
-    if oid is ObjectiveId.F1:
-        return F1_FORM.value(x)
-    return OBJECTIVES[oid].value(x, y)
 
 
 # -- fast directed-rounded range bounds for branch-and-bound ---------------------

@@ -14,8 +14,8 @@ information only: the centred forms need the true gradient, which is
 singular there.
 
 subdivide_1d is the one 1-D bisection routine: zero_clusters_1d (edge
-critical points) and prove_positive_1d are built on it, and find_root_1d
-proves a single sign-changing cluster of zero_clusters_1d.
+critical points) is built on it, and find_root_1d proves a single
+sign-changing cluster of zero_clusters_1d.
 
 interior_critical_points excludes gradient zeros with the division-free
 scaled gradient G = sqrt(R)*grad f, which stays bounded up to the rim R = 0,
@@ -64,14 +64,17 @@ class NoBracketError(RuntimeError):
     """No single zero cluster with a verified sign change across it."""
 
 
+#: smallest box side the branch-and-bound splits
+TOL_BOX = 1e-9
+
+
 @dataclass(frozen=True)
 class BnBConfig:
     tol_value: float = 1e-6
-    tol_box: float = 1e-9
     max_boxes: int = 10_000_000
 
     def __post_init__(self):
-        if self.tol_value <= 0 or self.tol_box <= 0 or self.max_boxes <= 0:
+        if self.tol_value <= 0 or self.max_boxes <= 0:
             raise ValueError("BnBConfig fields must be positive")
 
 
@@ -205,17 +208,6 @@ def zero_clusters_1d(
     return [Interval(c1, c2) for c1, c2 in clusters]
 
 
-def prove_positive_1d(
-    fn: IvFunc, lo: float, hi: float, min_width: float = 1e-9, max_boxes: int = 100_000
-) -> bool:
-    """True if interval subdivision proves fn > 0 everywhere on [lo, hi]."""
-    return subdivide_1d(fn, lo, hi, lambda v: v.lo > 0.0, min_width, max_boxes) == []
-
-
-def prove_negative_1d(fn: IvFunc, lo: float, hi: float, **kw) -> bool:
-    return prove_positive_1d(lambda t: -fn(t), lo, hi, **kw)
-
-
 # ---------------------------------------------------------------------------
 # best-first branch-and-bound, shared by the 1-D and 2-D maximizers
 # ---------------------------------------------------------------------------
@@ -240,7 +232,7 @@ def _best_first(root, bound, split, sample, best: _Incumbent, cfg: BnBConfig):
     """Best-first branch-and-bound over boxes of any dimension.
 
     `bound(box)` is a certified upper bound of the objective over the box;
-    `split(box)` returns the children, or None once the box is at `tol_box`;
+    `split(box)` returns the children, or None once the box is at `TOL_BOX`;
     `sample(child)`, if not None, offers point values to `best` before the
     child is bounded.  The search stops when the best open bound is within
     `tol_value` of the incumbent or the box budget runs out.  Returns the
@@ -298,7 +290,7 @@ def maximize_1d(fn: IvFunc, lo: float, hi: float, cfg: BnBConfig | None = None) 
 
     def split(box: tuple[float, float]):
         t1, t2 = box
-        if t2 - t1 <= cfg.tol_box:
+        if t2 - t1 <= TOL_BOX:
             return None
         tm = 0.5 * (t1 + t2)
         sample(tm)  # once per split, before either child is bounded
@@ -355,7 +347,7 @@ def maximize_2d(obj: Objective, region: OmegaRegion = REGION, cfg: BnBConfig | N
 
     def split(box: tuple[float, float, float, float]):
         x1, x2, y1, y2 = box
-        if max(x2 - x1, y2 - y1) <= cfg.tol_box:
+        if max(x2 - x1, y2 - y1) <= TOL_BOX:
             return None
         return _split_clipped(box)
 

@@ -3,14 +3,18 @@
 The table is computed from first principles: build the divided-difference
 quotient (f*(t) - f*(z))/(t - z) of the odd transform f* as a truncated
 bivariate series via (t^n - z^n)/(t - z) = sum_{i+j=n-1} t^i z^j, take its
-logarithm, and read off the coefficients.  Everything downstream of the
-maximization layer is cross-checked against this independent pipeline: the
-coefficient identities expressing a2..a5, the truncated Grunsky inequalities,
+logarithm by the recurrence on homogeneous parts (`series`), and read off
+the coefficients from the upper triangle, so the table is symmetric by
+construction and no tolerance decides whether it is accepted.  Everything
+downstream of the maximization layer is cross-checked against this
+independent pipeline: the coefficient identities expressing a2..a5, the
+truncated Grunsky inequalities (in matrix form on W = omega[1::2, 1::2]),
 and the logarithmic coefficients.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -23,9 +27,6 @@ from .series import (
     log1p_trunc,
     odd_transform,
 )
-
-#: largest acceptable asymmetry in a computed table (exact symmetry is then enforced)
-SYMMETRY_TOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -62,21 +63,13 @@ def grunsky_table(f: PowerSeries, order: int = 8) -> GrunskyTable:
         raise InsufficientOrderError(
             f"table order {order} needs {2 * order} input coefficients, have {f.order}"
         )
-    deg = 2 * order - 1
-    fstar = odd_transform(f, order=4 * order - 1)
-    quotient = BivariateSeries.zero(deg)
-    for n in range(1, 4 * order, 2):
-        cn = fstar.coeff(n)
-        if cn == 0:
-            continue
-        for i in range(max(0, n - 1 - deg), min(deg, n - 1) + 1):
-            quotient.c[i, n - 1 - i] += cn
-    log_q = quotient.log()
-    asym = float(np.max(np.abs(log_q.c - log_q.c.T)))
-    if asym > SYMMETRY_TOL:
-        raise ArithmeticError(f"table asymmetry {asym} exceeds tolerance")
-    omega = (log_q.c + log_q.c.T) / 2.0
-    return GrunskyTable(omega, order)
+    fstar = np.array(odd_transform(f, order=4 * order - 1).coeffs)
+    # the quotient's coefficient of t^i z^j is the coefficient of z^(i+j+1) in f*
+    power = np.add.outer(np.arange(2 * order), np.arange(2 * order)) + 1
+    log_q = BivariateSeries(fstar[power], 2 * order - 1).log().c
+    # omega is symmetric: read it from the upper triangle, so that the float
+    # table is symmetric bit for bit
+    return GrunskyTable(np.triu(log_q) + np.triu(log_q, 1).T, order)
 
 
 # ---------------------------------------------------------------------------
@@ -141,37 +134,24 @@ class InequalityReport:
 def check_inequalities(table: GrunskyTable, xvec: TestVector) -> InequalityReport:
     """Evaluate the truncated Grunsky inequalities for one test vector.
 
-    The vector is finite, so both sums are exact; truncating the outer row sum
-    only discards non-negative terms and cannot create a false violation.
+    With W[p, q] = omega[2p+1, 2q+1], the row sum is the weighted norm of
+    x @ W[:k] and the bilinear form is x @ W[:k, :k] @ x.  The vector is
+    finite, so both are exact; truncating the outer row sum only discards
+    non-negative terms and cannot create a false violation.
     """
     k = len(xvec.x)
     if k > table.order:
         raise InsufficientOrderError(f"test vector length {k} exceeds table order {table.order}")
-    x = xvec.x
-    rhs = sum(abs(v) ** 2 / (2 * p + 1) for p, v in enumerate(x))
-
-    lhs_rows = 0.0
-    for q in range(1, table.order + 1):
-        row = sum(table.entry(2 * p + 1, 2 * q - 1) * x[p] for p in range(k))
-        lhs_rows += (2 * q - 1) * abs(row) ** 2
-    slack_rows = rhs - lhs_rows
-
-    bilinear = sum(
-        table.entry(2 * p + 1, 2 * q + 1) * x[p] * x[q] for p in range(k) for q in range(k)
-    )
-    slack_bil = rhs - abs(bilinear)
-
-    unit = 1.0 - (
-        abs(table.entry(1, 1)) ** 2
-        + 3 * abs(table.entry(1, 3)) ** 2
-        + 5 * abs(table.entry(1, 5)) ** 2
-    )
-    third = 1.0 / 3.0 - (
-        abs(table.entry(1, 3)) ** 2
-        + 3 * abs(table.entry(3, 3)) ** 2
-        + 5 * abs(table.entry(3, 5)) ** 2
-    )
-    return InequalityReport(slack_rows, slack_bil, unit, third)
+    if table.order < 3:
+        raise InsufficientOrderError(f"row specializations need table order 3, have {table.order}")
+    w = table.omega[1::2, 1::2]
+    weights = np.arange(1, 2 * table.order, 2)
+    x = np.array(xvec.x)
+    rhs = float(np.abs(x) ** 2 @ (1.0 / weights[:k]))
+    slack_rows = rhs - float(np.abs(x @ w[:k]) ** 2 @ weights)
+    slack_bil = rhs - float(abs(x @ w[:k, :k] @ x))
+    unit, third = (1.0, 1.0 / 3.0) - np.abs(w[:2, :3]) ** 2 @ weights[:3]
+    return InequalityReport(slack_rows, slack_bil, float(unit), float(third))
 
 
 # ---------------------------------------------------------------------------
@@ -252,16 +232,19 @@ def random_test_vector(rng: np.random.Generator, max_len: int = 8) -> TestVector
 
 
 def parse_coefficients(text: str) -> PowerSeries:
-    """Series input: one coefficient per line as "re im", starting at a1 (= 1)."""
+    """Series input: one finite coefficient per line as "re im", starting at a1 (= 1)."""
     coeffs: list[complex] = [0j]
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise ValueError(f"line {lineno}: expected 're im', got {raw!r}")
-        coeffs.append(complex(float(parts[0]), float(parts[1])))
+        try:
+            real, imag = map(float, line.split())
+        except ValueError:
+            raise ValueError(f"line {lineno}: expected 're im', got {raw!r}") from None
+        if not (math.isfinite(real) and math.isfinite(imag)):
+            raise ValueError(f"line {lineno}: coefficient must be finite, got {raw!r}")
+        coeffs.append(complex(real, imag))
     if len(coeffs) < 2:
         raise ValueError("no coefficients found")
     if coeffs[1] != 1:

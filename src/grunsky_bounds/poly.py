@@ -8,7 +8,6 @@ the final interval arithmetic.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -71,13 +70,6 @@ def rp_deriv(p: RatPoly) -> RatPoly:
     return rp_trim([i * c for i, c in enumerate(p)][1:])
 
 
-def rp_eval_float(p: RatPoly, x: float) -> float:
-    acc = 0.0
-    for c in reversed(p):
-        acc = acc * x + float(c)
-    return acc
-
-
 def rp_eval_iv(p: RatPoly, x: Interval) -> Interval:
     return horner_iv(rp_enclose(p), x)
 
@@ -88,11 +80,6 @@ def horner_iv(coeffs: tuple[Interval, ...], x: Interval) -> Interval:
     for c in reversed(coeffs):
         acc = acc * x + c
     return acc
-
-
-_S3 = math.sqrt(3.0)
-_S5 = math.sqrt(5.0)
-_S7 = math.sqrt(7.0)
 
 
 @dataclass(frozen=True)
@@ -106,18 +93,6 @@ class MixedPoly:
 
     def is_zero(self) -> bool:
         return not (self.one or self.inv_sqrt3 or self.inv_sqrt5 or self.inv_sqrt7)
-
-    def eval_float(self, x: float) -> float:
-        out = 0.0
-        if self.one:
-            out += rp_eval_float(self.one, x)
-        if self.inv_sqrt3:
-            out += rp_eval_float(self.inv_sqrt3, x) / _S3
-        if self.inv_sqrt5:
-            out += rp_eval_float(self.inv_sqrt5, x) / _S5
-        if self.inv_sqrt7:
-            out += rp_eval_float(self.inv_sqrt7, x) / _S7
-        return out
 
     @cached_property
     def _iv_parts(self) -> tuple[tuple[tuple[Interval, ...], Interval | None], ...]:

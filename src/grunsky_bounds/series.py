@@ -4,6 +4,15 @@ Univariate series are plain coefficient lists (index = power).  Bivariate
 series are complex numpy arrays c[i, j] holding the coefficient of t**i z**j,
 truncated at a fixed maximum degree per variable; products discard higher
 degrees in either variable.
+
+Both logarithms run one recurrence on homogeneous parts, `_log_parts`: with
+the Euler operator D = t d/dt + z d/dz, Q * D(log Q) = D Q gives
+
+    n L_n = n Q_n - sum_{k=1}^{n-1} k L_k Q_{n-k}
+
+for the parts of total degree n.  A bivariate part is an anti-diagonal,
+indexed by the power of t, and a product of parts is their convolution; a
+univariate part is a single coefficient.
 """
 
 from __future__ import annotations
@@ -35,32 +44,21 @@ class InsufficientOrderError(ValueError):
     """The input series does not carry enough coefficients for the request."""
 
 
-def mul_trunc(a: list[complex], b: list[complex], order: int) -> list[complex]:
-    out = [0j] * (order + 1)
-    for i, ai in enumerate(a[: order + 1]):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b[: order + 1 - i]):
-            out[i + j] += ai * bj
-    return out
+def _log_parts(q: list[np.ndarray]) -> list[np.ndarray]:
+    """Homogeneous parts L_0 = 0, L_1, ... of log Q from the parts Q_0 = [1], Q_1, ..."""
+    logs = [np.zeros_like(q[0])]
+    for n in range(1, len(q)):
+        acc = sum(k * np.convolve(logs[k], q[n - k]) for k in range(1, n))
+        logs.append((n * q[n] - acc) / n)
+    return logs
 
 
 def log1p_trunc(u: list[complex], order: int) -> list[complex]:
     """log(1 + u) for a series u with u[0] = 0, truncated at `order`."""
     if u and u[0] != 0:
         raise ValueError("log1p needs zero constant term")
-    out = [0j] * (order + 1)
-    term = list(u[: order + 1]) + [0j] * max(0, order + 1 - len(u))
-    power = term[:]
-    sign = 1.0
-    for k in range(1, order + 1):
-        for n in range(order + 1):
-            out[n] += sign * power[n] / k
-        sign = -sign
-        power = mul_trunc(power, term, order)
-        if all(c == 0 for c in power):
-            break
-    return out
+    q = [1 + 0j] + [u[n] if n < len(u) else 0j for n in range(1, order + 1)]
+    return [complex(part[0]) for part in _log_parts([np.array([c]) for c in q])]
 
 
 def sqrt_one_plus(g: list[complex], order: int) -> list[complex]:
@@ -117,26 +115,24 @@ class BivariateSeries:
             out[i:, j:] += self.c[i, j] * other.c[: n + 1 - i, : n + 1 - j]
         return BivariateSeries(out, n)
 
-    def add(self, other: BivariateSeries) -> BivariateSeries:
-        return BivariateSeries(self.c + other.c, self.order)
-
-    def scale(self, s: complex) -> BivariateSeries:
-        return BivariateSeries(self.c * s, self.order)
-
     def log(self) -> BivariateSeries:
-        """log of a series with constant term 1."""
+        """log of a series with constant term 1.
+
+        The part of total degree m is c[i, m - i], i = 0..m, zero outside
+        the truncation.  A log coefficient at (i, j) takes only entries at
+        powers <= i in t and <= j in z, so the entries read back inside the
+        truncation are the truncated log, whatever the recurrence leaves
+        outside it.
+        """
         if self.c[0, 0] != 1.0:
             raise ValueError("bivariate log needs constant term 1")
         n = self.order
-        u = BivariateSeries(self.c.copy(), n)
-        u.c[0, 0] = 0.0
+        padded = np.zeros((2 * n + 1, 2 * n + 1), dtype=complex)
+        padded[: n + 1, : n + 1] = self.c
+        flipped = padded[:, ::-1]
+        parts = _log_parts([flipped.diagonal(2 * n - m) for m in range(2 * n + 1)])
         out = BivariateSeries.zero(n)
-        power = u
-        sign = 1.0
-        for k in range(1, 2 * n + 1):
-            if not power.c.any():
-                break
-            out = out.add(power.scale(sign / k))
-            sign = -sign
-            power = power.mul(u)
+        for m, part in enumerate(parts):
+            i = np.arange(max(0, m - n), min(m, n) + 1)
+            out.c[i, m - i] = part[i]
         return out

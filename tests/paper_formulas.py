@@ -1,9 +1,11 @@
 """Closed forms from the paper that only the tests evaluate.
 
-Float gradients, plain and radical-scaled, the critical-point reductions,
-the named boundary restrictions g1..g10 and the oracle's bridge to the
-region.  The library never needs them: it works with interval enclosures
-instead.
+Float point values of the objectives and their restrictions, float
+gradients, plain and radical-scaled, the critical-point reductions, the
+named boundary restrictions g1..g10, the float region test (Lemma 1), the
+1-D sign proofs, the oracle's bridge to the region and an exact rational
+reference for the oracle's table.  The library never needs them: it works
+with interval enclosures instead.
 """
 
 from __future__ import annotations
@@ -13,14 +15,114 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from grunsky_bounds.domain import CONSTANTS, EdgeId
-from grunsky_bounds.interval import CLAMP_TOL, NegativeRadicandError
-from grunsky_bounds.objectives import OBJECTIVES, ObjectiveId
+from grunsky_bounds.domain import CAP_PIECES, CONSTANTS, EdgeId
+from grunsky_bounds.interval import CLAMP_TOL, Interval, NegativeRadicandError
+from grunsky_bounds.objectives import F1_FORM, OBJECTIVES, Objective, ObjectiveId, RadicalForm1D
+from grunsky_bounds.optimize import IvFunc, subdivide_1d
 from grunsky_bounds.oracle import GrunskyTable
-from grunsky_bounds.poly import RatPoly
+from grunsky_bounds.poly import MixedPoly, RatPoly, rp_eval_iv
 from grunsky_bounds.series import PowerSeries
 
 _A = CONSTANTS.a
+
+# -- the region in floats (Lemma 1) ---------------------------------------------------
+
+#: membership slack for points produced by floating-point parameterizations
+BOUNDARY_SLACK = 1e-12
+
+
+def lemma1_bound(x: float) -> float:
+    """Cap on |omega_13| given x = |omega_11|, for x in [0, 1]."""
+    if not 0.0 <= x <= 1.0:
+        raise ValueError(f"x={x} outside [0, 1]")
+    return float(min(e.cap(x) for e in CAP_PIECES))
+
+
+def omega_contains(x: float, y: float, slack: float = BOUNDARY_SLACK) -> bool:
+    if x < -slack or y < -slack:
+        return False
+    if x > CONSTANTS.iv_a.hi + slack:
+        return False
+    return y <= lemma1_bound(min(max(x, 0.0), 1.0)) + slack
+
+
+# -- float point values -----------------------------------------------------------------
+
+
+def rp_eval_float(p: RatPoly, x: float) -> float:
+    acc = 0.0
+    for c in reversed(p):
+        acc = acc * x + float(c)
+    return acc
+
+
+def mixed_eval_float(m: MixedPoly, x: float) -> float:
+    return (
+        rp_eval_float(m.one, x)
+        + rp_eval_float(m.inv_sqrt3, x) / math.sqrt(3.0)
+        + rp_eval_float(m.inv_sqrt5, x) / math.sqrt(5.0)
+        + rp_eval_float(m.inv_sqrt7, x) / math.sqrt(7.0)
+    )
+
+
+def form_value(form: RadicalForm1D, t: float) -> float:
+    """W(t) + V(t) * sqrt(S(t)) in floats, the radicand enclosed."""
+    out = mixed_eval_float(form.w, t)
+    if not form.v.is_zero():
+        s = rp_eval_iv(form.s, Interval.point(t))
+        if s.hi < -CLAMP_TOL:
+            raise NegativeRadicandError(f"{form.label}: radicand negative at t={t}")
+        out += mixed_eval_float(form.v, t) * math.sqrt(max(s.mid, 0.0))
+    return out
+
+
+def radicand(x: float, y: float) -> float:
+    return 1.0 - x * x - 3.0 * y * y
+
+
+def mult_float(obj: Objective, x: float) -> float:
+    """The radical multiplier M(x)."""
+    return (float(obj.m5c) + float(obj.m5l) * x) / math.sqrt(5.0) + float(obj.m7c) / math.sqrt(7.0)
+
+
+def objective_value(obj: Objective, x: float, y: float) -> float:
+    """Point evaluation; y is ignored for the 1-D objective."""
+    if obj.dimension == 1:
+        y = 0.0
+    if not omega_contains(x, y, slack=1e-9):
+        raise ValueError(f"({x}, {y}) outside the admissible region")
+    out = 0.0
+    for (i, j), c in obj.poly.items():
+        out += float(c) * x**i * y**j
+    if obj.has_radical:
+        r = radicand(x, y)
+        if r < -CLAMP_TOL:
+            raise NegativeRadicandError(f"radicand {r} at ({x}, {y})")
+        out += mult_float(obj, x) * math.sqrt(max(r, 0.0))
+    return out
+
+
+def eval_objective(oid: ObjectiveId, x: float, y: float = 0.0) -> float:
+    if oid is ObjectiveId.F1:
+        return form_value(F1_FORM, x)
+    return objective_value(OBJECTIVES[oid], x, y)
+
+
+# -- 1-D sign proofs --------------------------------------------------------------------
+
+
+def prove_positive_1d(
+    fn: IvFunc, lo: float, hi: float, min_width: float = 1e-9, max_boxes: int = 100_000
+) -> bool:
+    """True if interval subdivision proves fn > 0 everywhere on [lo, hi]."""
+    return subdivide_1d(fn, lo, hi, lambda v: v.lo > 0.0, min_width, max_boxes) == []
+
+
+def prove_negative_1d(fn: IvFunc, lo: float, hi: float, **kw) -> bool:
+    return prove_positive_1d(lambda t: -fn(t), lo, hi, **kw)
+
+
+# -- gradients ----------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -49,11 +151,11 @@ def grad(oid: ObjectiveId, x: float, y: float = 0.0) -> Gradient2:
     dx = poly_dx(oid, x, y)
     dy = poly_dy(oid, x, y)
     if obj.has_radical:
-        r = obj.radicand(x, y)
+        r = radicand(x, y)
         if r <= 0.0:
             raise NegativeRadicandError(f"gradient singular: radicand {r} at ({x}, {y})")
         sq = math.sqrt(r)
-        m = obj._mult_float(x)
+        m = mult_float(obj, x)
         dx += float(obj.m5l) / math.sqrt(5.0) * sq - m * x / sq
         dy += -3.0 * m * y / sq
     return Gradient2(dx, dy)
@@ -66,9 +168,9 @@ def scaled_gradient(oid: ObjectiveId, x: float, y: float) -> tuple[float, float]
     py = poly_dy(oid, x, y)
     if not obj.has_radical:
         return px, py
-    r = max(obj.radicand(x, y), 0.0)
+    r = max(radicand(x, y), 0.0)
     sq = math.sqrt(r)
-    m = obj._mult_float(x)
+    m = mult_float(obj, x)
     g1 = px * sq + float(obj.m5l) / math.sqrt(5.0) * r - m * x
     g2 = py * sq - 3.0 * m * y
     return g1, g2
@@ -79,7 +181,7 @@ def reduction_residual(oid: ObjectiveId, x: float, y: float) -> float:
     obj = OBJECTIVES[oid]
     out = 3.0 * y * poly_dx(oid, x, y) - x * poly_dy(oid, x, y)
     if obj.m5l:
-        r = obj.radicand(x, y)
+        r = radicand(x, y)
         if r < -CLAMP_TOL:
             raise NegativeRadicandError(f"radicand {r} at ({x}, {y})")
         out += 3.0 * float(obj.m5l) / math.sqrt(5.0) * y * math.sqrt(max(r, 0.0))
@@ -105,7 +207,7 @@ class BoundaryRestrictionId(Enum):
 
 
 def eval_boundary(rid: BoundaryRestrictionId, x: float) -> float:
-    return OBJECTIVES[rid.parent].restriction(rid.edge).value(x)
+    return form_value(OBJECTIVES[rid.parent].restriction(rid.edge), x)
 
 
 # -- reduction equations of the interior stationary systems -------------------------
@@ -140,6 +242,59 @@ def bridge_point(table: GrunskyTable) -> tuple[float, float]:
     return abs(table.entry(1, 1)), abs(table.entry(1, 3))
 
 
+def inequality_slacks(table: GrunskyTable, x: tuple[complex, ...]) -> tuple[float, ...]:
+    """The four slacks of `check_inequalities`, summed entry by entry."""
+    k = len(x)
+    rhs = sum(abs(v) ** 2 / (2 * p + 1) for p, v in enumerate(x))
+    rows = sum(
+        (2 * q - 1) * abs(sum(table.entry(2 * p + 1, 2 * q - 1) * x[p] for p in range(k))) ** 2
+        for q in range(1, table.order + 1)
+    )
+    bilinear = sum(
+        table.entry(2 * p + 1, 2 * q + 1) * x[p] * x[q] for p in range(k) for q in range(k)
+    )
+    unit = 1.0 - sum((2 * q + 1) * abs(table.entry(1, 2 * q + 1)) ** 2 for q in range(3))
+    third = 1.0 / 3.0 - sum((2 * q + 1) * abs(table.entry(3, 2 * q + 1)) ** 2 for q in range(3))
+    return rhs - rows, rhs - abs(bilinear), unit, third
+
+
 def hankel2(f: PowerSeries) -> complex:
     """Second Hankel determinant a2*a4 - a3^2."""
     return f.coeff(2) * f.coeff(4) - f.coeff(3) ** 2
+
+
+#: presets with dense quotients, as exact coefficients a_n, n >= 1
+EXACT_PRESETS = {
+    "geometric": lambda n: Fraction(1),
+    "koebe": lambda n: Fraction(n),
+}
+
+
+def exact_log_quotient(preset: str, order: int) -> list[list[Fraction]]:
+    """log of (f*(t) - f*(z))/(t - z) over the rationals, both degrees <= 2*order - 1.
+
+    The odd transform by its square-root recurrence, then the logarithm by
+    n L[i][j] = n Q[i][j] - sum (i'+j') L[i'][j'] Q[i-i'][j-j'] over the
+    entries (i', j') <= (i, j) of total degree 0 < i'+j' < n = i+j, entry by
+    entry rather than on anti-diagonals.
+    """
+    deg = 2 * order - 1
+    g = [EXACT_PRESETS[preset](k + 1) for k in range(deg + 1)]  # f(w)/w
+    s = [Fraction(1)]
+    for n in range(1, deg + 1):
+        s.append((g[n] - sum(s[k] * s[n - k] for k in range(1, n))) / 2)
+    # f* = sum_k s_k z^(2k+1), and (t^n - z^n)/(t - z) = sum_{i+j=n-1} t^i z^j
+    fstar = {2 * k + 1: c for k, c in enumerate(s)}
+    q = [[fstar.get(i + j + 1, Fraction(0)) for j in range(deg + 1)] for i in range(deg + 1)]
+    log = [[Fraction(0)] * (deg + 1) for _ in range(deg + 1)]
+    for n in range(1, 2 * deg + 1):
+        for i in range(max(0, n - deg), min(n, deg) + 1):
+            j = n - i
+            acc = sum(
+                (i2 + j2) * log[i2][j2] * q[i - i2][j - j2]
+                for i2 in range(i + 1)
+                for j2 in range(j + 1)
+                if 0 < i2 + j2 < n
+            )
+            log[i][j] = (n * q[i][j] - acc) / n
+    return log

@@ -163,7 +163,7 @@ def test_criterion_14_grid_soundness(suite_ctx):
             if oid is ObjectiveId.F1
             else suite_ctx.extremum(oid).value
         )
-        gmax = grid_maximum(oid, suite_ctx.cfg.grid_n)
+        gmax = grid_maximum(oid)
         assert gmax <= value.hi + 1e-12
         assert gmax >= value.lo - suite_ctx.cfg.tol_value
 
@@ -173,7 +173,7 @@ def test_criterion_14_grid_gap_motivates_tolerance(suite_ctx):
     1e-6, so the grid-soundness slack must be the configured tol_value, not
     the tighter default; this pins the measured gap that forces the choice."""
     value = suite_ctx.extremum(ObjectiveId.F2).value
-    gap = value.lo - grid_maximum(ObjectiveId.F2, suite_ctx.cfg.grid_n)
+    gap = value.lo - grid_maximum(ObjectiveId.F2)
     assert 1e-6 < gap < suite_ctx.cfg.tol_value
 
 

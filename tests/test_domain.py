@@ -13,11 +13,10 @@ from grunsky_bounds.domain import (
     EdgeId,
     cap_point_down,
     cap_sup_up,
-    lemma1_bound,
-    omega_contains,
 )
 from grunsky_bounds.interval import Interval
 from grunsky_bounds.optimize import _root_box
+from paper_formulas import lemma1_bound, omega_contains
 
 A = CONSTANTS.a_float
 B = CONSTANTS.b

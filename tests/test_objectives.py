@@ -6,32 +6,33 @@ from fractions import Fraction
 
 import pytest
 
-from grunsky_bounds.domain import CONSTANTS, EdgeId, cap_sup_up, lemma1_bound
+from grunsky_bounds.domain import CONSTANTS, EdgeId, cap_sup_up
 from grunsky_bounds.interval import INV_SQRT3, INV_SQRT5, INV_SQRT7, Interval
 from grunsky_bounds.objectives import (
     F1_FORM,
     F2_REDUCED_POLY,
     OBJECTIVES,
     ObjectiveId,
-    eval_objective,
     monotone_bounds,
 )
-from grunsky_bounds.optimize import (
-    _newton,
-    find_root_1d,
-    prove_negative_1d,
-    prove_positive_1d,
-)
+from grunsky_bounds.optimize import _newton, find_root_1d
 from grunsky_bounds.poly import rp_eval_iv
 from paper_formulas import (
     F6_CUBIC,
     BoundaryRestrictionId,
     eval_boundary,
+    eval_objective,
     f2_constraint_curve_x,
     f4_h1,
     f6_h2,
+    form_value,
     grad,
+    lemma1_bound,
+    objective_value,
+    prove_negative_1d,
+    prove_positive_1d,
     reduction_residual,
+    rp_eval_float,
     scaled_gradient,
 )
 
@@ -81,7 +82,7 @@ def test_eval_f8_near_edge_root():
 
 def test_eval_rejects_points_outside_region():
     with pytest.raises(ValueError):
-        OBJECTIVES[ObjectiveId.F2].value(0.5, 0.7)
+        objective_value(OBJECTIVES[ObjectiveId.F2], 0.5, 0.7)
 
 
 # ---------------------------------------------------------------------------
@@ -90,7 +91,9 @@ def test_eval_rejects_points_outside_region():
 
 
 def _fd_gradient(oid: ObjectiveId, x: float, y: float, h: float = 1e-6):
-    f = OBJECTIVES[oid].value
+    def f(x, y):
+        return objective_value(OBJECTIVES[oid], x, y)
+
     return (
         (f(x + h, y) - f(x - h, y)) / (2 * h),
         (f(x, y + h) - f(x, y - h)) / (2 * h),
@@ -168,7 +171,7 @@ def test_value_iv_contains_point_values():
         for _ in range(5):
             x = rng.uniform(x1, x2)
             y = rng.uniform(y1, min(y2, lemma1_bound(x)))
-            v = obj.value(x, y)
+            v = objective_value(obj, x, y)
             assert iv.lo - 1e-12 <= v <= iv.hi + 1e-12
 
 
@@ -227,7 +230,7 @@ def test_monotone_bounds_agree_with_interval_evaluation():
         for _ in range(3):
             x = rng.uniform(x1, x2)
             y = rng.uniform(y1, min(y2, lemma1_bound(x)))
-            v = obj.value(x, y)
+            v = objective_value(obj, x, y)
             assert lo - 1e-12 <= v <= hi + 1e-12
         assert hi >= iv.lo - 1e-9 and lo <= iv.hi + 1e-9
 
@@ -334,7 +337,7 @@ def test_restriction_matches_parent_on_edge(rid):
             # upward-rounded cap: the parent's radicand is then certainly <= 0
             # and clamps, matching the identically-zero radical on this curve
             y = cap_sup_up(x, x)
-        assert abs(eval_boundary(rid, x) - parent.value(x, y)) <= 1e-12
+        assert abs(eval_boundary(rid, x) - objective_value(parent, x, y)) <= 1e-12
 
 
 STRAIGHT_EDGE_FORMS = {
@@ -361,7 +364,7 @@ def test_straight_edge_restrictions(key):
     hi = {EdgeId.X_ZERO: 0.5, EdgeId.X_A: D * (1 - 1e-6), EdgeId.Y_ZERO: A}[edge]
     for k in range(51):
         t = hi * k / 50
-        assert abs(form.value(t) - STRAIGHT_EDGE_FORMS[key](t)) <= 1e-12
+        assert abs(form_value(form, t) - STRAIGHT_EDGE_FORMS[key](t)) <= 1e-12
 
 
 def test_restriction_interval_contains_point_values():
@@ -374,7 +377,7 @@ def test_restriction_interval_contains_point_values():
                 t2 = rng.uniform(t1, min(form.hi, t1 + 0.05))
                 iv = form.value_iv(Interval(t1, t2))
                 t = rng.uniform(t1, t2)
-                assert iv.lo - 1e-12 <= form.value(t) <= iv.hi + 1e-12
+                assert iv.lo - 1e-12 <= form_value(form, t) <= iv.hi + 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -422,8 +425,6 @@ def test_f6_reduction_and_h2():
 
 
 def test_f6_cubic_roots():
-    from grunsky_bounds.poly import rp_eval_float
-
     assert rp_eval_float(F6_CUBIC, 0.0) == 0.0
     x13 = math.sqrt(11.0 / 30.0)
     assert abs(rp_eval_float(F6_CUBIC, x13)) <= 1e-15
@@ -492,7 +493,7 @@ def test_values_finite_on_whole_region_including_rim():
         oid = rng.choice([o for o in ObjectiveId if o is not ObjectiveId.F1])
         x = rng.uniform(0, A)
         y = lemma1_bound(x) if rng.random() < 0.5 else rng.uniform(0, lemma1_bound(x))
-        v = OBJECTIVES[oid].value(x, y)
+        v = objective_value(OBJECTIVES[oid], x, y)
         assert math.isfinite(v)
 
 

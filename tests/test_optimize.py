@@ -29,10 +29,10 @@ from grunsky_bounds.optimize import (
     interior_critical_points,
     maximize_1d,
     maximize_2d,
-    prove_positive_1d,
     zero_clusters_1d,
 )
 from grunsky_bounds.report import run_suite
+from paper_formulas import objective_value, omega_contains, prove_positive_1d
 
 A = CONSTANTS.a_float
 D = CONSTANTS.d
@@ -229,8 +229,6 @@ def test_maximize_budget_exhaustion_flagged():
 
 
 def test_argmax_midpoint_stays_in_region():
-    from grunsky_bounds.domain import omega_contains
-
     for oid in (ObjectiveId.F2, ObjectiveId.F4, ObjectiveId.F6, ObjectiveId.F7):
         ext = maximize_2d(OBJECTIVES[oid], REGION, CFG)
         assert omega_contains(ext.argmax[0].mid, ext.argmax[1].mid, slack=1e-6)
@@ -290,7 +288,7 @@ def test_radius_covers_an_off_centre_midpoint():
         assert rad >= Fraction(hi) - Fraction(m) and rad >= Fraction(m) - Fraction(lo)
 
 
-#: float rounding of Objective.value at one point: a few dozen operations on
+#: float rounding of objective_value at one point: a few dozen operations on
 #: values below 25, so at most about 1e-14
 _VALUE_SLACK = 1e-13
 
@@ -351,7 +349,7 @@ def test_chart_bound_covers_the_region_part_of_curve_boxes(monkeypatch):
             finite[charts[0]] += 1
             obj = OBJECTIVES[oid]
             for x, y in _region_points(box, w):
-                assert obj.value(x, y) <= ub + _VALUE_SLACK, (oid, box, x, y)
+                assert objective_value(obj, x, y) <= ub + _VALUE_SLACK, (oid, box, x, y)
     # the high branch is the rim R = 0, so only f7 (no radical) gets a form there
     assert finite[low_chart] >= 200 and finite[high_chart] >= 50
 

@@ -6,7 +6,6 @@ import random
 import numpy as np
 import pytest
 
-from grunsky_bounds.domain import omega_contains
 from grunsky_bounds.oracle import (
     BI_UNIVALENT_PRESETS,
     PRESETS,
@@ -19,7 +18,7 @@ from grunsky_bounds.oracle import (
     random_test_vector,
 )
 from grunsky_bounds.series import InsufficientOrderError, PowerSeries
-from paper_formulas import bridge_point, hankel2
+from paper_formulas import bridge_point, hankel2, inequality_slacks, omega_contains
 
 
 def test_identities_trivial_for_identity_function():
@@ -99,6 +98,20 @@ def test_inequalities_random_vectors(preset):
     for _ in range(200):
         rep = check_inequalities(table, random_test_vector(rng))
         assert rep.min_slack >= -1e-10
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_inequalities_match_the_entrywise_sums(preset):
+    # the matrix form sums in another order: allow a few hundred ulps of the
+    # slacks, which stay below 13 in magnitude for these vectors
+    table = grunsky_table(PRESETS[preset](32), order=16)
+    rng = np.random.default_rng(1)
+    for _ in range(50):
+        vec = random_test_vector(rng, max_len=16)
+        rep = check_inequalities(table, vec)
+        got = (rep.slack_row_sum, rep.slack_bilinear, rep.slack_unit, rep.slack_third)
+        want = inequality_slacks(table, vec.x)
+        assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-12, (got, want)
 
 
 def test_test_vector_rejects_zero():

@@ -174,6 +174,9 @@ def test_cli_writes_report_file(tmp_path):
         (["edges", "--objective", "f2", "--tol", "inf"], "--tol"),
         (["grunsky", "--preset", "identity", "--order", "0"], "--order"),
         (["grunsky", "--preset", "identity", "--vectors", "0"], "--vectors"),
+        # the coefficient identities read omega_17, so the table needs order 4
+        (["grunsky", "--preset", "identity", "--order", "1"], "--order"),
+        (["grunsky", "--preset", "identity", "--order", "3"], "--order"),
     ],
 )
 def test_cli_rejects_non_positive_flags(argv, flag, capsys):
@@ -198,3 +201,27 @@ def test_cli_rejects_negative_seed(argv, capsys):
     err = capsys.readouterr().err.strip().splitlines()
     assert exc.value.code == 2
     assert err[-1].endswith("error: argument --seed: must be a non-negative integer, got -1")
+
+
+@pytest.mark.parametrize(
+    "lines, message",
+    [
+        (None, "No such file or directory"),
+        (["1 0", "x 0"], "line 2: expected 're im', got 'x 0'"),
+        (["1 0", "1 0 0"], "line 2: expected 're im', got '1 0 0'"),
+        (["1 0", "nan 0"], "line 2: coefficient must be finite, got 'nan 0'"),
+        (["1 0", "0 inf"], "line 2: coefficient must be finite, got '0 inf'"),
+        (["1 0"] * 7, "table order 4 needs 8 input coefficients, have 7"),
+    ],
+)
+def test_cli_grunsky_rejects_bad_coefficient_files(tmp_path, lines, message, capsys):
+    path = tmp_path / "series.txt"
+    if lines is not None:
+        path.write_text("\n".join(lines) + "\n")
+    code = main(["grunsky", "--coeffs", str(path), "--order", "4"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines() == [captured.err.strip()]
+    assert captured.err.startswith("grunsky-bounds grunsky: error: ")
+    assert message in captured.err

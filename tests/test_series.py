@@ -14,10 +14,10 @@ from grunsky_bounds.series import (
     InsufficientOrderError,
     PowerSeries,
     log1p_trunc,
-    mul_trunc,
     odd_transform,
     sqrt_one_plus,
 )
+from paper_formulas import EXACT_PRESETS, exact_log_quotient
 
 
 def test_power_series_validation():
@@ -25,13 +25,6 @@ def test_power_series_validation():
         PowerSeries((1 + 0j, 1 + 0j))
     with pytest.raises(ValueError):
         PowerSeries((0j, 2 + 0j))
-
-
-def test_mul_trunc_geometric_square():
-    # (1 + z + z^2 + ...)^2 = 1 + 2z + 3z^2 + ...
-    g = [1 + 0j] * 6
-    sq = mul_trunc(g, g, 5)
-    assert sq == [complex(n + 1) for n in range(6)]
 
 
 def test_log1p_matches_known_series():
@@ -45,7 +38,7 @@ def test_log1p_matches_known_series():
 def test_sqrt_recurrence_inverts_square():
     g = [1 + 0j, 0.3 + 0.1j, -0.2 + 0j, 0.05 - 0.04j, 0.01 + 0j]
     s = sqrt_one_plus(g, 4)
-    back = mul_trunc(s, s, 4)
+    back = np.convolve(s, s)[:5]
     for got, want in zip(back, g):
         assert abs(got - want) <= 1e-14
 
@@ -163,10 +156,19 @@ def test_identity_table_all_zero():
     assert np.max(np.abs(t.omega)) == 0.0
 
 
+@pytest.mark.parametrize("preset", sorted(EXACT_PRESETS))
+def test_table_matches_exact_recurrence_at_order_12(preset):
+    exact = exact_log_quotient(preset, 12)
+    table = grunsky_table(PRESETS[preset](24), order=12)
+    want = np.array([[complex(v) for v in row] for row in exact])
+    assert np.max(np.abs(table.omega - want)) <= 1e-15
+
+
 def test_table_symmetry_exact():
     for preset in PRESETS:
-        t = grunsky_table(PRESETS[preset](16), order=8)
-        assert np.array_equal(t.omega, t.omega.T)
+        for order in (8, 16):
+            t = grunsky_table(PRESETS[preset](2 * order), order=order)
+            assert np.array_equal(t.omega, t.omega.T)
 
 
 def test_table_order_check():
