@@ -50,7 +50,7 @@ from .oracle import (
     grunsky_table,
     random_test_vector,
 )
-from .poly import rp_eval_iv
+from .poly import rp_deriv, rp_eval_iv
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -135,27 +135,25 @@ class EdgeAnalysis:
     argmax: Interval
     clusters: tuple[Interval, ...]
     conclusive: bool
-    range_lo: float = 0.0
-    range_hi: float = 1.0
+    endpoints: tuple[Interval, Interval]
 
-    def interior_clusters(self, margin: float = 1e-6) -> list[Interval]:
-        """Stationary clusters strictly inside the parameter range; clusters
-        hugging an endpoint duplicate the endpoint candidate."""
-        return [
-            c
-            for c in self.clusters
-            if c.lo > self.range_lo + margin and c.hi < self.range_hi - margin
-        ]
+    def interior_clusters(self) -> list[Interval]:
+        """Stationary clusters disjoint from both end enclosures of the piece;
+        a cluster that meets an end duplicates the endpoint candidate."""
+        return [c for c in self.clusters if not any(c.intersects(e) for e in self.endpoints)]
 
 
 def analyze_form(form: RadicalForm1D, endpoints: tuple[Interval, Interval],
                  edge: EdgeId, cfg: BnBConfig) -> EdgeAnalysis:
+    """Critical points of the form are zeros of its scaled derivative D, which
+    the zero search proves by Newton steps on the slope of D."""
+    deriv = form.scaled_derivative()
     clusters = zero_clusters_1d(
-        form.scaled_derivative().value_iv, form.lo, form.hi, max_boxes=cfg.max_boxes
+        deriv.value_iv, form.lo, form.hi, max_boxes=cfg.max_boxes, slope=deriv.slope_iv
     )
     if clusters is None:
-        ext = maximize_1d(form.value_iv, form.lo, form.hi, cfg)
-        return EdgeAnalysis(edge, ext.value, ext.argmax, (), False, form.lo, form.hi)
+        ext = maximize_1d(form.value_iv, form.lo, form.hi, cfg, slope=form.slope_iv)
+        return EdgeAnalysis(edge, ext.value, ext.argmax, (), False, endpoints)
     candidates = [endpoints[0], endpoints[1], *clusters]
     evals = [form.value_iv(c) for c in candidates]
     value = Interval(max(e.lo for e in evals), max(e.hi for e in evals))
@@ -163,7 +161,7 @@ def analyze_form(form: RadicalForm1D, endpoints: tuple[Interval, Interval],
     best = order[0]
     tied = [k for k in order if evals[k].hi >= evals[best].lo]
     argmax = hull_of([candidates[k] for k in tied])
-    return EdgeAnalysis(edge, value, argmax, tuple(clusters), True, form.lo, form.hi)
+    return EdgeAnalysis(edge, value, argmax, tuple(clusters), True, endpoints)
 
 
 def analyze_edge(oid: ObjectiveId, edge: EdgeId, cfg: BnBConfig) -> EdgeAnalysis:
@@ -207,7 +205,9 @@ class SuiteContext:
 
     def f1_extremum(self) -> Extremum1D:
         if self._f1 is None:
-            self._f1 = maximize_1d(F1_FORM.value_iv, F1_FORM.lo, F1_FORM.hi, self.cfg.bnb())
+            self._f1 = maximize_1d(
+                F1_FORM.value_iv, F1_FORM.lo, F1_FORM.hi, self.cfg.bnb(), slope=F1_FORM.slope_iv
+            )
         return self._f1
 
     def edge(self, oid: ObjectiveId, edge: EdgeId) -> EdgeAnalysis:
@@ -245,8 +245,10 @@ class SuiteContext:
             # looked up at call time: tracing wraps optimize.find_root_1d
             from .optimize import find_root_1d
 
+            deriv = rp_deriv(F2_REDUCED_POLY)
             self._f2_root = find_root_1d(
-                lambda t: rp_eval_iv(F2_REDUCED_POLY, t), 0.0, 1.0 / 6.0, tol=1e-14
+                lambda t: rp_eval_iv(F2_REDUCED_POLY, t), 0.0, 1.0 / 6.0, tol=1e-14,
+                slope=lambda t: rp_eval_iv(deriv, t),
             )
         return self._f2_root
 

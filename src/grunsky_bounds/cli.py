@@ -122,7 +122,7 @@ def _cmd_maximize(args) -> int:
     cfg = BnBConfig(tol_value=args.tol, max_boxes=args.max_boxes)
     oid = args.objective
     if oid is ObjectiveId.F1:
-        ext = maximize_1d(F1_FORM.value_iv, F1_FORM.lo, F1_FORM.hi, cfg)
+        ext = maximize_1d(F1_FORM.value_iv, F1_FORM.lo, F1_FORM.hi, cfg, slope=F1_FORM.slope_iv)
         print(f"{oid.value} ({CLAIM_NAMES[oid]})")
         print(f"  max in [{ext.value.lo:.12f}, {ext.value.hi:.12f}]")
         print(f"  argmax x in [{ext.argmax.lo:.9f}, {ext.argmax.hi:.9f}]")
@@ -160,6 +160,8 @@ def _cmd_edges(args) -> int:
 
 
 def _cmd_grunsky(args) -> int:
+    # everything is computed before anything is printed, so that bad input
+    # gives one error line and no partial report
     try:
         if args.preset:
             f = PRESETS[args.preset](2 * args.order)
@@ -168,29 +170,33 @@ def _cmd_grunsky(args) -> int:
             with open(args.coeffs, encoding="utf-8") as handle:
                 f = parse_coefficients(handle.read())
             name = args.coeffs
-        table = grunsky_table(f, args.order)
+        with np.errstate(over="raise", invalid="raise"):
+            table = grunsky_table(f, args.order)
+            if not np.isfinite(table.omega).all():
+                raise OverflowError("coefficient table is not finite")
+            rep = check_coefficient_identities(f, args.order)
+            rng = np.random.default_rng(args.seed)
+            worst = min(
+                check_inequalities(table, random_test_vector(rng, max_len=args.order)).min_slack
+                for _ in range(args.vectors)
+            )
+            g = gamma_from_series(f)
     except (OSError, ValueError) as exc:
         print(f"grunsky-bounds grunsky: error: {exc}", file=sys.stderr)
+        return 2
+    except ArithmeticError as exc:  # OverflowError, numpy's FloatingPointError
+        print(f"grunsky-bounds grunsky: error: coefficients overflow in floating point: {exc}",
+              file=sys.stderr)
         return 2
     print(f"odd-index coefficient table for {name} (order {args.order}):")
     show = min(args.order, 4)
     for p in range(1, 2 * show, 2):
         row = "  ".join(f"w[{p},{q}]={table.entry(p, q):.10g}" for q in range(p, 2 * show, 2))
         print(f"  {row}")
-
-    rep = check_coefficient_identities(f, args.order)
     print("identity residuals:")
     for key, val in rep.residuals.items():
         print(f"  {key:<12} {val:.3e}")
-
-    rng = np.random.default_rng(args.seed)
-    worst = float("inf")
-    for _ in range(args.vectors):
-        vec = random_test_vector(rng, max_len=args.order)
-        worst = min(worst, check_inequalities(table, vec).min_slack)
     print(f"min inequality slack over {args.vectors} random vectors: {worst:.3e}")
-
-    g = gamma_from_series(f)
     print("log-coefficients (series / closed-form):")
     for n, (d, c) in enumerate(zip(g.direct, g.closed), start=1):
         print(f"  gamma_{n}: {d:.10g} / {c:.10g}")

@@ -27,10 +27,12 @@ all four products.  When an endpoint comes out as zero, its sign can depend
 on which of several equal products is taken, so the product is then formed
 from all four in the fixed order.
 
-General division is not provided.  The only quotient in the toolkit is
-1/sqrt(R) over boxes where the radicand R is strictly positive: in the true
-gradient and Hessian of an objective, and in the branch-and-bound centered
-form.  `Interval.recip` therefore accepts strictly positive intervals only;
+General division is not provided.  The quotients in the toolkit are
+1/sqrt(R) over boxes where the radicand R is strictly positive (in the true
+gradient and Hessian of an objective, in the branch-and-bound centered form
+and in the slope of an edge form) and 1/D' in the 1-D Newton step, over a
+slope enclosure D' of one sign, which the step makes positive first.
+`Interval.recip` therefore accepts strictly positive intervals only;
 `_recip_up` and `_recip_down` are its directed-rounded scalar halves.
 """
 

@@ -98,9 +98,13 @@ class RadicalForm1D:
     hi: float
 
     @cached_property
+    def _radicand_iv(self) -> tuple[Interval, ...]:
+        return rp_enclose(self.s)
+
+    @cached_property
     def _s_iv(self) -> tuple[Interval, ...] | None:
         """Enclosed radicand coefficients; None when there is no radical term."""
-        return None if self.v.is_zero() else rp_enclose(self.s)
+        return None if self.v.is_zero() else self._radicand_iv
 
     def value_iv(self, t: Interval) -> Interval:
         out = self.w.eval_iv(t)
@@ -108,14 +112,29 @@ class RadicalForm1D:
             out = out + self.v.eval_iv(t) * horner_iv(self._s_iv, t).sqrt_clamped()
         return out
 
-    def scaled_derivative(self) -> RadicalForm1D:
-        """2*sqrt(S) * d/dt of this form; same zeros and signs where S > 0."""
+    @cached_property
+    def _scaled_derivative(self) -> RadicalForm1D:
         s_prime = rp_deriv(self.s)
         new_w = self.v.deriv().mul_rational(self.s).scale(Fraction(2)).add(
             self.v.mul_rational(s_prime)
         )
         new_v = self.w.deriv().scale(Fraction(2))
         return RadicalForm1D(self.label + "'", new_w, new_v, self.s, self.lo, self.hi)
+
+    def scaled_derivative(self) -> RadicalForm1D:
+        """2*sqrt(S) * d/dt of this form; same zeros and signs where S > 0.  Built once."""
+        return self._scaled_derivative
+
+    def slope_iv(self, t: Interval) -> Interval | None:
+        """Enclosure of d/dt of this form over t; None where S(t) is not positive.
+
+        It is the scaled derivative divided by 2*sqrt(S(t)), the one place
+        where the form is differentiated without the scaling.
+        """
+        s = horner_iv(self._radicand_iv, t)
+        if s.lo <= 0.0:
+            return None
+        return self._scaled_derivative.value_iv(t) * s.sqrt_clamped().scale(2.0).recip()
 
 
 @dataclass(frozen=True)

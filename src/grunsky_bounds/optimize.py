@@ -13,9 +13,14 @@ it in (x, y).  Where the radicand reaches zero the BnB uses value
 information only: the centred forms need the true gradient, which is
 singular there.
 
-subdivide_1d is the one 1-D bisection routine: zero_clusters_1d (edge
-critical points) is built on it, and find_root_1d proves a single
-sign-changing cluster of zero_clusters_1d.
+zero_clusters_1d is the one 1-D zero search, for the edge critical points
+and for find_root_1d.  It bisects a piece only until the piece's enclosure
+excludes zero or, given an enclosure of the derivative that excludes zero,
+interval Newton steps X <- X ∩ (m - f(m)/f'(X)) either empty the piece or
+pass the test N(X) ⊂ int X, which proves that X holds exactly one zero
+(Moore 1966; Neumaier 1990, ch. 5).  Only pieces that Newton cannot settle
+are bisected on down to MIN_WIDTH.  maximize_1d bounds a box on which the
+derivative has one sign by the value at the box's higher end.
 
 interior_critical_points excludes gradient zeros with the division-free
 scaled gradient G = sqrt(R)*grad f, which stays bounded up to the rim R = 0,
@@ -55,6 +60,8 @@ from .interval import (
 from .objectives import MonotoneBounds, Objective, ObjectiveId, monotone_bounds
 
 IvFunc = Callable[[Interval], Interval]
+#: an enclosure of a derivative over a box, or None where there is none
+SlopeFunc = Callable[[Interval], Interval | None]
 
 #: width below which a gradient-ambiguous box is treated as a critical cluster
 CLUSTER_WIDTH = 2e-5
@@ -66,6 +73,12 @@ class NoBracketError(RuntimeError):
 
 #: smallest box side the branch-and-bound splits
 TOL_BOX = 1e-9
+
+#: width at which zero_clusters_1d stops bisecting a piece that it can neither
+#: clear nor prove by Newton: a multiple zero, or a zero where the radicand S
+#: reaches 0 (f7 at the corners (a, d) and (b, c(b))), which leaves no slope
+#: enclosure.  Unproven pieces within this width of each other form one cluster.
+MIN_WIDTH = 1e-10
 
 
 @dataclass(frozen=True)
@@ -138,74 +151,156 @@ class CriticalSearch:
 
 
 def find_root_1d(
-    fn: IvFunc, lo: float, hi: float, tol: float = 1e-12, max_boxes: int = 200_000
+    fn: IvFunc, lo: float, hi: float, tol: float = 1e-12, max_boxes: int = 200_000,
+    slope: SlopeFunc | None = None,
 ) -> Interval:
-    """Enclosure of the zeros of fn on [lo, hi]: one cluster with a sign change.
+    """Enclosure of the one zero of fn on [lo, hi].
 
-    `zero_clusters_1d` must leave a single cluster, and fn must take opposite
-    verified signs at its two ends, so the cluster holds every zero and at
-    least one.  NoBracketError otherwise, and when the box budget runs out.
+    The zero search must leave a single cluster.  With `slope` (see
+    `zero_clusters_1d`) a Newton-proven cluster is returned as it is: it holds
+    exactly one zero.  Any other cluster must show opposite verified signs of
+    fn at its two ends, so that it holds every zero and at least one.
+    NoBracketError otherwise, and when the box budget runs out.
     """
-    clusters = zero_clusters_1d(fn, lo, hi, tol, max_boxes)
-    if clusters is None:
+    found = _isolate_1d(fn, lo, hi, tol, max_boxes, slope)
+    if found is None:
         raise NoBracketError(f"box budget exhausted isolating a zero of {fn} on [{lo}, {hi}]")
-    if len(clusters) == 1:
-        root = clusters[0]
+    proven, unproven = found
+    if len(proven) == 1 and not unproven:
+        return proven[0]
+    if len(unproven) == 1 and not proven:
+        root = unproven[0]
         a, b = fn(Interval.point(root.lo)), fn(Interval.point(root.hi))
         if a.hi < 0.0 < b.lo or b.hi < 0.0 < a.lo:
             return root
     raise NoBracketError(f"no single sign-changing zero cluster of {fn} on [{lo}, {hi}]")
 
 
-def subdivide_1d(
-    fn: IvFunc, lo: float, hi: float, settled: Callable[[Interval], bool],
-    min_width: float, max_boxes: int,
-) -> list[tuple[float, float]] | None:
-    """Bisect [lo, hi] until every piece is settled or at most `min_width` wide.
+def _newton_image(fn: IvFunc, x: Interval, d: Interval) -> Interval:
+    """N(X) = m - fn(m)/d for the midpoint m of X and an enclosure d ∌ 0 of fn' over X.
 
-    A piece is settled when `settled(fn(piece))` holds.  Returns the unsettled
-    pieces of width at most `min_width`, sorted, or None when more than
-    `max_boxes` pieces would have to be evaluated.
+    N(X) holds every zero of fn in X, and N(X) ⊂ int X proves that X holds
+    exactly one.
     """
-    stack = [(lo, hi)]
-    leaves: list[tuple[float, float]] = []
+    m = Interval.point(x.mid)
+    fm = fn(m)
+    return m - fm * d.recip() if d.lo > 0.0 else m + fm * (-d).recip()
+
+
+def _contract_1d(
+    fn: IvFunc, slope: SlopeFunc, x: Interval, d: Interval, span: Interval, min_width: float
+) -> tuple[Interval | None, bool, int]:
+    """Newton steps X <- X ∩ N(X) from a piece X on which d, enclosing fn', excludes 0.
+
+    The steps go on while each one at least halves X, down to the rounding
+    level of `span`; once a box has passed the test, they go on while they
+    shrink X at all, which takes it to rounding level.  A box that stalls at
+    most `min_width` wide is widened by its width on each side, inside
+    `span`, and tested once more: that proves a zero that the steps pressed
+    against an end of the piece.  Returns (box, proven, steps).  The box is
+    None when some N(X) misses X, so that the piece holds no zero.
+    Otherwise it is the last box that passed the test, if one did, or else
+    the contracted piece; either holds every zero of the piece.
+    """
+    # without this floor a box pressed against t = 0 would shrink on into
+    # subnormal floats
+    floor = 4.0 * math.ulp(max(-span.lo, span.hi))
+    proven = None
+    steps = 0
+    while d is not None and not d.contains_zero():
+        steps += 1
+        n = _newton_image(fn, x, d)
+        if n.hi < x.lo or x.hi < n.lo:
+            return None, False, steps
+        if x.lo < n.lo and n.hi < x.hi:
+            proven = x
+        width = x.width
+        x = Interval(max(n.lo, x.lo), min(n.hi, x.hi))
+        if proven is not None and x.width >= width:
+            break
+        if proven is None and not floor < x.width < 0.5 * width:
+            break
+        d = slope(x)
+    if x.width <= min_width:
+        r = max(x.width, 4.0 * math.ulp(x.mid))
+        y = Interval(max(x.lo - r, span.lo), min(x.hi + r, span.hi))
+        steps += 1
+        d = slope(y)
+        if d is not None and not d.contains_zero():
+            n = _newton_image(fn, y, d)
+            if y.lo < n.lo and n.hi < y.hi:
+                return y, True, steps
+    return (proven, True, steps) if proven is not None else (x, False, steps)
+
+
+def _isolate_1d(
+    fn: IvFunc, lo: float, hi: float, min_width: float, max_boxes: int, slope: SlopeFunc | None
+) -> tuple[list[Interval], list[Interval]] | None:
+    """The Newton-proven boxes and the unproven clusters of `zero_clusters_1d`."""
+    span = Interval(lo, hi)
+    stack = [span]
+    proven: list[Interval] = []
+    leaves: list[Interval] = []
     processed = 0
     while stack:
-        t1, t2 = stack.pop()
+        x = stack.pop()
         processed += 1
         if processed > max_boxes:
             return None
-        if settled(fn(Interval(t1, t2))):
+        if not fn(x).contains_zero():
             continue
-        if t2 - t1 <= min_width:
-            leaves.append((t1, t2))
+        d = slope(x) if slope is not None else None
+        if d is not None and not d.contains_zero():
+            x, is_proven, steps = _contract_1d(fn, slope, x, d, span, min_width)
+            processed += steps
+            if processed > max_boxes:
+                return None
+            if x is None:
+                continue
+            if is_proven:
+                proven.append(x)
+                continue
+        if x.width <= min_width:
+            leaves.append(x)
             continue
-        tm = 0.5 * (t1 + t2)
-        stack.append((t1, tm))
-        stack.append((tm, t2))
-    leaves.sort()
-    return leaves
+        tm = x.mid
+        stack.append(Interval(x.lo, tm))
+        stack.append(Interval(tm, x.hi))
+    # Two proven boxes that overlap hold one zero: fn' has one sign on each,
+    # so on their union.  Unproven leaves within min_width form one cluster.
+    return _merge(proven, 0.0), _merge(leaves, min_width)
+
+
+def _merge(boxes: list[Interval], gap: float) -> list[Interval]:
+    """Hulls of the runs of sorted boxes that lie within `gap` of each other."""
+    out: list[Interval] = []
+    for c in sorted(boxes, key=lambda c: c.lo):
+        if out and c.lo <= out[-1].hi + gap:
+            out[-1] = out[-1].hull(c)
+        else:
+            out.append(c)
+    return out
 
 
 def zero_clusters_1d(
-    fn: IvFunc, lo: float, hi: float, min_width: float = 1e-10, max_boxes: int = 200_000
+    fn: IvFunc, lo: float, hi: float, min_width: float = MIN_WIDTH, max_boxes: int = 200_000,
+    slope: SlopeFunc | None = None,
 ) -> list[Interval] | None:
-    """Every zero of fn on [lo, hi] lies in one of the returned clusters.
+    """Every zero of fn on [lo, hi] lies in one of the returned clusters, sorted.
 
-    Pieces whose enclosure excludes zero are certified zero-free; the rest
-    shrink to `min_width` and are merged into clusters when they lie within
-    `min_width` of each other.  None when the box budget runs out.
+    Pieces whose enclosure excludes zero are certified zero-free.  With
+    `slope`, which encloses fn' over a piece or gives None where it cannot, a
+    piece on which fn' excludes zero takes Newton steps (`_contract_1d`):
+    they clear it, or prove that a box in it holds exactly one zero, which is
+    then a cluster of its own.  Other pieces are bisected down to `min_width`
+    and merged into clusters when they lie within `min_width` of each other.
+    Pieces evaluated and Newton steps share the budget `max_boxes`; None when
+    it runs out.
     """
-    leaves = subdivide_1d(fn, lo, hi, lambda v: not v.contains_zero(), min_width, max_boxes)
-    if leaves is None:
+    found = _isolate_1d(fn, lo, hi, min_width, max_boxes, slope)
+    if found is None:
         return None
-    clusters: list[list[float]] = []
-    for t1, t2 in leaves:
-        if clusters and t1 <= clusters[-1][1] + min_width:
-            clusters[-1][1] = max(clusters[-1][1], t2)
-        else:
-            clusters.append([t1, t2])
-    return [Interval(c1, c2) for c1, c2 in clusters]
+    return sorted(found[0] + found[1], key=lambda c: c.lo)
 
 
 # ---------------------------------------------------------------------------
@@ -278,12 +373,27 @@ def _best_first(root, bound, split, sample, best: _Incumbent, cfg: BnBConfig):
     return upper, survivors, processed, converged
 
 
-def maximize_1d(fn: IvFunc, lo: float, hi: float, cfg: BnBConfig | None = None) -> Extremum1D:
-    """Verified enclosure of max fn over [lo, hi] by interval branch-and-bound."""
+def maximize_1d(
+    fn: IvFunc, lo: float, hi: float, cfg: BnBConfig | None = None, *,
+    slope: SlopeFunc | None = None,
+) -> Extremum1D:
+    """Verified enclosure of max fn over [lo, hi] by interval branch-and-bound.
+
+    A box is bounded by the interval extension of fn, or, where `slope`
+    encloses fn' over it with one sign, by fn at the end where fn is largest;
+    that end is then all the box adds to the argmax.
+    """
     if not lo < hi:
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
     cfg = cfg or BnBConfig()
     best = _Incumbent()
+
+    def top(box: tuple[float, float]) -> Interval:
+        """The end of the box where fn is largest if fn' has one sign on it, else the box."""
+        d = slope(Interval(*box)) if slope is not None else None
+        if d is None or d.contains_zero():
+            return Interval(*box)
+        return Interval.point(box[1] if d.lo > 0.0 else box[0])
 
     def sample(t: float) -> None:
         best.offer(fn(Interval.point(t)).lo, t)
@@ -300,9 +410,9 @@ def maximize_1d(fn: IvFunc, lo: float, hi: float, cfg: BnBConfig | None = None) 
     sample(hi)
     sample(0.5 * (lo + hi))
     upper, survivors, processed, converged = _best_first(
-        (lo, hi), lambda box: fn(Interval(*box)).hi, split, None, best, cfg
+        (lo, hi), lambda box: fn(top(box)).hi, split, None, best, cfg
     )
-    argmax = hull_of([Interval(*box) for box in survivors]) if survivors else Interval(lo, hi)
+    argmax = hull_of([top(box) for box in survivors]) if survivors else Interval(lo, hi)
     return Extremum1D(Interval(best.value, upper), argmax, processed, converged)
 
 

@@ -18,7 +18,7 @@ from fractions import Fraction
 from grunsky_bounds.domain import CAP_PIECES, CONSTANTS, EdgeId
 from grunsky_bounds.interval import CLAMP_TOL, Interval, NegativeRadicandError
 from grunsky_bounds.objectives import F1_FORM, OBJECTIVES, Objective, ObjectiveId, RadicalForm1D
-from grunsky_bounds.optimize import IvFunc, subdivide_1d
+from grunsky_bounds.optimize import IvFunc
 from grunsky_bounds.oracle import GrunskyTable
 from grunsky_bounds.poly import MixedPoly, RatPoly, rp_eval_iv
 from grunsky_bounds.series import PowerSeries
@@ -114,8 +114,20 @@ def eval_objective(oid: ObjectiveId, x: float, y: float = 0.0) -> float:
 def prove_positive_1d(
     fn: IvFunc, lo: float, hi: float, min_width: float = 1e-9, max_boxes: int = 100_000
 ) -> bool:
-    """True if interval subdivision proves fn > 0 everywhere on [lo, hi]."""
-    return subdivide_1d(fn, lo, hi, lambda v: v.lo > 0.0, min_width, max_boxes) == []
+    """True if bisection proves fn > 0 on every piece of [lo, hi] before a
+    piece reaches `min_width` and within `max_boxes` evaluated pieces."""
+    stack = [(lo, hi)]
+    for _ in range(max_boxes):
+        if not stack:
+            return True
+        t1, t2 = stack.pop()
+        if fn(Interval(t1, t2)).lo > 0.0:
+            continue
+        if t2 - t1 <= min_width:
+            return False
+        tm = 0.5 * (t1 + t2)
+        stack += [(t1, tm), (tm, t2)]
+    return not stack
 
 
 def prove_negative_1d(fn: IvFunc, lo: float, hi: float, **kw) -> bool:

@@ -10,6 +10,7 @@ from grunsky_bounds import optimize
 from grunsky_bounds.claims import SuiteContext, analyze_edge
 from grunsky_bounds.domain import (
     CONSTANTS,
+    EDGES,
     REGION,
     EdgeId,
     cap_point_down,
@@ -18,9 +19,12 @@ from grunsky_bounds.domain import (
     low_chart,
 )
 from grunsky_bounds.interval import Interval
-from grunsky_bounds.objectives import F1_FORM, OBJECTIVES, ObjectiveId, monotone_bounds
+from grunsky_bounds.objectives import (
+    F1_FORM, F2_REDUCED_POLY, OBJECTIVES, ObjectiveId, monotone_bounds
+)
 from grunsky_bounds.optimize import (
     CERTIFIED_HALF,
+    MIN_WIDTH,
     BnBConfig,
     CriticalSearch,
     NoBracketError,
@@ -31,6 +35,7 @@ from grunsky_bounds.optimize import (
     maximize_2d,
     zero_clusters_1d,
 )
+from grunsky_bounds.poly import rp_deriv, rp_eval_iv
 from grunsky_bounds.report import run_suite
 from paper_formulas import objective_value, omega_contains, prove_positive_1d
 
@@ -118,7 +123,7 @@ def test_find_root_budget_exhausted():
 
 
 # ---------------------------------------------------------------------------
-# zero_clusters_1d and prove_positive_1d: the shared 1-D subdivision
+# zero_clusters_1d, and the bisection of the test helper prove_positive_1d
 # ---------------------------------------------------------------------------
 
 
@@ -143,6 +148,141 @@ def test_prove_positive_budget_exhausted():
 
     assert prove_positive_1d(fn, 0.0, 1.0)
     assert not prove_positive_1d(fn, 0.0, 1.0, max_boxes=3)
+
+
+# ---------------------------------------------------------------------------
+# interval Newton in the 1-D zero search
+# ---------------------------------------------------------------------------
+
+
+def _newton_holds(fn, slope, x: Interval) -> bool:
+    """N(X) = m - fn(m)/fn'(X) inside int X, computed here from the enclosures."""
+    d = slope(x)
+    if d is None or d.contains_zero():
+        return False
+    m = Interval.point(x.mid)
+    q = fn(m) * (d.recip() if d.lo > 0.0 else -((-d).recip()))
+    n = m - q
+    return x.lo < n.lo and n.hi < x.hi
+
+
+def _form_slope(form):
+    """fn' of a scaled derivative form: its own scaled derivative over 2*sqrt(S)."""
+    def slope(t: Interval):
+        s = rp_eval_iv(form.s, t)
+        if s.lo <= 0.0:
+            return None
+        return form.scaled_derivative().value_iv(t) * s.sqrt_clamped().scale(2.0).recip()
+
+    return slope
+
+
+_EDGE_CASES = [(oid, edge) for oid in ObjectiveId if oid is not ObjectiveId.F1 for edge in EdgeId]
+
+
+@pytest.mark.parametrize("oid, edge", _EDGE_CASES, ids=lambda v: v.value)
+def test_interior_edge_roots_are_newton_proven(oid, edge):
+    an = analyze_edge(oid, edge, CFG)
+    deriv = OBJECTIVES[oid].restriction(edge).scaled_derivative()
+    for c in an.interior_clusters():
+        assert c.width <= 1e-13, c
+        assert _newton_holds(deriv.value_iv, _form_slope(deriv), c), c
+
+
+def test_interior_edge_root_count():
+    # 19 interior roots over the 40 edges of f2..f9: a search that lost one
+    # would pass the test above without checking it
+    count = sum(len(analyze_edge(oid, edge, CFG).interior_clusters()) for oid, edge in _EDGE_CASES)
+    assert count == 19
+
+
+def test_root_on_a_bisection_midpoint_gives_one_cluster():
+    # fn' = 2t - 0.2 changes sign on [0, 1], so the search splits it at 0.5,
+    # the root; Newton then presses each half's box against 0.5
+    def fn(t: Interval) -> Interval:
+        return (t - Interval.point(0.5)) * (t + Interval.point(0.3))
+
+    def slope(t: Interval) -> Interval:
+        return t.scale(2.0) - Interval.point(0.2)
+
+    # plain bisection: the two leaves that meet at 0.5 merge
+    [c] = zero_clusters_1d(fn, 0.0, 1.0)
+    assert c.contains(0.5) and c.width <= 2 * MIN_WIDTH
+    # Newton: both halves widen their box across 0.5 and prove it; the two
+    # proven boxes overlap, so they hold one zero
+    [c] = zero_clusters_1d(fn, 0.0, 1.0, slope=slope)
+    assert c.contains(0.5) and c.width <= 1e-13
+
+
+def test_double_root_falls_back_to_a_min_width_cluster():
+    def fn(t: Interval) -> Interval:
+        return (t - Interval.point(0.2)) ** 2
+
+    def slope(t: Interval) -> Interval:
+        return (t - Interval.point(0.2)).scale(2.0)
+
+    [c] = zero_clusters_1d(fn, 0.0, 1.0, slope=slope)
+    assert c.contains(0.2)
+    # bisection leaves, not a proven box: fn' vanishes at the root
+    assert MIN_WIDTH / 4 <= c.width <= 2 * MIN_WIDTH
+    assert not _newton_holds(fn, slope, c)
+
+
+def test_endpoint_zero_gives_one_cluster():
+    # the restriction of f2 to x = 0 is stationary at t = 0, an end of the piece
+    an = analyze_edge(ObjectiveId.F2, EdgeId.X_ZERO, CFG)
+    [c] = an.clusters
+    assert c.contains(0.0) and c.intersects(EDGES[EdgeId.X_ZERO].t_lo)
+    assert an.interior_clusters() == []
+
+
+def test_zero_where_the_radicand_vanishes_stays_a_min_width_cluster():
+    # f7 on x = a is stationary at the corner (a, d), where S = 0 leaves no slope
+    an = analyze_edge(ObjectiveId.F7, EdgeId.X_A, CFG)
+    [c] = an.clusters
+    assert c.intersects(EDGES[EdgeId.X_A].t_hi) and c.width <= MIN_WIDTH
+    assert an.interior_clusters() == []
+
+
+def test_find_root_returns_a_newton_proven_box():
+    def fn(t: Interval) -> Interval:
+        return rp_eval_iv(F2_REDUCED_POLY, t)
+
+    def slope(t: Interval) -> Interval:
+        return rp_eval_iv(rp_deriv(F2_REDUCED_POLY), t)
+
+    root = find_root_1d(fn, 0.0, 1.0 / 6.0, tol=1e-14, slope=slope)
+    assert 0.153 <= root.lo <= root.hi < 0.154
+    assert root.width <= 1e-13
+    assert _newton_holds(fn, slope, root)
+    # the suite's root passes the same slope
+    assert SuiteContext().f2_reduced_root() == root
+
+
+def test_zero_at_an_end_of_the_range_is_not_newton_proven():
+    # the steps press the box against t = 0, and the widened box stops at the
+    # end of the range, so N(X) ⊂ int X cannot hold; the cluster is unproven,
+    # and fn(0) = 0 shows no sign change
+    def one(t: Interval) -> Interval:
+        return Interval.point(1.0)
+
+    [c] = zero_clusters_1d(lambda t: t, 0.0, 1.0, slope=one)
+    assert c.lo == 0.0 and c.width <= MIN_WIDTH
+    with pytest.raises(NoBracketError, match="single"):
+        find_root_1d(lambda t: t, 0.0, 1.0, slope=one)
+
+
+def test_newton_steps_count_against_the_budget():
+    def fn(t: Interval) -> Interval:
+        return t - Interval.point(0.3)
+
+    def slope(t: Interval) -> Interval:
+        return Interval.point(1.0)
+
+    # one piece evaluated, then Newton steps: a budget of one box runs out
+    assert zero_clusters_1d(fn, 0.0, 1.0, max_boxes=1, slope=slope) is None
+    [c] = zero_clusters_1d(fn, 0.0, 1.0, max_boxes=10, slope=slope)
+    assert c.contains(0.3) and _newton_holds(fn, slope, c)
 
 
 # ---------------------------------------------------------------------------
@@ -172,6 +312,17 @@ def test_maximize_g5():
     assert ext.converged
     assert in_window(ext.value, 0.709)
     assert ext.argmax.lo < 0.253 and ext.argmax.hi > 0.252
+
+
+@pytest.mark.parametrize("tol", [1e-7, 1e-9, 1e-11])
+def test_maximize_f1_with_slope_converges_in_one_box(tol):
+    # f1 increases on [a/2, a]: that box is bounded by f1(a), which the
+    # incumbent already holds
+    ext = maximize_1d(F1_FORM.value_iv, F1_FORM.lo, F1_FORM.hi, BnBConfig(tol_value=tol),
+                      slope=F1_FORM.slope_iv)
+    assert ext.converged and ext.iterations == 1
+    assert ext.value.width <= 1e-14
+    assert ext.argmax == Interval.point(F1_FORM.hi)
 
 
 def test_maximize_1d_budget_flag():

@@ -147,6 +147,13 @@ def test_cli_maximize_f1(capsys):
     assert "2.42739" in out
 
 
+def test_cli_maximize_f1_converges_at_1e_11(capsys):
+    code = main(["maximize", "--objective", "f1", "--tol", "1e-11"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "boxes 1, converged True" in out
+
+
 def test_cli_grunsky_with_coefficient_file(tmp_path, capsys):
     path = tmp_path / "series.txt"
     # the geometric preset written out through a16
@@ -212,6 +219,8 @@ def test_cli_rejects_negative_seed(argv, capsys):
         (["1 0", "nan 0"], "line 2: coefficient must be finite, got 'nan 0'"),
         (["1 0", "0 inf"], "line 2: coefficient must be finite, got '0 inf'"),
         (["1 0"] * 7, "table order 4 needs 8 input coefficients, have 7"),
+        # finite input whose table overflows
+        (["1 0"] + ["1e200 0"] * 15, "coefficients overflow in floating point"),
     ],
 )
 def test_cli_grunsky_rejects_bad_coefficient_files(tmp_path, lines, message, capsys):
