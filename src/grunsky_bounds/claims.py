@@ -582,7 +582,7 @@ def _run_edge_table(ctx: SuiteContext) -> ClaimOutcome:
 def _run_oracle_identities(ctx: SuiteContext) -> ClaimOutcome:
     worst = 0.0
     for preset in PRESETS:
-        rep = check_coefficient_identities(PRESETS[preset](16), order=8)
+        rep = check_coefficient_identities(PRESETS[preset](16), order=8, table=ctx.table(preset))
         worst = max(worst, rep.max_residual)
     ok = worst <= 1e-10
     return ClaimOutcome(

@@ -174,7 +174,7 @@ def _cmd_grunsky(args) -> int:
             table = grunsky_table(f, args.order)
             if not np.isfinite(table.omega).all():
                 raise OverflowError("coefficient table is not finite")
-            rep = check_coefficient_identities(f, args.order)
+            rep = check_coefficient_identities(f, args.order, table=table)
             rng = np.random.default_rng(args.seed)
             worst = min(
                 check_inequalities(table, random_test_vector(rng, max_len=args.order)).min_slack

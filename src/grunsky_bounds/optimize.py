@@ -450,16 +450,23 @@ def maximize_2d(obj: Objective, region: OmegaRegion = REGION, cfg: BnBConfig | N
         y = min(max(y, 0.0), cap_point_down(x))
         best.offer(ranges.lower(x, x, y, y), (x, y))
 
-    def sample_box(box: tuple[float, float, float, float]) -> None:
+    def sample_mid(box: tuple[float, float, float, float]) -> None:
         x1, x2, y1, y2 = box
-        sample(x2, y2)
         sample(0.5 * (x1 + x2), 0.5 * (y1 + y2))
 
     def split(box: tuple[float, float, float, float]):
         x1, x2, y1, y2 = box
         if max(x2 - x1, y2 - y1) <= TOL_BOX:
             return None
-        return _split_clipped(box)
+        children = _split_clipped(box)
+        # Each top-right corner is sampled once, before either child is
+        # bounded.  Only the child at the parent's lower-left corner has a new
+        # one: the other child's corner samples as its parent's (clipping
+        # lowers its y2 no further than the cap at x2), and the root's corner
+        # samples as the seed point (x_in, cap(x_in)).
+        if children and children[0][0] == x1 and children[0][2] == y1:
+            sample(children[0][1], children[0][3])
+        return children
 
     # coarse seed so pruning starts immediately
     for i in range(9):
@@ -475,7 +482,7 @@ def maximize_2d(obj: Objective, region: OmegaRegion = REGION, cfg: BnBConfig | N
         return min(ub, _centred_upper(ranges, region, box))
 
     upper, survivors, processed, converged = _best_first(
-        _root_box(region), bound, split, sample_box, best, cfg
+        _root_box(region), bound, split, sample_mid, best, cfg
     )
     if survivors:
         ax = hull_of([Interval(b[0], b[1]) for b in survivors])
@@ -771,8 +778,22 @@ def _split_clipped(box: tuple[float, float, float, float]) -> list[tuple[float, 
 # ---------------------------------------------------------------------------
 
 
+#: x-values per block of the grid sweep: at n = 500 a block's arrays are
+#: 200 KB each, so they stay in cache while the block is evaluated
+GRID_ROWS = 50
+
+
 def grid_maximum(oid: ObjectiveId, n: int = 500) -> float:
-    """Plain float maximum of an objective over an n-by-n grid on the region."""
+    """Plain float maximum of an objective over an n-by-n grid on the region.
+
+    A float-only cross-check of the verified maxima; it decides nothing on
+    its own.  The grid (n points along [0, a] for f1) is swept in blocks of
+    GRID_ROWS x-values, with the factors that depend on x alone computed
+    once on the n x-values.  Every grid point takes the same float
+    operations, in the same order, as on the full grid (terms c*x^i*y^j
+    summed from zero in `poly` order, then M(x)*sqrt(max((1 - x^2) -
+    3*y*y, 0))), so the maximum is the same bit for bit.
+    """
     import numpy as np
 
     from .domain import CONSTANTS
@@ -781,22 +802,29 @@ def grid_maximum(oid: ObjectiveId, n: int = 500) -> float:
     a = CONSTANTS.a_float
     if oid is ObjectiveId.F1:
         x = np.linspace(0.0, a, n * n)
-        vals = 3.0 * x**2 + 2.0 / math.sqrt(3.0) * np.sqrt(1.0 - x**2)
-        return float(vals.max())
+        step = GRID_ROWS * n
+        return max(
+            float((3.0 * xs**2 + 2.0 / math.sqrt(3.0) * np.sqrt(1.0 - xs**2)).max())
+            for xs in (x[k : k + step] for k in range(0, n * n, step))
+        )
 
     obj = OBJECTIVES[oid]
     x = np.linspace(0.0, a, n)
     cap = np.minimum(*(piece.cap(x) for piece in CAP_PIECES))
     t = np.linspace(0.0, 1.0, n)
-    xs = np.repeat(x, n)
-    ys = np.outer(cap, t).ravel()
-    out = np.zeros_like(xs)
-    for (i, j), c in obj.poly.items():
-        out += float(c) * xs**i * ys**j
-    if obj.has_radical:
-        r = np.maximum(1.0 - xs * xs - 3.0 * ys * ys, 0.0)
-        mult = (float(obj.m5c) + float(obj.m5l) * xs) / math.sqrt(5.0) + float(
-            obj.m7c
-        ) / math.sqrt(7.0)
-        out += mult * np.sqrt(r)
-    return float(out.max())
+    xc = x[:, None]
+    terms = [(float(c) * xc**i, j) for (i, j), c in obj.poly.items()]
+    one_minus_x2 = 1.0 - xc * xc
+    mult = (float(obj.m5c) + float(obj.m5l) * xc) / math.sqrt(5.0) + float(obj.m7c) / math.sqrt(7.0)
+    best = -math.inf
+    for k in range(0, n, GRID_ROWS):
+        rows = slice(k, k + GRID_ROWS)
+        ys = np.multiply.outer(cap[rows], t)
+        out = np.zeros_like(ys)
+        for cx, j in terms:
+            # y**0 is 1.0, so a j = 0 term adds its x column as it is
+            out += cx[rows] * ys**j if j else cx[rows]
+        if obj.has_radical:
+            out += mult[rows] * np.sqrt(np.maximum(one_minus_x2[rows] - 3.0 * ys * ys, 0.0))
+        best = max(best, float(out.max()))
+    return best

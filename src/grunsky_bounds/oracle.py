@@ -86,11 +86,17 @@ class CoefficientIdentityReport:
         return max(self.residuals.values())
 
 
-def check_coefficient_identities(f: PowerSeries, order: int = 8) -> CoefficientIdentityReport:
-    """Residuals of the identities expressing a2..a5 through the odd-transform table."""
+def check_coefficient_identities(
+    f: PowerSeries, order: int = 8, *, table: GrunskyTable | None = None
+) -> CoefficientIdentityReport:
+    """Residuals of the identities expressing a2..a5 through the odd-transform table.
+
+    `table` is f's table if the caller has already built it; otherwise
+    `grunsky_table(f, order)` is built here.
+    """
     if f.order < 5:
         raise InsufficientOrderError("need coefficients through a5")
-    t = grunsky_table(f, order)
+    t = table if table is not None else grunsky_table(f, order)
     w11 = t.entry(1, 1)
     w13 = t.entry(1, 3)
     w15 = t.entry(1, 5)

@@ -3,8 +3,9 @@
 Float point values of the objectives and their restrictions, float
 gradients, plain and radical-scaled, the critical-point reductions, the
 named boundary restrictions g1..g10, the float region test (Lemma 1), the
-1-D sign proofs, the oracle's bridge to the region and an exact rational
-reference for the oracle's table.  The library never needs them: it works
+1-D sign proofs, the full-grid reference for the grid cross-check, the
+oracle's bridge to the region and an exact rational reference for the
+oracle's table.  The library never needs them: it works
 with interval enclosures instead.
 """
 
@@ -14,6 +15,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+
+import numpy as np
 
 from grunsky_bounds.domain import CAP_PIECES, CONSTANTS, EdgeId
 from grunsky_bounds.interval import CLAMP_TOL, Interval, NegativeRadicandError
@@ -106,6 +109,32 @@ def eval_objective(oid: ObjectiveId, x: float, y: float = 0.0) -> float:
     if oid is ObjectiveId.F1:
         return form_value(F1_FORM, x)
     return objective_value(OBJECTIVES[oid], x, y)
+
+
+# -- the grid cross-check, on the full grid ---------------------------------------------
+
+
+def full_grid_maximum(oid: ObjectiveId, n: int = 500) -> float:
+    """`optimize.grid_maximum` with every factor on the whole n-by-n grid at once."""
+    a = CONSTANTS.a_float
+    if oid is ObjectiveId.F1:
+        x = np.linspace(0.0, a, n * n)
+        vals = 3.0 * x**2 + 2.0 / math.sqrt(3.0) * np.sqrt(1.0 - x**2)
+        return float(vals.max())
+
+    obj = OBJECTIVES[oid]
+    x = np.linspace(0.0, a, n)
+    cap = np.minimum(*(piece.cap(x) for piece in CAP_PIECES))
+    t = np.linspace(0.0, 1.0, n)
+    xs = np.repeat(x, n)
+    ys = np.outer(cap, t).ravel()
+    out = np.zeros_like(xs)
+    for (i, j), c in obj.poly.items():
+        out += float(c) * xs**i * ys**j
+    if obj.has_radical:
+        r = np.maximum(1.0 - xs * xs - 3.0 * ys * ys, 0.0)
+        out += mult_float(obj, xs) * np.sqrt(r)
+    return float(out.max())
 
 
 # -- 1-D sign proofs --------------------------------------------------------------------

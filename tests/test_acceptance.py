@@ -20,7 +20,7 @@ from grunsky_bounds.claims import (
     inside_window,
 )
 from grunsky_bounds.domain import CONSTANTS, EdgeId
-from grunsky_bounds.objectives import OBJECTIVES, ObjectiveId
+from grunsky_bounds.objectives import OBJECTIVES, MonotoneBounds, ObjectiveId
 from grunsky_bounds.optimize import grid_maximum
 from grunsky_bounds.oracle import PRESETS, check_coefficient_identities, gamma_from_series
 
@@ -185,12 +185,17 @@ def test_criterion_15_curve_identities(suite_ctx):
     assert abs(1 - 10 * b * b - 3 * b**4) <= 1e-12
 
 
-def test_full_suite_is_green_and_fast(suite_ctx):
+def test_full_suite_is_green_and_fast(suite_ctx, monkeypatch):
     from grunsky_bounds.report import all_passed, run_suite
 
+    # the BnB's point samples: each box corner and midpoint once, and the seed
+    lower_calls = []
+    lower = MonotoneBounds.lower
+    monkeypatch.setattr(MonotoneBounds, "lower", lambda *a: lower_calls.append(1) or lower(*a))
     start = time.perf_counter()
     rows = run_suite(cfg=SuiteConfig())
     elapsed = time.perf_counter() - start
     print(f"full suite: {len(rows)} rows in {elapsed:.1f}s")
     assert all_passed(rows)
     assert elapsed <= 60.0
+    assert len(lower_calls) == 4353

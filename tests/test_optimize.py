@@ -37,7 +37,9 @@ from grunsky_bounds.optimize import (
 )
 from grunsky_bounds.poly import rp_deriv, rp_eval_iv
 from grunsky_bounds.report import run_suite
-from paper_formulas import objective_value, omega_contains, prove_positive_1d
+from paper_formulas import (
+    full_grid_maximum, objective_value, omega_contains, prove_positive_1d
+)
 
 A = CONSTANTS.a_float
 D = CONSTANTS.d
@@ -399,6 +401,124 @@ def test_enclosures_contain_sampled_values():
         grid = grid_maximum(oid, 200)
         assert grid <= ext.value.hi + 1e-12
         assert grid >= ext.value.lo - 1e-4  # coarse grid, generous slack
+
+
+#: maximize_2d at two widths, which skipping repeated point samples must not
+#: move: value, argmax x and argmax y (each "lo hi" by float.hex), kind, iterations
+BNB_PINS = {
+    ("f2", 1e-05): (
+        "0x1.bb11fe69c8e97p+1 0x1.bb1244aa47768p+1",
+        "0x1.7bc9eb851eb86p-1 0x1.7c28f5c28f5c3p-1",
+        "0x1.753f8c3b18ec8p-2 0x1.779322307e5ecp-2",
+        EdgeId.X_A, 101,
+    ),
+    ("f3", 1e-05): (
+        "0x1.3f9004bfbb225p+2 0x1.3f9024516ac3bp+2",
+        "0x1.7bf970a3d70a4p-1 0x1.7c28f5c28f5c3p-1",
+        "0x1.5a2d1859652fcp-2 0x1.5c14647f43d30p-2",
+        EdgeId.X_A, 110,
+    ),
+    ("f4", 1e-05): (
+        "0x1.2c918cbf4e5f5p+0 0x1.2c92278c8bf01p+0",
+        "0x1.42fcccccccccdp-1 0x1.4ca3d70a3d70ap-1",
+        "0x1.6a76320f2b4f5p-2 0x1.7ec408f8721cep-2",
+        None, 283,
+    ),
+    ("f5", 1e-05): (
+        "0x1.d29aeba98d89ap+0 0x1.d29b907df6f2ap+0",
+        "0x1.6c9147ae147adp-1 0x1.7105c28f5c28fp-1",
+        "0x1.3d9fa221599ecp-2 0x1.453cd2b8d42bcp-2",
+        None, 354,
+    ),
+    ("f6", 1e-05): (
+        "0x1.47ca4960337dbp+0 0x1.47caeb455fcd1p+0",
+        "0x1.1e9ae147ae148p-2 0x1.20d51eb851eb9p-2",
+        "0x1.13f44a3ffae5ep-1 0x1.145e0368adabbp-1",
+        EdgeId.CURVE_LOW, 247,
+    ),
+    ("f7", 1e-05): (
+        "0x1.5324a45452564p-1 0x1.53255363bfad1p-1",
+        "0x1.7b6ae147ae148p-1 0x1.7c28f5c28f5c3p-1",
+        "0x1.8afe1e916af38p-2 0x1.8cf73c04a47efp-2",
+        EdgeId.X_A, 20,
+    ),
+    ("f8", 1e-05): (
+        "0x1.1a5292af8dfdbp-1 0x1.1a53bc4391efap-1",
+        "0x1.7b6ae147ae148p-1 0x1.7c28f5c28f5c3p-1",
+        "0x1.0f42cac54e407p-2 0x1.15dc87edd9a18p-2",
+        EdgeId.X_A, 97,
+    ),
+    ("f9", 1e-05): (
+        "0x1.3a0553e2a6f0cp-1 0x1.3a06996e761d5p-1",
+        "0x1.763851eb851ecp-1 0x1.7c28f5c28f5c3p-1",
+        "0x1.8a8fb2935a8c4p-3 0x1.acdef9c18ef18p-3",
+        EdgeId.X_A, 119,
+    ),
+    ("f2", 1e-09): (
+        "0x1.bb11ff6d41bd3p+1 0x1.bb11ff6f63c81p+1",
+        "0x1.7c2837ae147aep-1 0x1.7c28f5c28f5c3p-1",
+        "0x1.76073451b97a0p-2 0x1.760ed18250f4ap-2",
+        EdgeId.X_A, 174,
+    ),
+    ("f3", 1e-09): (
+        "0x1.3f9006357c689p+2 0x1.3f9006368cddfp+2",
+        "0x1.7c2837ae147aep-1 0x1.7c28f5c28f5c3p-1",
+        "0x1.5aed233f6e42cp-2 0x1.5af4c07005bd4p-2",
+        EdgeId.X_A, 182,
+    ),
+    ("f4", 1e-09): (
+        "0x1.2c918d4e3c9b8p+0 0x1.2c918d526c8a8p+0",
+        "0x1.44cc1eb851eb8p-1 0x1.44ddf0a3d70a4p-1",
+        "0x1.6f7c1e8f8c28ep-2 0x1.6fbfccb1406a2p-2",
+        None, 508,
+    ),
+    ("f5", 1e-09): (
+        "0x1.d29aed74e362ap+0 0x1.d29aed78fa44bp+0",
+        "0x1.6f60051eb851ep-1 0x1.701828f5c28f5p-1",
+        "0x1.3f50c95f74da8p-2 0x1.404e965dd8cf8p-2",
+        None, 679,
+    ),
+    ("f6", 1e-09): (
+        "0x1.47ca4dd0fa1a7p+0 0x1.47ca4dd4d57bbp+0",
+        "0x1.1fccca3d70a3ep-2 0x1.1fda27ae147afp-2",
+        "0x1.143800cc08278p-1 0x1.143aadedfec8ep-1",
+        EdgeId.CURVE_LOW, 325,
+    ),
+    ("f7", 1e-09): (
+        "0x1.5324a45452564p-1 0x1.5324a45ce08b3p-1",
+        "0x1.7c25fd70a3d72p-1 0x1.7c28f5c28f5c3p-1",
+        "0x1.8c03088a790f2p-2 0x1.8c0845b72e3f6p-2",
+        EdgeId.X_A, 34,
+    ),
+    ("f8", 1e-09): (
+        "0x1.1a52a2f16420fp-1 0x1.1a52a2f60bcd1p-1",
+        "0x1.7c11333333334p-1 0x1.7c28f5c28f5c3p-1",
+        "0x1.11ac5dc68def9p-2 0x1.12134b9c188ccp-2",
+        EdgeId.X_A, 150,
+    ),
+    ("f9", 1e-09): (
+        "0x1.3a05543982078p-1 0x1.3a055441777d8p-1",
+        "0x1.7c25fd70a3d72p-1 0x1.7c28f5c28f5c3p-1",
+        "0x1.9da03fe0c7298p-3 0x1.9dcb22f9c0eb0p-3",
+        EdgeId.X_A, 180,
+    ),
+}
+
+
+@pytest.mark.parametrize("name, tol", sorted(BNB_PINS))
+def test_maximize_2d_results_are_pinned(name, tol):
+    value, ax, ay, kind, iterations = BNB_PINS[name, tol]
+    ext = maximize_2d(OBJECTIVES[ObjectiveId(name)], REGION, BnBConfig(tol_value=tol))
+    hexes = [" ".join((iv.lo.hex(), iv.hi.hex())) for iv in (ext.value, *ext.argmax)]
+    assert hexes == [value, ax, ay]
+    assert (ext.kind, ext.iterations, ext.converged) == (kind, iterations, True)
+
+
+@pytest.mark.parametrize("n", [500, 200, 123, 7])
+def test_grid_maximum_matches_the_full_grid_bit_for_bit(n):
+    # 123 and 7 are not multiples of the block size
+    for oid in ObjectiveId:
+        assert grid_maximum(oid, n).hex() == full_grid_maximum(oid, n).hex(), oid
 
 
 TWO_D = [oid for oid in ObjectiveId if oid is not ObjectiveId.F1]

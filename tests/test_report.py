@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+from grunsky_bounds import claims, cli, oracle
 from grunsky_bounds.claims import SuiteConfig
 from grunsky_bounds.cli import main
 from grunsky_bounds.domain import EdgeId
@@ -162,6 +163,52 @@ def test_cli_grunsky_with_coefficient_file(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "w[1,1]=0.5" in out
+
+
+def _count_table_builds(monkeypatch) -> list:
+    calls = []
+    build = oracle.grunsky_table
+    for module in (oracle, claims, cli):
+        monkeypatch.setattr(module, "grunsky_table", lambda *a: calls.append(a) or build(*a))
+    return calls
+
+
+def test_oracle_claims_build_each_preset_table_once(monkeypatch):
+    calls = _count_table_builds(monkeypatch)
+    assert all_passed(run_suite(["ORACLE_EQ13", "ORACLE_INEQ"]))
+    assert len(calls) == 4
+
+
+KOEBE_ORDER_8 = """\
+odd-index coefficient table for koebe (order 8):
+  w[1,1]=1+0j  w[1,3]=0+0j  w[1,5]=0+0j  w[1,7]=0+0j
+  w[3,3]=0.3333333333+0j  w[3,5]=0+0j  w[3,7]=0+0j
+  w[5,5]=0.2+0j  w[5,7]=0+0j
+  w[7,7]=0.1428571429+0j
+identity residuals:
+  a2           0.000e+00
+  a3           0.000e+00
+  a4           0.000e+00
+  a5           0.000e+00
+  zero_33      0.000e+00
+  zero_35      0.000e+00
+  a4_reduced   0.000e+00
+  a5_reduced   0.000e+00
+min inequality slack over 20 random vectors: -4.441e-16
+log-coefficients (series / closed-form):
+  gamma_1: 1+0j / 1+0j
+  gamma_2: 0.5+0j / 0.5+0j
+  gamma_3: 0.3333333333+0j / 0.3333333333+0j
+  gamma_4: 0.25+0j / 0.25+0j
+max two-path difference: 5.551e-17
+"""
+
+
+def test_cli_grunsky_builds_its_table_once(monkeypatch, capsys):
+    calls = _count_table_builds(monkeypatch)
+    assert main(["grunsky", "--preset", "koebe", "--order", "8"]) == 0
+    assert capsys.readouterr().out == KOEBE_ORDER_8
+    assert len(calls) == 1
 
 
 def test_cli_writes_report_file(tmp_path):
