@@ -16,7 +16,6 @@ from .optimize import (
     maximize_2d,
 )
 from .oracle import (
-    BI_UNIVALENT_PRESETS,
     PRESETS,
     GrunskyTable,
     TestVector,

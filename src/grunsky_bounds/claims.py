@@ -9,7 +9,9 @@ window is widened to the half-ulp rounding window and the row carries a note.
 
 Edge endpoints, (x, y) lifts and edge order come from the table
 `domain.EDGES`.  A row that rests on an uncertified interior critical-point
-search is INCONCLUSIVE.
+search, or on an edge analysis whose box budget ran out, is INCONCLUSIVE:
+FAIL needs a verified enclosure that misses the published window, or a proof
+that contradicts the claim.
 """
 
 from __future__ import annotations
@@ -308,6 +310,9 @@ def _run_thm1_a3(ctx: SuiteContext) -> ClaimOutcome:
     if not ext.converged:
         out.status = INCONCLUSIVE
         problems.append("budget exhausted")
+    if not analysis.conclusive:
+        out.status = INCONCLUSIVE
+        problems.append("endpoint analysis inconclusive: edge budget exhausted")
     if ext.value.width > MAX_ENCLOSURE_WIDTH:
         problems.append("enclosure too wide")
     if not in_window(ext.value, "2.427", 3):
@@ -316,7 +321,7 @@ def _run_thm1_a3(ctx: SuiteContext) -> ClaimOutcome:
         problems.append("endpoint analysis disagrees with global enclosure")
     a = CONSTANTS.a
     arg = analysis.argmax
-    if not (Fraction(arg.lo) <= a <= Fraction(arg.hi)):
+    if analysis.conclusive and not (Fraction(arg.lo) <= a <= Fraction(arg.hi)):
         problems.append("argmax does not enclose the right endpoint")
     if problems and out.status == PASS:
         out.status = FAIL
@@ -332,8 +337,10 @@ def _search_certified(cs: CriticalSearch, out: ClaimOutcome) -> list[str]:
     return ["interior critical-point search not certified"]
 
 
-def _cluster_in_window(an: EdgeAnalysis, target: str) -> list[str]:
+def _cluster_in_window(an: EdgeAnalysis, target: str, out: ClaimOutcome) -> list[str]:
+    """An inconclusive edge analysis settles nothing: the row is INCONCLUSIVE."""
     if not an.conclusive:
+        out.status = INCONCLUSIVE
         return ["edge critical clusters inconclusive"]
     clusters = an.interior_clusters()
     if len(clusters) != 1 or not inside_window(clusters[0], target, 3):
@@ -347,7 +354,7 @@ def _run_thm1_a4(ctx: SuiteContext) -> ClaimOutcome:
         problems = []
         if out.kind != EdgeId.X_A.value:
             problems.append(f"maximum attributed to {out.kind}, expected x_a")
-        problems += _cluster_in_window(ctx.edge(ObjectiveId.F2, EdgeId.X_A), "0.365")
+        problems += _cluster_in_window(ctx.edge(ObjectiveId.F2, EdgeId.X_A), "0.365", out)
         return problems
 
     return _value_outcome(ctx, ObjectiveId.F2, "3.461", checks)
@@ -359,7 +366,7 @@ def _run_thm1_a5(ctx: SuiteContext) -> ClaimOutcome:
         problems = _search_certified(cs, out)
         if cs.points:
             problems.append(f"unexpected interior critical points: {len(cs.points)}")
-        problems += _cluster_in_window(ctx.edge(ObjectiveId.F3, EdgeId.X_A), "0.338")
+        problems += _cluster_in_window(ctx.edge(ObjectiveId.F3, EdgeId.X_A), "0.338", out)
         return problems
 
     return _value_outcome(ctx, ObjectiveId.F3, "4.993", checks)
@@ -432,7 +439,7 @@ def _run_thm4_gamma3(ctx: SuiteContext) -> ClaimOutcome:
             problems.append(f"unexpected interior critical points: {len(cs.points)}")
         if out.kind != EdgeId.X_A.value:
             problems.append(f"maximum attributed to {out.kind}, expected x_a")
-        problems += _cluster_in_window(ctx.edge(ObjectiveId.F8, EdgeId.X_A), "0.267")
+        problems += _cluster_in_window(ctx.edge(ObjectiveId.F8, EdgeId.X_A), "0.267", out)
         return problems
 
     return _value_outcome(ctx, ObjectiveId.F8, "0.551", checks)
@@ -460,19 +467,29 @@ def _point_eval(oid: ObjectiveId, edge: EdgeId, at: Callable[[], Interval]):
     return run
 
 
+class BudgetExhausted(Exception):
+    """A box budget ran out before an edge-table entry was settled."""
+
+
+def _conclusive_edge(ctx: SuiteContext, oid: ObjectiveId, edge: EdgeId) -> EdgeAnalysis:
+    an = ctx.edge(oid, edge)
+    if not an.conclusive:
+        raise BudgetExhausted(f"edge analysis of {oid.value}/{edge.value} inconclusive")
+    return an
+
+
 def _edge_max(oid: ObjectiveId, edge: EdgeId):
     def run(ctx: SuiteContext) -> Interval:
-        return ctx.edge(oid, edge).value
+        return _conclusive_edge(ctx, oid, edge).value
 
     return run
 
 
 def _edge_root(oid: ObjectiveId, edge: EdgeId):
     def run(ctx: SuiteContext) -> Interval:
-        an = ctx.edge(oid, edge)
-        clusters = an.interior_clusters() if an.conclusive else []
+        clusters = _conclusive_edge(ctx, oid, edge).interior_clusters()
         if len(clusters) != 1:
-            raise ArithmeticError(f"no isolated edge root for {oid}/{edge}")
+            raise ArithmeticError(f"no isolated edge root for {oid.value}/{edge.value}")
         return clusters[0]
 
     return run
@@ -488,9 +505,11 @@ def _f6_interior_coord(which: int):
     def run(ctx: SuiteContext) -> Interval:
         cs = ctx.critical(ObjectiveId.F6)
         certified = [p for p in cs.points if p.certified]
-        if len(certified) != 1:
-            raise ArithmeticError("interior critical point not certified")
-        return certified[0].certified_box[which]
+        if len(certified) == 1:
+            return certified[0].certified_box[which]
+        if not cs.certified:
+            raise BudgetExhausted("interior critical-point search not certified")
+        raise ArithmeticError(f"expected one certified interior critical point, found {len(cs.points)}")
 
     return run
 
@@ -544,10 +563,14 @@ EDGE_CONSTANTS: tuple[EdgeConstant, ...] = (
 
 def _run_edge_table(ctx: SuiteContext) -> ClaimOutcome:
     failures: list[str] = []
+    unsettled: list[str] = []
     notes: list[str] = []
     for spec in EDGE_CONSTANTS:
         try:
             iv = spec.evaluate(ctx)
+        except BudgetExhausted as exc:
+            unsettled.append(f"{spec.label}: {exc}")
+            continue
         except ArithmeticError as exc:
             failures.append(f"{spec.label}: {exc}")
             continue
@@ -571,8 +594,8 @@ def _run_edge_table(ctx: SuiteContext) -> ClaimOutcome:
                 failures.append(
                     f"{spec.label}: [{iv.lo:.7f}, {iv.hi:.7f}] misses [{spec.target}, +1e-3)"
                 )
-    status = PASS if not failures else FAIL
-    note = "; ".join(failures + notes)
+    status = FAIL if failures else INCONCLUSIVE if unsettled else PASS
+    note = "; ".join(failures + unsettled + notes)
     return ClaimOutcome(status, None, None, None, note)
 
 

@@ -17,6 +17,7 @@ plain functions, because the branch-and-bound calls them on every box.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -50,14 +51,14 @@ class EdgeId(Enum):
 
 
 def _compute_b() -> Interval:
-    # b = sqrt((2*sqrt(7) - 5)/3)
-    two_sqrt7 = Interval.point(7.0).sqrt_clamped().scale(2.0)
-    inner = (two_sqrt7 - Interval.point(5.0)) * Interval.from_fraction(Fraction(1, 3))
-    return inner.sqrt_clamped()
+    # b^2 = u is the root of 3u^2 + 10u - 1 = 0 in (0, 1)
+    guess = math.sqrt((2.0 * math.sqrt(7.0) - 5.0) / 3.0)
+    return Interval.from_root(lambda t: 3 * t**4 + 10 * t * t - 1, guess)
 
 
 def _compute_d() -> Interval:
-    return Interval.from_fraction((1 - A_RATIONAL**2) / 3).sqrt_clamped()
+    q = (1 - A_RATIONAL**2) / 3
+    return Interval.from_root(lambda t: t * t - q, math.sqrt(q))
 
 
 @dataclass(frozen=True)
@@ -168,6 +169,12 @@ class Edge:
         return rp_add(rp_add((_F1,), minus_x_sq), rp_scale(y_sq, Fraction(-3)))
 
 
+def _low_cap_iv(x: Interval) -> Interval:
+    v = Interval.point(1.0) + x**2
+    # halving is exact here: v >= 1, so v/2 is a normal float
+    return Interval(0.5 * v.lo, 0.5 * v.hi)
+
+
 def _straight(p: RatPoly, t: Interval) -> Interval:
     """A coordinate of a straight piece: the parameter itself, or a constant."""
     if p == _T:
@@ -185,7 +192,7 @@ EDGES: dict[EdgeId, Edge] = {
         Edge(EdgeId.Y_ZERO, _T, (), _ZERO, CONSTANTS.iv_a),
         Edge(
             EdgeId.CURVE_LOW, _T, (Fraction(1, 2), _F0, Fraction(1, 2)), _ZERO, CONSTANTS.iv_b,
-            cap_iv=lambda x: (Interval.point(1.0) + x**2).scale(0.5),
+            cap_iv=_low_cap_iv,
             cap=lambda x: 0.5 * (1.0 + x * x),
             chart=low_chart,
         ),

@@ -1,31 +1,28 @@
 """Outward-rounded interval arithmetic.
 
 Every operation returns an interval that contains the exact real-arithmetic
-image of its operands.  Directed rounding is implemented with error-free
-transformations (TwoSum / Dekker's TwoProduct) followed by a one-ulp nudge
-only when the float result actually rounded; exact results keep exact
-endpoints.  This convention is used uniformly by every operation here.
+image of its operands.  Each endpoint is at most one ulp outside the directed
+rounding of the exact result, and it is exact only where that is proven.
 
-The scalar helpers `_add_*`, `_mul_*`, `_sqrt_*` and `_recip_*` each write
-the transformation out inline rather than calling a shared TwoSum /
-TwoProduct, because the call would cost more than the arithmetic.  For
-operands well inside the float range (no overflow in the split, no underflow
-in the products), each returns the float next to the exact result in its
-direction, or the exact result itself when it is a float.  Above about
-2**996 the split of `_mul_*` and `_recip_*` overflows and the error term is
-NaN; their tests are written so that a NaN error also nudges, which keeps
-the result outward, at most one ulp looser than the directed rounding.
-Below `_TINY` = 2**-969 (a product, or a radicand of `_sqrt_*`) the error
-terms can be subnormal and lose bits, so those helpers nudge there whenever
-their test does not, with the same one-ulp guarantee; the extra check sits
-on the no-nudge path only.
+The scalar helpers round as follows:
+
+- `_mul_*`, `_sqrt_*` and `_recip_*` take the round-to-nearest result and
+  step one ulp outward with `math.nextafter` (Rump, Zimmermann, Boldo &
+  Melquiond, "Computing predecessor and successor in rounding to nearest",
+  BIT 49, 2009).  A round-to-nearest result is within half an ulp of the
+  exact one, so the step is outward for normal, subnormal, underflowing and
+  overflowing results alike.  A product with a zero operand is exact and is
+  not stepped.
+- `_add_*` compute the exact rounding error of the sum with TwoSum inline
+  and step only when the sum rounded, so exact sums keep exact endpoints.
+  The error is NaN when the sum overflows; the test then steps too.
 
 `Interval.__mul__` forms only the endpoint products its sign case needs (two
-when either operand is one-signed, four when both straddle zero).  Directed
-rounding is monotone, so these round to the same floats as the min / max of
-all four products.  When an endpoint comes out as zero, its sign can depend
-on which of several equal products is taken, so the product is then formed
-from all four in the fixed order.
+when either operand is one-signed, four when both straddle zero).  Round to
+nearest is monotone and so is the step, so the product with the extreme
+exact value rounds to the extreme endpoint.  When an endpoint comes out as
+zero, its sign can depend on which of several equal products is taken, so
+the product is then formed from all four in the fixed order.
 
 General division is not provided.  The quotients in the toolkit are
 1/sqrt(R) over boxes where the radicand R is strictly positive (in the true
@@ -40,34 +37,23 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import Callable
 
 # Negative radicands at least this small are treated as rounding artifacts of
 # points on the region boundary, where the radicand vanishes exactly.
 CLAMP_TOL = 1e-12
 
-_SPLITTER = 134217729.0  # 2**27 + 1, Dekker/Veltkamp splitting constant
 _INF = math.inf
-# The rounding error of x*y is a multiple of ulp(x)*ulp(y).  Where
-# |x*y| >= 2**-969 that is a multiple of 2**-1074, so the error and the split
-# products that compute it are floats and the sign test is exact.  Below, they
-# can be subnormal and lose bits: the product and square-root helpers then
-# nudge without trusting the test.
-_TINY = 2.0**-969
 
 
 class NegativeRadicandError(ArithmeticError):
     """Radicand is entirely below the clamp tolerance: point outside the domain."""
 
 
-# Each helper below computes the exact rounding error of its float result
-# inline (see the module docstring).  Veltkamp's split by _SPLITTER cuts a
-# double into two halves of at most 26 bits, whose products are exact.
-
-
 def _add_down(x: float, y: float) -> float:
     s = x + y
     bb = s - x
-    if (x - (s - bb)) + (y - bb) < 0.0:
+    if not (x - (s - bb)) + (y - bb) >= 0.0:
         return math.nextafter(s, -_INF)
     return s
 
@@ -75,97 +61,43 @@ def _add_down(x: float, y: float) -> float:
 def _add_up(x: float, y: float) -> float:
     s = x + y
     bb = s - x
-    if (x - (s - bb)) + (y - bb) > 0.0:
+    if not (x - (s - bb)) + (y - bb) <= 0.0:
         return math.nextafter(s, _INF)
     return s
 
 
 def _mul_down(x: float, y: float) -> float:
-    p = x * y
-    c = _SPLITTER * x
-    xh = c - (c - x)
-    xl = x - xh
-    c = _SPLITTER * y
-    yh = c - (c - y)
-    yl = y - yh
-    if not ((xh * yh - p) + xh * yl + xl * yh) + xl * yl >= 0.0:
-        return math.nextafter(p, -_INF)
-    if p < _TINY and -_TINY < p and x and y:
-        return math.nextafter(p, -_INF)
-    return p
+    if x and y:
+        return math.nextafter(x * y, -_INF)
+    return x * y
 
 
 def _mul_up(x: float, y: float) -> float:
-    p = x * y
-    c = _SPLITTER * x
-    xh = c - (c - x)
-    xl = x - xh
-    c = _SPLITTER * y
-    yh = c - (c - y)
-    yl = y - yh
-    if not ((xh * yh - p) + xh * yl + xl * yh) + xl * yl <= 0.0:
-        return math.nextafter(p, _INF)
-    if p < _TINY and -_TINY < p and x and y:
-        return math.nextafter(p, _INF)
-    return p
+    if x and y:
+        return math.nextafter(x * y, _INF)
+    return x * y
 
 
 def _sqrt_down(x: float) -> float:
     if x <= 0.0:
         return 0.0
-    r = math.sqrt(x)
-    rr = r * r
-    c = _SPLITTER * r
-    rh = c - (c - r)
-    rl = r - rh
-    t = rh * rl
-    if rr > x or (rr == x and ((rh * rh - rr) + t + t) + rl * rl > 0.0) or x < _TINY:
-        return math.nextafter(r, -_INF)
-    return r
+    return math.nextafter(math.sqrt(x), -_INF)
 
 
 def _sqrt_up(x: float) -> float:
     if x <= 0.0:
         return 0.0
-    r = math.sqrt(x)
-    rr = r * r
-    c = _SPLITTER * r
-    rh = c - (c - r)
-    rl = r - rh
-    t = rh * rl
-    if rr < x or (rr == x and ((rh * rh - rr) + t + t) + rl * rl < 0.0) or x < _TINY:
-        return math.nextafter(r, _INF)
-    return r
+    return math.nextafter(math.sqrt(x), _INF)
 
 
 def _recip_up(v: float) -> float:
     """Upward-rounded 1/v for v > 0."""
-    r = 1.0 / v
-    p = r * v
-    c = _SPLITTER * r
-    rh = c - (c - r)
-    rl = r - rh
-    c = _SPLITTER * v
-    vh = c - (c - v)
-    vl = v - vh
-    if p < 1.0 or (p == 1.0 and not ((rh * vh - p) + rh * vl + rl * vh) + rl * vl >= 0.0):
-        return math.nextafter(r, _INF)
-    return r
+    return math.nextafter(1.0 / v, _INF)
 
 
 def _recip_down(v: float) -> float:
     """Downward-rounded 1/v for v > 0."""
-    r = 1.0 / v
-    p = r * v
-    c = _SPLITTER * r
-    rh = c - (c - r)
-    rl = r - rh
-    c = _SPLITTER * v
-    vh = c - (c - v)
-    vl = v - vh
-    if p > 1.0 or (p == 1.0 and not ((rh * vh - p) + rh * vl + rl * vh) + rl * vl <= 0.0):
-        return math.nextafter(r, -_INF)
-    return r
+    return math.nextafter(1.0 / v, -_INF)
 
 
 def _pow_down(x: float, n: int) -> float:
@@ -213,6 +145,20 @@ class Interval:
             return cls(math.nextafter(f, -_INF), f)
         return cls(f, math.nextafter(f, _INF))
 
+    @classmethod
+    def from_root(cls, g: Callable[[Fraction], Fraction], guess: float) -> Interval:
+        """Tightest interval with float endpoints containing the zero of g.
+
+        g is increasing, rational on `Fraction` input, and has its zero near
+        the float `guess`: step from guess to the floats on either side of it.
+        """
+        t = guess
+        while g(Fraction(t)) > 0:
+            t = math.nextafter(t, -_INF)
+        while g(Fraction(t)) < 0:
+            t = math.nextafter(t, _INF)
+        return cls(t if g(Fraction(t)) == 0 else math.nextafter(t, -_INF), t)
+
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other: Interval) -> Interval:
@@ -226,8 +172,9 @@ class Interval:
 
     def __mul__(self, other: Interval) -> Interval:
         a, b, c, d = self.lo, self.hi, other.lo, other.hi
-        # Directed rounding is monotone, so the endpoint product named by the
-        # sign case rounds to the same float as the min / max of all four.
+        # Round to nearest and the outward step are both monotone, so the
+        # endpoint product named by the sign case rounds to the same float as
+        # the min / max of all four.
         if a >= 0.0:
             if c >= 0.0:
                 lo, hi = _mul_down(a, c), _mul_up(b, d)
@@ -344,10 +291,7 @@ def hull_of(intervals: list[Interval]) -> Interval:
     return Interval(lo, hi)
 
 
-# Shared irrational constants, as tight verified enclosures.
-SQRT3 = Interval.point(3.0).sqrt_clamped()
-SQRT5 = Interval.point(5.0).sqrt_clamped()
-SQRT7 = Interval.point(7.0).sqrt_clamped()
-INV_SQRT3 = SQRT3 * Interval.from_fraction(Fraction(1, 3))
-INV_SQRT5 = SQRT5 * Interval.from_fraction(Fraction(1, 5))
-INV_SQRT7 = SQRT7 * Interval.from_fraction(Fraction(1, 7))
+# Shared irrational constants, as the tightest float enclosures.
+INV_SQRT3 = Interval.from_root(lambda t: 3 * t * t - 1, 1.0 / math.sqrt(3.0))
+INV_SQRT5 = Interval.from_root(lambda t: 5 * t * t - 1, 1.0 / math.sqrt(5.0))
+INV_SQRT7 = Interval.from_root(lambda t: 7 * t * t - 1, 1.0 / math.sqrt(7.0))

@@ -225,9 +225,6 @@ PRESETS: dict[str, Callable[[int], PowerSeries]] = {
     "koebe": _koebe,
 }
 
-#: presets whose inverse is also univalent on the disc (the bound claims apply)
-BI_UNIVALENT_PRESETS = ("identity", "geometric", "atanh")
-
 
 def random_test_vector(rng: np.random.Generator, max_len: int = 8) -> TestVector:
     k = int(rng.integers(1, max_len + 1))

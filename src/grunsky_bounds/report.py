@@ -38,6 +38,7 @@ class ClaimRow:
     note: str = ""
 
     def as_record(self) -> dict:
+        """The JSON record: the CSV columns, then the row's note."""
         return {
             "claim_id": self.claim_id,
             "paper_value": self.paper_value,
@@ -48,6 +49,7 @@ class ClaimRow:
             "kind": self.kind,
             "status": self.status,
             "runtime_ms": self.runtime_ms,
+            "note": self.note,
         }
 
 

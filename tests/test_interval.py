@@ -2,12 +2,12 @@
 
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
 from grunsky_bounds.interval import (
-    _TINY,
     CLAMP_TOL,
     Interval,
     NegativeRadicandError,
@@ -40,7 +40,8 @@ def test_add_outward_rounding_encloses_decimal_sum():
 
 
 def test_mul_sign_cases():
-    assert Interval(-1, 2) * Interval(3, 4) == Interval(-4, 8)
+    # each endpoint is one product, rounded to nearest and stepped outward
+    assert Interval(-1, 2) * Interval(3, 4) == Interval(math.nextafter(-4.0, -math.inf), math.nextafter(8.0, math.inf))
 
 
 def test_mul_annihilator():
@@ -48,13 +49,18 @@ def test_mul_annihilator():
 
 
 def test_pow_even_tightening():
-    assert Interval(-1, 1) ** 2 == Interval(0, 1)
-    assert Interval(-2, 1) ** 2 == Interval(0, 4)
-    assert Interval(-2, -1) ** 2 == Interval(1, 4)
+    # a square over an interval that straddles zero starts at 0 exactly
+    for iv, lo, hi in ((Interval(-1, 1), 0, 1), (Interval(-2, 1), 0, 4), (Interval(-2, -1), 1, 4)):
+        sq = iv**2
+        _assert_outward(sq.lo, sq.hi, Fraction(lo), Fraction(hi))
+        if lo == 0:
+            assert sq.lo == 0.0
 
 
 def test_pow_odd_preserves_sign():
-    assert Interval(-2, 3) ** 3 == Interval(-8, 27)
+    # a cube is two products, each at most one step outside its directed rounding
+    cube = Interval(-2, 3) ** 3
+    assert -8.0 - 4 * math.ulp(8.0) <= cube.lo < -8.0 < 27.0 < cube.hi <= 27.0 + 4 * math.ulp(27.0)
 
 
 def test_width_and_hull():
@@ -64,7 +70,8 @@ def test_width_and_hull():
 
 
 def test_sqrt_exact():
-    assert Interval(4, 9).sqrt_clamped() == Interval(2, 3)
+    # an exact square root is stepped outward too; only a zero radicand stays exact
+    assert Interval(4, 9).sqrt_clamped() == Interval(math.nextafter(2.0, -math.inf), math.nextafter(3.0, math.inf))
     assert Interval(0, 0).sqrt_clamped() == Interval(0, 0)
 
 
@@ -163,7 +170,8 @@ def test_recip_encloses_exact_reciprocal():
         r = iv.recip()
         assert Fraction(r.lo) <= 1 / Fraction(iv.hi)
         assert 1 / Fraction(iv.lo) <= Fraction(r.hi)
-    assert Interval(2.0, 4.0).recip() == Interval(0.25, 0.5)
+        _assert_outward(r.lo, r.hi, 1 / Fraction(iv.hi), 1 / Fraction(iv.lo))
+    assert Interval(2.0, 4.0).recip() == Interval(math.nextafter(0.25, -math.inf), math.nextafter(0.5, math.inf))
 
 
 def test_recip_rejects_non_positive():
@@ -215,6 +223,48 @@ def _assert_directed(down: float, up: float, exact: Fraction) -> None:
         assert down == up == float(exact)
 
 
+_MAX = sys.float_info.max
+
+
+def _directed(q: Fraction) -> tuple[float, float]:
+    """The largest float <= q and the smallest float >= q, +-inf beyond the range."""
+    if q > _MAX:
+        return _MAX, math.inf
+    if q < -_MAX:
+        return -math.inf, -_MAX
+    iv = Interval.from_fraction(q)
+    return iv.lo, iv.hi
+
+
+def _sqrt_directed(x: float) -> tuple[float, float]:
+    """The directed roundings of sqrt(x), x >= 0, from an integer square root.
+
+    s = isqrt(floor(x * 4**k)) gives s/2**k <= sqrt(x) < (s + 1)/2**k.  With
+    k >= 1074 every float is a multiple of 2**-k, so no float lies strictly
+    between the two bounds.
+    """
+    k = 1100
+    q = Fraction(x)
+    n = q.numerator << (2 * k)
+    s = math.isqrt(n // q.denominator)
+    rd, ru = _directed(Fraction(s, 1 << k))
+    if s * s * q.denominator == n:
+        return rd, ru
+    return rd, math.nextafter(rd, math.inf)
+
+
+def _assert_steps(down: float, up: float, rd: float, ru: float) -> None:
+    """down is rd or the float below it; up is ru or the float above it."""
+    assert down in (rd, math.nextafter(rd, -math.inf)), (down, rd)
+    assert up in (ru, math.nextafter(ru, math.inf)), (up, ru)
+
+
+def _assert_outward(down: float, up: float, exact: Fraction, exact_hi: Fraction | None = None) -> None:
+    """down <= exact <= up (exact_hi for up when given), each the directed
+    rounding of its exact value or the float one step further out."""
+    _assert_steps(down, up, _directed(exact)[0], _directed(exact if exact_hi is None else exact_hi)[1])
+
+
 def _operand_pairs():
     pool = _ADVERSARIAL + _random_operands(31, 60)
     rng = random.Random(32)
@@ -232,35 +282,32 @@ def test_add_helpers_round_in_their_direction():
 
 def test_mul_helpers_round_in_their_direction():
     for x, y in _operand_pairs():
-        _assert_directed(_mul_down(x, y), _mul_up(x, y), Fraction(x) * Fraction(y))
-    tie = (2.0**27 + 1.0, 2.0**27 - 1.0)  # exact product 2**54 - 1 is halfway
-    assert (_mul_down(*tie), _mul_up(*tie)) == (2.0**54 - 2.0, 2.0**54)
+        down, up = _mul_down(x, y), _mul_up(x, y)
+        _assert_outward(down, up, Fraction(x) * Fraction(y))
+        if not (x and y):
+            assert down == up == 0.0  # a zero operand makes the product exact
+    tie = (2.0**27 + 1.0, 2.0**27 - 1.0)  # exact product 2**54 - 1 is halfway, rounds to 2**54
+    assert (_mul_down(*tie), _mul_up(*tie)) == (2.0**54 - 2.0, 2.0**54 + 4.0)
 
 
 def test_sqrt_helpers_round_in_their_direction():
     pool = [abs(x) for x in _ADVERSARIAL + _random_operands(33, 3_000)]
     for x in pool:
         down, up = _sqrt_down(x), _sqrt_up(x)
-        q = Fraction(x)
-        assert Fraction(down) ** 2 <= q <= Fraction(up) ** 2
-        assert Fraction(math.nextafter(down, math.inf)) ** 2 > q
-        if up > 0.0:
-            assert Fraction(math.nextafter(up, -math.inf)) ** 2 < q
-        root = math.sqrt(x)
-        if Fraction(root) ** 2 == q:
-            assert down == up == root
-    assert (_sqrt_down(2.25), _sqrt_up(2.25)) == (1.5, 1.5)
+        _assert_steps(down, up, *_sqrt_directed(x))
+        assert Fraction(down) ** 2 <= Fraction(x) <= Fraction(up) ** 2
+    assert (_sqrt_down(2.25), _sqrt_up(2.25)) == (math.nextafter(1.5, -math.inf), math.nextafter(1.5, math.inf))
     assert _sqrt_down(-1.0) == _sqrt_up(-0.0) == 0.0
 
 
 def test_recip_helpers_round_in_their_direction():
     pool = [abs(x) for x in _ADVERSARIAL + _random_operands(34, 3_000) if x != 0.0]
     for v in pool:
-        _assert_directed(_recip_down(v), _recip_up(v), 1 / Fraction(v))
+        _assert_outward(_recip_down(v), _recip_up(v), 1 / Fraction(v))
 
 
 def test_helpers_stay_outward_when_the_split_overflows():
-    # above about 2**996 the Veltkamp split overflows and the error term is NaN
+    # operands near the top of the float range
     x, y = 1.1 * 2.0**1000, 1.0 + 2.0**-52
     w = Interval(x, x) * Interval(y, y)
     assert Fraction(w.lo) <= Fraction(x) * Fraction(y) <= Fraction(w.hi)
@@ -282,7 +329,8 @@ def _tiny_float(rng: random.Random, lo_exp: int, hi_exp: int) -> float:
 
 
 def test_helpers_stay_outward_when_the_product_underflows():
-    # below _TINY the error terms of the split can be subnormal and lose bits
+    # products and radicands far below 2**-969, where the rounding error of a
+    # product (a multiple of ulp(x)*ulp(y)) is no longer a float
     x, y = 7.377944167289668e-147, 5.646738039741869e-169
     w = Interval(x, x) * Interval(y, y)
     assert Fraction(w.lo) <= Fraction(x) * Fraction(y) <= Fraction(w.hi)
@@ -299,25 +347,81 @@ def test_helpers_stay_outward_when_the_product_underflows():
     assert _mul_down(0.0, 2.0**-1000) == _mul_up(-(2.0**-1000), 0.0) == 0.0
 
 
-def test_helpers_are_exact_down_to_the_underflow_threshold():
-    # at and above _TINY the test is exact, so the helpers round as tightly as
-    # in the normal range, subnormal operands included
+def test_helpers_stay_one_step_outward_around_the_underflow_threshold():
+    # products and radicands on both sides of 2**-969, the smallest magnitude
+    # at which the rounding error of a product is still a float; subnormal
+    # operands included
     rng = random.Random(40)
     checked = 0
     while checked < 3_000:
         ex = rng.randint(-1073, 1000)
-        ey = rng.randint(-968, -950) - ex
+        ey = rng.randint(-990, -950) - ex
         if ey < -1073 or ey > 1000:
             continue
         x, y = _tiny_float(rng, ex, ex), _tiny_float(rng, ey, ey)
-        if abs(x * y) < _TINY:
-            continue
         checked += 1
-        _assert_directed(_mul_down(x, y), _mul_up(x, y), Fraction(x) * Fraction(y))
-        r = math.ldexp(rng.uniform(1.0, 2.0), rng.randint(-969, -940))
-        down, up = _sqrt_down(r), _sqrt_up(r)
-        assert Fraction(math.nextafter(down, math.inf)) ** 2 > Fraction(r)
-        assert Fraction(math.nextafter(up, -math.inf)) ** 2 < Fraction(r)
+        _assert_outward(_mul_down(x, y), _mul_up(x, y), Fraction(x) * Fraction(y))
+        r = math.ldexp(rng.uniform(1.0, 2.0), rng.randint(-990, -940))
+        _assert_steps(_sqrt_down(r), _sqrt_up(r), *_sqrt_directed(r))
+
+
+def _subnormal(rng: random.Random) -> float:
+    return math.ldexp(rng.randint(1, 2**52 - 1), -1074)
+
+
+def test_kernel_against_fraction_oracle():
+    """Every scalar helper against exact rational arithmetic, across the range.
+
+    Products and sums: normal operands, subnormal products, products that
+    underflow to zero, operands of at least 2**996, products and sums that
+    overflow, signed zeros and exact products.  Square roots and reciprocals:
+    normal, subnormal and huge operands, and exact roots.
+    """
+    rng = random.Random(41)
+    pairs = [(_tiny_float(rng, -60, 60), _tiny_float(rng, -60, 60)) for _ in range(1_000)]
+    for lo, hi in ((-1072, -1023), (-1200, -1077)):
+        for _ in range(1_000):
+            ex = rng.randint(-700, -400)
+            pairs.append((_tiny_float(rng, ex, ex), _tiny_float(rng, lo - ex, hi - ex)))
+    pairs += [(_tiny_float(rng, 997, 1024), _tiny_float(rng, -30, 30)) for _ in range(1_000)]
+    huge = [_tiny_float(rng, 1023, 1024) for _ in range(600)]
+    pairs += [(v, math.copysign(w, v)) for v, w in zip(huge, huge[::-1])]
+    pairs += [(_subnormal(rng), _tiny_float(rng, -30, 30)) for _ in range(300)]
+    others = [x for pair in pairs[::10] for x in pair]
+    pairs += [(z, v) for z in (0.0, -0.0) for v in others] + [(v, -0.0) for v in others]
+    pairs += [(math.ldexp(1.0, rng.randint(-60, 60)), v) for v in others]
+    pairs += [(float(i), float(j)) for i in range(-9, 10) for j in range(1, 30)]
+    seen = {"subnormal": 0, "underflow": 0, "overflow": 0, "sum overflow": 0}
+    for x, y in pairs:
+        exact = Fraction(x) * Fraction(y)
+        down, up = _mul_down(x, y), _mul_up(x, y)
+        _assert_outward(down, up, exact)
+        if exact == 0:
+            assert down == up == 0.0
+        # TwoSum finds the exact error, so sums are the directed roundings
+        assert (_add_down(x, y), _add_up(x, y)) == _directed(Fraction(x) + Fraction(y))
+        seen["subnormal"] += 0 < abs(exact) < 2.0**-1022
+        seen["underflow"] += exact != 0 and x * y == 0.0
+        seen["overflow"] += math.isinf(x * y)
+        seen["sum overflow"] += math.isinf(x + y)
+    assert min(seen.values()) >= 100, seen
+
+    singles = [abs(_tiny_float(rng, -60, 60)) for _ in range(1_000)]
+    singles += [_subnormal(rng) for _ in range(500)]
+    singles += [abs(_tiny_float(rng, 997, 1024)) for _ in range(500)]
+    singles += [float(k * k) for k in range(1, 100)] + [math.ldexp(1.0, 2 * k) for k in range(-537, 512)]
+    for v in singles:
+        _assert_steps(_sqrt_down(v), _sqrt_up(v), *_sqrt_directed(v))
+        _assert_outward(_recip_down(v), _recip_up(v), 1 / Fraction(v))
+    assert _sqrt_down(0.0) == _sqrt_up(-0.0) == 0.0
+
+    # roots whose float square rounds back to the radicand, though inexact
+    for x in (0.1, 1.4030927323372038, 3.542301210811698):
+        r = math.sqrt(x)
+        assert r * r == x and Fraction(r) ** 2 != Fraction(x)
+        down, up = _sqrt_down(x), _sqrt_up(x)
+        assert Fraction(down) ** 2 < Fraction(x) < Fraction(up) ** 2
+        _assert_steps(down, up, *_sqrt_directed(x))
 
 
 # -- sign-split interval product against the four-product reference --------------

@@ -407,99 +407,99 @@ def test_enclosures_contain_sampled_values():
 #: move: value, argmax x and argmax y (each "lo hi" by float.hex), kind, iterations
 BNB_PINS = {
     ("f2", 1e-05): (
-        "0x1.bb11fe69c8e97p+1 0x1.bb1244aa47768p+1",
+        "0x1.bb11fe69c8e96p+1 0x1.bb1244aa4776cp+1",
         "0x1.7bc9eb851eb86p-1 0x1.7c28f5c28f5c3p-1",
-        "0x1.753f8c3b18ec8p-2 0x1.779322307e5ecp-2",
+        "0x1.753f8c3b18ecap-2 0x1.779322307e5eep-2",
         EdgeId.X_A, 101,
     ),
     ("f3", 1e-05): (
-        "0x1.3f9004bfbb225p+2 0x1.3f9024516ac3bp+2",
+        "0x1.3f9004bfbb223p+2 0x1.3f9024516ac3dp+2",
         "0x1.7bf970a3d70a4p-1 0x1.7c28f5c28f5c3p-1",
-        "0x1.5a2d1859652fcp-2 0x1.5c14647f43d30p-2",
+        "0x1.5a2d1859652fep-2 0x1.5c14647f43d32p-2",
         EdgeId.X_A, 110,
     ),
     ("f4", 1e-05): (
-        "0x1.2c918cbf4e5f5p+0 0x1.2c92278c8bf01p+0",
+        "0x1.2c918cbf4e5f5p+0 0x1.2c92278c8bf02p+0",
         "0x1.42fcccccccccdp-1 0x1.4ca3d70a3d70ap-1",
-        "0x1.6a76320f2b4f5p-2 0x1.7ec408f8721cep-2",
+        "0x1.6a76320f2b4f7p-2 0x1.7ec408f8721d0p-2",
         None, 283,
     ),
     ("f5", 1e-05): (
-        "0x1.d29aeba98d89ap+0 0x1.d29b907df6f2ap+0",
+        "0x1.d29aeba98d895p+0 0x1.d29b907df6f2dp+0",
         "0x1.6c9147ae147adp-1 0x1.7105c28f5c28fp-1",
-        "0x1.3d9fa221599ecp-2 0x1.453cd2b8d42bcp-2",
+        "0x1.3d9fa221599eep-2 0x1.453cd2b8d42bep-2",
         None, 354,
     ),
     ("f6", 1e-05): (
-        "0x1.47ca4960337dbp+0 0x1.47caeb455fcd1p+0",
+        "0x1.47ca4960337d7p+0 0x1.47caeb455fcd5p+0",
         "0x1.1e9ae147ae148p-2 0x1.20d51eb851eb9p-2",
         "0x1.13f44a3ffae5ep-1 0x1.145e0368adabbp-1",
         EdgeId.CURVE_LOW, 247,
     ),
     ("f7", 1e-05): (
-        "0x1.5324a45452564p-1 0x1.53255363bfad1p-1",
+        "0x1.5324a45452562p-1 0x1.53255363bfad3p-1",
         "0x1.7b6ae147ae148p-1 0x1.7c28f5c28f5c3p-1",
-        "0x1.8afe1e916af38p-2 0x1.8cf73c04a47efp-2",
+        "0x1.8afe1e916af3ap-2 0x1.8cf73c04a47f0p-2",
         EdgeId.X_A, 20,
     ),
     ("f8", 1e-05): (
-        "0x1.1a5292af8dfdbp-1 0x1.1a53bc4391efap-1",
+        "0x1.1a5292af8dfdap-1 0x1.1a53bc4391efcp-1",
         "0x1.7b6ae147ae148p-1 0x1.7c28f5c28f5c3p-1",
-        "0x1.0f42cac54e407p-2 0x1.15dc87edd9a18p-2",
+        "0x1.0f42cac54e408p-2 0x1.15dc87edd9a1ap-2",
         EdgeId.X_A, 97,
     ),
     ("f9", 1e-05): (
-        "0x1.3a0553e2a6f0cp-1 0x1.3a06996e761d5p-1",
+        "0x1.3a0553e2a6f0bp-1 0x1.3a06996e761d7p-1",
         "0x1.763851eb851ecp-1 0x1.7c28f5c28f5c3p-1",
-        "0x1.8a8fb2935a8c4p-3 0x1.acdef9c18ef18p-3",
+        "0x1.8a8fb2935a8c6p-3 0x1.acdef9c18ef1ap-3",
         EdgeId.X_A, 119,
     ),
     ("f2", 1e-09): (
-        "0x1.bb11ff6d41bd3p+1 0x1.bb11ff6f63c81p+1",
+        "0x1.bb11ff6d41bd1p+1 0x1.bb11ff6f63c82p+1",
         "0x1.7c2837ae147aep-1 0x1.7c28f5c28f5c3p-1",
-        "0x1.76073451b97a0p-2 0x1.760ed18250f4ap-2",
+        "0x1.76073451b97a2p-2 0x1.760ed18250f4cp-2",
         EdgeId.X_A, 174,
     ),
     ("f3", 1e-09): (
-        "0x1.3f9006357c689p+2 0x1.3f9006368cddfp+2",
+        "0x1.3f9006357c687p+2 0x1.3f9006368cde1p+2",
         "0x1.7c2837ae147aep-1 0x1.7c28f5c28f5c3p-1",
-        "0x1.5aed233f6e42cp-2 0x1.5af4c07005bd4p-2",
+        "0x1.5aed233f6e42ep-2 0x1.5af4c07005bd6p-2",
         EdgeId.X_A, 182,
     ),
     ("f4", 1e-09): (
-        "0x1.2c918d4e3c9b8p+0 0x1.2c918d526c8a8p+0",
+        "0x1.2c918d4e3c9b8p+0 0x1.2c918d526c8aap+0",
         "0x1.44cc1eb851eb8p-1 0x1.44ddf0a3d70a4p-1",
-        "0x1.6f7c1e8f8c28ep-2 0x1.6fbfccb1406a2p-2",
+        "0x1.6f7c1e8f8c290p-2 0x1.6fbfccb1406a4p-2",
         None, 508,
     ),
     ("f5", 1e-09): (
-        "0x1.d29aed74e362ap+0 0x1.d29aed78fa44bp+0",
+        "0x1.d29aed74e3627p+0 0x1.d29aed78fa44ep+0",
         "0x1.6f60051eb851ep-1 0x1.701828f5c28f5p-1",
-        "0x1.3f50c95f74da8p-2 0x1.404e965dd8cf8p-2",
+        "0x1.3f50c95f74daap-2 0x1.404e965dd8cfap-2",
         None, 679,
     ),
     ("f6", 1e-09): (
-        "0x1.47ca4dd0fa1a7p+0 0x1.47ca4dd4d57bbp+0",
+        "0x1.47ca4dd0fa1a4p+0 0x1.47ca4dd4d57bfp+0",
         "0x1.1fccca3d70a3ep-2 0x1.1fda27ae147afp-2",
         "0x1.143800cc08278p-1 0x1.143aadedfec8ep-1",
         EdgeId.CURVE_LOW, 325,
     ),
     ("f7", 1e-09): (
-        "0x1.5324a45452564p-1 0x1.5324a45ce08b3p-1",
+        "0x1.5324a45452562p-1 0x1.5324a45ce08b5p-1",
         "0x1.7c25fd70a3d72p-1 0x1.7c28f5c28f5c3p-1",
-        "0x1.8c03088a790f2p-2 0x1.8c0845b72e3f6p-2",
+        "0x1.8c03088a790f4p-2 0x1.8c0845b72e3f7p-2",
         EdgeId.X_A, 34,
     ),
     ("f8", 1e-09): (
-        "0x1.1a52a2f16420fp-1 0x1.1a52a2f60bcd1p-1",
+        "0x1.1a52a2f16420ep-1 0x1.1a52a2f60bcd2p-1",
         "0x1.7c11333333334p-1 0x1.7c28f5c28f5c3p-1",
-        "0x1.11ac5dc68def9p-2 0x1.12134b9c188ccp-2",
+        "0x1.11ac5dc68defap-2 0x1.12134b9c188cep-2",
         EdgeId.X_A, 150,
     ),
     ("f9", 1e-09): (
-        "0x1.3a05543982078p-1 0x1.3a055441777d8p-1",
+        "0x1.3a05543982077p-1 0x1.3a055441777dap-1",
         "0x1.7c25fd70a3d72p-1 0x1.7c28f5c28f5c3p-1",
-        "0x1.9da03fe0c7298p-3 0x1.9dcb22f9c0eb0p-3",
+        "0x1.9da03fe0c729ap-3 0x1.9dcb22f9c0eb2p-3",
         EdgeId.X_A, 180,
     ),
 }
@@ -731,12 +731,12 @@ def test_critical_budget_downgrade():
 CRITICAL_POINTS = {
     ObjectiveId.F2: ([], 1),
     ObjectiveId.F3: ([], 0),
-    ObjectiveId.F4: ([("0x1.44d52ce532d18p-1", "0x1.44d5339b2f782p-1",
-                       "0x1.6f9afe3b6622bp-2", "0x1.6f9b0ba75f701p-2")], 1),
+    ObjectiveId.F4: ([("0x1.44d52ce532d17p-1", "0x1.44d5339b2f781p-1",
+                       "0x1.6f9afe3b6622cp-2", "0x1.6f9b0ba75f702p-2")], 1),
     ObjectiveId.F5: ([("0x1.6f696a9f27657p-1", "0x1.6f697155240c1p-1",
                        "0x1.4041f0f592cd5p-2", "0x1.4041fe618c1abp-2")], 0),
-    ObjectiveId.F6: ([("0x1.3608063ad5cd1p-1", "0x1.36080cf0d273bp-1",
-                       "0x1.94976c854a1e7p-2", "0x1.949779f1436bdp-2")], 0),
+    ObjectiveId.F6: ([("0x1.3608063ad5cd0p-1", "0x1.36080cf0d273ap-1",
+                       "0x1.94976c854a1e9p-2", "0x1.949779f1436bfp-2")], 0),
     ObjectiveId.F7: ([], 0),
     ObjectiveId.F8: ([], 1),
     ObjectiveId.F9: ([], 0),

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from grunsky_bounds.oracle import (
-    BI_UNIVALENT_PRESETS,
     PRESETS,
     TestVector as Vector,
     check_coefficient_identities,
@@ -158,6 +157,9 @@ def test_gamma_two_paths_agree(preset):
 # ---------------------------------------------------------------------------
 # consistency bridge to the maximization layer
 # ---------------------------------------------------------------------------
+
+#: presets whose inverse is also univalent on the disc (the bound claims apply)
+BI_UNIVALENT_PRESETS = ("identity", "geometric", "atanh")
 
 BOUNDS = {
     "a3": 2.428,

@@ -1,5 +1,8 @@
 """Report rows, emission formats, CLI exit codes, determinism."""
 
+import csv
+import dataclasses
+import io
 import json
 import re
 
@@ -23,14 +26,18 @@ def test_csv_header_is_pinned(cheap_rows):
     text = emit(cheap_rows, "csv")
     assert text.splitlines()[0] == "claim_id,paper_value,lo,hi,argmax_x,argmax_y,kind,status,runtime_ms"
     assert ",".join(CSV_COLUMNS) == text.splitlines()[0]
+    # the note is JSON-only: every CSV row keeps the nine columns
+    assert all(len(row) == len(CSV_COLUMNS) for row in csv.reader(io.StringIO(text)))
 
 
 def test_json_schema(cheap_rows):
     records = json.loads(emit(cheap_rows, "json"))
     assert len(records) == len(CHEAP)
-    for rec in records:
-        assert set(rec) == set(CSV_COLUMNS)
+    for rec, row in zip(records, cheap_rows):
+        assert list(rec) == [*CSV_COLUMNS, "note"]
+        assert rec["note"] == row.note
     assert records[0]["status"] == "PASS"
+    assert records[2]["note"].startswith("curve crossing residual")
 
 
 def test_empty_selection_gives_empty_report():
@@ -113,6 +120,41 @@ def test_cli_budget_exhaustion_nonzero_exit(capsys):
     code = main(["maximize", "--objective", "f2", "--max-boxes", "5"])
     capsys.readouterr()
     assert code == 1
+
+
+@pytest.mark.parametrize("max_boxes", [1, 10, 100, 300])
+def test_cli_verify_budget_gives_no_fail_row(max_boxes, capsys):
+    # a budget that runs out leaves a row unsettled: INCONCLUSIVE, never FAIL
+    code = main(["verify", "--max-boxes", str(max_boxes), "--format", "json"])
+    records = {r["claim_id"]: r for r in json.loads(capsys.readouterr().out)}
+    assert code == 1
+    assert [cid for cid, r in records.items() if r["status"] == "FAIL"] == []
+    edge_table = records["EDGE_TABLE"]
+    assert edge_table["status"] == "INCONCLUSIVE"
+    assert "inconclusive" in edge_table["note"] or "not certified" in edge_table["note"]
+    if max_boxes == 1:
+        assert records["THM1_A3"]["status"] == "INCONCLUSIVE"
+        assert "endpoint analysis inconclusive" in records["THM1_A3"]["note"]
+
+
+#: wrong targets for entries of each kind: a point value, an edge maximum, an
+#: edge root and an interior coordinate
+WRONG_TARGETS = {"f2(0,0)": "0.900", "g1 max": "1.300", "f2 x=a root": "0.400",
+                 "f6 interior x": "0.700"}
+
+
+@pytest.mark.parametrize("max_boxes, failing", [
+    pytest.param(10_000_000, sorted(WRONG_TARGETS), id="default-budget"),
+    pytest.param(1, ["f2(0,0)"], id="one-box"),  # the other three are unsettled
+])
+def test_a_wrong_edge_table_target_still_fails(max_boxes, failing, monkeypatch):
+    table = tuple(dataclasses.replace(c, target=WRONG_TARGETS.get(c.label, c.target))
+                  for c in claims.EDGE_CONSTANTS)
+    monkeypatch.setattr(claims, "EDGE_CONSTANTS", table)
+    row = run_suite(["EDGE_TABLE"], SuiteConfig(max_boxes=max_boxes))[0]
+    assert row.status == "FAIL"
+    missed = sorted(label for label in WRONG_TARGETS if f"{label}: [" in row.note)
+    assert missed == failing, row.note
 
 
 def test_cli_edges_lists_the_pieces_in_table_order(capsys):
