@@ -9,7 +9,8 @@ window is widened to the half-ulp rounding window and the row carries a note.
 
 Edge endpoints, (x, y) lifts and edge order come from the table
 `domain.EDGES`.  A row that rests on an uncertified interior critical-point
-search, or on an edge analysis whose box budget ran out, is INCONCLUSIVE:
+search, on an edge analysis whose box budget ran out, or on an enclosure
+wider than `MAX_ENCLOSURE_WIDTH` that still meets its window, is INCONCLUSIVE:
 FAIL needs a verified enclosure that misses the published window, or a proof
 that contradicts the claim.
 """
@@ -58,7 +59,7 @@ PASS = "PASS"
 FAIL = "FAIL"
 INCONCLUSIVE = "INCONCLUSIVE"
 
-#: guard on every reported enclosure width
+#: widest enclosure that decides a row; a wider one leaves it INCONCLUSIVE
 MAX_ENCLOSURE_WIDTH = 1e-4
 
 
@@ -282,22 +283,29 @@ def _value_outcome(
     ext = ctx.extremum(oid)
     loc = ctx.locate(oid)
     out = ClaimOutcome(PASS, ext.value, loc.argmax, loc.kind)
+    unsettled: list[str] = []
     problems: list[str] = []
     if not ext.converged:
         out.status = INCONCLUSIVE
-        problems.append("maximizer budget exhausted")
+        unsettled.append("maximizer budget exhausted")
     if ext.value.width > MAX_ENCLOSURE_WIDTH:
-        problems.append(f"enclosure width {ext.value.width:.2e} above bound")
+        unsettled.append(f"enclosure width {ext.value.width:.2e} above bound")
     if not in_window(ext.value, target, 3):
         problems.append(f"enclosure misses window {target}")
     if not loc.decomposition_consistent:
         problems.append("edge/critical decomposition disagrees with global enclosure")
     if checks:
         problems.extend(checks(ctx, out))
-    if problems and out.status == PASS:
-        out.status = FAIL
-    out.note = "; ".join(problems)
+    _settle(out, unsettled, problems)
     return out
+
+
+def _settle(out: ClaimOutcome, unsettled: list[str], problems: list[str]) -> None:
+    """A PASS row with a refutation is FAIL; with only unsettled reasons
+    (a wide enclosure that meets its window refutes nothing), INCONCLUSIVE."""
+    if out.status == PASS and (problems or unsettled):
+        out.status = FAIL if problems else INCONCLUSIVE
+    out.note = "; ".join(unsettled + problems)
 
 
 def _run_thm1_a3(ctx: SuiteContext) -> ClaimOutcome:
@@ -306,15 +314,16 @@ def _run_thm1_a3(ctx: SuiteContext) -> ClaimOutcome:
     y_zero = EDGES[EdgeId.Y_ZERO]
     analysis = analyze_form(F1_FORM, (y_zero.t_lo, y_zero.t_hi), EdgeId.Y_ZERO, ctx.cfg.bnb())
     out = ClaimOutcome(PASS, ext.value, y_zero.lift(analysis.argmax), "x_a")
-    problems = []
+    unsettled: list[str] = []
+    problems: list[str] = []
     if not ext.converged:
         out.status = INCONCLUSIVE
-        problems.append("budget exhausted")
+        unsettled.append("budget exhausted")
     if not analysis.conclusive:
         out.status = INCONCLUSIVE
-        problems.append("endpoint analysis inconclusive: edge budget exhausted")
+        unsettled.append("endpoint analysis inconclusive: edge budget exhausted")
     if ext.value.width > MAX_ENCLOSURE_WIDTH:
-        problems.append("enclosure too wide")
+        unsettled.append(f"enclosure width {ext.value.width:.2e} above bound")
     if not in_window(ext.value, "2.427", 3):
         problems.append("misses window 2.427")
     if not analysis.value.intersects(ext.value):
@@ -323,9 +332,7 @@ def _run_thm1_a3(ctx: SuiteContext) -> ClaimOutcome:
     arg = analysis.argmax
     if analysis.conclusive and not (Fraction(arg.lo) <= a <= Fraction(arg.hi)):
         problems.append("argmax does not enclose the right endpoint")
-    if problems and out.status == PASS:
-        out.status = FAIL
-    out.note = "; ".join(problems)
+    _settle(out, unsettled, problems)
     return out
 
 
@@ -575,7 +582,7 @@ def _run_edge_table(ctx: SuiteContext) -> ClaimOutcome:
             failures.append(f"{spec.label}: {exc}")
             continue
         if iv.width > MAX_ENCLOSURE_WIDTH:
-            failures.append(f"{spec.label}: enclosure width {iv.width:.2e}")
+            unsettled.append(f"{spec.label}: enclosure width {iv.width:.2e} above bound")
             continue
         if spec.mode == "exact":
             target = Fraction(spec.target)

@@ -3,19 +3,21 @@
 The table is computed from first principles: build the divided-difference
 quotient (f*(t) - f*(z))/(t - z) of the odd transform f* as a truncated
 bivariate series via (t^n - z^n)/(t - z) = sum_{i+j=n-1} t^i z^j, take its
-logarithm by the recurrence on homogeneous parts (`series`), and read off
-the coefficients from the upper triangle, so the table is symmetric by
-construction and no tolerance decides whether it is accepted.  Everything
-downstream of the maximization layer is cross-checked against this
-independent pipeline: the coefficient identities expressing a2..a5, the
-truncated Grunsky inequalities (in matrix form on W = omega[1::2, 1::2]),
-and the logarithmic coefficients.
+logarithm row by row in t (`series`), and read off the coefficients from
+the upper triangle, so the table is symmetric by construction and no
+tolerance decides whether it is accepted.  Everything downstream of the
+maximization layer is cross-checked against this independent pipeline: the
+coefficient identities expressing a2..a5, the truncated Grunsky
+inequalities (in matrix form on W = omega[1::2, 1::2], which each table
+builds once with its weights and row-specialization slacks), and the
+logarithmic coefficients.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -42,6 +44,17 @@ class GrunskyTable:
         if p > 2 * self.order - 1 or q > 2 * self.order - 1:
             raise InsufficientOrderError(f"index ({p}, {q}) beyond table order {self.order}")
         return complex(self.omega[p, q])
+
+    @cached_property
+    def inequality_parts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, float]:
+        """W = omega[1::2, 1::2], the weights 2p + 1, their reciprocals and the
+        first- and third-row specialization slacks, built once per table."""
+        if self.order < 3:
+            raise InsufficientOrderError(f"row specializations need table order 3, have {self.order}")
+        w = self.omega[1::2, 1::2]
+        weights = np.arange(1, 2 * self.order, 2)
+        unit, third = (1.0, 1.0 / 3.0) - np.abs(w[:2, :3]) ** 2 @ weights[:3]
+        return w, weights, 1.0 / weights, float(unit), float(third)
 
 
 @dataclass(frozen=True)
@@ -148,16 +161,12 @@ def check_inequalities(table: GrunskyTable, xvec: TestVector) -> InequalityRepor
     k = len(xvec.x)
     if k > table.order:
         raise InsufficientOrderError(f"test vector length {k} exceeds table order {table.order}")
-    if table.order < 3:
-        raise InsufficientOrderError(f"row specializations need table order 3, have {table.order}")
-    w = table.omega[1::2, 1::2]
-    weights = np.arange(1, 2 * table.order, 2)
+    w, weights, inv_weights, unit, third = table.inequality_parts
     x = np.array(xvec.x)
-    rhs = float(np.abs(x) ** 2 @ (1.0 / weights[:k]))
+    rhs = float(np.abs(x) ** 2 @ inv_weights[:k])
     slack_rows = rhs - float(np.abs(x @ w[:k]) ** 2 @ weights)
     slack_bil = rhs - float(abs(x @ w[:k, :k] @ x))
-    unit, third = (1.0, 1.0 / 3.0) - np.abs(w[:2, :3]) ** 2 @ weights[:3]
-    return InequalityReport(slack_rows, slack_bil, float(unit), float(third))
+    return InequalityReport(slack_rows, slack_bil, unit, third)
 
 
 # ---------------------------------------------------------------------------

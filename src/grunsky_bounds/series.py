@@ -5,14 +5,13 @@ series are complex numpy arrays c[i, j] holding the coefficient of t**i z**j,
 truncated at a fixed maximum degree per variable; products discard higher
 degrees in either variable.
 
-Both logarithms run one recurrence on homogeneous parts, `_log_parts`: with
-the Euler operator D = t d/dt + z d/dz, Q * D(log Q) = D Q gives
+Both logarithms divide by Q_0 as a truncated product with 1/Q_0, from one
+reciprocal recurrence (Brent & Kung, J. ACM 25, 1978).  Univariate,
+D log Q = DQ * (1/Q) with D = z d/dz.  The bivariate log runs by rows in t:
+row 0 is the univariate log of Q_0(z), and for i >= 1 Q * t dL/dt = t dQ/dt
+gives, with * the z-product truncated at the order,
 
-    n L_n = n Q_n - sum_{k=1}^{n-1} k L_k Q_{n-k}
-
-for the parts of total degree n.  A bivariate part is an anti-diagonal,
-indexed by the power of t, and a product of parts is their convolution; a
-univariate part is a single coefficient.
+    i L_i * Q_0 = i Q_i - sum_{k=1}^{i-1} k L_k * Q_{i-k}.
 """
 
 from __future__ import annotations
@@ -44,21 +43,23 @@ class InsufficientOrderError(ValueError):
     """The input series does not carry enough coefficients for the request."""
 
 
-def _log_parts(q: list[np.ndarray]) -> list[np.ndarray]:
-    """Homogeneous parts L_0 = 0, L_1, ... of log Q from the parts Q_0 = [1], Q_1, ..."""
-    logs = [np.zeros_like(q[0])]
-    for n in range(1, len(q)):
-        acc = sum(k * np.convolve(logs[k], q[n - k]) for k in range(1, n))
-        logs.append((n * q[n] - acc) / n)
-    return logs
+def _reciprocal(q: np.ndarray) -> np.ndarray:
+    """Coefficients of 1/q for q[0] = 1, truncated at len(q) - 1."""
+    r = np.zeros_like(q)
+    r[0] = 1
+    for j in range(1, len(q)):
+        r[j] = -(q[1 : j + 1] @ r[j - 1 :: -1])
+    return r
 
 
 def log1p_trunc(u: list[complex], order: int) -> list[complex]:
     """log(1 + u) for a series u with u[0] = 0, truncated at `order`."""
     if u and u[0] != 0:
         raise ValueError("log1p needs zero constant term")
-    q = [1 + 0j] + [u[n] if n < len(u) else 0j for n in range(1, order + 1)]
-    return [complex(part[0]) for part in _log_parts([np.array([c]) for c in q])]
+    q = np.array([1 + 0j] + [u[n] if n < len(u) else 0j for n in range(1, order + 1)])
+    deg = np.arange(order + 1)
+    dlog = np.convolve(deg * q, _reciprocal(q))[: order + 1]
+    return [0j] + [complex(v) for v in dlog[1:] / deg[1:]]
 
 
 def sqrt_one_plus(g: list[complex], order: int) -> list[complex]:
@@ -116,23 +117,22 @@ class BivariateSeries:
         return BivariateSeries(out, n)
 
     def log(self) -> BivariateSeries:
-        """log of a series with constant term 1.
+        """log of a series with constant term 1, by rows in t.
 
-        The part of total degree m is c[i, m - i], i = 0..m, zero outside
-        the truncation.  A log coefficient at (i, j) takes only entries at
-        powers <= i in t and <= j in z, so the entries read back inside the
-        truncation are the truncated log, whatever the recurrence leaves
-        outside it.
+        Rows padded with n zeros and laid end to end cannot meet in a product
+        (Kronecker substitution), so the sum over k < i is one 1-D convolution.
         """
         if self.c[0, 0] != 1.0:
             raise ValueError("bivariate log needs constant term 1")
-        n = self.order
-        padded = np.zeros((2 * n + 1, 2 * n + 1), dtype=complex)
-        padded[: n + 1, : n + 1] = self.c
-        flipped = padded[:, ::-1]
-        parts = _log_parts([flipped.diagonal(2 * n - m) for m in range(2 * n + 1)])
-        out = BivariateSeries.zero(n)
-        for m, part in enumerate(parts):
-            i = np.arange(max(0, m - n), min(m, n) + 1)
-            out.c[i, m - i] = part[i]
-        return out
+        c, n = self.c, self.order
+        inv_q0 = _reciprocal(c[0])
+        deg, w = np.arange(n + 1), 2 * n + 1
+        qf = np.pad(c, ((0, 0), (n, 0))).ravel()  # Q_m at m w + n
+        log = np.zeros((n + 1, w), dtype=complex)  # k L_k (L_0 in row 0), then n zeros
+        log[0, 1 : n + 1] = np.convolve(deg * c[0], inv_q0)[1 : n + 1] / deg[1:]
+        lf = log.ravel()
+        for i in range(1, n + 1):
+            acc = np.convolve(qf[w : i * w], lf[w : (i - 1) * w + n + 1], "valid") if i > 1 else 0
+            log[i, : n + 1] = np.convolve(i * c[i] - acc, inv_q0)[: n + 1]
+        log[1:] /= deg[1:, None]
+        return BivariateSeries(log[:, : n + 1].copy(), n)

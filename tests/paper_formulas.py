@@ -4,8 +4,8 @@ Float point values of the objectives and their restrictions, float
 gradients, plain and radical-scaled, the critical-point reductions, the
 named boundary restrictions g1..g10, the float region test (Lemma 1), the
 1-D sign proofs, the full-grid reference for the grid cross-check, the
-oracle's bridge to the region and an exact rational reference for the
-oracle's table.  The library never needs them: it works
+oracle's bridge to the region, a float and an exact rational reference for
+the oracle's logarithms.  The library never needs them: it works
 with interval enclosures instead.
 """
 
@@ -304,9 +304,51 @@ def hankel2(f: PowerSeries) -> complex:
     return f.coeff(2) * f.coeff(4) - f.coeff(3) ** 2
 
 
-#: presets with dense quotients, as exact coefficients a_n, n >= 1
+def log_parts_reference(q: list[np.ndarray]) -> list[np.ndarray]:
+    """Homogeneous parts L_0 = 0, L_1, ... of log Q from the parts Q_0 = [1], Q_1, ...
+
+    With the Euler operator D = t d/dt + z d/dz, Q * D(log Q) = D Q gives
+    n L_n = n Q_n - sum_{k=1}^{n-1} k L_k Q_{n-k}; a bivariate part is an
+    anti-diagonal indexed by the power of t, and a product of parts is their
+    convolution.  A univariate part is a single coefficient.
+    """
+    logs = [np.zeros_like(q[0])]
+    for n in range(1, len(q)):
+        acc = sum(k * np.convolve(logs[k], q[n - k]) for k in range(1, n))
+        logs.append((n * q[n] - acc) / n)
+    return logs
+
+
+def log1p_reference(u: list[complex], order: int) -> list[complex]:
+    """log(1 + u), u[0] = 0, by the recurrence on homogeneous parts."""
+    q = [1 + 0j] + [u[n] if n < len(u) else 0j for n in range(1, order + 1)]
+    return [complex(part[0]) for part in log_parts_reference([np.array([c]) for c in q])]
+
+
+def bivariate_log_reference(c: np.ndarray) -> np.ndarray:
+    """log of c[i, j] t^i z^j (c[0, 0] = 1), both degrees <= n, on anti-diagonals.
+
+    The (n+1)^2 square is padded to (2n+1)^2; a log entry at (i, j) reads
+    only entries at powers <= i in t and <= j in z, so what the recurrence
+    leaves outside the square does not reach the entries read back.
+    """
+    n = c.shape[0] - 1
+    padded = np.zeros((2 * n + 1, 2 * n + 1), dtype=complex)
+    padded[: n + 1, : n + 1] = c
+    flipped = padded[:, ::-1]
+    parts = log_parts_reference([flipped.diagonal(2 * n - m) for m in range(2 * n + 1)])
+    out = np.zeros((n + 1, n + 1), dtype=complex)
+    for m, part in enumerate(parts):
+        i = np.arange(max(0, m - n), min(m, n) + 1)
+        out[i, m - i] = part[i]
+    return out
+
+
+#: presets as exact coefficients a_n, n >= 1
 EXACT_PRESETS = {
+    "identity": lambda n: Fraction(int(n == 1)),
     "geometric": lambda n: Fraction(1),
+    "atanh": lambda n: Fraction(1, n) if n % 2 else Fraction(0),
     "koebe": lambda n: Fraction(n),
 }
 

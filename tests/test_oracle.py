@@ -122,6 +122,17 @@ def test_inequalities_vector_length_check():
     table = grunsky_table(PRESETS["geometric"](8), order=2)
     with pytest.raises(InsufficientOrderError):
         check_inequalities(table, Vector((1 + 0j,) * 5))
+    with pytest.raises(InsufficientOrderError, match="row specializations"):
+        check_inequalities(table, Vector((1 + 0j,)))
+
+
+def test_inequality_parts_are_built_once_per_table():
+    table = grunsky_table(PRESETS["atanh"](16), order=8)
+    parts = table.inequality_parts
+    assert table.inequality_parts is parts
+    assert np.shares_memory(parts[0], table.omega)
+    check_inequalities(table, Vector((1 + 0j, 0.5j)))
+    assert table.inequality_parts is parts
 
 
 # ---------------------------------------------------------------------------

@@ -137,6 +137,26 @@ def test_cli_verify_budget_gives_no_fail_row(max_boxes, capsys):
         assert "endpoint analysis inconclusive" in records["THM1_A3"]["note"]
 
 
+@pytest.mark.parametrize("tol", ["1e-3", "1e-2"])
+def test_cli_verify_coarse_tol_gives_no_fail_row(tol, capsys):
+    # an enclosure wider than the bound that meets its window refutes nothing
+    code = main(["verify", "--tol", tol, "--format", "json"])
+    records = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert [r["claim_id"] for r in records if r["status"] == "FAIL"] == []
+    wide = [r for r in records if "above bound" in r["note"]]
+    assert len(wide) == 8
+    assert {r["status"] for r in wide} == {"INCONCLUSIVE"}
+
+
+def test_a_wide_enclosure_that_misses_its_window_still_fails():
+    ctx = claims.SuiteContext(SuiteConfig(tol_value=1e-3))
+    assert claims._value_outcome(ctx, claims.ObjectiveId.F7, "0.662").status == "INCONCLUSIVE"
+    out = claims._value_outcome(ctx, claims.ObjectiveId.F7, "0.700")
+    assert out.status == "FAIL"
+    assert "above bound" in out.note and "misses window 0.700" in out.note
+
+
 #: wrong targets for entries of each kind: a point value, an edge maximum, an
 #: edge root and an interior coordinate
 WRONG_TARGETS = {"f2(0,0)": "0.900", "g1 max": "1.300", "f2 x=a root": "0.400",

@@ -5,9 +5,15 @@ of the closed-form quotient sampled on a torus with two distinct radii, which
 never touches the truncated-series pipeline under test.
 """
 
+import os
+import subprocess
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import grunsky_bounds
 from grunsky_bounds.oracle import PRESETS, grunsky_table
 from grunsky_bounds.series import (
     BivariateSeries,
@@ -17,7 +23,16 @@ from grunsky_bounds.series import (
     odd_transform,
     sqrt_one_plus,
 )
-from paper_formulas import EXACT_PRESETS, exact_log_quotient
+from paper_formulas import (
+    EXACT_PRESETS,
+    bivariate_log_reference,
+    exact_log_quotient,
+    log1p_reference,
+)
+
+#: the row logarithm sums in another order than the anti-diagonal reference;
+#: its log coefficients stay below 3 in modulus here, so allow 64 ulps of 1
+REFERENCE_TOL = 64 * np.finfo(float).eps
 
 
 def test_power_series_validation():
@@ -86,6 +101,34 @@ def test_bivariate_log_of_product_splits():
         assert abs(lg.c[k, 0] - want) <= 1e-13
         assert abs(lg.c[0, k] - want) <= 1e-13
     assert abs(lg.c[1, 1]) <= 1e-13
+
+
+def _random_series(n: int, seed: int) -> np.ndarray:
+    """c[i, j] = w 2^-(i+j) / 10 with |Re w|, |Im w| <= 1 and c[0, 0] = 1: not
+    Hankel, and |Q - 1| < 0.43 on the closed unit bidisc, so |log Q| < 1 there
+    and every log coefficient is below 1 by Cauchy's estimate."""
+    rng = np.random.default_rng([n, seed])
+    w = rng.uniform(-1, 1, (n + 1, n + 1)) + 1j * rng.uniform(-1, 1, (n + 1, n + 1))
+    c = w * 0.5 ** np.add.outer(np.arange(n + 1), np.arange(n + 1)) / 10
+    c[0, 0] = 1
+    return c
+
+
+@pytest.mark.parametrize("n", [7, 15, 31])
+def test_bivariate_log_matches_the_antidiagonal_reference(n):
+    for seed in range(3):
+        c = _random_series(n, seed)
+        got = BivariateSeries(c, n).log().c
+        assert np.max(np.abs(got - bivariate_log_reference(c))) <= REFERENCE_TOL, seed
+
+
+@pytest.mark.parametrize("n", [7, 15, 31])
+def test_log1p_matches_the_recurrence_reference(n):
+    for seed in range(3):
+        # |u| < 0.71 on the closed unit disc, so |log(1 + u)| < 1.3 + pi/2 < 3
+        u = [0j] + list(_random_series(n, seed)[1:, 0] * 5)
+        got = log1p_trunc(u, n)
+        assert max(abs(g - w) for g, w in zip(got, log1p_reference(u, n))) <= REFERENCE_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -179,3 +222,32 @@ def test_table_order_check():
         t.entry(9, 1)
     with pytest.raises(ValueError):
         t.entry(2, 2)
+
+
+def test_order_16_table_allocates_at_most_256_kb():
+    # the (n+1)^2 rows need no (n+1)^3 intermediate: the peak is about 120 KB
+    f = PRESETS["koebe"](32)
+    grunsky_table(f, 16)
+    tracemalloc.start()
+    try:
+        grunsky_table(f, 16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 256 * 1024, peak
+
+
+def test_oracle_run_imports_no_scipy():
+    script = (
+        "import sys\n"
+        "from grunsky_bounds.report import run_suite\n"
+        "rows = run_suite(['ORACLE_EQ13', 'ORACLE_INEQ', 'ORACLE_GAMMA'])\n"
+        "assert [r.status for r in rows] == ['PASS'] * 3\n"
+        "print('scipy' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(grunsky_bounds.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120, check=True)
+    assert done.stdout.strip() == "False"
