@@ -5,13 +5,13 @@ maximize_1d and maximize_2d share one best-first branch-and-bound loop,
 in y against the cap curve (the region is y-simple, so clipping is exact),
 pruned when their upper bound falls below the certified incumbent, and the
 final enclosure is derived from the surviving boxes.  A box is bounded by
-the minimum of its monotone corner bound and a centred (mean-value) form.
-A box that reaches the cap curve within one cap branch c takes that form in
-the chart (x, s = y/c(x)), where the curve is the face s = 1, so the bound
-is exact to second order at a maximum on the curve; every other box takes
-it in (x, y).  Where the radicand reaches zero the BnB uses value
-information only: the centred forms need the true gradient, which is
-singular there.
+the minimum of its monotone corner bound and a mean-value form, expanded
+about the centre that minimises the form's bound (Baumann 1988).  A box
+that reaches the cap curve within one cap branch c takes that form in the
+chart (x, s = y/c(x)), where the curve is the face s = 1, so the bound is
+exact to second order at a maximum on the curve; every other box takes it
+in (x, y).  Where the radicand reaches zero the BnB uses value information
+only: the forms need the true gradient, which is singular there.
 
 zero_clusters_1d is the one 1-D zero search, for the edge critical points
 and for find_root_1d.  It bisects a piece only until the piece's enclosure
@@ -48,6 +48,7 @@ from .domain import (
 )
 from .interval import (
     Interval,
+    _add_down,
     _add_up,
     _mul_down,
     _mul_up,
@@ -434,8 +435,8 @@ def maximize_2d(obj: Objective, region: OmegaRegion = REGION, cfg: BnBConfig | N
     """Verified enclosure of the global maximum of a 2-D objective over the region.
 
     Each box is bounded by `ranges.upper` and, unless that already prunes it,
-    by `_centred_upper`: the curve-fitted chart form for boxes that reach the
-    cap curve within one branch, the (x, y) form otherwise.
+    by `_centred_upper`, a mean-value form about Baumann's centre: in the chart
+    for boxes that reach the cap curve within one branch, in (x, y) otherwise.
     """
     if obj.dimension != 2:
         raise ValueError(f"{obj.id} is not a 2-D objective")
@@ -475,8 +476,7 @@ def maximize_2d(obj: Objective, region: OmegaRegion = REGION, cfg: BnBConfig | N
             sample(x, cap_point_down(x) * j / 4)
 
     def bound(box: tuple[float, float, float, float]) -> float:
-        x1, x2, y1, y2 = box
-        ub = ranges.upper(x1, x2, y1, y2)
+        ub = ranges.upper(*box)
         if ub <= best.value:
             return ub
         return min(ub, _centred_upper(ranges, region, box))
@@ -495,15 +495,8 @@ def maximize_2d(obj: Objective, region: OmegaRegion = REGION, cfg: BnBConfig | N
     return Extremum(Interval(best.value, upper), (ax, ay), kind, processed, converged)
 
 
-def _radius(lo: float, hi: float, m: float) -> float:
-    """Upward-rounded radius of [lo, hi] about m: the float midpoint may be off-centre."""
-    return max(_add_up(hi, -m), _add_up(m, -lo))
-
-
-def _centred_upper(
-    ranges: MonotoneBounds, region: OmegaRegion, box: tuple[float, float, float, float]
-) -> float:
-    """Centred-form upper bound of the objective over box ∩ region.
+def _centred_upper(ranges: MonotoneBounds, region: OmegaRegion, box: tuple[float, ...]) -> float:
+    """Mean-value upper bound of the objective over box ∩ region, about Baumann's centre.
 
     A box that reaches the cap curve within one cap branch is bounded in that
     branch's chart (x, s = y/c(x)), where the curve is the face s = 1; every
@@ -519,27 +512,14 @@ def _centred_upper(
     if x1 >= iv_b.lo and 3.0 * y2 * y2 >= 1.0 - x2 * x2:
         # the high branch is the rim R = 0, which the chart box then contains
         return math.inf if ranges.has_radical else _chart_upper(ranges, high_chart, box)
-
-    # f(p) <= f(m) + sup|grad f| . |p - m| over the box
-    g1lo, g1hi, g2lo, g2hi, r_lo, _ = ranges.scaled_gradient_range(x1, x2, y1, y2)
-    if r_lo <= 0.0:
-        return math.inf
-    u_up = _recip_up(_sqrt_down(r_lo)) if ranges.has_radical else 1.0
-    xm, ym = 0.5 * (x1 + x2), 0.5 * (y1 + y2)
-    fm = ranges.upper(xm, xm, ym, ym)
-    mag1 = _mul_up(max(-g1lo, g1hi, 0.0), u_up)
-    mag2 = _mul_up(max(-g2lo, g2hi, 0.0), u_up)
-    return _add_up(
-        fm, _add_up(_mul_up(mag1, _radius(x1, x2, xm)), _mul_up(mag2, _radius(y1, y2, ym)))
-    )
+    grad = _gradient(ranges, box)
+    return math.inf if grad is None else _mean_value_upper(lambda x, y: ranges.upper(x, x, y, y), grad, box)
 
 
 def _chart_upper(
-    ranges: MonotoneBounds,
-    chart: Callable[[float, float], tuple[float, float, float, float]],
-    box: tuple[float, float, float, float],
+    ranges: MonotoneBounds, chart: Callable[[float, float], tuple[float, ...]], box: tuple[float, ...]
 ) -> float:
-    """Centred form of g(x, s) = f(x, s*c(x)) over a chart box that covers box ∩ region.
+    """Mean-value form of g(x, s) = f(x, s*c(x)) over a chart box that covers box ∩ region.
 
     The x-derivative g_x = f_x + f_y*s*c' is enclosed as a signed interval:
     at a maximum tangent to the curve its two terms cancel, so the bound is
@@ -550,29 +530,49 @@ def _chart_upper(
     s1 = _mul_down(y1, _recip_down(c_hi))
     s2 = min(1.0, _mul_up(y2, _recip_up(c_lo)))
     # the true gradient over the xy hull of the chart box
-    g1lo, g1hi, g2lo, g2hi, r_lo, r_hi = ranges.scaled_gradient_range(
-        x1, x2, _mul_down(s1, c_lo), _mul_up(s2, c_hi)
-    )
-    if r_lo <= 0.0:
+    grad = _gradient(ranges, (x1, x2, _mul_down(s1, c_lo), _mul_up(s2, c_hi)))
+    if grad is None:
         return math.inf
-    fx = Interval(g1lo, g1hi)
-    fy = Interval(g2lo, g2hi)
-    if ranges.has_radical:
-        u = Interval(_recip_down(_sqrt_up(r_hi)), _recip_up(_sqrt_down(r_lo)))
-        fx = fx * u
-        fy = fy * u
-    gx = fx + fy * Interval(s1, s2) * Interval(dc_lo, dc_hi)
-    gs = fy * Interval(c_lo, c_hi)
-    xm, sm = 0.5 * (x1 + x2), 0.5 * (s1 + s2)
-    cm_lo, cm_hi = chart(xm, xm)[:2]
-    fm = ranges.upper(xm, xm, _mul_down(sm, cm_lo), _mul_up(sm, cm_hi))
-    return _add_up(
-        fm,
-        _add_up(
-            _mul_up(max(-gx.lo, gx.hi), _radius(x1, x2, xm)),
-            _mul_up(max(-gs.lo, gs.hi), _radius(s1, s2, sm)),
-        ),
-    )
+    gx = grad[0] + grad[1] * Interval(s1, s2) * Interval(dc_lo, dc_hi)
+
+    def f_up(x: float, s: float) -> float:
+        cx_lo, cx_hi = chart(x, x)[:2]
+        return ranges.upper(x, x, _mul_down(s, cx_lo), _mul_up(s, cx_hi))
+    return _mean_value_upper(f_up, (gx, grad[1] * Interval(c_lo, c_hi)), (x1, x2, s1, s2))
+
+
+def _gradient(ranges: MonotoneBounds, box: tuple[float, ...]) -> tuple[Interval, Interval] | None:
+    """f_x and f_y over a box, as sqrt(R)*grad f times [1/sqrt(r_hi), 1/sqrt(r_lo)]; None unless R > 0."""
+    g1lo, g1hi, g2lo, g2hi, r_lo, r_hi = ranges.scaled_gradient_range(*box)
+    if r_lo <= 0.0:
+        return None
+    if not ranges.has_radical:
+        return Interval(g1lo, g1hi), Interval(g2lo, g2hi)
+    u = Interval(_recip_down(_sqrt_up(r_hi)), _recip_up(_sqrt_down(r_lo)))
+    return Interval(g1lo, g1hi) * u, Interval(g2lo, g2hi) * u
+
+
+def _mean_value_upper(f_up: Callable[..., float], grad: tuple[Interval, ...], box: tuple[float, ...]) -> float:
+    """f(c) + sum of sup G_i*[lo_i - c_i, hi_i - c_i] over box = [lo_1, hi_1] x [lo_2, hi_2], rounded up.
+
+    `f_up(u, v)` bounds f from above at a point and G encloses grad f over the
+    box, so by the mean value theorem the sum bounds f over the box for any c
+    in it.  Each c_i is Baumann's centre (BIT 28, 1988), which minimises its
+    term: the end that G_i points to where G_i has one sign, else the point
+    g_hi*(hi - c) = g_lo*(lo - c), clamped because rounding can put it an ulp outside.
+    """
+    centre, excess = [], 0.0
+    for g, lo, hi in zip(grad, box[::2], box[1::2]):
+        if g.lo >= 0.0:
+            c = hi
+        elif g.hi <= 0.0:
+            c = lo
+        else:
+            c = max(lo, min(hi, (g.hi * hi - g.lo * lo) / (g.hi - g.lo)))
+        centre.append(c)
+        # lo - c <= 0 <= hi - c, so the supremum is one of these two products
+        excess = _add_up(excess, max(_mul_up(g.hi, _add_up(hi, -c)), _mul_up(g.lo, _add_down(lo, -c))))
+    return _add_up(f_up(*centre), excess)
 
 
 def _classify_point(region: OmegaRegion, x: float, y: float, tol: float = 1e-7) -> EdgeId | None:

@@ -198,4 +198,4 @@ def test_full_suite_is_green_and_fast(suite_ctx, monkeypatch):
     print(f"full suite: {len(rows)} rows in {elapsed:.1f}s")
     assert all_passed(rows)
     assert elapsed <= 60.0
-    assert len(lower_calls) == 4353
+    assert len(lower_calls) == 2262
