@@ -176,10 +176,8 @@ def _cmd_grunsky(args) -> int:
                 raise OverflowError("coefficient table is not finite")
             rep = check_coefficient_identities(f, args.order, table=table)
             rng = np.random.default_rng(args.seed)
-            worst = min(
-                check_inequalities(table, random_test_vector(rng, max_len=args.order)).min_slack
-                for _ in range(args.vectors)
-            )
+            vectors = [random_test_vector(rng, max_len=args.order) for _ in range(args.vectors)]
+            worst = check_inequalities(table, *vectors).min_slack
             g = gamma_from_series(f)
     except (OSError, ValueError) as exc:
         print(f"grunsky-bounds grunsky: error: {exc}", file=sys.stderr)

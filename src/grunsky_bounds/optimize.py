@@ -41,10 +41,12 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
+
+import numpy as np
 
 from .domain import (
-    CAP_PIECES, REGION, EdgeId, OmegaRegion, cap_point_down, cap_sup_up, high_chart, low_chart
+    CAP_PIECES, CONSTANTS, REGION, EdgeId, OmegaRegion, cap_point_down, cap_sup_up, high_chart, low_chart
 )
 from .interval import (
     Interval,
@@ -58,7 +60,7 @@ from .interval import (
     _sqrt_up,
     hull_of,
 )
-from .objectives import MonotoneBounds, Objective, ObjectiveId, monotone_bounds
+from .objectives import OBJECTIVES, MonotoneBounds, Objective, ObjectiveId, monotone_bounds
 
 IvFunc = Callable[[Interval], Interval]
 #: an enclosure of a derivative over a box, or None where there is none
@@ -778,53 +780,74 @@ def _split_clipped(box: tuple[float, float, float, float]) -> list[tuple[float, 
 # ---------------------------------------------------------------------------
 
 
-#: x-values per block of the grid sweep: at n = 500 a block's arrays are
-#: 200 KB each, so they stay in cache while the block is evaluated
-GRID_ROWS = 50
+#: x-values per block of the grid sweep: at n = 500 a block's arrays are 100 KB
+#: each, so y, y^2, the radical and one objective's sum stay in cache together
+GRID_ROWS = 25
 
 
-def grid_maximum(oid: ObjectiveId, n: int = 500) -> float:
-    """Plain float maximum of an objective over an n-by-n grid on the region.
+def _grid_axes(n: int):
+    """The grid's n x-values, the cap at each, and the n fractions t of the cap."""
+    x = np.linspace(0.0, CONSTANTS.a_float, n)
+    return x, np.minimum(*(piece.cap(x) for piece in CAP_PIECES)), np.linspace(0.0, 1.0, n)
 
-    A float-only cross-check of the verified maxima; it decides nothing on
-    its own.  The grid (n points along [0, a] for f1) is swept in blocks of
-    GRID_ROWS x-values, with the factors that depend on x alone computed
-    once on the n x-values.  Every grid point takes the same float
-    operations, in the same order, as on the full grid (terms c*x^i*y^j
-    summed from zero in `poly` order, then M(x)*sqrt(max((1 - x^2) -
-    3*y*y, 0))), so the maximum is the same bit for bit.
+
+def _f1_line(n: int, start: int, stop: int):
+    """Points start..stop-1 of f1's line np.linspace(0, a, n*n), made as linspace makes them."""
+    xs = np.arange(start, stop, dtype=float) * (CONSTANTS.a_float / (n * n - 1))
+    if stop == n * n:
+        xs[-1] = CONSTANTS.a_float
+    return xs
+
+
+def grid_maximum(oids: ObjectiveId | Sequence[ObjectiveId], n: int = 500) -> float | tuple[float, ...]:
+    """Plain float maxima over an n-by-n grid on the region (n*n points on [0, a] for f1).
+
+    A float-only cross-check of the verified maxima; it decides nothing on its
+    own.  One objective gives its maximum, a sequence their maxima from one
+    sweep in blocks of GRID_ROWS x-values, which computes x-only factors once,
+    and y, its powers and the radical sqrt(max((1 - x^2) - 3*y*y, 0)) once per
+    block.  Every grid point takes the float operations of the full grid, in
+    its order (c*x^i*y^j summed from zero in `poly` order, then M(x) times the
+    radical), so each maximum is the same bit for bit.
     """
-    import numpy as np
-
-    from .domain import CONSTANTS
-    from .objectives import OBJECTIVES
-
-    a = CONSTANTS.a_float
-    if oid is ObjectiveId.F1:
-        x = np.linspace(0.0, a, n * n)
+    if isinstance(oids, ObjectiveId):
+        return grid_maximum((oids,), n)[0]
+    best = dict.fromkeys(oids, -math.inf)
+    if ObjectiveId.F1 in best:
         step = GRID_ROWS * n
-        return max(
+        best[ObjectiveId.F1] = max(
             float((3.0 * xs**2 + 2.0 / math.sqrt(3.0) * np.sqrt(1.0 - xs**2)).max())
-            for xs in (x[k : k + step] for k in range(0, n * n, step))
+            for xs in (_f1_line(n, k, min(k + step, n * n)) for k in range(0, n * n, step))
         )
-
-    obj = OBJECTIVES[oid]
-    x = np.linspace(0.0, a, n)
-    cap = np.minimum(*(piece.cap(x) for piece in CAP_PIECES))
-    t = np.linspace(0.0, 1.0, n)
+    x, cap, t = _grid_axes(n)
     xc = x[:, None]
-    terms = [(float(c) * xc**i, j) for (i, j), c in obj.poly.items()]
     one_minus_x2 = 1.0 - xc * xc
-    mult = (float(obj.m5c) + float(obj.m5l) * xc) / math.sqrt(5.0) + float(obj.m7c) / math.sqrt(7.0)
-    best = -math.inf
-    for k in range(0, n, GRID_ROWS):
+    forms = [(obj, [(float(c) * xc**i, j) for (i, j), c in obj.poly.items()],
+              (float(obj.m5c) + float(obj.m5l) * xc) / math.sqrt(5.0) + float(obj.m7c) / math.sqrt(7.0))
+             for obj in (OBJECTIVES[oid] for oid in best if oid is not ObjectiveId.F1)]
+    degrees = {j for _, terms, _ in forms for _, j in terms if j > 1}
+    for k in range(0, n if forms else 0, GRID_ROWS):
         rows = slice(k, k + GRID_ROWS)
         ys = np.multiply.outer(cap[rows], t)
-        out = np.zeros_like(ys)
-        for cx, j in terms:
-            # y**0 is 1.0, so a j = 0 term adds its x column as it is
-            out += cx[rows] * ys**j if j else cx[rows]
-        if obj.has_radical:
-            out += mult[rows] * np.sqrt(np.maximum(one_minus_x2[rows] - 3.0 * ys * ys, 0.0))
-        best = max(best, float(out.max()))
-    return best
+        # y**1 is y; y**0 is 1.0, so a j = 0 term adds its x column as it is
+        powers = {1: ys} | {j: ys**j for j in degrees}
+        radical = np.sqrt(np.maximum(one_minus_x2[rows] - 3.0 * ys * ys, 0.0))
+        for obj, terms, mult in forms:
+            out = np.zeros_like(ys)
+            for cx, j in terms:
+                out += cx[rows] * powers[j] if j else cx[rows]
+            if obj.has_radical:
+                out += mult[rows] * radical
+            best[obj.id] = max(best[obj.id], float(out.max()))
+    return tuple(best[oid] for oid in oids)
+
+
+def grid_point(oid: ObjectiveId, x: float, y: float, n: int = 500) -> tuple[float, float]:
+    """The point of `grid_maximum`'s grid for one objective nearest (x, y)."""
+    if oid is ObjectiveId.F1:
+        i = min(max(round(x / CONSTANTS.a_float * (n * n - 1)), 0), n * n - 1)
+        return float(_f1_line(n, i, i + 1)[0]), 0.0
+    xs, cap, t = _grid_axes(n)
+    i = min(max(round(x / CONSTANTS.a_float * (n - 1)), 0), n - 1)
+    j = min(round(y / cap[i] * (n - 1)), n - 1)
+    return float(xs[i]), float(cap[i] * t[j])

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -47,14 +47,16 @@ class GrunskyTable:
 
     @cached_property
     def inequality_parts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, float]:
-        """W = omega[1::2, 1::2], the weights 2p + 1, their reciprocals and the
-        first- and third-row specialization slacks, built once per table."""
+        """E = [W | I] with W = omega[1::2, 1::2], the weights of |X @ E|^2 that give the
+        row-sum slack and its rhs, and the row-specialization slacks, built once per table."""
         if self.order < 3:
             raise InsufficientOrderError(f"row specializations need table order 3, have {self.order}")
         w = self.omega[1::2, 1::2]
         weights = np.arange(1, 2 * self.order, 2)
         unit, third = (1.0, 1.0 / 3.0) - np.abs(w[:2, :3]) ** 2 @ weights[:3]
-        return w, weights, 1.0 / weights, float(unit), float(third)
+        slack = np.concatenate((-weights, 1.0 / weights))
+        rhs = np.concatenate((np.zeros(self.order), 1.0 / weights))
+        return np.hstack((w, np.eye(self.order))), slack, rhs, float(unit), float(third)
 
 
 @dataclass(frozen=True)
@@ -136,37 +138,41 @@ def check_coefficient_identities(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class InequalityReport:
-    """Slack (rhs - lhs) of each truncated inequality; all must be >= -tol."""
+class InequalityReport(NamedTuple):
+    """Slack (rhs - lhs) of each truncated inequality, the first two per test
+    vector; all must be >= -tol."""
 
-    slack_row_sum: float  # weighted row-norm inequality
-    slack_bilinear: float  # bilinear modulus inequality
+    slack_row_sum: tuple[float, ...]  # weighted row-norm inequality
+    slack_bilinear: tuple[float, ...]  # bilinear modulus inequality
     slack_unit: float  # first-row specialization, rhs 1
     slack_third: float  # third-row specialization, rhs 1/3
 
     @property
     def min_slack(self) -> float:
-        return min(self.slack_row_sum, self.slack_bilinear, self.slack_unit, self.slack_third)
+        return min(*self.slack_row_sum, *self.slack_bilinear, self.slack_unit, self.slack_third)
 
 
-def check_inequalities(table: GrunskyTable, xvec: TestVector) -> InequalityReport:
-    """Evaluate the truncated Grunsky inequalities for one test vector.
+def check_inequalities(table: GrunskyTable, *xvecs: TestVector) -> InequalityReport:
+    """Evaluate the truncated Grunsky inequalities for test vectors.
 
-    With W[p, q] = omega[2p+1, 2q+1], the row sum is the weighted norm of
-    x @ W[:k] and the bilinear form is x @ W[:k, :k] @ x.  The vector is
-    finite, so both are exact; truncating the outer row sum only discards
+    The vectors, padded with zeros to the longest length k, are the rows of
+    one array X; a zero entry adds exactly zero to every sum, and one vector
+    is the single-row case.  With W[p, q] = omega[2p+1, 2q+1], Z = X @ [W | I][:k]
+    holds Y = X @ W[:k] beside X, padded: weighted sums of |Z|^2 give the rhs
+    and the row-sum slack, and Y[:, :k] times X the bilinear form.  The vectors
+    are finite, so both are exact; truncating the outer row sum only discards
     non-negative terms and cannot create a false violation.
     """
-    k = len(xvec.x)
+    k = max(len(v.x) for v in xvecs)
     if k > table.order:
         raise InsufficientOrderError(f"test vector length {k} exceeds table order {table.order}")
-    w, weights, inv_weights, unit, third = table.inequality_parts
-    x = np.array(xvec.x)
-    rhs = float(np.abs(x) ** 2 @ inv_weights[:k])
-    slack_rows = rhs - float(np.abs(x @ w[:k]) ** 2 @ weights)
-    slack_bil = rhs - float(abs(x @ w[:k, :k] @ x))
-    return InequalityReport(slack_rows, slack_bil, unit, third)
+    x = np.array([v.x + (0j,) * (k - len(v.x)) for v in xvecs])
+    e, slack_weights, rhs_weights, unit, third = table.inequality_parts
+    z = x @ e[:k]
+    z2 = np.abs(z) ** 2
+    slack_rows = z2 @ slack_weights
+    slack_bil = z2 @ rhs_weights - np.abs(z[:, None, :k] @ x[:, :, None]).ravel()
+    return InequalityReport(tuple(slack_rows.tolist()), tuple(slack_bil.tolist()), unit, third)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -517,8 +518,24 @@ def test_maximize_2d_results_are_pinned(name, tol):
 @pytest.mark.parametrize("n", [500, 200, 123, 7])
 def test_grid_maximum_matches_the_full_grid_bit_for_bit(n):
     # 123 and 7 are not multiples of the block size
-    for oid in ObjectiveId:
-        assert grid_maximum(oid, n).hex() == full_grid_maximum(oid, n).hex(), oid
+    want = [full_grid_maximum(oid, n).hex() for oid in ObjectiveId]
+    assert [grid_maximum(oid, n).hex() for oid in ObjectiveId] == want
+    # one sweep for all nine objectives, in any order
+    assert [g.hex() for g in grid_maximum(tuple(ObjectiveId), n)] == want
+    reverse = tuple(reversed(ObjectiveId))
+    assert [g.hex() for g in grid_maximum(reverse, n)] == want[::-1]
+
+
+def test_grid_sweep_builds_no_whole_grid_temporary():
+    # a 500x500 float array alone is 2 MB; the sweep's block arrays are 100 KB
+    grid_maximum(tuple(ObjectiveId))
+    tracemalloc.start()
+    try:
+        grid_maximum(tuple(ObjectiveId))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 900 * 1024, peak
 
 
 TWO_D = [oid for oid in ObjectiveId if oid is not ObjectiveId.F1]

@@ -6,6 +6,7 @@ import random
 import numpy as np
 import pytest
 
+from grunsky_bounds import claims
 from grunsky_bounds.oracle import (
     PRESETS,
     TestVector as Vector,
@@ -78,8 +79,8 @@ def test_inequalities_identity_slack_is_rhs():
     vec = Vector((1 + 0j, 0.5 - 0.25j, 0j, 2 + 1j))
     rep = check_inequalities(table, vec)
     rhs = sum(abs(v) ** 2 / (2 * p + 1) for p, v in enumerate(vec.x))
-    assert abs(rep.slack_row_sum - rhs) <= 1e-14
-    assert abs(rep.slack_bilinear - rhs) <= 1e-14
+    assert abs(rep.slack_row_sum[0] - rhs) <= 1e-14
+    assert abs(rep.slack_bilinear[0] - rhs) <= 1e-14
 
 
 def test_inequalities_koebe_first_row_extremal():
@@ -108,9 +109,48 @@ def test_inequalities_match_the_entrywise_sums(preset):
     for _ in range(50):
         vec = random_test_vector(rng, max_len=16)
         rep = check_inequalities(table, vec)
-        got = (rep.slack_row_sum, rep.slack_bilinear, rep.slack_unit, rep.slack_third)
+        got = (*rep.slack_row_sum, *rep.slack_bilinear, rep.slack_unit, rep.slack_third)
         want = inequality_slacks(table, vec.x)
         assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-12, (got, want)
+
+
+def _slack_tol(table, x) -> float:
+    """64 ulps of the slack's largest part, rhs + row sum: the matrix form and
+    the entrywise reference sum the same terms in different orders."""
+    rhs = sum(abs(v) ** 2 / (2 * p + 1) for p, v in enumerate(x))
+    return 64 * np.finfo(float).eps * (2 * rhs - inequality_slacks(table, x)[0])
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_batched_inequalities_match_the_reference_and_the_one_row_call(preset):
+    # mixed-length batches: the shorter vectors are padded with zeros
+    table = grunsky_table(PRESETS[preset](32), order=16)
+    rng = np.random.default_rng(2)
+    vectors = [random_test_vector(rng, max_len=16) for _ in range(120)]
+    for batch in (vectors[:1], vectors[1:7], vectors[7:40], vectors[40:]):
+        assert len(batch) == 1 or len({len(v.x) for v in batch}) > 1
+        rep = check_inequalities(table, *batch)
+        assert len(rep.slack_row_sum) == len(rep.slack_bilinear) == len(batch)
+        for vec, rows, bil in zip(batch, rep.slack_row_sum, rep.slack_bilinear):
+            tol = _slack_tol(table, vec.x)
+            want = inequality_slacks(table, vec.x)
+            one = check_inequalities(table, vec)
+            assert abs(rows - want[0]) <= tol and abs(bil - want[1]) <= tol, (rows, bil, want)
+            assert abs(rows - one.slack_row_sum[0]) <= tol
+            assert abs(bil - one.slack_bilinear[0]) <= tol
+            assert (one.slack_unit, one.slack_third) == (rep.slack_unit, rep.slack_third)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_oracle_ineq_row_is_the_minimum_of_the_reference_slacks(seed):
+    out = claims._run_oracle_ineq(claims.SuiteContext(claims.SuiteConfig(seed=seed)))
+    rng = np.random.default_rng(seed)
+    vectors = [random_test_vector(rng) for _ in range(claims.INEQUALITY_VECTORS)]
+    tables = [grunsky_table(PRESETS[preset](16), order=8) for preset in PRESETS]
+    want = min(min(inequality_slacks(t, v.x)) for t in tables for v in vectors)
+    tol = max(_slack_tol(t, v.x) for t in tables for v in vectors)
+    assert out.value.lo == out.value.hi
+    assert abs(out.value.lo - want) <= tol, (out.value.lo, want)
 
 
 def test_test_vector_rejects_zero():
@@ -124,13 +164,17 @@ def test_inequalities_vector_length_check():
         check_inequalities(table, Vector((1 + 0j,) * 5))
     with pytest.raises(InsufficientOrderError, match="row specializations"):
         check_inequalities(table, Vector((1 + 0j,)))
+    with pytest.raises(InsufficientOrderError):
+        check_inequalities(table, Vector((1 + 0j,)), Vector((1 + 0j,) * 5))
+    with pytest.raises(ValueError):
+        check_inequalities(table)
 
 
 def test_inequality_parts_are_built_once_per_table():
     table = grunsky_table(PRESETS["atanh"](16), order=8)
     parts = table.inequality_parts
     assert table.inequality_parts is parts
-    assert np.shares_memory(parts[0], table.omega)
+    assert np.array_equal(parts[0][:, : table.order], table.omega[1::2, 1::2])
     check_inequalities(table, Vector((1 + 0j, 0.5j)))
     assert table.inequality_parts is parts
 

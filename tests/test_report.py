@@ -157,6 +157,26 @@ def test_cli_verify_coarse_tol_gives_no_fail_row(tol, wide, capsys):
     assert {records[cid]["status"] for cid in wide} == {"INCONCLUSIVE"}
 
 
+@pytest.mark.parametrize("tol", ["1e-9", "1e-12"])
+def test_cli_verify_fine_tol_gives_no_fail_row(tol, capsys):
+    # the grid's discretization gap (about 3.4e-6) is checked against its own
+    # verified bound, not against the solver tolerance
+    code = main(["verify", "--tol", tol, "--format", "json"])
+    records = {r["claim_id"]: r for r in json.loads(capsys.readouterr().out)}
+    assert code == 0
+    assert [cid for cid, r in records.items() if r["status"] != "PASS"] == []
+
+
+def test_an_enclosure_above_the_grid_gap_bound_fails_grid_soundness(monkeypatch):
+    ctx = claims.SuiteContext(SuiteConfig())
+    ext = ctx.extremum(claims.ObjectiveId.F2)
+    raised = claims.Interval(ext.value.lo + 1e-3, ext.value.hi + 1e-3)
+    monkeypatch.setitem(ctx._extrema, claims.ObjectiveId.F2, dataclasses.replace(ext, value=raised))
+    out = claims._run_property_bnb(ctx)
+    assert out.status == "FAIL"
+    assert out.note.startswith("f2: grid max") and "below enclosure low - gap bound" in out.note
+
+
 def test_a_wide_enclosure_that_misses_its_window_still_fails():
     ctx = claims.SuiteContext(SuiteConfig(tol_value=1e-3))
     meets = claims._value_outcome(ctx, claims.ObjectiveId.F2, "3.461")
@@ -265,7 +285,7 @@ identity residuals:
   zero_35      0.000e+00
   a4_reduced   0.000e+00
   a5_reduced   0.000e+00
-min inequality slack over 20 random vectors: -4.441e-16
+min inequality slack over 20 random vectors: -3.932e-16
 log-coefficients (series / closed-form):
   gamma_1: 1+0j / 1+0j
   gamma_2: 0.5+0j / 0.5+0j
