@@ -418,10 +418,9 @@ def _run_thm3_h22(ctx: SuiteContext) -> ClaimOutcome:
         if len(certified) != 1:
             problems.append(f"expected one certified interior critical point, found {len(cs.points)}")
         else:
-            mid = Fraction(certified[0].value.mid)
-            drift = abs(mid - Fraction(1079, 900))
-            if drift > Fraction(1, 10**10):
-                problems.append(f"interior critical value drifts from 1079/900 by {float(drift):.2e}")
+            value = certified[0].value
+            if not Fraction(value.lo) <= Fraction(1079, 900) <= Fraction(value.hi):
+                problems.append(f"interior critical value [{value.lo!r}, {value.hi!r}] misses 1079/900")
         g10_at_b = OBJECTIVES[ObjectiveId.F6].restriction(EdgeId.CURVE_HIGH).value_iv(CONSTANTS.iv_b)
         if not in_window(g10_at_b, "1.213", 3):
             problems.append("high-curve value at the crossover abscissa misses 1.213")

@@ -16,11 +16,10 @@ only: the forms need the true gradient, which is singular there.
 zero_clusters_1d is the one 1-D zero search, for the edge critical points
 and for find_root_1d.  It bisects a piece only until the piece's enclosure
 excludes zero or, given an enclosure of the derivative that excludes zero,
-interval Newton steps X <- X ∩ (m - f(m)/f'(X)) either empty the piece or
-pass the test N(X) ⊂ int X, which proves that X holds exactly one zero
-(Moore 1966; Neumaier 1990, ch. 5).  Only pieces that Newton cannot settle
-are bisected on down to MIN_WIDTH.  maximize_1d bounds a box on which the
-derivative has one sign by the value at the box's higher end.
+interval Newton steps N(X) = m - f(m)/f'(X) either empty the piece or prove
+a box in it.  Only pieces that Newton cannot settle are bisected on down to
+MIN_WIDTH.  maximize_1d bounds a box on which the derivative has one sign by
+the value at the box's higher end.
 
 interior_critical_points excludes gradient zeros with the division-free
 scaled gradient G = sqrt(R)*grad f, which stays bounded up to the rim R = 0,
@@ -33,6 +32,11 @@ the Krawczyk test that proves a box about it holds exactly one zero, and
 every candidate is either covered by such a proven box or reported.  The
 true gradient and the interval Hessian H come from `Objective.gradient_iv`
 and `Objective.hessian_iv`; this module evaluates no objective terms itself.
+
+The 1-D Newton steps and the 2-D Krawczyk steps share one contraction loop,
+`_contract`: B <- B ∩ step(B), where an image inside the interior of its box
+proves that the box holds exactly one zero (Moore, Kearfott & Cloud 2009,
+ch. 8; Neumaier 1990, ch. 5).
 """
 
 from __future__ import annotations
@@ -65,6 +69,10 @@ from .objectives import OBJECTIVES, MonotoneBounds, Objective, ObjectiveId, mono
 IvFunc = Callable[[Interval], Interval]
 #: an enclosure of a derivative over a box, or None where there is none
 SlopeFunc = Callable[[Interval], Interval | None]
+#: a box, one interval per coordinate
+Box = tuple[Interval, ...]
+#: an image of a box that holds every zero in it, or None where there is none
+Step = Callable[[Box], Box | None]
 
 #: width below which a gradient-ambiguous box is treated as a critical cluster
 CLUSTER_WIDTH = 2e-5
@@ -121,6 +129,8 @@ class CriticalPoint:
 
     `cluster` is the Krawczyk-proven box that covers the candidate box that
     led to the zero, or that candidate box when the point is uncertified.
+    `certified_box` is `cluster` contracted by Krawczyk steps to the rounding
+    level of its one zero, and `value` encloses the objective over it.
     """
 
     cluster: tuple[Interval, Interval]
@@ -179,61 +189,46 @@ def find_root_1d(
     raise NoBracketError(f"no single sign-changing zero cluster of {fn} on [{lo}, {hi}]")
 
 
-def _newton_image(fn: IvFunc, x: Interval, d: Interval) -> Interval:
-    """N(X) = m - fn(m)/d for the midpoint m of X and an enclosure d ∌ 0 of fn' over X.
-
-    N(X) holds every zero of fn in X, and N(X) ⊂ int X proves that X holds
-    exactly one.
-    """
-    m = Interval.point(x.mid)
-    fm = fn(m)
-    return m - fm * d.recip() if d.lo > 0.0 else m + fm * (-d).recip()
+def _inside(image: Box, box: Box) -> bool:
+    """image ⊂ int box, side by side."""
+    return all(b.lo < n.lo and n.hi < b.hi for n, b in zip(image, box))
 
 
-def _contract_1d(
-    fn: IvFunc, slope: SlopeFunc, x: Interval, d: Interval, span: Interval, min_width: float
-) -> tuple[Interval | None, bool, int]:
-    """Newton steps X <- X ∩ N(X) from a piece X on which d, enclosing fn', excludes 0.
+def _contract(step: Step, box: Box, span: Box, min_width: float) -> tuple[Box | None, bool, int]:
+    """Contraction B <- B ∩ step(B) from `box`, inside `span`.
 
-    The steps go on while each one at least halves X, down to the rounding
-    level of `span`; once a box has passed the test, they go on while they
-    shrink X at all, which takes it to rounding level.  A box that stalls at
+    An image inside the interior of its box proves that the box holds exactly
+    one zero, which every later box keeps.  The steps go on while each one at
+    least halves the longest side, down to the rounding level of `span`, and
+    once a box is proven, while they shrink it at all.  A box that stalls at
     most `min_width` wide is widened by its width on each side, inside
     `span`, and tested once more: that proves a zero that the steps pressed
-    against an end of the piece.  Returns (box, proven, steps).  The box is
-    None when some N(X) misses X, so that the piece holds no zero.
-    Otherwise it is the last box that passed the test, if one did, or else
-    the contracted piece; either holds every zero of the piece.
+    against an end of the piece.  Returns (box, proven, steps); the box is
+    None when an image misses its box, which then holds no zero.
     """
     # without this floor a box pressed against t = 0 would shrink on into
     # subnormal floats
-    floor = 4.0 * math.ulp(max(-span.lo, span.hi))
-    proven = None
+    floor = 4.0 * math.ulp(max(max(-s.lo, s.hi) for s in span))
+    proven = False
     steps = 0
-    while d is not None and not d.contains_zero():
+    while (image := step(box)) is not None:
         steps += 1
-        n = _newton_image(fn, x, d)
-        if n.hi < x.lo or x.hi < n.lo:
+        if any(n.hi < b.lo or b.hi < n.lo for n, b in zip(image, box)):
             return None, False, steps
-        if x.lo < n.lo and n.hi < x.hi:
-            proven = x
-        width = x.width
-        x = Interval(max(n.lo, x.lo), min(n.hi, x.hi))
-        if proven is not None and x.width >= width:
+        proven = proven or _inside(image, box)
+        size = max(b.width for b in box)
+        box = tuple(Interval(max(n.lo, b.lo), min(n.hi, b.hi)) for n, b in zip(image, box))
+        shrunk = max(b.width for b in box)
+        if shrunk >= size if proven else not floor < shrunk < 0.5 * size:
             break
-        if proven is None and not floor < x.width < 0.5 * width:
-            break
-        d = slope(x)
-    if x.width <= min_width:
-        r = max(x.width, 4.0 * math.ulp(x.mid))
-        y = Interval(max(x.lo - r, span.lo), min(x.hi + r, span.hi))
+    if steps and max(b.width for b in box) <= min_width:
+        rs = [max(b.width, 4.0 * math.ulp(b.mid)) for b in box]
+        widened = tuple(Interval(max(b.lo - r, s.lo), min(b.hi + r, s.hi)) for b, s, r in zip(box, span, rs))
         steps += 1
-        d = slope(y)
-        if d is not None and not d.contains_zero():
-            n = _newton_image(fn, y, d)
-            if y.lo < n.lo and n.hi < y.hi:
-                return y, True, steps
-    return (proven, True, steps) if proven is not None else (x, False, steps)
+        image = step(widened)
+        if image is not None and _inside(image, widened):
+            return widened, True, steps
+    return box, proven, steps
 
 
 def _isolate_1d(
@@ -241,6 +236,17 @@ def _isolate_1d(
 ) -> tuple[list[Interval], list[Interval]] | None:
     """The Newton-proven boxes and the unproven clusters of `zero_clusters_1d`."""
     span = Interval(lo, hi)
+
+    def step(box: Box) -> Box | None:
+        """Newton's N(X) = m - fn(m)/fn'(X) about the midpoint m; None unless fn'(X) excludes 0."""
+        (x,) = box
+        d = slope(x)
+        if d is None or d.contains_zero():
+            return None
+        m = Interval.point(x.mid)
+        fm = fn(m)
+        return (m - fm * d.recip() if d.lo > 0.0 else m + fm * (-d).recip(),)
+
     stack = [span]
     proven: list[Interval] = []
     leaves: list[Interval] = []
@@ -252,14 +258,14 @@ def _isolate_1d(
             return None
         if not fn(x).contains_zero():
             continue
-        d = slope(x) if slope is not None else None
-        if d is not None and not d.contains_zero():
-            x, is_proven, steps = _contract_1d(fn, slope, x, d, span, min_width)
+        if slope is not None:
+            box, is_proven, steps = _contract(step, (x,), (span,), min_width)
             processed += steps
             if processed > max_boxes:
                 return None
-            if x is None:
+            if box is None:
                 continue
+            (x,) = box
             if is_proven:
                 proven.append(x)
                 continue
@@ -293,7 +299,7 @@ def zero_clusters_1d(
 
     Pieces whose enclosure excludes zero are certified zero-free.  With
     `slope`, which encloses fn' over a piece or gives None where it cannot, a
-    piece on which fn' excludes zero takes Newton steps (`_contract_1d`):
+    piece on which fn' excludes zero takes Newton steps (`_contract`):
     they clear it, or prove that a box in it holds exactly one zero, which is
     then a cluster of its own.  Other pieces are bisected down to `min_width`
     and merged into clusters when they lie within `min_width` of each other.
@@ -601,9 +607,6 @@ def _classify_point(region: OmegaRegion, x: float, y: float, tol: float = 1e-7) 
 #: origin down into subnormal floats.
 NEWTON_STEPS = 4
 
-#: half-width of the certified box about each interior gradient zero
-CERTIFIED_HALF = 1e-7
-
 
 def _krawczyk(
     obj: Objective, px: float, py: float, bx: Interval, by: Interval
@@ -651,21 +654,14 @@ def _newton(obj: Objective, x: float, y: float) -> tuple[float, float] | None:
 
 
 def _cover(
-    obj: Objective, px: float, py: float, cand: tuple[Interval, Interval]
+    obj: Objective, px: float, py: float, boxes: Sequence[tuple[Interval, Interval]]
 ) -> tuple[Interval, Interval] | None:
-    """The box about (px, py) that covers `cand`, if Krawczyk proves it holds one zero.
-
-    Its half-width is at least CERTIFIED_HALF, so it holds the certified box
-    about (px, py); for the point cand = (px, py) it is that box.
-    """
-    cx, cy = cand
-    half = max(CERTIFIED_HALF, px - cx.lo, cx.hi - px, py - cy.lo, cy.hi - py)
-    bx = Interval(px - half, px + half).hull(cx)
-    by = Interval(py - half, py + half).hull(cy)
+    """The box about (px, py) that holds `boxes`, if the Krawczyk test proves it holds one zero."""
+    half = max(max(px - bx.lo, bx.hi - px, py - by.lo, by.hi - py) for bx, by in boxes)
+    bx = hull_of([Interval(px - half, px + half), *(b[0] for b in boxes)])
+    by = hull_of([Interval(py - half, py + half), *(b[1] for b in boxes)])
     k = _krawczyk(obj, px, py, bx, by)
-    if k is not None and bx.lo < k[0].lo and k[0].hi < bx.hi and by.lo < k[1].lo and k[1].hi < by.hi:
-        return bx, by
-    return None
+    return (bx, by) if k is not None and _inside(k, (bx, by)) else None
 
 
 def _certify_candidates(
@@ -675,38 +671,42 @@ def _certify_candidates(
     """Turn the candidate boxes of the sign search into points of `out`.
 
     A candidate inside a box already proven to hold one zero is skipped, and
-    so is one that the proof about a certified zero's centre stretches to
-    cover: that box holds the zero's certified box, so it is the candidate's
-    only zero.  Any other candidate runs Newton from its midpoint to a point
-    p, and the Krawczyk test runs on the box about p that covers it.  If p
-    lies on the region boundary, p is a boundary zero, kept once within 1e-5;
-    otherwise the proven box gives a new point, certified on the box
-    p +- CERTIFIED_HALF.  Where Newton or a proof fails, the candidate gives
-    an uncertified point and `out` is not certified.
+    so is one that the proof about a certified zero's Newton point stretches
+    to cover: that box holds the zero's certified box, so it is the
+    candidate's only zero.  Any other candidate runs Newton from its midpoint
+    to a point p, and the Krawczyk test runs on the box about p that covers
+    it.  If p lies on the region boundary, p is a boundary zero, kept once
+    within 1e-5; otherwise `_contract` shrinks the proven box to the new
+    point's certified box.  Where Newton or a proof fails, the candidate
+    gives an uncertified point and `out` is not certified.
     """
     edge_margin = 1e-6
     proven: list[tuple[Interval, Interval]] = []  # boxes that hold exactly one zero
-    centres: list[tuple[float, float]] = []  # the Newton points of the certified zeros
+    zeros: list[tuple[tuple[float, float], tuple[Interval, Interval]]] = []  # Newton point, certified box
+
+    def step(box: Box) -> Box | None:
+        return _krawczyk(obj, box[0].mid, box[1].mid, *box)
+
     for x1, x2, y1, y2 in candidates:
         cand = (Interval(x1, x2), Interval(y1, y2))
         if any(bx.contains_interval(cand[0]) and by.contains_interval(cand[1]) for bx, by in proven):
             continue
-        cover = next(filter(None, (_cover(obj, cx, cy, cand) for cx, cy in centres)), None)
+        cover = next(filter(None, (_cover(obj, *p, (cand, box)) for p, box in zeros)), None)
         if cover is not None:
             proven.append(cover)
             continue
         p = _newton(obj, cand[0].mid, cand[1].mid)
-        cover = _cover(obj, *p, cand) if p else None
+        cover = _cover(obj, *p, (cand,)) if p else None
         if cover:
             proven.append(cover)
         if p and _classify_point(region, *p, edge_margin) is not None:
             if not any(abs(p[0] - bx) < 1e-5 and abs(p[1] - by) < 1e-5 for bx, by in out.boundary_zeros):
                 out.boundary_zeros.append(p)
             continue
-        box = _cover(obj, *p, (Interval.point(p[0]), Interval.point(p[1]))) if cover else None
-        if box:
+        if cover:
+            box = _contract(step, cover, cover, 0.0)[0]
             out.points.append(CriticalPoint(cover, box, obj.value_iv(*box)))
-            centres.append(p)
+            zeros.append((p, box))
         else:
             out.points.append(CriticalPoint(cand, None, obj.value_iv(*cand)))
             out.certified = False

@@ -24,7 +24,6 @@ from grunsky_bounds.objectives import (
     F1_FORM, F2_REDUCED_POLY, OBJECTIVES, ObjectiveId, monotone_bounds
 )
 from grunsky_bounds.optimize import (
-    CERTIFIED_HALF,
     MIN_WIDTH,
     BnBConfig,
     CriticalSearch,
@@ -735,9 +734,11 @@ def test_critical_f6_isolates_the_known_zero():
     cp = cs.points[0]
     assert cp.certified
     bx, by = cp.certified_box
-    assert bx.lo <= math.sqrt(11.0 / 30.0) <= bx.hi
-    assert by.lo <= math.sqrt(281.0 / 2.0) / 30.0 <= by.hi
-    assert abs(cp.value.mid - 1079.0 / 900.0) <= 1e-10
+    # the zero is (sqrt(11/30), sqrt(281/1800)) and the value there 1079/900,
+    # checked in exact arithmetic on the float endpoints (all positive)
+    assert Fraction(bx.lo) ** 2 <= Fraction(11, 30) <= Fraction(bx.hi) ** 2
+    assert Fraction(by.lo) ** 2 <= Fraction(281, 1800) <= Fraction(by.hi) ** 2
+    assert Fraction(cp.value.lo) <= Fraction(1079, 900) <= Fraction(cp.value.hi)
 
 
 #: the Hankel objective's interior zero (sqrt(11/30), sqrt(281/2)/30)
@@ -760,7 +761,46 @@ def test_certifier_gives_one_point_for_boxes_on_both_sides_of_a_zero(near_first)
     [cp] = out.points
     bx, by = cp.certified_box
     assert bx.lo <= _F6_ZERO[0] <= bx.hi and by.lo <= _F6_ZERO[1] <= by.hi
-    assert bx.width <= 2.0 * CERTIFIED_HALF + 1e-15
+    assert bx.width <= 1e-14 and by.width <= 1e-14
+
+
+def test_stretched_cover_holds_the_certified_box_of_the_zero():
+    obj = OBJECTIVES[ObjectiveId.F6]
+    near, far = _offset_box(1e-5, 1e-5), _offset_box(-7e-5, -7e-5)
+    out = CriticalSearch()
+    optimize._certify_candidates(obj, REGION, [near], out)
+    zero = out.points[0].certified_box
+    # the cover that the certifier stretches about the zero's Newton point to
+    # take in the far candidate must hold the zero's certified box too
+    p = optimize._newton(obj, 0.5 * (near[0] + near[1]), 0.5 * (near[2] + near[3]))
+    cand = (Interval(far[0], far[1]), Interval(far[2], far[3]))
+    cover = optimize._cover(obj, *p, (cand, zero))
+    assert cover is not None
+    assert all(c.contains_interval(z) and c.contains_interval(b) for c, z, b in zip(cover, zero, cand))
+
+
+def _krawczyk_step(obj):
+    return lambda box: optimize._krawczyk(obj, box[0].mid, box[1].mid, *box)
+
+
+def test_contraction_excludes_a_box_near_a_zero_that_holds_none():
+    # 1e-4 from f6's zero and 2e-6 wide: K(B) lies about the zero, so K(B) ∩ B is empty
+    x1, x2, y1, y2 = _offset_box(1e-4, 1e-4, w=2e-6)
+    box = (Interval(x1, x2), Interval(y1, y2))
+    step = _krawczyk_step(OBJECTIVES[ObjectiveId.F6])
+    image = step(box)
+    assert image[0].hi < x1 or image[1].hi < y1
+    assert optimize._contract(step, box, box, 0.0) == (None, False, 1)
+
+
+@pytest.mark.parametrize("oid", [ObjectiveId.F4, ObjectiveId.F5, ObjectiveId.F6])
+def test_certified_boxes_are_contracted_to_rounding_level(oid):
+    cs = interior_critical_points(OBJECTIVES[oid], REGION, CFG)
+    [cp] = cs.points
+    bx, by = cp.certified_box
+    assert bx.width <= 1e-14 and by.width <= 1e-14
+    assert cp.cluster[0].contains_interval(bx) and cp.cluster[1].contains_interval(by)
+    assert cp.value.width <= 1e-13
 
 
 def test_certifier_leaves_a_candidate_it_cannot_cover_uncertified():
@@ -777,10 +817,11 @@ def test_certifier_leaves_a_candidate_it_cannot_cover_uncertified():
 
 @pytest.mark.parametrize("p", [0.35898978923132446, 0.312751645895208, 0.3951089863709937])
 def test_krawczyk_radius_encloses_box_minus_centre(p):
-    box = Interval(p - CERTIFIED_HALF, p + CERTIFIED_HALF)
+    half = 1e-7
+    box = Interval(p - half, p + half)
     lo, hi = Fraction(box.lo) - Fraction(p), Fraction(box.hi) - Fraction(p)
     # round-to-nearest endpoints put the box beyond p +- half on both sides
-    assert lo < -Fraction(CERTIFIED_HALF) and Fraction(CERTIFIED_HALF) < hi
+    assert lo < -Fraction(half) and Fraction(half) < hi
     radius = box - Interval.point(p)
     assert Fraction(radius.lo) <= lo and hi <= Fraction(radius.hi)
 
@@ -817,12 +858,12 @@ def test_critical_budget_downgrade():
 CRITICAL_POINTS = {
     ObjectiveId.F2: ([], 1),
     ObjectiveId.F3: ([], 0),
-    ObjectiveId.F4: ([("0x1.44d52ce532d17p-1", "0x1.44d5339b2f781p-1",
-                       "0x1.6f9afe3b6622cp-2", "0x1.6f9b0ba75f702p-2")], 1),
-    ObjectiveId.F5: ([("0x1.6f696a9f27657p-1", "0x1.6f697155240c1p-1",
-                       "0x1.4041f0f592cd5p-2", "0x1.4041fe618c1abp-2")], 0),
-    ObjectiveId.F6: ([("0x1.3608063ad5cd0p-1", "0x1.36080cf0d273ap-1",
-                       "0x1.94976c854a1e9p-2", "0x1.949779f1436bfp-2")], 0),
+    ObjectiveId.F4: ([("0x1.44d5304031245p-1", "0x1.44d5304031254p-1",
+                       "0x1.6f9b04f162c8fp-2", "0x1.6f9b04f162c9ep-2")], 1),
+    ObjectiveId.F5: ([("0x1.6f696dfa25b80p-1", "0x1.6f696dfa25b99p-1",
+                       "0x1.4041f7ab8f72ep-2", "0x1.4041f7ab8f753p-2")], 0),
+    ObjectiveId.F6: ([("0x1.36080995d41e6p-1", "0x1.36080995d4224p-1",
+                       "0x1.9497733b46c2cp-2", "0x1.9497733b46c7ap-2")], 0),
     ObjectiveId.F7: ([], 0),
     ObjectiveId.F8: ([], 1),
     ObjectiveId.F9: ([], 0),
