@@ -206,6 +206,10 @@ class Objective:
         fyy = pyy - (m * (u + (y**2 * u3).scale(3.0))).scale(3.0)
         return fxx, fxy, fyy
 
+    def stationary_at_origin(self) -> bool:
+        """grad f(0, 0) = (P_x(0, 0) + m5l/sqrt5, P_y(0, 0)) is zero, decided exactly on the term table."""
+        return not (self.poly.get((1, 0)) or self.poly.get((0, 1)) or self.m5l)
+
     # -- edge restrictions -------------------------------------------------------
 
     def restriction(self, edge: EdgeId) -> RadicalForm1D:

@@ -13,25 +13,26 @@ exact to second order at a maximum on the curve; every other box takes it
 in (x, y).  Where the radicand reaches zero the BnB uses value information
 only: the forms need the true gradient, which is singular there.
 
-zero_clusters_1d is the one 1-D zero search, for the edge critical points
-and for find_root_1d.  It bisects a piece only until the piece's enclosure
-excludes zero or, given an enclosure of the derivative that excludes zero,
-interval Newton steps N(X) = m - f(m)/f'(X) either empty the piece or prove
-a box in it.  Only pieces that Newton cannot settle are bisected on down to
-MIN_WIDTH.  maximize_1d bounds a box on which the derivative has one sign by
-the value at the box's higher end.
+Every zero search runs one subdivision loop, `_isolate`: each caller gives it
+an exclusion test, a contraction step and a split.  zero_clusters_1d is the
+1-D zero search, for the edge critical points and for find_root_1d.  It
+bisects a piece only until the piece's enclosure excludes zero or, given an
+enclosure of the derivative that excludes zero, interval Newton steps
+N(X) = m - f(m)/f'(X) either empty the piece or prove a box in it.  Only
+pieces that Newton cannot settle are bisected on down to MIN_WIDTH.
+maximize_1d bounds a box on which the derivative has one sign by the value
+at the box's higher end.
 
-interior_critical_points excludes gradient zeros with the division-free
-scaled gradient G = sqrt(R)*grad f, which stays bounded up to the rim R = 0,
-so the sign test runs first on every box, rim boxes included.  A box that
-reaches the rim and whose sign is still unsettled at CLUSTER_WIDTH is
-reported in `rim_boxes` and leaves the search uncertified.  The surviving
-candidate boxes go to one Newton-Krawczyk routine, `_certify_candidates`:
-one matrix Y = mid(H)^-1 gives both the Newton step that finds a zero and
-the Krawczyk test that proves a box about it holds exactly one zero, and
-every candidate is either covered by such a proven box or reported.  The
-true gradient and the interval Hessian H come from `Objective.gradient_iv`
-and `Objective.hessian_iv`; this module evaluates no objective terms itself.
+interior_critical_points runs the same loop over 2-D boxes.  It excludes
+gradient zeros with the division-free scaled gradient G = sqrt(R)*grad f,
+which stays bounded up to the rim R = 0, so the sign test runs first on every
+box, rim boxes included.  A box at most KRAWCZYK_WIDTH wide with positive
+radicand then takes Krawczyk steps, built from the true gradient and the
+interval Hessian of `Objective.gradient_iv` and `Objective.hessian_iv` (this
+module evaluates no objective terms itself): they clear the box or prove that
+a box in it holds exactly one zero.  Boxes that nothing settles are bisected
+down to CLUSTER_WIDTH; such a leaf at the rim goes to `rim_boxes`, any other
+gives an uncertified point, and either leaves the search uncertified.
 
 The 1-D Newton steps and the 2-D Krawczyk steps share one contraction loop,
 `_contract`: B <- B ∩ step(B), where an image inside the interior of its box
@@ -74,8 +75,16 @@ Box = tuple[Interval, ...]
 #: an image of a box that holds every zero in it, or None where there is none
 Step = Callable[[Box], Box | None]
 
-#: width below which a gradient-ambiguous box is treated as a critical cluster
+#: width at which the critical search stops splitting a box that neither the
+#: sign test nor a Krawczyk step settles
 CLUSTER_WIDTH = 2e-5
+
+#: widest box on which the critical search tries Krawczyk steps.  One step
+#: costs about a dozen sign tests, mostly for the Hessian.  Over the eight
+#: searches of f2-f9, 1/16 takes 1,030 boxes and steps for 274 `_krawczyk`
+#: calls, 1e-2 takes 1,219 for 103 and 1e-3 takes 1,788 for 72: wider boxes
+#: mostly fail the proof, narrower ones are bisected longer before it.
+KRAWCZYK_WIDTH = 1e-2
 
 
 class NoBracketError(RuntimeError):
@@ -125,12 +134,12 @@ class Extremum:
 
 @dataclass(frozen=True)
 class CriticalPoint:
-    """One gradient zero, or a candidate box that the proof could not settle.
+    """One gradient zero, or a box left that the search could not settle.
 
-    `cluster` is the Krawczyk-proven box that covers the candidate box that
-    led to the zero, or that candidate box when the point is uncertified.
-    `certified_box` is `cluster` contracted by Krawczyk steps to the rounding
-    level of its one zero, and `value` encloses the objective over it.
+    `cluster` is the box the Krawczyk proof started from, or the unsettled
+    box when the point is uncertified.  `certified_box` is the proven box
+    contracted by Krawczyk steps to the rounding level of its one zero, and
+    `value` encloses the objective over it (over `cluster` when uncertified).
     """
 
     cluster: tuple[Interval, Interval]
@@ -146,13 +155,15 @@ class CriticalPoint:
 class CriticalSearch:
     """Interior critical points of one objective, and what the search left.
 
-    `rim_boxes` are the boxes of width CLUSTER_WIDTH that reach the rim R = 0
-    and whose scaled-gradient signs could not be settled; any of them leaves
-    the search uncertified.
+    `boundary_zeros` are the proven boxes that meet the region boundary, each
+    holding the one gradient zero (0, 0).  `rim_boxes` are the boxes of width
+    CLUSTER_WIDTH that reach the rim R = 0 and that neither the sign test nor
+    a Krawczyk step settled; any of them leaves the search uncertified.
+    `iterations` counts the boxes tested and the Krawczyk steps taken.
     """
 
     points: list[CriticalPoint] = field(default_factory=list)
-    boundary_zeros: list[tuple[float, float]] = field(default_factory=list)
+    boundary_zeros: list[tuple[Interval, Interval]] = field(default_factory=list)
     rim_boxes: list[tuple[float, float, float, float]] = field(default_factory=list)
     certified: bool = True
     iterations: int = 0
@@ -175,7 +186,7 @@ def find_root_1d(
     fn at its two ends, so that it holds every zero and at least one.
     NoBracketError otherwise, and when the box budget runs out.
     """
-    found = _isolate_1d(fn, lo, hi, tol, max_boxes, slope)
+    found = _roots_1d(fn, lo, hi, tol, max_boxes, slope)
     if found is None:
         raise NoBracketError(f"box budget exhausted isolating a zero of {fn} on [{lo}, {hi}]")
     proven, unproven = found
@@ -200,11 +211,11 @@ def _contract(step: Step, box: Box, span: Box, min_width: float) -> tuple[Box | 
     An image inside the interior of its box proves that the box holds exactly
     one zero, which every later box keeps.  The steps go on while each one at
     least halves the longest side, down to the rounding level of `span`, and
-    once a box is proven, while they shrink it at all.  A box that stalls at
-    most `min_width` wide is widened by its width on each side, inside
-    `span`, and tested once more: that proves a zero that the steps pressed
-    against an end of the piece.  Returns (box, proven, steps); the box is
-    None when an image misses its box, which then holds no zero.
+    once a box is proven, while they shrink it at all.  An unproven box that
+    stalls at most `min_width` wide is widened by its width on each side,
+    inside `span`, and tested once more: that proves a zero that the steps
+    pressed against an end of the piece.  Returns (box, proven, steps); the
+    box is None when an image misses its box, which then holds no zero.
     """
     # without this floor a box pressed against t = 0 would shrink on into
     # subnormal floats
@@ -221,7 +232,7 @@ def _contract(step: Step, box: Box, span: Box, min_width: float) -> tuple[Box | 
         shrunk = max(b.width for b in box)
         if shrunk >= size if proven else not floor < shrunk < 0.5 * size:
             break
-    if steps and max(b.width for b in box) <= min_width:
+    if steps and not proven and max(b.width for b in box) <= min_width:
         rs = [max(b.width, 4.0 * math.ulp(b.mid)) for b in box]
         widened = tuple(Interval(max(b.lo - r, s.lo), min(b.hi + r, s.hi)) for b, s, r in zip(box, span, rs))
         steps += 1
@@ -231,53 +242,75 @@ def _contract(step: Step, box: Box, span: Box, min_width: float) -> tuple[Box | 
     return box, proven, steps
 
 
-def _isolate_1d(
+def _isolate(
+    root: Box, excluded: Callable[[Box], bool], step: Step, split: Callable[[Box], Sequence[Box]],
+    span: Box, min_width: float, max_boxes: int,
+) -> tuple[list[tuple[Box, Box]], list[Box], int] | None:
+    """The one subdivision loop of every zero search, from `root`.
+
+    A piece that `excluded` certifies zero-free is dropped.  Any other piece
+    takes `step` in `_contract`, which clears it, proves that a box in it
+    holds exactly one zero, or shrinks it.  A piece it leaves unproven is
+    kept as a leaf once at most `min_width` wide, else `split`: the piece,
+    not the shrunk box, so every piece is a cell of one bisection grid.
+    Pieces tested and steps share the budget `max_boxes`; None when it runs
+    out.  Returns the proven boxes as (piece the proof started from,
+    contracted box), the leaves, and the count of pieces and steps.
+    """
+    stack = [root]
+    proven: list[tuple[Box, Box]] = []
+    leaves: list[Box] = []
+    processed = 0
+    while stack:
+        piece = stack.pop()
+        processed += 1
+        if processed > max_boxes:
+            return None
+        if excluded(piece):
+            continue
+        box, is_proven, steps = _contract(step, piece, span, min_width)
+        processed += steps
+        if processed > max_boxes:
+            return None
+        if box is None:
+            continue
+        if is_proven:
+            proven.append((piece, box))
+        elif max(b.width for b in box) <= min_width:
+            leaves.append(box)
+        else:
+            stack.extend(split(piece))
+    return proven, leaves, processed
+
+
+def _roots_1d(
     fn: IvFunc, lo: float, hi: float, min_width: float, max_boxes: int, slope: SlopeFunc | None
 ) -> tuple[list[Interval], list[Interval]] | None:
     """The Newton-proven boxes and the unproven clusters of `zero_clusters_1d`."""
-    span = Interval(lo, hi)
 
     def step(box: Box) -> Box | None:
         """Newton's N(X) = m - fn(m)/fn'(X) about the midpoint m; None unless fn'(X) excludes 0."""
         (x,) = box
-        d = slope(x)
+        d = slope(x) if slope is not None else None
         if d is None or d.contains_zero():
             return None
         m = Interval.point(x.mid)
         fm = fn(m)
         return (m - fm * d.recip() if d.lo > 0.0 else m + fm * (-d).recip(),)
 
-    stack = [span]
-    proven: list[Interval] = []
-    leaves: list[Interval] = []
-    processed = 0
-    while stack:
-        x = stack.pop()
-        processed += 1
-        if processed > max_boxes:
-            return None
-        if not fn(x).contains_zero():
-            continue
-        if slope is not None:
-            box, is_proven, steps = _contract(step, (x,), (span,), min_width)
-            processed += steps
-            if processed > max_boxes:
-                return None
-            if box is None:
-                continue
-            (x,) = box
-            if is_proven:
-                proven.append(x)
-                continue
-        if x.width <= min_width:
-            leaves.append(x)
-            continue
-        tm = x.mid
-        stack.append(Interval(x.lo, tm))
-        stack.append(Interval(tm, x.hi))
+    def split(box: Box) -> list[Box]:
+        (x,) = box
+        return [(Interval(x.lo, x.mid),), (Interval(x.mid, x.hi),)]
+
+    span = Interval(lo, hi)
+    found = _isolate((span,), lambda box: not fn(box[0]).contains_zero(), step, split, (span,),
+                     min_width, max_boxes)
+    if found is None:
+        return None
+    proven, leaves, _ = found
     # Two proven boxes that overlap hold one zero: fn' has one sign on each,
     # so on their union.  Unproven leaves within min_width form one cluster.
-    return _merge(proven, 0.0), _merge(leaves, min_width)
+    return _merge([box[0] for _, box in proven], 0.0), _merge([box[0] for box in leaves], min_width)
 
 
 def _merge(boxes: list[Interval], gap: float) -> list[Interval]:
@@ -306,7 +339,7 @@ def zero_clusters_1d(
     Pieces evaluated and Newton steps share the budget `max_boxes`; None when
     it runs out.
     """
-    found = _isolate_1d(fn, lo, hi, min_width, max_boxes, slope)
+    found = _roots_1d(fn, lo, hi, min_width, max_boxes, slope)
     if found is None:
         return None
     return sorted(found[0] + found[1], key=lambda c: c.lo)
@@ -602,23 +635,16 @@ def _classify_point(region: OmegaRegion, x: float, y: float, tol: float = 1e-7) 
 # ---------------------------------------------------------------------------
 
 
-#: Newton steps from a candidate's midpoint.  An interior zero is reached in
-#: three; a loop run to a float fixed point would follow the zero at the
-#: origin down into subnormal floats.
-NEWTON_STEPS = 4
-
-
-def _krawczyk(
-    obj: Objective, px: float, py: float, bx: Interval, by: Interval
-) -> tuple[Interval, Interval] | None:
-    """Krawczyk operator K(B) = p - Y g(p) + (I - Y H(B)) (B - p) on B = bx x by.
+def _krawczyk(obj: Objective, box: Box) -> Box | None:
+    """Krawczyk operator K(B) = p - Y g(p) + (I - Y H(B)) (B - p) on B = `box`, about its midpoint p.
 
     g is the true gradient, H its interval Hessian over B and Y = mid(H(B))^-1.
     K(B) inside the interior of B proves that B holds exactly one gradient
-    zero; on the point box B = p, K(B) is one Newton step.  None where g or H
-    is undefined on B or mid(H(B)) is singular.
+    zero, and K(B) ∩ B holds every zero in B.  None where g or H is
+    undefined on B (the radicand is not positive) or mid(H(B)) is singular.
     """
-    ix, iy = Interval.point(px), Interval.point(py)
+    bx, by = box
+    ix, iy = Interval.point(bx.mid), Interval.point(by.mid)
     try:
         g1, g2 = obj.gradient_iv(ix, iy)
         h11, h12, h22 = obj.hessian_iv(bx, by)
@@ -640,76 +666,15 @@ def _krawczyk(
     return k1, k2
 
 
-def _newton(obj: Objective, x: float, y: float) -> tuple[float, float] | None:
-    """NEWTON_STEPS Newton steps p <- mid(K(p)) on the true gradient (no proof).
-
-    None where the gradient or Hessian is undefined or singular on the way.
-    """
-    for _ in range(NEWTON_STEPS):
-        k = _krawczyk(obj, x, y, Interval.point(x), Interval.point(y))
-        if k is None:
-            return None
-        x, y = k[0].mid, k[1].mid
-    return x, y
+def _in_interior(region: OmegaRegion, box: Box) -> bool:
+    """The box lies in the interior of the region; the cap rises, then falls, so is least at an end."""
+    x, y = box
+    return (0.0 < x.lo and x.hi < region.constants.iv_a.lo and 0.0 < y.lo
+            and y.hi < min(cap_point_down(x.lo), cap_point_down(x.hi)))
 
 
-def _cover(
-    obj: Objective, px: float, py: float, boxes: Sequence[tuple[Interval, Interval]]
-) -> tuple[Interval, Interval] | None:
-    """The box about (px, py) that holds `boxes`, if the Krawczyk test proves it holds one zero."""
-    half = max(max(px - bx.lo, bx.hi - px, py - by.lo, by.hi - py) for bx, by in boxes)
-    bx = hull_of([Interval(px - half, px + half), *(b[0] for b in boxes)])
-    by = hull_of([Interval(py - half, py + half), *(b[1] for b in boxes)])
-    k = _krawczyk(obj, px, py, bx, by)
-    return (bx, by) if k is not None and _inside(k, (bx, by)) else None
-
-
-def _certify_candidates(
-    obj: Objective, region: OmegaRegion, candidates: list[tuple[float, float, float, float]],
-    out: CriticalSearch,
-) -> None:
-    """Turn the candidate boxes of the sign search into points of `out`.
-
-    A candidate inside a box already proven to hold one zero is skipped, and
-    so is one that the proof about a certified zero's Newton point stretches
-    to cover: that box holds the zero's certified box, so it is the
-    candidate's only zero.  Any other candidate runs Newton from its midpoint
-    to a point p, and the Krawczyk test runs on the box about p that covers
-    it.  If p lies on the region boundary, p is a boundary zero, kept once
-    within 1e-5; otherwise `_contract` shrinks the proven box to the new
-    point's certified box.  Where Newton or a proof fails, the candidate
-    gives an uncertified point and `out` is not certified.
-    """
-    edge_margin = 1e-6
-    proven: list[tuple[Interval, Interval]] = []  # boxes that hold exactly one zero
-    zeros: list[tuple[tuple[float, float], tuple[Interval, Interval]]] = []  # Newton point, certified box
-
-    def step(box: Box) -> Box | None:
-        return _krawczyk(obj, box[0].mid, box[1].mid, *box)
-
-    for x1, x2, y1, y2 in candidates:
-        cand = (Interval(x1, x2), Interval(y1, y2))
-        if any(bx.contains_interval(cand[0]) and by.contains_interval(cand[1]) for bx, by in proven):
-            continue
-        cover = next(filter(None, (_cover(obj, *p, (cand, box)) for p, box in zeros)), None)
-        if cover is not None:
-            proven.append(cover)
-            continue
-        p = _newton(obj, cand[0].mid, cand[1].mid)
-        cover = _cover(obj, *p, (cand,)) if p else None
-        if cover:
-            proven.append(cover)
-        if p and _classify_point(region, *p, edge_margin) is not None:
-            if not any(abs(p[0] - bx) < 1e-5 and abs(p[1] - by) < 1e-5 for bx, by in out.boundary_zeros):
-                out.boundary_zeros.append(p)
-            continue
-        if cover:
-            box = _contract(step, cover, cover, 0.0)[0]
-            out.points.append(CriticalPoint(cover, box, obj.value_iv(*box)))
-            zeros.append((p, box))
-        else:
-            out.points.append(CriticalPoint(cand, None, obj.value_iv(*cand)))
-            out.certified = False
+def _hull(a: Box, b: Box) -> Box:
+    return tuple(u.hull(v) for u, v in zip(a, b))
 
 
 def interior_critical_points(
@@ -717,45 +682,72 @@ def interior_critical_points(
 ) -> CriticalSearch:
     """Isolate and certify every gradient zero in the interior of the region.
 
-    Discarded boxes all carry an interval certificate that one scaled-gradient
-    component excludes zero.  The certificate holds on boxes that reach the
-    radicand-zero rim as well: the ranges enclose G = sqrt(R)*grad f at every
-    box point with R >= 0, and G has the zeros of grad f where R > 0.  A
-    box that reaches the rim and whose sign stays unsettled down to
-    CLUSTER_WIDTH cannot be resolved here: it goes to `rim_boxes` and the
-    search is not certified.
+    The sign certificate of `_isolate` holds on boxes that reach the rim too:
+    the ranges enclose G = sqrt(R)*grad f wherever R >= 0, and G has the zeros
+    of grad f where R > 0.  Two proven boxes that overlap hold one zero if
+    Krawczyk proves their hull.  A proven box inside the interior is a
+    certified point; one that meets the boundary and holds (0, 0), where the
+    exact gradient vanishes, is a boundary zero.  Any other box left, a rim
+    box or an exhausted budget leaves the search uncertified.
     """
     if obj.dimension != 2:
         raise ValueError(f"{obj.id} is not a 2-D objective")
     cfg = cfg or BnBConfig()
-    out = CriticalSearch()
-
     ranges = monotone_bounds(obj.id)
-    stack = [_root_box(region)]
-    candidates: list[tuple[float, float, float, float]] = []
-    processed = 0
 
-    while stack:
-        box = stack.pop()
-        processed += 1
-        if processed > cfg.max_boxes:
-            out.certified = False
-            break
-        x1, x2, y1, y2 = box
-        g1lo, g1hi, g2lo, g2hi, r_lo, _ = ranges.scaled_gradient_range(x1, x2, y1, y2)
-        # sign first: the certificate holds up to the rim (see the docstring)
-        if g1lo > 0.0 or g1hi < 0.0 or g2lo > 0.0 or g2hi < 0.0:
-            continue
-        if max(x2 - x1, y2 - y1) > CLUSTER_WIDTH:
-            stack.extend(_split_clipped(box))
-        elif r_lo <= 0.0:
-            out.rim_boxes.append(box)
-            out.certified = False
+    def floats(box: Box) -> tuple[float, float, float, float]:
+        return box[0].lo, box[0].hi, box[1].lo, box[1].hi
+
+    def excluded(box: Box) -> bool:
+        """One scaled-gradient component has one sign on the box."""
+        g1lo, g1hi, g2lo, g2hi = ranges.scaled_gradient_range(*floats(box))[:4]
+        return g1lo > 0.0 or g1hi < 0.0 or g2lo > 0.0 or g2hi < 0.0
+
+    def step(box: Box) -> Box | None:
+        return _krawczyk(obj, box) if max(b.width for b in box) <= KRAWCZYK_WIDTH else None
+
+    def split(box: Box) -> list[Box]:
+        return [(Interval(x1, x2), Interval(y1, y2)) for x1, x2, y1, y2 in _split_clipped(floats(box))]
+
+    x1, x2, y1, y2 = _root_box(region)
+    # the widened retest of a box pressed against (0, 0) may cross both axes
+    found = _isolate((Interval(x1, x2), Interval(y1, y2)), excluded, step, split,
+                     (Interval(-1.0, 1.0),) * 2, CLUSTER_WIDTH, cfg.max_boxes)
+    if found is None:
+        return CriticalSearch(certified=False, iterations=cfg.max_boxes)
+    proven, leaves, processed = found
+    out = CriticalSearch(iterations=processed)
+
+    zeros: list[tuple[Box, Box]] = []  # (piece the proof started from, contracted box), one per zero
+    unsettled: list[Box] = []
+    for piece, box in proven:
+        twin = next((z for z in zeros if all(u.intersects(v) for u, v in zip(z[1], box))), None)
+        if twin is not None:
+            zeros.remove(twin)
+            hull = _hull(twin[1], box)
+            out.iterations += 1
+            k = _krawczyk(obj, hull)
+            if k is None or not _inside(k, hull):
+                unsettled.append(hull)
+                continue
+            # one zero, in both boxes
+            piece = _hull(twin[0], piece)
+            box = tuple(Interval(max(u.lo, v.lo), min(u.hi, v.hi)) for u, v in zip(twin[1], box))
+        zeros.append((piece, box))
+    for piece, box in zeros:
+        if _in_interior(region, box):
+            out.points.append(CriticalPoint(piece, box, obj.value_iv(*box)))
+        elif all(b.contains(0.0) for b in box) and obj.stationary_at_origin():
+            out.boundary_zeros.append(box)
         else:
-            candidates.append(box)
-
-    out.iterations = processed
-    _certify_candidates(obj, region, candidates, out)
+            unsettled.append(box)
+    for box in leaves:
+        if ranges.scaled_gradient_range(*floats(box))[4] <= 0.0:
+            out.rim_boxes.append(floats(box))
+        else:
+            unsettled.append(box)
+    out.points.extend(CriticalPoint(box, None, obj.value_iv(*box)) for box in unsettled)
+    out.certified = not (unsettled or out.rim_boxes)
     return out
 
 

@@ -15,7 +15,7 @@ from grunsky_bounds.objectives import (
     ObjectiveId,
     monotone_bounds,
 )
-from grunsky_bounds.optimize import _newton, find_root_1d
+from grunsky_bounds.optimize import find_root_1d, interior_critical_points
 from grunsky_bounds.poly import rp_eval_iv
 from paper_formulas import (
     F6_CUBIC,
@@ -406,12 +406,20 @@ def test_f2_constraint_curve_domain_error():
 
 
 def test_f4_h1_reaches_reported_critical_point():
-    # Newton on the true interval gradient, with the interval Hessian's
-    # midpoint inverse, from the reported three-digit point
-    px, py = _newton(OBJECTIVES[ObjectiveId.F4], 0.634, 0.358)
+    # the certified interior critical point of the difference objective
+    [cp] = interior_critical_points(OBJECTIVES[ObjectiveId.F4]).points
+    px, py = (c.mid for c in cp.certified_box)
     assert 0.634 <= px < 0.635 and 0.358 <= py < 0.359
     assert abs(reduction_residual(ObjectiveId.F4, px, py)) <= 1e-10
     assert abs(f4_h1(py) - px) <= 1e-9
+
+
+@pytest.mark.parametrize("oid", list(ObjectiveId)[1:], ids=lambda v: v.value)
+def test_stationary_at_origin_matches_the_gradient(oid):
+    # at (0, 0) every term of the analytic gradient is a coefficient, so it is
+    # zero in floats exactly when it is zero
+    g = grad(oid, 0.0, 0.0)
+    assert OBJECTIVES[oid].stationary_at_origin() == (g.dx == 0.0 and g.dy == 0.0)
 
 
 def test_f6_reduction_and_h2():

@@ -3,6 +3,7 @@
 import math
 import random
 import tracemalloc
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -26,7 +27,6 @@ from grunsky_bounds.objectives import (
 from grunsky_bounds.optimize import (
     MIN_WIDTH,
     BnBConfig,
-    CriticalSearch,
     NoBracketError,
     find_root_1d,
     grid_maximum,
@@ -168,6 +168,44 @@ def _newton_holds(fn, slope, x: Interval) -> bool:
     return x.lo < n.lo and n.hi < x.hi
 
 
+def _in_newton_proven_box(fn, slope, x: Interval) -> bool:
+    """x lies in a Newton-proven box: x widened by its width on each side."""
+    r = max(x.width, 4.0 * math.ulp(x.mid))
+    return _newton_holds(fn, slope, Interval(x.lo - r, x.hi + r))
+
+
+def _signs_differ(value, x: Interval) -> bool:
+    """value, computed far below rounding level, has opposite signs at the ends of x.
+
+    Then x holds a zero, and inside a Newton-proven box that is its one zero.
+    """
+    a, b = value(x.lo), value(x.hi)
+    return a * b < 0
+
+
+def _rat_poly(p, t: Fraction) -> Fraction:
+    return sum((c * t**k for k, c in enumerate(p)), Fraction(0))
+
+
+def _form_value_50(form, t: float) -> Decimal:
+    """W(t) + V(t)*sqrt(S(t)) to 50 digits: the polynomials exactly at the float t."""
+    q = Fraction(t)
+    with localcontext() as ctx:
+        ctx.prec = 50
+
+        def dec(f: Fraction) -> Decimal:
+            return Decimal(f.numerator) / Decimal(f.denominator)
+
+        def mixed(m) -> Decimal:
+            parts = ((m.one, 1), (m.inv_sqrt3, 3), (m.inv_sqrt5, 5), (m.inv_sqrt7, 7))
+            return sum((dec(_rat_poly(p, q)) / Decimal(r).sqrt() for p, r in parts if p), Decimal(0))
+
+        out = mixed(form.w)
+        if not form.v.is_zero():
+            out += mixed(form.v) * dec(_rat_poly(form.s, q)).sqrt()
+        return out
+
+
 def _form_slope(form):
     """fn' of a scaled derivative form: its own scaled derivative over 2*sqrt(S)."""
     def slope(t: Interval):
@@ -188,7 +226,8 @@ def test_interior_edge_roots_are_newton_proven(oid, edge):
     deriv = OBJECTIVES[oid].restriction(edge).scaled_derivative()
     for c in an.interior_clusters():
         assert c.width <= 1e-13, c
-        assert _newton_holds(deriv.value_iv, _form_slope(deriv), c), c
+        assert _in_newton_proven_box(deriv.value_iv, _form_slope(deriv), c), c
+        assert _signs_differ(lambda t: _form_value_50(deriv, t), c), c
 
 
 def test_interior_edge_root_count():
@@ -256,7 +295,8 @@ def test_find_root_returns_a_newton_proven_box():
     root = find_root_1d(fn, 0.0, 1.0 / 6.0, tol=1e-14, slope=slope)
     assert 0.153 <= root.lo <= root.hi < 0.154
     assert root.width <= 1e-13
-    assert _newton_holds(fn, slope, root)
+    assert _in_newton_proven_box(fn, slope, root)
+    assert _signs_differ(lambda t: _rat_poly(F2_REDUCED_POLY, Fraction(t)), root)
     # the suite's root passes the same slope
     assert SuiteContext().f2_reduced_root() == root
 
@@ -284,7 +324,7 @@ def test_newton_steps_count_against_the_budget():
     # one piece evaluated, then Newton steps: a budget of one box runs out
     assert zero_clusters_1d(fn, 0.0, 1.0, max_boxes=1, slope=slope) is None
     [c] = zero_clusters_1d(fn, 0.0, 1.0, max_boxes=10, slope=slope)
-    assert c.contains(0.3) and _newton_holds(fn, slope, c)
+    assert c.contains(0.3) and _in_newton_proven_box(fn, slope, c)
 
 
 # ---------------------------------------------------------------------------
@@ -725,7 +765,22 @@ def test_critical_f2_empty_with_corner_artifact():
     cs = interior_critical_points(OBJECTIVES[ObjectiveId.F2], REGION, CFG)
     assert cs.points == []
     assert cs.certified
-    assert any(abs(x) < 1e-6 and abs(y) < 1e-6 for x, y in cs.boundary_zeros)
+    [(bx, by)] = cs.boundary_zeros
+    assert bx.contains(0.0) and by.contains(0.0)
+
+
+@pytest.mark.parametrize("oid", list(ObjectiveId)[1:], ids=lambda v: v.value)
+def test_corner_zero_is_a_proven_box_that_holds_the_origin(oid):
+    obj = OBJECTIVES[oid]
+    cs = interior_critical_points(obj, REGION, CFG)
+    # f2, f4 and f8 are stationary at (0, 0): their P has no x or y term and M
+    # no linear term, so grad f(0, 0) = (P_x + m5l/sqrt5, P_y) vanishes
+    assert obj.stationary_at_origin() == (oid in (ObjectiveId.F2, ObjectiveId.F4, ObjectiveId.F8))
+    assert len(cs.boundary_zeros) == obj.stationary_at_origin()
+    for box in cs.boundary_zeros:
+        assert all(b.lo < 0.0 < b.hi and b.width <= 1e-14 for b in box)
+        # the retest that crossed x = 0 and y = 0 proves the box
+        assert optimize._inside(optimize._krawczyk(obj, box), box)
 
 
 def test_critical_f6_isolates_the_known_zero():
@@ -750,37 +805,49 @@ def _offset_box(dx: float, dy: float, w: float = 1e-5) -> tuple[float, float, fl
     return x, x + w, y, y + w
 
 
+def _found_proven(monkeypatch, *proven):
+    """Make the search leave exactly these (piece, proven box) pairs."""
+    monkeypatch.setattr(optimize, "_isolate", lambda *args: (list(proven), [], 0))
+
+
+def _iv_box(box: tuple[float, float, float, float]) -> tuple[Interval, Interval]:
+    return Interval(box[0], box[1]), Interval(box[2], box[3])
+
+
 @pytest.mark.parametrize("near_first", [True, False])
-def test_certifier_gives_one_point_for_boxes_on_both_sides_of_a_zero(near_first):
-    near, far = _offset_box(1e-5, 1e-5), _offset_box(-7e-5, -7e-5)
-    out = CriticalSearch()
-    optimize._certify_candidates(
-        OBJECTIVES[ObjectiveId.F6], REGION, [near, far] if near_first else [far, near], out
-    )
-    assert out.certified and out.boundary_zeros == []
-    [cp] = out.points
-    bx, by = cp.certified_box
-    assert bx.lo <= _F6_ZERO[0] <= bx.hi and by.lo <= _F6_ZERO[1] <= by.hi
-    assert bx.width <= 1e-14 and by.width <= 1e-14
-
-
-def test_stretched_cover_holds_the_certified_box_of_the_zero():
+def test_overlapping_proven_boxes_give_one_point(near_first, monkeypatch):
     obj = OBJECTIVES[ObjectiveId.F6]
-    near, far = _offset_box(1e-5, 1e-5), _offset_box(-7e-5, -7e-5)
-    out = CriticalSearch()
-    optimize._certify_candidates(obj, REGION, [near], out)
-    zero = out.points[0].certified_box
-    # the cover that the certifier stretches about the zero's Newton point to
-    # take in the far candidate must hold the zero's certified box too
-    p = optimize._newton(obj, 0.5 * (near[0] + near[1]), 0.5 * (near[2] + near[3]))
-    cand = (Interval(far[0], far[1]), Interval(far[2], far[3]))
-    cover = optimize._cover(obj, *p, (cand, zero))
-    assert cover is not None
-    assert all(c.contains_interval(z) and c.contains_interval(b) for c, z, b in zip(cover, zero, cand))
+    [cp] = interior_critical_points(obj, REGION, CFG).points
+    # a second proven box about the zero, 2e-6 wide, that overlaps the first
+    x1, x2, y1, y2 = _offset_box(-1e-6, -1e-6, w=2e-6)
+    wide = _iv_box((x1, x2, y1, y2))
+    assert optimize._inside(optimize._krawczyk(obj, wide), wide)
+    pairs = [(cp.cluster, cp.certified_box), (wide, wide)]
+    _found_proven(monkeypatch, *(pairs if near_first else pairs[::-1]))
+    cs = interior_critical_points(obj, REGION, CFG)
+    assert cs.certified and cs.boundary_zeros == []
+    [merged] = cs.points
+    # the hull is proven, so the one zero lies in both boxes
+    assert merged.certified_box == cp.certified_box
+    assert all(c.contains_interval(a) and c.contains_interval(b)
+               for c, a, b in zip(merged.cluster, cp.cluster, wide))
+
+
+def test_overlapping_proven_boxes_without_a_hull_proof_stay_uncertified(monkeypatch):
+    # two overlapping boxes about f6's zero whose hull, 0.04 wide, is too large
+    # for the Krawczyk test (it holds up to half-width about 1e-3)
+    near = _iv_box(_offset_box(-0.02, -0.02, w=0.03))
+    far = _iv_box(_offset_box(-0.01, -0.01, w=0.03))
+    _found_proven(monkeypatch, (near, near), (far, far))
+    cs = interior_critical_points(OBJECTIVES[ObjectiveId.F6], REGION, CFG)
+    assert not cs.certified
+    [cp] = cs.points
+    assert not cp.certified
+    assert cp.cluster == optimize._hull(near, far)
 
 
 def _krawczyk_step(obj):
-    return lambda box: optimize._krawczyk(obj, box[0].mid, box[1].mid, *box)
+    return lambda box: optimize._krawczyk(obj, box)
 
 
 def test_contraction_excludes_a_box_near_a_zero_that_holds_none():
@@ -803,16 +870,28 @@ def test_certified_boxes_are_contracted_to_rounding_level(oid):
     assert cp.value.width <= 1e-13
 
 
-def test_certifier_leaves_a_candidate_it_cannot_cover_uncertified():
-    # Newton from the midpoint finds the zero, but the Krawczyk test fails on
-    # a box this large (it holds up to half-width about 1e-3)
-    x1, x2, y1, y2 = _offset_box(-0.02, -0.02, w=0.04)
-    out = CriticalSearch()
-    optimize._certify_candidates(OBJECTIVES[ObjectiveId.F6], REGION, [(x1, x2, y1, y2)], out)
-    assert not out.certified
-    [cp] = out.points
-    assert not cp.certified
-    assert cp.cluster == (Interval(x1, x2), Interval(y1, y2))
+def test_unsettled_leaf_gives_an_uncertified_point(monkeypatch):
+    # with no Krawczyk step the boxes about f6's zero, where the radicand is
+    # positive, are split down to CLUSTER_WIDTH and settled by nothing
+    monkeypatch.setattr(optimize, "_krawczyk", lambda obj, box: None)
+    cs = interior_critical_points(OBJECTIVES[ObjectiveId.F6], REGION, CFG)
+    assert not cs.certified and cs.rim_boxes == [] and cs.boundary_zeros == []
+    assert cs.points and not any(cp.certified for cp in cs.points)
+    ranges = monotone_bounds(ObjectiveId.F6)
+    for cp in cs.points:
+        bx, by = cp.cluster
+        assert max(bx.width, by.width) <= optimize.CLUSTER_WIDTH
+        assert ranges.scaled_gradient_range(bx.lo, bx.hi, by.lo, by.hi)[4] > 0.0
+    assert any(cp.cluster[0].contains(_F6_ZERO[0]) and cp.cluster[1].contains(_F6_ZERO[1])
+               for cp in cs.points)
+
+
+def test_unsettled_leaf_makes_the_row_inconclusive(monkeypatch):
+    ctx = SuiteContext()
+    monkeypatch.setattr(optimize, "_krawczyk", lambda obj, box: None)
+    [row] = run_suite(["THM3_H22"], ctx=ctx)
+    assert row.status == "INCONCLUSIVE"
+    assert "interior critical-point search not certified" in row.note
 
 
 @pytest.mark.parametrize("p", [0.35898978923132446, 0.312751645895208, 0.3951089863709937])
@@ -852,6 +931,24 @@ def test_critical_budget_downgrade():
     assert not cs.certified
 
 
+def test_krawczyk_steps_count_against_the_budget(monkeypatch):
+    obj = OBJECTIVES[ObjectiveId.F6]
+    cs = interior_critical_points(obj, REGION, CFG)
+    assert cs.certified
+    tested = []
+    real_search = optimize._isolate
+
+    def counting(root, excluded, *rest):
+        return real_search(root, lambda box: tested.append(box) or excluded(box), *rest)
+
+    monkeypatch.setattr(optimize, "_isolate", counting)
+    # iterations count the boxes tested and the Krawczyk steps
+    assert interior_critical_points(obj, REGION, CFG).iterations == cs.iterations > len(tested)
+    # the budget covers boxes and steps: one less leaves the search unsettled
+    assert interior_critical_points(obj, REGION, BnBConfig(max_boxes=cs.iterations)).certified
+    assert not interior_critical_points(obj, REGION, BnBConfig(max_boxes=cs.iterations - 1)).certified
+
+
 # Certified boxes of the interior critical points as float.hex of
 # (x.lo, x.hi, y.lo, y.hi), and the number of gradient zeros found on the
 # boundary, for each 2-D objective.
@@ -860,8 +957,8 @@ CRITICAL_POINTS = {
     ObjectiveId.F3: ([], 0),
     ObjectiveId.F4: ([("0x1.44d5304031245p-1", "0x1.44d5304031254p-1",
                        "0x1.6f9b04f162c8fp-2", "0x1.6f9b04f162c9ep-2")], 1),
-    ObjectiveId.F5: ([("0x1.6f696dfa25b80p-1", "0x1.6f696dfa25b99p-1",
-                       "0x1.4041f7ab8f72ep-2", "0x1.4041f7ab8f753p-2")], 0),
+    ObjectiveId.F5: ([("0x1.6f696dfa25b81p-1", "0x1.6f696dfa25b99p-1",
+                       "0x1.4041f7ab8f72ep-2", "0x1.4041f7ab8f751p-2")], 0),
     ObjectiveId.F6: ([("0x1.36080995d41e6p-1", "0x1.36080995d4224p-1",
                        "0x1.9497733b46c2cp-2", "0x1.9497733b46c7ap-2")], 0),
     ObjectiveId.F7: ([], 0),

@@ -122,7 +122,7 @@ def test_cli_budget_exhaustion_nonzero_exit(capsys):
     assert code == 1
 
 
-@pytest.mark.parametrize("max_boxes", [1, 10, 100, 300])
+@pytest.mark.parametrize("max_boxes", [1, 10, 100, 300, 400])
 def test_cli_verify_budget_gives_no_fail_row(max_boxes, capsys):
     # a budget that runs out leaves a row unsettled: INCONCLUSIVE, never FAIL
     code = main(["verify", "--max-boxes", str(max_boxes), "--format", "json"])
@@ -135,6 +135,12 @@ def test_cli_verify_budget_gives_no_fail_row(max_boxes, capsys):
     if max_boxes == 1:
         assert records["THM1_A3"]["status"] == "INCONCLUSIVE"
         assert "endpoint analysis inconclusive" in records["THM1_A3"]["note"]
+    if max_boxes == 400:
+        # enough for every branch-and-bound, edge analysis and critical search
+        # but f6's, which takes 498 boxes and Krawczyk steps
+        unsettled = {cid: r["note"] for cid, r in records.items() if r["status"] != "PASS"}
+        assert sorted(unsettled) == ["EDGE_TABLE", "THM3_H22"]
+        assert all("interior critical-point search not certified" in note for note in unsettled.values())
 
 
 #: the value rows whose enclosure stays wider than the width bound at --tol 1e-3.
