@@ -468,10 +468,7 @@ class EdgeConstant:
 
 
 def _point_eval(oid: ObjectiveId, edge: EdgeId, at: Callable[[], Interval]):
-    def run(ctx: SuiteContext) -> Interval:
-        return OBJECTIVES[oid].restriction(edge).value_iv(at())
-
-    return run
+    return lambda ctx: OBJECTIVES[oid].restriction(edge).value_iv(at())
 
 
 class BudgetExhausted(Exception):
@@ -486,10 +483,7 @@ def _conclusive_edge(ctx: SuiteContext, oid: ObjectiveId, edge: EdgeId) -> EdgeA
 
 
 def _edge_max(oid: ObjectiveId, edge: EdgeId):
-    def run(ctx: SuiteContext) -> Interval:
-        return _conclusive_edge(ctx, oid, edge).value
-
-    return run
+    return lambda ctx: _conclusive_edge(ctx, oid, edge).value
 
 
 def _edge_root(oid: ObjectiveId, edge: EdgeId):
@@ -585,9 +579,8 @@ def _run_edge_table(ctx: SuiteContext) -> ClaimOutcome:
             unsettled.append(f"{spec.label}: enclosure width {iv.width:.2e} above bound")
             continue
         if spec.mode == "exact":
-            target = Fraction(spec.target)
-            if abs(Fraction(iv.mid) - target) > Fraction(1, 10**12):
-                failures.append(f"{spec.label}: drifts from {spec.target}")
+            if not Fraction(iv.lo) <= Fraction(spec.target) <= Fraction(iv.hi):
+                failures.append(f"{spec.label}: [{iv.lo!r}, {iv.hi!r}] misses {spec.target}")
         elif spec.mode == "rounded":
             if not in_rounding_window(iv, spec.target, 3):
                 failures.append(f"{spec.label}: outside rounding window of {spec.target}")
@@ -657,11 +650,10 @@ def _grid_gap_bound(oid: ObjectiveId, argmax: Interval | tuple[Interval, Interva
         return math.inf if slope is None else (slope * (argmax - p)).hi
     ax, ay = argmax
     px, py = map(Interval.point, grid_point(oid, ax.mid, ay.mid))
-    hx, hy, obj = ax.hull(px), ay.hull(py), OBJECTIVES[oid]
-    if obj.has_radical and obj.radicand_iv(hx, hy).lo <= 0.0:
+    grad = OBJECTIVES[oid].gradient_iv(ax.hull(px), ay.hull(py))
+    if grad is None:
         return math.inf
-    gx, gy = obj.gradient_iv(hx, hy)
-    return (gx * (ax - px) + gy * (ay - py)).hi
+    return (grad[0] * (ax - px) + grad[1] * (ay - py)).hi
 
 
 def _run_property_bnb(ctx: SuiteContext) -> ClaimOutcome:

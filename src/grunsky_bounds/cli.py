@@ -204,15 +204,8 @@ def _cmd_grunsky(args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "verify":
-        return _cmd_verify(args)
-    if args.command == "maximize":
-        return _cmd_maximize(args)
-    if args.command == "edges":
-        return _cmd_edges(args)
-    if args.command == "grunsky":
-        return _cmd_grunsky(args)
-    raise AssertionError(args.command)
+    commands = {"verify": _cmd_verify, "maximize": _cmd_maximize, "edges": _cmd_edges, "grunsky": _cmd_grunsky}
+    return commands[args.command](args)
 
 
 if __name__ == "__main__":

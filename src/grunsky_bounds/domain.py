@@ -37,7 +37,7 @@ from .interval import (
     _sqrt_down,
     _sqrt_up,
 )
-from .poly import RatPoly, rp_add, rp_enclose, rp_mul, rp_scale
+from .poly import RatPoly, rp_add, rp_mul, rp_scale
 
 A_RATIONAL = Fraction(297, 400)  # = 0.7425, cap on |omega_11|
 
@@ -179,7 +179,7 @@ def _straight(p: RatPoly, t: Interval) -> Interval:
     """A coordinate of a straight piece: the parameter itself, or a constant."""
     if p == _T:
         return t
-    return rp_enclose(p)[0] if p else _ZERO
+    return Interval.from_fraction(p[0]) if p else _ZERO
 
 
 # The cap lifts are not Horner on y(t): the bits of a lift at a maximizer on

@@ -17,7 +17,11 @@ The scalar helpers round as follows:
   and step only when the sum rounded, so exact sums keep exact endpoints.
   The error is NaN when the sum overflows; the test then steps too.
 
-`Interval.__mul__` forms only the endpoint products its sign case needs (two
+The pair kernel `_mul_pair`, `_pow_pair` and `_sqrt_pair` works on plain
+(lo, hi) float pairs and builds no object.  `Interval.__mul__`, `__pow__`
+and `sqrt_clamped` are one-line wrappers of it, and the compiled evaluators
+of `poly` and `objectives` call it directly, so both paths give the same
+bits.  `_mul_pair` forms only the endpoint products its sign case needs (two
 when either operand is one-signed, four when both straddle zero).  Round to
 nearest is monotone and so is the step, so the product with the extreme
 exact value rounds to the extreme endpoint.  When an endpoint comes out as
@@ -115,6 +119,65 @@ def _pow_up(x: float, n: int) -> float:
     return r
 
 
+def _mul_pair(a: float, b: float, c: float, d: float) -> tuple[float, float]:
+    """(lo, hi) of [a, b] * [c, d]."""
+    # Round to nearest and the outward step are both monotone, so the
+    # endpoint product named by the sign case rounds to the same float as
+    # the min / max of all four.
+    if a >= 0.0:
+        if c >= 0.0:
+            lo, hi = _mul_down(a, c), _mul_up(b, d)
+        elif d <= 0.0:
+            lo, hi = _mul_down(b, c), _mul_up(a, d)
+        else:
+            lo, hi = _mul_down(b, c), _mul_up(b, d)
+    elif b <= 0.0:
+        if c >= 0.0:
+            lo, hi = _mul_down(a, d), _mul_up(b, c)
+        elif d <= 0.0:
+            lo, hi = _mul_down(b, d), _mul_up(a, c)
+        else:
+            lo, hi = _mul_down(a, d), _mul_up(a, c)
+    elif c >= 0.0:
+        lo, hi = _mul_down(a, d), _mul_up(b, d)
+    elif d <= 0.0:
+        lo, hi = _mul_down(b, c), _mul_up(a, c)
+    else:
+        lo = min(_mul_down(a, d), _mul_down(b, c))
+        hi = max(_mul_up(a, c), _mul_up(b, d))
+    if lo and hi:
+        return lo, hi
+    # A zero endpoint may be +0.0 or -0.0 depending on which of the equal
+    # products is taken: keep the sign the four-product min / max gives.
+    lo = min(_mul_down(a, c), _mul_down(a, d), _mul_down(b, c), _mul_down(b, d))
+    hi = max(_mul_up(a, c), _mul_up(a, d), _mul_up(b, c), _mul_up(b, d))
+    return lo, hi
+
+
+def _pow_pair(lo: float, hi: float, n: int) -> tuple[float, float]:
+    """(lo, hi) of [lo, hi]**n for an integer n >= 0."""
+    if n == 0:
+        return 1.0, 1.0
+    if n == 1:
+        return lo, hi
+    if n % 2 == 0:
+        # even powers: analyse monotone pieces so [-1,1]**2 == [0,1]
+        if lo >= 0.0:
+            return _pow_down(lo, n), _pow_up(hi, n)
+        if hi <= 0.0:
+            return _pow_down(-hi, n), _pow_up(-lo, n)
+        return 0.0, _pow_up(max(-lo, hi), n)
+    return (_pow_down(lo, n) if lo >= 0.0 else -_pow_up(-lo, n),
+            _pow_up(hi, n) if hi >= 0.0 else -_pow_down(-hi, n))
+
+
+def _sqrt_pair(lo: float, hi: float, tol: float = CLAMP_TOL) -> tuple[float, float]:
+    """(lo, hi) of sqrt([lo, hi] ∩ [0, inf)); see `Interval.sqrt_clamped`."""
+    if hi < -tol:
+        raise NegativeRadicandError(f"radicand enclosure [{lo}, {hi}] is negative")
+    return _sqrt_down(lo), _sqrt_up(hi)
+
+
 class Interval:
     """Closed interval [lo, hi] with inclusion-correct arithmetic."""
 
@@ -171,56 +234,12 @@ class Interval:
         return Interval(-self.hi, -self.lo)
 
     def __mul__(self, other: Interval) -> Interval:
-        a, b, c, d = self.lo, self.hi, other.lo, other.hi
-        # Round to nearest and the outward step are both monotone, so the
-        # endpoint product named by the sign case rounds to the same float as
-        # the min / max of all four.
-        if a >= 0.0:
-            if c >= 0.0:
-                lo, hi = _mul_down(a, c), _mul_up(b, d)
-            elif d <= 0.0:
-                lo, hi = _mul_down(b, c), _mul_up(a, d)
-            else:
-                lo, hi = _mul_down(b, c), _mul_up(b, d)
-        elif b <= 0.0:
-            if c >= 0.0:
-                lo, hi = _mul_down(a, d), _mul_up(b, c)
-            elif d <= 0.0:
-                lo, hi = _mul_down(b, d), _mul_up(a, c)
-            else:
-                lo, hi = _mul_down(a, d), _mul_up(a, c)
-        elif c >= 0.0:
-            lo, hi = _mul_down(a, d), _mul_up(b, d)
-        elif d <= 0.0:
-            lo, hi = _mul_down(b, c), _mul_up(a, c)
-        else:
-            lo = min(_mul_down(a, d), _mul_down(b, c))
-            hi = max(_mul_up(a, c), _mul_up(b, d))
-        if lo and hi:
-            return Interval(lo, hi)
-        # A zero endpoint may be +0.0 or -0.0 depending on which of the equal
-        # products is taken: keep the sign the four-product min / max gives.
-        lo = min(_mul_down(a, c), _mul_down(a, d), _mul_down(b, c), _mul_down(b, d))
-        hi = max(_mul_up(a, c), _mul_up(a, d), _mul_up(b, c), _mul_up(b, d))
-        return Interval(lo, hi)
+        return Interval(*_mul_pair(self.lo, self.hi, other.lo, other.hi))
 
     def __pow__(self, n: int) -> Interval:
         if not isinstance(n, int) or n < 0:
             raise ValueError("only small non-negative integer powers")
-        if n == 0:
-            return Interval(1.0, 1.0)
-        if n == 1:
-            return Interval(self.lo, self.hi)
-        if n % 2 == 0:
-            # even powers: analyse monotone pieces so [-1,1]**2 == [0,1]
-            if self.lo >= 0.0:
-                return Interval(_pow_down(self.lo, n), _pow_up(self.hi, n))
-            if self.hi <= 0.0:
-                return Interval(_pow_down(-self.hi, n), _pow_up(-self.lo, n))
-            return Interval(0.0, _pow_up(max(-self.lo, self.hi), n))
-        lo = _pow_down(self.lo, n) if self.lo >= 0.0 else -_pow_up(-self.lo, n)
-        hi = _pow_up(self.hi, n) if self.hi >= 0.0 else -_pow_down(-self.hi, n)
-        return Interval(lo, hi)
+        return Interval(*_pow_pair(self.lo, self.hi, n))
 
     def scale(self, s: float) -> Interval:
         if s >= 0.0:
@@ -234,11 +253,7 @@ class Interval:
         -tol is rejected as a genuine domain violation rather than rounding
         noise.
         """
-        if self.hi < -tol:
-            raise NegativeRadicandError(f"radicand enclosure [{self.lo}, {self.hi}] is negative")
-        lo = max(self.lo, 0.0)
-        hi = max(self.hi, 0.0)
-        return Interval(_sqrt_down(lo), _sqrt_up(hi))
+        return Interval(*_sqrt_pair(self.lo, self.hi, tol))
 
     def recip(self) -> Interval:
         """Enclosure of 1/x over a strictly positive interval."""

@@ -9,11 +9,12 @@ radical multiplier is M(x) = (m5c + m5l * x)/sqrt5 + m7c/sqrt7 with rational
 m5c, m5l, m7c.  The per-objective data below is the only thing that differs.
 
 P is stored once, as a table of exact `Fraction` terms, and `_diff` derives
-the tables of its first and second partial derivatives from it.  Those term
-tables are the single evaluator of the family: every interval evaluation
-(`Objective.value_iv`, `gradient_iv` and `hessian_iv`) runs the one term loop
-`_eval_terms` over them, and the scalar corner bounds of `MonotoneBounds`
-enclose the same tables.
+the tables of its first and second partial derivatives from it.  `_prepared`
+compiles them, on first evaluation, into (i, j, c_lo, c_hi) pair tables: the
+one evaluator of the family.  `Objective.value_iv`, `gradient_iv` and
+`hessian_iv` run the operations of the interval formula on them, in its order,
+through the pair kernel of `interval`, with no `Interval` per operation (edge
+forms likewise, through `poly`); `MonotoneBounds` reads the same tables.
 
 For verified sign certificates the gradient is used in its radical-scaled
 form
@@ -45,14 +46,20 @@ from .interval import (
     _add_down,
     _add_up,
     _mul_down,
+    _mul_pair,
     _mul_up,
     _pow_down,
+    _pow_pair,
     _pow_up,
+    _recip_down,
+    _recip_up,
     _sqrt_down,
+    _sqrt_pair,
     _sqrt_up,
 )
 from .poly import (
-    MixedPoly, RatPoly, horner_iv, rp_add, rp_deriv, rp_enclose, rp_mul, rp_pow, rp_scale, rp_trim
+    MixedPoly, Pair, RatPoly, horner_pair, mixed_pair, rp_add, rp_deriv, rp_mul, rp_pairs, rp_pow,
+    rp_scale, rp_trim
 )
 
 _A = CONSTANTS.a  # Fraction(297, 400)
@@ -98,19 +105,21 @@ class RadicalForm1D:
     hi: float
 
     @cached_property
-    def _radicand_iv(self) -> tuple[Interval, ...]:
-        return rp_enclose(self.s)
+    def _pairs(self) -> tuple:
+        """W, V (None when zero) and S compiled for `mixed_pair` and `horner_pair`; built on first evaluation."""
+        return self.w.pairs, None if self.v.is_zero() else self.v.pairs, rp_pairs(self.s)
 
-    @cached_property
-    def _s_iv(self) -> tuple[Interval, ...] | None:
-        """Enclosed radicand coefficients; None when there is no radical term."""
-        return None if self.v.is_zero() else self._radicand_iv
+    def _value_pair(self, lo: float, hi: float, sq: Pair | None = None) -> Pair:
+        """W + V * sqrt(S) at the pair (lo, hi); `sq` is sqrt(S) there if the caller has it."""
+        w, v, s = self._pairs
+        olo, ohi = mixed_pair(w, lo, hi)
+        if v is not None:
+            vlo, vhi = _mul_pair(*mixed_pair(v, lo, hi), *(sq or _sqrt_pair(*horner_pair(s, lo, hi))))
+            olo, ohi = _add_down(olo, vlo), _add_up(ohi, vhi)
+        return olo, ohi
 
     def value_iv(self, t: Interval) -> Interval:
-        out = self.w.eval_iv(t)
-        if self._s_iv is not None:
-            out = out + self.v.eval_iv(t) * horner_iv(self._s_iv, t).sqrt_clamped()
-        return out
+        return Interval(*self._value_pair(t.lo, t.hi))
 
     @cached_property
     def _scaled_derivative(self) -> RadicalForm1D:
@@ -131,10 +140,14 @@ class RadicalForm1D:
         It is the scaled derivative divided by 2*sqrt(S(t)), the one place
         where the form is differentiated without the scaling.
         """
-        s = horner_iv(self._radicand_iv, t)
-        if s.lo <= 0.0:
+        slo, shi = horner_pair(self._pairs[2], t.lo, t.hi)
+        if slo <= 0.0:
             return None
-        return self._scaled_derivative.value_iv(t) * s.sqrt_clamped().scale(2.0).recip()
+        slo, shi = _sqrt_pair(slo, shi)
+        # the scaled derivative has this S, so the radicand is evaluated once
+        dlo, dhi = self._scaled_derivative._value_pair(t.lo, t.hi, (slo, shi))
+        # times 1/(2*sqrt(S)): the interval path's scale(2.0), then recip
+        return Interval(*_mul_pair(dlo, dhi, _recip_down(_mul_up(shi, 2.0)), _recip_up(_mul_down(slo, 2.0))))
 
 
 @dataclass(frozen=True)
@@ -146,65 +159,63 @@ class Objective:
     m7c: Fraction
     dimension: int = 2
 
-    # -- radical multiplier ---------------------------------------------------
-
-    def _mult(self) -> MixedPoly:
-        return MixedPoly(
-            inv_sqrt5=rp_trim([self.m5c, self.m5l]),
-            inv_sqrt7=rp_trim([self.m7c]),
-        )
-
     @property
     def has_radical(self) -> bool:
         return bool(self.m5c or self.m5l or self.m7c)
 
     # -- evaluation -----------------------------------------------------------
-
-    def radicand_iv(self, x: Interval, y: Interval) -> Interval:
-        return Interval.point(1.0) - x**2 - (y**2).scale(3.0)
+    # Each method runs the pair tables of `_prepared` through the operations
+    # of its interval formula, in its order; only the results are `Interval`s.
 
     def value_iv(self, x: Interval, y: Interval) -> Interval:
-        if self.dimension == 1:
-            y = Interval.point(0.0)
         prep = _prepared(self.id)
-        out = _eval_terms(prep.p, x, y)
+        xp, yp = (x.lo, x.hi), (y.lo, y.hi)
+        out = _terms_pair(prep.p, xp, yp)
         if self.has_radical:
-            out = out + prep.mult.eval_iv(x) * self.radicand_iv(x, y).sqrt_clamped()
-        return out
+            out = _add(out, _mul(mixed_pair(prep.mult.pairs, *xp), _sqrt_pair(*_radicand(xp, yp))))
+        return Interval(*out)
 
-    # -- gradients ------------------------------------------------------------
+    def _radical(self, xp: Pair, yp: Pair) -> tuple[Pair, Pair, Pair] | None:
+        """sqrt(R), u = 1/sqrt(R) and M(x) over the box; None unless R > 0 on it."""
+        r = _radicand(xp, yp)
+        if r[0] <= 0.0:
+            return None
+        sq = _sqrt_pair(*r)
+        return sq, (_recip_down(sq[1]), _recip_up(sq[0])), mixed_pair(_prepared(self.id).mult.pairs, *xp)
 
-    def gradient_iv(self, x: Interval, y: Interval) -> tuple[Interval, Interval]:
-        """True gradient enclosure; requires the radicand positive over the box."""
+    def gradient_iv(self, x: Interval, y: Interval) -> tuple[Interval, Interval] | None:
+        """True gradient enclosure; None where the radicand is not positive over the box."""
         prep = _prepared(self.id)
-        px = _eval_terms(prep.px, x, y)
-        py = _eval_terms(prep.py, x, y)
-        if not self.has_radical:
-            return px, py
-        sq = self.radicand_iv(x, y).sqrt_clamped()
-        u = sq.recip()
-        m = prep.mult.eval_iv(x)
-        fx = px + prep.m_lin_iv * sq - m * x * u
-        fy = py - (m * y * u).scale(3.0)
-        return fx, fy
+        xp, yp = (x.lo, x.hi), (y.lo, y.hi)
+        fx, fy = _terms_pair(prep.px, xp, yp), _terms_pair(prep.py, xp, yp)
+        if self.has_radical:
+            if (rad := self._radical(xp, yp)) is None:
+                return None
+            sq, u, m = rad
+            # fx = Px + beta*sqrt(R) - M*x*u,  fy = Py - 3*M*y*u
+            fx = _sub(_add(fx, _mul(prep.m_lin, sq)), _mul(_mul(m, xp), u))
+            fy = _sub(fy, _scale(_mul(_mul(m, yp), u), 3.0))
+        return Interval(*fx), Interval(*fy)
 
-    def hessian_iv(self, x: Interval, y: Interval) -> tuple[Interval, Interval, Interval]:
-        """Enclosure of (fxx, fxy, fyy) over a box with positive radicand."""
+    def hessian_iv(self, x: Interval, y: Interval) -> tuple[Interval, Interval, Interval] | None:
+        """Enclosure of (fxx, fxy, fyy) over the box; None where the radicand is not positive on it."""
         prep = _prepared(self.id)
-        pxx = _eval_terms(prep.pxx, x, y)
-        pxy = _eval_terms(prep.pxy, x, y)
-        pyy = _eval_terms(prep.pyy, x, y)
-        if not self.has_radical:
-            return pxx, pxy, pyy
-        sq = self.radicand_iv(x, y).sqrt_clamped()
-        u = sq.recip()
-        u3 = u * u * u
-        m = prep.mult.eval_iv(x)
-        beta = prep.m_lin_iv
-        fxx = pxx - (beta * x * u).scale(2.0) - m * u - m * x**2 * u3
-        fxy = pxy - (beta * y * u).scale(3.0) - (m * x * y * u3).scale(3.0)
-        fyy = pyy - (m * (u + (y**2 * u3).scale(3.0))).scale(3.0)
-        return fxx, fxy, fyy
+        xp, yp = (x.lo, x.hi), (y.lo, y.hi)
+        fxx, fxy, fyy = (_terms_pair(t, xp, yp) for t in (prep.pxx, prep.pxy, prep.pyy))
+        if self.has_radical:
+            if (rad := self._radical(xp, yp)) is None:
+                return None
+            _, u, m = rad
+            u3, beta = _mul(_mul(u, u), u), prep.m_lin
+            # fxx = Pxx - 2*beta*x*u - M*u - M*x^2*u^3
+            fxx = _sub(_sub(_sub(fxx, _scale(_mul(_mul(beta, xp), u), 2.0)), _mul(m, u)),
+                       _mul(_mul(m, _pow_pair(*xp, 2)), u3))
+            # fxy = Pxy - 3*beta*y*u - 3*M*x*y*u^3
+            fxy = _sub(_sub(fxy, _scale(_mul(_mul(beta, yp), u), 3.0)),
+                       _scale(_mul(_mul(_mul(m, xp), yp), u3), 3.0))
+            # fyy = Pyy - 3*M*(u + 3*y^2*u^3)
+            fyy = _sub(fyy, _scale(_mul(m, _add(u, _scale(_mul(_pow_pair(*yp, 2), u3), 3.0))), 3.0))
+        return Interval(*fxx), Interval(*fxy), Interval(*fyy)
 
     def stationary_at_origin(self) -> bool:
         """grad f(0, 0) = (P_x(0, 0) + m5l/sqrt5, P_y(0, 0)) is zero, decided exactly on the term table."""
@@ -256,7 +267,8 @@ def _restriction_cached(oid: ObjectiveId, edge: EdgeId) -> RadicalForm1D:
 
 
 Terms = dict[tuple[int, int], Fraction]
-TermsIv = tuple[tuple[int, int, Interval], ...]
+#: (i, j, c_lo, c_hi): the term c * x^i * y^j with c enclosed in [c_lo, c_hi]
+PairTerms = tuple[tuple[int, int, float, float], ...]
 
 
 def _diff(terms: Terms, di: int, dj: int) -> Terms:
@@ -268,45 +280,71 @@ def _diff(terms: Terms, di: int, dj: int) -> Terms:
     }
 
 
-def _terms_iv(terms: Terms) -> TermsIv:
-    """(i, j, enclosure of c) in sorted (i, j) order, the evaluation order."""
-    return tuple((i, j, Interval.from_fraction(c)) for (i, j), c in sorted(terms.items()))
+def _pair_terms(terms: Terms) -> PairTerms:
+    """The table with each c enclosed, in sorted (i, j) order, the evaluation order."""
+    return tuple((i, j, *rp_pairs((c,))[0]) for (i, j), c in sorted(terms.items()))
 
 
-def _eval_terms(terms: TermsIv, x: Interval, y: Interval) -> Interval:
-    """Interval sum of c * x^i * y^j over a term table."""
-    out = Interval.point(0.0)
-    for i, j, c in terms:
-        t = c
+# Interval +, -, * and scale by s > 0 on (lo, hi) pairs, as `Interval` forms them.
+def _add(p: Pair, q: Pair) -> Pair:
+    return _add_down(p[0], q[0]), _add_up(p[1], q[1])
+
+
+def _sub(p: Pair, q: Pair) -> Pair:
+    return _add_down(p[0], -q[1]), _add_up(p[1], -q[0])
+
+
+def _mul(p: Pair, q: Pair) -> Pair:
+    return _mul_pair(*p, *q)
+
+
+def _scale(p: Pair, s: float) -> Pair:
+    return _mul_down(p[0], s), _mul_up(p[1], s)
+
+
+def _terms_pair(terms: PairTerms, xp: Pair, yp: Pair) -> Pair:
+    """Sum of c * x^i * y^j over a table, from [0, 0] in table order."""
+    olo = ohi = 0.0
+    for i, j, clo, chi in terms:
         if i:
-            t = t * x**i
+            clo, chi = _mul_pair(clo, chi, *_pow_pair(*xp, i))
         if j:
-            t = t * y**j
-        out = out + t
-    return out
+            clo, chi = _mul_pair(clo, chi, *_pow_pair(*yp, j))
+        olo, ohi = _add_down(olo, clo), _add_up(ohi, chi)
+    return olo, ohi
+
+
+def _radicand(xp: Pair, yp: Pair) -> Pair:
+    """R = (1 - x^2) - 3*y^2 over the box."""
+    return _sub(_sub((1.0, 1.0), _pow_pair(*xp, 2)), _scale(_pow_pair(*yp, 2), 3.0))
 
 
 @dataclass(frozen=True)
 class _Prepared:
-    """Interval term tables of P and its partial derivatives, built once per objective."""
+    """Pair tables of P and its partial derivatives, M(x), and beta = m5l/sqrt5, built once per objective."""
 
-    p: TermsIv
-    px: TermsIv
-    py: TermsIv
-    pxx: TermsIv
-    pxy: TermsIv
-    pyy: TermsIv
+    p: PairTerms
+    px: PairTerms
+    py: PairTerms
+    pxx: PairTerms
+    pxy: PairTerms
+    pyy: PairTerms
     mult: MixedPoly
-    m_lin_iv: Interval
+    m_lin: Pair
 
 
 @lru_cache(maxsize=None)
 def _prepared(oid: ObjectiveId) -> _Prepared:
+    """Built on first evaluation; f1's entry is refused, since its radical is not the shared one."""
     obj = OBJECTIVES[oid]
+    if obj.dimension != 2:
+        raise ValueError(f"{oid.value} is one-dimensional: evaluate F1_FORM")
     # P, Px, Py, Pxx, Pxy, Pyy in the field order of _Prepared
     orders = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
-    tables = [_terms_iv(_diff(obj.poly, di, dj)) for di, dj in orders]
-    return _Prepared(*tables, obj._mult(), Interval.from_fraction(obj.m5l) * INV_SQRT5)
+    tables = [_pair_terms(_diff(obj.poly, di, dj)) for di, dj in orders]
+    beta = Interval.from_fraction(obj.m5l) * INV_SQRT5
+    mult = MixedPoly(inv_sqrt5=rp_trim([obj.m5c, obj.m5l]), inv_sqrt7=rp_trim([obj.m7c]))
+    return _Prepared(*tables, mult, (beta.lo, beta.hi))
 
 
 OBJECTIVES: dict[ObjectiveId, Objective] = {
@@ -383,9 +421,9 @@ F1_FORM = RadicalForm1D(
 class MonotoneBounds:
     """Scalar lower/upper range bounds over first-quadrant boxes."""
 
-    terms: tuple[tuple[int, int, float, float], ...]  # (i, j, c_lo, c_hi)
-    dx_terms: tuple[tuple[int, int, float, float], ...]
-    dy_terms: tuple[tuple[int, int, float, float], ...]
+    terms: PairTerms  # P, Px and Py, from `_prepared`
+    dx_terms: PairTerms
+    dy_terms: PairTerms
     m5c: tuple[float, float]
     m5l: tuple[float, float]
     m7c: tuple[float, float]
@@ -432,30 +470,8 @@ class MonotoneBounds:
         encloses the radicand range; the gradient bounds certify signs only
         where the radicand is positive.
         """
-        px_lo, px_hi = 0.0, 0.0
-        for i, j, c_lo, c_hi in self.dx_terms:
-            t_hi = c_hi
-            t_lo = c_lo
-            if i:
-                t_hi = _mul_up(t_hi, _pow_up(x2, i))
-                t_lo = _mul_down(t_lo, _pow_down(x1, i))
-            if j:
-                t_hi = _mul_up(t_hi, _pow_up(y2, j))
-                t_lo = _mul_down(t_lo, _pow_down(y1, j))
-            px_hi = _add_up(px_hi, t_hi)
-            px_lo = _add_down(px_lo, t_lo)
-        py_lo, py_hi = 0.0, 0.0
-        for i, j, c_lo, c_hi in self.dy_terms:
-            t_hi = c_hi
-            t_lo = c_lo
-            if i:
-                t_hi = _mul_up(t_hi, _pow_up(x2, i))
-                t_lo = _mul_down(t_lo, _pow_down(x1, i))
-            if j:
-                t_hi = _mul_up(t_hi, _pow_up(y2, j))
-                t_lo = _mul_down(t_lo, _pow_down(y1, j))
-            py_hi = _add_up(py_hi, t_hi)
-            py_lo = _add_down(py_lo, t_lo)
+        px_lo, px_hi = _corner_range(self.dx_terms, x1, x2, y1, y2)
+        py_lo, py_hi = _corner_range(self.dy_terms, x1, x2, y1, y2)
         if not self.has_radical:
             return px_lo, px_hi, py_lo, py_hi, 1.0, 1.0
 
@@ -480,28 +496,29 @@ class MonotoneBounds:
         return g1_lo, g1_hi, g2_lo, g2_hi, r_lo, r_hi
 
 
+def _corner_range(terms: PairTerms, x1: float, x2: float, y1: float, y2: float) -> Pair:
+    """A table with c >= 0 over a first-quadrant box: each term at the lower-left and upper-right corner."""
+    lo = hi = 0.0
+    for i, j, c_lo, c_hi in terms:
+        if i:
+            c_lo, c_hi = _mul_down(c_lo, _pow_down(x1, i)), _mul_up(c_hi, _pow_up(x2, i))
+        if j:
+            c_lo, c_hi = _mul_down(c_lo, _pow_down(y1, j)), _mul_up(c_hi, _pow_up(y2, j))
+        lo, hi = _add_down(lo, c_lo), _add_up(hi, c_hi)
+    return lo, hi
+
+
 @lru_cache(maxsize=None)
 def monotone_bounds(oid: ObjectiveId) -> MonotoneBounds:
     obj = OBJECTIVES[oid]
     if any(c < 0 for c in obj.poly.values()) or obj.m5c < 0 or obj.m5l < 0 or obj.m7c < 0:
         raise ValueError(f"{oid} violates the monotone-coefficient assumption")
 
-    def endpoints(terms: TermsIv):
-        return tuple((i, j, c.lo, c.hi) for i, j, c in terms)
-
     prep = _prepared(oid)
     q5c = Interval.from_fraction(obj.m5c) * INV_SQRT5
-    q5l = Interval.from_fraction(obj.m5l) * INV_SQRT5
     q7c = Interval.from_fraction(obj.m7c) * INV_SQRT7
-    return MonotoneBounds(
-        endpoints(prep.p),
-        endpoints(prep.px),
-        endpoints(prep.py),
-        (q5c.lo, q5c.hi),
-        (q5l.lo, q5l.hi),
-        (q7c.lo, q7c.hi),
-        obj.has_radical,
-    )
+    return MonotoneBounds(prep.p, prep.px, prep.py, (q5c.lo, q5c.hi), prep.m_lin, (q7c.lo, q7c.hi),
+                          obj.has_radical)
 
 
 # -- the reduced stationarity equation of f2, whose root leaves the region --------

@@ -58,6 +58,7 @@ from .interval import (
     _add_down,
     _add_up,
     _mul_down,
+    _mul_pair,
     _mul_up,
     _recip_down,
     _recip_up,
@@ -479,8 +480,6 @@ def maximize_2d(obj: Objective, region: OmegaRegion = REGION, cfg: BnBConfig | N
     by `_centred_upper`, a mean-value form about Baumann's centre: in the chart
     for boxes that reach the cap curve within one branch, in (x, y) otherwise.
     """
-    if obj.dimension != 2:
-        raise ValueError(f"{obj.id} is not a 2-D objective")
     cfg = cfg or BnBConfig()
     ranges = monotone_bounds(obj.id)
 
@@ -589,8 +588,8 @@ def _gradient(ranges: MonotoneBounds, box: tuple[float, ...]) -> tuple[Interval,
         return None
     if not ranges.has_radical:
         return Interval(g1lo, g1hi), Interval(g2lo, g2hi)
-    u = Interval(_recip_down(_sqrt_up(r_hi)), _recip_up(_sqrt_down(r_lo)))
-    return Interval(g1lo, g1hi) * u, Interval(g2lo, g2hi) * u
+    u = _recip_down(_sqrt_up(r_hi)), _recip_up(_sqrt_down(r_lo))
+    return Interval(*_mul_pair(g1lo, g1hi, *u)), Interval(*_mul_pair(g2lo, g2hi, *u))
 
 
 def _mean_value_upper(f_up: Callable[..., float], grad: tuple[Interval, ...], box: tuple[float, ...]) -> float:
@@ -640,16 +639,17 @@ def _krawczyk(obj: Objective, box: Box) -> Box | None:
 
     g is the true gradient, H its interval Hessian over B and Y = mid(H(B))^-1.
     K(B) inside the interior of B proves that B holds exactly one gradient
-    zero, and K(B) ∩ B holds every zero in B.  None where g or H is
-    undefined on B (the radicand is not positive) or mid(H(B)) is singular.
+    zero, and K(B) ∩ B holds every zero in B.  None where the radicand is not
+    positive on B, so that g and H are undefined there, or mid(H(B)) is
+    singular; any other fault in g or H raises.
     """
     bx, by = box
     ix, iy = Interval.point(bx.mid), Interval.point(by.mid)
-    try:
-        g1, g2 = obj.gradient_iv(ix, iy)
-        h11, h12, h22 = obj.hessian_iv(bx, by)
-    except (ArithmeticError, ValueError):
+    if (hessian := obj.hessian_iv(bx, by)) is None:
         return None
+    h11, h12, h22 = hessian
+    # R > 0 on B, so also at p in B: interval evaluation is inclusion-isotone
+    g1, g2 = obj.gradient_iv(ix, iy)
     det = h11.mid * h22.mid - h12.mid * h12.mid
     if det == 0.0 or not math.isfinite(det):
         return None
@@ -690,8 +690,6 @@ def interior_critical_points(
     exact gradient vanishes, is a boundary zero.  Any other box left, a rim
     box or an exhausted budget leaves the search uncertified.
     """
-    if obj.dimension != 2:
-        raise ValueError(f"{obj.id} is not a 2-D objective")
     cfg = cfg or BnBConfig()
     ranges = monotone_bounds(obj.id)
 
@@ -759,12 +757,7 @@ def _split_clipped(box: tuple[float, float, float, float]) -> list[tuple[float, 
     else:
         ym = 0.5 * (y1 + y2)
         raw = ((x1, x2, y1, ym), (x1, x2, ym, y2))
-    out = []
-    for child in raw:
-        clipped = _clip_box(*child)
-        if clipped is not None:
-            out.append(clipped)
-    return out
+    return [clipped for clipped in (_clip_box(*child) for child in raw) if clipped is not None]
 
 
 # ---------------------------------------------------------------------------

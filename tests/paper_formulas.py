@@ -7,6 +7,10 @@ named boundary restrictions g1..g10, the float region test (Lemma 1), the
 oracle's bridge to the region, a float and an exact rational reference for
 the oracle's logarithms.  The library never needs them: it works
 with interval enclosures instead.
+
+The interval formulas of the objectives and their edge forms, with one
+`Interval` object per operation, are kept here as the reference that the
+library's compiled pair evaluators must match bit for bit.
 """
 
 from __future__ import annotations
@@ -19,11 +23,13 @@ from fractions import Fraction
 import numpy as np
 
 from grunsky_bounds.domain import CAP_PIECES, CONSTANTS, EdgeId
-from grunsky_bounds.interval import CLAMP_TOL, Interval, NegativeRadicandError
-from grunsky_bounds.objectives import F1_FORM, OBJECTIVES, Objective, ObjectiveId, RadicalForm1D
+from grunsky_bounds.interval import (
+    CLAMP_TOL, INV_SQRT3, INV_SQRT5, INV_SQRT7, Interval, NegativeRadicandError
+)
+from grunsky_bounds.objectives import F1_FORM, OBJECTIVES, Objective, ObjectiveId, RadicalForm1D, _diff
 from grunsky_bounds.optimize import IvFunc
 from grunsky_bounds.oracle import GrunskyTable
-from grunsky_bounds.poly import MixedPoly, RatPoly, rp_eval_iv
+from grunsky_bounds.poly import MixedPoly, RatPoly, rp_eval_iv, rp_trim
 from grunsky_bounds.series import PowerSeries
 
 _A = CONSTANTS.a
@@ -89,9 +95,9 @@ def mult_float(obj: Objective, x: float) -> float:
 
 
 def objective_value(obj: Objective, x: float, y: float) -> float:
-    """Point evaluation; y is ignored for the 1-D objective."""
-    if obj.dimension == 1:
-        y = 0.0
+    """Point evaluation of a 2-D objective; f1's entry holds only 3x^2, so f1 is `F1_FORM`."""
+    if obj.dimension != 2:
+        raise ValueError(f"{obj.id.value} is one-dimensional: evaluate F1_FORM")
     if not omega_contains(x, y, slack=1e-9):
         raise ValueError(f"({x}, {y}) outside the admissible region")
     out = 0.0
@@ -109,6 +115,101 @@ def eval_objective(oid: ObjectiveId, x: float, y: float = 0.0) -> float:
     if oid is ObjectiveId.F1:
         return form_value(F1_FORM, x)
     return objective_value(OBJECTIVES[oid], x, y)
+
+
+# -- the interval formulas, one Interval object per operation ------------------------
+
+
+def horner_iv(p: RatPoly, x: Interval) -> Interval:
+    """Interval Horner from [0, 0] over the tightest enclosures of p's coefficients."""
+    acc = Interval.point(0.0)
+    for c in reversed(p):
+        acc = acc * x + Interval.from_fraction(c)
+    return acc
+
+
+def mixed_eval_iv(m: MixedPoly, x: Interval) -> Interval:
+    """Each non-zero part times its enclosed factor 1, 1/sqrt3, 1/sqrt5 or 1/sqrt7, summed from [0, 0]."""
+    out = Interval.point(0.0)
+    for p, factor in zip(m.parts, (None, INV_SQRT3, INV_SQRT5, INV_SQRT7)):
+        if p:
+            v = horner_iv(p, x)
+            out = out + (v if factor is None else v * factor)
+    return out
+
+
+def form_value_iv(form: RadicalForm1D, t: Interval) -> Interval:
+    out = mixed_eval_iv(form.w, t)
+    if not form.v.is_zero():
+        out = out + mixed_eval_iv(form.v, t) * horner_iv(form.s, t).sqrt_clamped()
+    return out
+
+
+def form_slope_iv(form: RadicalForm1D, t: Interval) -> Interval | None:
+    """The scaled derivative over 2*sqrt(S); None where S is not positive."""
+    s = horner_iv(form.s, t)
+    if s.lo <= 0.0:
+        return None
+    return form_value_iv(form.scaled_derivative(), t) * s.sqrt_clamped().scale(2.0).recip()
+
+
+def eval_terms_iv(terms: dict[tuple[int, int], Fraction], x: Interval, y: Interval) -> Interval:
+    """Sum of c * x^i * y^j from [0, 0], in sorted (i, j) order."""
+    out = Interval.point(0.0)
+    for (i, j), c in sorted(terms.items()):
+        t = Interval.from_fraction(c)
+        if i:
+            t = t * x**i
+        if j:
+            t = t * y**j
+        out = out + t
+    return out
+
+
+def radicand_iv(x: Interval, y: Interval) -> Interval:
+    return Interval.point(1.0) - x**2 - (y**2).scale(3.0)
+
+
+def _mult_iv(obj: Objective, x: Interval) -> Interval:
+    return mixed_eval_iv(MixedPoly(inv_sqrt5=rp_trim([obj.m5c, obj.m5l]), inv_sqrt7=rp_trim([obj.m7c])), x)
+
+
+def objective_value_iv(obj: Objective, x: Interval, y: Interval) -> Interval:
+    out = eval_terms_iv(obj.poly, x, y)
+    if obj.has_radical:
+        out = out + _mult_iv(obj, x) * radicand_iv(x, y).sqrt_clamped()
+    return out
+
+
+def objective_gradient_iv(obj: Objective, x: Interval, y: Interval) -> tuple[Interval, Interval]:
+    """Raises where the radicand is not positive over the box."""
+    px = eval_terms_iv(_diff(obj.poly, 1, 0), x, y)
+    py = eval_terms_iv(_diff(obj.poly, 0, 1), x, y)
+    if not obj.has_radical:
+        return px, py
+    sq = radicand_iv(x, y).sqrt_clamped()
+    u = sq.recip()
+    m = _mult_iv(obj, x)
+    beta = Interval.from_fraction(obj.m5l) * INV_SQRT5
+    return px + beta * sq - m * x * u, py - (m * y * u).scale(3.0)
+
+
+def objective_hessian_iv(obj: Objective, x: Interval, y: Interval) -> tuple[Interval, Interval, Interval]:
+    """Raises where the radicand is not positive over the box."""
+    pxx = eval_terms_iv(_diff(obj.poly, 2, 0), x, y)
+    pxy = eval_terms_iv(_diff(obj.poly, 1, 1), x, y)
+    pyy = eval_terms_iv(_diff(obj.poly, 0, 2), x, y)
+    if not obj.has_radical:
+        return pxx, pxy, pyy
+    sq = radicand_iv(x, y).sqrt_clamped()
+    u = sq.recip()
+    u3 = u * u * u
+    m = _mult_iv(obj, x)
+    beta = Interval.from_fraction(obj.m5l) * INV_SQRT5
+    fxx = pxx - (beta * x * u).scale(2.0) - m * u - m * x**2 * u3
+    fxy = pxy - (beta * y * u).scale(3.0) - (m * x * y * u3).scale(3.0)
+    fyy = pyy - (m * (u + (y**2 * u3).scale(3.0))).scale(3.0)
+    return fxx, fxy, fyy
 
 
 # -- the grid cross-check, on the full grid ---------------------------------------------

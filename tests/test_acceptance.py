@@ -8,10 +8,12 @@ and oracle passes exactly once.
 
 import math
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from grunsky_bounds import claims
 from grunsky_bounds.claims import (
     CLAIMS_BY_ID,
     EDGE_CONSTANTS,
@@ -21,6 +23,7 @@ from grunsky_bounds.claims import (
     inside_window,
 )
 from grunsky_bounds.domain import CONSTANTS, EdgeId
+from grunsky_bounds.interval import Interval
 from grunsky_bounds.objectives import OBJECTIVES, MonotoneBounds, ObjectiveId
 from grunsky_bounds.optimize import grid_maximum
 from grunsky_bounds.oracle import PRESETS, check_coefficient_identities, gamma_from_series
@@ -130,6 +133,22 @@ def test_criterion_10_edge_table(suite_ctx):
     assert len(EDGE_CONSTANTS) >= 14
     # the one rounded report is explicitly annotated, never silently widened
     assert "g8(a)" in out.note and "rounded" in out.note
+
+
+def test_edge_table_exact_entry_is_decided_by_containment(suite_ctx, monkeypatch):
+    [spec] = [c for c in EDGE_CONSTANTS if c.mode == "exact"]
+    iv = spec.evaluate(suite_ctx)
+    assert (iv.lo, iv.hi) == (1.3333333333333321, 1.3333333333333346)
+    assert Fraction(iv.lo) <= Fraction(4, 3) <= Fraction(iv.hi)
+    monkeypatch.setattr(claims, "EDGE_CONSTANTS", (spec,))
+    assert _run(suite_ctx, "EDGE_TABLE").status == "PASS"
+    # shifted by twice its width the enclosure misses 4/3, though its
+    # midpoint stays within 1e-12 of it
+    shifted = Interval(iv.lo + 2 * iv.width, iv.hi + 2 * iv.width)
+    assert abs(shifted.mid - 4 / 3) <= 1e-12
+    monkeypatch.setattr(claims, "EDGE_CONSTANTS", (replace(spec, evaluate=lambda ctx: shifted),))
+    out = _run(suite_ctx, "EDGE_TABLE")
+    assert out.status == "FAIL" and "misses 4/3" in out.note
 
 
 def test_criterion_11_identities(suite_ctx):

@@ -6,8 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from grunsky_bounds.domain import CONSTANTS, EdgeId, cap_sup_up
-from grunsky_bounds.interval import INV_SQRT3, INV_SQRT5, INV_SQRT7, Interval
+from grunsky_bounds.domain import CONSTANTS, EdgeId, cap_point_down, cap_sup_up
+from grunsky_bounds.interval import Interval, NegativeRadicandError
 from grunsky_bounds.objectives import (
     F1_FORM,
     F2_REDUCED_POLY,
@@ -16,7 +16,7 @@ from grunsky_bounds.objectives import (
     monotone_bounds,
 )
 from grunsky_bounds.optimize import find_root_1d, interior_critical_points
-from grunsky_bounds.poly import rp_eval_iv
+from grunsky_bounds.poly import mixed_pair, rp_eval_iv
 from paper_formulas import (
     F6_CUBIC,
     BoundaryRestrictionId,
@@ -25,10 +25,16 @@ from paper_formulas import (
     f2_constraint_curve_x,
     f4_h1,
     f6_h2,
+    form_slope_iv,
     form_value,
+    form_value_iv,
     grad,
     lemma1_bound,
+    mixed_eval_iv,
+    objective_gradient_iv,
+    objective_hessian_iv,
     objective_value,
+    objective_value_iv,
     prove_negative_1d,
     prove_positive_1d,
     reduction_residual,
@@ -505,26 +511,25 @@ def test_values_finite_on_whole_region_including_rim():
         assert math.isfinite(v)
 
 
-def _mixed_per_call(m, x: Interval) -> Interval:
-    """MixedPoly.eval_iv through rp_eval_iv, enclosing the coefficients on each call."""
-    out = Interval.point(0.0)
-    for p, factor in ((m.one, None), (m.inv_sqrt3, INV_SQRT3),
-                      (m.inv_sqrt5, INV_SQRT5), (m.inv_sqrt7, INV_SQRT7)):
-        if p:
-            v = rp_eval_iv(p, x)
-            out = out + (v if factor is None else v * factor)
-    return out
-
-
-def _form_per_call(form, t: Interval) -> Interval:
-    out = _mixed_per_call(form.w, t)
-    if not form.v.is_zero():
-        out = out + _mixed_per_call(form.v, t) * rp_eval_iv(form.s, t).sqrt_clamped()
-    return out
-
-
 def _hex(iv: Interval) -> tuple[str, str]:
     return iv.lo.hex(), iv.hi.hex()
+
+
+def _same_bits(got, want) -> bool:
+    """Equal by float.hex, interval by interval; None, where the reference raised, matches None."""
+    if got is None or want is None:
+        return got is want
+    if isinstance(got, Interval):
+        return _hex(got) == _hex(want)
+    return [_hex(g) for g in got] == [_hex(w) for w in want]
+
+
+def _reference(fn, *args):
+    """The reference's result, or None where it raises for a radicand that is not positive."""
+    try:
+        return fn(*args)
+    except (ArithmeticError, ValueError):
+        return None
 
 
 _FORMS = [F1_FORM] + [
@@ -536,13 +541,75 @@ _FORMS = [F1_FORM] + [
 @pytest.mark.parametrize("form", _FORMS + [f.scaled_derivative() for f in _FORMS],
                          ids=lambda f: f.label)
 def test_pre_enclosed_coefficients_match_per_call_path(form):
+    # the compiled pair path against the interval formulas, which enclose the
+    # coefficients on each call and build one Interval object per operation;
+    # boxes that reach below t = 0 take the zero-endpoint products too
     rng = random.Random(form.label)
-    for _ in range(40):
-        a, b = sorted(rng.uniform(form.lo, form.hi) for _ in range(2))
+    for k in range(60):
+        a, b = sorted(rng.uniform(form.lo - 0.1 * (k % 3 == 0), form.hi) for _ in range(2))
         t = Interval(a, b)
-        assert _hex(form.value_iv(t)) == _hex(_form_per_call(form, t))
+        want = _reference(form_value_iv, form, t)
+        if want is None:
+            with pytest.raises(NegativeRadicandError):
+                form.value_iv(t)
+        else:
+            assert _hex(form.value_iv(t)) == _hex(want)
+        assert _same_bits(form.slope_iv(t), _reference(form_slope_iv, form, t))
         for m in (form.w, form.v):
-            assert _hex(m.eval_iv(t)) == _hex(_mixed_per_call(m, t))
+            assert tuple(v.hex() for v in mixed_pair(m.pairs, a, b)) == _hex(mixed_eval_iv(m, t))
+
+
+def _random_box(rng: random.Random, straddle: bool) -> tuple[Interval, Interval]:
+    """A box in the region's quadrant, or one whose x, y or both start at 0 or below it."""
+    x1, y1 = rng.uniform(0.0, A - 0.05), rng.uniform(0.0, 0.4)
+    if straddle:
+        axes = rng.choice(("x", "y", "xy"))
+        if "x" in axes:
+            x1 = rng.choice((0.0, -rng.uniform(0.0, 0.2)))
+        if "y" in axes:
+            y1 = rng.choice((0.0, -rng.uniform(0.0, 0.2)))
+    return Interval(x1, x1 + rng.uniform(0.0, 0.3)), Interval(y1, y1 + rng.uniform(0.0, 0.3))
+
+
+@pytest.mark.parametrize("oid", [o for o in ObjectiveId if o is not ObjectiveId.F1], ids=lambda o: o.value)
+def test_compiled_objective_matches_the_interval_formulas(oid):
+    obj = OBJECTIVES[oid]
+    rng = random.Random(oid.value)
+    for k in range(300):
+        x, y = _random_box(rng, straddle=k % 2 == 1)
+        want = _reference(objective_value_iv, obj, x, y)
+        if want is None:
+            with pytest.raises(NegativeRadicandError):
+                obj.value_iv(x, y)
+        else:
+            assert _hex(obj.value_iv(x, y)) == _hex(want)
+        assert _same_bits(obj.gradient_iv(x, y), _reference(objective_gradient_iv, obj, x, y))
+        assert _same_bits(obj.hessian_iv(x, y), _reference(objective_hessian_iv, obj, x, y))
+        # point boxes, as the Krawczyk step evaluates the gradient
+        p, q = Interval.point(x.mid), Interval.point(y.mid)
+        assert _same_bits(obj.gradient_iv(p, q), _reference(objective_gradient_iv, obj, p, q))
+
+
+def test_gradient_and_hessian_are_none_where_the_radicand_is_not_positive():
+    obj = OBJECTIVES[ObjectiveId.F5]
+    # the box reaches the rim R = 0 on the high cap
+    x = Interval(0.6, 0.61)
+    y = Interval(0.4, cap_point_down(0.6))
+    assert obj.gradient_iv(x, y) is None and obj.hessian_iv(x, y) is None
+    # f7 has no radical term, so its derivatives are defined up to the rim
+    assert OBJECTIVES[ObjectiveId.F7].hessian_iv(x, y) is not None
+
+
+def test_f1_registry_entry_is_refused_by_the_2d_evaluator():
+    # the entry holds only 3x^2: f1 is F1_FORM, and no path may evaluate the entry
+    obj = OBJECTIVES[ObjectiveId.F1]
+    half, zero = Interval.point(0.5), Interval.point(0.0)
+    assert F1_FORM.value_iv(half).contains(1.75)
+    for evaluate in (obj.value_iv, obj.gradient_iv, obj.hessian_iv):
+        with pytest.raises(ValueError, match="F1_FORM"):
+            evaluate(half, zero)
+    with pytest.raises(ValueError, match="F1_FORM"):
+        monotone_bounds(ObjectiveId.F1)
 
 
 def test_f2_reduced_root_found_once_per_context(monkeypatch):

@@ -3,13 +3,14 @@
 import math
 import random
 import tracemalloc
+from dataclasses import replace
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
 
-from grunsky_bounds import optimize
-from grunsky_bounds.claims import SuiteContext, analyze_edge
+from grunsky_bounds import objectives, optimize
+from grunsky_bounds.claims import SuiteContext, analyze_edge, analyze_form
 from grunsky_bounds.domain import (
     CONSTANTS,
     EDGES,
@@ -554,6 +555,65 @@ def test_maximize_2d_results_are_pinned(name, tol):
     assert (ext.kind, ext.iterations, ext.converged) == (kind, iterations, True)
 
 
+#: the edge analyses of f2-f9 and f1's y_zero analysis: value, argmax and
+#: every cluster, each "lo hi" by float.hex
+EDGE_PINS = {
+    ('f1', 'y_zero'): ('0x1.36b4ba33fdc01p+1 0x1.36b4ba33fdc08p+1', '0x1.7c28f5c28f5c2p-1 0x1.7c28f5c28f5c3p-1', ('0x0.0p+0 0x1.8306000000000p-57',)),
+    ('f2', 'x_zero'): ('0x1.c9f25c5bfedd6p-1 0x1.c9f25c5bfeddep-1', '0x0.0p+0 0x1.8000000000000p-79', ('0x0.0p+0 0x1.8000000000000p-79',)),
+    ('f2', 'x_a'): ('0x1.bb11ff6d4c46fp+1 0x1.bb11ff6d4c479p+1', '0x1.760c02923590fp-2 0x1.760c029235913p-2', ('0x1.760c02923590fp-2 0x1.760c029235913p-2',)),
+    ('f2', 'y_zero'): ('0x1.1e45e5b566634p+1 0x1.1e45e5b56663cp+1', '0x1.7c28f5c28f5c2p-1 0x1.7c28f5c28f5c3p-1', ('0x0.0p+0 0x1.427f490000000p-61', '0x1.32277ade13b34p-4 0x1.32277ade13b42p-4')),
+    ('f2', 'curve_low'): ('0x1.36524930f512dp+0 0x1.36524930f513bp+0', '0x1.31f350c15254ap-2 0x1.31f350c15254dp-2', ('0x1.31f350c15254ap-2 0x1.31f350c15254dp-2',)),
+    ('f2', 'curve_high'): ('0x1.ae1de73f00b3fp+1 0x1.ae1de73f00b4ap+1', '0x1.7c28f5c28f5c2p-1 0x1.7c28f5c28f5c3p-1', ()),
+    ('f3', 'x_zero'): ('0x1.20c2479a9fdf7p+0 0x1.20c2479a9fdfdp+0', '0x1.0000000000000p-1 0x1.0000000000000p-1', ('0x0.0p+0 0x1.c000000000000p-97',)),
+    ('f3', 'x_a'): ('0x1.3f9006357f063p+2 0x1.3f9006357f06fp+2', '0x1.5af03601bae0dp-2 0x1.5af03601bae13p-2', ('0x1.5af03601bae0dp-2 0x1.5af03601bae13p-2',)),
+    ('f3', 'y_zero'): ('0x1.ae2865038f534p+1 0x1.ae2865038f544p+1', '0x1.7c28f5c28f5c2p-1 0x1.7c28f5c28f5c3p-1', ()),
+    ('f3', 'curve_low'): ('0x1.bfb620df0c1b1p+0 0x1.bfb620df0c1c5p+0', '0x1.26ddd4cbb73dep-2 0x1.26ddd4cbb73e2p-2', ('0x1.26ddd4cbb73dep-2 0x1.26ddd4cbb73e2p-2',)),
+    ('f3', 'curve_high'): ('0x1.21b8cffd266adp+2 0x1.21b8cffd266b7p+2', '0x1.7c28f5c28f5c2p-1 0x1.7c28f5c28f5c3p-1', ()),
+    ('f4', 'x_zero'): ('0x1.c9f25c5bfedd6p-1 0x1.c9f25c5bfeddep-1', '0x0.0p+0 0x1.8000000000000p-79', ('0x0.0p+0 0x1.8000000000000p-79',)),
+    ('f4', 'x_a'): ('0x1.23a31cdbe8f24p+0 0x1.23a31cdbe8f30p+0', '0x1.4ee9130b0bd5ep-2 0x1.4ee9130b0bd63p-2', ('0x1.4ee9130b0bd5ep-2 0x1.4ee9130b0bd63p-2',)),
+    ('f4', 'y_zero'): ('0x1.c9f25c5bfedd6p-1 0x1.c9f25c5bfeddfp-1', '0x0.0p+0 0x1.8746940000000p-54', ('0x0.0p+0 0x1.8746940000000p-54',)),
+    ('f4', 'curve_low'): ('0x1.6b31cdb559992p-1 0x1.6b31cdb5599a3p-1', '0x1.025d9aab2abedp-2 0x1.025d9aab2abf2p-2', ('0x1.025d9aab2abedp-2 0x1.025d9aab2abf2p-2',)),
+    ('f4', 'curve_high'): ('0x1.f02125391c328p-1 0x1.f02125391c340p-1', '0x1.6e1fcc74b3c41p-1 0x1.6e1fcc74b3c45p-1', ('0x1.6e1fcc74b3c41p-1 0x1.6e1fcc74b3c45p-1',)),
+    ('f5', 'x_zero'): ('0x1.20c2479a9fdf7p+0 0x1.20c2479a9fdfdp+0', '0x1.0000000000000p-1 0x1.0000000000000p-1', ('0x0.0p+0 0x1.c000000000000p-97',)),
+    ('f5', 'x_a'): ('0x1.d1ce1109fb789p+0 0x1.d1ce1109fb79ep+0', '0x1.33b7d4b0181a6p-2 0x1.33b7d4b0181acp-2', ('0x1.33b7d4b0181a6p-2 0x1.33b7d4b0181acp-2',)),
+    ('f5', 'y_zero'): ('0x1.5fead8a2c08fbp+0 0x1.5fead8a2c0911p+0', '0x1.55ad34f27ac3cp-1 0x1.55ad34f27ac43p-1', ('0x1.55ad34f27ac3cp-1 0x1.55ad34f27ac43p-1',)),
+    ('f5', 'curve_low'): ('0x1.514dcbeb9b73cp+0 0x1.514dcbeb9b749p+0', '0x1.fb7e3b09b85d1p-3 0x1.fb7e3b09b85dep-3', ('0x1.fb7e3b09b85d1p-3 0x1.fb7e3b09b85dep-3',)),
+    ('f5', 'curve_high'): ('0x1.66e8de5c74abdp+0 0x1.66e8de5c74ac9p+0', '0x1.7c28f5c28f5c2p-1 0x1.7c28f5c28f5c3p-1', ()),
+    ('f6', 'x_zero'): ('0x1.ffffffffffffep-1 0x1.0000000000002p+0', '0x1.0000000000000p-1 0x1.0000000000000p-1', ('0x0.0p+0 0x1.11d2000000000p-55',)),
+    ('f6', 'x_a'): ('0x1.3ba49eef274d5p+0 0x1.3ba49eef274ebp+0', '0x1.08cbbeae6c5ddp-2 0x1.08cbbeae6c5ecp-2', ('0x0.0p+0 0x1.389a400000000p-53', '0x1.08cbbeae6c5ddp-2 0x1.08cbbeae6c5ecp-2')),
+    ('f6', 'y_zero'): ('0x1.3192aed4d56fcp+0 0x1.3192aed4d5708p+0', '0x1.7c28f5c28f5c2p-1 0x1.7c28f5c28f5c3p-1', ()),
+    ('f6', 'curve_low'): ('0x1.47ca4dd107668p+0 0x1.47ca4dd10766fp+0', '0x1.1fd6a644a82b4p-2 0x1.1fd6a644a82b8p-2', ('0x1.1fd6a644a82b4p-2 0x1.1fd6a644a82b8p-2',)),
+    ('f6', 'curve_high'): ('0x1.369576d89f334p+0 0x1.369576d89f337p+0', '0x1.3f32c36c7d523p-2 0x1.3f32c36c7d524p-2', ()),
+    ('f7', 'x_zero'): ('0x1.fffffffffffffp-2 0x1.0000000000001p-1', '0x1.0000000000000p-1 0x1.0000000000000p-1', ()),
+    ('f7', 'x_a'): ('0x1.5324a45452564p-1 0x1.5324a45452567p-1', '0x1.8c0478936f7e0p-2 0x1.8c047894fb828p-2', ('0x1.8c0478936f7e0p-2 0x1.8c047894fb828p-2',)),
+    ('f7', 'y_zero'): ('0x1.1a44d013a92a0p-2 0x1.1a44d013a92a5p-2', '0x1.7c28f5c28f5c2p-1 0x1.7c28f5c28f5c3p-1', ('0x0.0p+0 0x1.c050000000000p-61',)),
+    ('f7', 'curve_low'): ('0x1.31bff1a3297c4p-1 0x1.31bff1a3297c6p-1', '0x1.3f32c36b3e1f8p-2 0x1.3f32c36c7d524p-2', ('0x0.0p+0 0x1.4000000000000p-101', '0x1.3f32c36b3e1f8p-2 0x1.3f32c36c7d524p-2')),
+    ('f7', 'curve_high'): ('0x1.5324a45452561p-1 0x1.5324a45452569p-1', '0x1.7c28f5c28f5c2p-1 0x1.7c28f5c28f5c3p-1', ()),
+    ('f8', 'x_zero'): ('0x1.c9f25c5bfedd6p-2 0x1.c9f25c5bfeddep-2', '0x0.0p+0 0x1.8000000000000p-79', ('0x0.0p+0 0x1.8000000000000p-79',)),
+    ('f8', 'x_a'): ('0x1.1a52a2f1697a3p-1 0x1.1a52a2f1697abp-1', '0x1.120a77a3800b6p-2 0x1.120a77a3800bbp-2', ('0x1.120a77a3800b6p-2 0x1.120a77a3800bbp-2',)),
+    ('f8', 'y_zero'): ('0x1.c9f25c5bfedd6p-2 0x1.c9f25c5bfeddfp-2', '0x0.0p+0 0x1.e000000000000p-101', ('0x0.0p+0 0x1.e000000000000p-101', '0x1.0d2ca0da15305p-1 0x1.0d2ca0da15317p-1')),
+    ('f8', 'curve_low'): ('0x1.1de201e9b52f4p-2 0x1.1de201e9b5300p-2', '0x1.9cbc7f13ea2edp-3 0x1.9cbc7f13ea2f8p-3', ('0x1.9cbc7f13ea2edp-3 0x1.9cbc7f13ea2f8p-3',)),
+    ('f8', 'curve_high'): ('0x1.b1c41a214fc2cp-2 0x1.b1c41a214fc3ap-2', '0x1.7c28f5c28f5c2p-1 0x1.7c28f5c28f5c3p-1', ()),
+    ('f9', 'x_zero'): ('0x1.83091e6a7f7e3p-2 0x1.83091e6a7f7ecp-2', '0x0.0p+0 0x1.d400000000000p-88', ('0x0.0p+0 0x1.d400000000000p-88',)),
+    ('f9', 'x_a'): ('0x1.3a055439bb24ap-1 0x1.3a055439bb256p-1', '0x1.9db78d862f8f9p-3 0x1.9db78d862f907p-3', ('0x1.9db78d862f8f9p-3 0x1.9db78d862f907p-3',)),
+    ('f9', 'y_zero'): ('0x1.1b70d858ba940p-1 0x1.1b70d858ba956p-1', '0x1.6055e2af44f95p-1 0x1.6055e2af44f9fp-1', ('0x1.6055e2af44f95p-1 0x1.6055e2af44f9fp-1',)),
+    ('f9', 'curve_low'): ('0x1.5a9a1a18398a4p-2 0x1.5a9a1a18398aep-2', '0x1.5823682dcecd7p-3 0x1.5823682dcece2p-3', ('0x1.5823682dcecd7p-3 0x1.5823682dcece2p-3',)),
+    ('f9', 'curve_high'): ('0x1.74b655d1d6519p-2 0x1.74b655d1d6526p-2', '0x1.7c28f5c28f5c2p-1 0x1.7c28f5c28f5c3p-1', ()),
+}
+
+
+@pytest.mark.parametrize("name, edge", sorted(EDGE_PINS))
+def test_edge_analyses_are_pinned(name, edge):
+    if name == "f1":
+        piece = EDGES[EdgeId.Y_ZERO]
+        an = analyze_form(F1_FORM, (piece.t_lo, piece.t_hi), EdgeId.Y_ZERO, CFG)
+    else:
+        an = analyze_edge(ObjectiveId(name), EdgeId(edge), CFG)
+    hexes = [" ".join((iv.lo.hex(), iv.hi.hex())) for iv in (an.value, an.argmax, *an.clusters)]
+    assert an.conclusive
+    assert (hexes[0], hexes[1], tuple(hexes[2:])) == EDGE_PINS[name, edge]
+
+
 @pytest.mark.parametrize("n", [500, 200, 123, 7])
 def test_grid_maximum_matches_the_full_grid_bit_for_bit(n):
     # 123 and 7 are not multiples of the block size
@@ -858,6 +918,24 @@ def test_contraction_excludes_a_box_near_a_zero_that_holds_none():
     image = step(box)
     assert image[0].hi < x1 or image[1].hi < y1
     assert optimize._contract(step, box, box, 0.0) == (None, False, 1)
+
+
+def test_krawczyk_gives_no_step_on_a_box_that_reaches_the_rim():
+    # R = 0 on the high cap: the box holds rim points, its midpoint does not
+    x1 = 0.6
+    box = (Interval(x1, x1 + 1e-3), Interval(cap_point_down(x1) - 1e-3, cap_point_down(x1)))
+    assert optimize._krawczyk(OBJECTIVES[ObjectiveId.F5], box) is None
+
+
+def test_krawczyk_raises_on_a_nan_in_the_hessian(monkeypatch):
+    # a fault in the evaluator is not a box without a step
+    oid = ObjectiveId.F6
+    prep = objectives._prepared(oid)
+    broken = replace(prep, pxx=((0, 0, math.nan, math.nan),) + prep.pxx)
+    monkeypatch.setattr(objectives, "_prepared", lambda o: broken if o is oid else prep)
+    x1, x2, y1, y2 = _offset_box(0.0, 0.0)
+    with pytest.raises(ValueError, match="NaN"):
+        optimize._krawczyk(OBJECTIVES[oid], (Interval(x1, x2), Interval(y1, y2)))
 
 
 @pytest.mark.parametrize("oid", [ObjectiveId.F4, ObjectiveId.F5, ObjectiveId.F6])
