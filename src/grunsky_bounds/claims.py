@@ -26,13 +26,7 @@ import numpy as np
 
 from .domain import CAP_PIECES, CONSTANTS, EDGES, REGION, EdgeId
 from .interval import Interval, hull_of
-from .objectives import (
-    F1_FORM,
-    F2_REDUCED_POLY,
-    OBJECTIVES,
-    ObjectiveId,
-    RadicalForm1D,
-)
+from .objectives import F1_FORM, F2_REDUCED_POLY, OBJECTIVES, ObjectiveId, RadicalForm1D
 from .optimize import (
     BnBConfig,
     CriticalSearch,
@@ -151,7 +145,7 @@ def analyze_form(form: RadicalForm1D, endpoints: tuple[Interval, Interval],
                  edge: EdgeId, cfg: BnBConfig) -> EdgeAnalysis:
     """Critical points of the form are zeros of its scaled derivative D, which
     the zero search proves by Newton steps on the slope of D."""
-    deriv = form.scaled_derivative()
+    deriv = form.scaled_derivative
     clusters = zero_clusters_1d(
         deriv.value_iv, form.lo, form.hi, max_boxes=cfg.max_boxes, slope=deriv.slope_iv
     )
@@ -312,9 +306,8 @@ def _settle(out: ClaimOutcome, unsettled: list[str], problems: list[str]) -> Non
 def _run_thm1_a3(ctx: SuiteContext) -> ClaimOutcome:
     ext = ctx.f1_extremum()
     # f1 is the objective along y = 0, over that piece's parameter range
-    y_zero = EDGES[EdgeId.Y_ZERO]
-    analysis = analyze_form(F1_FORM, (y_zero.t_lo, y_zero.t_hi), EdgeId.Y_ZERO, ctx.cfg.bnb())
-    out = ClaimOutcome(PASS, ext.value, y_zero.lift(analysis.argmax), "x_a")
+    analysis = ctx.edge(ObjectiveId.F1, EdgeId.Y_ZERO)
+    out = ClaimOutcome(PASS, ext.value, EDGES[EdgeId.Y_ZERO].lift(analysis.argmax), "x_a")
     unsettled: list[str] = []
     problems: list[str] = []
     if not ext.converged:
@@ -641,15 +634,11 @@ def _run_oracle_gamma(ctx: SuiteContext) -> ClaimOutcome:
     )
 
 
-def _grid_gap_bound(oid: ObjectiveId, argmax: Interval | tuple[Interval, Interval]) -> float:
+def _grid_gap_bound(oid: ObjectiveId, argmax: tuple[Interval, Interval]) -> float:
     """sup f(A) - f(p) for the argmax enclosure A and the grid point p nearest it, by the
     mean-value form over hull(A, p); infinite where the radicand is not positive there."""
-    if oid is ObjectiveId.F1:
-        p = Interval.point(grid_point(oid, argmax.mid, 0.0)[0])
-        slope = F1_FORM.slope_iv(argmax.hull(p))
-        return math.inf if slope is None else (slope * (argmax - p)).hi
     ax, ay = argmax
-    px, py = map(Interval.point, grid_point(oid, ax.mid, ay.mid))
+    px, py = map(Interval.point, grid_point(ax.mid, ay.mid))
     grad = OBJECTIVES[oid].gradient_iv(ax.hull(px), ay.hull(py))
     if grad is None:
         return math.inf
@@ -660,12 +649,18 @@ def _run_property_bnb(ctx: SuiteContext) -> ClaimOutcome:
     problems = []
     margins = []
     for oid, gmax in zip(ObjectiveId, grid_maximum(tuple(ObjectiveId))):
-        ext = ctx.f1_extremum() if oid is ObjectiveId.F1 else ctx.extremum(oid)
+        if oid is ObjectiveId.F1:
+            # f1's 1-D argmax, lifted onto y = 0
+            ext = ctx.f1_extremum()
+            argmax = EDGES[EdgeId.Y_ZERO].lift(ext.argmax)
+        else:
+            ext = ctx.extremum(oid)
+            argmax = ext.argmax
         value = ext.value
         # 1e-12 allows for plain-float rounding in the grid evaluation itself
         if gmax > value.hi + 1e-12:
             problems.append(f"{oid.value}: grid max {gmax!r} exceeds enclosure high {value.hi!r}")
-        if value.lo > gmax + 1e-12 + _grid_gap_bound(oid, ext.argmax):
+        if value.lo > gmax + 1e-12 + _grid_gap_bound(oid, argmax):
             problems.append(
                 f"{oid.value}: grid max {gmax!r} below enclosure low - gap bound {value.lo!r}"
             )

@@ -141,8 +141,8 @@ class Edge:
 
     `x` and `y` are rational polynomials in t, or y = sqrt(y(t)) with
     `sqrt_y`; `t_lo` and `t_hi` enclose the exact end parameters.  A cap
-    piece has x = t and carries its cap as an interval lift `cap_iv`, a
-    float (or numpy) function `cap` and a directed-rounding `chart`.
+    piece has x = t and carries its cap as an interval lift `cap_iv` and a
+    float (or numpy) function `cap`.
     """
 
     id: EdgeId
@@ -153,7 +153,6 @@ class Edge:
     sqrt_y: bool = False
     cap_iv: Callable[[Interval], Interval] | None = None
     cap: Callable | None = None
-    chart: Callable[[float, float], tuple[float, float, float, float]] | None = None
 
     def lift(self, t: Interval) -> tuple[Interval, Interval]:
         """Enclosure of (x(t), y(t)) over a parameter enclosure t."""
@@ -194,14 +193,12 @@ EDGES: dict[EdgeId, Edge] = {
             EdgeId.CURVE_LOW, _T, (Fraction(1, 2), _F0, Fraction(1, 2)), _ZERO, CONSTANTS.iv_b,
             cap_iv=_low_cap_iv,
             cap=lambda x: 0.5 * (1.0 + x * x),
-            chart=low_chart,
         ),
         Edge(
             EdgeId.CURVE_HIGH, _T, (Fraction(1, 3), _F0, Fraction(-1, 3)), CONSTANTS.iv_b,
             CONSTANTS.iv_a, sqrt_y=True,
             cap_iv=lambda x: ((Interval.point(1.0) - x**2) * _THIRD).sqrt_clamped(),
             cap=lambda x: np.sqrt((1.0 - x * x) / 3.0),
-            chart=high_chart,
         ),
     )
 }

@@ -1,12 +1,14 @@
 """The nine scalar bound objectives and their boundary restrictions.
 
-Every objective has the shape
+Every objective, f1 included, has the shape
 
     f(x, y) = P(x, y) + M(x) * sqrt(1 - x^2 - 3 y^2)
 
 where P is a polynomial with non-negative rational coefficients and the
-radical multiplier is M(x) = (m5c + m5l * x)/sqrt5 + m7c/sqrt7 with rational
-m5c, m5l, m7c.  The per-objective data below is the only thing that differs.
+radical multiplier M(x) is a `MixedPoly`, at most linear in x, over the
+factors 1, 1/sqrt3, 1/sqrt5 and 1/sqrt7.  The per-objective data below, P
+and M, is the only thing that differs.  f1 is f on y = 0, where the
+radicand is 1 - x^2; its form is the y = 0 restriction `F1_FORM`.
 
 P is stored once, as a table of exact `Fraction` terms, and `_diff` derives
 the tables of its first and second partial derivatives from it.  `_prepared`
@@ -40,8 +42,6 @@ from functools import cached_property, lru_cache
 
 from .domain import CONSTANTS, EDGES, Edge, EdgeId
 from .interval import (
-    INV_SQRT5,
-    INV_SQRT7,
     Interval,
     _add_down,
     _add_up,
@@ -59,7 +59,7 @@ from .interval import (
 )
 from .poly import (
     MixedPoly, Pair, RatPoly, horner_pair, mixed_pair, rp_add, rp_deriv, rp_mul, rp_pairs, rp_pow,
-    rp_scale, rp_trim
+    rp_scale
 )
 
 _A = CONSTANTS.a  # Fraction(297, 400)
@@ -122,17 +122,14 @@ class RadicalForm1D:
         return Interval(*self._value_pair(t.lo, t.hi))
 
     @cached_property
-    def _scaled_derivative(self) -> RadicalForm1D:
+    def scaled_derivative(self) -> RadicalForm1D:
+        """2*sqrt(S) * d/dt of this form; same zeros and signs where S > 0.  Built once."""
         s_prime = rp_deriv(self.s)
         new_w = self.v.deriv().mul_rational(self.s).scale(Fraction(2)).add(
             self.v.mul_rational(s_prime)
         )
         new_v = self.w.deriv().scale(Fraction(2))
         return RadicalForm1D(self.label + "'", new_w, new_v, self.s, self.lo, self.hi)
-
-    def scaled_derivative(self) -> RadicalForm1D:
-        """2*sqrt(S) * d/dt of this form; same zeros and signs where S > 0.  Built once."""
-        return self._scaled_derivative
 
     def slope_iv(self, t: Interval) -> Interval | None:
         """Enclosure of d/dt of this form over t; None where S(t) is not positive.
@@ -145,23 +142,26 @@ class RadicalForm1D:
             return None
         slo, shi = _sqrt_pair(slo, shi)
         # the scaled derivative has this S, so the radicand is evaluated once
-        dlo, dhi = self._scaled_derivative._value_pair(t.lo, t.hi, (slo, shi))
+        dlo, dhi = self.scaled_derivative._value_pair(t.lo, t.hi, (slo, shi))
         # times 1/(2*sqrt(S)): the interval path's scale(2.0), then recip
         return Interval(*_mul_pair(dlo, dhi, _recip_down(_mul_up(shi, 2.0)), _recip_up(_mul_down(slo, 2.0))))
 
 
 @dataclass(frozen=True)
 class Objective:
+    """f = P + M(x) * sqrt(R): the term table of P and the multiplier M, at most linear in x.
+
+    `dimension` is 1 for f1, whose claim is its y = 0 line `F1_FORM`.
+    """
+
     id: ObjectiveId
     poly: dict[tuple[int, int], Fraction]
-    m5c: Fraction
-    m5l: Fraction
-    m7c: Fraction
+    mult: MixedPoly
     dimension: int = 2
 
     @property
     def has_radical(self) -> bool:
-        return bool(self.m5c or self.m5l or self.m7c)
+        return not self.mult.is_zero()
 
     # -- evaluation -----------------------------------------------------------
     # Each method runs the pair tables of `_prepared` through the operations
@@ -192,7 +192,7 @@ class Objective:
             if (rad := self._radical(xp, yp)) is None:
                 return None
             sq, u, m = rad
-            # fx = Px + beta*sqrt(R) - M*x*u,  fy = Py - 3*M*y*u
+            # fx = Px + M'*sqrt(R) - M*x*u,  fy = Py - 3*M*y*u
             fx = _sub(_add(fx, _mul(prep.m_lin, sq)), _mul(_mul(m, xp), u))
             fy = _sub(fy, _scale(_mul(_mul(m, yp), u), 3.0))
         return Interval(*fx), Interval(*fy)
@@ -206,20 +206,20 @@ class Objective:
             if (rad := self._radical(xp, yp)) is None:
                 return None
             _, u, m = rad
-            u3, beta = _mul(_mul(u, u), u), prep.m_lin
-            # fxx = Pxx - 2*beta*x*u - M*u - M*x^2*u^3
-            fxx = _sub(_sub(_sub(fxx, _scale(_mul(_mul(beta, xp), u), 2.0)), _mul(m, u)),
+            u3, dm = _mul(_mul(u, u), u), prep.m_lin
+            # fxx = Pxx - 2*M'*x*u - M*u - M*x^2*u^3
+            fxx = _sub(_sub(_sub(fxx, _scale(_mul(_mul(dm, xp), u), 2.0)), _mul(m, u)),
                        _mul(_mul(m, _pow_pair(*xp, 2)), u3))
-            # fxy = Pxy - 3*beta*y*u - 3*M*x*y*u^3
-            fxy = _sub(_sub(fxy, _scale(_mul(_mul(beta, yp), u), 3.0)),
+            # fxy = Pxy - 3*M'*y*u - 3*M*x*y*u^3
+            fxy = _sub(_sub(fxy, _scale(_mul(_mul(dm, yp), u), 3.0)),
                        _scale(_mul(_mul(_mul(m, xp), yp), u3), 3.0))
             # fyy = Pyy - 3*M*(u + 3*y^2*u^3)
             fyy = _sub(fyy, _scale(_mul(m, _add(u, _scale(_mul(_pow_pair(*yp, 2), u3), 3.0))), 3.0))
         return Interval(*fxx), Interval(*fxy), Interval(*fyy)
 
     def stationary_at_origin(self) -> bool:
-        """grad f(0, 0) = (P_x(0, 0) + m5l/sqrt5, P_y(0, 0)) is zero, decided exactly on the term table."""
-        return not (self.poly.get((1, 0)) or self.poly.get((0, 1)) or self.m5l)
+        """grad f(0, 0) = (P_x(0, 0) + M'(0), P_y(0, 0)) is zero, decided exactly on the term tables."""
+        return not (self.poly.get((1, 0)) or self.poly.get((0, 1))) and self.mult.deriv().is_zero()
 
     # -- edge restrictions -------------------------------------------------------
 
@@ -254,11 +254,8 @@ def _build_restriction(obj: Objective, edge: Edge) -> RadicalForm1D:
     q = Fraction(math.isqrt(r0.numerator), math.isqrt(r0.denominator)) if r0 > 0 else _F1
     if q * q != r0:
         q = _F1
-    mult = MixedPoly(
-        inv_sqrt5=rp_scale(rp_add((obj.m5c,), rp_scale(edge.x, obj.m5l)), q),
-        inv_sqrt7=rp_scale((obj.m7c,), q),
-    )
-    return RadicalForm1D(label, MixedPoly(one=even), mult, rp_scale(r, 1 / (q * q)), lo, hi)
+    return RadicalForm1D(label, MixedPoly(one=even), obj.mult.compose(edge.x).scale(q), rp_scale(r, 1 / (q * q)),
+                         lo, hi)
 
 
 @lru_cache(maxsize=None)
@@ -321,7 +318,7 @@ def _radicand(xp: Pair, yp: Pair) -> Pair:
 
 @dataclass(frozen=True)
 class _Prepared:
-    """Pair tables of P and its partial derivatives, M(x), and beta = m5l/sqrt5, built once per objective."""
+    """Pair tables of P and its partial derivatives, M(x), and the constant M' as a pair, built once per objective."""
 
     p: PairTerms
     px: PairTerms
@@ -335,81 +332,60 @@ class _Prepared:
 
 @lru_cache(maxsize=None)
 def _prepared(oid: ObjectiveId) -> _Prepared:
-    """Built on first evaluation; f1's entry is refused, since its radical is not the shared one."""
+    """Built on first evaluation; an M(x) above linear is refused, since the evaluators take M' constant."""
     obj = OBJECTIVES[oid]
-    if obj.dimension != 2:
-        raise ValueError(f"{oid.value} is one-dimensional: evaluate F1_FORM")
+    if any(len(part) > 2 for part in obj.mult.parts):
+        raise ValueError(f"{oid.value}: the radical multiplier M(x) must be at most linear in x")
     # P, Px, Py, Pxx, Pxy, Pyy in the field order of _Prepared
     orders = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
     tables = [_pair_terms(_diff(obj.poly, di, dj)) for di, dj in orders]
-    beta = Interval.from_fraction(obj.m5l) * INV_SQRT5
-    mult = MixedPoly(inv_sqrt5=rp_trim([obj.m5c, obj.m5l]), inv_sqrt7=rp_trim([obj.m7c]))
-    return _Prepared(*tables, mult, (beta.lo, beta.hi))
+    return _Prepared(*tables, obj.mult, mixed_pair(obj.mult.deriv().pairs, 0.0, 0.0))
 
 
 OBJECTIVES: dict[ObjectiveId, Objective] = {
     ObjectiveId.F1: Objective(
-        ObjectiveId.F1, {(2, 0): Fraction(3)}, _F0, _F0, _F0, dimension=1
+        ObjectiveId.F1, {(2, 0): Fraction(3)}, MixedPoly(inv_sqrt3=(Fraction(2),)), dimension=1
     ),
     ObjectiveId.F2: Objective(
-        ObjectiveId.F2, {(3, 0): Fraction(4), (1, 1): Fraction(6)}, Fraction(2), _F0, _F0
+        ObjectiveId.F2, {(3, 0): Fraction(4), (1, 1): Fraction(6)}, MixedPoly(inv_sqrt5=(Fraction(2),))
     ),
     ObjectiveId.F3: Objective(
         ObjectiveId.F3,
         {(4, 0): Fraction(5), (2, 1): Fraction(12), (0, 2): Fraction(3)},
-        _F0,
-        Fraction(6),
-        Fraction(2),
+        MixedPoly(inv_sqrt5=(_F0, Fraction(6)), inv_sqrt7=(Fraction(2),)),
     ),
     ObjectiveId.F4: Objective(
         ObjectiveId.F4,
         {(3, 0): 3 / _A - 4, (1, 1): 6 - 2 / _A},
-        Fraction(2),
-        _F0,
-        _F0,
+        MixedPoly(inv_sqrt5=(Fraction(2),)),
     ),
     ObjectiveId.F5: Objective(
         ObjectiveId.F5,
         {(4, 0): 4 / _A - 5, (2, 1): 12 - 6 / _A, (0, 2): Fraction(3)},
-        _F0,
-        6 - 2 / _A,
-        Fraction(2),
+        MixedPoly(inv_sqrt5=(_F0, 6 - 2 / _A), inv_sqrt7=(Fraction(2),)),
     ),
     ObjectiveId.F6: Objective(
-        ObjectiveId.F6, {(4, 0): _F1, (0, 2): Fraction(4)}, _F0, Fraction(4), _F0
+        ObjectiveId.F6, {(4, 0): _F1, (0, 2): Fraction(4)}, MixedPoly(inv_sqrt5=(_F0, Fraction(4)))
     ),
-    ObjectiveId.F7: Objective(
-        ObjectiveId.F7, {(2, 0): Fraction(1, 2), (0, 1): _F1}, _F0, _F0, _F0
-    ),
+    ObjectiveId.F7: Objective(ObjectiveId.F7, {(2, 0): Fraction(1, 2), (0, 1): _F1}, MixedPoly()),
     ObjectiveId.F8: Objective(
-        ObjectiveId.F8, {(3, 0): Fraction(1, 3), (1, 1): _F1}, _F1, _F0, _F0
+        ObjectiveId.F8, {(3, 0): Fraction(1, 3), (1, 1): _F1}, MixedPoly(inv_sqrt5=(_F1,))
     ),
     ObjectiveId.F9: Objective(
         ObjectiveId.F9,
         {(4, 0): Fraction(1, 4), (2, 1): _F1, (0, 2): Fraction(1, 2)},
-        _F0,
-        _F1,
-        _F1,
+        MixedPoly(inv_sqrt5=(_F0, _F1), inv_sqrt7=(_F1,)),
     ),
 }
 
-# The 1-D objective carries its radical multiplier separately: its radicand is
-# 1 - x^2 rather than the shared 1 - x^2 - 3y^2, so it is registered with the
-# Y_ZERO-style restriction below instead of the generic 2-D radical fields.
-F1_FORM = RadicalForm1D(
-    "f1",
-    MixedPoly(one=(Fraction(0), Fraction(0), Fraction(3))),
-    MixedPoly(inv_sqrt3=(Fraction(2),)),
-    (_F1, _F0, Fraction(-1)),
-    0.0,
-    CONSTANTS.iv_a.hi,
-)
+#: f1 as the THM1_A3 claim reads it: its entry on y = 0, where the radicand is 1 - x^2
+F1_FORM = OBJECTIVES[ObjectiveId.F1].restriction(EdgeId.Y_ZERO)
 
 
 # -- fast directed-rounded range bounds for branch-and-bound ---------------------
 #
 # Every catalog objective has non-negative polynomial coefficients and a
-# non-negative, non-decreasing radical multiplier, while the shared radicand
+# non-negative, non-decreasing linear radical multiplier, while the shared radicand
 # decreases in both variables on the first quadrant.  Over a box
 # [x1,x2] x [y1,y2] inside the region the range is therefore bounded by
 # evaluating the monotone pieces at opposite corners, which matches the
@@ -424,9 +400,8 @@ class MonotoneBounds:
     terms: PairTerms  # P, Px and Py, from `_prepared`
     dx_terms: PairTerms
     dy_terms: PairTerms
-    m5c: tuple[float, float]
-    m5l: tuple[float, float]
-    m7c: tuple[float, float]
+    m0: Pair  # M(0)
+    m_lin: Pair  # the constant M'
     has_radical: bool
 
     def upper(self, x1: float, x2: float, y1: float, y2: float) -> float:
@@ -441,7 +416,7 @@ class MonotoneBounds:
         if self.has_radical:
             r = _add_up(_add_up(1.0, -_mul_down(x1, x1)), -_mul_down(3.0, _mul_down(y1, y1)))
             if r > 0.0:
-                m = _add_up(self.m5c[1], _add_up(_mul_up(self.m5l[1], x2), self.m7c[1]))
+                m = _add_up(self.m0[1], _mul_up(self.m_lin[1], x2))
                 out = _add_up(out, _mul_up(m, _sqrt_up(r)))
         return out
 
@@ -457,7 +432,7 @@ class MonotoneBounds:
         if self.has_radical:
             r = _add_down(_add_down(1.0, -_mul_up(x2, x2)), -_mul_up(3.0, _mul_up(y2, y2)))
             if r > 0.0:
-                m = _add_down(self.m5c[0], _add_down(_mul_down(self.m5l[0], x1), self.m7c[0]))
+                m = _add_down(self.m0[0], _mul_down(self.m_lin[0], x1))
                 out = _add_down(out, _mul_down(m, _sqrt_down(r)))
         return out
 
@@ -479,15 +454,15 @@ class MonotoneBounds:
         r_lo = _add_down(_add_down(1.0, -_mul_up(x2, x2)), -_mul_up(3.0, _mul_up(y2, y2)))
         sq_hi = _sqrt_up(max(r_hi, 0.0))
         sq_lo = _sqrt_down(max(r_lo, 0.0))
-        m_hi = _add_up(self.m5c[1], _add_up(_mul_up(self.m5l[1], x2), self.m7c[1]))
-        m_lo = _add_down(self.m5c[0], _add_down(_mul_down(self.m5l[0], x1), self.m7c[0]))
+        m_hi = _add_up(self.m0[1], _mul_up(self.m_lin[1], x2))
+        m_lo = _add_down(self.m0[0], _mul_down(self.m_lin[0], x1))
 
-        # G1 = Px*sqrt(R) + beta*R - M*x  with beta = m5l/sqrt5 >= 0
+        # G1 = Px*sqrt(R) + M'*R - M*x  with M' >= 0
         t_hi = _mul_up(px_hi, sq_hi)
-        t_hi = _add_up(t_hi, _mul_up(self.m5l[1], r_hi) if r_hi >= 0.0 else _mul_up(self.m5l[0], r_hi))
+        t_hi = _add_up(t_hi, _mul_up(self.m_lin[1], r_hi) if r_hi >= 0.0 else _mul_up(self.m_lin[0], r_hi))
         g1_hi = _add_up(t_hi, -_mul_down(m_lo, x1))
         t_lo = _mul_down(px_lo, sq_lo)
-        t_lo = _add_down(t_lo, _mul_down(self.m5l[0], r_lo) if r_lo >= 0.0 else _mul_down(self.m5l[1], r_lo))
+        t_lo = _add_down(t_lo, _mul_down(self.m_lin[0], r_lo) if r_lo >= 0.0 else _mul_down(self.m_lin[1], r_lo))
         g1_lo = _add_down(t_lo, -_mul_up(m_hi, x2))
 
         # G2 = Py*sqrt(R) - 3*M*y
@@ -511,13 +486,11 @@ def _corner_range(terms: PairTerms, x1: float, x2: float, y1: float, y2: float) 
 @lru_cache(maxsize=None)
 def monotone_bounds(oid: ObjectiveId) -> MonotoneBounds:
     obj = OBJECTIVES[oid]
-    if any(c < 0 for c in obj.poly.values()) or obj.m5c < 0 or obj.m5l < 0 or obj.m7c < 0:
+    if any(c < 0 for c in obj.poly.values()) or any(c < 0 for part in obj.mult.parts for c in part):
         raise ValueError(f"{oid} violates the monotone-coefficient assumption")
 
     prep = _prepared(oid)
-    q5c = Interval.from_fraction(obj.m5c) * INV_SQRT5
-    q7c = Interval.from_fraction(obj.m7c) * INV_SQRT7
-    return MonotoneBounds(prep.p, prep.px, prep.py, (q5c.lo, q5c.hi), prep.m_lin, (q7c.lo, q7c.hi),
+    return MonotoneBounds(prep.p, prep.px, prep.py, mixed_pair(prep.mult.pairs, 0.0, 0.0), prep.m_lin,
                           obj.has_radical)
 
 

@@ -67,6 +67,7 @@ from .interval import (
     hull_of,
 )
 from .objectives import OBJECTIVES, MonotoneBounds, Objective, ObjectiveId, monotone_bounds
+from .poly import MixedPoly
 
 IvFunc = Callable[[Interval], Interval]
 #: an enclosure of a derivative over a box, or None where there is none
@@ -776,16 +777,19 @@ def _grid_axes(n: int):
     return x, np.minimum(*(piece.cap(x) for piece in CAP_PIECES)), np.linspace(0.0, 1.0, n)
 
 
-def _f1_line(n: int, start: int, stop: int):
-    """Points start..stop-1 of f1's line np.linspace(0, a, n*n), made as linspace makes them."""
-    xs = np.arange(start, stop, dtype=float) * (CONSTANTS.a_float / (n * n - 1))
-    if stop == n * n:
-        xs[-1] = CONSTANTS.a_float
-    return xs
+def _mult_float(mult: MixedPoly, x: np.ndarray) -> np.ndarray:
+    """M(x) in plain floats: each part by Horner from 0, over its square root, summed from 0 in part order."""
+    out = np.zeros_like(x)
+    for part, k in zip(mult.parts, (1.0, 3.0, 5.0, 7.0)):
+        acc = 0.0
+        for c in reversed(part):
+            acc = acc * x + float(c)
+        out = out + acc / math.sqrt(k)
+    return out
 
 
 def grid_maximum(oids: ObjectiveId | Sequence[ObjectiveId], n: int = 500) -> float | tuple[float, ...]:
-    """Plain float maxima over an n-by-n grid on the region (n*n points on [0, a] for f1).
+    """Plain float maxima over an n-by-n grid on the region.
 
     A float-only cross-check of the verified maxima; it decides nothing on its
     own.  One objective gives its maximum, a sequence their maxima from one
@@ -798,18 +802,11 @@ def grid_maximum(oids: ObjectiveId | Sequence[ObjectiveId], n: int = 500) -> flo
     if isinstance(oids, ObjectiveId):
         return grid_maximum((oids,), n)[0]
     best = dict.fromkeys(oids, -math.inf)
-    if ObjectiveId.F1 in best:
-        step = GRID_ROWS * n
-        best[ObjectiveId.F1] = max(
-            float((3.0 * xs**2 + 2.0 / math.sqrt(3.0) * np.sqrt(1.0 - xs**2)).max())
-            for xs in (_f1_line(n, k, min(k + step, n * n)) for k in range(0, n * n, step))
-        )
     x, cap, t = _grid_axes(n)
     xc = x[:, None]
     one_minus_x2 = 1.0 - xc * xc
-    forms = [(obj, [(float(c) * xc**i, j) for (i, j), c in obj.poly.items()],
-              (float(obj.m5c) + float(obj.m5l) * xc) / math.sqrt(5.0) + float(obj.m7c) / math.sqrt(7.0))
-             for obj in (OBJECTIVES[oid] for oid in best if oid is not ObjectiveId.F1)]
+    forms = [(obj, [(float(c) * xc**i, j) for (i, j), c in obj.poly.items()], _mult_float(obj.mult, xc))
+             for obj in (OBJECTIVES[oid] for oid in best)]
     degrees = {j for _, terms, _ in forms for _, j in terms if j > 1}
     for k in range(0, n if forms else 0, GRID_ROWS):
         rows = slice(k, k + GRID_ROWS)
@@ -827,11 +824,8 @@ def grid_maximum(oids: ObjectiveId | Sequence[ObjectiveId], n: int = 500) -> flo
     return tuple(best[oid] for oid in oids)
 
 
-def grid_point(oid: ObjectiveId, x: float, y: float, n: int = 500) -> tuple[float, float]:
-    """The point of `grid_maximum`'s grid for one objective nearest (x, y)."""
-    if oid is ObjectiveId.F1:
-        i = min(max(round(x / CONSTANTS.a_float * (n * n - 1)), 0), n * n - 1)
-        return float(_f1_line(n, i, i + 1)[0]), 0.0
+def grid_point(x: float, y: float, n: int = 500) -> tuple[float, float]:
+    """The grid point of `grid_maximum` nearest (x, y); the grid is the same for every objective."""
     xs, cap, t = _grid_axes(n)
     i = min(max(round(x / CONSTANTS.a_float * (n - 1)), 0), n - 1)
     j = min(round(y / cap[i] * (n - 1)), n - 1)

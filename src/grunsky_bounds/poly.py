@@ -121,6 +121,16 @@ class MixedPoly:
     def deriv(self) -> MixedPoly:
         return MixedPoly(*map(rp_deriv, self.parts))
 
+    def compose(self, p: RatPoly) -> MixedPoly:
+        """This polynomial at x = p(t): each part by Horner over `rp_add` and `rp_mul`."""
+        def horner(q: RatPoly) -> RatPoly:
+            out: RatPoly = _ZERO
+            for c in reversed(q):
+                out = rp_add(rp_mul(out, p), (c,))
+            return out
+
+        return MixedPoly(*map(horner, self.parts))
+
     def add(self, other: MixedPoly) -> MixedPoly:
         return MixedPoly(*map(rp_add, self.parts, other.parts))
 

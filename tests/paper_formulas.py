@@ -26,10 +26,10 @@ from grunsky_bounds.domain import CAP_PIECES, CONSTANTS, EdgeId
 from grunsky_bounds.interval import (
     CLAMP_TOL, INV_SQRT3, INV_SQRT5, INV_SQRT7, Interval, NegativeRadicandError
 )
-from grunsky_bounds.objectives import F1_FORM, OBJECTIVES, Objective, ObjectiveId, RadicalForm1D, _diff
+from grunsky_bounds.objectives import OBJECTIVES, Objective, ObjectiveId, RadicalForm1D, _diff
 from grunsky_bounds.optimize import IvFunc
 from grunsky_bounds.oracle import GrunskyTable
-from grunsky_bounds.poly import MixedPoly, RatPoly, rp_eval_iv, rp_trim
+from grunsky_bounds.poly import MixedPoly, RatPoly, rp_eval_iv
 from grunsky_bounds.series import PowerSeries
 
 _A = CONSTANTS.a
@@ -91,13 +91,16 @@ def radicand(x: float, y: float) -> float:
 
 def mult_float(obj: Objective, x: float) -> float:
     """The radical multiplier M(x)."""
-    return (float(obj.m5c) + float(obj.m5l) * x) / math.sqrt(5.0) + float(obj.m7c) / math.sqrt(7.0)
+    return mixed_eval_float(obj.mult, x)
+
+
+def mult_slope_float(obj: Objective) -> float:
+    """The constant slope M' of the radical multiplier."""
+    return mixed_eval_float(obj.mult.deriv(), 0.0)
 
 
 def objective_value(obj: Objective, x: float, y: float) -> float:
-    """Point evaluation of a 2-D objective; f1's entry holds only 3x^2, so f1 is `F1_FORM`."""
-    if obj.dimension != 2:
-        raise ValueError(f"{obj.id.value} is one-dimensional: evaluate F1_FORM")
+    """Point evaluation of an objective; f1 is its y = 0 line."""
     if not omega_contains(x, y, slack=1e-9):
         raise ValueError(f"({x}, {y}) outside the admissible region")
     out = 0.0
@@ -112,8 +115,6 @@ def objective_value(obj: Objective, x: float, y: float) -> float:
 
 
 def eval_objective(oid: ObjectiveId, x: float, y: float = 0.0) -> float:
-    if oid is ObjectiveId.F1:
-        return form_value(F1_FORM, x)
     return objective_value(OBJECTIVES[oid], x, y)
 
 
@@ -150,7 +151,7 @@ def form_slope_iv(form: RadicalForm1D, t: Interval) -> Interval | None:
     s = horner_iv(form.s, t)
     if s.lo <= 0.0:
         return None
-    return form_value_iv(form.scaled_derivative(), t) * s.sqrt_clamped().scale(2.0).recip()
+    return form_value_iv(form.scaled_derivative, t) * s.sqrt_clamped().scale(2.0).recip()
 
 
 def eval_terms_iv(terms: dict[tuple[int, int], Fraction], x: Interval, y: Interval) -> Interval:
@@ -171,7 +172,12 @@ def radicand_iv(x: Interval, y: Interval) -> Interval:
 
 
 def _mult_iv(obj: Objective, x: Interval) -> Interval:
-    return mixed_eval_iv(MixedPoly(inv_sqrt5=rp_trim([obj.m5c, obj.m5l]), inv_sqrt7=rp_trim([obj.m7c])), x)
+    return mixed_eval_iv(obj.mult, x)
+
+
+def _mult_slope_iv(obj: Objective) -> Interval:
+    """M' enclosed, as each non-zero part's constant coefficient times its factor, summed from [0, 0]."""
+    return mixed_eval_iv(obj.mult.deriv(), Interval.point(0.0))
 
 
 def objective_value_iv(obj: Objective, x: Interval, y: Interval) -> Interval:
@@ -190,8 +196,7 @@ def objective_gradient_iv(obj: Objective, x: Interval, y: Interval) -> tuple[Int
     sq = radicand_iv(x, y).sqrt_clamped()
     u = sq.recip()
     m = _mult_iv(obj, x)
-    beta = Interval.from_fraction(obj.m5l) * INV_SQRT5
-    return px + beta * sq - m * x * u, py - (m * y * u).scale(3.0)
+    return px + _mult_slope_iv(obj) * sq - m * x * u, py - (m * y * u).scale(3.0)
 
 
 def objective_hessian_iv(obj: Objective, x: Interval, y: Interval) -> tuple[Interval, Interval, Interval]:
@@ -205,7 +210,7 @@ def objective_hessian_iv(obj: Objective, x: Interval, y: Interval) -> tuple[Inte
     u = sq.recip()
     u3 = u * u * u
     m = _mult_iv(obj, x)
-    beta = Interval.from_fraction(obj.m5l) * INV_SQRT5
+    beta = _mult_slope_iv(obj)
     fxx = pxx - (beta * x * u).scale(2.0) - m * u - m * x**2 * u3
     fxy = pxy - (beta * y * u).scale(3.0) - (m * x * y * u3).scale(3.0)
     fyy = pyy - (m * (u + (y**2 * u3).scale(3.0))).scale(3.0)
@@ -283,12 +288,6 @@ def poly_dy(oid: ObjectiveId, x: float, y: float) -> float:
 
 def grad(oid: ObjectiveId, x: float, y: float = 0.0) -> Gradient2:
     """Analytic gradient; requires the radicand strictly positive."""
-    if oid is ObjectiveId.F1:
-        # f1'(x) = 6x - (2/sqrt3) x / sqrt(1 - x^2)
-        r = 1.0 - x * x
-        if r <= 0.0:
-            raise NegativeRadicandError(f"gradient singular at x={x}")
-        return Gradient2(6.0 * x - 2.0 / math.sqrt(3.0) * x / math.sqrt(r), 0.0)
     obj = OBJECTIVES[oid]
     dx = poly_dx(oid, x, y)
     dy = poly_dy(oid, x, y)
@@ -298,7 +297,7 @@ def grad(oid: ObjectiveId, x: float, y: float = 0.0) -> Gradient2:
             raise NegativeRadicandError(f"gradient singular: radicand {r} at ({x}, {y})")
         sq = math.sqrt(r)
         m = mult_float(obj, x)
-        dx += float(obj.m5l) / math.sqrt(5.0) * sq - m * x / sq
+        dx += mult_slope_float(obj) * sq - m * x / sq
         dy += -3.0 * m * y / sq
     return Gradient2(dx, dy)
 
@@ -313,7 +312,7 @@ def scaled_gradient(oid: ObjectiveId, x: float, y: float) -> tuple[float, float]
     r = max(radicand(x, y), 0.0)
     sq = math.sqrt(r)
     m = mult_float(obj, x)
-    g1 = px * sq + float(obj.m5l) / math.sqrt(5.0) * r - m * x
+    g1 = px * sq + mult_slope_float(obj) * r - m * x
     g2 = py * sq - 3.0 * m * y
     return g1, g2
 
@@ -322,11 +321,11 @@ def reduction_residual(oid: ObjectiveId, x: float, y: float) -> float:
     """Residual of 3y*df/dx - x*df/dy, in which the 1/sqrt(R) terms cancel."""
     obj = OBJECTIVES[oid]
     out = 3.0 * y * poly_dx(oid, x, y) - x * poly_dy(oid, x, y)
-    if obj.m5l:
+    if beta := mult_slope_float(obj):
         r = radicand(x, y)
         if r < -CLAMP_TOL:
             raise NegativeRadicandError(f"radicand {r} at ({x}, {y})")
-        out += 3.0 * float(obj.m5l) / math.sqrt(5.0) * y * math.sqrt(max(r, 0.0))
+        out += 3.0 * beta * y * math.sqrt(max(r, 0.0))
     return out
 
 

@@ -1,11 +1,13 @@
 """Objective formulas, gradients, boundary restrictions and reductions."""
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from grunsky_bounds import objectives
 from grunsky_bounds.domain import CONSTANTS, EdgeId, cap_point_down, cap_sup_up
 from grunsky_bounds.interval import Interval, NegativeRadicandError
 from grunsky_bounds.objectives import (
@@ -16,7 +18,7 @@ from grunsky_bounds.objectives import (
     monotone_bounds,
 )
 from grunsky_bounds.optimize import find_root_1d, interior_critical_points
-from grunsky_bounds.poly import mixed_pair, rp_eval_iv
+from grunsky_bounds.poly import MixedPoly, mixed_pair, rp_eval_iv
 from paper_formulas import (
     F6_CUBIC,
     BoundaryRestrictionId,
@@ -64,7 +66,7 @@ def test_registered_rational_coefficients():
     f5 = OBJECTIVES[ObjectiveId.F5]
     assert f5.poly[(4, 0)] == Fraction(115, 297)
     assert f5.poly[(2, 1)] == Fraction(388, 99)
-    assert f5.m5l == Fraction(982, 297)
+    assert f5.mult == MixedPoly(inv_sqrt5=(Fraction(0), Fraction(982, 297)), inv_sqrt7=(Fraction(2),))
 
 
 def test_eval_f1_endpoints():
@@ -458,7 +460,7 @@ def test_f1_strictly_increasing():
         r = 1 - x * x
         assert 6 * x - 2 / S3 * x / math.sqrt(r) > 0
     # interval proof on [1e-6, a] through the scaled derivative
-    deriv = F1_FORM.scaled_derivative()
+    deriv = F1_FORM.scaled_derivative
     assert prove_positive_1d(deriv.value_iv, 1e-6, CONSTANTS.iv_a.lo)
 
 
@@ -481,7 +483,7 @@ MONOTONE_CASES = [
 
 @pytest.mark.parametrize("oid,edge,lo,hi,direction", MONOTONE_CASES)
 def test_edge_monotonicity(oid, edge, lo, hi, direction):
-    deriv = OBJECTIVES[oid].restriction(edge).scaled_derivative()
+    deriv = OBJECTIVES[oid].restriction(edge).scaled_derivative
     if direction == "up":
         assert prove_positive_1d(deriv.value_iv, lo, hi)
     else:
@@ -532,13 +534,10 @@ def _reference(fn, *args):
         return None
 
 
-_FORMS = [F1_FORM] + [
-    OBJECTIVES[oid].restriction(edge) for oid in ObjectiveId if oid is not ObjectiveId.F1
-    for edge in EdgeId
-]
+_FORMS = [OBJECTIVES[oid].restriction(edge) for oid in ObjectiveId for edge in EdgeId]
 
 
-@pytest.mark.parametrize("form", _FORMS + [f.scaled_derivative() for f in _FORMS],
+@pytest.mark.parametrize("form", _FORMS + [f.scaled_derivative for f in _FORMS],
                          ids=lambda f: f.label)
 def test_pre_enclosed_coefficients_match_per_call_path(form):
     # the compiled pair path against the interval formulas, which enclose the
@@ -571,7 +570,7 @@ def _random_box(rng: random.Random, straddle: bool) -> tuple[Interval, Interval]
     return Interval(x1, x1 + rng.uniform(0.0, 0.3)), Interval(y1, y1 + rng.uniform(0.0, 0.3))
 
 
-@pytest.mark.parametrize("oid", [o for o in ObjectiveId if o is not ObjectiveId.F1], ids=lambda o: o.value)
+@pytest.mark.parametrize("oid", ObjectiveId, ids=lambda o: o.value)
 def test_compiled_objective_matches_the_interval_formulas(oid):
     obj = OBJECTIVES[oid]
     rng = random.Random(oid.value)
@@ -600,16 +599,37 @@ def test_gradient_and_hessian_are_none_where_the_radicand_is_not_positive():
     assert OBJECTIVES[ObjectiveId.F7].hessian_iv(x, y) is not None
 
 
-def test_f1_registry_entry_is_refused_by_the_2d_evaluator():
-    # the entry holds only 3x^2: f1 is F1_FORM, and no path may evaluate the entry
+def _f1_exact(t: Fraction) -> tuple[Fraction, Fraction]:
+    """Rationals below and above f1(t) = 3t^2 + 2*sqrt((1 - t^2)/3), from an integer square root."""
+    s = 4 * (1 - t * t) / 3  # the square of the radical term
+    scale = 2**64
+    n = s.numerator * s.denominator * scale**2
+    root = math.isqrt(n)
+    lo = Fraction(root, s.denominator * scale)
+    hi = lo if root * root == n else Fraction(root + 1, s.denominator * scale)
+    return 3 * t * t + lo, 3 * t * t + hi
+
+
+def test_f1_entry_and_form_hold_the_exact_f1():
     obj = OBJECTIVES[ObjectiveId.F1]
-    half, zero = Interval.point(0.5), Interval.point(0.0)
-    assert F1_FORM.value_iv(half).contains(1.75)
-    for evaluate in (obj.value_iv, obj.gradient_iv, obj.hessian_iv):
-        with pytest.raises(ValueError, match="F1_FORM"):
-            evaluate(half, zero)
-    with pytest.raises(ValueError, match="F1_FORM"):
-        monotone_bounds(ObjectiveId.F1)
+    assert F1_FORM == obj.restriction(EdgeId.Y_ZERO)
+    for t in (Fraction(0), Fraction(1, 4), Fraction(1, 2), CONSTANTS.a):
+        lo, hi = _f1_exact(t)
+        # 297/400 is not a float: its tightest enclosure holds it
+        x = Interval.from_fraction(t)
+        for iv in (obj.value_iv(x, Interval.point(0.0)), F1_FORM.value_iv(x)):
+            assert Fraction(iv.lo) <= lo <= hi <= Fraction(iv.hi), (t, iv)
+    # at t = 1/2 the radical term is rational: f1 = 3/4 + 1
+    assert _f1_exact(Fraction(1, 2)) == (Fraction(7, 4), Fraction(7, 4))
+
+
+def test_a_radical_multiplier_above_linear_is_refused(monkeypatch):
+    f2 = OBJECTIVES[ObjectiveId.F2]
+    quadratic = MixedPoly(inv_sqrt5=(Fraction(2), Fraction(0), Fraction(1)))
+    monkeypatch.setitem(OBJECTIVES, ObjectiveId.F2, dataclasses.replace(f2, mult=quadratic))
+    # past the cache, which holds the registered f2
+    with pytest.raises(ValueError, match="at most linear"):
+        objectives._prepared.__wrapped__(ObjectiveId.F2)
 
 
 def test_f2_reduced_root_found_once_per_context(monkeypatch):

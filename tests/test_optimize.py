@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from grunsky_bounds import objectives, optimize
-from grunsky_bounds.claims import SuiteContext, analyze_edge, analyze_form
+from grunsky_bounds.claims import SuiteContext, analyze_edge
 from grunsky_bounds.domain import (
     CONSTANTS,
     EDGES,
@@ -71,13 +71,13 @@ def test_find_root_cubic():
 
 
 def test_find_root_f3_edge_derivative():
-    deriv = OBJECTIVES[ObjectiveId.F3].restriction(EdgeId.X_A).scaled_derivative()
+    deriv = OBJECTIVES[ObjectiveId.F3].restriction(EdgeId.X_A).scaled_derivative
     root = find_root_1d(deriv.value_iv, 1e-6, D, tol=1e-12)
     assert 0.338 <= root.lo <= root.hi < 0.339
 
 
 def test_find_root_f5_edge_derivative():
-    deriv = OBJECTIVES[ObjectiveId.F5].restriction(EdgeId.X_A).scaled_derivative()
+    deriv = OBJECTIVES[ObjectiveId.F5].restriction(EdgeId.X_A).scaled_derivative
     root = find_root_1d(deriv.value_iv, 1e-6, D, tol=1e-12)
     assert 0.300 <= root.lo <= root.hi < 0.301
 
@@ -93,13 +93,13 @@ def test_find_root_requires_bracket():
 
 
 def test_uniqueness_f2_edge_derivative():
-    deriv = OBJECTIVES[ObjectiveId.F2].restriction(EdgeId.X_A).scaled_derivative()
+    deriv = OBJECTIVES[ObjectiveId.F2].restriction(EdgeId.X_A).scaled_derivative
     root = find_root_1d(deriv.value_iv, 1e-9, D * (1 - 1e-9))
     assert 0.365 <= root.lo <= root.hi < 0.366
 
 
 def test_uniqueness_g6_derivative():
-    deriv = OBJECTIVES[ObjectiveId.F4].restriction(EdgeId.CURVE_HIGH).scaled_derivative()
+    deriv = OBJECTIVES[ObjectiveId.F4].restriction(EdgeId.CURVE_HIGH).scaled_derivative
     root = find_root_1d(deriv.value_iv, CONSTANTS.iv_b.hi, CONSTANTS.iv_a.lo)
     assert 0.715 <= root.lo <= root.hi < 0.716
 
@@ -213,7 +213,7 @@ def _form_slope(form):
         s = rp_eval_iv(form.s, t)
         if s.lo <= 0.0:
             return None
-        return form.scaled_derivative().value_iv(t) * s.sqrt_clamped().scale(2.0).recip()
+        return form.scaled_derivative.value_iv(t) * s.sqrt_clamped().scale(2.0).recip()
 
     return slope
 
@@ -224,7 +224,7 @@ _EDGE_CASES = [(oid, edge) for oid in ObjectiveId if oid is not ObjectiveId.F1 f
 @pytest.mark.parametrize("oid, edge", _EDGE_CASES, ids=lambda v: v.value)
 def test_interior_edge_roots_are_newton_proven(oid, edge):
     an = analyze_edge(oid, edge, CFG)
-    deriv = OBJECTIVES[oid].restriction(edge).scaled_derivative()
+    deriv = OBJECTIVES[oid].restriction(edge).scaled_derivative
     for c in an.interior_clusters():
         assert c.width <= 1e-13, c
         assert _in_newton_proven_box(deriv.value_iv, _form_slope(deriv), c), c
@@ -411,9 +411,13 @@ def test_maximize_f5_interior():
     assert ext.kind is None
 
 
-def test_maximize_rejects_1d_objective():
-    with pytest.raises(ValueError):
-        maximize_2d(OBJECTIVES[ObjectiveId.F1], REGION, CFG)
+def test_maximize_2d_of_the_f1_entry_meets_the_f1_extremum():
+    # f1's entry is a member of the family, so the 2-D BnB takes it as it takes f2-f9
+    ext = maximize_2d(OBJECTIVES[ObjectiveId.F1], REGION, CFG)
+    f1 = SuiteContext().f1_extremum()
+    assert ext.converged and f1.converged
+    assert ext.value.intersects(f1.value)
+    assert ext.kind is EdgeId.X_A and ext.argmax[1].lo == 0.0
 
 
 def test_maximize_budget_exhaustion_flagged():
@@ -604,11 +608,7 @@ EDGE_PINS = {
 
 @pytest.mark.parametrize("name, edge", sorted(EDGE_PINS))
 def test_edge_analyses_are_pinned(name, edge):
-    if name == "f1":
-        piece = EDGES[EdgeId.Y_ZERO]
-        an = analyze_form(F1_FORM, (piece.t_lo, piece.t_hi), EdgeId.Y_ZERO, CFG)
-    else:
-        an = analyze_edge(ObjectiveId(name), EdgeId(edge), CFG)
+    an = analyze_edge(ObjectiveId(name), EdgeId(edge), CFG)
     hexes = [" ".join((iv.lo.hex(), iv.hi.hex())) for iv in (an.value, an.argmax, *an.clusters)]
     assert an.conclusive
     assert (hexes[0], hexes[1], tuple(hexes[2:])) == EDGE_PINS[name, edge]

@@ -109,6 +109,44 @@ def test_every_claim_runnable_individually(suite_ctx):
         assert rows[0].status == "PASS", (cid, rows[0].note)
 
 
+#: `verify --format json` at the default config: (lo, hi, argmax_x, argmax_y)
+#: by float.hex, then kind, status and note.  The ORACLE_* rows are left out:
+#: their numbers are rounding noise that depends on the numpy/BLAS build.
+VERIFY_PINS = {
+    "THM1_A3": ("0x1.36b4ba33fdc02p+1", "0x1.36b4ba33fdc08p+1", "0x1.7c28f5c28f5c2p-1", "0x0.0p+0",
+                "x_a", "PASS", ""),
+    "THM1_A4": ("0x1.bb11f34820631p+1", "0x1.bb12460bdff33p+1", "0x1.7c28f5c28f5c2p-1", "0x1.760c029235911p-2",
+                "x_a", "PASS", ""),
+    "THM1_A5": ("0x1.3f9002d474951p+2", "0x1.3f902b0b51176p+2", "0x1.7c28f5c28f5c2p-1", "0x1.5af03601bae10p-2",
+                "x_a", "PASS", ""),
+    "THM2_D43": ("0x1.2c918cbf4e5f5p+0", "0x1.2c9226755e151p+0", "0x1.44d530403124cp-1", "0x1.6f9b04f162c96p-2",
+                 "interior", "PASS", ""),
+    "THM2_D54": ("0x1.d29aeba98d895p+0", "0x1.d29b81f89572fp+0", "0x1.6f696dfa25b8dp-1", "0x1.4041f7ab8f740p-2",
+                 "interior", "PASS", ""),
+    "THM3_H22": ("0x1.47ca4960337d7p+0", "0x1.47ca889042f95p+0", "0x1.1fd6a644a82b6p-2", "0x1.143a2fcc857d8p-1",
+                 "curve_low", "PASS", ""),
+    "GAMMA2": ("0x1.5324a45452562p-1", "0x1.5324a45452569p-1", "0x1.7c28f5c28f5c2p-1", "0x1.8c047894fb828p-2",
+               "curve_high", "PASS", ""),
+    "THM4_GAMMA3": ("0x1.1a5292af8dfdap-1", "0x1.1a53b355d1596p-1", "0x1.7c28f5c28f5c2p-1", "0x1.120a77a3800b8p-2",
+                    "x_a", "PASS", ""),
+    "GAMMA4": ("0x1.3a0553e2a6f0bp-1", "0x1.3a05a64768910p-1", "0x1.7c28f5c28f5c2p-1", "0x1.9db78d862f900p-3",
+               "x_a", "PASS", ""),
+    "EDGE_TABLE": (None, None, None, None, None, "PASS",
+                   "g8(a): computed 1.4019908; printed 1.402 is rounded, not truncated"),
+    "PROPERTY_BNB_SOUND": (None, None, None, None, None, "PASS", "max grid-discretization gap 1.93e-06"),
+    "PROPERTY_CURVES": (None, None, None, None, None, "PASS",
+                        "curve crossing residual within +/-3.33e-16; low-curve radicand at b within +/-1.67e-16"),
+}
+
+
+@pytest.mark.parametrize("cid", VERIFY_PINS)
+def test_verify_rows_are_pinned(cid, suite_ctx):
+    (row,) = run_suite([cid], ctx=suite_ctx)
+    rec = row.as_record()
+    numbers = tuple(None if rec[k] is None else float(rec[k]).hex() for k in ("lo", "hi", "argmax_x", "argmax_y"))
+    assert numbers + (rec["kind"], rec["status"], rec["note"]) == VERIFY_PINS[cid]
+
+
 def test_cli_verify_exit_zero(capsys):
     code = main(["verify", "--claims", "PROPERTY_CURVES", "ORACLE_GAMMA", "--format", "csv"])
     out = capsys.readouterr().out
