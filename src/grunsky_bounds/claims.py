@@ -2,17 +2,23 @@
 
 Every claim row compares a verified enclosure against a published 3-digit
 value.  The printed convention is truncation: "v..." means the value lies in
-[v, v + 10^-digits).  One constant in the source is rounded instead of
-truncated (the high-curve restriction of the fifth-coefficient-difference
-objective at the right endpoint, printed 1.402 for a true 1.40199...); its
-window is widened to the half-ulp rounding window and the row carries a note.
+[v, v + 10^-3).  One constant in the source is rounded instead of truncated
+(the high-curve restriction of the fifth-coefficient-difference objective at
+the right endpoint, printed 1.402 for a true 1.40199...); its window is
+widened to the half-ulp rounding window and the row carries a note.
 
 Edge endpoints, (x, y) lifts and edge order come from the table
-`domain.EDGES`.  A row that rests on an uncertified interior critical-point
-search, on an edge analysis whose box budget ran out, or on an enclosure
-wider than `MAX_ENCLOSURE_WIDTH` that still meets its window, is INCONCLUSIVE:
-FAIL needs a verified enclosure that misses the published window, or a proof
-that contradicts the claim.
+`domain.EDGES`.
+
+One rule sets every row's status, in `_settle`: FAIL if a settled result
+refutes the claim, else INCONCLUSIVE if anything the row rests on is
+unsettled, else PASS.  Unsettled are a maximizer or an edge analysis whose
+box budget ran out, an uncertified interior critical-point search, an
+attribution not separated from its runner-up on a row that names where the
+maximum lies, and an enclosure wider than `MAX_ENCLOSURE_WIDTH`.  A check
+that reads an unsettled result concludes nothing from it.  The global
+enclosure is verified however far its branch-and-bound got, so a window it
+misses refutes the claim even when it is wide or unconverged.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -72,7 +78,7 @@ class SuiteConfig:
         return BnBConfig(self.tol_value, self.max_boxes)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ClaimOutcome:
     status: str
     value: Interval | None = None
@@ -86,32 +92,44 @@ class ClaimSpec:
     claim_id: str
     description: str
     target: str | None  # published decimal string, e.g. "2.427"
-    digits: int
     runner: Callable[["SuiteContext"], ClaimOutcome]
 
 
-def window(target: str, digits: int) -> tuple[Fraction, Fraction]:
+#: one unit in the last printed digit: every constant is published to 3 decimals
+PRINTED_ULP = Fraction(1, 1000)
+
+
+def window(target: str) -> tuple[Fraction, Fraction]:
     v = Fraction(target)
-    return v, v + Fraction(1, 10**digits)
+    return v, v + PRINTED_ULP
 
 
-def in_window(iv: Interval, target: str, digits: int) -> bool:
-    """Does the enclosure intersect [target, target + 10^-digits)?"""
-    lo, hi = window(target, digits)
+def in_window(iv: Interval, target: str) -> bool:
+    """Does the enclosure intersect [target, target + 10^-3)?"""
+    lo, hi = window(target)
     return Fraction(iv.hi) >= lo and Fraction(iv.lo) < hi
 
 
-def inside_window(iv: Interval, target: str, digits: int) -> bool:
-    """Is the enclosure entirely inside [target, target + 10^-digits)?"""
-    lo, hi = window(target, digits)
+def inside_window(iv: Interval, target: str) -> bool:
+    """Is the enclosure entirely inside [target, target + 10^-3)?"""
+    lo, hi = window(target)
     return Fraction(iv.lo) >= lo and Fraction(iv.hi) < hi
 
 
-def in_rounding_window(iv: Interval, target: str, digits: int) -> bool:
-    """Intersection with the round-half window [target - h/2, target + h/2)."""
+def in_rounding_window(iv: Interval, target: str) -> bool:
+    """Intersection with the round-half window [target - 5e-4, target + 5e-4)."""
     v = Fraction(target)
-    h = Fraction(1, 2 * 10**digits)
-    return Fraction(iv.hi) >= v - h and Fraction(iv.lo) < v + h
+    return Fraction(iv.hi) >= v - PRINTED_ULP / 2 and Fraction(iv.lo) < v + PRINTED_ULP / 2
+
+
+def _settle(unsettled: Sequence[str] = (), refuted: Sequence[str] = (), info: Sequence[str] = (),
+            **fields) -> ClaimOutcome:
+    """The one verdict rule: FAIL on a refutation, else INCONCLUSIVE on an
+    unsettled result, else PASS.  Refutations come from settled results only.
+    The note leads with the refutations, then the unsettled results, then
+    the row's residuals and flags."""
+    status = FAIL if refuted else INCONCLUSIVE if unsettled else PASS
+    return ClaimOutcome(status, note="; ".join([*refuted, *unsettled, *info]), **fields)
 
 
 # ---------------------------------------------------------------------------
@@ -174,11 +192,15 @@ def analyze_edge(oid: ObjectiveId, edge: EdgeId, cfg: BnBConfig) -> EdgeAnalysis
 
 @dataclass(frozen=True)
 class Location:
+    """Where the maximum lies by the edge/critical decomposition.  `separated`
+    says the winner's lower bound beats every other candidate's upper bound;
+    `unsettled` names the analyses the decomposition could not finish."""
+
     kind: str  # "interior" or an EdgeId value
     argmax: tuple[Interval, Interval]
     value: Interval
     separated: bool
-    decomposition_consistent: bool
+    unsettled: tuple[str, ...]
 
 
 class SuiteContext:
@@ -222,20 +244,22 @@ class SuiteContext:
     def locate(self, oid: ObjectiveId) -> Location:
         """Attribute the global maximum to an edge or an interior critical point."""
         cands: list[tuple[Interval, str, tuple[Interval, Interval]]] = []
+        unsettled: list[str] = []
         for piece in EDGES.values():
             an = self.edge(oid, piece.id)
+            if not an.conclusive:
+                unsettled.append(f"edge analysis of {oid.value}/{piece.id.value} inconclusive")
             cands.append((an.value, piece.id.value, piece.lift(an.argmax)))
         cs = self.critical(oid)
+        if not cs.certified:
+            unsettled.append("interior critical-point search not certified")
         for cp in cs.points:
             box = cp.certified_box if cp.certified else cp.cluster
             cands.append((cp.value, "interior", box))
         cands.sort(key=lambda c: c[0].hi, reverse=True)
         value, kind, argmax = cands[0]
         runner_up = cands[1][0].hi if len(cands) > 1 else -math.inf
-        separated = value.lo > runner_up
-        ext = self.extremum(oid)
-        consistent = ext.value.intersects(value)
-        return Location(kind, argmax, value, separated, consistent)
+        return Location(kind, argmax, value, value.lo > runner_up, tuple(unsettled))
 
     def f2_reduced_root(self) -> Interval:
         """Root of the reduced f2 stationarity polynomial on [0, 1/6]."""
@@ -270,129 +294,90 @@ class SuiteContext:
 
 
 def _value_outcome(
-    ctx: SuiteContext,
-    oid: ObjectiveId,
+    ext: Extremum | Extremum1D,
+    loc: Location,
     target: str,
-    checks: Callable[[SuiteContext, ClaimOutcome], list[str]] | None = None,
+    kind: str | None = None,
+    checks: Callable[[], list[str]] | None = None,
 ) -> ClaimOutcome:
-    ext = ctx.extremum(oid)
-    loc = ctx.locate(oid)
-    out = ClaimOutcome(PASS, ext.value, loc.argmax, loc.kind)
+    """A value row: the global enclosure against its window; then, once the
+    maximizer and the decomposition are settled, their agreement, the
+    expected `kind` of the maximum and the row's own `checks`."""
     unsettled: list[str] = []
-    problems: list[str] = []
     if not ext.converged:
-        out.status = INCONCLUSIVE
         unsettled.append("maximizer budget exhausted")
     if ext.value.width > MAX_ENCLOSURE_WIDTH:
         unsettled.append(f"enclosure width {ext.value.width:.2e} above bound")
-    if not in_window(ext.value, target, 3):
-        problems.append(f"enclosure misses window {target}")
-    if not loc.decomposition_consistent:
-        problems.append("edge/critical decomposition disagrees with global enclosure")
-    if checks:
-        problems.extend(checks(ctx, out))
-    _settle(out, unsettled, problems)
-    return out
-
-
-def _settle(out: ClaimOutcome, unsettled: list[str], problems: list[str]) -> None:
-    """A PASS row with a refutation is FAIL; with only unsettled reasons
-    (a wide enclosure that meets its window refutes nothing), INCONCLUSIVE."""
-    if out.status == PASS and (problems or unsettled):
-        out.status = FAIL if problems else INCONCLUSIVE
-    out.note = "; ".join(unsettled + problems)
+    unsettled += loc.unsettled
+    refuted = [] if in_window(ext.value, target) else [f"enclosure misses window {target}"]
+    if ext.converged and not loc.unsettled:
+        if not ext.value.intersects(loc.value):
+            refuted.append("edge/critical decomposition disagrees with global enclosure")
+        if kind is not None and not loc.separated:
+            unsettled.append(f"maximum on {loc.kind} not separated from the runner-up")
+        elif kind is not None and loc.kind != kind:
+            refuted.append(f"maximum attributed to {loc.kind}, expected {kind}")
+        if checks:
+            refuted += checks()
+    return _settle(unsettled, refuted, value=ext.value, argmax=loc.argmax, kind=loc.kind)
 
 
 def _run_thm1_a3(ctx: SuiteContext) -> ClaimOutcome:
-    ext = ctx.f1_extremum()
-    # f1 is the objective along y = 0, over that piece's parameter range
-    analysis = ctx.edge(ObjectiveId.F1, EdgeId.Y_ZERO)
-    out = ClaimOutcome(PASS, ext.value, EDGES[EdgeId.Y_ZERO].lift(analysis.argmax), "x_a")
-    unsettled: list[str] = []
-    problems: list[str] = []
-    if not ext.converged:
-        out.status = INCONCLUSIVE
-        unsettled.append("budget exhausted")
-    if not analysis.conclusive:
-        out.status = INCONCLUSIVE
-        unsettled.append("endpoint analysis inconclusive: edge budget exhausted")
-    if ext.value.width > MAX_ENCLOSURE_WIDTH:
-        unsettled.append(f"enclosure width {ext.value.width:.2e} above bound")
-    if not in_window(ext.value, "2.427", 3):
-        problems.append("misses window 2.427")
-    if not analysis.value.intersects(ext.value):
-        problems.append("endpoint analysis disagrees with global enclosure")
-    a = CONSTANTS.a
-    arg = analysis.argmax
-    if analysis.conclusive and not (Fraction(arg.lo) <= a <= Fraction(arg.hi)):
-        problems.append("argmax does not enclose the right endpoint")
-    _settle(out, unsettled, problems)
-    return out
+    # f1 is the objective along y = 0, over that piece's parameter range,
+    # maximal at its right end t = a: the corner (a, 0) on x = a
+    an = ctx.edge(ObjectiveId.F1, EdgeId.Y_ZERO)
+    unsettled = () if an.conclusive else ("endpoint analysis inconclusive: edge budget exhausted",)
+    # one candidate, so nothing to separate it from
+    loc = Location("x_a", EDGES[EdgeId.Y_ZERO].lift(an.argmax), an.value, True, unsettled)
+
+    def checks() -> list[str]:
+        if Fraction(an.argmax.lo) <= CONSTANTS.a <= Fraction(an.argmax.hi):
+            return []
+        return ["argmax does not enclose the right endpoint"]
+
+    return _value_outcome(ctx.f1_extremum(), loc, "2.427", checks=checks)
 
 
-def _search_certified(cs: CriticalSearch, out: ClaimOutcome) -> list[str]:
-    """An uncertified critical-point search settles nothing: the row is INCONCLUSIVE."""
-    if cs.certified:
-        return []
-    out.status = INCONCLUSIVE
-    return ["interior critical-point search not certified"]
+def _edge_maximum(ctx: SuiteContext, oid: ObjectiveId, target: str, root: str,
+                  interior_free: bool) -> ClaimOutcome:
+    """A maximum on x = a, at the one stationary point of that edge, inside
+    [root, root + 1e-3); with `interior_free`, no interior critical point."""
 
+    def checks() -> list[str]:
+        points = ctx.critical(oid).points
+        refuted = [f"unexpected interior critical points: {len(points)}"] if interior_free and points else []
+        clusters = ctx.edge(oid, EdgeId.X_A).interior_clusters()
+        if len(clusters) != 1 or not inside_window(clusters[0], root):
+            refuted.append(f"expected one edge root in [{root}, {root}+1e-3), found "
+                           f"{[(c.lo, c.hi) for c in clusters]}")
+        return refuted
 
-def _cluster_in_window(an: EdgeAnalysis, target: str, out: ClaimOutcome) -> list[str]:
-    """An inconclusive edge analysis settles nothing: the row is INCONCLUSIVE."""
-    if not an.conclusive:
-        out.status = INCONCLUSIVE
-        return ["edge critical clusters inconclusive"]
-    clusters = an.interior_clusters()
-    if len(clusters) != 1 or not inside_window(clusters[0], target, 3):
-        return [f"expected one edge root in [{target}, {target}+1e-3), found "
-                f"{[(c.lo, c.hi) for c in clusters]}"]
-    return []
+    return _value_outcome(ctx.extremum(oid), ctx.locate(oid), target, kind=EdgeId.X_A.value,
+                          checks=checks)
 
 
 def _run_thm1_a4(ctx: SuiteContext) -> ClaimOutcome:
-    def checks(ctx: SuiteContext, out: ClaimOutcome) -> list[str]:
-        problems = []
-        if out.kind != EdgeId.X_A.value:
-            problems.append(f"maximum attributed to {out.kind}, expected x_a")
-        problems += _cluster_in_window(ctx.edge(ObjectiveId.F2, EdgeId.X_A), "0.365", out)
-        return problems
-
-    return _value_outcome(ctx, ObjectiveId.F2, "3.461", checks)
+    return _edge_maximum(ctx, ObjectiveId.F2, "3.461", "0.365", interior_free=False)
 
 
 def _run_thm1_a5(ctx: SuiteContext) -> ClaimOutcome:
-    def checks(ctx: SuiteContext, out: ClaimOutcome) -> list[str]:
-        cs = ctx.critical(ObjectiveId.F3)
-        problems = _search_certified(cs, out)
-        if cs.points:
-            problems.append(f"unexpected interior critical points: {len(cs.points)}")
-        problems += _cluster_in_window(ctx.edge(ObjectiveId.F3, EdgeId.X_A), "0.338", out)
-        return problems
-
-    return _value_outcome(ctx, ObjectiveId.F3, "4.993", checks)
+    return _edge_maximum(ctx, ObjectiveId.F3, "4.993", "0.338", interior_free=True)
 
 
 def _interior_claim(
     ctx: SuiteContext, oid: ObjectiveId, target: str, x_window: str, y_window: str
 ) -> ClaimOutcome:
-    def checks(ctx: SuiteContext, out: ClaimOutcome) -> list[str]:
-        cs = ctx.critical(oid)
-        problems = _search_certified(cs, out)
-        if out.kind != "interior":
-            problems.append(f"maximum attributed to {out.kind}, expected interior")
-        certified = [p for p in cs.points if p.certified]
-        if len(certified) != 1 or len(cs.points) != 1:
-            problems.append(f"expected one certified interior critical point, found {len(cs.points)}")
-        else:
-            bx, by = certified[0].certified_box
-            if not inside_window(bx, x_window, 3):
-                problems.append(f"critical x {bx.mid:.6f} outside [{x_window}, {x_window}+1e-3)")
-            if not inside_window(by, y_window, 3):
-                problems.append(f"critical y {by.mid:.6f} outside [{y_window}, {y_window}+1e-3)")
-        return problems
+    def checks() -> list[str]:
+        points = ctx.critical(oid).points
+        if len(points) != 1 or not points[0].certified:
+            return [f"expected one certified interior critical point, found {len(points)}"]
+        bx, by = points[0].certified_box
+        return [f"critical {axis} {box.mid:.6f} outside [{w}, {w}+1e-3)"
+                for axis, box, w in (("x", bx, x_window), ("y", by, y_window))
+                if not inside_window(box, w)]
 
-    return _value_outcome(ctx, oid, target, checks)
+    return _value_outcome(ctx.extremum(oid), ctx.locate(oid), target, kind="interior",
+                          checks=checks)
 
 
 def _run_thm2_d43(ctx: SuiteContext) -> ClaimOutcome:
@@ -404,49 +389,39 @@ def _run_thm2_d54(ctx: SuiteContext) -> ClaimOutcome:
 
 
 def _run_thm3_h22(ctx: SuiteContext) -> ClaimOutcome:
-    def checks(ctx: SuiteContext, out: ClaimOutcome) -> list[str]:
-        cs = ctx.critical(ObjectiveId.F6)
-        problems = _search_certified(cs, out)
-        certified = [p for p in cs.points if p.certified]
+    f6 = ObjectiveId.F6
+
+    def checks() -> list[str]:
+        refuted = []
+        points = ctx.critical(f6).points
+        certified = [p for p in points if p.certified]
         if len(certified) != 1:
-            problems.append(f"expected one certified interior critical point, found {len(cs.points)}")
+            refuted.append(f"expected one certified interior critical point, found {len(points)}")
         else:
             value = certified[0].value
             if not Fraction(value.lo) <= Fraction(1079, 900) <= Fraction(value.hi):
-                problems.append(f"interior critical value [{value.lo!r}, {value.hi!r}] misses 1079/900")
-        g10_at_b = OBJECTIVES[ObjectiveId.F6].restriction(EdgeId.CURVE_HIGH).value_iv(CONSTANTS.iv_b)
-        if not in_window(g10_at_b, "1.213", 3):
-            problems.append("high-curve value at the crossover abscissa misses 1.213")
-        xa = ctx.edge(ObjectiveId.F6, EdgeId.X_A)
-        if not in_window(xa.value, "1.232", 3):
-            problems.append("right-endpoint edge maximum misses 1.232")
-        if out.kind != EdgeId.CURVE_LOW.value:
-            problems.append(f"maximum attributed to {out.kind}, expected curve_low")
-        return problems
+                refuted.append(f"interior critical value [{value.lo!r}, {value.hi!r}] misses 1079/900")
+        g10_at_b = OBJECTIVES[f6].restriction(EdgeId.CURVE_HIGH).value_iv(CONSTANTS.iv_b)
+        if not in_window(g10_at_b, "1.213"):
+            refuted.append("high-curve value at the crossover abscissa misses 1.213")
+        if not in_window(ctx.edge(f6, EdgeId.X_A).value, "1.232"):
+            refuted.append("right-endpoint edge maximum misses 1.232")
+        return refuted
 
-    return _value_outcome(ctx, ObjectiveId.F6, "1.280", checks)
+    return _value_outcome(ctx.extremum(f6), ctx.locate(f6), "1.280", kind=EdgeId.CURVE_LOW.value,
+                          checks=checks)
 
 
 def _run_gamma2(ctx: SuiteContext) -> ClaimOutcome:
-    return _value_outcome(ctx, ObjectiveId.F7, "0.662")
+    return _value_outcome(ctx.extremum(ObjectiveId.F7), ctx.locate(ObjectiveId.F7), "0.662")
 
 
 def _run_thm4_gamma3(ctx: SuiteContext) -> ClaimOutcome:
-    def checks(ctx: SuiteContext, out: ClaimOutcome) -> list[str]:
-        cs = ctx.critical(ObjectiveId.F8)
-        problems = _search_certified(cs, out)
-        if cs.points:
-            problems.append(f"unexpected interior critical points: {len(cs.points)}")
-        if out.kind != EdgeId.X_A.value:
-            problems.append(f"maximum attributed to {out.kind}, expected x_a")
-        problems += _cluster_in_window(ctx.edge(ObjectiveId.F8, EdgeId.X_A), "0.267", out)
-        return problems
-
-    return _value_outcome(ctx, ObjectiveId.F8, "0.551", checks)
+    return _edge_maximum(ctx, ObjectiveId.F8, "0.551", "0.267", interior_free=True)
 
 
 def _run_gamma4(ctx: SuiteContext) -> ClaimOutcome:
-    return _value_outcome(ctx, ObjectiveId.F9, "0.613")
+    return _value_outcome(ctx.extremum(ObjectiveId.F9), ctx.locate(ObjectiveId.F9), "0.613")
 
 
 # -- edge-constant table -------------------------------------------------------
@@ -575,7 +550,7 @@ def _run_edge_table(ctx: SuiteContext) -> ClaimOutcome:
             if not Fraction(iv.lo) <= Fraction(spec.target) <= Fraction(iv.hi):
                 failures.append(f"{spec.label}: [{iv.lo!r}, {iv.hi!r}] misses {spec.target}")
         elif spec.mode == "rounded":
-            if not in_rounding_window(iv, spec.target, 3):
+            if not in_rounding_window(iv, spec.target):
                 failures.append(f"{spec.label}: outside rounding window of {spec.target}")
             else:
                 notes.append(
@@ -583,13 +558,11 @@ def _run_edge_table(ctx: SuiteContext) -> ClaimOutcome:
                     "not truncated"
                 )
         else:
-            if not in_window(iv, spec.target, 3):
+            if not in_window(iv, spec.target):
                 failures.append(
                     f"{spec.label}: [{iv.lo:.7f}, {iv.hi:.7f}] misses [{spec.target}, +1e-3)"
                 )
-    status = FAIL if failures else INCONCLUSIVE if unsettled else PASS
-    note = "; ".join(failures + unsettled + notes)
-    return ClaimOutcome(status, None, None, None, note)
+    return _settle(unsettled, failures, notes)
 
 
 # -- oracle claims ---------------------------------------------------------------
@@ -600,11 +573,10 @@ def _run_oracle_identities(ctx: SuiteContext) -> ClaimOutcome:
     for preset in PRESETS:
         rep = check_coefficient_identities(PRESETS[preset](16), order=8, table=ctx.table(preset))
         worst = max(worst, rep.max_residual)
-    ok = worst <= 1e-10
-    return ClaimOutcome(
-        PASS if ok else FAIL,
-        Interval.point(worst),
-        note=f"max identity residual {worst:.2e} over presets at order 8",
+    return _settle(
+        refuted=[] if worst <= 1e-10 else ["identity residual above 1e-10"],
+        info=[f"max identity residual {worst:.2e} over presets at order 8"],
+        value=Interval.point(worst),
     )
 
 
@@ -612,11 +584,10 @@ def _run_oracle_ineq(ctx: SuiteContext) -> ClaimOutcome:
     rng = np.random.default_rng(ctx.cfg.seed)
     vectors = [random_test_vector(rng) for _ in range(INEQUALITY_VECTORS)]
     worst = min(check_inequalities(ctx.table(preset), *vectors).min_slack for preset in PRESETS)
-    ok = worst >= -1e-10
-    return ClaimOutcome(
-        PASS if ok else FAIL,
-        Interval.point(worst),
-        note=f"min inequality slack {worst:.2e} over {INEQUALITY_VECTORS} vectors",
+    return _settle(
+        refuted=[] if worst >= -1e-10 else ["inequality slack below -1e-10"],
+        info=[f"min inequality slack {worst:.2e} over {INEQUALITY_VECTORS} vectors"],
+        value=Interval.point(worst),
     )
 
 
@@ -626,11 +597,10 @@ def _run_oracle_gamma(ctx: SuiteContext) -> ClaimOutcome:
         worst = max(worst, ctx.gamma(preset).max_difference)
     koebe = ctx.gamma("koebe")
     koebe_drift = max(abs(g - 1.0 / n) for n, g in enumerate(koebe.direct, start=1))
-    ok = worst <= 1e-12 and koebe_drift <= 1e-12
-    return ClaimOutcome(
-        PASS if ok else FAIL,
-        Interval.point(max(worst, koebe_drift)),
-        note=f"two-path gamma drift {worst:.2e}; koebe 1/n drift {koebe_drift:.2e}",
+    return _settle(
+        refuted=[] if max(worst, koebe_drift) <= 1e-12 else ["gamma drift above 1e-12"],
+        info=[f"two-path gamma drift {worst:.2e}; koebe 1/n drift {koebe_drift:.2e}"],
+        value=Interval.point(max(worst, koebe_drift)),
     )
 
 
@@ -665,10 +635,7 @@ def _run_property_bnb(ctx: SuiteContext) -> ClaimOutcome:
                 f"{oid.value}: grid max {gmax!r} below enclosure low - gap bound {value.lo!r}"
             )
         margins.append(value.lo - gmax)
-    note = f"max grid-discretization gap {max(margins):.2e}"
-    if problems:
-        return ClaimOutcome(FAIL, None, note="; ".join(problems))
-    return ClaimOutcome(PASS, None, note=note)
+    return _settle(refuted=problems, info=[f"max grid-discretization gap {max(margins):.2e}"])
 
 
 def _run_property_curves(ctx: SuiteContext) -> ClaimOutcome:
@@ -676,33 +643,30 @@ def _run_property_curves(ctx: SuiteContext) -> ClaimOutcome:
     low, high = CAP_PIECES
     crossing = low.lift(low.t_hi)[1] - high.lift(high.t_lo)[1]
     radicand = rp_eval_iv(low.radicand, low.t_hi)
-    ok = (
-        max(abs(crossing.lo), abs(crossing.hi)) <= 1e-12
-        and max(abs(radicand.lo), abs(radicand.hi)) <= 1e-12
+    cross_res, rad_res = (max(abs(iv.lo), abs(iv.hi)) for iv in (crossing, radicand))
+    return _settle(
+        refuted=[] if max(cross_res, rad_res) <= 1e-12 else ["curve identity residual above 1e-12"],
+        info=[f"curve crossing residual within +/-{cross_res:.2e}; "
+              f"low-curve radicand at b within +/-{rad_res:.2e}"],
     )
-    note = (
-        f"curve crossing residual within +/-{max(abs(crossing.lo), abs(crossing.hi)):.2e}; "
-        f"low-curve radicand at b within +/-{max(abs(radicand.lo), abs(radicand.hi)):.2e}"
-    )
-    return ClaimOutcome(PASS if ok else FAIL, None, note=note)
 
 
 CLAIMS: tuple[ClaimSpec, ...] = (
-    ClaimSpec("THM1_A3", "third coefficient bound", "2.427", 3, _run_thm1_a3),
-    ClaimSpec("THM1_A4", "fourth coefficient bound", "3.461", 3, _run_thm1_a4),
-    ClaimSpec("THM1_A5", "fifth coefficient bound", "4.993", 3, _run_thm1_a5),
-    ClaimSpec("THM2_D43", "fourth/third difference bound", "1.174", 3, _run_thm2_d43),
-    ClaimSpec("THM2_D54", "fifth/fourth difference bound", "1.822", 3, _run_thm2_d54),
-    ClaimSpec("THM3_H22", "second Hankel determinant bound", "1.280", 3, _run_thm3_h22),
-    ClaimSpec("GAMMA2", "second log-coefficient bound", "0.662", 3, _run_gamma2),
-    ClaimSpec("THM4_GAMMA3", "third log-coefficient bound", "0.551", 3, _run_thm4_gamma3),
-    ClaimSpec("GAMMA4", "fourth log-coefficient bound", "0.613", 3, _run_gamma4),
-    ClaimSpec("EDGE_TABLE", "per-edge constants", None, 3, _run_edge_table),
-    ClaimSpec("ORACLE_EQ13", "coefficient identities", None, 0, _run_oracle_identities),
-    ClaimSpec("ORACLE_INEQ", "truncated inequalities", None, 0, _run_oracle_ineq),
-    ClaimSpec("ORACLE_GAMMA", "log-coefficient cross-check", None, 0, _run_oracle_gamma),
-    ClaimSpec("PROPERTY_BNB_SOUND", "grid soundness of maximizer", None, 0, _run_property_bnb),
-    ClaimSpec("PROPERTY_CURVES", "crossover-abscissa identities", None, 0, _run_property_curves),
+    ClaimSpec("THM1_A3", "third coefficient bound", "2.427", _run_thm1_a3),
+    ClaimSpec("THM1_A4", "fourth coefficient bound", "3.461", _run_thm1_a4),
+    ClaimSpec("THM1_A5", "fifth coefficient bound", "4.993", _run_thm1_a5),
+    ClaimSpec("THM2_D43", "fourth/third difference bound", "1.174", _run_thm2_d43),
+    ClaimSpec("THM2_D54", "fifth/fourth difference bound", "1.822", _run_thm2_d54),
+    ClaimSpec("THM3_H22", "second Hankel determinant bound", "1.280", _run_thm3_h22),
+    ClaimSpec("GAMMA2", "second log-coefficient bound", "0.662", _run_gamma2),
+    ClaimSpec("THM4_GAMMA3", "third log-coefficient bound", "0.551", _run_thm4_gamma3),
+    ClaimSpec("GAMMA4", "fourth log-coefficient bound", "0.613", _run_gamma4),
+    ClaimSpec("EDGE_TABLE", "per-edge constants", None, _run_edge_table),
+    ClaimSpec("ORACLE_EQ13", "coefficient identities", None, _run_oracle_identities),
+    ClaimSpec("ORACLE_INEQ", "truncated inequalities", None, _run_oracle_ineq),
+    ClaimSpec("ORACLE_GAMMA", "log-coefficient cross-check", None, _run_oracle_gamma),
+    ClaimSpec("PROPERTY_BNB_SOUND", "grid soundness of maximizer", None, _run_property_bnb),
+    ClaimSpec("PROPERTY_CURVES", "crossover-abscissa identities", None, _run_property_curves),
 )
 
 CLAIM_IDS = tuple(c.claim_id for c in CLAIMS)

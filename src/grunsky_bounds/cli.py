@@ -141,9 +141,6 @@ def _cmd_edges(args) -> int:
     from .optimize import BnBConfig
 
     oid = args.objective
-    if oid is ObjectiveId.F1:
-        print("f1 is one-dimensional; use `maximize --objective f1`")
-        return 2
     cfg = BnBConfig(tol_value=args.tol, max_boxes=args.max_boxes)
     print(f"{oid.value} ({CLAIM_NAMES[oid]}) edge maxima:")
     conclusive = True

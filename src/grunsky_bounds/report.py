@@ -7,6 +7,7 @@ import io
 import json
 import time
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .claims import CLAIMS, CLAIMS_BY_ID, GAMMA1_NOTE, ClaimOutcome, SuiteConfig, SuiteContext
 from .interval import Interval
@@ -27,9 +28,7 @@ CSV_COLUMNS = (
 @dataclass
 class ClaimRow:
     claim_id: str
-    description: str
     paper_value: float | None
-    paper_digits: int | None
     computed: Interval | None
     argmax: tuple[Interval, Interval] | None
     kind: str | None
@@ -76,9 +75,7 @@ def run_suite(
         rows.append(
             ClaimRow(
                 claim_id=spec.claim_id,
-                description=spec.description,
-                paper_value=float(eval_target(spec.target)) if spec.target else None,
-                paper_digits=spec.digits if spec.target else None,
+                paper_value=float(Fraction(spec.target)) if spec.target else None,
                 computed=outcome.value,
                 argmax=outcome.argmax,
                 kind=outcome.kind,
@@ -88,12 +85,6 @@ def run_suite(
             )
         )
     return rows
-
-
-def eval_target(target: str) -> float:
-    from fractions import Fraction
-
-    return float(Fraction(target))
 
 
 def all_passed(rows: list[ClaimRow]) -> bool:

@@ -44,7 +44,7 @@ def test_criterion_01_third_coefficient(suite_ctx):
     out = _run(suite_ctx, "THM1_A3")
     assert out.status == "PASS", out.note
     value = suite_ctx.f1_extremum().value
-    assert in_window(value, "2.427", 3) and value.width <= 1e-4
+    assert in_window(value, "2.427") and value.width <= 1e-4
     arg = out.argmax[0]
     assert Fraction(arg.lo) <= CONSTANTS.a <= Fraction(arg.hi)
 
@@ -53,78 +53,78 @@ def test_criterion_02_fourth_coefficient(suite_ctx):
     out = _run(suite_ctx, "THM1_A4")
     assert out.status == "PASS", out.note
     value = suite_ctx.extremum(ObjectiveId.F2).value
-    assert in_window(value, "3.461", 3) and value.width <= 1e-4
+    assert in_window(value, "3.461") and value.width <= 1e-4
     assert out.kind == "x_a"
     roots = suite_ctx.edge(ObjectiveId.F2, EdgeId.X_A).interior_clusters()
-    assert len(roots) == 1 and inside_window(roots[0], "0.365", 3)
+    assert len(roots) == 1 and inside_window(roots[0], "0.365")
 
 
 def test_criterion_03_fifth_coefficient(suite_ctx):
     out = _run(suite_ctx, "THM1_A5")
     assert out.status == "PASS", out.note
     value = suite_ctx.extremum(ObjectiveId.F3).value
-    assert in_window(value, "4.993", 3) and value.width <= 1e-4
+    assert in_window(value, "4.993") and value.width <= 1e-4
     assert suite_ctx.critical(ObjectiveId.F3).points == []
     roots = suite_ctx.edge(ObjectiveId.F3, EdgeId.X_A).interior_clusters()
-    assert len(roots) == 1 and inside_window(roots[0], "0.338", 3)
+    assert len(roots) == 1 and inside_window(roots[0], "0.338")
 
 
 def test_criterion_04_fourth_third_difference(suite_ctx):
     out = _run(suite_ctx, "THM2_D43")
     assert out.status == "PASS", out.note
     value = suite_ctx.extremum(ObjectiveId.F4).value
-    assert in_window(value, "1.174", 3) and value.width <= 1e-4
+    assert in_window(value, "1.174") and value.width <= 1e-4
     assert out.kind == "interior"
     bx, by = suite_ctx.critical(ObjectiveId.F4).points[0].certified_box
-    assert inside_window(bx, "0.634", 3) and inside_window(by, "0.358", 3)
+    assert inside_window(bx, "0.634") and inside_window(by, "0.358")
 
 
 def test_criterion_05_fifth_fourth_difference(suite_ctx):
     out = _run(suite_ctx, "THM2_D54")
     assert out.status == "PASS", out.note
     value = suite_ctx.extremum(ObjectiveId.F5).value
-    assert in_window(value, "1.822", 3) and value.width <= 1e-4
+    assert in_window(value, "1.822") and value.width <= 1e-4
     assert out.kind == "interior"
     bx, by = suite_ctx.critical(ObjectiveId.F5).points[0].certified_box
-    assert inside_window(bx, "0.717", 3) and inside_window(by, "0.312", 3)
+    assert inside_window(bx, "0.717") and inside_window(by, "0.312")
 
 
 def test_criterion_06_second_hankel(suite_ctx):
     out = _run(suite_ctx, "THM3_H22")
     assert out.status == "PASS", out.note
     value = suite_ctx.extremum(ObjectiveId.F6).value
-    assert in_window(value, "1.280", 3) and value.width <= 1e-4
+    assert in_window(value, "1.280") and value.width <= 1e-4
     point = suite_ctx.critical(ObjectiveId.F6).points[0]
     assert point.certified
     assert Fraction(point.value.lo) <= Fraction(1079, 900) <= Fraction(point.value.hi)
     g10_b = OBJECTIVES[ObjectiveId.F6].restriction(EdgeId.CURVE_HIGH).value_iv(CONSTANTS.iv_b)
-    assert in_window(g10_b, "1.213", 3)
-    assert in_window(suite_ctx.edge(ObjectiveId.F6, EdgeId.X_A).value, "1.232", 3)
+    assert in_window(g10_b, "1.213")
+    assert in_window(suite_ctx.edge(ObjectiveId.F6, EdgeId.X_A).value, "1.232")
 
 
 def test_criterion_07_second_log_coefficient(suite_ctx):
     out = _run(suite_ctx, "GAMMA2")
     assert out.status == "PASS", out.note
     value = suite_ctx.extremum(ObjectiveId.F7).value
-    assert in_window(value, "0.662", 3) and value.width <= 1e-4
+    assert in_window(value, "0.662") and value.width <= 1e-4
 
 
 def test_criterion_08_third_log_coefficient(suite_ctx):
     out = _run(suite_ctx, "THM4_GAMMA3")
     assert out.status == "PASS", out.note
     value = suite_ctx.extremum(ObjectiveId.F8).value
-    assert in_window(value, "0.551", 3) and value.width <= 1e-4
+    assert in_window(value, "0.551") and value.width <= 1e-4
     assert suite_ctx.critical(ObjectiveId.F8).points == []
     assert out.kind == "x_a"
     roots = suite_ctx.edge(ObjectiveId.F8, EdgeId.X_A).interior_clusters()
-    assert len(roots) == 1 and inside_window(roots[0], "0.267", 3)
+    assert len(roots) == 1 and inside_window(roots[0], "0.267")
 
 
 def test_criterion_09_fourth_log_coefficient(suite_ctx):
     out = _run(suite_ctx, "GAMMA4")
     assert out.status == "PASS", out.note
     value = suite_ctx.extremum(ObjectiveId.F9).value
-    assert in_window(value, "0.613", 3) and value.width <= 1e-4
+    assert in_window(value, "0.613") and value.width <= 1e-4
 
 
 def test_criterion_10_edge_table(suite_ctx):

@@ -12,6 +12,8 @@ from grunsky_bounds import claims, cli, oracle
 from grunsky_bounds.claims import SuiteConfig
 from grunsky_bounds.cli import main
 from grunsky_bounds.domain import EdgeId
+from grunsky_bounds.objectives import ObjectiveId
+from grunsky_bounds.optimize import BnBConfig, CriticalSearch
 from grunsky_bounds.report import CSV_COLUMNS, all_passed, emit, run_suite
 
 CHEAP = ["THM1_A3", "ORACLE_GAMMA", "PROPERTY_CURVES"]
@@ -170,9 +172,23 @@ def test_cli_verify_budget_gives_no_fail_row(max_boxes, capsys):
     edge_table = records["EDGE_TABLE"]
     assert edge_table["status"] == "INCONCLUSIVE"
     assert "inconclusive" in edge_table["note"] or "not certified" in edge_table["note"]
+    # every row that is not PASS says why
+    assert [cid for cid, r in records.items() if r["status"] != "PASS" and not r["note"]] == []
     if max_boxes == 1:
         assert records["THM1_A3"]["status"] == "INCONCLUSIVE"
         assert "endpoint analysis inconclusive" in records["THM1_A3"]["note"]
+    if max_boxes == 10:
+        # f7's global enclosure converges, but two of its edge analyses do not
+        assert records["GAMMA2"]["status"] == "INCONCLUSIVE"
+        assert records["GAMMA2"]["note"] == ("edge analysis of f7/x_a inconclusive; "
+                                             "edge analysis of f7/curve_low inconclusive")
+        # nothing is concluded from an unsettled decomposition
+        value_notes = [records[cid]["note"] for cid in claims.CLAIM_IDS[:9]]
+        assert not any("decomposition disagrees" in note or "found 0" in note for note in value_notes)
+    if max_boxes == 100:
+        # f9's critical search needs 101 boxes
+        assert records["GAMMA4"]["status"] == "INCONCLUSIVE"
+        assert records["GAMMA4"]["note"] == "interior critical-point search not certified"
     if max_boxes == 400:
         # enough for every branch-and-bound, edge analysis and critical search
         # but f6's, which takes 498 boxes and Krawczyk steps
@@ -223,11 +239,36 @@ def test_an_enclosure_above_the_grid_gap_bound_fails_grid_soundness(monkeypatch)
 
 def test_a_wide_enclosure_that_misses_its_window_still_fails():
     ctx = claims.SuiteContext(SuiteConfig(tol_value=1e-3))
-    meets = claims._value_outcome(ctx, claims.ObjectiveId.F2, "3.461")
+    ext, loc = ctx.extremum(ObjectiveId.F2), ctx.locate(ObjectiveId.F2)
+    meets = claims._value_outcome(ext, loc, "3.461")
     assert meets.status == "INCONCLUSIVE" and "above bound" in meets.note
-    out = claims._value_outcome(ctx, claims.ObjectiveId.F2, "3.500")
+    out = claims._value_outcome(ext, loc, "3.500")
     assert out.status == "FAIL"
     assert "above bound" in out.note and "misses window 3.500" in out.note
+
+
+def test_an_uncertified_critical_search_leaves_a_value_row_inconclusive():
+    # f9's maximum is on x = a, but an interior point the search left could beat it
+    ctx = claims.SuiteContext(SuiteConfig())
+    ctx._critical[ObjectiveId.F9] = CriticalSearch(certified=False)
+    (row,) = run_suite(["GAMMA4"], ctx=ctx)
+    assert row.status == "INCONCLUSIVE"
+    assert row.note == "interior critical-point search not certified"
+
+
+def test_an_attribution_tie_leaves_a_row_with_an_expected_kind_inconclusive():
+    # give f2's x = 0 edge the maximum of its x = a edge: the two tie
+    ctx = claims.SuiteContext(SuiteConfig())
+    top = ctx.edge(ObjectiveId.F2, EdgeId.X_A).value
+    tied = ctx.edge(ObjectiveId.F2, EdgeId.X_ZERO)
+    ctx._edges[(ObjectiveId.F2, EdgeId.X_ZERO)] = dataclasses.replace(tied, value=top)
+    loc = ctx.locate(ObjectiveId.F2)
+    assert not loc.separated and loc.kind == EdgeId.X_ZERO.value
+    (row,) = run_suite(["THM1_A4"], ctx=ctx)
+    assert row.status == "INCONCLUSIVE"
+    assert row.note == "maximum on x_zero not separated from the runner-up"
+    # without an expected kind the tie decides nothing
+    assert claims._value_outcome(ctx.extremum(ObjectiveId.F2), loc, "3.461").status == "PASS"
 
 
 #: wrong targets for entries of each kind: a point value, an edge maximum, an
@@ -270,10 +311,16 @@ def test_cli_edges_budget_exhaustion_marks_the_edge_inconclusive(capsys):
     assert "inconclusive" not in rows[4]
 
 
-def test_cli_edges_rejects_the_1d_objective(capsys):
+def test_cli_edges_of_f1_hold_the_a3_enclosure(capsys):
     code = main(["edges", "--objective", "f1"])
-    capsys.readouterr()
-    assert code == 2
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert code == 0
+    assert [row.split()[0] for row in rows] == [edge.value for edge in EdgeId]
+    a3 = claims.SuiteContext(SuiteConfig()).f1_extremum().value
+    printed = f"max in [{a3.lo:.10f}, {a3.hi:.10f}]"
+    for edge in (EdgeId.X_A, EdgeId.Y_ZERO):
+        assert printed in rows[list(EdgeId).index(edge)]
+        assert claims.analyze_edge(ObjectiveId.F1, edge, BnBConfig()).value.intersects(a3)
 
 
 def test_cli_maximize_f1(capsys):
