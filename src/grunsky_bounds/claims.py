@@ -7,18 +7,21 @@ value.  The printed convention is truncation: "v..." means the value lies in
 the right endpoint, printed 1.402 for a true 1.40199...); its window is
 widened to the half-ulp rounding window and the row carries a note.
 
-Edge endpoints, (x, y) lifts and edge order come from the table
-`domain.EDGES`.
+Edge endpoints, (x, y) lifts, edge order and the five corners come from the
+table `domain.EDGES`.  Every value row, f1's too, takes the 2-D maximizer's
+enclosure and `SuiteContext.locate`'s label: an edge, a corner named by its
+two pieces ("x_a/y_zero"), or "interior".
 
 One rule sets every row's status, in `_settle`: FAIL if a settled result
 refutes the claim, else INCONCLUSIVE if anything the row rests on is
 unsettled, else PASS.  Unsettled are a maximizer or an edge analysis whose
 box budget ran out, an uncertified interior critical-point search, an
 attribution not separated from its runner-up on a row that names where the
-maximum lies, and an enclosure wider than `MAX_ENCLOSURE_WIDTH`.  A check
-that reads an unsettled result concludes nothing from it.  The global
-enclosure is verified however far its branch-and-bound got, so a window it
-misses refutes the claim even when it is wide or unconverged.
+maximum lies (elsewhere a note), and an enclosure wider than
+`MAX_ENCLOSURE_WIDTH`.  A check that reads an unsettled result concludes
+nothing from it.  The global enclosure is verified however far its
+branch-and-bound got, so a window it misses refutes the claim even when it
+is wide or unconverged.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .domain import CAP_PIECES, CONSTANTS, EDGES, REGION, EdgeId
+from .domain import CAP_PIECES, CONSTANTS, CORNERS, EDGES, REGION, EdgeId
 from .interval import Interval, hull_of
 from .objectives import F1_FORM, F2_REDUCED_POLY, OBJECTIVES, ObjectiveId, RadicalForm1D
 from .optimize import (
@@ -143,7 +146,10 @@ class EdgeAnalysis:
 
     The restriction's critical points are trapped in derivative-sign clusters,
     so the maximum is the best of {endpoint values, cluster values}; when that
-    winner is isolated, `argmax` is a tight enclosure of the maximizer.
+    winner is isolated, `argmax` is a tight enclosure of the maximizer.  `end`
+    is the index of the end enclosure (0 for `t_lo`, 1 for `t_hi`) that every
+    candidate tied for the maximum meets, or None: the maximum then lies at
+    the corner of the region there.
     """
 
     edge: EdgeId
@@ -152,6 +158,7 @@ class EdgeAnalysis:
     clusters: tuple[Interval, ...]
     conclusive: bool
     endpoints: tuple[Interval, Interval]
+    end: int | None
 
     def interior_clusters(self) -> list[Interval]:
         """Stationary clusters disjoint from both end enclosures of the piece;
@@ -162,22 +169,24 @@ class EdgeAnalysis:
 def analyze_form(form: RadicalForm1D, endpoints: tuple[Interval, Interval],
                  edge: EdgeId, cfg: BnBConfig) -> EdgeAnalysis:
     """Critical points of the form are zeros of its scaled derivative D, which
-    the zero search proves by Newton steps on the slope of D."""
+    the zero search proves by Newton steps on the slope of D.  When its budget
+    runs out, the analysis is inconclusive and its value is the form's range
+    over the whole piece."""
     deriv = form.scaled_derivative
     clusters = zero_clusters_1d(
         deriv.value_iv, form.lo, form.hi, max_boxes=cfg.max_boxes, slope=deriv.slope_iv
     )
     if clusters is None:
-        ext = maximize_1d(form.value_iv, form.lo, form.hi, cfg, slope=form.slope_iv)
-        return EdgeAnalysis(edge, ext.value, ext.argmax, (), False, endpoints)
+        piece = Interval(form.lo, form.hi)
+        return EdgeAnalysis(edge, form.value_iv(piece), piece, (), False, endpoints, None)
     candidates = [endpoints[0], endpoints[1], *clusters]
     evals = [form.value_iv(c) for c in candidates]
     value = Interval(max(e.lo for e in evals), max(e.hi for e in evals))
     order = sorted(range(len(evals)), key=lambda k: evals[k].hi, reverse=True)
     best = order[0]
-    tied = [k for k in order if evals[k].hi >= evals[best].lo]
-    argmax = hull_of([candidates[k] for k in tied])
-    return EdgeAnalysis(edge, value, argmax, tuple(clusters), True, endpoints)
+    tied = [candidates[k] for k in order if evals[k].hi >= evals[best].lo]
+    end = next((i for i, e in enumerate(endpoints) if all(c.intersects(e) for c in tied)), None)
+    return EdgeAnalysis(edge, value, hull_of(tied), tuple(clusters), True, endpoints, end)
 
 
 def analyze_edge(oid: ObjectiveId, edge: EdgeId, cfg: BnBConfig) -> EdgeAnalysis:
@@ -192,14 +201,15 @@ def analyze_edge(oid: ObjectiveId, edge: EdgeId, cfg: BnBConfig) -> EdgeAnalysis
 
 @dataclass(frozen=True)
 class Location:
-    """Where the maximum lies by the edge/critical decomposition.  `separated`
-    says the winner's lower bound beats every other candidate's upper bound;
+    """Where the maximum lies by the edge/critical decomposition: on an
+    edge, at a corner or at an interior critical point.  `tied` names the
+    candidates whose upper bound reaches the winner's lower bound;
     `unsettled` names the analyses the decomposition could not finish."""
 
-    kind: str  # "interior" or an EdgeId value
+    kind: str  # "interior", an EdgeId value, or a corner name such as "x_a/y_zero"
     argmax: tuple[Interval, Interval]
     value: Interval
-    separated: bool
+    tied: tuple[str, ...]
     unsettled: tuple[str, ...]
 
 
@@ -224,6 +234,7 @@ class SuiteContext:
         return self._extrema[oid]
 
     def f1_extremum(self) -> Extremum1D:
+        # no row reads f1's 1-D maximum; it stays, with `_f1`, because perfbench reads both
         if self._f1 is None:
             self._f1 = maximize_1d(
                 F1_FORM.value_iv, F1_FORM.lo, F1_FORM.hi, self.cfg.bnb(), slope=F1_FORM.slope_iv
@@ -242,14 +253,25 @@ class SuiteContext:
         return self._critical[oid]
 
     def locate(self, oid: ObjectiveId) -> Location:
-        """Attribute the global maximum to an edge or an interior critical point."""
+        """Attribute the global maximum to an edge, a corner or an interior
+        critical point.  Each corner is evaluated once; an edge whose maximum
+        lies at one of its ends is no candidate of its own, and its value
+        joins that corner's."""
         cands: list[tuple[Interval, str, tuple[Interval, Interval]]] = []
         unsettled: list[str] = []
+        at_end: dict[tuple[EdgeId, int], Interval] = {}
         for piece in EDGES.values():
             an = self.edge(oid, piece.id)
             if not an.conclusive:
                 unsettled.append(f"edge analysis of {oid.value}/{piece.id.value} inconclusive")
-            cands.append((an.value, piece.id.value, piece.lift(an.argmax)))
+            if an.end is None:
+                cands.append((an.value, piece.id.value, piece.lift(an.argmax)))
+            else:
+                at_end[piece.id, an.end] = an.value
+        for p, q, box in CORNERS:
+            values = [OBJECTIVES[oid].value_iv(*box), *(at_end[e] for e in (p, q) if e in at_end)]
+            cands.append((Interval(max(v.lo for v in values), max(v.hi for v in values)),
+                          f"{p[0].value}/{q[0].value}", box))
         cs = self.critical(oid)
         if not cs.certified:
             unsettled.append("interior critical-point search not certified")
@@ -258,8 +280,8 @@ class SuiteContext:
             cands.append((cp.value, "interior", box))
         cands.sort(key=lambda c: c[0].hi, reverse=True)
         value, kind, argmax = cands[0]
-        runner_up = cands[1][0].hi if len(cands) > 1 else -math.inf
-        return Location(kind, argmax, value, value.lo > runner_up, tuple(unsettled))
+        tied = tuple(name for v, name, _ in cands[1:] if v.hi >= value.lo)
+        return Location(kind, argmax, value, tied, tuple(unsettled))
 
     def f2_reduced_root(self) -> Interval:
         """Root of the reduced f2 stationarity polynomial on [0, 1/6]."""
@@ -294,7 +316,7 @@ class SuiteContext:
 
 
 def _value_outcome(
-    ext: Extremum | Extremum1D,
+    ext: Extremum,
     loc: Location,
     target: str,
     kind: str | None = None,
@@ -302,8 +324,10 @@ def _value_outcome(
 ) -> ClaimOutcome:
     """A value row: the global enclosure against its window; then, once the
     maximizer and the decomposition are settled, their agreement, the
-    expected `kind` of the maximum and the row's own `checks`."""
+    expected `kind` of the maximum and the row's own `checks`.  A tie leaves
+    a row with an expected `kind` unsettled; on any other row it is info."""
     unsettled: list[str] = []
+    info: list[str] = []
     if not ext.converged:
         unsettled.append("maximizer budget exhausted")
     if ext.value.width > MAX_ENCLOSURE_WIDTH:
@@ -313,29 +337,19 @@ def _value_outcome(
     if ext.converged and not loc.unsettled:
         if not ext.value.intersects(loc.value):
             refuted.append("edge/critical decomposition disagrees with global enclosure")
-        if kind is not None and not loc.separated:
-            unsettled.append(f"maximum on {loc.kind} not separated from the runner-up")
+        if loc.tied:
+            (info if kind is None else unsettled).append(
+                f"maximum on {loc.kind} not separated from {', '.join(loc.tied)}")
         elif kind is not None and loc.kind != kind:
             refuted.append(f"maximum attributed to {loc.kind}, expected {kind}")
         if checks:
             refuted += checks()
-    return _settle(unsettled, refuted, value=ext.value, argmax=loc.argmax, kind=loc.kind)
+    return _settle(unsettled, refuted, info, value=ext.value, argmax=loc.argmax, kind=loc.kind)
 
 
 def _run_thm1_a3(ctx: SuiteContext) -> ClaimOutcome:
-    # f1 is the objective along y = 0, over that piece's parameter range,
-    # maximal at its right end t = a: the corner (a, 0) on x = a
-    an = ctx.edge(ObjectiveId.F1, EdgeId.Y_ZERO)
-    unsettled = () if an.conclusive else ("endpoint analysis inconclusive: edge budget exhausted",)
-    # one candidate, so nothing to separate it from
-    loc = Location("x_a", EDGES[EdgeId.Y_ZERO].lift(an.argmax), an.value, True, unsettled)
-
-    def checks() -> list[str]:
-        if Fraction(an.argmax.lo) <= CONSTANTS.a <= Fraction(an.argmax.hi):
-            return []
-        return ["argmax does not enclose the right endpoint"]
-
-    return _value_outcome(ctx.f1_extremum(), loc, "2.427", checks=checks)
+    return _value_outcome(ctx.extremum(ObjectiveId.F1), ctx.locate(ObjectiveId.F1), "2.427",
+                          kind="x_a/y_zero")
 
 
 def _edge_maximum(ctx: SuiteContext, oid: ObjectiveId, target: str, root: str,
@@ -617,25 +631,22 @@ def _grid_gap_bound(oid: ObjectiveId, argmax: tuple[Interval, Interval]) -> floa
 
 def _run_property_bnb(ctx: SuiteContext) -> ClaimOutcome:
     problems = []
+    unsettled = []
     margins = []
     for oid, gmax in zip(ObjectiveId, grid_maximum(tuple(ObjectiveId))):
-        if oid is ObjectiveId.F1:
-            # f1's 1-D argmax, lifted onto y = 0
-            ext = ctx.f1_extremum()
-            argmax = EDGES[EdgeId.Y_ZERO].lift(ext.argmax)
-        else:
-            ext = ctx.extremum(oid)
-            argmax = ext.argmax
+        ext = ctx.extremum(oid)
+        if not ext.converged:
+            unsettled.append(f"{oid.value}: maximizer budget exhausted")
         value = ext.value
         # 1e-12 allows for plain-float rounding in the grid evaluation itself
         if gmax > value.hi + 1e-12:
             problems.append(f"{oid.value}: grid max {gmax!r} exceeds enclosure high {value.hi!r}")
-        if value.lo > gmax + 1e-12 + _grid_gap_bound(oid, argmax):
+        if value.lo > gmax + 1e-12 + _grid_gap_bound(oid, ext.argmax):
             problems.append(
                 f"{oid.value}: grid max {gmax!r} below enclosure low - gap bound {value.lo!r}"
             )
         margins.append(value.lo - gmax)
-    return _settle(refuted=problems, info=[f"max grid-discretization gap {max(margins):.2e}"])
+    return _settle(unsettled, problems, [f"max grid-discretization gap {max(margins):.2e}"])
 
 
 def _run_property_curves(ctx: SuiteContext) -> ClaimOutcome:

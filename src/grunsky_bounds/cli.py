@@ -2,7 +2,7 @@
 
 Subcommands:
   verify    run the claim suite and compare against the published constants
-  maximize  verified global maximum of one objective
+  maximize  verified global maximum of one objective, and where it lies
   edges     per-edge maxima table for one objective
   grunsky   coefficient table, identity residuals and inequality slacks for a
             preset function or a coefficient file
@@ -16,10 +16,9 @@ import sys
 
 import numpy as np
 
-from .claims import CLAIM_IDS, SuiteConfig, analyze_edge
-from .domain import REGION, EdgeId
-from .objectives import CLAIM_NAMES, F1_FORM, OBJECTIVES, ObjectiveId
-from .optimize import maximize_1d, maximize_2d
+from .claims import CLAIM_IDS, SuiteConfig, SuiteContext, analyze_edge
+from .domain import EdgeId
+from .objectives import CLAIM_NAMES, ObjectiveId
 from .oracle import (
     PRESETS,
     check_coefficient_identities,
@@ -39,7 +38,7 @@ def _objective_id(name: str) -> ObjectiveId:
         raise argparse.ArgumentTypeError(f"unknown objective {name!r}; use f1..f9")
 
 
-def _int_at_least(minimum: int, what: str):
+def _bounded_int(minimum: int, what: str, maximum: int | None = None):
     def parse(text: str) -> int:
         try:
             value = int(text)
@@ -47,15 +46,23 @@ def _int_at_least(minimum: int, what: str):
             raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
         if value < minimum:
             raise argparse.ArgumentTypeError(f"must be {what}, got {value}")
+        if maximum is not None and value > maximum:
+            raise argparse.ArgumentTypeError(f"must be at most {maximum}, got {value}")
         return value
 
     return parse
 
 
-_positive_int = _int_at_least(1, "a positive integer")
-_non_negative_int = _int_at_least(0, "a non-negative integer")
+#: largest `grunsky --order`: koebe takes about 1.9 s at 128, and about 12x as long per doubling
+MAX_TABLE_ORDER = 128
+#: largest `grunsky --vectors`: 10,000 at order 128 add about 0.5 s and 125 MB, growing with both
+MAX_TEST_VECTORS = 10_000
+
+_positive_int = _bounded_int(1, "a positive integer")
+_non_negative_int = _bounded_int(0, "a non-negative integer")
 # the coefficient identities read omega_17, which needs table order 4
-_table_order = _int_at_least(4, "a positive integer >= 4")
+_table_order = _bounded_int(4, "a positive integer >= 4", MAX_TABLE_ORDER)
+_test_vectors = _bounded_int(1, "a positive integer", MAX_TEST_VECTORS)
 
 
 def _positive_float(text: str) -> float:
@@ -103,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--preset", choices=sorted(PRESETS))
     src.add_argument("--coeffs", metavar="FILE", help="file with one 're im' pair per line, from a1")
     p_gr.add_argument("--order", type=_table_order, default=8)
-    p_gr.add_argument("--vectors", type=_positive_int, default=20, help="random inequality test vectors")
+    p_gr.add_argument("--vectors", type=_test_vectors, default=20, help="random inequality test vectors")
     return parser
 
 
@@ -117,24 +124,18 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_maximize(args) -> int:
-    from .optimize import BnBConfig
-
-    cfg = BnBConfig(tol_value=args.tol, max_boxes=args.max_boxes)
+    ctx = SuiteContext(SuiteConfig(tol_value=args.tol, max_boxes=args.max_boxes))
     oid = args.objective
-    if oid is ObjectiveId.F1:
-        ext = maximize_1d(F1_FORM.value_iv, F1_FORM.lo, F1_FORM.hi, cfg, slope=F1_FORM.slope_iv)
-        print(f"{oid.value} ({CLAIM_NAMES[oid]})")
-        print(f"  max in [{ext.value.lo:.12f}, {ext.value.hi:.12f}]")
-        print(f"  argmax x in [{ext.argmax.lo:.9f}, {ext.argmax.hi:.9f}]")
-        print(f"  boxes {ext.iterations}, converged {ext.converged}")
-        return 0 if ext.converged else 1
-    ext = maximize_2d(OBJECTIVES[oid], REGION, cfg)
+    ext, loc = ctx.extremum(oid), ctx.locate(oid)
+    ax, ay = loc.argmax
     print(f"{oid.value} ({CLAIM_NAMES[oid]})")
     print(f"  max in [{ext.value.lo:.12f}, {ext.value.hi:.12f}]")
-    print(f"  argmax x in [{ext.argmax[0].lo:.9f}, {ext.argmax[0].hi:.9f}],"
-          f" y in [{ext.argmax[1].lo:.9f}, {ext.argmax[1].hi:.9f}]")
-    print(f"  location {ext.kind_label}, boxes {ext.iterations}, converged {ext.converged}")
-    return 0 if ext.converged else 1
+    print(f"  argmax x in [{ax.lo:.9f}, {ax.hi:.9f}], y in [{ay.lo:.9f}, {ay.hi:.9f}]")
+    print(f"  location {loc.kind}, boxes {ext.iterations}, converged {ext.converged}")
+    notes = [*loc.unsettled, *([f"not separated from {', '.join(loc.tied)}"] if loc.tied else [])]
+    if notes:
+        print(f"  note: {'; '.join(notes)}")
+    return 0 if ext.converged and not loc.unsettled else 1
 
 
 def _cmd_edges(args) -> int:
@@ -176,8 +177,8 @@ def _cmd_grunsky(args) -> int:
             vectors = [random_test_vector(rng, max_len=args.order) for _ in range(args.vectors)]
             worst = check_inequalities(table, *vectors).min_slack
             g = gamma_from_series(f)
-    except (OSError, ValueError) as exc:
-        print(f"grunsky-bounds grunsky: error: {exc}", file=sys.stderr)
+    except (OSError, ValueError, MemoryError) as exc:
+        print(f"grunsky-bounds grunsky: error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
     except ArithmeticError as exc:  # OverflowError, numpy's FloatingPointError
         print(f"grunsky-bounds grunsky: error: coefficients overflow in floating point: {exc}",

@@ -207,6 +207,20 @@ EDGES: dict[EdgeId, Edge] = {
 CAP_PIECES = tuple(e for e in EDGES.values() if e.cap is not None)
 
 
+def _corners():
+    """The shared ends of two pieces as (end, end, box), each end a piece with
+    the index of its end there (0 for `t_lo`, 1 for `t_hi`), in `EdgeId`
+    order, and the box the intersection of the two end lifts."""
+    ends = [((e.id, k), e.lift(t)) for e in EDGES.values() for k, t in enumerate((e.t_lo, e.t_hi))]
+    return tuple((p, q, tuple(Interval(max(u.lo, v.lo), min(u.hi, v.hi)) for u, v in zip(pu, qv)))
+                 for i, (p, pu) in enumerate(ends) for q, qv in ends[i + 1:]
+                 if p[0] is not q[0] and all(u.intersects(v) for u, v in zip(pu, qv)))
+
+
+#: the five corners of the region, named "x_a/y_zero" and so on by their two pieces
+CORNERS = _corners()
+
+
 @dataclass(frozen=True)
 class OmegaRegion:
     """The region, given by its constants; its boundary is the table `EDGES`."""

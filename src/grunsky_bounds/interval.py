@@ -280,9 +280,6 @@ class Interval:
     def contains(self, v: float) -> bool:
         return self.lo <= v <= self.hi
 
-    def contains_interval(self, other: Interval) -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
-
     def contains_zero(self) -> bool:
         return self.lo <= 0.0 <= self.hi
 

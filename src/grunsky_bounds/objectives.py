@@ -7,8 +7,8 @@ Every objective, f1 included, has the shape
 where P is a polynomial with non-negative rational coefficients and the
 radical multiplier M(x) is a `MixedPoly`, at most linear in x, over the
 factors 1, 1/sqrt3, 1/sqrt5 and 1/sqrt7.  The per-objective data below, P
-and M, is the only thing that differs.  f1 is f on y = 0, where the
-radicand is 1 - x^2; its form is the y = 0 restriction `F1_FORM`.
+and M, is the only thing that differs.  f1's claim is its maximum over the
+region, at the corner (a, 0), like any other objective's.
 
 P is stored once, as a table of exact `Fraction` terms, and `_diff` derives
 the tables of its first and second partial derivatives from it.  `_prepared`
@@ -151,7 +151,8 @@ class RadicalForm1D:
 class Objective:
     """f = P + M(x) * sqrt(R): the term table of P and the multiplier M, at most linear in x.
 
-    `dimension` is 1 for f1, whose claim is its y = 0 line `F1_FORM`.
+    `dimension` is 1 for f1.  Only perfbench reads it, and maximizes f1 on
+    `F1_FORM` through `SuiteContext.f1_extremum`; no row does either.
     """
 
     id: ObjectiveId
@@ -378,7 +379,7 @@ OBJECTIVES: dict[ObjectiveId, Objective] = {
     ),
 }
 
-#: f1 as the THM1_A3 claim reads it: its entry on y = 0, where the radicand is 1 - x^2
+#: f1 on y = 0, where the radicand is 1 - x^2; read only for perfbench
 F1_FORM = OBJECTIVES[ObjectiveId.F1].restriction(EdgeId.Y_ZERO)
 
 

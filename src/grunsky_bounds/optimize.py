@@ -21,7 +21,9 @@ enclosure of the derivative that excludes zero, interval Newton steps
 N(X) = m - f(m)/f'(X) either empty the piece or prove a box in it.  Only
 pieces that Newton cannot settle are bisected on down to MIN_WIDTH.
 maximize_1d bounds a box on which the derivative has one sign by the value
-at the box's higher end.
+at the box's higher end; f1 runs through maximize_2d like f2-f9, so it runs
+only for perfbench (`claims.SuiteContext.f1_extremum`).  Where a maximum lies is not decided here but by the
+edge/critical decomposition of `claims.SuiteContext.locate`.
 
 interior_critical_points runs the same loop over 2-D boxes.  It excludes
 gradient zeros with the division-free scaled gradient G = sqrt(R)*grad f,
@@ -51,7 +53,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .domain import (
-    CAP_PIECES, CONSTANTS, REGION, EdgeId, OmegaRegion, cap_point_down, cap_sup_up, high_chart, low_chart
+    CAP_PIECES, CONSTANTS, REGION, OmegaRegion, cap_point_down, cap_sup_up, high_chart, low_chart
 )
 from .interval import (
     Interval,
@@ -125,13 +127,8 @@ class Extremum1D:
 class Extremum:
     value: Interval
     argmax: tuple[Interval, Interval]
-    kind: EdgeId | None  # None means interior
     iterations: int
     converged: bool
-
-    @property
-    def kind_label(self) -> str:
-        return "interior" if self.kind is None else self.kind.value
 
 
 @dataclass(frozen=True)
@@ -531,9 +528,7 @@ def maximize_2d(obj: Objective, region: OmegaRegion = REGION, cfg: BnBConfig | N
     else:
         ax = Interval.point(best.point[0])
         ay = Interval.point(best.point[1])
-
-    kind = _classify_point(region, *best.point)
-    return Extremum(Interval(best.value, upper), (ax, ay), kind, processed, converged)
+    return Extremum(Interval(best.value, upper), (ax, ay), processed, converged)
 
 
 def _centred_upper(ranges: MonotoneBounds, region: OmegaRegion, box: tuple[float, ...]) -> float:
@@ -614,20 +609,6 @@ def _mean_value_upper(f_up: Callable[..., float], grad: tuple[Interval, ...], bo
         # lo - c <= 0 <= hi - c, so the supremum is one of these two products
         excess = _add_up(excess, max(_mul_up(g.hi, _add_up(hi, -c)), _mul_up(g.lo, _add_down(lo, -c))))
     return _add_up(f_up(*centre), excess)
-
-
-def _classify_point(region: OmegaRegion, x: float, y: float, tol: float = 1e-7) -> EdgeId | None:
-    """Which boundary piece (if any) a point lies within `tol` of."""
-    if x >= region.constants.iv_a.lo - tol:
-        return EdgeId.X_A
-    if x <= tol:
-        return EdgeId.X_ZERO
-    if y <= tol:
-        return EdgeId.Y_ZERO
-    if y >= cap_point_down(x) - tol:
-        # the cap piece whose x-range reaches x
-        return next(piece.id for piece in CAP_PIECES if x <= piece.t_hi.mid)
-    return None
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import csv
 import io
 import json
 import time
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -114,27 +115,17 @@ def emit(rows: list[ClaimRow], fmt: str = "table", path: str | None = None) -> s
 
 
 def _format_table(rows: list[ClaimRow]) -> str:
-    lines = []
-    header = f"{'claim':<20} {'target':>9} {'computed enclosure':>34} {'kind':>10} {'status':>12} {'ms':>7}"
-    lines.append(header)
-    lines.append("-" * len(header))
+    # the kind column fits the longest corner name, "curve_low/curve_high"
+    header = f"{'claim':<20} {'target':>9} {'computed enclosure':>34} {'kind':>20} {'status':>12} {'ms':>7}"
+    lines = [header, "-" * len(header)]
     for r in rows:
         target = "" if r.paper_value is None else f"{r.paper_value:.3f}"
-        if r.computed is None:
-            enclosure = ""
-        else:
-            enclosure = f"[{r.computed.lo:.10f}, {r.computed.hi:.10f}]"
-        kind = r.kind or ""
+        enclosure = "" if r.computed is None else f"[{r.computed.lo:.10f}, {r.computed.hi:.10f}]"
         lines.append(
-            f"{r.claim_id:<20} {target:>9} {enclosure:>34} {kind:>10} {r.status:>12} {r.runtime_ms:>7}"
+            f"{r.claim_id:<20} {target:>9} {enclosure:>34} {r.kind or '':>20} {r.status:>12} {r.runtime_ms:>7}"
         )
         if r.note:
             lines.append(f"    note: {r.note}")
-    lines.append("")
-    lines.append(f"note: {GAMMA1_NOTE}")
-    counts = {}
-    for r in rows:
-        counts[r.status] = counts.get(r.status, 0) + 1
-    summary = ", ".join(f"{k}: {v}" for k, v in sorted(counts.items()))
-    lines.append(f"{len(rows)} claims ({summary})")
+    summary = ", ".join(f"{k}: {v}" for k, v in sorted(Counter(r.status for r in rows).items()))
+    lines += ["", f"note: {GAMMA1_NOTE}", f"{len(rows)} claims ({summary})"]
     return "\n".join(lines) + "\n"

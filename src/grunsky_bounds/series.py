@@ -104,10 +104,6 @@ class BivariateSeries:
     c: np.ndarray
     order: int
 
-    @classmethod
-    def zero(cls, order: int) -> BivariateSeries:
-        return cls(np.zeros((order + 1, order + 1), dtype=complex), order)
-
     def mul(self, other: BivariateSeries) -> BivariateSeries:
         n = self.order
         out = np.zeros((n + 1, n + 1), dtype=complex)

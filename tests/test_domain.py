@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from grunsky_bounds import domain
 from grunsky_bounds.domain import (
     CAP_PIECES,
     CONSTANTS,
@@ -175,6 +176,20 @@ def test_pieces_sharing_a_corner_agree_on_it(corner):
         assert y1 == y2
     else:
         assert y1.intersects(y2)
+
+
+def test_the_derived_corners_are_the_shared_ends():
+    # domain.CORNERS comes from the table: the five corners above, named by
+    # their two pieces in EdgeId order, each boxed tightly about the corner
+    assert [f"{p[0].value}/{q[0].value}" for p, q, _ in domain.CORNERS] == [
+        "x_zero/y_zero", "x_zero/curve_low", "x_a/y_zero", "x_a/curve_high", "curve_low/curve_high"]
+    for coords, ends in CORNERS.items():
+        [box] = [box for p, q, box in domain.CORNERS
+                 if (p, q) == tuple((e, ("t_lo", "t_hi").index(end)) for e, end in ends)]
+        for name, iv in zip(coords, box):
+            g = _ZERO_AT[name]
+            assert g(Fraction(iv.lo)) <= 0 <= g(Fraction(iv.hi)), (coords, iv)
+            assert iv.width <= 2.3e-16
 
 
 def test_cap_charts_enclose_their_piece():

@@ -276,6 +276,8 @@ def test_endpoint_zero_gives_one_cluster():
     [c] = an.clusters
     assert c.contains(0.0) and c.intersects(EDGES[EdgeId.X_ZERO].t_lo)
     assert an.interior_clusters() == []
+    # the maximum lies there too, so the edge counts as the corner (0, 0)
+    assert an.end == 0
 
 
 def test_zero_where_the_radicand_vanishes_stays_a_min_width_cluster():
@@ -284,6 +286,21 @@ def test_zero_where_the_radicand_vanishes_stays_a_min_width_cluster():
     [c] = an.clusters
     assert c.intersects(EDGES[EdgeId.X_A].t_hi) and c.width <= MIN_WIDTH
     assert an.interior_clusters() == []
+    # the cluster only meets the end enclosure, and that is enough for the corner
+    assert c.lo < EDGES[EdgeId.X_A].t_hi.lo and an.end == 1
+
+
+@pytest.mark.parametrize("oid, edge, end", [
+    (ObjectiveId.F1, EdgeId.X_A, 0),       # the stationary cluster [0, 8e-17] at the corner (a, 0)
+    (ObjectiveId.F1, EdgeId.Y_ZERO, 1),
+    (ObjectiveId.F2, EdgeId.X_A, None),    # an interior edge root
+    (ObjectiveId.F6, EdgeId.CURVE_LOW, None),
+])
+def test_an_edge_counts_as_a_corner_when_its_maximum_meets_an_end(oid, edge, end):
+    an = analyze_edge(oid, edge, CFG)
+    assert an.end == end
+    if end is not None:
+        assert an.argmax.intersects(an.endpoints[end])
 
 
 def test_find_root_returns_a_newton_proven_box():
@@ -383,7 +400,6 @@ def test_maximize_f2():
     ext = maximize_2d(OBJECTIVES[ObjectiveId.F2], REGION, CFG)
     assert ext.converged
     assert in_window(ext.value, 3.461)
-    assert ext.kind is EdgeId.X_A
     assert ext.argmax[1].lo < 0.366 and ext.argmax[1].hi > 0.365
 
 
@@ -391,7 +407,6 @@ def test_maximize_f6():
     ext = maximize_2d(OBJECTIVES[ObjectiveId.F6], REGION, CFG)
     assert ext.converged
     assert in_window(ext.value, 1.280)
-    assert ext.kind is EdgeId.CURVE_LOW
     assert ext.argmax[0].lo < 0.282 and ext.argmax[0].hi > 0.281
 
 
@@ -399,7 +414,6 @@ def test_maximize_f4_interior():
     ext = maximize_2d(OBJECTIVES[ObjectiveId.F4], REGION, CFG)
     assert ext.converged
     assert in_window(ext.value, 1.174)
-    assert ext.kind is None
     assert ext.argmax[0].lo < 0.635 and ext.argmax[0].hi > 0.634
     assert ext.argmax[1].lo < 0.359 and ext.argmax[1].hi > 0.358
 
@@ -408,7 +422,6 @@ def test_maximize_f5_interior():
     ext = maximize_2d(OBJECTIVES[ObjectiveId.F5], REGION, CFG)
     assert ext.converged
     assert in_window(ext.value, 1.822)
-    assert ext.kind is None
 
 
 def test_maximize_2d_of_the_f1_entry_meets_the_f1_extremum():
@@ -417,7 +430,7 @@ def test_maximize_2d_of_the_f1_entry_meets_the_f1_extremum():
     f1 = SuiteContext().f1_extremum()
     assert ext.converged and f1.converged
     assert ext.value.intersects(f1.value)
-    assert ext.kind is EdgeId.X_A and ext.argmax[1].lo == 0.0
+    assert ext.argmax[1].lo == 0.0
 
 
 def test_maximize_budget_exhaustion_flagged():
@@ -437,7 +450,7 @@ def test_maximize_deterministic_across_runs():
     b = maximize_2d(OBJECTIVES[ObjectiveId.F3], REGION, CFG)
     assert a.value == b.value
     assert a.argmax[0] == b.argmax[0] and a.argmax[1] == b.argmax[1]
-    assert a.iterations == b.iterations and a.kind == b.kind
+    assert a.iterations == b.iterations
 
 
 def test_enclosures_contain_sampled_values():
@@ -449,114 +462,114 @@ def test_enclosures_contain_sampled_values():
 
 
 #: maximize_2d at two widths, which skipping repeated point samples must not
-#: move: value, argmax x and argmax y (each "lo hi" by float.hex), kind, iterations
+#: move: value, argmax x and argmax y (each "lo hi" by float.hex), iterations
 BNB_PINS = {
     ("f2", 1e-05): (
         "0x1.bb11f34820631p+1 0x1.bb12460bdff33p+1",
         "0x1.7bc9eb851eb86p-1 0x1.7c28f5c28f5c3p-1",
         "0x1.7575b122dc542p-2 0x1.7726d860f78fep-2",
-        EdgeId.X_A, 41,
+        41,
     ),
     ("f3", 1e-05): (
         "0x1.3f9002d474951p+2 0x1.3f902b0b51176p+2",
         "0x1.7bc9eb851eb86p-1 0x1.7c28f5c28f5c3p-1",
         "0x1.5a633d4128976p-2 0x1.5c14647f43d32p-2",
-        EdgeId.X_A, 46,
+        46,
     ),
     ("f4", 1e-05): (
         "0x1.2c918cbf4e5f5p+0 0x1.2c9226755e151p+0",
         "0x1.42fcccccccccdp-1 0x1.46b3333333333p-1",
         "0x1.6a76320f2b4f7p-2 0x1.72ebf645b37a7p-2",
-        None, 127,
+        127,
     ),
     ("f5", 1e-05): (
         "0x1.d29aeba98d895p+0 0x1.d29b81f89572fp+0",
         "0x1.6d4f5c28f5c28p-1 0x1.7105c28f5c28fp-1",
         "0x1.3cc70e824c00fp-2 0x1.438bab7ab8f02p-2",
-        None, 167,
+        167,
     ),
     ("f6", 1e-05): (
         "0x1.47ca4960337d7p+0 0x1.47ca889042f95p+0",
         "0x1.1f58f5c28f5c3p-2 0x1.2076147ae147cp-2",
         "0x1.14030d92b1647p-1 0x1.14509e48b5dcdp-1",
-        EdgeId.CURVE_LOW, 136,
+        136,
     ),
     ("f7", 1e-05): (
         "0x1.5324a45452562p-1 0x1.5324a45452569p-1",
         "0x1.4ca3d70a3d70ap-1 0x1.7c28f5c28f5c3p-1",
         "0x1.7ec408f8721d0p-2 0x1.c16fa69f6fea7p-2",
-        EdgeId.X_A, 5,
+        5,
     ),
     ("f8", 1e-05): (
         "0x1.1a5292af8dfdap-1 0x1.1a53b355d1596p-1",
         "0x1.7aacccccccccep-1 0x1.7c28f5c28f5c3p-1",
         "0x1.105544febfe3bp-2 0x1.142b60afbe65dp-2",
-        EdgeId.X_A, 52,
+        52,
     ),
     ("f9", 1e-05): (
         "0x1.3a0553e2a6f0bp-1 0x1.3a05a64768910p-1",
         "0x1.7aacccccccccep-1 0x1.7c28f5c28f5c3p-1",
         "0x1.976d6d44ae326p-3 0x1.a44b27f601d85p-3",
-        EdgeId.X_A, 60,
+        60,
     ),
     ("f2", 1e-09): (
         "0x1.bb11ff6d2b39ep+1 0x1.bb11ff6f1b99ep+1",
         "0x1.7c2837ae147aep-1 0x1.7c28f5c28f5c3p-1",
         "0x1.760a96a035b0ap-2 0x1.760d205b12d98p-2",
-        EdgeId.X_A, 62,
+        62,
     ),
     ("f3", 1e-09): (
         "0x1.3f9006356afb4p+2 0x1.3f9006361971ep+2",
         "0x1.7c2779999999ap-1 0x1.7c28f5c28f5c3p-1",
         "0x1.5aedfbd30d508p-2 0x1.5af30f48c7a22p-2",
-        EdgeId.X_A, 70,
+        70,
     ),
     ("f4", 1e-09): (
         "0x1.2c918d4e3c9b8p+0 0x1.2c918d523386dp+0",
         "0x1.44d20f5c28f5cp-1 0x1.44daf851eb852p-1",
         "0x1.6f906c66756fcp-2 0x1.6fa4ba3d5eb68p-2",
-        None, 211,
+        211,
     ),
     ("f5", 1e-09): (
         "0x1.d29aed74e3627p+0 0x1.d29aed78f18d5p+0",
         "0x1.6f62fd70a3d70p-1 0x1.6f6d628f5c28fp-1",
         "0x1.403daad56bbf5p-2 0x1.404b340f5c993p-2",
-        None, 297,
+        297,
     ),
     ("f6", 1e-09): (
         "0x1.47ca4dd0ae633p+0 0x1.47ca4dd494e32p+0",
         "0x1.1fd2bae147ae2p-2 0x1.1fdba3d70a3d8p-2",
         "0x1.14380a3f02d6fp-1 0x1.143ae35cde3bdp-1",
-        EdgeId.CURVE_LOW, 159,
+        159,
     ),
     ("f7", 1e-09): (
         "0x1.5324a45452562p-1 0x1.5324a45452569p-1",
         "0x1.4ca3d70a3d70ap-1 0x1.7c28f5c28f5c3p-1",
         "0x1.7ec408f8721d0p-2 0x1.c16fa69f6fea7p-2",
-        EdgeId.X_A, 5,
+        5,
     ),
     ("f8", 1e-09): (
         "0x1.1a52a2f16420ep-1 0x1.1a52a2f82ee33p-1",
         "0x1.7c1d147ae147cp-1 0x1.7c28f5c28f5c3p-1",
         "0x1.120223f88172ap-2 0x1.12359ae346c14p-2",
-        EdgeId.X_A, 72,
+        72,
     ),
     ("f9", 1e-09): (
         "0x1.3a05543959b75p-1 0x1.3a05543fbeaccp-1",
         "0x1.7c25fd70a3d72p-1 0x1.7c28f5c28f5c3p-1",
         "0x1.9db167845e43cp-3 0x1.9dc28f27f55e0p-3",
-        EdgeId.X_A, 86,
+        86,
     ),
 }
 
 
 @pytest.mark.parametrize("name, tol", sorted(BNB_PINS))
 def test_maximize_2d_results_are_pinned(name, tol):
-    value, ax, ay, kind, iterations = BNB_PINS[name, tol]
+    value, ax, ay, iterations = BNB_PINS[name, tol]
     ext = maximize_2d(OBJECTIVES[ObjectiveId(name)], REGION, BnBConfig(tol_value=tol))
     hexes = [" ".join((iv.lo.hex(), iv.hi.hex())) for iv in (ext.value, *ext.argmax)]
     assert hexes == [value, ax, ay]
-    assert (ext.kind, ext.iterations, ext.converged) == (kind, iterations, True)
+    assert (ext.iterations, ext.converged) == (iterations, True)
 
 
 #: the edge analyses of f2-f9 and f1's y_zero analysis: value, argmax and
@@ -889,7 +902,7 @@ def test_overlapping_proven_boxes_give_one_point(near_first, monkeypatch):
     [merged] = cs.points
     # the hull is proven, so the one zero lies in both boxes
     assert merged.certified_box == cp.certified_box
-    assert all(c.contains_interval(a) and c.contains_interval(b)
+    assert all(c.lo <= min(a.lo, b.lo) and max(a.hi, b.hi) <= c.hi
                for c, a, b in zip(merged.cluster, cp.cluster, wide))
 
 
@@ -944,7 +957,7 @@ def test_certified_boxes_are_contracted_to_rounding_level(oid):
     [cp] = cs.points
     bx, by = cp.certified_box
     assert bx.width <= 1e-14 and by.width <= 1e-14
-    assert cp.cluster[0].contains_interval(bx) and cp.cluster[1].contains_interval(by)
+    assert all(c.lo <= b.lo and b.hi <= c.hi for c, b in zip(cp.cluster, (bx, by)))
     assert cp.value.width <= 1e-13
 
 

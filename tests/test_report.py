@@ -114,9 +114,11 @@ def test_every_claim_runnable_individually(suite_ctx):
 #: `verify --format json` at the default config: (lo, hi, argmax_x, argmax_y)
 #: by float.hex, then kind, status and note.  The ORACLE_* rows are left out:
 #: their numbers are rounding noise that depends on the numpy/BLAS build.
+#: THM1_A3 and GAMMA2 are maximal at corners, which `locate` names by their
+#: two pieces; THM1_A3's lo is the 2-D maximizer's, one ulp below the 1-D one's.
 VERIFY_PINS = {
-    "THM1_A3": ("0x1.36b4ba33fdc02p+1", "0x1.36b4ba33fdc08p+1", "0x1.7c28f5c28f5c2p-1", "0x0.0p+0",
-                "x_a", "PASS", ""),
+    "THM1_A3": ("0x1.36b4ba33fdc01p+1", "0x1.36b4ba33fdc08p+1", "0x1.7c28f5c28f5c2p-1", "0x0.0p+0",
+                "x_a/y_zero", "PASS", ""),
     "THM1_A4": ("0x1.bb11f34820631p+1", "0x1.bb12460bdff33p+1", "0x1.7c28f5c28f5c2p-1", "0x1.760c029235911p-2",
                 "x_a", "PASS", ""),
     "THM1_A5": ("0x1.3f9002d474951p+2", "0x1.3f902b0b51176p+2", "0x1.7c28f5c28f5c2p-1", "0x1.5af03601bae10p-2",
@@ -128,7 +130,7 @@ VERIFY_PINS = {
     "THM3_H22": ("0x1.47ca4960337d7p+0", "0x1.47ca889042f95p+0", "0x1.1fd6a644a82b6p-2", "0x1.143a2fcc857d8p-1",
                  "curve_low", "PASS", ""),
     "GAMMA2": ("0x1.5324a45452562p-1", "0x1.5324a45452569p-1", "0x1.7c28f5c28f5c2p-1", "0x1.8c047894fb828p-2",
-               "curve_high", "PASS", ""),
+               "x_a/curve_high", "PASS", ""),
     "THM4_GAMMA3": ("0x1.1a5292af8dfdap-1", "0x1.1a53b355d1596p-1", "0x1.7c28f5c28f5c2p-1", "0x1.120a77a3800b8p-2",
                     "x_a", "PASS", ""),
     "GAMMA4": ("0x1.3a0553e2a6f0bp-1", "0x1.3a05a64768910p-1", "0x1.7c28f5c28f5c2p-1", "0x1.9db78d862f900p-3",
@@ -176,8 +178,17 @@ def test_cli_verify_budget_gives_no_fail_row(max_boxes, capsys):
     assert [cid for cid, r in records.items() if r["status"] != "PASS" and not r["note"]] == []
     if max_boxes == 1:
         assert records["THM1_A3"]["status"] == "INCONCLUSIVE"
-        assert "endpoint analysis inconclusive" in records["THM1_A3"]["note"]
+        assert records["THM1_A3"]["note"].startswith("maximizer budget exhausted; enclosure width")
+    if max_boxes in (1, 10, 100):
+        # f4 needs 148 boxes and f5 201: an unconverged maximizer settles no grid check
+        bnb_sound = records["PROPERTY_BNB_SOUND"]
+        assert bnb_sound["status"] == "INCONCLUSIVE"
+        assert "f4: maximizer budget exhausted; f5: maximizer budget exhausted" in bnb_sound["note"]
     if max_boxes == 10:
+        # f1's maximizer converges in 5 boxes, but its decomposition does not
+        assert records["THM1_A3"]["status"] == "INCONCLUSIVE"
+        assert records["THM1_A3"]["note"] == ("edge analysis of f1/curve_low inconclusive; "
+                                              "interior critical-point search not certified")
         # f7's global enclosure converges, but two of its edge analyses do not
         assert records["GAMMA2"]["status"] == "INCONCLUSIVE"
         assert records["GAMMA2"]["note"] == ("edge analysis of f7/x_a inconclusive; "
@@ -205,7 +216,8 @@ WIDE_AT_1E_3 = ["THM1_A4", "THM1_A5", "THM2_D43", "THM2_D54", "THM3_H22", "THM4_
 
 @pytest.mark.parametrize("tol, wide", [
     pytest.param("1e-3", WIDE_AT_1E_3, id="1e-3"),
-    pytest.param("1e-2", WIDE_AT_1E_3 + ["GAMMA2"], id="1e-2"),
+    # f1's 2-D enclosure too is 5.7e-3 wide at 1e-2
+    pytest.param("1e-2", WIDE_AT_1E_3 + ["GAMMA2", "THM1_A3"], id="1e-2"),
 ])
 def test_cli_verify_coarse_tol_gives_no_fail_row(tol, wide, capsys):
     # an enclosure wider than the bound that meets its window refutes nothing
@@ -257,18 +269,36 @@ def test_an_uncertified_critical_search_leaves_a_value_row_inconclusive():
 
 
 def test_an_attribution_tie_leaves_a_row_with_an_expected_kind_inconclusive():
-    # give f2's x = 0 edge the maximum of its x = a edge: the two tie
+    # give f2's low cap, whose maximum is an interior root of that piece, the
+    # maximum of its x = a edge: the two tie
     ctx = claims.SuiteContext(SuiteConfig())
     top = ctx.edge(ObjectiveId.F2, EdgeId.X_A).value
-    tied = ctx.edge(ObjectiveId.F2, EdgeId.X_ZERO)
-    ctx._edges[(ObjectiveId.F2, EdgeId.X_ZERO)] = dataclasses.replace(tied, value=top)
+    tied = ctx.edge(ObjectiveId.F2, EdgeId.CURVE_LOW)
+    assert tied.end is None
+    ctx._edges[(ObjectiveId.F2, EdgeId.CURVE_LOW)] = dataclasses.replace(tied, value=top)
     loc = ctx.locate(ObjectiveId.F2)
-    assert not loc.separated and loc.kind == EdgeId.X_ZERO.value
+    assert (loc.kind, loc.tied) == ("x_a", ("curve_low",))
     (row,) = run_suite(["THM1_A4"], ctx=ctx)
     assert row.status == "INCONCLUSIVE"
-    assert row.note == "maximum on x_zero not separated from the runner-up"
-    # without an expected kind the tie decides nothing
-    assert claims._value_outcome(ctx.extremum(ObjectiveId.F2), loc, "3.461").status == "PASS"
+    assert row.note == "maximum on x_a not separated from curve_low"
+    # without an expected kind the tie decides nothing, and the note says so
+    out = claims._value_outcome(ctx.extremum(ObjectiveId.F2), loc, "3.461")
+    assert (out.status, out.note) == ("PASS", "maximum on x_a not separated from curve_low")
+
+
+def test_a_corner_tie_leaves_a_row_with_an_expected_kind_inconclusive():
+    # f2's y = 0 edge is maximal at its end (a, 0), so its value is that
+    # corner's; given the maximum of the x = a edge, the corner ties with it
+    ctx = claims.SuiteContext(SuiteConfig())
+    top = ctx.edge(ObjectiveId.F2, EdgeId.X_A).value
+    tied = ctx.edge(ObjectiveId.F2, EdgeId.Y_ZERO)
+    assert tied.end == 1
+    ctx._edges[(ObjectiveId.F2, EdgeId.Y_ZERO)] = dataclasses.replace(tied, value=top)
+    loc = ctx.locate(ObjectiveId.F2)
+    assert (loc.kind, loc.tied) == ("x_a", ("x_a/y_zero",))
+    (row,) = run_suite(["THM1_A4"], ctx=ctx)
+    assert row.status == "INCONCLUSIVE"
+    assert row.note == "maximum on x_a not separated from x_a/y_zero"
 
 
 #: wrong targets for entries of each kind: a point value, an edge maximum, an
@@ -316,7 +346,7 @@ def test_cli_edges_of_f1_hold_the_a3_enclosure(capsys):
     rows = capsys.readouterr().out.splitlines()[1:]
     assert code == 0
     assert [row.split()[0] for row in rows] == [edge.value for edge in EdgeId]
-    a3 = claims.SuiteContext(SuiteConfig()).f1_extremum().value
+    a3 = claims.SuiteContext(SuiteConfig()).extremum(ObjectiveId.F1).value
     printed = f"max in [{a3.lo:.10f}, {a3.hi:.10f}]"
     for edge in (EdgeId.X_A, EdgeId.Y_ZERO):
         assert printed in rows[list(EdgeId).index(edge)]
@@ -328,13 +358,36 @@ def test_cli_maximize_f1(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "2.42739" in out
+    assert "location x_a/y_zero," in out
 
 
 def test_cli_maximize_f1_converges_at_1e_11(capsys):
+    # f1 runs through the 2-D maximizer like f2-f9
     code = main(["maximize", "--objective", "f1", "--tol", "1e-11"])
     out = capsys.readouterr().out
     assert code == 0
-    assert "boxes 1, converged True" in out
+    assert "boxes 5, converged True" in out
+
+
+def test_cli_maximize_names_the_location_of_the_verify_row(capsys):
+    # one label per maximum: the f7 corner (a, d), as GAMMA2 reports it
+    code = main(["maximize", "--objective", "f7"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 0
+    (row,) = run_suite(["GAMMA2"], SuiteConfig())
+    assert lines[3].startswith(f"  location {row.kind}, ") and row.kind == "x_a/curve_high"
+    # the argmax is the corner's box, not the branch-and-bound's hull
+    x, y = (float(v) for v in re.findall(r"in \[([^,]+),", lines[2]))
+    assert (x, y) == (pytest.approx(row.argmax[0].mid, abs=1e-9), pytest.approx(row.argmax[1].mid, abs=1e-9))
+
+
+def test_cli_maximize_exits_1_when_an_analysis_under_locate_runs_out(capsys):
+    # f7's branch-and-bound converges in 5 boxes, but two of its edge analyses need more than 10
+    code = main(["maximize", "--objective", "f7", "--max-boxes", "10"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "converged True" in out
+    assert "note: edge analysis of f7/x_a inconclusive; edge analysis of f7/curve_low inconclusive" in out
 
 
 def test_cli_grunsky_with_coefficient_file(tmp_path, capsys):
@@ -421,6 +474,31 @@ def test_cli_rejects_non_positive_flags(argv, flag, capsys):
     err = capsys.readouterr().err.strip().splitlines()
     assert exc.value.code == 2
     assert f"error: argument {flag}: must be a positive" in err[-1]
+
+
+@pytest.mark.parametrize("flag, cap", [("--order", cli.MAX_TABLE_ORDER), ("--vectors", cli.MAX_TEST_VECTORS)])
+def test_cli_grunsky_rejects_a_flag_above_its_cap(flag, cap, capsys):
+    # rejected while parsing, so nothing above the cap is ever built
+    with pytest.raises(SystemExit) as exc:
+        main(["grunsky", "--preset", "koebe", flag, str(cap + 1)])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert [line for line in captured.err.splitlines() if "error:" in line] == [
+        f"grunsky-bounds grunsky: error: argument {flag}: must be at most {cap}, got {cap + 1}"]
+    # the cap itself parses
+    parse = {"--order": cli._table_order, "--vectors": cli._test_vectors}[flag]
+    assert parse(str(cap)) == cap
+
+
+def test_cli_grunsky_reports_running_out_of_memory(monkeypatch, capsys):
+    def no_memory(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "grunsky_table", no_memory)
+    assert main(["grunsky", "--preset", "koebe"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "grunsky-bounds grunsky: error: out of memory\n"
 
 
 @pytest.mark.parametrize(

@@ -80,7 +80,7 @@ def test_odd_transform_order_check():
 
 
 def test_bivariate_mul_truncates_both_degrees():
-    s = BivariateSeries.zero(3)
+    s = BivariateSeries(np.zeros((4, 4), dtype=complex), 3)
     s.c[1, 0] = 1.0
     s.c[0, 1] = 1.0
     p = s.mul(s).mul(s)  # (t + z)^3
@@ -91,7 +91,7 @@ def test_bivariate_mul_truncates_both_degrees():
 def test_bivariate_log_of_product_splits():
     # log((1+t)(1+z)) = log(1+t) + log(1+z)
     n = 6
-    s = BivariateSeries.zero(n)
+    s = BivariateSeries(np.zeros((n + 1, n + 1), dtype=complex), n)
     for i in range(n + 1):
         for j in range(n + 1):
             s.c[i, j] = 1.0 if (i <= 1 and j <= 1) else 0.0
