@@ -325,7 +325,9 @@ def _value_outcome(
     """A value row: the global enclosure against its window; then, once the
     maximizer and the decomposition are settled, their agreement, the
     expected `kind` of the maximum and the row's own `checks`.  A tie leaves
-    a row with an expected `kind` unsettled; on any other row it is info."""
+    a row with an expected `kind` unsettled; on any other row it is info.
+    An unsettled decomposition has not located the maximum, so the row then
+    reports no `kind` and no `argmax`."""
     unsettled: list[str] = []
     info: list[str] = []
     if not ext.converged:
@@ -344,7 +346,9 @@ def _value_outcome(
             refuted.append(f"maximum attributed to {loc.kind}, expected {kind}")
         if checks:
             refuted += checks()
-    return _settle(unsettled, refuted, info, value=ext.value, argmax=loc.argmax, kind=loc.kind)
+    located = not loc.unsettled
+    return _settle(unsettled, refuted, info, value=ext.value, argmax=loc.argmax if located else None,
+                   kind=loc.kind if located else None)
 
 
 def _run_thm1_a3(ctx: SuiteContext) -> ClaimOutcome:

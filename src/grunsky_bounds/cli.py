@@ -76,12 +76,14 @@ def _positive_float(text: str) -> float:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("table", "json", "csv"), default="table")
-    common.add_argument("--out", metavar="PATH", help="write the report to a file")
-    common.add_argument("--max-boxes", type=_positive_int, default=10_000_000)
-    common.add_argument("--seed", type=_non_negative_int, default=0,
-                        help="seed for randomized oracle checks")
+    # each subcommand takes only the options it reads
+    report = argparse.ArgumentParser(add_help=False)
+    report.add_argument("--format", choices=("table", "json", "csv"), default="table")
+    report.add_argument("--out", metavar="PATH", help="write the report to a file")
+    budget = argparse.ArgumentParser(add_help=False)
+    budget.add_argument("--max-boxes", type=_positive_int, default=10_000_000)
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=_non_negative_int, default=0, help="seed for randomized oracle checks")
 
     parser = argparse.ArgumentParser(
         prog="grunsky-bounds",
@@ -89,22 +91,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_verify = sub.add_parser("verify", parents=[common], help="run the verification suite")
+    p_verify = sub.add_parser("verify", parents=[report, budget, seed], help="run the verification suite")
     p_verify.add_argument("--claims", nargs="+", metavar="ID", choices=CLAIM_IDS,
                           help="subset of claim ids (default: all)")
     p_verify.add_argument("--tol", type=_positive_float, default=1e-5, help="enclosure width target")
 
-    p_max = sub.add_parser("maximize", parents=[common],
+    p_max = sub.add_parser("maximize", parents=[budget],
                            help="maximize one objective over the region")
     p_max.add_argument("--objective", required=True, type=_objective_id)
     p_max.add_argument("--tol", type=_positive_float, default=1e-6)
 
-    p_edges = sub.add_parser("edges", parents=[common],
+    p_edges = sub.add_parser("edges", parents=[budget],
                              help="per-edge maxima for one objective")
     p_edges.add_argument("--objective", required=True, type=_objective_id)
     p_edges.add_argument("--tol", type=_positive_float, default=1e-6)
 
-    p_gr = sub.add_parser("grunsky", parents=[common],
+    p_gr = sub.add_parser("grunsky", parents=[seed],
                           help="coefficient table and oracle checks")
     src = p_gr.add_mutually_exclusive_group(required=True)
     src.add_argument("--preset", choices=sorted(PRESETS))

@@ -4,14 +4,17 @@ maximize_1d and maximize_2d share one best-first branch-and-bound loop,
 `_best_first`.  In 2-D, boxes are bisected along their longer side, clipped
 in y against the cap curve (the region is y-simple, so clipping is exact),
 pruned when their upper bound falls below the certified incumbent, and the
-final enclosure is derived from the surviving boxes.  A box is bounded by
-the minimum of its monotone corner bound and a mean-value form, expanded
-about the centre that minimises the form's bound (Baumann 1988).  A box
-that reaches the cap curve within one cap branch c takes that form in the
-chart (x, s = y/c(x)), where the curve is the face s = 1, so the bound is
-exact to second order at a maximum on the curve; every other box takes it
-in (x, y).  Where the radicand reaches zero the BnB uses value information
-only: the forms need the true gradient, which is singular there.
+final enclosure is derived from the surviving boxes.  A box is bounded once,
+by a mean-value form expanded about the centre that minimises the form's
+bound (Baumann 1988).  A box that reaches the cap curve within one cap
+branch c takes that form in the chart (x, s = y/c(x)), where the curve is
+the face s = 1, so the bound is exact to second order at a maximum on the
+curve; every other box takes it in (x, y).  Where the radicand reaches zero
+the forms have no bound, since they need the true gradient, which is
+singular there; such a box takes its monotone corner bound instead.  The
+forms run on float pairs, (lo, hi) rounded outward as `Interval` rounds
+them, with no object per box.  The incumbent comes from a 3 x 3 seed grid
+and one corner sample per split.
 
 Every zero search runs one subdivision loop, `_isolate`: each caller gives it
 an exclusion test, a contraction step and a split.  zero_clusters_1d is the
@@ -364,16 +367,16 @@ class _Incumbent:
             self.point = point
 
 
-def _best_first(root, bound, split, sample, best: _Incumbent, cfg: BnBConfig):
+def _best_first(root, bound, split, best: _Incumbent, cfg: BnBConfig):
     """Best-first branch-and-bound over boxes of any dimension.
 
     `bound(box)` is a certified upper bound of the objective over the box;
-    `split(box)` returns the children, or None once the box is at `TOL_BOX`;
-    `sample(child)`, if not None, offers point values to `best` before the
-    child is bounded.  The search stops when the best open bound is within
-    `tol_value` of the incumbent or the box budget runs out.  Returns the
-    certified upper bound, the boxes whose bound reaches the incumbent, the
-    number of boxes processed and whether the search converged.
+    `split(box)` returns the children, or None once the box is at `TOL_BOX`,
+    and may offer point values to `best` before the children are bounded.
+    The search stops when the best open bound is within `tol_value` of the
+    incumbent or the box budget runs out.  Returns the certified upper bound,
+    the boxes whose bound reaches the incumbent, the number of boxes
+    processed and whether the search converged.
     """
     counter = itertools.count()
     heap = [(-bound(root), next(counter), root)]
@@ -399,8 +402,6 @@ def _best_first(root, bound, split, sample, best: _Incumbent, cfg: BnBConfig):
             finished.append((ub, box))
             continue
         for child in children:
-            if sample is not None:
-                sample(child)
             ub_child = bound(child)
             if ub_child > best.value:
                 heapq.heappush(heap, (-ub_child, next(counter), child))
@@ -451,7 +452,7 @@ def maximize_1d(
     sample(hi)
     sample(0.5 * (lo + hi))
     upper, survivors, processed, converged = _best_first(
-        (lo, hi), lambda box: fn(top(box)).hi, split, None, best, cfg
+        (lo, hi), lambda box: fn(top(box)).hi, split, best, cfg
     )
     argmax = hull_of([top(box) for box in survivors]) if survivors else Interval(lo, hi)
     return Extremum1D(Interval(best.value, upper), argmax, processed, converged)
@@ -474,9 +475,11 @@ def _root_box(region: OmegaRegion) -> tuple[float, float, float, float]:
 def maximize_2d(obj: Objective, region: OmegaRegion = REGION, cfg: BnBConfig | None = None) -> Extremum:
     """Verified enclosure of the global maximum of a 2-D objective over the region.
 
-    Each box is bounded by `ranges.upper` and, unless that already prunes it,
-    by `_centred_upper`, a mean-value form about Baumann's centre: in the chart
-    for boxes that reach the cap curve within one branch, in (x, y) otherwise.
+    Each box is bounded once, by `_centred_upper`, a mean-value form about
+    Baumann's centre: in the chart for boxes that reach the cap curve within
+    one branch, in (x, y) otherwise.  Only where that form has no bound, at
+    the rim R = 0, does the box take `ranges.upper` instead.  The incumbent
+    comes from a 3 x 3 seed grid and at most one corner sample per split.
     """
     cfg = cfg or BnBConfig()
     ranges = monotone_bounds(obj.id)
@@ -488,10 +491,6 @@ def maximize_2d(obj: Objective, region: OmegaRegion = REGION, cfg: BnBConfig | N
         x = min(max(x, 0.0), x_in)
         y = min(max(y, 0.0), cap_point_down(x))
         best.offer(ranges.lower(x, x, y, y), (x, y))
-
-    def sample_mid(box: tuple[float, float, float, float]) -> None:
-        x1, x2, y1, y2 = box
-        sample(0.5 * (x1 + x2), 0.5 * (y1 + y2))
 
     def split(box: tuple[float, float, float, float]):
         x1, x2, y1, y2 = box
@@ -508,20 +507,16 @@ def maximize_2d(obj: Objective, region: OmegaRegion = REGION, cfg: BnBConfig | N
         return children
 
     # coarse seed so pruning starts immediately
-    for i in range(9):
-        x = x_in * i / 8
-        for j in range(5):
-            sample(x, cap_point_down(x) * j / 4)
+    for i in range(3):
+        x = x_in * i / 2
+        for j in range(3):
+            sample(x, cap_point_down(x) * j / 2)
 
     def bound(box: tuple[float, float, float, float]) -> float:
-        ub = ranges.upper(*box)
-        if ub <= best.value:
-            return ub
-        return min(ub, _centred_upper(ranges, region, box))
+        ub = _centred_upper(ranges, region, box)
+        return ranges.upper(*box) if ub == math.inf else ub
 
-    upper, survivors, processed, converged = _best_first(
-        _root_box(region), bound, split, sample_mid, best, cfg
-    )
+    upper, survivors, processed, converged = _best_first(_root_box(region), bound, split, best, cfg)
     if survivors:
         ax = hull_of([Interval(b[0], b[1]) for b in survivors])
         ay = hull_of([Interval(b[2], b[3]) for b in survivors])
@@ -569,45 +564,51 @@ def _chart_upper(
     grad = _gradient(ranges, (x1, x2, _mul_down(s1, c_lo), _mul_up(s2, c_hi)))
     if grad is None:
         return math.inf
-    gx = grad[0] + grad[1] * Interval(s1, s2) * Interval(dc_lo, dc_hi)
+    fx_lo, fx_hi, fy_lo, fy_hi = grad
+    t_lo, t_hi = _mul_pair(*_mul_pair(fy_lo, fy_hi, s1, s2), dc_lo, dc_hi)
+    g_s = _mul_pair(fy_lo, fy_hi, c_lo, c_hi)
 
     def f_up(x: float, s: float) -> float:
         cx_lo, cx_hi = chart(x, x)[:2]
         return ranges.upper(x, x, _mul_down(s, cx_lo), _mul_up(s, cx_hi))
-    return _mean_value_upper(f_up, (gx, grad[1] * Interval(c_lo, c_hi)), (x1, x2, s1, s2))
+    return _mean_value_upper(f_up, (_add_down(fx_lo, t_lo), _add_up(fx_hi, t_hi), *g_s), (x1, x2, s1, s2))
 
 
-def _gradient(ranges: MonotoneBounds, box: tuple[float, ...]) -> tuple[Interval, Interval] | None:
-    """f_x and f_y over a box, as sqrt(R)*grad f times [1/sqrt(r_hi), 1/sqrt(r_lo)]; None unless R > 0."""
+def _gradient(ranges: MonotoneBounds, box: tuple[float, ...]) -> tuple[float, float, float, float] | None:
+    """(fx_lo, fx_hi, fy_lo, fy_hi) over a box: sqrt(R)*grad f times [1/sqrt(r_hi), 1/sqrt(r_lo)].
+
+    None unless R > 0.
+    """
     g1lo, g1hi, g2lo, g2hi, r_lo, r_hi = ranges.scaled_gradient_range(*box)
     if r_lo <= 0.0:
         return None
     if not ranges.has_radical:
-        return Interval(g1lo, g1hi), Interval(g2lo, g2hi)
+        return g1lo, g1hi, g2lo, g2hi
     u = _recip_down(_sqrt_up(r_hi)), _recip_up(_sqrt_down(r_lo))
-    return Interval(*_mul_pair(g1lo, g1hi, *u)), Interval(*_mul_pair(g2lo, g2hi, *u))
+    return (*_mul_pair(g1lo, g1hi, *u), *_mul_pair(g2lo, g2hi, *u))
 
 
-def _mean_value_upper(f_up: Callable[..., float], grad: tuple[Interval, ...], box: tuple[float, ...]) -> float:
+def _mean_value_upper(f_up: Callable[..., float], grad: tuple[float, ...], box: tuple[float, ...]) -> float:
     """f(c) + sum of sup G_i*[lo_i - c_i, hi_i - c_i] over box = [lo_1, hi_1] x [lo_2, hi_2], rounded up.
 
-    `f_up(u, v)` bounds f from above at a point and G encloses grad f over the
-    box, so by the mean value theorem the sum bounds f over the box for any c
-    in it.  Each c_i is Baumann's centre (BIT 28, 1988), which minimises its
-    term: the end that G_i points to where G_i has one sign, else the point
+    `f_up(u, v)` bounds f from above at a point and grad = (g_lo_1, g_hi_1,
+    g_lo_2, g_hi_2) encloses grad f over the box, so by the mean value
+    theorem the sum bounds f over the box for any c in it.  Each c_i is
+    Baumann's centre (BIT 28, 1988), which minimises its term: the end that
+    G_i points to where G_i has one sign, else the point
     g_hi*(hi - c) = g_lo*(lo - c), clamped because rounding can put it an ulp outside.
     """
     centre, excess = [], 0.0
-    for g, lo, hi in zip(grad, box[::2], box[1::2]):
-        if g.lo >= 0.0:
+    for g_lo, g_hi, lo, hi in zip(grad[::2], grad[1::2], box[::2], box[1::2]):
+        if g_lo >= 0.0:
             c = hi
-        elif g.hi <= 0.0:
+        elif g_hi <= 0.0:
             c = lo
         else:
-            c = max(lo, min(hi, (g.hi * hi - g.lo * lo) / (g.hi - g.lo)))
+            c = max(lo, min(hi, (g_hi * hi - g_lo * lo) / (g_hi - g_lo)))
         centre.append(c)
         # lo - c <= 0 <= hi - c, so the supremum is one of these two products
-        excess = _add_up(excess, max(_mul_up(g.hi, _add_up(hi, -c)), _mul_up(g.lo, _add_down(lo, -c))))
+        excess = _add_up(excess, max(_mul_up(g_hi, _add_up(hi, -c)), _mul_up(g_lo, _add_down(lo, -c))))
     return _add_up(f_up(*centre), excess)
 
 

@@ -208,7 +208,7 @@ def test_criterion_15_curve_identities(suite_ctx):
 def test_full_suite_is_green_and_fast(suite_ctx, monkeypatch):
     from grunsky_bounds.report import all_passed, run_suite
 
-    # the BnB's point samples: each box corner and midpoint once, and the seed
+    # the BnB's point samples: the 3 x 3 seed grid, and at most one box corner per split
     lower_calls = []
     lower = MonotoneBounds.lower
     monkeypatch.setattr(MonotoneBounds, "lower", lambda *a: lower_calls.append(1) or lower(*a))
@@ -218,5 +218,5 @@ def test_full_suite_is_green_and_fast(suite_ctx, monkeypatch):
     print(f"full suite: {len(rows)} rows in {elapsed:.1f}s")
     assert all_passed(rows)
     assert elapsed <= 60.0
-    # 2262 before f1 ran through the 2-D maximizer, which adds 60 with its seed grid
-    assert len(lower_calls) == 2322
+    # 81 of them are the seed grids of the nine maximizers
+    assert len(lower_calls) == 720

@@ -461,8 +461,9 @@ def test_enclosures_contain_sampled_values():
         assert grid >= ext.value.lo - 1e-4  # coarse grid, generous slack
 
 
-#: maximize_2d at two widths, which skipping repeated point samples must not
-#: move: value, argmax x and argmax y (each "lo hi" by float.hex), iterations
+#: maximize_2d at two widths: value, argmax x and argmax y (each "lo hi" by
+#: float.hex), iterations.  value.lo is the best point sample: a seed grid
+#: point or the top-right corner of a split's lower-left child
 BNB_PINS = {
     ("f2", 1e-05): (
         "0x1.bb11f34820631p+1 0x1.bb12460bdff33p+1",
@@ -483,7 +484,7 @@ BNB_PINS = {
         127,
     ),
     ("f5", 1e-05): (
-        "0x1.d29aeba98d895p+0 0x1.d29b81f89572fp+0",
+        "0x1.d29ae884d0534p+0 0x1.d29b81f89572fp+0",
         "0x1.6d4f5c28f5c28p-1 0x1.7105c28f5c28fp-1",
         "0x1.3cc70e824c00fp-2 0x1.438bab7ab8f02p-2",
         167,
@@ -531,7 +532,7 @@ BNB_PINS = {
         211,
     ),
     ("f5", 1e-09): (
-        "0x1.d29aed74e3627p+0 0x1.d29aed78f18d5p+0",
+        "0x1.d29aed74d8a78p+0 0x1.d29aed78f18d5p+0",
         "0x1.6f62fd70a3d70p-1 0x1.6f6d628f5c28fp-1",
         "0x1.403daad56bbf5p-2 0x1.404b340f5c993p-2",
         297,
@@ -570,6 +571,37 @@ def test_maximize_2d_results_are_pinned(name, tol):
     hexes = [" ".join((iv.lo.hex(), iv.hi.hex())) for iv in (ext.value, *ext.argmax)]
     assert hexes == [value, ax, ay]
     assert (ext.iterations, ext.converged) == (iterations, True)
+
+
+def test_maximize_2d_bounds_each_box_once_and_samples_at_most_one_point_per_split(monkeypatch):
+    lower_calls, wide_upper, no_form = [], [], []
+    real_lower, real_upper, real_centred = (
+        objectives.MonotoneBounds.lower, objectives.MonotoneBounds.upper, optimize._centred_upper)
+
+    def lower(self, *box):
+        lower_calls.append(box)
+        return real_lower(self, *box)
+
+    def upper(self, *box):
+        if box[0] < box[1]:  # the centred forms evaluate it at points x1 == x2
+            wide_upper.append(box)
+        return real_upper(self, *box)
+
+    def centred(ranges, region, box):
+        ub = real_centred(ranges, region, box)
+        if ub == math.inf:
+            no_form.append(box)
+        return ub
+
+    monkeypatch.setattr(objectives.MonotoneBounds, "lower", lower)
+    monkeypatch.setattr(objectives.MonotoneBounds, "upper", upper)
+    monkeypatch.setattr(optimize, "_centred_upper", centred)
+    ext = maximize_2d(OBJECTIVES[ObjectiveId.F4], REGION, BnBConfig(tol_value=1e-7))
+    assert ext.converged and ext.iterations > 100
+    # the 3 x 3 seed grid, then at most one corner per split
+    assert 9 < len(lower_calls) <= 9 + ext.iterations
+    # a whole box takes the monotone bound only where the centred form has none
+    assert wide_upper == no_form and no_form
 
 
 #: the edge analyses of f2-f9 and f1's y_zero analysis: value, argmax and
@@ -704,7 +736,7 @@ def test_baumann_centre_lies_in_the_box_and_the_sum_covers_every_offset():
         (lo2, hi2), g2 = rng.choice(cases)
         centres = []
         excess = optimize._mean_value_upper(
-            lambda u, v: centres.append((u, v)) or 0.0, (g1, g2), (lo1, hi1, lo2, hi2)
+            lambda u, v: centres.append((u, v)) or 0.0, (g1.lo, g1.hi, g2.lo, g2.hi), (lo1, hi1, lo2, hi2)
         )
         [(uc, vc)] = centres
         assert lo1 <= uc <= hi1 and lo2 <= vc <= hi2
@@ -790,8 +822,8 @@ def test_xy_bound_covers_the_region_part_of_interior_boxes(monkeypatch):
             assert math.isfinite(ub)  # below the cap the radicand is positive
             [(grad, seen)], [(xc, yc)] = forms, centres
             assert seen == box and box[0] <= xc <= box[1] and box[2] <= yc <= box[3]
-            for g in grad:
-                signs["straddles" if g.lo < 0.0 < g.hi else "one sign"] += 1
+            for g_lo, g_hi in zip(grad[::2], grad[1::2]):
+                signs["straddles" if g_lo < 0.0 < g_hi else "one sign"] += 1
             obj = OBJECTIVES[oid]
             for x, y in _region_points(box, w):
                 assert objective_value(obj, x, y) <= ub + _VALUE_SLACK, (oid, box, x, y)

@@ -125,7 +125,7 @@ VERIFY_PINS = {
                 "x_a", "PASS", ""),
     "THM2_D43": ("0x1.2c918cbf4e5f5p+0", "0x1.2c9226755e151p+0", "0x1.44d530403124cp-1", "0x1.6f9b04f162c96p-2",
                  "interior", "PASS", ""),
-    "THM2_D54": ("0x1.d29aeba98d895p+0", "0x1.d29b81f89572fp+0", "0x1.6f696dfa25b8dp-1", "0x1.4041f7ab8f740p-2",
+    "THM2_D54": ("0x1.d29ae884d0534p+0", "0x1.d29b81f89572fp+0", "0x1.6f696dfa25b8dp-1", "0x1.4041f7ab8f740p-2",
                  "interior", "PASS", ""),
     "THM3_H22": ("0x1.47ca4960337d7p+0", "0x1.47ca889042f95p+0", "0x1.1fd6a644a82b6p-2", "0x1.143a2fcc857d8p-1",
                  "curve_low", "PASS", ""),
@@ -176,6 +176,11 @@ def test_cli_verify_budget_gives_no_fail_row(max_boxes, capsys):
     assert "inconclusive" in edge_table["note"] or "not certified" in edge_table["note"]
     # every row that is not PASS says why
     assert [cid for cid, r in records.items() if r["status"] != "PASS" and not r["note"]] == []
+    # a value row whose decomposition is unsettled names no maximizer
+    for cid in claims.CLAIM_IDS[:9]:
+        r = records[cid]
+        located = not ("edge analysis of" in r["note"] or "critical-point search not certified" in r["note"])
+        assert (r["kind"] is not None, r["argmax_x"] is not None, r["argmax_y"] is not None) == (located,) * 3
     if max_boxes == 1:
         assert records["THM1_A3"]["status"] == "INCONCLUSIVE"
         assert records["THM1_A3"]["note"].startswith("maximizer budget exhausted; enclosure width")
@@ -515,6 +520,37 @@ def test_cli_rejects_negative_seed(argv, capsys):
     err = capsys.readouterr().err.strip().splitlines()
     assert exc.value.code == 2
     assert err[-1].endswith("error: argument --seed: must be a non-negative integer, got -1")
+
+
+def test_an_unsettled_decomposition_reports_no_kind_and_no_argmax(capsys):
+    # with 10 boxes two of f8's edge analyses and its critical search run out,
+    # and the whole-piece range of y_zero would have ranked first
+    code = main(["verify", "--max-boxes", "10", "--claims", "THM4_GAMMA3", "--format", "json"])
+    (rec,) = json.loads(capsys.readouterr().out)
+    assert code == 1 and rec["status"] == "INCONCLUSIVE"
+    assert (rec["kind"], rec["argmax_x"], rec["argmax_y"]) == (None, None, None)
+    assert rec["note"].endswith("edge analysis of f8/y_zero inconclusive; edge analysis of f8/curve_low "
+                                "inconclusive; interior critical-point search not certified")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["maximize", "--objective", "f2", "--format", "json"],
+        ["maximize", "--objective", "f2", "--seed", "1"],
+        ["edges", "--objective", "f2", "--out", "edges.txt"],
+        ["grunsky", "--preset", "identity", "--max-boxes", "5"],
+        ["grunsky", "--preset", "identity", "--format", "csv"],
+    ],
+)
+def test_cli_rejects_an_option_its_subcommand_does_not_read(argv, capsys):
+    # rejected while parsing, so nothing runs
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert [line for line in captured.err.splitlines() if "error:" in line] == [
+        f"grunsky-bounds: error: unrecognized arguments: {' '.join(argv[-2:])}"]
 
 
 @pytest.mark.parametrize(
