@@ -8,7 +8,6 @@ from .optimize import (
     CriticalPoint,
     CriticalSearch,
     Extremum,
-    Extremum1D,
     NoBracketError,
     find_root_1d,
     interior_critical_points,

@@ -9,8 +9,9 @@ widened to the half-ulp rounding window and the row carries a note.
 
 Edge endpoints, (x, y) lifts, edge order and the five corners come from the
 table `domain.EDGES`.  Every value row, f1's too, takes the 2-D maximizer's
-enclosure and `SuiteContext.locate`'s label: an edge, a corner named by its
-two pieces ("x_a/y_zero"), or "interior".
+value enclosure, and from `SuiteContext.locate` alone where the maximum lies
+and its argmax: an edge, a corner named by its two pieces ("x_a/y_zero"), or
+"interior".  The grid check's gap bound takes that argmax too.
 
 One rule sets every row's status, in `_settle`: FAIL if a settled result
 refutes the claim, else INCONCLUSIVE if anything the row rests on is
@@ -40,7 +41,6 @@ from .optimize import (
     BnBConfig,
     CriticalSearch,
     Extremum,
-    Extremum1D,
     grid_maximum,
     grid_point,
     interior_critical_points,
@@ -204,10 +204,12 @@ class Location:
     """Where the maximum lies by the edge/critical decomposition: on an
     edge, at a corner or at an interior critical point.  `tied` names the
     candidates whose upper bound reaches the winner's lower bound;
-    `unsettled` names the analyses the decomposition could not finish."""
+    `unsettled` names the analyses the decomposition could not finish.  An
+    unsettled decomposition has not located the maximum: `kind` and
+    `argmax` are then None, and `value` is only the best candidate's."""
 
-    kind: str  # "interior", an EdgeId value, or a corner name such as "x_a/y_zero"
-    argmax: tuple[Interval, Interval]
+    kind: str | None  # "interior", an EdgeId value, or a corner name such as "x_a/y_zero"
+    argmax: tuple[Interval, Interval] | None
     value: Interval
     tied: tuple[str, ...]
     unsettled: tuple[str, ...]
@@ -219,9 +221,10 @@ class SuiteContext:
     def __init__(self, cfg: SuiteConfig | None = None):
         self.cfg = cfg or SuiteConfig()
         self._extrema: dict[ObjectiveId, Extremum] = {}
-        self._f1: Extremum1D | None = None
+        self._f1: Extremum | None = None
         self._edges: dict[tuple[ObjectiveId, EdgeId], EdgeAnalysis] = {}
         self._critical: dict[ObjectiveId, CriticalSearch] = {}
+        self._locations: dict[ObjectiveId, Location] = {}
         self._tables = {}
         self._gammas: dict[str, GammaReport] = {}
         self._f2_root: Interval | None = None
@@ -233,7 +236,7 @@ class SuiteContext:
             self._extrema[oid] = maximize_2d(OBJECTIVES[oid], REGION, self.cfg.bnb())
         return self._extrema[oid]
 
-    def f1_extremum(self) -> Extremum1D:
+    def f1_extremum(self) -> Extremum:
         # no row reads f1's 1-D maximum; it stays, with `_f1`, because perfbench reads both
         if self._f1 is None:
             self._f1 = maximize_1d(
@@ -257,6 +260,8 @@ class SuiteContext:
         critical point.  Each corner is evaluated once; an edge whose maximum
         lies at one of its ends is no candidate of its own, and its value
         joins that corner's."""
+        if oid in self._locations:
+            return self._locations[oid]
         cands: list[tuple[Interval, str, tuple[Interval, Interval]]] = []
         unsettled: list[str] = []
         at_end: dict[tuple[EdgeId, int], Interval] = {}
@@ -281,7 +286,10 @@ class SuiteContext:
         cands.sort(key=lambda c: c[0].hi, reverse=True)
         value, kind, argmax = cands[0]
         tied = tuple(name for v, name, _ in cands[1:] if v.hi >= value.lo)
-        return Location(kind, argmax, value, tied, tuple(unsettled))
+        if unsettled:
+            kind = argmax = None
+        loc = self._locations[oid] = Location(kind, argmax, value, tied, tuple(unsettled))
+        return loc
 
     def f2_reduced_root(self) -> Interval:
         """Root of the reduced f2 stationarity polynomial on [0, 1/6]."""
@@ -326,8 +334,8 @@ def _value_outcome(
     maximizer and the decomposition are settled, their agreement, the
     expected `kind` of the maximum and the row's own `checks`.  A tie leaves
     a row with an expected `kind` unsettled; on any other row it is info.
-    An unsettled decomposition has not located the maximum, so the row then
-    reports no `kind` and no `argmax`."""
+    The row reports `loc`'s `kind` and `argmax`, None where the
+    decomposition is unsettled."""
     unsettled: list[str] = []
     info: list[str] = []
     if not ext.converged:
@@ -346,9 +354,7 @@ def _value_outcome(
             refuted.append(f"maximum attributed to {loc.kind}, expected {kind}")
         if checks:
             refuted += checks()
-    located = not loc.unsettled
-    return _settle(unsettled, refuted, info, value=ext.value, argmax=loc.argmax if located else None,
-                   kind=loc.kind if located else None)
+    return _settle(unsettled, refuted, info, value=ext.value, argmax=loc.argmax, kind=loc.kind)
 
 
 def _run_thm1_a3(ctx: SuiteContext) -> ClaimOutcome:
@@ -638,14 +644,17 @@ def _run_property_bnb(ctx: SuiteContext) -> ClaimOutcome:
     unsettled = []
     margins = []
     for oid, gmax in zip(ObjectiveId, grid_maximum(tuple(ObjectiveId))):
-        ext = ctx.extremum(oid)
+        ext, loc = ctx.extremum(oid), ctx.locate(oid)
         if not ext.converged:
             unsettled.append(f"{oid.value}: maximizer budget exhausted")
         value = ext.value
         # 1e-12 allows for plain-float rounding in the grid evaluation itself
         if gmax > value.hi + 1e-12:
             problems.append(f"{oid.value}: grid max {gmax!r} exceeds enclosure high {value.hi!r}")
-        if value.lo > gmax + 1e-12 + _grid_gap_bound(oid, ext.argmax):
+        # the gap bound holds only with the maximizer inside the argmax
+        if loc.argmax is None or loc.tied:
+            unsettled.append(f"{oid.value}: maximum not located")
+        elif value.lo > gmax + 1e-12 + _grid_gap_bound(oid, loc.argmax):
             problems.append(
                 f"{oid.value}: grid max {gmax!r} below enclosure low - gap bound {value.lo!r}"
             )

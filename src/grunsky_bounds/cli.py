@@ -129,12 +129,13 @@ def _cmd_maximize(args) -> int:
     ctx = SuiteContext(SuiteConfig(tol_value=args.tol, max_boxes=args.max_boxes))
     oid = args.objective
     ext, loc = ctx.extremum(oid), ctx.locate(oid)
-    ax, ay = loc.argmax
     print(f"{oid.value} ({CLAIM_NAMES[oid]})")
     print(f"  max in [{ext.value.lo:.12f}, {ext.value.hi:.12f}]")
-    print(f"  argmax x in [{ax.lo:.9f}, {ax.hi:.9f}], y in [{ay.lo:.9f}, {ay.hi:.9f}]")
-    print(f"  location {loc.kind}, boxes {ext.iterations}, converged {ext.converged}")
-    notes = [*loc.unsettled, *([f"not separated from {', '.join(loc.tied)}"] if loc.tied else [])]
+    if loc.argmax is not None:
+        ax, ay = loc.argmax
+        print(f"  argmax x in [{ax.lo:.9f}, {ax.hi:.9f}], y in [{ay.lo:.9f}, {ay.hi:.9f}]")
+    print(f"  location {loc.kind or 'not settled'}, boxes {ext.iterations}, converged {ext.converged}")
+    notes = [*loc.unsettled, *([f"not separated from {', '.join(loc.tied)}"] if loc.tied and loc.kind else [])]
     if notes:
         print(f"  note: {'; '.join(notes)}")
     return 0 if ext.converged and not loc.unsettled else 1

@@ -4,17 +4,18 @@ maximize_1d and maximize_2d share one best-first branch-and-bound loop,
 `_best_first`.  In 2-D, boxes are bisected along their longer side, clipped
 in y against the cap curve (the region is y-simple, so clipping is exact),
 pruned when their upper bound falls below the certified incumbent, and the
-final enclosure is derived from the surviving boxes.  A box is bounded once,
-by a mean-value form expanded about the centre that minimises the form's
-bound (Baumann 1988).  A box that reaches the cap curve within one cap
-branch c takes that form in the chart (x, s = y/c(x)), where the curve is
-the face s = 1, so the bound is exact to second order at a maximum on the
-curve; every other box takes it in (x, y).  Where the radicand reaches zero
-the forms have no bound, since they need the true gradient, which is
-singular there; such a box takes its monotone corner bound instead.  The
-forms run on float pairs, (lo, hi) rounded outward as `Interval` rounds
-them, with no object per box.  The incumbent comes from a 3 x 3 seed grid
-and one corner sample per split.
+enclosure runs from the incumbent to the highest open bound.  It is a value
+enclosure only: where the maximum lies is for `claims.SuiteContext.locate`
+to decide.  A box is bounded once, by a mean-value form expanded about the
+centre that minimises the form's bound (Baumann 1988).  A box that reaches
+the cap curve within one cap branch c takes that form in the chart
+(x, s = y/c(x)), where the curve is the face s = 1, so the bound is exact
+to second order at a maximum on the curve; every other box takes it in
+(x, y).  Where the radicand reaches zero the forms have no bound, since
+they need the true gradient, which is singular there; such a box takes its
+monotone corner bound instead.  The forms run on float pairs, (lo, hi)
+rounded outward as `Interval` rounds them, with no object per box.  The
+incumbent comes from a 3 x 3 seed grid and one corner sample per split.
 
 Every zero search runs one subdivision loop, `_isolate`: each caller gives it
 an exclusion test, a contraction step and a split.  zero_clusters_1d is the
@@ -25,8 +26,7 @@ N(X) = m - f(m)/f'(X) either empty the piece or prove a box in it.  Only
 pieces that Newton cannot settle are bisected on down to MIN_WIDTH.
 maximize_1d bounds a box on which the derivative has one sign by the value
 at the box's higher end; f1 runs through maximize_2d like f2-f9, so it runs
-only for perfbench (`claims.SuiteContext.f1_extremum`).  Where a maximum lies is not decided here but by the
-edge/critical decomposition of `claims.SuiteContext.locate`.
+only for perfbench (`claims.SuiteContext.f1_extremum`).
 
 interior_critical_points runs the same loop over 2-D boxes.  It excludes
 gradient zeros with the division-free scaled gradient G = sqrt(R)*grad f,
@@ -69,7 +69,6 @@ from .interval import (
     _recip_up,
     _sqrt_down,
     _sqrt_up,
-    hull_of,
 )
 from .objectives import OBJECTIVES, MonotoneBounds, Objective, ObjectiveId, monotone_bounds
 from .poly import MixedPoly
@@ -119,17 +118,10 @@ class BnBConfig:
 
 
 @dataclass(frozen=True)
-class Extremum1D:
-    value: Interval
-    argmax: Interval
-    iterations: int
-    converged: bool
-
-
-@dataclass(frozen=True)
 class Extremum:
+    """A verified enclosure of a maximum, the boxes split for it, and whether it converged."""
+
     value: Interval
-    argmax: tuple[Interval, Interval]
     iterations: int
     converged: bool
 
@@ -352,83 +344,58 @@ def zero_clusters_1d(
 # ---------------------------------------------------------------------------
 
 
-class _Incumbent:
-    """Best certified lower bound found so far, and the point that gave it."""
-
-    __slots__ = ("value", "point")
-
-    def __init__(self, point=None) -> None:
-        self.value = -math.inf
-        self.point = point
-
-    def offer(self, value: float, point) -> None:
-        if value > self.value:
-            self.value = value
-            self.point = point
-
-
-def _best_first(root, bound, split, best: _Incumbent, cfg: BnBConfig):
-    """Best-first branch-and-bound over boxes of any dimension.
+def _best_first(root, bound, split, best: float, cfg: BnBConfig) -> Extremum:
+    """Best-first branch-and-bound over boxes of any dimension, from the lower bound `best`.
 
     `bound(box)` is a certified upper bound of the objective over the box;
-    `split(box)` returns the children, or None once the box is at `TOL_BOX`,
-    and may offer point values to `best` before the children are bounded.
-    The search stops when the best open bound is within `tol_value` of the
-    incumbent or the box budget runs out.  Returns the certified upper bound,
-    the boxes whose bound reaches the incumbent, the number of boxes
-    processed and whether the search converged.
+    `split(box)` returns the children and a certified lower bound of the
+    objective sampled before they are bounded (-inf for none), or None once
+    the box is at `TOL_BOX`.  The search stops when the best open bound is
+    within `tol_value` of the incumbent or the box budget runs out.
     """
     counter = itertools.count()
     heap = [(-bound(root), next(counter), root)]
-    finished: list[tuple[float, object]] = []
     finished_ub = -math.inf
     processed = 0
     converged = True
 
-    while heap:
-        neg_ub, _, box = heapq.heappop(heap)
-        ub = -neg_ub
-        if ub <= best.value + cfg.tol_value:
-            heapq.heappush(heap, (neg_ub, next(counter), box))
-            break
+    while heap and -heap[0][0] > best + cfg.tol_value:
         if processed >= cfg.max_boxes:
-            heapq.heappush(heap, (neg_ub, next(counter), box))
             converged = False
             break
+        neg_ub, _, box = heapq.heappop(heap)
         processed += 1
-        children = split(box)
-        if children is None:
-            finished_ub = max(finished_ub, ub)
-            finished.append((ub, box))
+        out = split(box)
+        if out is None:
+            finished_ub = max(finished_ub, -neg_ub)
             continue
+        children, sampled = out
+        best = max(best, sampled)
         for child in children:
             ub_child = bound(child)
-            if ub_child > best.value:
+            if ub_child > best:
                 heapq.heappush(heap, (-ub_child, next(counter), child))
 
-    top_ub = -heap[0][0] if heap else -math.inf
-    upper = max(best.value, finished_ub, top_ub)
-    if upper - best.value > cfg.tol_value:
+    upper = max(best, finished_ub, -heap[0][0] if heap else -math.inf)
+    if upper - best > cfg.tol_value:
         converged = False
-    survivors = [box for ub, box in finished if ub >= best.value]
-    survivors.extend(box for neg_ub, _, box in heap if -neg_ub >= best.value)
-    return upper, survivors, processed, converged
+    return Extremum(Interval(best, upper), processed, converged)
 
 
 def maximize_1d(
     fn: IvFunc, lo: float, hi: float, cfg: BnBConfig | None = None, *,
     slope: SlopeFunc | None = None,
-) -> Extremum1D:
+) -> Extremum:
     """Verified enclosure of max fn over [lo, hi] by interval branch-and-bound.
 
     A box is bounded by the interval extension of fn, or, where `slope`
-    encloses fn' over it with one sign, by fn at the end where fn is largest;
-    that end is then all the box adds to the argmax.
+    encloses fn' over it with one sign, by fn at the end where fn is largest.
+    The incumbent comes from both ends, the midpoint and one midpoint
+    sample per split.
     """
     if not lo < hi:
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
     cfg = cfg or BnBConfig()
-    best = _Incumbent()
 
     def top(box: tuple[float, float]) -> Interval:
         """The end of the box where fn is largest if fn' has one sign on it, else the box."""
@@ -437,25 +404,18 @@ def maximize_1d(
             return Interval(*box)
         return Interval.point(box[1] if d.lo > 0.0 else box[0])
 
-    def sample(t: float) -> None:
-        best.offer(fn(Interval.point(t)).lo, t)
+    def sample(t: float) -> float:
+        return fn(Interval.point(t)).lo
 
     def split(box: tuple[float, float]):
         t1, t2 = box
         if t2 - t1 <= TOL_BOX:
             return None
         tm = 0.5 * (t1 + t2)
-        sample(tm)  # once per split, before either child is bounded
-        return (t1, tm), (tm, t2)
+        return ((t1, tm), (tm, t2)), sample(tm)
 
-    sample(lo)
-    sample(hi)
-    sample(0.5 * (lo + hi))
-    upper, survivors, processed, converged = _best_first(
-        (lo, hi), lambda box: fn(top(box)).hi, split, best, cfg
-    )
-    argmax = hull_of([top(box) for box in survivors]) if survivors else Interval(lo, hi)
-    return Extremum1D(Interval(best.value, upper), argmax, processed, converged)
+    best = max(sample(lo), sample(hi), sample(0.5 * (lo + hi)))
+    return _best_first((lo, hi), lambda box: fn(top(box)).hi, split, best, cfg)
 
 
 def _clip_box(x1: float, x2: float, y1: float, y2: float) -> tuple[float, float, float, float] | None:
@@ -483,14 +443,12 @@ def maximize_2d(obj: Objective, region: OmegaRegion = REGION, cfg: BnBConfig | N
     """
     cfg = cfg or BnBConfig()
     ranges = monotone_bounds(obj.id)
-
     x_in = region.constants.iv_a.lo
-    best = _Incumbent((0.0, 0.0))
 
-    def sample(x: float, y: float) -> None:
+    def sample(x: float, y: float) -> float:
         x = min(max(x, 0.0), x_in)
         y = min(max(y, 0.0), cap_point_down(x))
-        best.offer(ranges.lower(x, x, y, y), (x, y))
+        return ranges.lower(x, x, y, y)
 
     def split(box: tuple[float, float, float, float]):
         x1, x2, y1, y2 = box
@@ -503,27 +461,17 @@ def maximize_2d(obj: Objective, region: OmegaRegion = REGION, cfg: BnBConfig | N
         # lowers its y2 no further than the cap at x2), and the root's corner
         # samples as the seed point (x_in, cap(x_in)).
         if children and children[0][0] == x1 and children[0][2] == y1:
-            sample(children[0][1], children[0][3])
-        return children
-
-    # coarse seed so pruning starts immediately
-    for i in range(3):
-        x = x_in * i / 2
-        for j in range(3):
-            sample(x, cap_point_down(x) * j / 2)
+            return children, sample(children[0][1], children[0][3])
+        return children, -math.inf
 
     def bound(box: tuple[float, float, float, float]) -> float:
         ub = _centred_upper(ranges, region, box)
         return ranges.upper(*box) if ub == math.inf else ub
 
-    upper, survivors, processed, converged = _best_first(_root_box(region), bound, split, best, cfg)
-    if survivors:
-        ax = hull_of([Interval(b[0], b[1]) for b in survivors])
-        ay = hull_of([Interval(b[2], b[3]) for b in survivors])
-    else:
-        ax = Interval.point(best.point[0])
-        ay = Interval.point(best.point[1])
-    return Extremum(Interval(best.value, upper), (ax, ay), processed, converged)
+    # coarse seed so pruning starts immediately
+    xs = [x_in * i / 2 for i in range(3)]
+    best = max(sample(x, cap_point_down(x) * j / 2) for x in xs for j in range(3))
+    return _best_first(_root_box(region), bound, split, best, cfg)
 
 
 def _centred_upper(ranges: MonotoneBounds, region: OmegaRegion, box: tuple[float, ...]) -> float:

@@ -189,12 +189,24 @@ def test_criterion_14_grid_soundness(suite_ctx):
 def test_criterion_14_grid_gap_motivates_tolerance(suite_ctx):
     """The 500-point grid genuinely misses the steepest maxima by more than
     1e-6, so no fixed tight slack will do: the lower grid check allows the
-    verified gap bound at the grid point nearest the argmax instead, and that
-    bound covers the measured gap."""
+    verified gap bound at the grid point nearest `locate`'s argmax instead,
+    and that bound covers the measured gap."""
     ext = suite_ctx.extremum(ObjectiveId.F2)
     gap = ext.value.lo - grid_maximum(ObjectiveId.F2)
     assert 1e-6 < gap < suite_ctx.cfg.tol_value
-    assert gap <= _grid_gap_bound(ObjectiveId.F2, ext.argmax)
+    assert gap <= _grid_gap_bound(ObjectiveId.F2, suite_ctx.locate(ObjectiveId.F2).argmax)
+
+
+@pytest.mark.parametrize("tol", [None, 1e-9], ids=["default", "1e-9"])
+def test_criterion_14_grid_gap_bounds_are_small(tol, suite_ctx):
+    """`locate`'s argmax is a few ulps wide, so each gap bound is about the
+    grid's own gap: at most 1e-5 for every objective.  Over the
+    branch-and-bound's box hull it reached 6.7e-2 for f7."""
+    ctx = suite_ctx if tol is None else claims.SuiteContext(SuiteConfig(tol_value=tol))
+    for oid in ObjectiveId:
+        loc = ctx.locate(oid)
+        assert loc.kind is not None and not loc.tied, oid
+        assert _grid_gap_bound(oid, loc.argmax) <= 1e-5, oid
 
 
 def test_criterion_15_curve_identities(suite_ctx):

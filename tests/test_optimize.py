@@ -351,11 +351,12 @@ def test_newton_steps_count_against_the_budget():
 
 
 def test_maximize_f1():
+    # that the maximum sits at the right endpoint is `locate`'s to say
+    # (test_criterion_01_third_coefficient)
     ext = maximize_1d(F1_FORM.value_iv, F1_FORM.lo, F1_FORM.hi, CFG)
     assert ext.converged
     assert in_window(ext.value, 2.427)
     assert ext.value.width <= 1e-6
-    assert ext.argmax.hi >= A - 1e-6  # maximum sits at the right endpoint
 
 
 def test_maximize_f2_on_right_edge():
@@ -363,7 +364,8 @@ def test_maximize_f2_on_right_edge():
     ext = maximize_1d(form.value_iv, form.lo, form.hi, CFG)
     assert ext.converged
     assert in_window(ext.value, 3.461)
-    assert ext.argmax.lo < 0.366 and ext.argmax.hi > 0.365
+    argmax = analyze_edge(ObjectiveId.F2, EdgeId.X_A, CFG).argmax
+    assert argmax.lo < 0.366 and argmax.hi > 0.365
 
 
 def test_maximize_g5():
@@ -371,7 +373,8 @@ def test_maximize_g5():
     ext = maximize_1d(form.value_iv, form.lo, form.hi, CFG)
     assert ext.converged
     assert in_window(ext.value, 0.709)
-    assert ext.argmax.lo < 0.253 and ext.argmax.hi > 0.252
+    argmax = analyze_edge(ObjectiveId.F4, EdgeId.CURVE_LOW, CFG).argmax
+    assert argmax.lo < 0.253 and argmax.hi > 0.252
 
 
 @pytest.mark.parametrize("tol", [1e-7, 1e-9, 1e-11])
@@ -382,7 +385,7 @@ def test_maximize_f1_with_slope_converges_in_one_box(tol):
                       slope=F1_FORM.slope_iv)
     assert ext.converged and ext.iterations == 1
     assert ext.value.width <= 1e-14
-    assert ext.argmax == Interval.point(F1_FORM.hi)
+    assert ext.value.contains(F1_FORM.value_iv(Interval.point(F1_FORM.hi)).mid)
 
 
 def test_maximize_1d_budget_flag():
@@ -400,22 +403,27 @@ def test_maximize_f2():
     ext = maximize_2d(OBJECTIVES[ObjectiveId.F2], REGION, CFG)
     assert ext.converged
     assert in_window(ext.value, 3.461)
-    assert ext.argmax[1].lo < 0.366 and ext.argmax[1].hi > 0.365
+    ay = SuiteContext().locate(ObjectiveId.F2).argmax[1]
+    assert ay.lo < 0.366 and ay.hi > 0.365
 
 
 def test_maximize_f6():
     ext = maximize_2d(OBJECTIVES[ObjectiveId.F6], REGION, CFG)
     assert ext.converged
     assert in_window(ext.value, 1.280)
-    assert ext.argmax[0].lo < 0.282 and ext.argmax[0].hi > 0.281
+    ax = SuiteContext().locate(ObjectiveId.F6).argmax[0]
+    assert ax.lo < 0.282 and ax.hi > 0.281
 
 
 def test_maximize_f4_interior():
     ext = maximize_2d(OBJECTIVES[ObjectiveId.F4], REGION, CFG)
     assert ext.converged
     assert in_window(ext.value, 1.174)
-    assert ext.argmax[0].lo < 0.635 and ext.argmax[0].hi > 0.634
-    assert ext.argmax[1].lo < 0.359 and ext.argmax[1].hi > 0.358
+    loc = SuiteContext().locate(ObjectiveId.F4)
+    ax, ay = loc.argmax
+    assert loc.kind == "interior"
+    assert ax.lo < 0.635 and ax.hi > 0.634
+    assert ay.lo < 0.359 and ay.hi > 0.358
 
 
 def test_maximize_f5_interior():
@@ -425,12 +433,13 @@ def test_maximize_f5_interior():
 
 
 def test_maximize_2d_of_the_f1_entry_meets_the_f1_extremum():
-    # f1's entry is a member of the family, so the 2-D BnB takes it as it takes f2-f9
+    # f1's entry is a member of the family, so the 2-D BnB takes it as it
+    # takes f2-f9; its maximum on y = 0 is `locate`'s to say
+    # (test_criterion_01_third_coefficient)
     ext = maximize_2d(OBJECTIVES[ObjectiveId.F1], REGION, CFG)
     f1 = SuiteContext().f1_extremum()
     assert ext.converged and f1.converged
     assert ext.value.intersects(f1.value)
-    assert ext.argmax[1].lo == 0.0
 
 
 def test_maximize_budget_exhaustion_flagged():
@@ -440,16 +449,16 @@ def test_maximize_budget_exhaustion_flagged():
 
 
 def test_argmax_midpoint_stays_in_region():
+    ctx = SuiteContext()
     for oid in (ObjectiveId.F2, ObjectiveId.F4, ObjectiveId.F6, ObjectiveId.F7):
-        ext = maximize_2d(OBJECTIVES[oid], REGION, CFG)
-        assert omega_contains(ext.argmax[0].mid, ext.argmax[1].mid, slack=1e-6)
+        ax, ay = ctx.locate(oid).argmax
+        assert omega_contains(ax.mid, ay.mid, slack=1e-6)
 
 
 def test_maximize_deterministic_across_runs():
     a = maximize_2d(OBJECTIVES[ObjectiveId.F3], REGION, CFG)
     b = maximize_2d(OBJECTIVES[ObjectiveId.F3], REGION, CFG)
     assert a.value == b.value
-    assert a.argmax[0] == b.argmax[0] and a.argmax[1] == b.argmax[1]
     assert a.iterations == b.iterations
 
 
@@ -461,115 +470,34 @@ def test_enclosures_contain_sampled_values():
         assert grid >= ext.value.lo - 1e-4  # coarse grid, generous slack
 
 
-#: maximize_2d at two widths: value, argmax x and argmax y (each "lo hi" by
-#: float.hex), iterations.  value.lo is the best point sample: a seed grid
-#: point or the top-right corner of a split's lower-left child
+#: maximize_2d at two widths: value ("lo hi" by float.hex) and iterations.
+#: value.lo is the best point sample: a seed grid point or the top-right
+#: corner of a split's lower-left child
 BNB_PINS = {
-    ("f2", 1e-05): (
-        "0x1.bb11f34820631p+1 0x1.bb12460bdff33p+1",
-        "0x1.7bc9eb851eb86p-1 0x1.7c28f5c28f5c3p-1",
-        "0x1.7575b122dc542p-2 0x1.7726d860f78fep-2",
-        41,
-    ),
-    ("f3", 1e-05): (
-        "0x1.3f9002d474951p+2 0x1.3f902b0b51176p+2",
-        "0x1.7bc9eb851eb86p-1 0x1.7c28f5c28f5c3p-1",
-        "0x1.5a633d4128976p-2 0x1.5c14647f43d32p-2",
-        46,
-    ),
-    ("f4", 1e-05): (
-        "0x1.2c918cbf4e5f5p+0 0x1.2c9226755e151p+0",
-        "0x1.42fcccccccccdp-1 0x1.46b3333333333p-1",
-        "0x1.6a76320f2b4f7p-2 0x1.72ebf645b37a7p-2",
-        127,
-    ),
-    ("f5", 1e-05): (
-        "0x1.d29ae884d0534p+0 0x1.d29b81f89572fp+0",
-        "0x1.6d4f5c28f5c28p-1 0x1.7105c28f5c28fp-1",
-        "0x1.3cc70e824c00fp-2 0x1.438bab7ab8f02p-2",
-        167,
-    ),
-    ("f6", 1e-05): (
-        "0x1.47ca4960337d7p+0 0x1.47ca889042f95p+0",
-        "0x1.1f58f5c28f5c3p-2 0x1.2076147ae147cp-2",
-        "0x1.14030d92b1647p-1 0x1.14509e48b5dcdp-1",
-        136,
-    ),
-    ("f7", 1e-05): (
-        "0x1.5324a45452562p-1 0x1.5324a45452569p-1",
-        "0x1.4ca3d70a3d70ap-1 0x1.7c28f5c28f5c3p-1",
-        "0x1.7ec408f8721d0p-2 0x1.c16fa69f6fea7p-2",
-        5,
-    ),
-    ("f8", 1e-05): (
-        "0x1.1a5292af8dfdap-1 0x1.1a53b355d1596p-1",
-        "0x1.7aacccccccccep-1 0x1.7c28f5c28f5c3p-1",
-        "0x1.105544febfe3bp-2 0x1.142b60afbe65dp-2",
-        52,
-    ),
-    ("f9", 1e-05): (
-        "0x1.3a0553e2a6f0bp-1 0x1.3a05a64768910p-1",
-        "0x1.7aacccccccccep-1 0x1.7c28f5c28f5c3p-1",
-        "0x1.976d6d44ae326p-3 0x1.a44b27f601d85p-3",
-        60,
-    ),
-    ("f2", 1e-09): (
-        "0x1.bb11ff6d2b39ep+1 0x1.bb11ff6f1b99ep+1",
-        "0x1.7c2837ae147aep-1 0x1.7c28f5c28f5c3p-1",
-        "0x1.760a96a035b0ap-2 0x1.760d205b12d98p-2",
-        62,
-    ),
-    ("f3", 1e-09): (
-        "0x1.3f9006356afb4p+2 0x1.3f9006361971ep+2",
-        "0x1.7c2779999999ap-1 0x1.7c28f5c28f5c3p-1",
-        "0x1.5aedfbd30d508p-2 0x1.5af30f48c7a22p-2",
-        70,
-    ),
-    ("f4", 1e-09): (
-        "0x1.2c918d4e3c9b8p+0 0x1.2c918d523386dp+0",
-        "0x1.44d20f5c28f5cp-1 0x1.44daf851eb852p-1",
-        "0x1.6f906c66756fcp-2 0x1.6fa4ba3d5eb68p-2",
-        211,
-    ),
-    ("f5", 1e-09): (
-        "0x1.d29aed74d8a78p+0 0x1.d29aed78f18d5p+0",
-        "0x1.6f62fd70a3d70p-1 0x1.6f6d628f5c28fp-1",
-        "0x1.403daad56bbf5p-2 0x1.404b340f5c993p-2",
-        297,
-    ),
-    ("f6", 1e-09): (
-        "0x1.47ca4dd0ae633p+0 0x1.47ca4dd494e32p+0",
-        "0x1.1fd2bae147ae2p-2 0x1.1fdba3d70a3d8p-2",
-        "0x1.14380a3f02d6fp-1 0x1.143ae35cde3bdp-1",
-        159,
-    ),
-    ("f7", 1e-09): (
-        "0x1.5324a45452562p-1 0x1.5324a45452569p-1",
-        "0x1.4ca3d70a3d70ap-1 0x1.7c28f5c28f5c3p-1",
-        "0x1.7ec408f8721d0p-2 0x1.c16fa69f6fea7p-2",
-        5,
-    ),
-    ("f8", 1e-09): (
-        "0x1.1a52a2f16420ep-1 0x1.1a52a2f82ee33p-1",
-        "0x1.7c1d147ae147cp-1 0x1.7c28f5c28f5c3p-1",
-        "0x1.120223f88172ap-2 0x1.12359ae346c14p-2",
-        72,
-    ),
-    ("f9", 1e-09): (
-        "0x1.3a05543959b75p-1 0x1.3a05543fbeaccp-1",
-        "0x1.7c25fd70a3d72p-1 0x1.7c28f5c28f5c3p-1",
-        "0x1.9db167845e43cp-3 0x1.9dc28f27f55e0p-3",
-        86,
-    ),
+    ("f2", 1e-05): ("0x1.bb11f34820631p+1 0x1.bb12460bdff33p+1", 41),
+    ("f3", 1e-05): ("0x1.3f9002d474951p+2 0x1.3f902b0b51176p+2", 46),
+    ("f4", 1e-05): ("0x1.2c918cbf4e5f5p+0 0x1.2c9226755e151p+0", 127),
+    ("f5", 1e-05): ("0x1.d29ae884d0534p+0 0x1.d29b81f89572fp+0", 167),
+    ("f6", 1e-05): ("0x1.47ca4960337d7p+0 0x1.47ca889042f95p+0", 136),
+    ("f7", 1e-05): ("0x1.5324a45452562p-1 0x1.5324a45452569p-1", 5),
+    ("f8", 1e-05): ("0x1.1a5292af8dfdap-1 0x1.1a53b355d1596p-1", 52),
+    ("f9", 1e-05): ("0x1.3a0553e2a6f0bp-1 0x1.3a05a64768910p-1", 60),
+    ("f2", 1e-09): ("0x1.bb11ff6d2b39ep+1 0x1.bb11ff6f1b99ep+1", 62),
+    ("f3", 1e-09): ("0x1.3f9006356afb4p+2 0x1.3f9006361971ep+2", 70),
+    ("f4", 1e-09): ("0x1.2c918d4e3c9b8p+0 0x1.2c918d523386dp+0", 211),
+    ("f5", 1e-09): ("0x1.d29aed74d8a78p+0 0x1.d29aed78f18d5p+0", 297),
+    ("f6", 1e-09): ("0x1.47ca4dd0ae633p+0 0x1.47ca4dd494e32p+0", 159),
+    ("f7", 1e-09): ("0x1.5324a45452562p-1 0x1.5324a45452569p-1", 5),
+    ("f8", 1e-09): ("0x1.1a52a2f16420ep-1 0x1.1a52a2f82ee33p-1", 72),
+    ("f9", 1e-09): ("0x1.3a05543959b75p-1 0x1.3a05543fbeaccp-1", 86),
 }
 
 
 @pytest.mark.parametrize("name, tol", sorted(BNB_PINS))
 def test_maximize_2d_results_are_pinned(name, tol):
-    value, ax, ay, iterations = BNB_PINS[name, tol]
+    value, iterations = BNB_PINS[name, tol]
     ext = maximize_2d(OBJECTIVES[ObjectiveId(name)], REGION, BnBConfig(tol_value=tol))
-    hexes = [" ".join((iv.lo.hex(), iv.hi.hex())) for iv in (ext.value, *ext.argmax)]
-    assert hexes == [value, ax, ay]
+    assert " ".join((ext.value.lo.hex(), ext.value.hi.hex())) == value
     assert (ext.iterations, ext.converged) == (iterations, True)
 
 

@@ -184,11 +184,13 @@ def test_cli_verify_budget_gives_no_fail_row(max_boxes, capsys):
     if max_boxes == 1:
         assert records["THM1_A3"]["status"] == "INCONCLUSIVE"
         assert records["THM1_A3"]["note"].startswith("maximizer budget exhausted; enclosure width")
+    bnb_sound = records["PROPERTY_BNB_SOUND"]
     if max_boxes in (1, 10, 100):
-        # f4 needs 148 boxes and f5 201: an unconverged maximizer settles no grid check
-        bnb_sound = records["PROPERTY_BNB_SOUND"]
+        # f4 needs 148 boxes and f5 201: an unconverged maximizer settles no
+        # grid check, and neither does an unsettled location
         assert bnb_sound["status"] == "INCONCLUSIVE"
-        assert "f4: maximizer budget exhausted; f5: maximizer budget exhausted" in bnb_sound["note"]
+        assert ("f4: maximizer budget exhausted; f4: maximum not located; "
+                "f5: maximizer budget exhausted; f5: maximum not located") in bnb_sound["note"]
     if max_boxes == 10:
         # f1's maximizer converges in 5 boxes, but its decomposition does not
         assert records["THM1_A3"]["status"] == "INCONCLUSIVE"
@@ -205,12 +207,17 @@ def test_cli_verify_budget_gives_no_fail_row(max_boxes, capsys):
         # f9's critical search needs 101 boxes
         assert records["GAMMA4"]["status"] == "INCONCLUSIVE"
         assert records["GAMMA4"]["note"] == "interior critical-point search not certified"
+    if max_boxes in (300, 400):
+        # every branch-and-bound converges, but f6's location is unsettled
+        assert bnb_sound["status"] == "INCONCLUSIVE"
+        assert bnb_sound["note"].startswith("f6: maximum not located; ")
     if max_boxes == 400:
         # enough for every branch-and-bound, edge analysis and critical search
         # but f6's, which takes 498 boxes and Krawczyk steps
         unsettled = {cid: r["note"] for cid, r in records.items() if r["status"] != "PASS"}
-        assert sorted(unsettled) == ["EDGE_TABLE", "THM3_H22"]
-        assert all("interior critical-point search not certified" in note for note in unsettled.values())
+        assert sorted(unsettled) == ["EDGE_TABLE", "PROPERTY_BNB_SOUND", "THM3_H22"]
+        assert all("interior critical-point search not certified" in unsettled[cid]
+                   for cid in ("EDGE_TABLE", "THM3_H22"))
 
 
 #: the value rows whose enclosure stays wider than the width bound at --tol 1e-3.
@@ -252,6 +259,24 @@ def test_an_enclosure_above_the_grid_gap_bound_fails_grid_soundness(monkeypatch)
     out = claims._run_property_bnb(ctx)
     assert out.status == "FAIL"
     assert out.note.startswith("f2: grid max") and "below enclosure low - gap bound" in out.note
+
+
+@pytest.mark.parametrize("unlocated", [
+    pytest.param({"tied": ("curve_low",)}, id="tie"),
+    pytest.param({"kind": None, "argmax": None}, id="no-argmax"),
+])
+def test_an_unlocated_maximum_leaves_grid_soundness_inconclusive(unlocated):
+    # the gap bound holds only with the maximizer inside `locate`'s argmax, so
+    # without one the lower check concludes nothing, even from a raised enclosure
+    ctx = claims.SuiteContext(SuiteConfig())
+    ext, loc = ctx.extremum(ObjectiveId.F2), ctx.locate(ObjectiveId.F2)
+    ctx._locations[ObjectiveId.F2] = dataclasses.replace(loc, **unlocated)
+    out = claims._run_property_bnb(ctx)
+    assert (out.status, out.note) == ("INCONCLUSIVE", "f2: maximum not located; max grid-discretization gap 1.93e-06")
+    raised = claims.Interval(ext.value.lo + 1e-3, ext.value.hi + 1e-3)
+    ctx._extrema[ObjectiveId.F2] = dataclasses.replace(ext, value=raised)
+    out = claims._run_property_bnb(ctx)
+    assert out.status == "INCONCLUSIVE" and out.note.startswith("f2: maximum not located; ")
 
 
 def test_a_wide_enclosure_that_misses_its_window_still_fails():
@@ -393,6 +418,19 @@ def test_cli_maximize_exits_1_when_an_analysis_under_locate_runs_out(capsys):
     assert code == 1
     assert "converged True" in out
     assert "note: edge analysis of f7/x_a inconclusive; edge analysis of f7/curve_low inconclusive" in out
+
+
+def test_cli_maximize_names_no_location_when_the_decomposition_is_unsettled(capsys):
+    # f8's maximum is on x = a, but with 10 boxes its y_zero and curve_low
+    # analyses and its critical search run out, and y_zero's whole-piece range
+    # ranks first: that is no location, so no argmax and no tie is printed
+    code = main(["maximize", "--objective", "f8", "--max-boxes", "10"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 1
+    assert not any("argmax" in line for line in lines)
+    assert lines[2] == "  location not settled, boxes 10, converged False"
+    assert lines[3] == ("  note: edge analysis of f8/y_zero inconclusive; edge analysis of f8/curve_low "
+                        "inconclusive; interior critical-point search not certified")
 
 
 def test_cli_grunsky_with_coefficient_file(tmp_path, capsys):
