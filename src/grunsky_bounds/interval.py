@@ -105,7 +105,10 @@ def _recip_down(v: float) -> float:
 
 
 def _pow_down(x: float, n: int) -> float:
-    # x >= 0
+    """Downward-rounded x**n for x >= 0 and an integer n >= 0."""
+    if n <= 1:
+        # no loop for the common n = 1
+        return x if n else 1.0
     r = x
     for _ in range(n - 1):
         r = _mul_down(r, x)
@@ -113,6 +116,10 @@ def _pow_down(x: float, n: int) -> float:
 
 
 def _pow_up(x: float, n: int) -> float:
+    """Upward-rounded x**n for x >= 0 and an integer n >= 0."""
+    if n <= 1:
+        # no loop for the common n = 1
+        return x if n else 1.0
     r = x
     for _ in range(n - 1):
         r = _mul_up(r, x)

@@ -17,6 +17,13 @@ monotone corner bound instead.  The forms run on float pairs, (lo, hi)
 rounded outward as `Interval` rounds them, with no object per box.  The
 incumbent comes from a 3 x 3 seed grid and one corner sample per split.
 
+About an interior maximum a mean-value bound, which overestimates by O(w^2),
+would cost boxes for every halving of the tolerance (Du & Kearfott 1994).  So
+a small (x, y) box whose gradient enclosure holds zero settles where f is
+concave on it and the Krawczyk steps below prove its one gradient zero x* in
+the region interior: f(x*) is its maximum, and bounds every later box in a
+concave box S about x*, which is not split (Schichl & Neumaier 2004).
+
 Every zero search runs one subdivision loop, `_isolate`: each caller gives it
 an exclusion test, a contraction step and a split.  zero_clusters_1d is the
 1-D zero search, for the edge critical points and for find_root_1d.  It
@@ -119,7 +126,7 @@ class BnBConfig:
 
 @dataclass(frozen=True)
 class Extremum:
-    """A verified enclosure of a maximum, the boxes split for it, and whether it converged."""
+    """A verified enclosure of a maximum, the boxes split and Krawczyk steps taken for it, and whether it converged."""
 
     value: Interval
     iterations: int
@@ -344,15 +351,17 @@ def zero_clusters_1d(
 # ---------------------------------------------------------------------------
 
 
-def _best_first(root, bound, split, best: float, cfg: BnBConfig) -> Extremum:
+def _best_first(root, bound, split, best: float, cfg: BnBConfig, work: list | None = None) -> Extremum:
     """Best-first branch-and-bound over boxes of any dimension, from the lower bound `best`.
 
     `bound(box)` is a certified upper bound of the objective over the box;
     `split(box)` returns the children and a certified lower bound of the
     objective sampled before they are bounded (-inf for none), or None once
-    the box is at `TOL_BOX`.  The search stops when the best open bound is
-    within `tol_value` of the incumbent or the box budget runs out.
+    the box is not to be split.  `bound` may raise `work`, [a certified lower
+    bound, steps that count as boxes].  The search stops when the best open
+    bound is within `tol_value` of the incumbent or the box budget runs out.
     """
+    work = work or [-math.inf, 0]
     counter = itertools.count()
     heap = [(-bound(root), next(counter), root)]
     finished_ub = -math.inf
@@ -360,7 +369,7 @@ def _best_first(root, bound, split, best: float, cfg: BnBConfig) -> Extremum:
     converged = True
 
     while heap and -heap[0][0] > best + cfg.tol_value:
-        if processed >= cfg.max_boxes:
+        if processed + work[1] >= cfg.max_boxes:
             converged = False
             break
         neg_ub, _, box = heapq.heappop(heap)
@@ -370,7 +379,7 @@ def _best_first(root, bound, split, best: float, cfg: BnBConfig) -> Extremum:
             finished_ub = max(finished_ub, -neg_ub)
             continue
         children, sampled = out
-        best = max(best, sampled)
+        best = max(best, sampled, work[0])
         for child in children:
             ub_child = bound(child)
             if ub_child > best:
@@ -379,7 +388,7 @@ def _best_first(root, bound, split, best: float, cfg: BnBConfig) -> Extremum:
     upper = max(best, finished_ub, -heap[0][0] if heap else -math.inf)
     if upper - best > cfg.tol_value:
         converged = False
-    return Extremum(Interval(best, upper), processed, converged)
+    return Extremum(Interval(best, upper), processed + work[1], converged)
 
 
 def maximize_1d(
@@ -440,6 +449,9 @@ def maximize_2d(obj: Objective, region: OmegaRegion = REGION, cfg: BnBConfig | N
     one branch, in (x, y) otherwise.  Only where that form has no bound, at
     the rim R = 0, does the box take `ranges.upper` instead.  The incumbent
     comes from a 3 x 3 seed grid and at most one corner sample per split.
+    An (x, y) box at most KRAWCZYK_WIDTH wide whose gradient holds zero, and
+    that meets no concave box S of a settled maximum, tries `_concave`; its
+    Krawczyk steps count as boxes.
     """
     cfg = cfg or BnBConfig()
     ranges = monotone_bounds(obj.id)
@@ -452,7 +464,7 @@ def maximize_2d(obj: Objective, region: OmegaRegion = REGION, cfg: BnBConfig | N
 
     def split(box: tuple[float, float, float, float]):
         x1, x2, y1, y2 = box
-        if max(x2 - x1, y2 - y1) <= TOL_BOX:
+        if max(x2 - x1, y2 - y1) <= TOL_BOX or concave and covered(box) is not None:
             return None
         children = _split_clipped(box)
         # Each top-right corner is sampled once, before either child is
@@ -464,23 +476,52 @@ def maximize_2d(obj: Objective, region: OmegaRegion = REGION, cfg: BnBConfig | N
             return children, sample(children[0][1], children[0][3])
         return children, -math.inf
 
+    def covered(box: tuple[float, float, float, float]) -> float | None:
+        """sup f over a box inside a settled concave box, else None."""
+        x1, x2, y1, y2 = box
+        for (sx, sy), v_hi in concave:
+            if sx.lo <= x1 and x2 <= sx.hi and sy.lo <= y1 and y2 <= sy.hi:
+                return v_hi
+        return None
+
+    def settle(box: tuple[float, float, float, float]) -> float | None:
+        """sup f over a box at whose gradient zero `_concave` settles a maximum, else None."""
+        x1, x2, y1, y2 = box
+        if max(x2 - x1, y2 - y1) > KRAWCZYK_WIDTH or any(
+                sx.lo <= x2 and x1 <= sx.hi and sy.lo <= y2 and y1 <= sy.hi for (sx, sy), _ in concave):
+            return None
+        steps, s, v = _concave(obj, region, box)
+        work[1] += steps
+        if s is None:
+            return None
+        concave.append((s, v.hi))
+        work[0] = max(work[0], v.lo)
+        return v.hi
+
     def bound(box: tuple[float, float, float, float]) -> float:
-        ub = _centred_upper(ranges, region, box)
+        if concave and (v_hi := covered(box)) is not None:
+            return v_hi
+        ub = _centred_upper(ranges, region, box, settle)
         return ranges.upper(*box) if ub == math.inf else ub
 
+    # (box S, sup f over S) of each settled maximum, and [its value's lo, Krawczyk steps]
+    concave: list[tuple[Box, float]] = []
+    work = [-math.inf, 0]
     # coarse seed so pruning starts immediately
     xs = [x_in * i / 2 for i in range(3)]
     best = max(sample(x, cap_point_down(x) * j / 2) for x in xs for j in range(3))
-    return _best_first(_root_box(region), bound, split, best, cfg)
+    return _best_first(_root_box(region), bound, split, best, cfg, work)
 
 
-def _centred_upper(ranges: MonotoneBounds, region: OmegaRegion, box: tuple[float, ...]) -> float:
+def _centred_upper(ranges: MonotoneBounds, region: OmegaRegion, box: tuple[float, ...], settle=None) -> float:
     """Mean-value upper bound of the objective over box ∩ region, about Baumann's centre.
 
     A box that reaches the cap curve within one cap branch is bounded in that
     branch's chart (x, s = y/c(x)), where the curve is the face s = 1; every
     other box in (x, y).  inf where the radicand is not positive, since the
-    form needs the true gradient.
+    form needs the true gradient.  An (x, y) box on which both gradient
+    components hold zero goes to `settle(box)` first, and takes its bound
+    where it gives one.
     """
     x1, x2, y1, y2 = box
     iv_b = region.constants.iv_b
@@ -492,7 +533,12 @@ def _centred_upper(ranges: MonotoneBounds, region: OmegaRegion, box: tuple[float
         # the high branch is the rim R = 0, which the chart box then contains
         return math.inf if ranges.has_radical else _chart_upper(ranges, high_chart, box)
     grad = _gradient(ranges, box)
-    return math.inf if grad is None else _mean_value_upper(lambda x, y: ranges.upper(x, x, y, y), grad, box)
+    if grad is None:
+        return math.inf
+    if (settle is not None and grad[0] <= 0.0 <= grad[1] and grad[2] <= 0.0 <= grad[3]
+            and (ub := settle(box)) is not None):
+        return ub
+    return _mean_value_upper(lambda x, y: ranges.upper(x, x, y, y), grad, box)
 
 
 def _chart_upper(
@@ -606,6 +652,36 @@ def _in_interior(region: OmegaRegion, box: Box) -> bool:
 
 def _hull(a: Box, b: Box) -> Box:
     return tuple(u.hull(v) for u, v in zip(a, b))
+
+
+def _negative_definite(obj: Objective, box: Box) -> bool:
+    """The interval Hessian over the box is negative definite, so f is strictly concave on it."""
+    if (hessian := obj.hessian_iv(*box)) is None:
+        return False
+    h11, h12, h22 = hessian
+    return h11.hi < 0.0 and (h11 * h22 - h12 * h12).lo > 0.0
+
+
+def _concave(obj: Objective, region: OmegaRegion, box: tuple[float, ...]) -> tuple[int, Box | None, Interval | None]:
+    """Settle a branch-and-bound box at an interior maximum: Krawczyk steps, then S and v, or None twice.
+
+    It settles when f is concave on it and Krawczyk steps prove a box X* in
+    the region interior that holds its one gradient zero x*: x* is a point of
+    the region and the maximum over any concave S that holds it, and
+    v = f(X*) ∋ f(x*).  S is X* grown by the box's width on each side, else
+    the box and X*.
+    """
+    x1, x2, y1, y2 = box
+    b = (Interval(x1, x2), Interval(y1, y2))
+    if not _negative_definite(obj, b):
+        return 0, None, None
+    k, proven, steps = _contract(lambda c: _krawczyk(obj, c), b, (Interval(-1.0, 1.0),) * 2, CLUSTER_WIDTH)
+    if not proven or not _in_interior(region, k):
+        return steps, None, None
+    # each S holds the box: the widened retest of `_contract` may leave X* partly outside it
+    grown = _hull(b, tuple(Interval(u.lo - w, u.hi + w) for u, w in zip(k, (x2 - x1, y2 - y1))))
+    s = next((s for s in (grown, _hull(b, k)) if _negative_definite(obj, s)), None)
+    return steps, s, None if s is None else obj.value_iv(*k)
 
 
 def interior_critical_points(

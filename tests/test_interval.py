@@ -15,6 +15,8 @@ from grunsky_bounds.interval import (
     _add_up,
     _mul_down,
     _mul_up,
+    _pow_down,
+    _pow_up,
     _recip_down,
     _recip_up,
     _sqrt_down,
@@ -297,6 +299,16 @@ def test_sqrt_helpers_round_in_their_direction():
         assert Fraction(down) ** 2 <= Fraction(x) <= Fraction(up) ** 2
     assert (_sqrt_down(2.25), _sqrt_up(2.25)) == (math.nextafter(1.5, -math.inf), math.nextafter(1.5, math.inf))
     assert _sqrt_down(-1.0) == _sqrt_up(-0.0) == 0.0
+
+
+def test_pow_helpers_round_in_their_direction():
+    pool = [abs(x) for x in _ADVERSARIAL + _random_operands(35, 500)]
+    for x in pool:
+        assert _pow_down(x, 0) == _pow_up(x, 0) == 1.0  # x**0 is 1, also for x = 0
+        assert _pow_down(x, 1) == _pow_up(x, 1) == x
+        for n in (2, 3, 5):
+            down, up = _pow_down(x, n), _pow_up(x, n)
+            assert Fraction(down) <= Fraction(x) ** n <= Fraction(up)
 
 
 def test_recip_helpers_round_in_their_direction():

@@ -116,6 +116,8 @@ def test_every_claim_runnable_individually(suite_ctx):
 #: their numbers are rounding noise that depends on the numpy/BLAS build.
 #: THM1_A3 and GAMMA2 are maximal at corners, which `locate` names by their
 #: two pieces; THM1_A3's lo is the 2-D maximizer's, one ulp below the 1-D one's.
+#: THM2_D43 and THM2_D54 settle their interior maximum on a concave box, so
+#: their lo and hi are the certified critical value's.
 VERIFY_PINS = {
     "THM1_A3": ("0x1.36b4ba33fdc01p+1", "0x1.36b4ba33fdc08p+1", "0x1.7c28f5c28f5c2p-1", "0x0.0p+0",
                 "x_a/y_zero", "PASS", ""),
@@ -123,9 +125,9 @@ VERIFY_PINS = {
                 "x_a", "PASS", ""),
     "THM1_A5": ("0x1.3f9002d474951p+2", "0x1.3f902b0b51176p+2", "0x1.7c28f5c28f5c2p-1", "0x1.5af03601bae10p-2",
                 "x_a", "PASS", ""),
-    "THM2_D43": ("0x1.2c918cbf4e5f5p+0", "0x1.2c9226755e151p+0", "0x1.44d530403124cp-1", "0x1.6f9b04f162c96p-2",
+    "THM2_D43": ("0x1.2c918d4e61e3cp+0", "0x1.2c918d4e61e66p+0", "0x1.44d530403124cp-1", "0x1.6f9b04f162c96p-2",
                  "interior", "PASS", ""),
-    "THM2_D54": ("0x1.d29ae884d0534p+0", "0x1.d29b81f89572fp+0", "0x1.6f696dfa25b8dp-1", "0x1.4041f7ab8f740p-2",
+    "THM2_D54": ("0x1.d29aed74efefdp+0", "0x1.d29aed74eff98p+0", "0x1.6f696dfa25b8dp-1", "0x1.4041f7ab8f740p-2",
                  "interior", "PASS", ""),
     "THM3_H22": ("0x1.47ca4960337d7p+0", "0x1.47ca889042f95p+0", "0x1.1fd6a644a82b6p-2", "0x1.143a2fcc857d8p-1",
                  "curve_low", "PASS", ""),
