@@ -180,8 +180,7 @@ def analyze_form(form: RadicalForm1D, endpoints: tuple[Interval, Interval],
         piece = Interval(form.lo, form.hi)
         return EdgeAnalysis(edge, form.value_iv(piece), piece, (), False, endpoints, None)
     candidates = [endpoints[0], endpoints[1], *clusters]
-    evals = [form.value_iv(c) for c in candidates]
-    value = Interval(max(e.lo for e in evals), max(e.hi for e in evals))
+    evals, value = form.candidate_maximum(candidates)
     order = sorted(range(len(evals)), key=lambda k: evals[k].hi, reverse=True)
     best = order[0]
     tied = [candidates[k] for k in order if evals[k].hi >= evals[best].lo]

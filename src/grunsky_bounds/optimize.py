@@ -22,11 +22,18 @@ would cost boxes for every halving of the tolerance (Du & Kearfott 1994).  So
 a small (x, y) box whose gradient enclosure holds zero settles where f is
 concave on it and the Krawczyk steps below prove its one gradient zero x* in
 the region interior: f(x*) is its maximum, and bounds every later box in a
-concave box S about x*, which is not split (Schichl & Neumaier 2004).
+concave box S about x*, which is not split (Schichl & Neumaier 2004).  A box
+whose Krawczyk image misses it holds no gradient zero, and no box inside it
+tries again.  About a maximum on the boundary the same cluster forms, so a
+box on the face x = a, or on curve_low (the chart face s = 1), where f rises
+towards the face along its normal and the tangential derivative takes both
+signs, is bounded by the maximum of that piece's restriction over its face
+segment: the 1-D zero search below, as the edge analyses run it.
 
 Every zero search runs one subdivision loop, `_isolate`: each caller gives it
 an exclusion test, a contraction step and a split.  zero_clusters_1d is the
-1-D zero search, for the edge critical points and for find_root_1d.  It
+1-D zero search, for the edge critical points, the face settle and
+find_root_1d.  It
 bisects a piece only until the piece's enclosure excludes zero or, given an
 enclosure of the derivative that excludes zero, interval Newton steps
 N(X) = m - f(m)/f'(X) either empty the piece or prove a box in it.  Only
@@ -63,7 +70,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .domain import (
-    CAP_PIECES, CONSTANTS, REGION, OmegaRegion, cap_point_down, cap_sup_up, high_chart, low_chart
+    CAP_PIECES, CONSTANTS, EDGES, REGION, EdgeId, OmegaRegion, cap_point_down, cap_sup_up, high_chart, low_chart
 )
 from .interval import (
     Interval,
@@ -126,7 +133,7 @@ class BnBConfig:
 
 @dataclass(frozen=True)
 class Extremum:
-    """A verified enclosure of a maximum, the boxes split and Krawczyk steps taken for it, and whether it converged."""
+    """A verified enclosure of a maximum, the boxes split and steps taken for it, and whether it converged."""
 
     value: Interval
     iterations: int
@@ -190,7 +197,7 @@ def find_root_1d(
     found = _roots_1d(fn, lo, hi, tol, max_boxes, slope)
     if found is None:
         raise NoBracketError(f"box budget exhausted isolating a zero of {fn} on [{lo}, {hi}]")
-    proven, unproven = found
+    proven, unproven, _ = found
     if len(proven) == 1 and not unproven:
         return proven[0]
     if len(unproven) == 1 and not proven:
@@ -286,8 +293,8 @@ def _isolate(
 
 def _roots_1d(
     fn: IvFunc, lo: float, hi: float, min_width: float, max_boxes: int, slope: SlopeFunc | None
-) -> tuple[list[Interval], list[Interval]] | None:
-    """The Newton-proven boxes and the unproven clusters of `zero_clusters_1d`."""
+) -> tuple[list[Interval], list[Interval], int] | None:
+    """The Newton-proven boxes and the unproven clusters of `zero_clusters_1d`, and the pieces and steps taken."""
 
     def step(box: Box) -> Box | None:
         """Newton's N(X) = m - fn(m)/fn'(X) about the midpoint m; None unless fn'(X) excludes 0."""
@@ -308,10 +315,10 @@ def _roots_1d(
                      min_width, max_boxes)
     if found is None:
         return None
-    proven, leaves, _ = found
+    proven, leaves, processed = found
     # Two proven boxes that overlap hold one zero: fn' has one sign on each,
     # so on their union.  Unproven leaves within min_width form one cluster.
-    return _merge([box[0] for _, box in proven], 0.0), _merge([box[0] for box in leaves], min_width)
+    return _merge([box[0] for _, box in proven], 0.0), _merge([box[0] for box in leaves], min_width), processed
 
 
 def _merge(boxes: list[Interval], gap: float) -> list[Interval]:
@@ -357,29 +364,30 @@ def _best_first(root, bound, split, best: float, cfg: BnBConfig, work: list | No
     `bound(box)` is a certified upper bound of the objective over the box;
     `split(box)` returns the children and a certified lower bound of the
     objective sampled before they are bounded (-inf for none), or None once
-    the box is not to be split.  `bound` may raise `work`, [a certified lower
-    bound, steps that count as boxes].  The search stops when the best open
-    bound is within `tol_value` of the incumbent or the box budget runs out.
+    the box is not to be split.  `work` is [the incumbent, the boxes split
+    and the steps taken so far]; `bound` may read both and raise both.  The
+    search stops when the best open bound is within `tol_value` of the
+    incumbent or the box budget runs out.
     """
     work = work or [-math.inf, 0]
+    best = work[0] = max(best, work[0])
     counter = itertools.count()
     heap = [(-bound(root), next(counter), root)]
     finished_ub = -math.inf
-    processed = 0
     converged = True
 
     while heap and -heap[0][0] > best + cfg.tol_value:
-        if processed + work[1] >= cfg.max_boxes:
+        if work[1] >= cfg.max_boxes:
             converged = False
             break
         neg_ub, _, box = heapq.heappop(heap)
-        processed += 1
+        work[1] += 1
         out = split(box)
         if out is None:
             finished_ub = max(finished_ub, -neg_ub)
             continue
         children, sampled = out
-        best = max(best, sampled, work[0])
+        best = work[0] = max(best, sampled, work[0])
         for child in children:
             ub_child = bound(child)
             if ub_child > best:
@@ -388,7 +396,7 @@ def _best_first(root, bound, split, best: float, cfg: BnBConfig, work: list | No
     upper = max(best, finished_ub, -heap[0][0] if heap else -math.inf)
     if upper - best > cfg.tol_value:
         converged = False
-    return Extremum(Interval(best, upper), processed + work[1], converged)
+    return Extremum(Interval(best, upper), work[1], converged)
 
 
 def maximize_1d(
@@ -450,8 +458,12 @@ def maximize_2d(obj: Objective, region: OmegaRegion = REGION, cfg: BnBConfig | N
     the rim R = 0, does the box take `ranges.upper` instead.  The incumbent
     comes from a 3 x 3 seed grid and at most one corner sample per split.
     An (x, y) box at most KRAWCZYK_WIDTH wide whose gradient holds zero, and
-    that meets no concave box S of a settled maximum, tries `_concave`; its
-    Krawczyk steps count as boxes.
+    that meets no concave box S of a settled maximum and lies in no box that
+    a Krawczyk step proved free of gradient zeros, tries `_concave`.  A box on
+    the face x = a or on curve_low, where f rises towards the face, takes the
+    maximum of that piece's restriction over the face from `_face_maximum`.
+    Krawczyk steps and the face searches' pieces and Newton steps count as
+    boxes.
     """
     cfg = cfg or BnBConfig()
     ranges = monotone_bounds(obj.id)
@@ -464,7 +476,7 @@ def maximize_2d(obj: Objective, region: OmegaRegion = REGION, cfg: BnBConfig | N
 
     def split(box: tuple[float, float, float, float]):
         x1, x2, y1, y2 = box
-        if max(x2 - x1, y2 - y1) <= TOL_BOX or concave and covered(box) is not None:
+        if max(x2 - x1, y2 - y1) <= TOL_BOX or settled and covered(box) is not None:
             return None
         children = _split_clipped(box)
         # Each top-right corner is sampled once, before either child is
@@ -476,36 +488,52 @@ def maximize_2d(obj: Objective, region: OmegaRegion = REGION, cfg: BnBConfig | N
             return children, sample(children[0][1], children[0][3])
         return children, -math.inf
 
+    def within(box: tuple[float, float, float, float], s: Box) -> bool:
+        x1, x2, y1, y2 = box
+        return s[0].lo <= x1 and x2 <= s[0].hi and s[1].lo <= y1 and y2 <= s[1].hi
+
     def covered(box: tuple[float, float, float, float]) -> float | None:
         """sup f over a box inside a settled concave box, else None."""
-        x1, x2, y1, y2 = box
-        for (sx, sy), v_hi in concave:
-            if sx.lo <= x1 and x2 <= sx.hi and sy.lo <= y1 and y2 <= sy.hi:
-                return v_hi
-        return None
+        return next((v.hi for s, v in settled if v is not None and within(box, s)), None)
 
-    def settle(box: tuple[float, float, float, float]) -> float | None:
-        """sup f over a box at whose gradient zero `_concave` settles a maximum, else None."""
+    def meets(box: tuple[float, float, float, float], s: Box) -> bool:
         x1, x2, y1, y2 = box
-        if max(x2 - x1, y2 - y1) > KRAWCZYK_WIDTH or any(
-                sx.lo <= x2 and x1 <= sx.hi and sy.lo <= y2 and y1 <= sy.hi for (sx, sy), _ in concave):
-            return None
-        steps, s, v = _concave(obj, region, box)
+        return s[0].lo <= x2 and x1 <= s[0].hi and s[1].lo <= y2 and y1 <= s[1].hi
+
+    def settle(box: tuple[float, float, float, float], face: EdgeId | None, ub: float) -> float:
+        """A bound of sup f over the box in place of its mean-value bound `ub`.
+
+        On `face`, the face maximum, unless `ub` already prunes the box; with
+        no face, the value `_concave` settles.  `ub` where neither settles.
+        """
+        x1, x2, y1, y2 = box
+        if face is not None:
+            if ub <= work[0]:
+                return ub
+            steps, v = _face_maximum(obj, box, face, max(cfg.max_boxes - work[1], 0))
+        elif max(x2 - x1, y2 - y1) > KRAWCZYK_WIDTH or any(
+                meets(box, s) if v is not None else within(box, s) for s, v in settled):
+            return ub
+        else:
+            steps, s, v = _concave(obj, region, box)
+            if s is not None:
+                settled.append((s, v))
         work[1] += steps
-        if s is None:
-            return None
-        concave.append((s, v.hi))
+        if v is None:
+            return ub
         work[0] = max(work[0], v.lo)
         return v.hi
 
     def bound(box: tuple[float, float, float, float]) -> float:
-        if concave and (v_hi := covered(box)) is not None:
+        if settled and (v_hi := covered(box)) is not None:
             return v_hi
         ub = _centred_upper(ranges, region, box, settle)
         return ranges.upper(*box) if ub == math.inf else ub
 
-    # (box S, sup f over S) of each settled maximum, and [its value's lo, Krawczyk steps]
-    concave: list[tuple[Box, float]] = []
+    # (box S, f over x*) of each settled maximum, or (box, None) where a
+    # Krawczyk image missed the box, which then holds no gradient zero
+    settled: list[tuple[Box, Interval | None]] = []
+    # [the incumbent, boxes split, Krawczyk steps and face-search pieces and steps]
     work = [-math.inf, 0]
     # coarse seed so pruning starts immediately
     xs = [x_in * i / 2 for i in range(3)]
@@ -519,36 +547,46 @@ def _centred_upper(ranges: MonotoneBounds, region: OmegaRegion, box: tuple[float
     A box that reaches the cap curve within one cap branch is bounded in that
     branch's chart (x, s = y/c(x)), where the curve is the face s = 1; every
     other box in (x, y).  inf where the radicand is not positive, since the
-    form needs the true gradient.  An (x, y) box on which both gradient
-    components hold zero goes to `settle(box)` first, and takes its bound
-    where it gives one.
+    form needs the true gradient.  An (x, y) box takes `settle(box, None,
+    ub)` in place of its bound ub where both gradient components hold zero,
+    and `settle(box, EdgeId.X_A, ub)` where it reaches x = a, f_x > 0 and f_y
+    takes both signs; where f_y has one sign, ub is already f at a corner.
+    A low-chart box goes to `settle` as `_chart_upper` says.
     """
     x1, x2, y1, y2 = box
     iv_b = region.constants.iv_b
     # Does the box reach the curve?  Plain floats suffice: the test only picks
     # which of two sound bounds to use.
     if x2 <= iv_b.hi and y2 + y2 >= 1.0 + x1 * x1:
-        return _chart_upper(ranges, low_chart, box)
+        return _chart_upper(ranges, low_chart, box, settle)
     if x1 >= iv_b.lo and 3.0 * y2 * y2 >= 1.0 - x2 * x2:
         # the high branch is the rim R = 0, which the chart box then contains
         return math.inf if ranges.has_radical else _chart_upper(ranges, high_chart, box)
     grad = _gradient(ranges, box)
     if grad is None:
         return math.inf
-    if (settle is not None and grad[0] <= 0.0 <= grad[1] and grad[2] <= 0.0 <= grad[3]
-            and (ub := settle(box)) is not None):
-        return ub
-    return _mean_value_upper(lambda x, y: ranges.upper(x, x, y, y), grad, box)
+    ub = _mean_value_upper(lambda x, y: ranges.upper(x, x, y, y), grad, box)
+    fx_lo, fx_hi, fy_lo, fy_hi = grad
+    if settle is not None and fy_lo <= 0.0 <= fy_hi:
+        if fx_lo <= 0.0 <= fx_hi:
+            return settle(box, None, ub)
+        if fx_lo > 0.0 and x2 >= region.constants.iv_a.hi and fy_lo < 0.0 < fy_hi:
+            return settle(box, EdgeId.X_A, ub)
+    return ub
 
 
 def _chart_upper(
-    ranges: MonotoneBounds, chart: Callable[[float, float], tuple[float, ...]], box: tuple[float, ...]
+    ranges: MonotoneBounds, chart: Callable[[float, float], tuple[float, ...]], box: tuple[float, ...],
+    settle=None,
 ) -> float:
     """Mean-value form of g(x, s) = f(x, s*c(x)) over a chart box that covers box ∩ region.
 
     The x-derivative g_x = f_x + f_y*s*c' is enclosed as a signed interval:
     at a maximum tangent to the curve its two terms cancel, so the bound is
-    exact to second order there.
+    exact to second order there.  `settle` is given with the low chart only,
+    whose face s = 1 is curve_low: a box on that face where g_s > 0 and g_x
+    takes both signs takes `settle(box, EdgeId.CURVE_LOW, ub)` in place of
+    its bound ub.
     """
     x1, x2, y1, y2 = box
     c_lo, c_hi, dc_lo, dc_hi = chart(x1, x2)
@@ -560,12 +598,42 @@ def _chart_upper(
         return math.inf
     fx_lo, fx_hi, fy_lo, fy_hi = grad
     t_lo, t_hi = _mul_pair(*_mul_pair(fy_lo, fy_hi, s1, s2), dc_lo, dc_hi)
+    g_x = _add_down(fx_lo, t_lo), _add_up(fx_hi, t_hi)
     g_s = _mul_pair(fy_lo, fy_hi, c_lo, c_hi)
 
     def f_up(x: float, s: float) -> float:
         cx_lo, cx_hi = chart(x, x)[:2]
         return ranges.upper(x, x, _mul_down(s, cx_lo), _mul_up(s, cx_hi))
-    return _mean_value_upper(f_up, (_add_down(fx_lo, t_lo), _add_up(fx_hi, t_hi), *g_s), (x1, x2, s1, s2))
+    ub = _mean_value_upper(f_up, (*g_x, *g_s), (x1, x2, s1, s2))
+    if settle is not None and s2 == 1.0 and g_s[0] > 0.0 and g_x[0] < 0.0 < g_x[1]:
+        return settle(box, EdgeId.CURVE_LOW, ub)
+    return ub
+
+
+def _face_maximum(
+    obj: Objective, box: tuple[float, ...], face: EdgeId, max_boxes: int
+) -> tuple[int, Interval | None]:
+    """sup f over box ∩ region for a box on `face` where f rises towards it, and the pieces and steps taken.
+
+    f_x > 0 on the box (x = a), or g_s > 0 on its chart box (curve_low), so
+    by the mean value theorem along the normal every point of box ∩ region
+    lies below a point of the face segment, [y1, y2] or [x1, x2].  The
+    piece's restriction is largest over it at an end or on a zero cluster of
+    its scaled derivative, as in `claims.analyze_form`.  None for a segment
+    that leaves the piece (R > 0 on the box keeps it there where f has a
+    radical) and for a search that exhausts `max_boxes`.
+    """
+    x1, x2, y1, y2 = box
+    lo, hi = (y1, y2) if face is EdgeId.X_A else (x1, x2)
+    if hi > EDGES[face].t_hi.lo:
+        return 0, None
+    form = obj.restriction(face)
+    deriv = form.scaled_derivative
+    found = _roots_1d(deriv.value_iv, lo, hi, MIN_WIDTH, max_boxes, deriv.slope_iv)
+    if found is None:
+        return max_boxes, None
+    proven, unproven, processed = found
+    return processed, form.candidate_maximum([Interval.point(lo), Interval.point(hi), *proven, *unproven])[1]
 
 
 def _gradient(ranges: MonotoneBounds, box: tuple[float, ...]) -> tuple[float, float, float, float] | None:
@@ -611,10 +679,11 @@ def _mean_value_upper(f_up: Callable[..., float], grad: tuple[float, ...], box: 
 # ---------------------------------------------------------------------------
 
 
-def _krawczyk(obj: Objective, box: Box) -> Box | None:
+def _krawczyk(obj: Objective, box: Box, hessian: tuple[Interval, Interval, Interval] | None = None) -> Box | None:
     """Krawczyk operator K(B) = p - Y g(p) + (I - Y H(B)) (B - p) on B = `box`, about its midpoint p.
 
-    g is the true gradient, H its interval Hessian over B and Y = mid(H(B))^-1.
+    g is the true gradient, H its interval Hessian over B, or `hessian` where
+    the caller has it, and Y = mid(H(B))^-1.
     K(B) inside the interior of B proves that B holds exactly one gradient
     zero, and K(B) ∩ B holds every zero in B.  None where the radicand is not
     positive on B, so that g and H are undefined there, or mid(H(B)) is
@@ -622,7 +691,7 @@ def _krawczyk(obj: Objective, box: Box) -> Box | None:
     """
     bx, by = box
     ix, iy = Interval.point(bx.mid), Interval.point(by.mid)
-    if (hessian := obj.hessian_iv(bx, by)) is None:
+    if (hessian := hessian or obj.hessian_iv(bx, by)) is None:
         return None
     h11, h12, h22 = hessian
     # R > 0 on B, so also at p in B: interval evaluation is inclusion-isotone
@@ -654,12 +723,12 @@ def _hull(a: Box, b: Box) -> Box:
     return tuple(u.hull(v) for u, v in zip(a, b))
 
 
-def _negative_definite(obj: Objective, box: Box) -> bool:
-    """The interval Hessian over the box is negative definite, so f is strictly concave on it."""
+def _negative_definite(obj: Objective, box: Box) -> tuple[Interval, Interval, Interval] | None:
+    """The interval Hessian over the box where it is negative definite, so f is strictly concave on it, else None."""
     if (hessian := obj.hessian_iv(*box)) is None:
-        return False
+        return None
     h11, h12, h22 = hessian
-    return h11.hi < 0.0 and (h11 * h22 - h12 * h12).lo > 0.0
+    return hessian if h11.hi < 0.0 and (h11 * h22 - h12 * h12).lo > 0.0 else None
 
 
 def _concave(obj: Objective, region: OmegaRegion, box: tuple[float, ...]) -> tuple[int, Box | None, Interval | None]:
@@ -669,18 +738,23 @@ def _concave(obj: Objective, region: OmegaRegion, box: tuple[float, ...]) -> tup
     the region interior that holds its one gradient zero x*: x* is a point of
     the region and the maximum over any concave S that holds it, and
     v = f(X*) ∋ f(x*).  S is X* grown by the box's width on each side, else
-    the box and X*.
+    the box and X*.  S is the box itself and v None where a Krawczyk image
+    misses the box, which then holds no gradient zero.
     """
     x1, x2, y1, y2 = box
     b = (Interval(x1, x2), Interval(y1, y2))
-    if not _negative_definite(obj, b):
+    if (hessian := _negative_definite(obj, b)) is None:
         return 0, None, None
-    k, proven, steps = _contract(lambda c: _krawczyk(obj, c), b, (Interval(-1.0, 1.0),) * 2, CLUSTER_WIDTH)
+    # the first step takes the Hessian over b that the concavity test evaluated
+    k, proven, steps = _contract(lambda c: _krawczyk(obj, c, hessian if c is b else None), b,
+                                 (Interval(-1.0, 1.0),) * 2, CLUSTER_WIDTH)
+    if k is None:
+        return steps, b, None
     if not proven or not _in_interior(region, k):
         return steps, None, None
     # each S holds the box: the widened retest of `_contract` may leave X* partly outside it
     grown = _hull(b, tuple(Interval(u.lo - w, u.hi + w) for u, w in zip(k, (x2 - x1, y2 - y1))))
-    s = next((s for s in (grown, _hull(b, k)) if _negative_definite(obj, s)), None)
+    s = next((s for s in (grown, _hull(b, k)) if _negative_definite(obj, s) is not None), None)
     return steps, s, None if s is None else obj.value_iv(*k)
 
 

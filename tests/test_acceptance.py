@@ -231,6 +231,7 @@ def test_full_suite_is_green_and_fast(suite_ctx, monkeypatch):
     assert all_passed(rows)
     assert elapsed <= 60.0
     # 81 of them are the seed grids of the nine maximizers.  It was 720 before
-    # f4 and f5 settled their interior maxima on a concave box: they now split
-    # 19 and 37 fewer boxes, each of which could sample a corner
-    assert len(lower_calls) == 664
+    # f4 and f5 settled their interior maxima on a concave box, and 664 before
+    # f2, f3, f6, f8 and f9 settled theirs on a face: they now split 22, 24,
+    # 18, 15 and 10 fewer boxes, each of which could sample a corner
+    assert len(lower_calls) == 575

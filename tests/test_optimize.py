@@ -471,39 +471,55 @@ def test_enclosures_contain_sampled_values():
 
 
 #: maximize_2d at two widths: value ("lo hi" by float.hex) and iterations.
-#: value.lo is the best point sample: a seed grid point or the top-right
-#: corner of a split's lower-left child.  f4 and f5 settle their interior
-#: maximum on a concave box: their value is the certified critical value at
-#: either width, and iterations count 108 and 130 boxes with 8 and 19
-#: Krawczyk steps.
+#: f4 and f5 settle their interior maximum on a concave box: their value is
+#: the certified critical value at either width, and iterations count 108
+#: and 130 boxes with 8 and 16 Krawczyk steps.  f2, f3, f6, f8 and f9 settle
+#: their maximum on a face, x = a or curve_low: their value is the face
+#: maximum, that of the edge analysis to within an ulp, and iterations count
+#: the face searches' pieces and Newton steps (7, 8, 10, 7 and 8).  f7's
+#: maximum is the corner (a, d), where the Baumann centre is that corner.
 BNB_PINS = {
-    ("f2", 1e-05): ("0x1.bb11f34820631p+1 0x1.bb12460bdff33p+1", 41),
-    ("f3", 1e-05): ("0x1.3f9002d474951p+2 0x1.3f902b0b51176p+2", 46),
+    ("f2", 1e-05): ("0x1.bb11ff6d4c46fp+1 0x1.bb11ff6d4c479p+1", 26),
+    ("f3", 1e-05): ("0x1.3f9006357f063p+2 0x1.3f9006357f06fp+2", 30),
     ("f4", 1e-05): ("0x1.2c918d4e61e3cp+0 0x1.2c918d4e61e66p+0", 116),
-    ("f5", 1e-05): ("0x1.d29aed74efefdp+0 0x1.d29aed74eff98p+0", 149),
-    ("f6", 1e-05): ("0x1.47ca4960337d7p+0 0x1.47ca889042f95p+0", 136),
+    ("f5", 1e-05): ("0x1.d29aed74efefdp+0 0x1.d29aed74eff98p+0", 146),
+    ("f6", 1e-05): ("0x1.47ca4dd107668p+0 0x1.47ca4dd10766fp+0", 128),
     ("f7", 1e-05): ("0x1.5324a45452562p-1 0x1.5324a45452569p-1", 5),
-    ("f8", 1e-05): ("0x1.1a5292af8dfdap-1 0x1.1a53b355d1596p-1", 52),
-    ("f9", 1e-05): ("0x1.3a0553e2a6f0bp-1 0x1.3a05a64768910p-1", 60),
-    ("f2", 1e-09): ("0x1.bb11ff6d2b39ep+1 0x1.bb11ff6f1b99ep+1", 62),
-    ("f3", 1e-09): ("0x1.3f9006356afb4p+2 0x1.3f9006361971ep+2", 70),
+    ("f8", 1e-05): ("0x1.1a52a2f1697a3p-1 0x1.1a52a2f1697abp-1", 44),
+    ("f9", 1e-05): ("0x1.3a055439bb249p-1 0x1.3a055439bb257p-1", 58),
+    ("f2", 1e-09): ("0x1.bb11ff6d4c46fp+1 0x1.bb11ff6d4c479p+1", 26),
+    ("f3", 1e-09): ("0x1.3f9006357f063p+2 0x1.3f9006357f06fp+2", 30),
     ("f4", 1e-09): ("0x1.2c918d4e61e3cp+0 0x1.2c918d4e61e66p+0", 116),
-    ("f5", 1e-09): ("0x1.d29aed74efefdp+0 0x1.d29aed74eff98p+0", 149),
-    ("f6", 1e-09): ("0x1.47ca4dd0ae633p+0 0x1.47ca4dd494e32p+0", 159),
+    ("f5", 1e-09): ("0x1.d29aed74efefdp+0 0x1.d29aed74eff98p+0", 146),
+    ("f6", 1e-09): ("0x1.47ca4dd107668p+0 0x1.47ca4dd10766fp+0", 128),
     ("f7", 1e-09): ("0x1.5324a45452562p-1 0x1.5324a45452569p-1", 5),
-    ("f8", 1e-09): ("0x1.1a52a2f16420ep-1 0x1.1a52a2f82ee33p-1", 72),
-    ("f9", 1e-09): ("0x1.3a05543959b75p-1 0x1.3a05543fbeaccp-1", 86),
+    ("f8", 1e-09): ("0x1.1a52a2f1697a3p-1 0x1.1a52a2f1697abp-1", 44),
+    ("f9", 1e-09): ("0x1.3a055439bb249p-1 0x1.3a055439bb257p-1", 58),
 }
 
 
-#: f4 and f5 without the settle, where boxes cluster about the maximizer:
-#: the results of the branch-and-bound before it settled interior maxima
+#: the results of the branch-and-bound before it settled maxima: without the
+#: concave settle, f4 and f5 cluster boxes about their interior maximizer;
+#: without the face settle, f2, f3, f6, f8 and f9 about theirs on a face
 UNSETTLED_PINS = {
     ("f4", 1e-05): ("0x1.2c918cbf4e5f5p+0 0x1.2c9226755e151p+0", 127),
     ("f5", 1e-05): ("0x1.d29ae884d0534p+0 0x1.d29b81f89572fp+0", 167),
     ("f4", 1e-09): ("0x1.2c918d4e3c9b8p+0 0x1.2c918d523386dp+0", 211),
     ("f5", 1e-09): ("0x1.d29aed74d8a78p+0 0x1.d29aed78f18d5p+0", 297),
+    ("f2", 1e-05): ("0x1.bb11f34820631p+1 0x1.bb12460bdff33p+1", 41),
+    ("f3", 1e-05): ("0x1.3f9002d474951p+2 0x1.3f902b0b51176p+2", 46),
+    ("f6", 1e-05): ("0x1.47ca4960337d7p+0 0x1.47ca889042f95p+0", 136),
+    ("f8", 1e-05): ("0x1.1a5292af8dfdap-1 0x1.1a53b355d1596p-1", 52),
+    ("f9", 1e-05): ("0x1.3a0553e2a6f0bp-1 0x1.3a05a64768910p-1", 60),
+    ("f2", 1e-09): ("0x1.bb11ff6d2b39ep+1 0x1.bb11ff6f1b99ep+1", 62),
+    ("f3", 1e-09): ("0x1.3f9006356afb4p+2 0x1.3f9006361971ep+2", 70),
+    ("f6", 1e-09): ("0x1.47ca4dd0ae633p+0 0x1.47ca4dd494e32p+0", 159),
+    ("f8", 1e-09): ("0x1.1a52a2f16420ep-1 0x1.1a52a2f82ee33p-1", 72),
+    ("f9", 1e-09): ("0x1.3a05543959b75p-1 0x1.3a05543fbeaccp-1", 86),
 }
+
+#: the objectives whose maximum settles on a face
+FACE_SETTLED = ["f2", "f3", "f6", "f8", "f9"]
 
 
 def _pinned(name: str, tol: float) -> tuple[str, int, bool]:
@@ -518,10 +534,20 @@ def test_maximize_2d_results_are_pinned(name, tol):
 
 @pytest.mark.parametrize("name, tol", sorted(BNB_PINS))
 def test_maximize_2d_without_the_settle_is_unchanged(name, tol, monkeypatch):
-    # the settle is the only change: with it off, every box is bounded and
-    # split as before, bit for bit
+    # the two settles are the only change: with both off, every box is
+    # bounded and split as before, bit for bit
     monkeypatch.setattr(optimize, "_concave", lambda *a: (0, None, None))
+    monkeypatch.setattr(optimize, "_face_maximum", lambda *a: (0, None))
     assert _pinned(name, tol) == (*UNSETTLED_PINS.get((name, tol), BNB_PINS[name, tol]), True)
+
+
+@pytest.mark.parametrize("name, tol", sorted(BNB_PINS))
+def test_maximize_2d_without_the_face_settle_is_unchanged(name, tol, monkeypatch):
+    # with the face settle off alone, f2, f3, f6, f8 and f9 give the results
+    # from before it, and f4 and f5 still settle on a concave box
+    monkeypatch.setattr(optimize, "_face_maximum", lambda *a: (0, None))
+    want = UNSETTLED_PINS[name, tol] if name in FACE_SETTLED else BNB_PINS[name, tol]
+    assert _pinned(name, tol) == (*want, True)
 
 
 @pytest.mark.parametrize("name", ["f4", "f5"])
@@ -570,6 +596,47 @@ def test_interior_maxima_settle_with_no_box_cluster(name, suite_ctx):
         assert ext.converged and ext.value.width <= 1e-12
         # the certified critical value, bit for bit
         assert ext.value == suite_ctx.locate(oid).value
+
+
+@pytest.mark.parametrize("name", FACE_SETTLED)
+def test_boundary_maxima_settle_with_no_box_cluster(name, suite_ctx):
+    oid = ObjectiveId(name)
+    exts = [maximize_2d(OBJECTIVES[oid], REGION, BnBConfig(tol_value=tol)) for tol in (1e-5, 1e-7, 1e-9, 1e-11)]
+    # the same boxes at every width: none is split about the maximizer
+    assert len({ext.iterations for ext in exts}) == 1
+    for ext in exts:
+        assert ext.converged and ext.value.width <= 1e-13
+        assert ext.value.intersects(suite_ctx.locate(oid).value)
+
+
+def test_corner_and_interior_maxima_take_no_face_search(monkeypatch):
+    # f1's maximum is the corner (a, 0), where f_y <= 0 touches zero: the
+    # Baumann centre is that corner, so its form is already a point value
+    searched = []
+    monkeypatch.setattr(optimize, "_face_maximum", lambda *a: searched.append(a[2]) or (0, None))
+    for name in ("f1", "f4", "f5", "f7"):
+        assert _pinned(name, 1e-9)[2]
+    assert searched == []
+    assert _pinned("f1", 1e-9)[1] == 5
+
+
+def test_the_concave_settle_skips_boxes_inside_a_zero_free_box(monkeypatch):
+    # f5 tries `_concave` 10 times: 9 fail, each on a box that a Krawczyk
+    # image proves free of gradient zeros, and no child of one tries again
+    calls = []
+    real = optimize._concave
+
+    def spy(obj, region, box):
+        out = real(obj, region, box)
+        calls.append((box, out))
+        return out
+
+    monkeypatch.setattr(optimize, "_concave", spy)
+    assert _pinned("f5", 1e-9) == (*BNB_PINS["f5", 1e-9], True)
+    zero_free = [box for box, (steps, s, v) in calls if s is not None and v is None]
+    assert (len(calls), len(zero_free)) == (10, 9)
+    assert not any(z[0] <= b[0] and b[1] <= z[1] and z[2] <= b[2] and b[3] <= z[3]
+                   for z in zero_free for b, _ in calls if b != z)
 
 
 @pytest.mark.parametrize("oid", list(ObjectiveId), ids=lambda oid: oid.value)
@@ -690,11 +757,13 @@ TWO_D = [oid for oid in ObjectiveId if oid is not ObjectiveId.F1]
 
 
 #: box ceilings at 1e-11, about 10% above the counts of the Baumann-centred
-#: mean-value forms (73, 81, 116, 149, 173, 5, 87, 99) and below those of the
-#: midpoint-centred ones (215, 222, 623, 838, 362, 44, 174, 209).  f4 and f5
-#: count their Krawczyk steps; before they settled their interior maxima on a
-#: concave box they took 253 and 359 boxes
-MAX_BOXES_AT_1E_11 = dict(zip(TWO_D, (80, 89, 128, 164, 190, 6, 96, 109)))
+#: mean-value forms with both settles (26, 30, 116, 146, 128, 5, 44, 58) and
+#: below those of the midpoint-centred ones (215, 222, 623, 838, 362, 44, 174,
+#: 209).  The counts include Krawczyk steps and face-search pieces and steps;
+#: before f4 and f5 settled their interior maxima on a concave box they took
+#: 253 and 359 boxes, and before f2, f3, f6, f8 and f9 settled theirs on a
+#: face 73, 81, 173, 87 and 99
+MAX_BOXES_AT_1E_11 = dict(zip(TWO_D, (29, 33, 128, 161, 141, 6, 49, 64)))
 
 
 @pytest.mark.parametrize("oid", TWO_D, ids=lambda oid: oid.value)
@@ -820,32 +889,37 @@ def test_xy_bound_covers_the_region_part_of_interior_boxes(monkeypatch):
     monkeypatch.setattr(optimize, "_mean_value_upper", spy)
     monkeypatch.setattr(optimize, "_chart_upper", None)  # no box here reaches the curve
     signs = {"one sign": 0, "straddles": 0}
+    rising = 0
     for box, w in _interior_boxes(47, 100):
         for oid in TWO_D:
             forms.clear()
             centres.clear()
             offered = []
-            ub = optimize._centred_upper(monotone_bounds(oid), REGION, box, offered.append)
+            ub = optimize._centred_upper(monotone_bounds(oid), REGION, box,
+                                         lambda box, face, ub: offered.append((box, face)) or ub)
             assert math.isfinite(ub)  # below the cap the radicand is positive
             [(grad, seen)], [(xc, yc)] = forms, centres
             assert seen == box and box[0] <= xc <= box[1] and box[2] <= yc <= box[3]
-            # a box goes to the settle exactly where both gradient components hold zero
-            assert offered == ([box] if grad[0] <= 0.0 <= grad[1] and grad[2] <= 0.0 <= grad[3] else [])
+            # a box goes to the settle exactly where both gradient components
+            # hold zero; none of these reaches x = a, so none goes to a face
+            assert offered == ([(box, None)] if grad[0] <= 0.0 <= grad[1] and grad[2] <= 0.0 <= grad[3] else [])
+            rising += grad[0] > 0.0 and grad[2] < 0.0 < grad[3]
             for g_lo, g_hi in zip(grad[::2], grad[1::2]):
                 signs["straddles" if g_lo < 0.0 < g_hi else "one sign"] += 1
             obj = OBJECTIVES[oid]
             for x, y in _region_points(box, w):
                 assert objective_value(obj, x, y) <= ub + _VALUE_SLACK, (oid, box, x, y)
     assert signs["one sign"] >= 500 and signs["straddles"] >= 100, signs
+    assert rising >= 20, rising
 
 
 def test_chart_bound_covers_the_region_part_of_curve_boxes(monkeypatch):
     charts = []
     real = optimize._chart_upper
 
-    def spy(ranges, chart, box):
+    def spy(ranges, chart, box, settle=None):
         charts.append(chart)
-        return real(ranges, chart, box)
+        return real(ranges, chart, box, settle)
 
     monkeypatch.setattr(optimize, "_chart_upper", spy)
     finite = {low_chart: 0, high_chart: 0}
@@ -862,6 +936,98 @@ def test_chart_bound_covers_the_region_part_of_curve_boxes(monkeypatch):
                 assert objective_value(obj, x, y) <= ub + _VALUE_SLACK, (oid, box, x, y)
     # the high branch is the rim R = 0, so only f7 (no radical) gets a form there
     assert finite[low_chart] >= 200 and finite[high_chart] >= 50
+
+
+def _face_boxes(seed: int, count: int):
+    """Seeded boxes as the branch-and-bound makes them about a face: in turn
+    one that reaches x = a below the high cap, one beside it that stops a
+    box width short of x = a, and one on curve_low (x2 <= b, y2 above the
+    low cap) within a box width of the maximizer of a restriction there."""
+    rng = random.Random(seed)
+    a_hi, b_lo = CONSTANTS.iv_a.hi, CONSTANTS.iv_b.lo
+    peaks = [float.fromhex(EDGE_PINS[oid.value, "curve_low"][1].split()[0]) for oid in TWO_D]
+    boxes = []
+    while len(boxes) < count:
+        kind = len(boxes) % 3
+        w = 2.0 ** -rng.randint(3, 10) if kind < 2 else 2.0 ** -rng.randint(6, 12)
+        if kind < 2:
+            x2 = a_hi - kind * w
+            y1 = w * rng.randrange(int(0.35 / w))
+            y2 = y1 + w * rng.choice((0.5, 1.0, 2.0))
+            if 3.0 * y2 * y2 < 1.0 - x2 * x2:
+                boxes.append(((x2 - w, x2, y1, y2), w, EdgeId.X_A))
+        else:
+            x1 = w * math.floor((rng.choice(peaks) + rng.uniform(-w, w)) / w)
+            x2 = x1 + w
+            y2 = cap_sup_up(x1, x2)
+            if x2 <= b_lo:
+                boxes.append(((x1, x2, max(0.0, y2 - w * rng.choice((0.5, 1.0, 2.0))), y2), w, EdgeId.CURVE_LOW))
+    return boxes
+
+
+def _face_forms(box, face, oid, settle, monkeypatch):
+    """The mean-value forms that `_centred_upper` builds for a box, and its bound with `settle`."""
+    forms = []
+    real = optimize._mean_value_upper
+    monkeypatch.setattr(optimize, "_mean_value_upper", lambda f_up, grad, b: forms.append((grad, b)) or real(f_up, grad, b))
+    ub = optimize._centred_upper(monotone_bounds(oid), REGION, box, settle)
+    monkeypatch.undo()
+    return forms, ub
+
+
+def test_only_a_box_on_a_face_where_f_rises_towards_it_goes_to_the_face_search(monkeypatch):
+    # f rises towards the face along its normal, and the tangential
+    # derivative takes both signs; a box whose normal derivative holds zero,
+    # or that does not reach the face, goes to no face search
+    seen = {EdgeId.X_A: 0, EdgeId.CURVE_LOW: 0, "normal holds zero": 0, "off the face": 0}
+    for box, w, face in _face_boxes(53, 300):
+        for oid in TWO_D:
+            offered = []
+            forms, _ = _face_forms(box, face, oid, lambda b, f, ub: offered.append(f) or ub, monkeypatch)
+            if not forms:
+                continue  # no form where the radicand reaches zero
+            [(grad, form_box)] = forms
+            if face is EdgeId.X_A:
+                # (f_x, f_y) over the box
+                normal, tangent, on_face = grad[:2], grad[2:], box[1] >= CONSTANTS.iv_a.hi
+            else:
+                # (g_x, g_s) over the chart box (x1, x2, s1, s2); on the face where s2 = 1
+                normal, tangent, on_face = grad[2:], grad[:2], form_box[3] == 1.0
+            rises = normal[0] > 0.0 and tangent[0] < 0.0 < tangent[1]
+            concave = grad[0] <= 0.0 <= grad[1] and grad[2] <= 0.0 <= grad[3] and face is EdgeId.X_A
+            assert offered == ([face] if rises and on_face else [None] if concave else [])
+            if offered == [face]:
+                seen[face] += 1
+            elif normal[0] <= 0.0 <= normal[1]:
+                seen["normal holds zero"] += 1
+            elif not on_face:
+                seen["off the face"] += 1
+    assert min(seen.values()) >= 10, seen
+
+
+def test_the_face_bound_covers_the_region_part_of_face_boxes(monkeypatch):
+    settled = {EdgeId.X_A: 0, EdgeId.CURVE_LOW: 0}
+    for box, w, face in _face_boxes(59, 900):
+        for oid in TWO_D:
+            obj = OBJECTIVES[oid]
+            found = []
+
+            def settle(b, f, ub):
+                if f is None:
+                    return ub  # the concave settle
+                steps, v = optimize._face_maximum(obj, b, f, 10_000)
+                found.append(v)
+                return ub if v is None else v.hi
+
+            _, ub = _face_forms(box, face, oid, settle, monkeypatch)
+            if found in ([], [None]):
+                continue
+            settled[face] += 1
+            for x, y in _region_points(box, w):
+                # a point of the region: x = a itself is no float
+                x = min(x, CONSTANTS.iv_a.lo)
+                assert objective_value(obj, x, min(y, cap_point_down(x))) <= ub + _VALUE_SLACK, (oid, box, x, y)
+    assert min(settled.values()) >= 20, settled
 
 
 # ---------------------------------------------------------------------------
