@@ -35,18 +35,19 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .domain import CAP_PIECES, CONSTANTS, CORNERS, EDGES, REGION, EdgeId
-from .interval import Interval, hull_of
-from .objectives import F1_FORM, F2_REDUCED_POLY, OBJECTIVES, ObjectiveId, RadicalForm1D
+from .interval import Interval
+from .objectives import F1_FORM, F2_REDUCED_POLY, OBJECTIVES, ObjectiveId
 from .optimize import (
     BnBConfig,
     CriticalSearch,
+    EdgeAnalysis,
     Extremum,
+    analyze_form,
     grid_maximum,
     grid_point,
     interior_critical_points,
     maximize_1d,
     maximize_2d,
-    zero_clusters_1d,
 )
 from .oracle import (
     PRESETS,
@@ -140,57 +141,11 @@ def _settle(unsettled: Sequence[str] = (), refuted: Sequence[str] = (), info: Se
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EdgeAnalysis:
-    """Maximum of one objective along one boundary piece.
-
-    The restriction's critical points are trapped in derivative-sign clusters,
-    so the maximum is the best of {endpoint values, cluster values}; when that
-    winner is isolated, `argmax` is a tight enclosure of the maximizer.  `end`
-    is the index of the end enclosure (0 for `t_lo`, 1 for `t_hi`) that every
-    candidate tied for the maximum meets, or None: the maximum then lies at
-    the corner of the region there.
-    """
-
-    edge: EdgeId
-    value: Interval
-    argmax: Interval
-    clusters: tuple[Interval, ...]
-    conclusive: bool
-    endpoints: tuple[Interval, Interval]
-    end: int | None
-
-    def interior_clusters(self) -> list[Interval]:
-        """Stationary clusters disjoint from both end enclosures of the piece;
-        a cluster that meets an end duplicates the endpoint candidate."""
-        return [c for c in self.clusters if not any(c.intersects(e) for e in self.endpoints)]
-
-
-def analyze_form(form: RadicalForm1D, endpoints: tuple[Interval, Interval],
-                 edge: EdgeId, cfg: BnBConfig) -> EdgeAnalysis:
-    """Critical points of the form are zeros of its scaled derivative D, which
-    the zero search proves by Newton steps on the slope of D.  When its budget
-    runs out, the analysis is inconclusive and its value is the form's range
-    over the whole piece."""
-    deriv = form.scaled_derivative
-    clusters = zero_clusters_1d(
-        deriv.value_iv, form.lo, form.hi, max_boxes=cfg.max_boxes, slope=deriv.slope_iv
-    )
-    if clusters is None:
-        piece = Interval(form.lo, form.hi)
-        return EdgeAnalysis(edge, form.value_iv(piece), piece, (), False, endpoints, None)
-    candidates = [endpoints[0], endpoints[1], *clusters]
-    evals, value = form.candidate_maximum(candidates)
-    order = sorted(range(len(evals)), key=lambda k: evals[k].hi, reverse=True)
-    best = order[0]
-    tied = [candidates[k] for k in order if evals[k].hi >= evals[best].lo]
-    end = next((i for i, e in enumerate(endpoints) if all(c.intersects(e) for c in tied)), None)
-    return EdgeAnalysis(edge, value, hull_of(tied), tuple(clusters), True, endpoints, end)
-
-
-def analyze_edge(oid: ObjectiveId, edge: EdgeId, cfg: BnBConfig) -> EdgeAnalysis:
+def analyze_edge(oid: ObjectiveId, edge: EdgeId, max_boxes: int) -> EdgeAnalysis:
+    """The maximum of one objective along a whole piece; `analyze_form` is
+    read from this module, where tracing wraps it."""
     piece = EDGES[edge]
-    return analyze_form(OBJECTIVES[oid].restriction(edge), (piece.t_lo, piece.t_hi), edge, cfg)
+    return analyze_form(OBJECTIVES[oid].restriction(edge), (piece.t_lo, piece.t_hi), edge, max_boxes)
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +201,7 @@ class SuiteContext:
     def edge(self, oid: ObjectiveId, edge: EdgeId) -> EdgeAnalysis:
         key = (oid, edge)
         if key not in self._edges:
-            self._edges[key] = analyze_edge(oid, edge, self.cfg.bnb())
+            self._edges[key] = analyze_edge(oid, edge, self.cfg.max_boxes)
         return self._edges[key]
 
     def critical(self, oid: ObjectiveId) -> CriticalSearch:

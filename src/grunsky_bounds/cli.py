@@ -104,7 +104,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_edges = sub.add_parser("edges", parents=[budget],
                              help="per-edge maxima for one objective")
     p_edges.add_argument("--objective", required=True, type=_objective_id)
-    p_edges.add_argument("--tol", type=_positive_float, default=1e-6)
 
     p_gr = sub.add_parser("grunsky", parents=[seed],
                           help="coefficient table and oracle checks")
@@ -142,14 +141,11 @@ def _cmd_maximize(args) -> int:
 
 
 def _cmd_edges(args) -> int:
-    from .optimize import BnBConfig
-
     oid = args.objective
-    cfg = BnBConfig(tol_value=args.tol, max_boxes=args.max_boxes)
     print(f"{oid.value} ({CLAIM_NAMES[oid]}) edge maxima:")
     conclusive = True
     for edge in EdgeId:
-        an = analyze_edge(oid, edge, cfg)
+        an = analyze_edge(oid, edge, args.max_boxes)
         conclusive = conclusive and an.conclusive
         if an.conclusive:
             roots = ", ".join(f"[{c.lo:.9f}, {c.hi:.9f}]" for c in an.clusters) or "none"

@@ -74,14 +74,6 @@ class DomainConstants:
     def a_float(self) -> float:
         return float(self.a)
 
-    @property
-    def b(self) -> float:
-        return self.iv_b.mid
-
-    @property
-    def d(self) -> float:
-        return self.iv_d.mid
-
 
 CONSTANTS = DomainConstants()
 

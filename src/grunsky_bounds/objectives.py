@@ -121,11 +121,6 @@ class RadicalForm1D:
     def value_iv(self, t: Interval) -> Interval:
         return Interval(*self._value_pair(t.lo, t.hi))
 
-    def candidate_maximum(self, candidates: list[Interval]) -> tuple[list[Interval], Interval]:
-        """The form over each candidate (two ends and the zero clusters of D between them), and their maximum."""
-        evals = [self.value_iv(c) for c in candidates]
-        return evals, Interval(max(e.lo for e in evals), max(e.hi for e in evals))
-
     @cached_property
     def scaled_derivative(self) -> RadicalForm1D:
         """2*sqrt(S) * d/dt of this form; same zeros and signs where S > 0.  Built once."""

@@ -28,16 +28,18 @@ tries again.  About a maximum on the boundary the same cluster forms, so a
 box on the face x = a, or on curve_low (the chart face s = 1), where f rises
 towards the face along its normal and the tangential derivative takes both
 signs, is bounded by the maximum of that piece's restriction over its face
-segment: the 1-D zero search below, as the edge analyses run it.
+segment: `analyze_form` on the segment, as the edge analyses run it on the
+whole piece.
 
 Every zero search runs one subdivision loop, `_isolate`: each caller gives it
-an exclusion test, a contraction step and a split.  zero_clusters_1d is the
-1-D zero search, for the edge critical points, the face settle and
-find_root_1d.  It
-bisects a piece only until the piece's enclosure excludes zero or, given an
-enclosure of the derivative that excludes zero, interval Newton steps
-N(X) = m - f(m)/f'(X) either empty the piece or prove a box in it.  Only
-pieces that Newton cannot settle are bisected on down to MIN_WIDTH.
+an exclusion test, a contraction step and a split.  `_roots_1d` is the 1-D
+zero search, for `analyze_form` and find_root_1d.  It bisects a piece only
+until the piece's enclosure excludes zero or, given an enclosure of the
+derivative that excludes zero, interval Newton steps N(X) = m - f(m)/f'(X)
+either empty the piece or prove a box in it.  Only pieces that Newton cannot
+settle are bisected on down to MIN_WIDTH.  analyze_form is the one search
+for the maximum of a restriction over a parameter range: the largest of the
+form at the two ends and on every zero cluster of its scaled derivative.
 maximize_1d bounds a box on which the derivative has one sign by the value
 at the box's higher end; f1 runs through maximize_2d like f2-f9, so it runs
 only for perfbench (`claims.SuiteContext.f1_extremum`).
@@ -83,8 +85,9 @@ from .interval import (
     _recip_up,
     _sqrt_down,
     _sqrt_up,
+    hull_of,
 )
-from .objectives import OBJECTIVES, MonotoneBounds, Objective, ObjectiveId, monotone_bounds
+from .objectives import OBJECTIVES, MonotoneBounds, Objective, ObjectiveId, RadicalForm1D, monotone_bounds
 from .poly import MixedPoly
 
 IvFunc = Callable[[Interval], Interval]
@@ -114,7 +117,7 @@ class NoBracketError(RuntimeError):
 #: smallest box side the branch-and-bound splits
 TOL_BOX = 1e-9
 
-#: width at which zero_clusters_1d stops bisecting a piece that it can neither
+#: width at which `_roots_1d` stops bisecting a piece that it can neither
 #: clear nor prove by Newton: a multiple zero, or a zero where the radicand S
 #: reaches 0 (f7 at the corners (a, d) and (b, c(b))), which leaves no slope
 #: enclosure.  Unproven pieces within this width of each other form one cluster.
@@ -178,7 +181,7 @@ class CriticalSearch:
 
 
 # ---------------------------------------------------------------------------
-# 1-D root isolation and subdivision
+# 1-D root isolation, subdivision and the maximum of a piece
 # ---------------------------------------------------------------------------
 
 
@@ -189,7 +192,7 @@ def find_root_1d(
     """Enclosure of the one zero of fn on [lo, hi].
 
     The zero search must leave a single cluster.  With `slope` (see
-    `zero_clusters_1d`) a Newton-proven cluster is returned as it is: it holds
+    `_roots_1d`) a Newton-proven cluster is returned as it is: it holds
     exactly one zero.  Any other cluster must show opposite verified signs of
     fn at its two ends, so that it holds every zero and at least one.
     NoBracketError otherwise, and when the box budget runs out.
@@ -213,8 +216,10 @@ def _inside(image: Box, box: Box) -> bool:
     return all(b.lo < n.lo and n.hi < b.hi for n, b in zip(image, box))
 
 
-def _contract(step: Step, box: Box, span: Box, min_width: float) -> tuple[Box | None, bool, int]:
-    """Contraction B <- B ∩ step(B) from `box`, inside `span`.
+def _contract(
+    step: Step, box: Box, span: Box, min_width: float, max_steps: float = math.inf
+) -> tuple[Box | None, bool, int]:
+    """Contraction B <- B ∩ step(B) from `box`, inside `span`, in at most `max_steps` steps.
 
     An image inside the interior of its box proves that the box holds exactly
     one zero, which every later box keeps.  The steps go on while each one at
@@ -230,7 +235,7 @@ def _contract(step: Step, box: Box, span: Box, min_width: float) -> tuple[Box | 
     floor = 4.0 * math.ulp(max(max(-s.lo, s.hi) for s in span))
     proven = False
     steps = 0
-    while (image := step(box)) is not None:
+    while steps < max_steps and (image := step(box)) is not None:
         steps += 1
         if any(n.hi < b.lo or b.hi < n.lo for n, b in zip(image, box)):
             return None, False, steps
@@ -240,7 +245,7 @@ def _contract(step: Step, box: Box, span: Box, min_width: float) -> tuple[Box | 
         shrunk = max(b.width for b in box)
         if shrunk >= size if proven else not floor < shrunk < 0.5 * size:
             break
-    if steps and not proven and max(b.width for b in box) <= min_width:
+    if steps and not proven and steps < max_steps and max(b.width for b in box) <= min_width:
         rs = [max(b.width, 4.0 * math.ulp(b.mid)) for b in box]
         widened = tuple(Interval(max(b.lo - r, s.lo), min(b.hi + r, s.hi)) for b, s, r in zip(box, span, rs))
         steps += 1
@@ -294,7 +299,17 @@ def _isolate(
 def _roots_1d(
     fn: IvFunc, lo: float, hi: float, min_width: float, max_boxes: int, slope: SlopeFunc | None
 ) -> tuple[list[Interval], list[Interval], int] | None:
-    """The Newton-proven boxes and the unproven clusters of `zero_clusters_1d`, and the pieces and steps taken."""
+    """Every zero of fn on [lo, hi]: the Newton-proven boxes, the unproven clusters, and the pieces and steps taken.
+
+    Pieces whose enclosure excludes zero are certified zero-free.  With
+    `slope`, which encloses fn' over a piece or gives None where it cannot, a
+    piece on which fn' excludes zero takes Newton steps (`_contract`): they
+    clear it, or prove that a box in it holds exactly one zero.  Other pieces
+    are bisected down to `min_width` and merged into clusters when they lie
+    within `min_width` of each other.  Both lists are sorted.  Pieces
+    evaluated and Newton steps share the budget `max_boxes`; None when it
+    runs out.
+    """
 
     def step(box: Box) -> Box | None:
         """Newton's N(X) = m - fn(m)/fn'(X) about the midpoint m; None unless fn'(X) excludes 0."""
@@ -332,25 +347,59 @@ def _merge(boxes: list[Interval], gap: float) -> list[Interval]:
     return out
 
 
-def zero_clusters_1d(
-    fn: IvFunc, lo: float, hi: float, min_width: float = MIN_WIDTH, max_boxes: int = 200_000,
-    slope: SlopeFunc | None = None,
-) -> list[Interval] | None:
-    """Every zero of fn on [lo, hi] lies in one of the returned clusters, sorted.
+@dataclass(frozen=True)
+class EdgeAnalysis:
+    """Maximum of one objective along one boundary piece, or along a segment of one.
 
-    Pieces whose enclosure excludes zero are certified zero-free.  With
-    `slope`, which encloses fn' over a piece or gives None where it cannot, a
-    piece on which fn' excludes zero takes Newton steps (`_contract`):
-    they clear it, or prove that a box in it holds exactly one zero, which is
-    then a cluster of its own.  Other pieces are bisected down to `min_width`
-    and merged into clusters when they lie within `min_width` of each other.
-    Pieces evaluated and Newton steps share the budget `max_boxes`; None when
-    it runs out.
+    The restriction's critical points are trapped in derivative-sign clusters,
+    so the maximum is the best of {endpoint values, cluster values}; when that
+    winner is isolated, `argmax` is a tight enclosure of the maximizer.  `end`
+    is the index of the end enclosure (0 for the first, 1 for the second) that
+    every candidate tied for the maximum meets, where the maximum then lies
+    (on a whole piece, the corner of the region there), or None.
+    `iterations` counts the zero search's pieces and Newton steps, the whole
+    budget where it ran out.
     """
-    found = _roots_1d(fn, lo, hi, min_width, max_boxes, slope)
+
+    edge: EdgeId
+    value: Interval
+    argmax: Interval
+    clusters: tuple[Interval, ...]
+    conclusive: bool
+    endpoints: tuple[Interval, Interval]
+    end: int | None
+    iterations: int
+
+    def interior_clusters(self) -> list[Interval]:
+        """Stationary clusters disjoint from both end enclosures of the piece;
+        a cluster that meets an end duplicates the endpoint candidate."""
+        return [c for c in self.clusters if not any(c.intersects(e) for e in self.endpoints)]
+
+
+def analyze_form(form: RadicalForm1D, endpoints: tuple[Interval, Interval],
+                 edge: EdgeId, max_boxes: int) -> EdgeAnalysis:
+    """Maximum of the form over [endpoints[0].lo, endpoints[1].hi], a piece of `edge` or a segment of it.
+
+    It lies at an end or at a critical point, a zero of the scaled
+    derivative D, which `_roots_1d` proves by Newton steps on the slope of D.
+    When the budget `max_boxes` runs out, the analysis is inconclusive and
+    its value is the form's range over all of [lo, hi].
+    """
+    lo, hi = endpoints[0].lo, endpoints[1].hi
+    deriv = form.scaled_derivative
+    found = _roots_1d(deriv.value_iv, lo, hi, MIN_WIDTH, max_boxes, deriv.slope_iv)
     if found is None:
-        return None
-    return sorted(found[0] + found[1], key=lambda c: c.lo)
+        span = Interval(lo, hi)
+        return EdgeAnalysis(edge, form.value_iv(span), span, (), False, endpoints, None, max_boxes)
+    proven, unproven, processed = found
+    clusters = sorted(proven + unproven, key=lambda c: c.lo)
+    candidates = [*endpoints, *clusters]
+    evals = [form.value_iv(c) for c in candidates]
+    order = sorted(range(len(evals)), key=lambda k: evals[k].hi, reverse=True)
+    tied = [candidates[k] for k in order if evals[k].hi >= evals[order[0]].lo]
+    end = next((i for i, e in enumerate(endpoints) if all(c.intersects(e) for c in tied)), None)
+    value = Interval(max(e.lo for e in evals), max(e.hi for e in evals))
+    return EdgeAnalysis(edge, value, hull_of(tied), tuple(clusters), True, endpoints, end, processed)
 
 
 # ---------------------------------------------------------------------------
@@ -463,7 +512,8 @@ def maximize_2d(obj: Objective, region: OmegaRegion = REGION, cfg: BnBConfig | N
     the face x = a or on curve_low, where f rises towards the face, takes the
     maximum of that piece's restriction over the face from `_face_maximum`.
     Krawczyk steps and the face searches' pieces and Newton steps count as
-    boxes.
+    boxes, and each settle gets only the budget left, so `iterations` never
+    exceeds `max_boxes`.
     """
     cfg = cfg or BnBConfig()
     ranges = monotone_bounds(obj.id)
@@ -507,15 +557,16 @@ def maximize_2d(obj: Objective, region: OmegaRegion = REGION, cfg: BnBConfig | N
         no face, the value `_concave` settles.  `ub` where neither settles.
         """
         x1, x2, y1, y2 = box
+        left = cfg.max_boxes - work[1]
         if face is not None:
             if ub <= work[0]:
                 return ub
-            steps, v = _face_maximum(obj, box, face, max(cfg.max_boxes - work[1], 0))
+            steps, v = _face_maximum(obj, box, face, left)
         elif max(x2 - x1, y2 - y1) > KRAWCZYK_WIDTH or any(
                 meets(box, s) if v is not None else within(box, s) for s, v in settled):
             return ub
         else:
-            steps, s, v = _concave(obj, region, box)
+            steps, s, v = _concave(obj, region, box, left)
             if s is not None:
                 settled.append((s, v))
         work[1] += steps
@@ -617,23 +668,17 @@ def _face_maximum(
 
     f_x > 0 on the box (x = a), or g_s > 0 on its chart box (curve_low), so
     by the mean value theorem along the normal every point of box ∩ region
-    lies below a point of the face segment, [y1, y2] or [x1, x2].  The
-    piece's restriction is largest over it at an end or on a zero cluster of
-    its scaled derivative, as in `claims.analyze_form`.  None for a segment
-    that leaves the piece (R > 0 on the box keeps it there where f has a
-    radical) and for a search that exhausts `max_boxes`.
+    lies below a point of the face segment, [y1, y2] or [x1, x2].  Its bound
+    is `analyze_form` on that segment of the piece.  None for a segment that
+    leaves the piece (R > 0 on the box keeps it there where f has a radical)
+    and for a search that exhausts `max_boxes`.
     """
     x1, x2, y1, y2 = box
     lo, hi = (y1, y2) if face is EdgeId.X_A else (x1, x2)
     if hi > EDGES[face].t_hi.lo:
         return 0, None
-    form = obj.restriction(face)
-    deriv = form.scaled_derivative
-    found = _roots_1d(deriv.value_iv, lo, hi, MIN_WIDTH, max_boxes, deriv.slope_iv)
-    if found is None:
-        return max_boxes, None
-    proven, unproven, processed = found
-    return processed, form.candidate_maximum([Interval.point(lo), Interval.point(hi), *proven, *unproven])[1]
+    an = analyze_form(obj.restriction(face), (Interval.point(lo), Interval.point(hi)), face, max_boxes)
+    return an.iterations, an.value if an.conclusive else None
 
 
 def _gradient(ranges: MonotoneBounds, box: tuple[float, ...]) -> tuple[float, float, float, float] | None:
@@ -731,15 +776,17 @@ def _negative_definite(obj: Objective, box: Box) -> tuple[Interval, Interval, In
     return hessian if h11.hi < 0.0 and (h11 * h22 - h12 * h12).lo > 0.0 else None
 
 
-def _concave(obj: Objective, region: OmegaRegion, box: tuple[float, ...]) -> tuple[int, Box | None, Interval | None]:
+def _concave(
+    obj: Objective, region: OmegaRegion, box: tuple[float, ...], max_steps: int
+) -> tuple[int, Box | None, Interval | None]:
     """Settle a branch-and-bound box at an interior maximum: Krawczyk steps, then S and v, or None twice.
 
-    It settles when f is concave on it and Krawczyk steps prove a box X* in
-    the region interior that holds its one gradient zero x*: x* is a point of
-    the region and the maximum over any concave S that holds it, and
-    v = f(X*) ∋ f(x*).  S is X* grown by the box's width on each side, else
-    the box and X*.  S is the box itself and v None where a Krawczyk image
-    misses the box, which then holds no gradient zero.
+    It settles when f is concave on it and at most `max_steps` Krawczyk
+    steps prove a box X* in the region interior that holds its one gradient
+    zero x*: x* is a point of the region and the maximum over any concave S
+    that holds it, and v = f(X*) ∋ f(x*).  S is X* grown by the box's width
+    on each side, else the box and X*.  S is the box itself and v None where
+    a Krawczyk image misses the box, which then holds no gradient zero.
     """
     x1, x2, y1, y2 = box
     b = (Interval(x1, x2), Interval(y1, y2))
@@ -747,7 +794,7 @@ def _concave(obj: Objective, region: OmegaRegion, box: tuple[float, ...]) -> tup
         return 0, None, None
     # the first step takes the Hessian over b that the concavity test evaluated
     k, proven, steps = _contract(lambda c: _krawczyk(obj, c, hessian if c is b else None), b,
-                                 (Interval(-1.0, 1.0),) * 2, CLUSTER_WIDTH)
+                                 (Interval(-1.0, 1.0),) * 2, CLUSTER_WIDTH, max_steps)
     if k is None:
         return steps, b, None
     if not proven or not _in_interior(region, k):

@@ -212,7 +212,7 @@ def test_criterion_14_grid_gap_bounds_are_small(tol, suite_ctx):
 def test_criterion_15_curve_identities(suite_ctx):
     out = _run(suite_ctx, "PROPERTY_CURVES")
     assert out.status == "PASS", out.note
-    b = CONSTANTS.b
+    b = CONSTANTS.iv_b.mid
     assert abs(0.5 * (1 + b * b) - math.sqrt((1 - b * b) / 3)) <= 1e-12
     assert abs(1 - 10 * b * b - 3 * b**4) <= 1e-12
 

@@ -22,8 +22,8 @@ from grunsky_bounds.optimize import _root_box
 from paper_formulas import lemma1_bound, omega_contains
 
 A = CONSTANTS.a_float
-B = CONSTANTS.b
-D = CONSTANTS.d
+B = CONSTANTS.iv_b.mid
+D = CONSTANTS.iv_d.mid
 
 
 def test_constant_a_is_exact_rational():

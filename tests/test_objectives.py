@@ -45,8 +45,8 @@ from paper_formulas import (
 )
 
 A = CONSTANTS.a_float
-B = CONSTANTS.b
-D = CONSTANTS.d
+B = CONSTANTS.iv_b.mid
+D = CONSTANTS.iv_d.mid
 S3, S5, S7 = math.sqrt(3), math.sqrt(5), math.sqrt(7)
 
 
@@ -493,9 +493,8 @@ def test_edge_monotonicity(oid, edge, lo, hi, direction):
 def test_f2_axis_maximum_at_right_endpoint():
     # the value bound that the loose monotonicity statement is used for
     from grunsky_bounds.claims import analyze_edge
-    from grunsky_bounds.optimize import BnBConfig
 
-    an = analyze_edge(ObjectiveId.F2, EdgeId.Y_ZERO, BnBConfig(tol_value=1e-6))
+    an = analyze_edge(ObjectiveId.F2, EdgeId.Y_ZERO, 10_000)
     assert 2.236 <= an.value.lo <= an.value.hi < 2.237
     assert Fraction(an.argmax.lo) <= CONSTANTS.a <= Fraction(an.argmax.hi)
     # the dip: a genuine interior stationary point below the endpoint value

@@ -12,8 +12,9 @@ from grunsky_bounds import claims, cli, oracle
 from grunsky_bounds.claims import SuiteConfig
 from grunsky_bounds.cli import main
 from grunsky_bounds.domain import EdgeId
-from grunsky_bounds.objectives import ObjectiveId
-from grunsky_bounds.optimize import BnBConfig, CriticalSearch
+from grunsky_bounds.interval import Interval
+from grunsky_bounds.objectives import OBJECTIVES, ObjectiveId
+from grunsky_bounds.optimize import CriticalSearch
 from grunsky_bounds.report import CSV_COLUMNS, all_passed, emit, run_suite
 
 CHEAP = ["THM1_A3", "ORACLE_GAMMA", "PROPERTY_CURVES"]
@@ -337,6 +338,23 @@ def test_a_corner_tie_leaves_a_row_with_an_expected_kind_inconclusive():
     assert row.note == "maximum on x_a not separated from x_a/y_zero"
 
 
+def test_a_decomposition_without_its_best_candidate_disagrees_with_the_global_enclosure():
+    # f2's maximum is the interior root of its x = a edge; an analysis of that
+    # edge whose value is the restriction at t = 0.3, below the root, leaves
+    # the decomposition without its best candidate.  The branch-and-bound
+    # searches the region on its own, so the row cannot pass
+    ctx = claims.SuiteContext(SuiteConfig())
+    an = ctx.edge(ObjectiveId.F2, EdgeId.X_A)
+    below = OBJECTIVES[ObjectiveId.F2].restriction(EdgeId.X_A).value_iv(Interval.point(0.3))
+    assert below.hi < an.value.lo
+    ctx._edges[(ObjectiveId.F2, EdgeId.X_A)] = dataclasses.replace(an, value=below)
+    loc = ctx.locate(ObjectiveId.F2)
+    assert loc.unsettled == () and loc.value.hi < ctx.extremum(ObjectiveId.F2).value.lo
+    (row,) = run_suite(["THM1_A4"], ctx=ctx)
+    assert row.status != "PASS"
+    assert "decomposition disagrees" in row.note
+
+
 #: wrong targets for entries of each kind: a point value, an edge maximum, an
 #: edge root and an interior coordinate
 WRONG_TARGETS = {"f2(0,0)": "0.900", "g1 max": "1.300", "f2 x=a root": "0.400",
@@ -386,7 +404,7 @@ def test_cli_edges_of_f1_hold_the_a3_enclosure(capsys):
     printed = f"max in [{a3.lo:.10f}, {a3.hi:.10f}]"
     for edge in (EdgeId.X_A, EdgeId.Y_ZERO):
         assert printed in rows[list(EdgeId).index(edge)]
-        assert claims.analyze_edge(ObjectiveId.F1, edge, BnBConfig()).value.intersects(a3)
+        assert claims.analyze_edge(ObjectiveId.F1, edge, SuiteConfig().max_boxes).value.intersects(a3)
 
 
 def test_cli_maximize_f1(capsys):
@@ -509,7 +527,7 @@ def test_cli_writes_report_file(tmp_path):
         (["verify", "--tol", "-1"], "--tol"),
         (["verify", "--tol", "nan"], "--tol"),
         (["maximize", "--objective", "f2", "--tol", "0"], "--tol"),
-        (["edges", "--objective", "f2", "--tol", "inf"], "--tol"),
+        (["edges", "--objective", "f2", "--max-boxes", "0"], "--max-boxes"),
         (["grunsky", "--preset", "identity", "--order", "0"], "--order"),
         (["grunsky", "--preset", "identity", "--vectors", "0"], "--vectors"),
         # the coefficient identities read omega_17, so the table needs order 4
@@ -583,6 +601,8 @@ def test_an_unsettled_decomposition_reports_no_kind_and_no_argmax(capsys):
         ["maximize", "--objective", "f2", "--format", "json"],
         ["maximize", "--objective", "f2", "--seed", "1"],
         ["edges", "--objective", "f2", "--out", "edges.txt"],
+        # the edge analyses read only the budget
+        ["edges", "--objective", "f2", "--tol", "inf"],
         ["grunsky", "--preset", "identity", "--max-boxes", "5"],
         ["grunsky", "--preset", "identity", "--format", "csv"],
     ],
