@@ -1327,6 +1327,56 @@ def test_critical_search_excludes_the_rim_by_gradient_sign(oid):
     assert (boxes, len(cs.boundary_zeros)) == CRITICAL_POINTS[oid]
 
 
+def _hex_box(box) -> tuple[str, ...]:
+    return tuple(e.hex() for iv in box for e in (iv.lo, iv.hi))
+
+
+#: every critical search at BnBConfig(), by float.hex: (iterations, certified,
+#: boundary zeros, rim boxes, points), a box as (x.lo, x.hi, y.lo, y.hi) and a
+#: point as (cluster, certified box, value)
+CRITICAL_PINS = {
+    ObjectiveId.F1: (32, True, [
+        ("-0x1.4f33ee6c0885cp-69", "0x1.4f33ee6c0885cp-68", "-0x1.ff395df893e37p-58", "0x1.ff395df893e37p-57"),
+    ], [], []),
+    ObjectiveId.F2: (81, True, [
+        ("-0x1.291bca30de554p-63", "0x1.291bca30de554p-62", "-0x1.4c2d16afb9a1ap-62", "0x1.4c2d16afb9a1ap-61"),
+    ], [], []),
+    ObjectiveId.F3: (57, True, [], [], []),
+    ObjectiveId.F4: (146, True, [
+        ("-0x1.3f3a80763d527p-93", "0x1.3f3a80763d527p-92", "-0x1.ed6aa901e608cp-94", "0x1.ed6aa901e608cp-93"),
+    ], [], [
+        (("0x1.43bae147ae148p-1", "0x1.46b3333333333p-1", "0x1.6a76320f2b4f7p-2", "0x1.713acf07983eap-2"),
+         ("0x1.44d5304031245p-1", "0x1.44d5304031254p-1", "0x1.6f9b04f162c8fp-2", "0x1.6f9b04f162c9ep-2"),
+         ("0x1.2c918d4e61e3cp+0", "0x1.2c918d4e61e66p+0")),
+    ]),
+    ObjectiveId.F5: (216, True, [], [], [
+        (("0x1.6d4f5c28f5c28p-1", "0x1.7047ae147ae14p-1", "0x1.3b15e74430c52p-2", "0x1.41da843c9db45p-2"),
+         ("0x1.6f696dfa25b81p-1", "0x1.6f696dfa25b99p-1", "0x1.4041f7ab8f72ep-2", "0x1.4041f7ab8f751p-2"),
+         ("0x1.d29aed74efefdp+0", "0x1.d29aed74eff98p+0")),
+    ]),
+    ObjectiveId.F6: (498, True, [], [], [
+        (("0x1.34e147ae147aep-1", "0x1.365d70a3d70a4p-1", "0x1.9311dfe1b8ea9p-2", "0x1.94c3071fd4266p-2"),
+         ("0x1.36080995d41e6p-1", "0x1.36080995d4224p-1", "0x1.9497733b46c2cp-2", "0x1.9497733b46c7ap-2"),
+         ("0x1.32ea61d950c10p+0", "0x1.32ea61d950cf8p+0")),
+    ]),
+    ObjectiveId.F7: (1, True, [], [], []),
+    ObjectiveId.F8: (119, True, [
+        ("-0x1.c196eab7436e4p-51", "0x1.c196eab7436e4p-50", "-0x1.4f1aaef8e0eb3p-51", "0x1.4f1aaef8e0eb3p-50"),
+    ], [], []),
+    ObjectiveId.F9: (101, True, [], [], []),
+}
+
+
+@pytest.mark.parametrize("oid", list(CRITICAL_PINS), ids=lambda v: v.value)
+def test_critical_searches_are_pinned(oid):
+    cs = interior_critical_points(OBJECTIVES[oid], REGION, BnBConfig())
+    points = [(_hex_box(p.cluster), p.certified_box and _hex_box(p.certified_box), _hex_box((p.value,)))
+              for p in cs.points]
+    rims = [tuple(e.hex() for e in box) for box in cs.rim_boxes]
+    zeros = [_hex_box(box) for box in cs.boundary_zeros]
+    assert (cs.iterations, cs.certified, zeros, rims, points) == CRITICAL_PINS[oid]
+
+
 #: a point on the rim R = 0 (the high cap), just inside the region
 _RIM_POINT = (0.6, cap_point_down(0.6))
 
