@@ -17,16 +17,19 @@ The scalar helpers round as follows:
   and step only when the sum rounded, so exact sums keep exact endpoints.
   The error is NaN when the sum overflows; the test then steps too.
 
-The pair kernel `_mul_pair`, `_pow_pair` and `_sqrt_pair` works on plain
-(lo, hi) float pairs and builds no object.  `Interval.__mul__`, `__pow__`
-and `sqrt_clamped` are one-line wrappers of it, and the compiled evaluators
-of `poly` and `objectives` call it directly, so both paths give the same
-bits.  `_mul_pair` forms only the endpoint products its sign case needs (two
-when either operand is one-signed, four when both straddle zero).  Round to
-nearest is monotone and so is the step, so the product with the extreme
-exact value rounds to the extreme endpoint.  When an endpoint comes out as
-zero, its sign can depend on which of several equal products is taken, so
-the product is then formed from all four in the fixed order.
+The pair kernel `_mul_pair`, `_pow_pair`, `_sqrt_pair` and `_scale_pair`
+works on plain (lo, hi) float pairs and builds no object.  `Interval.__mul__`,
+`__pow__`, `sqrt_clamped` and `scale` are one-line wrappers of it, and the
+compiled evaluators of `poly` and `objectives` and the zero searches of
+`optimize` call it directly, so both paths give the same bits.  The searches
+run on flat boxes (lo_1, hi_1, lo_2, hi_2, ...); `_checked` makes on such a
+box the check that `Interval` makes on each of its results.  `_mul_pair`
+forms only the endpoint products its sign case needs (two when either
+operand is one-signed, four when both straddle zero).  Round to nearest is
+monotone and so is the step, so the product with the extreme exact value
+rounds to the extreme endpoint.  When an endpoint comes out as zero, its
+sign can depend on which of several equal products is taken, so the product
+is then formed from all four in the fixed order.
 
 General division is not provided.  The quotients in the toolkit are
 1/sqrt(R) over boxes where the radicand R is strictly positive (in the true
@@ -185,6 +188,39 @@ def _sqrt_pair(lo: float, hi: float, tol: float = CLAMP_TOL) -> tuple[float, flo
     return _sqrt_down(lo), _sqrt_up(hi)
 
 
+def _scale_pair(lo: float, hi: float, s: float) -> tuple[float, float]:
+    """(lo, hi) of [lo, hi] * s."""
+    if s >= 0.0:
+        return _mul_down(lo, s), _mul_up(hi, s)
+    return _mul_down(hi, s), _mul_up(lo, s)
+
+
+# Interval +, - and * on (lo, hi) pairs, as `Interval` forms them.
+def _add(p: tuple[float, float], q: tuple[float, float]) -> tuple[float, float]:
+    return _add_down(p[0], q[0]), _add_up(p[1], q[1])
+
+
+def _sub(p: tuple[float, float], q: tuple[float, float]) -> tuple[float, float]:
+    return _add_down(p[0], -q[1]), _add_up(p[1], -q[0])
+
+
+def _mul(p: tuple[float, float], q: tuple[float, float]) -> tuple[float, float]:
+    return _mul_pair(*p, *q)
+
+
+def _checked(box: tuple[float, ...]) -> tuple[float, ...]:
+    """The flat box (lo_1, hi_1, lo_2, hi_2, ...), once no side has a NaN endpoint or lo > hi."""
+    for k in range(0, len(box), 2):
+        if not box[k] <= box[k + 1]:
+            Interval(box[k], box[k + 1])  # raises the ValueError of that check
+    return box
+
+
+def _intervals(box: tuple[float, ...] | None) -> tuple[Interval, ...] | None:
+    """The sides of a flat box as intervals; None for None."""
+    return None if box is None else tuple(Interval(lo, hi) for lo, hi in zip(box[::2], box[1::2]))
+
+
 class Interval:
     """Closed interval [lo, hi] with inclusion-correct arithmetic."""
 
@@ -249,9 +285,7 @@ class Interval:
         return Interval(*_pow_pair(self.lo, self.hi, n))
 
     def scale(self, s: float) -> Interval:
-        if s >= 0.0:
-            return Interval(_mul_down(self.lo, s), _mul_up(self.hi, s))
-        return Interval(_mul_down(self.hi, s), _mul_up(self.lo, s))
+        return Interval(*_scale_pair(self.lo, self.hi, s))
 
     def sqrt_clamped(self, tol: float = CLAMP_TOL) -> Interval:
         """Enclosure of sqrt(self intersected with [0, inf)).

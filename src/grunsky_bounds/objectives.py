@@ -13,10 +13,12 @@ region, at the corner (a, 0), like any other objective's.
 P is stored once, as a table of exact `Fraction` terms, and `_diff` derives
 the tables of its first and second partial derivatives from it.  `_prepared`
 compiles them, on first evaluation, into (i, j, c_lo, c_hi) pair tables: the
-one evaluator of the family.  `Objective.value_iv`, `gradient_iv` and
-`hessian_iv` run the operations of the interval formula on them, in its order,
-through the pair kernel of `interval`, with no `Interval` per operation (edge
-forms likewise, through `poly`); `MonotoneBounds` reads the same tables.
+one evaluator of the family.  `Objective.value_iv`, `gradient_pairs` and
+`hessian_pairs` run the operations of the interval formula on them, in its
+order, through the pair kernel of `interval`, with no `Interval` per operation
+(edge forms likewise, through `poly`); `MonotoneBounds` reads the same tables.
+The `*_pairs` forms return flat (lo, hi) pairs for the zero searches of
+`optimize`, and `gradient_iv` and `hessian_iv` wrap them in `Interval`s.
 
 For verified sign certificates the gradient is used in its radical-scaled
 form
@@ -42,20 +44,8 @@ from functools import cached_property, lru_cache
 
 from .domain import CONSTANTS, EDGES, Edge, EdgeId
 from .interval import (
-    Interval,
-    _add_down,
-    _add_up,
-    _mul_down,
-    _mul_pair,
-    _mul_up,
-    _pow_down,
-    _pow_pair,
-    _pow_up,
-    _recip_down,
-    _recip_up,
-    _sqrt_down,
-    _sqrt_pair,
-    _sqrt_up,
+    Interval, _add, _add_down, _add_up, _intervals, _mul, _mul_down, _mul_pair, _mul_up, _pow_down, _pow_pair,
+    _pow_up, _recip_down, _recip_up, _scale_pair, _sqrt_down, _sqrt_pair, _sqrt_up, _sub
 )
 from .poly import (
     MixedPoly, Pair, RatPoly, horner_pair, mixed_pair, rp_add, rp_deriv, rp_mul, rp_pairs, rp_pow,
@@ -131,20 +121,23 @@ class RadicalForm1D:
         new_v = self.w.deriv().scale(Fraction(2))
         return RadicalForm1D(self.label + "'", new_w, new_v, self.s, self.lo, self.hi)
 
-    def slope_iv(self, t: Interval) -> Interval | None:
-        """Enclosure of d/dt of this form over t; None where S(t) is not positive.
+    def slope_pair(self, lo: float, hi: float) -> Pair | None:
+        """Enclosure of d/dt of this form over [lo, hi]; None where S is not positive there.
 
         It is the scaled derivative divided by 2*sqrt(S(t)), the one place
         where the form is differentiated without the scaling.
         """
-        slo, shi = horner_pair(self._pairs[2], t.lo, t.hi)
+        slo, shi = horner_pair(self._pairs[2], lo, hi)
         if slo <= 0.0:
             return None
         slo, shi = _sqrt_pair(slo, shi)
         # the scaled derivative has this S, so the radicand is evaluated once
-        dlo, dhi = self.scaled_derivative._value_pair(t.lo, t.hi, (slo, shi))
+        dlo, dhi = self.scaled_derivative._value_pair(lo, hi, (slo, shi))
         # times 1/(2*sqrt(S)): the interval path's scale(2.0), then recip
-        return Interval(*_mul_pair(dlo, dhi, _recip_down(_mul_up(shi, 2.0)), _recip_up(_mul_down(slo, 2.0))))
+        return _mul_pair(dlo, dhi, _recip_down(_mul_up(shi, 2.0)), _recip_up(_mul_down(slo, 2.0)))
+
+    def slope_iv(self, t: Interval) -> Interval | None:
+        return None if (d := self.slope_pair(t.lo, t.hi)) is None else Interval(*d)
 
 
 @dataclass(frozen=True)
@@ -184,10 +177,10 @@ class Objective:
         sq = _sqrt_pair(*r)
         return sq, (_recip_down(sq[1]), _recip_up(sq[0])), mixed_pair(_prepared(self.id).mult.pairs, *xp)
 
-    def gradient_iv(self, x: Interval, y: Interval) -> tuple[Interval, Interval] | None:
-        """True gradient enclosure; None where the radicand is not positive over the box."""
+    def gradient_pairs(self, x1: float, x2: float, y1: float, y2: float) -> tuple[float, ...] | None:
+        """(fx_lo, fx_hi, fy_lo, fy_hi), the true gradient over the box; None unless the radicand is positive on it."""
         prep = _prepared(self.id)
-        xp, yp = (x.lo, x.hi), (y.lo, y.hi)
+        xp, yp = (x1, x2), (y1, y2)
         fx, fy = _terms_pair(prep.px, xp, yp), _terms_pair(prep.py, xp, yp)
         if self.has_radical:
             if (rad := self._radical(xp, yp)) is None:
@@ -195,13 +188,16 @@ class Objective:
             sq, u, m = rad
             # fx = Px + M'*sqrt(R) - M*x*u,  fy = Py - 3*M*y*u
             fx = _sub(_add(fx, _mul(prep.m_lin, sq)), _mul(_mul(m, xp), u))
-            fy = _sub(fy, _scale(_mul(_mul(m, yp), u), 3.0))
-        return Interval(*fx), Interval(*fy)
+            fy = _sub(fy, _scale_pair(*_mul(_mul(m, yp), u), 3.0))
+        return *fx, *fy
 
-    def hessian_iv(self, x: Interval, y: Interval) -> tuple[Interval, Interval, Interval] | None:
-        """Enclosure of (fxx, fxy, fyy) over the box; None where the radicand is not positive on it."""
+    def gradient_iv(self, x: Interval, y: Interval) -> tuple[Interval, Interval] | None:
+        return _intervals(self.gradient_pairs(x.lo, x.hi, y.lo, y.hi))
+
+    def hessian_pairs(self, x1: float, x2: float, y1: float, y2: float) -> tuple[float, ...] | None:
+        """(fxx, fxy, fyy) over the box, each a (lo, hi) pair, flat; None unless the radicand is positive on it."""
         prep = _prepared(self.id)
-        xp, yp = (x.lo, x.hi), (y.lo, y.hi)
+        xp, yp = (x1, x2), (y1, y2)
         fxx, fxy, fyy = (_terms_pair(t, xp, yp) for t in (prep.pxx, prep.pxy, prep.pyy))
         if self.has_radical:
             if (rad := self._radical(xp, yp)) is None:
@@ -209,14 +205,17 @@ class Objective:
             _, u, m = rad
             u3, dm = _mul(_mul(u, u), u), prep.m_lin
             # fxx = Pxx - 2*M'*x*u - M*u - M*x^2*u^3
-            fxx = _sub(_sub(_sub(fxx, _scale(_mul(_mul(dm, xp), u), 2.0)), _mul(m, u)),
+            fxx = _sub(_sub(_sub(fxx, _scale_pair(*_mul(_mul(dm, xp), u), 2.0)), _mul(m, u)),
                        _mul(_mul(m, _pow_pair(*xp, 2)), u3))
             # fxy = Pxy - 3*M'*y*u - 3*M*x*y*u^3
-            fxy = _sub(_sub(fxy, _scale(_mul(_mul(dm, yp), u), 3.0)),
-                       _scale(_mul(_mul(_mul(m, xp), yp), u3), 3.0))
+            fxy = _sub(_sub(fxy, _scale_pair(*_mul(_mul(dm, yp), u), 3.0)),
+                       _scale_pair(*_mul(_mul(_mul(m, xp), yp), u3), 3.0))
             # fyy = Pyy - 3*M*(u + 3*y^2*u^3)
-            fyy = _sub(fyy, _scale(_mul(m, _add(u, _scale(_mul(_pow_pair(*yp, 2), u3), 3.0))), 3.0))
-        return Interval(*fxx), Interval(*fxy), Interval(*fyy)
+            fyy = _sub(fyy, _scale_pair(*_mul(m, _add(u, _scale_pair(*_mul(_pow_pair(*yp, 2), u3), 3.0))), 3.0))
+        return *fxx, *fxy, *fyy
+
+    def hessian_iv(self, x: Interval, y: Interval) -> tuple[Interval, Interval, Interval] | None:
+        return _intervals(self.hessian_pairs(x.lo, x.hi, y.lo, y.hi))
 
     def stationary_at_origin(self) -> bool:
         """grad f(0, 0) = (P_x(0, 0) + M'(0), P_y(0, 0)) is zero, decided exactly on the term tables."""
@@ -283,23 +282,6 @@ def _pair_terms(terms: Terms) -> PairTerms:
     return tuple((i, j, *rp_pairs((c,))[0]) for (i, j), c in sorted(terms.items()))
 
 
-# Interval +, -, * and scale by s > 0 on (lo, hi) pairs, as `Interval` forms them.
-def _add(p: Pair, q: Pair) -> Pair:
-    return _add_down(p[0], q[0]), _add_up(p[1], q[1])
-
-
-def _sub(p: Pair, q: Pair) -> Pair:
-    return _add_down(p[0], -q[1]), _add_up(p[1], -q[0])
-
-
-def _mul(p: Pair, q: Pair) -> Pair:
-    return _mul_pair(*p, *q)
-
-
-def _scale(p: Pair, s: float) -> Pair:
-    return _mul_down(p[0], s), _mul_up(p[1], s)
-
-
 def _terms_pair(terms: PairTerms, xp: Pair, yp: Pair) -> Pair:
     """Sum of c * x^i * y^j over a table, from [0, 0] in table order."""
     olo = ohi = 0.0
@@ -314,7 +296,7 @@ def _terms_pair(terms: PairTerms, xp: Pair, yp: Pair) -> Pair:
 
 def _radicand(xp: Pair, yp: Pair) -> Pair:
     """R = (1 - x^2) - 3*y^2 over the box."""
-    return _sub(_sub((1.0, 1.0), _pow_pair(*xp, 2)), _scale(_pow_pair(*yp, 2), 3.0))
+    return _sub(_sub((1.0, 1.0), _pow_pair(*xp, 2)), _scale_pair(*_pow_pair(*yp, 2), 3.0))
 
 
 @dataclass(frozen=True)

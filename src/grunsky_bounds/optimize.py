@@ -1,64 +1,29 @@
 """Verified global maximization over the admissible region.
 
-maximize_1d and maximize_2d share one best-first branch-and-bound loop,
-`_best_first`.  In 2-D, boxes are bisected along their longer side, clipped
-in y against the cap curve (the region is y-simple, so clipping is exact),
-pruned when their upper bound falls below the certified incumbent, and the
-enclosure runs from the incumbent to the highest open bound.  It is a value
-enclosure only: where the maximum lies is for `claims.SuiteContext.locate`
-to decide.  A box is bounded once, by a mean-value form expanded about the
-centre that minimises the form's bound (Baumann 1988).  A box that reaches
-the cap curve within one cap branch c takes that form in the chart
-(x, s = y/c(x)), where the curve is the face s = 1, so the bound is exact
-to second order at a maximum on the curve; every other box takes it in
-(x, y).  Where the radicand reaches zero the forms have no bound, since
-they need the true gradient, which is singular there; such a box takes its
-monotone corner bound instead.  The forms run on float pairs, (lo, hi)
-rounded outward as `Interval` rounds them, with no object per box.  The
-incumbent comes from a 3 x 3 seed grid and one corner sample per split.
+- `maximize_2d` and `maximize_1d` share one best-first branch-and-bound,
+  `_best_first`, which gives a value enclosure only: where the maximum lies
+  is for `claims.SuiteContext.locate`.  A 2-D box is bounded once, by a
+  mean-value form about Baumann's centre (`_centred_upper`; Baumann 1988),
+  in the chart (x, s = y/c(x)) where it reaches the cap curve
+  (`_chart_upper`).  About a maximum a box settles instead of splitting on:
+  in the interior on a concave box by Krawczyk steps (`_concave`; Schichl &
+  Neumaier 2004), on x = a and curve_low by `analyze_form` on its face
+  segment (`_face_maximum`).
+- `_isolate` is the one subdivision loop of every zero search, and
+  `_contract` its steps B <- B ∩ step(B): an image inside the interior of
+  its box proves that the box holds exactly one zero (Moore, Kearfott &
+  Cloud 2009, ch. 8; Neumaier 1990, ch. 5).  `_roots_1d` takes interval
+  Newton steps, for `find_root_1d` and for `analyze_form`, the maximum of a
+  restriction over a parameter range: the largest of the form at the two
+  ends and on every zero cluster of its scaled derivative.
+  `interior_critical_points` takes Krawczyk steps (`_krawczyk`) after a
+  sign test on the scaled gradient.
+- `grid_maximum` is a float-only cross-check, which decides nothing.
 
-About an interior maximum a mean-value bound, which overestimates by O(w^2),
-would cost boxes for every halving of the tolerance (Du & Kearfott 1994).  So
-a small (x, y) box whose gradient enclosure holds zero settles where f is
-concave on it and the Krawczyk steps below prove its one gradient zero x* in
-the region interior: f(x*) is its maximum, and bounds every later box in a
-concave box S about x*, which is not split (Schichl & Neumaier 2004).  A box
-whose Krawczyk image misses it holds no gradient zero, and no box inside it
-tries again.  About a maximum on the boundary the same cluster forms, so a
-box on the face x = a, or on curve_low (the chart face s = 1), where f rises
-towards the face along its normal and the tangential derivative takes both
-signs, is bounded by the maximum of that piece's restriction over its face
-segment: `analyze_form` on the segment, as the edge analyses run it on the
-whole piece.
-
-Every zero search runs one subdivision loop, `_isolate`: each caller gives it
-an exclusion test, a contraction step and a split.  `_roots_1d` is the 1-D
-zero search, for `analyze_form` and find_root_1d.  It bisects a piece only
-until the piece's enclosure excludes zero or, given an enclosure of the
-derivative that excludes zero, interval Newton steps N(X) = m - f(m)/f'(X)
-either empty the piece or prove a box in it.  Only pieces that Newton cannot
-settle are bisected on down to MIN_WIDTH.  analyze_form is the one search
-for the maximum of a restriction over a parameter range: the largest of the
-form at the two ends and on every zero cluster of its scaled derivative.
-maximize_1d bounds a box on which the derivative has one sign by the value
-at the box's higher end; f1 runs through maximize_2d like f2-f9, so it runs
-only for perfbench (`claims.SuiteContext.f1_extremum`).
-
-interior_critical_points runs the same loop over 2-D boxes.  It excludes
-gradient zeros with the division-free scaled gradient G = sqrt(R)*grad f,
-which stays bounded up to the rim R = 0, so the sign test runs first on every
-box, rim boxes included.  A box at most KRAWCZYK_WIDTH wide with positive
-radicand then takes Krawczyk steps, built from the true gradient and the
-interval Hessian of `Objective.gradient_iv` and `Objective.hessian_iv` (this
-module evaluates no objective terms itself): they clear the box or prove that
-a box in it holds exactly one zero.  Boxes that nothing settles are bisected
-down to CLUSTER_WIDTH; such a leaf at the rim goes to `rim_boxes`, any other
-gives an uncertified point, and either leaves the search uncertified.
-
-The 1-D Newton steps and the 2-D Krawczyk steps share one contraction loop,
-`_contract`: B <- B ∩ step(B), where an image inside the interior of its box
-proves that the box holds exactly one zero (Moore, Kearfott & Cloud 2009,
-ch. 8; Neumaier 1990, ch. 5).
+Every search runs on flat float boxes (`Box`), the zero searches through the
+pair kernel of `interval`, rounded outward as `Interval` rounds and checked
+by `_checked` wherever an enclosure decides an exclusion, a step image or a
+proof.  `Interval` is the type of the records they return.
 """
 
 from __future__ import annotations
@@ -67,6 +32,7 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -75,17 +41,8 @@ from .domain import (
     CAP_PIECES, CONSTANTS, EDGES, REGION, EdgeId, OmegaRegion, cap_point_down, cap_sup_up, high_chart, low_chart
 )
 from .interval import (
-    Interval,
-    _add_down,
-    _add_up,
-    _mul_down,
-    _mul_pair,
-    _mul_up,
-    _recip_down,
-    _recip_up,
-    _sqrt_down,
-    _sqrt_up,
-    hull_of,
+    Interval, _add, _add_down, _add_up, _checked, _intervals, _mul, _mul_down, _mul_pair, _mul_up,
+    _recip_down, _recip_up, _scale_pair, _sqrt_down, _sqrt_up, _sub, hull_of
 )
 from .objectives import OBJECTIVES, MonotoneBounds, Objective, ObjectiveId, RadicalForm1D, monotone_bounds
 from .poly import MixedPoly
@@ -93,8 +50,10 @@ from .poly import MixedPoly
 IvFunc = Callable[[Interval], Interval]
 #: an enclosure of a derivative over a box, or None where there is none
 SlopeFunc = Callable[[Interval], Interval | None]
-#: a box, one interval per coordinate
-Box = tuple[Interval, ...]
+#: an enclosure over [lo, hi] as a (lo, hi) pair, or None where there is none
+PairFunc = Callable[[float, float], tuple[float, float] | None]
+#: a flat box of floats: (lo, hi) in 1-D, (x1, x2, y1, y2) in 2-D
+Box = tuple[float, ...]
 #: an image of a box that holds every zero in it, or None where there is none
 Step = Callable[[Box], Box | None]
 
@@ -197,23 +156,47 @@ def find_root_1d(
     fn at its two ends, so that it holds every zero and at least one.
     NoBracketError otherwise, and when the box budget runs out.
     """
-    found = _roots_1d(fn, lo, hi, tol, max_boxes, slope)
+    found = _roots_1d(_on_pairs(fn), lo, hi, tol, max_boxes, slope and _on_pairs(slope))
     if found is None:
         raise NoBracketError(f"box budget exhausted isolating a zero of {fn} on [{lo}, {hi}]")
     proven, unproven, _ = found
     if len(proven) == 1 and not unproven:
-        return proven[0]
+        return Interval(*proven[0])
     if len(unproven) == 1 and not proven:
-        root = unproven[0]
+        root = Interval(*unproven[0])
         a, b = fn(Interval.point(root.lo)), fn(Interval.point(root.hi))
         if a.hi < 0.0 < b.lo or b.hi < 0.0 < a.lo:
             return root
     raise NoBracketError(f"no single sign-changing zero cluster of {fn} on [{lo}, {hi}]")
 
 
+def _on_pairs(fn: SlopeFunc) -> PairFunc:
+    """fn on (lo, hi) pairs: the endpoints of fn(Interval(lo, hi)), or None where fn gives None."""
+    return lambda lo, hi: None if (v := fn(Interval(lo, hi))) is None else (v.lo, v.hi)
+
+
+# Set operations on flat boxes, 1-D or 2-D.
+def _width(box: Box) -> float:
+    return box[1] - box[0] if len(box) == 2 else max(box[1] - box[0], box[3] - box[2])
+
+
 def _inside(image: Box, box: Box) -> bool:
-    """image ⊂ int box, side by side."""
-    return all(b.lo < n.lo and n.hi < b.hi for n, b in zip(image, box))
+    """image ⊂ int box."""
+    return box[0] < image[0] and image[1] < box[1] and (len(box) == 2 or box[2] < image[2] and image[3] < box[3])
+
+
+def _meets(a: Box, b: Box) -> bool:
+    return a[0] <= b[1] and b[0] <= a[1] and (len(a) == 2 or a[2] <= b[3] and b[2] <= a[3])
+
+
+def _intersect(a: Box, b: Box) -> Box:
+    x = max(a[0], b[0]), min(a[1], b[1])
+    return x if len(a) == 2 else (*x, max(a[2], b[2]), min(a[3], b[3]))
+
+
+def _hull(a: Box, b: Box) -> Box:
+    x = min(a[0], b[0]), max(a[1], b[1])
+    return x if len(a) == 2 else (*x, min(a[2], b[2]), max(a[3], b[3]))
 
 
 def _contract(
@@ -227,27 +210,31 @@ def _contract(
     once a box is proven, while they shrink it at all.  An unproven box that
     stalls at most `min_width` wide is widened by its width on each side,
     inside `span`, and tested once more: that proves a zero that the steps
-    pressed against an end of the piece.  Returns (box, proven, steps); the
-    box is None when an image misses its box, which then holds no zero.
+    pressed against an end of the piece.  Returns (box, proven, steps), flat
+    boxes all; the box is None when an image misses its box, which then
+    holds no zero.  `step` gives its image `_checked`.
     """
     # without this floor a box pressed against t = 0 would shrink on into
     # subnormal floats
-    floor = 4.0 * math.ulp(max(max(-s.lo, s.hi) for s in span))
+    floor = 4.0 * math.ulp(max(map(abs, span)))
     proven = False
     steps = 0
     while steps < max_steps and (image := step(box)) is not None:
         steps += 1
-        if any(n.hi < b.lo or b.hi < n.lo for n, b in zip(image, box)):
+        if not _meets(image, box):
             return None, False, steps
         proven = proven or _inside(image, box)
-        size = max(b.width for b in box)
-        box = tuple(Interval(max(n.lo, b.lo), min(n.hi, b.hi)) for n, b in zip(image, box))
-        shrunk = max(b.width for b in box)
+        size = _width(box)
+        box = _intersect(image, box)
+        shrunk = _width(box)
         if shrunk >= size if proven else not floor < shrunk < 0.5 * size:
             break
-    if steps and not proven and steps < max_steps and max(b.width for b in box) <= min_width:
-        rs = [max(b.width, 4.0 * math.ulp(b.mid)) for b in box]
-        widened = tuple(Interval(max(b.lo - r, s.lo), min(b.hi + r, s.hi)) for b, s, r in zip(box, span, rs))
+    if steps and not proven and steps < max_steps and _width(box) <= min_width:
+        ends = []
+        for lo, hi, s_lo, s_hi in zip(box[::2], box[1::2], span[::2], span[1::2]):
+            r = max(hi - lo, 4.0 * math.ulp(0.5 * (lo + hi)))
+            ends += max(lo - r, s_lo), min(hi + r, s_hi)
+        widened = tuple(ends)
         steps += 1
         image = step(widened)
         if image is not None and _inside(image, widened):
@@ -259,7 +246,7 @@ def _isolate(
     root: Box, excluded: Callable[[Box], bool], step: Step, split: Callable[[Box], Sequence[Box]],
     span: Box, min_width: float, max_boxes: int,
 ) -> tuple[list[tuple[Box, Box]], list[Box], int] | None:
-    """The one subdivision loop of every zero search, from `root`.
+    """The one subdivision loop of every zero search, from `root`, on flat boxes.
 
     A piece that `excluded` certifies zero-free is dropped.  Any other piece
     takes `step` in `_contract`, which clears it, proves that a box in it
@@ -289,7 +276,7 @@ def _isolate(
             continue
         if is_proven:
             proven.append((piece, box))
-        elif max(b.width for b in box) <= min_width:
+        elif _width(box) <= min_width:
             leaves.append(box)
         else:
             stack.extend(split(piece))
@@ -297,51 +284,54 @@ def _isolate(
 
 
 def _roots_1d(
-    fn: IvFunc, lo: float, hi: float, min_width: float, max_boxes: int, slope: SlopeFunc | None
-) -> tuple[list[Interval], list[Interval], int] | None:
+    fn: PairFunc, lo: float, hi: float, min_width: float, max_boxes: int, slope: PairFunc | None
+) -> tuple[list[Box], list[Box], int] | None:
     """Every zero of fn on [lo, hi]: the Newton-proven boxes, the unproven clusters, and the pieces and steps taken.
 
-    Pieces whose enclosure excludes zero are certified zero-free.  With
-    `slope`, which encloses fn' over a piece or gives None where it cannot, a
-    piece on which fn' excludes zero takes Newton steps (`_contract`): they
-    clear it, or prove that a box in it holds exactly one zero.  Other pieces
-    are bisected down to `min_width` and merged into clusters when they lie
-    within `min_width` of each other.  Both lists are sorted.  Pieces
-    evaluated and Newton steps share the budget `max_boxes`; None when it
-    runs out.
+    fn encloses the function over a (lo, hi) pair as a pair.  Pieces whose
+    enclosure excludes zero are certified zero-free.  With `slope`, which
+    encloses fn' over a piece or gives None where it cannot, a piece on which
+    fn' excludes zero takes Newton steps (`_contract`): they clear it, or
+    prove that a box in it holds exactly one zero.  Other pieces are bisected
+    down to `min_width` and merged into clusters when they lie within
+    `min_width` of each other.  Both lists hold (lo, hi) pairs, sorted.
+    Pieces evaluated and Newton steps share the budget `max_boxes`; None when
+    it runs out.
     """
+
+    def excluded(box: Box) -> bool:
+        v_lo, v_hi = _checked(fn(*box))
+        return not v_lo <= 0.0 <= v_hi
 
     def step(box: Box) -> Box | None:
         """Newton's N(X) = m - fn(m)/fn'(X) about the midpoint m; None unless fn'(X) excludes 0."""
-        (x,) = box
-        d = slope(x) if slope is not None else None
-        if d is None or d.contains_zero():
+        if slope is None or (d := slope(*box)) is None or _checked(d)[0] <= 0.0 <= d[1]:
             return None
-        m = Interval.point(x.mid)
-        fm = fn(m)
-        return (m - fm * d.recip() if d.lo > 0.0 else m + fm * (-d).recip(),)
+        m = 0.5 * (box[0] + box[1])
+        if d[0] > 0.0:
+            return _checked(_sub((m, m), _mul(fn(m, m), (_recip_down(d[1]), _recip_up(d[0])))))
+        # m + fn(m) * 1/(-fn'(X)) where fn' < 0
+        return _checked(_add((m, m), _mul(fn(m, m), (_recip_down(-d[0]), _recip_up(-d[1])))))
 
     def split(box: Box) -> list[Box]:
-        (x,) = box
-        return [(Interval(x.lo, x.mid),), (Interval(x.mid, x.hi),)]
+        m = 0.5 * (box[0] + box[1])
+        return [(box[0], m), (m, box[1])]
 
-    span = Interval(lo, hi)
-    found = _isolate((span,), lambda box: not fn(box[0]).contains_zero(), step, split, (span,),
-                     min_width, max_boxes)
+    found = _isolate((lo, hi), excluded, step, split, (lo, hi), min_width, max_boxes)
     if found is None:
         return None
     proven, leaves, processed = found
     # Two proven boxes that overlap hold one zero: fn' has one sign on each,
     # so on their union.  Unproven leaves within min_width form one cluster.
-    return _merge([box[0] for _, box in proven], 0.0), _merge([box[0] for box in leaves], min_width), processed
+    return _merge([box for _, box in proven], 0.0), _merge(leaves, min_width), processed
 
 
-def _merge(boxes: list[Interval], gap: float) -> list[Interval]:
-    """Hulls of the runs of sorted boxes that lie within `gap` of each other."""
-    out: list[Interval] = []
-    for c in sorted(boxes, key=lambda c: c.lo):
-        if out and c.lo <= out[-1].hi + gap:
-            out[-1] = out[-1].hull(c)
+def _merge(boxes: list[Box], gap: float) -> list[Box]:
+    """Hulls of the runs of sorted (lo, hi) pairs that lie within `gap` of each other."""
+    out: list[Box] = []
+    for c in sorted(boxes, key=lambda c: c[0]):
+        if out and c[0] <= out[-1][1] + gap:
+            out[-1] = _hull(out[-1], c)
         else:
             out.append(c)
     return out
@@ -387,12 +377,12 @@ def analyze_form(form: RadicalForm1D, endpoints: tuple[Interval, Interval],
     """
     lo, hi = endpoints[0].lo, endpoints[1].hi
     deriv = form.scaled_derivative
-    found = _roots_1d(deriv.value_iv, lo, hi, MIN_WIDTH, max_boxes, deriv.slope_iv)
+    found = _roots_1d(deriv._value_pair, lo, hi, MIN_WIDTH, max_boxes, deriv.slope_pair)
     if found is None:
         span = Interval(lo, hi)
         return EdgeAnalysis(edge, form.value_iv(span), span, (), False, endpoints, None, max_boxes)
     proven, unproven, processed = found
-    clusters = sorted(proven + unproven, key=lambda c: c.lo)
+    clusters = [Interval(*c) for c in sorted(proven + unproven, key=lambda c: c[0])]
     candidates = [*endpoints, *clusters]
     evals = [form.value_iv(c) for c in candidates]
     order = sorted(range(len(evals)), key=lambda k: evals[k].hi, reverse=True)
@@ -492,8 +482,9 @@ def _clip_box(x1: float, x2: float, y1: float, y2: float) -> tuple[float, float,
     return x1, x2, y1, y2c
 
 
+@lru_cache(maxsize=None)
 def _root_box(region: OmegaRegion) -> tuple[float, float, float, float]:
-    """[0, a] x [0, top of the cap], clipped; the cap peaks where the low piece ends."""
+    """[0, a] x [0, top of the cap], clipped; the cap peaks where the low piece ends.  Built once per region."""
     low = CAP_PIECES[0]
     return _clip_box(0.0, region.constants.iv_a.hi, 0.0, low.lift(low.t_hi)[1].hi)
 
@@ -538,17 +529,13 @@ def maximize_2d(obj: Objective, region: OmegaRegion = REGION, cfg: BnBConfig | N
             return children, sample(children[0][1], children[0][3])
         return children, -math.inf
 
-    def within(box: tuple[float, float, float, float], s: Box) -> bool:
+    def within(box: Box, s: Box) -> bool:
         x1, x2, y1, y2 = box
-        return s[0].lo <= x1 and x2 <= s[0].hi and s[1].lo <= y1 and y2 <= s[1].hi
+        return s[0] <= x1 and x2 <= s[1] and s[2] <= y1 and y2 <= s[3]
 
-    def covered(box: tuple[float, float, float, float]) -> float | None:
+    def covered(box: Box) -> float | None:
         """sup f over a box inside a settled concave box, else None."""
         return next((v.hi for s, v in settled if v is not None and within(box, s)), None)
-
-    def meets(box: tuple[float, float, float, float], s: Box) -> bool:
-        x1, x2, y1, y2 = box
-        return s[0].lo <= x2 and x1 <= s[0].hi and s[1].lo <= y2 and y1 <= s[1].hi
 
     def settle(box: tuple[float, float, float, float], face: EdgeId | None, ub: float) -> float:
         """A bound of sup f over the box in place of its mean-value bound `ub`.
@@ -563,7 +550,7 @@ def maximize_2d(obj: Objective, region: OmegaRegion = REGION, cfg: BnBConfig | N
                 return ub
             steps, v = _face_maximum(obj, box, face, left)
         elif max(x2 - x1, y2 - y1) > KRAWCZYK_WIDTH or any(
-                meets(box, s) if v is not None else within(box, s) for s, v in settled):
+                _meets(s, box) if v is not None else within(box, s) for s, v in settled):
             return ub
         else:
             steps, s, v = _concave(obj, region, box, left)
@@ -724,61 +711,65 @@ def _mean_value_upper(f_up: Callable[..., float], grad: tuple[float, ...], box: 
 # ---------------------------------------------------------------------------
 
 
-def _krawczyk(obj: Objective, box: Box, hessian: tuple[Interval, Interval, Interval] | None = None) -> Box | None:
-    """Krawczyk operator K(B) = p - Y g(p) + (I - Y H(B)) (B - p) on B = `box`, about its midpoint p.
+def _krawczyk(obj: Objective, box: Box, hessian: tuple[float, ...] | None = None) -> Box | None:
+    """Krawczyk operator K(B) = p - Y g(p) + (I - Y H(B)) (B - p) on the flat box B, about its midpoint p.
 
     g is the true gradient, H its interval Hessian over B, or `hessian` where
     the caller has it, and Y = mid(H(B))^-1.
     K(B) inside the interior of B proves that B holds exactly one gradient
     zero, and K(B) ∩ B holds every zero in B.  None where the radicand is not
     positive on B, so that g and H are undefined there, or mid(H(B)) is
-    singular; any other fault in g or H raises.
+    singular; a NaN in H, g or K(B) raises.  Each operation is the one the
+    interval formula takes, in its order, on (lo, hi) pairs.
     """
-    bx, by = box
-    ix, iy = Interval.point(bx.mid), Interval.point(by.mid)
-    if (hessian := hessian or obj.hessian_iv(bx, by)) is None:
+    x1, x2, y1, y2 = box
+    if (hessian := hessian or obj.hessian_pairs(*box)) is None:
         return None
-    h11, h12, h22 = hessian
+    _checked(hessian)
+    h11, h12, h22 = hessian[:2], hessian[2:4], hessian[4:]
+    px, py = 0.5 * (x1 + x2), 0.5 * (y1 + y2)
     # R > 0 on B, so also at p in B: interval evaluation is inclusion-isotone
-    g1, g2 = obj.gradient_iv(ix, iy)
-    det = h11.mid * h22.mid - h12.mid * h12.mid
+    g = _checked(obj.gradient_pairs(px, px, py, py))
+    g1, g2 = g[:2], g[2:]
+    m11, m12, m22 = 0.5 * (h11[0] + h11[1]), 0.5 * (h12[0] + h12[1]), 0.5 * (h22[0] + h22[1])
+    det = m11 * m22 - m12 * m12
     if det == 0.0 or not math.isfinite(det):
         return None
     # Y is symmetric, as H is
-    y11, y12, y22 = h22.mid / det, -h12.mid / det, h11.mid / det
-    e11 = Interval.point(1.0) - (h11.scale(y11) + h12.scale(y12))
-    e12 = -(h12.scale(y11) + h22.scale(y12))
-    e21 = -(h11.scale(y12) + h12.scale(y22))
-    e22 = Interval.point(1.0) - (h12.scale(y12) + h22.scale(y22))
+    y11, y12, y22 = m22 / det, -m12 / det, m11 / det
+
+    def comb(u: tuple[float, float], v: tuple[float, float], a: float, b: float) -> tuple[float, float]:
+        """u*a + v*b, as `Interval.scale` and `+` form it."""
+        return _add(_scale_pair(*u, a), _scale_pair(*v, b))
+
+    one = (1.0, 1.0)
+    (n12, p12), (n21, p21) = comb(h12, h22, y11, y12), comb(h11, h12, y12, y22)
+    e11, e12 = _sub(one, comb(h11, h12, y11, y12)), (-p12, -n12)
+    e21, e22 = (-p21, -n21), _sub(one, comb(h12, h22, y12, y22))
     # outward B - p: the endpoints of B need not lie on a float grid about p
-    rx, ry = bx - ix, by - iy
-    k1 = ix - (g1.scale(y11) + g2.scale(y12)) + e11 * rx + e12 * ry
-    k2 = iy - (g1.scale(y12) + g2.scale(y22)) + e21 * rx + e22 * ry
-    return k1, k2
+    rx, ry = _sub((x1, x2), (px, px)), _sub((y1, y2), (py, py))
+    k1 = _add(_add(_sub((px, px), comb(g1, g2, y11, y12)), _mul(e11, rx)), _mul(e12, ry))
+    k2 = _add(_add(_sub((py, py), comb(g1, g2, y12, y22)), _mul(e21, rx)), _mul(e22, ry))
+    return _checked((*k1, *k2))
 
 
 def _in_interior(region: OmegaRegion, box: Box) -> bool:
     """The box lies in the interior of the region; the cap rises, then falls, so is least at an end."""
-    x, y = box
-    return (0.0 < x.lo and x.hi < region.constants.iv_a.lo and 0.0 < y.lo
-            and y.hi < min(cap_point_down(x.lo), cap_point_down(x.hi)))
+    x1, x2, y1, y2 = box
+    return (0.0 < x1 and x2 < region.constants.iv_a.lo and 0.0 < y1
+            and y2 < min(cap_point_down(x1), cap_point_down(x2)))
 
 
-def _hull(a: Box, b: Box) -> Box:
-    return tuple(u.hull(v) for u, v in zip(a, b))
-
-
-def _negative_definite(obj: Objective, box: Box) -> tuple[Interval, Interval, Interval] | None:
-    """The interval Hessian over the box where it is negative definite, so f is strictly concave on it, else None."""
-    if (hessian := obj.hessian_iv(*box)) is None:
+def _negative_definite(obj: Objective, box: Box) -> tuple[float, ...] | None:
+    """The flat interval Hessian over the box where it is negative definite, so f is strictly concave there; else None."""
+    if (hessian := obj.hessian_pairs(*box)) is None:
         return None
-    h11, h12, h22 = hessian
-    return hessian if h11.hi < 0.0 and (h11 * h22 - h12 * h12).lo > 0.0 else None
+    _checked(hessian)
+    h11, h12, h22 = hessian[:2], hessian[2:4], hessian[4:]
+    return hessian if h11[1] < 0.0 and _checked(_sub(_mul(h11, h22), _mul(h12, h12)))[0] > 0.0 else None
 
 
-def _concave(
-    obj: Objective, region: OmegaRegion, box: tuple[float, ...], max_steps: int
-) -> tuple[int, Box | None, Interval | None]:
+def _concave(obj: Objective, region: OmegaRegion, box: Box, max_steps: int) -> tuple[int, Box | None, Interval | None]:
     """Settle a branch-and-bound box at an interior maximum: Krawczyk steps, then S and v, or None twice.
 
     It settles when f is concave on it and at most `max_steps` Krawczyk
@@ -788,21 +779,20 @@ def _concave(
     on each side, else the box and X*.  S is the box itself and v None where
     a Krawczyk image misses the box, which then holds no gradient zero.
     """
-    x1, x2, y1, y2 = box
-    b = (Interval(x1, x2), Interval(y1, y2))
-    if (hessian := _negative_definite(obj, b)) is None:
+    if (hessian := _negative_definite(obj, box)) is None:
         return 0, None, None
-    # the first step takes the Hessian over b that the concavity test evaluated
-    k, proven, steps = _contract(lambda c: _krawczyk(obj, c, hessian if c is b else None), b,
-                                 (Interval(-1.0, 1.0),) * 2, CLUSTER_WIDTH, max_steps)
+    # the first step takes the Hessian over the box that the concavity test evaluated
+    k, proven, steps = _contract(lambda c: _krawczyk(obj, c, hessian if c is box else None), box,
+                                 (-1.0, 1.0, -1.0, 1.0), CLUSTER_WIDTH, max_steps)
     if k is None:
-        return steps, b, None
+        return steps, box, None
     if not proven or not _in_interior(region, k):
         return steps, None, None
     # each S holds the box: the widened retest of `_contract` may leave X* partly outside it
-    grown = _hull(b, tuple(Interval(u.lo - w, u.hi + w) for u, w in zip(k, (x2 - x1, y2 - y1))))
-    s = next((s for s in (grown, _hull(b, k)) if _negative_definite(obj, s) is not None), None)
-    return steps, s, None if s is None else obj.value_iv(*k)
+    x1, x2, y1, y2 = box
+    grown = _hull(box, (k[0] - (x2 - x1), k[1] + (x2 - x1), k[2] - (y2 - y1), k[3] + (y2 - y1)))
+    s = next((s for s in (grown, _hull(box, k)) if _negative_definite(obj, s) is not None), None)
+    return steps, s, None if s is None else obj.value_iv(*_intervals(k))
 
 
 def interior_critical_points(
@@ -816,29 +806,23 @@ def interior_critical_points(
     Krawczyk proves their hull.  A proven box inside the interior is a
     certified point; one that meets the boundary and holds (0, 0), where the
     exact gradient vanishes, is a boundary zero.  Any other box left, a rim
-    box or an exhausted budget leaves the search uncertified.
+    box or an exhausted budget leaves the search uncertified.  The search
+    runs on flat boxes; only the records it returns hold `Interval`s.
     """
     cfg = cfg or BnBConfig()
     ranges = monotone_bounds(obj.id)
 
-    def floats(box: Box) -> tuple[float, float, float, float]:
-        return box[0].lo, box[0].hi, box[1].lo, box[1].hi
-
     def excluded(box: Box) -> bool:
         """One scaled-gradient component has one sign on the box."""
-        g1lo, g1hi, g2lo, g2hi = ranges.scaled_gradient_range(*floats(box))[:4]
+        g1lo, g1hi, g2lo, g2hi = ranges.scaled_gradient_range(*box)[:4]
         return g1lo > 0.0 or g1hi < 0.0 or g2lo > 0.0 or g2hi < 0.0
 
     def step(box: Box) -> Box | None:
-        return _krawczyk(obj, box) if max(b.width for b in box) <= KRAWCZYK_WIDTH else None
+        return _krawczyk(obj, box) if _width(box) <= KRAWCZYK_WIDTH else None
 
-    def split(box: Box) -> list[Box]:
-        return [(Interval(x1, x2), Interval(y1, y2)) for x1, x2, y1, y2 in _split_clipped(floats(box))]
-
-    x1, x2, y1, y2 = _root_box(region)
     # the widened retest of a box pressed against (0, 0) may cross both axes
-    found = _isolate((Interval(x1, x2), Interval(y1, y2)), excluded, step, split,
-                     (Interval(-1.0, 1.0),) * 2, CLUSTER_WIDTH, cfg.max_boxes)
+    found = _isolate(_root_box(region), excluded, step, _split_clipped, (-1.0, 1.0, -1.0, 1.0),
+                     CLUSTER_WIDTH, cfg.max_boxes)
     if found is None:
         return CriticalSearch(certified=False, iterations=cfg.max_boxes)
     proven, leaves, processed = found
@@ -847,7 +831,7 @@ def interior_critical_points(
     zeros: list[tuple[Box, Box]] = []  # (piece the proof started from, contracted box), one per zero
     unsettled: list[Box] = []
     for piece, box in proven:
-        twin = next((z for z in zeros if all(u.intersects(v) for u, v in zip(z[1], box))), None)
+        twin = next((z for z in zeros if _meets(z[1], box)), None)
         if twin is not None:
             zeros.remove(twin)
             hull = _hull(twin[1], box)
@@ -858,21 +842,22 @@ def interior_critical_points(
                 continue
             # one zero, in both boxes
             piece = _hull(twin[0], piece)
-            box = tuple(Interval(max(u.lo, v.lo), min(u.hi, v.hi)) for u, v in zip(twin[1], box))
+            box = _intersect(twin[1], box)
         zeros.append((piece, box))
     for piece, box in zeros:
         if _in_interior(region, box):
-            out.points.append(CriticalPoint(piece, box, obj.value_iv(*box)))
-        elif all(b.contains(0.0) for b in box) and obj.stationary_at_origin():
-            out.boundary_zeros.append(box)
+            x, y = _intervals(box)
+            out.points.append(CriticalPoint(_intervals(piece), (x, y), obj.value_iv(x, y)))
+        elif _meets(box, (0.0,) * 4) and obj.stationary_at_origin():
+            out.boundary_zeros.append(_intervals(box))
         else:
             unsettled.append(box)
     for box in leaves:
-        if ranges.scaled_gradient_range(*floats(box))[4] <= 0.0:
-            out.rim_boxes.append(floats(box))
+        if ranges.scaled_gradient_range(*box)[4] <= 0.0:
+            out.rim_boxes.append(box)
         else:
             unsettled.append(box)
-    out.points.extend(CriticalPoint(box, None, obj.value_iv(*box)) for box in unsettled)
+    out.points.extend(CriticalPoint(c, None, obj.value_iv(*c)) for c in map(_intervals, unsettled))
     out.certified = not (unsettled or out.rim_boxes)
     return out
 
@@ -922,7 +907,7 @@ def grid_maximum(oids: ObjectiveId | Sequence[ObjectiveId], n: int = 500) -> flo
     own.  One objective gives its maximum, a sequence their maxima from one
     sweep in blocks of GRID_ROWS x-values, which computes x-only factors once,
     and y, its powers and the radical sqrt(max((1 - x^2) - 3*y*y, 0)) once per
-    block.  Every grid point takes the float operations of the full grid, in
+    block; each objective sums its block into one buffer reused per block.  Every grid point takes the float operations of the full grid, in
     its order (c*x^i*y^j summed from zero in `poly` order, then M(x) times the
     radical), so each maximum is the same bit for bit.
     """
@@ -941,12 +926,14 @@ def grid_maximum(oids: ObjectiveId | Sequence[ObjectiveId], n: int = 500) -> flo
         # y**1 is y; y**0 is 1.0, so a j = 0 term adds its x column as it is
         powers = {1: ys} | {j: ys**j for j in degrees}
         radical = np.sqrt(np.maximum(one_minus_x2[rows] - 3.0 * ys * ys, 0.0))
+        # one sum and one product buffer per block, for every objective and term
+        out, term = np.empty_like(ys), np.empty_like(ys)
         for obj, terms, mult in forms:
-            out = np.zeros_like(ys)
+            out.fill(0.0)
             for cx, j in terms:
-                out += cx[rows] * powers[j] if j else cx[rows]
+                out += np.multiply(cx[rows], powers[j], out=term) if j else cx[rows]
             if obj.has_radical:
-                out += mult[rows] * radical
+                out += np.multiply(mult[rows], radical, out=term)
             best[obj.id] = max(best[obj.id], float(out.max()))
     return tuple(best[oid] for oid in oids)
 

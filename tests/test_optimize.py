@@ -108,8 +108,11 @@ def _three_roots(t: Interval) -> Interval:
 
 
 def _roots(fn, lo: float, hi: float, max_boxes: int = 200_000, slope=None):
-    """The 1-D zero search at the edge analyses' MIN_WIDTH: (proven boxes, unproven clusters, pieces and steps)."""
-    return optimize._roots_1d(fn, lo, hi, MIN_WIDTH, max_boxes, slope)
+    """The 1-D zero search at the edge analyses' MIN_WIDTH on interval functions: (proven boxes, unproven
+    clusters, pieces and steps), the boxes as intervals."""
+    found = optimize._roots_1d(optimize._on_pairs(fn), lo, hi, MIN_WIDTH, max_boxes,
+                               slope and optimize._on_pairs(slope))
+    return found and ([Interval(*c) for c in found[0]], [Interval(*c) for c in found[1]], found[2])
 
 
 def test_uniqueness_rejects_three_roots():
@@ -581,7 +584,7 @@ def test_a_concave_box_settles_at_the_certified_critical_value(suite_ctx):
     steps, s, v = optimize._concave(OBJECTIVES[ObjectiveId.F4], REGION, box, 10_000)
     assert steps > 0 and v == loc.value
     # S holds the box, which is then never split
-    assert s[0].lo <= box[0] and box[1] <= s[0].hi and s[1].lo <= box[2] and box[3] <= s[1].hi
+    assert s[0] <= box[0] and box[1] <= s[1] and s[2] <= box[2] and box[3] <= s[3]
 
 
 def test_the_concave_settle_takes_at_most_the_steps_it_is_given(suite_ctx):
@@ -619,8 +622,7 @@ def test_a_saddle_does_not_settle():
     obj = OBJECTIVES[ObjectiveId.F6]
     (point,) = interior_critical_points(obj, REGION, CFG).points
     box = _about(point.certified_box, 1e-3)
-    b = (Interval(*box[:2]), Interval(*box[2:]))
-    proof = optimize._contract(lambda c: optimize._krawczyk(obj, c), b, (Interval(-1.0, 1.0),) * 2, 1e-5)
+    proof = optimize._contract(lambda c: optimize._krawczyk(obj, c), box, (-1.0, 1.0, -1.0, 1.0), 1e-5)
     assert proof[1]
     assert optimize._concave(obj, REGION, box, 10_000) == (0, None, None)
 
@@ -778,6 +780,31 @@ def test_grid_maximum_matches_the_full_grid_bit_for_bit(n):
     assert [g.hex() for g in grid_maximum(tuple(ObjectiveId), n)] == want
     reverse = tuple(reversed(ObjectiveId))
     assert [g.hex() for g in grid_maximum(reverse, n)] == want[::-1]
+
+
+#: the grid maxima of f1-f9 by float.hex, at n = 500 (the suite's), 120 and 37
+GRID_PINS = {
+    500: (
+        "0x1.36b4ba33fdc05p+1", "0x1.bb11e31f92599p+1", "0x1.3f9002f276f2ep+2",
+        "0x1.2c9177bf89a3ep+0", "0x1.d29ade9374bdep+0", "0x1.47ca47daea39bp+0",
+        "0x1.5324a45452566p-1", "0x1.1a529dfd684ddp-1", "0x1.3a054f288617ep-1",
+    ),
+    120: (
+        "0x1.36b4ba33fdc05p+1", "0x1.bb0efc65b65dcp+1", "0x1.3f8f754d6a129p+2",
+        "0x1.2c90af686016ap+0", "0x1.d2990c010b882p+0", "0x1.47ca2db1a85aep+0",
+        "0x1.5324a45452566p-1", "0x1.1a5231c42b138p-1", "0x1.3a0541b01dd96p-1",
+    ),
+    37: (
+        "0x1.36b4ba33fdc05p+1", "0x1.bb11ff023edb6p+1", "0x1.3f79faf784e36p+2",
+        "0x1.2c8d6f653c126p+0", "0x1.d29528deb6f50p+0", "0x1.47750b95c07c1p+0",
+        "0x1.5324a45452566p-1", "0x1.1a5252541a1d6p-1", "0x1.3a04213284880p-1",
+    ),
+}
+
+
+@pytest.mark.parametrize("n", sorted(GRID_PINS))
+def test_grid_maxima_are_pinned(n):
+    assert tuple(g.hex() for g in grid_maximum(tuple(ObjectiveId), n)) == GRID_PINS[n]
 
 
 def test_grid_sweep_builds_no_whole_grid_temporary():
@@ -1113,7 +1140,8 @@ def test_corner_zero_is_a_proven_box_that_holds_the_origin(oid):
     for box in cs.boundary_zeros:
         assert all(b.lo < 0.0 < b.hi and b.width <= 1e-14 for b in box)
         # the retest that crossed x = 0 and y = 0 proves the box
-        assert optimize._inside(optimize._krawczyk(obj, box), box)
+        flat = _flat(box)
+        assert optimize._inside(optimize._krawczyk(obj, flat), flat)
 
 
 def test_critical_f6_isolates_the_known_zero():
@@ -1147,15 +1175,18 @@ def _iv_box(box: tuple[float, float, float, float]) -> tuple[Interval, Interval]
     return Interval(box[0], box[1]), Interval(box[2], box[3])
 
 
+def _flat(box: tuple[Interval, Interval]) -> tuple[float, float, float, float]:
+    return box[0].lo, box[0].hi, box[1].lo, box[1].hi
+
+
 @pytest.mark.parametrize("near_first", [True, False])
 def test_overlapping_proven_boxes_give_one_point(near_first, monkeypatch):
     obj = OBJECTIVES[ObjectiveId.F6]
     [cp] = interior_critical_points(obj, REGION, CFG).points
     # a second proven box about the zero, 2e-6 wide, that overlaps the first
-    x1, x2, y1, y2 = _offset_box(-1e-6, -1e-6, w=2e-6)
-    wide = _iv_box((x1, x2, y1, y2))
+    wide = _offset_box(-1e-6, -1e-6, w=2e-6)
     assert optimize._inside(optimize._krawczyk(obj, wide), wide)
-    pairs = [(cp.cluster, cp.certified_box), (wide, wide)]
+    pairs = [(_flat(cp.cluster), _flat(cp.certified_box)), (wide, wide)]
     _found_proven(monkeypatch, *(pairs if near_first else pairs[::-1]))
     cs = interior_critical_points(obj, REGION, CFG)
     assert cs.certified and cs.boundary_zeros == []
@@ -1163,20 +1194,20 @@ def test_overlapping_proven_boxes_give_one_point(near_first, monkeypatch):
     # the hull is proven, so the one zero lies in both boxes
     assert merged.certified_box == cp.certified_box
     assert all(c.lo <= min(a.lo, b.lo) and max(a.hi, b.hi) <= c.hi
-               for c, a, b in zip(merged.cluster, cp.cluster, wide))
+               for c, a, b in zip(merged.cluster, cp.cluster, _iv_box(wide)))
 
 
 def test_overlapping_proven_boxes_without_a_hull_proof_stay_uncertified(monkeypatch):
     # two overlapping boxes about f6's zero whose hull, 0.04 wide, is too large
     # for the Krawczyk test (it holds up to half-width about 1e-3)
-    near = _iv_box(_offset_box(-0.02, -0.02, w=0.03))
-    far = _iv_box(_offset_box(-0.01, -0.01, w=0.03))
+    near = _offset_box(-0.02, -0.02, w=0.03)
+    far = _offset_box(-0.01, -0.01, w=0.03)
     _found_proven(monkeypatch, (near, near), (far, far))
     cs = interior_critical_points(OBJECTIVES[ObjectiveId.F6], REGION, CFG)
     assert not cs.certified
     [cp] = cs.points
     assert not cp.certified
-    assert cp.cluster == optimize._hull(near, far)
+    assert cp.cluster == _iv_box(optimize._hull(near, far))
 
 
 def _krawczyk_step(obj):
@@ -1185,18 +1216,17 @@ def _krawczyk_step(obj):
 
 def test_contraction_excludes_a_box_near_a_zero_that_holds_none():
     # 1e-4 from f6's zero and 2e-6 wide: K(B) lies about the zero, so K(B) ∩ B is empty
-    x1, x2, y1, y2 = _offset_box(1e-4, 1e-4, w=2e-6)
-    box = (Interval(x1, x2), Interval(y1, y2))
+    box = x1, x2, y1, y2 = _offset_box(1e-4, 1e-4, w=2e-6)
     step = _krawczyk_step(OBJECTIVES[ObjectiveId.F6])
     image = step(box)
-    assert image[0].hi < x1 or image[1].hi < y1
+    assert image[1] < x1 or image[3] < y1
     assert optimize._contract(step, box, box, 0.0) == (None, False, 1)
 
 
 def test_krawczyk_gives_no_step_on_a_box_that_reaches_the_rim():
     # R = 0 on the high cap: the box holds rim points, its midpoint does not
     x1 = 0.6
-    box = (Interval(x1, x1 + 1e-3), Interval(cap_point_down(x1) - 1e-3, cap_point_down(x1)))
+    box = (x1, x1 + 1e-3, cap_point_down(x1) - 1e-3, cap_point_down(x1))
     assert optimize._krawczyk(OBJECTIVES[ObjectiveId.F5], box) is None
 
 
@@ -1206,9 +1236,50 @@ def test_krawczyk_raises_on_a_nan_in_the_hessian(monkeypatch):
     prep = objectives._prepared(oid)
     broken = replace(prep, pxx=((0, 0, math.nan, math.nan),) + prep.pxx)
     monkeypatch.setattr(objectives, "_prepared", lambda o: broken if o is oid else prep)
-    x1, x2, y1, y2 = _offset_box(0.0, 0.0)
     with pytest.raises(ValueError, match="NaN"):
-        optimize._krawczyk(OBJECTIVES[oid], (Interval(x1, x2), Interval(y1, y2)))
+        optimize._krawczyk(OBJECTIVES[oid], _offset_box(0.0, 0.0))
+
+
+def test_a_nan_hessian_entry_raises_in_the_critical_search(monkeypatch):
+    # the search runs on plain floats, so the check `Interval` made on every
+    # result must still meet the Hessian before it decides anything
+    pxx = objectives._prepared(ObjectiveId.F6).pxx
+    real = objectives._terms_pair
+    monkeypatch.setattr(objectives, "_terms_pair",
+                        lambda terms, xp, yp: (math.nan, math.nan) if terms is pxx else real(terms, xp, yp))
+    with pytest.raises(ValueError, match="NaN"):
+        interior_critical_points(OBJECTIVES[ObjectiveId.F6], REGION, CFG)
+
+
+def test_a_nan_edge_enclosure_raises_in_the_edge_analysis(monkeypatch):
+    # NaN from the scaled derivative (label "f6|curve_low'") only, not from the
+    # form itself: a NaN exclusion test on plain floats would drop every piece
+    # with no error, and the candidate values would not see it
+    real = objectives.RadicalForm1D._value_pair
+    monkeypatch.setattr(objectives.RadicalForm1D, "_value_pair", lambda self, lo, hi, sq=None: (
+        (math.nan, math.nan) if self.label.endswith("'") else real(self, lo, hi, sq)))
+    with pytest.raises(ValueError, match="NaN"):
+        analyze_edge(ObjectiveId.F6, EdgeId.CURVE_LOW, CFG.max_boxes)
+
+
+def _intervals_built(monkeypatch, run):
+    """run(), after one call that builds the lazy caches, and the count of `Interval`s the second call builds."""
+    run()
+    built = []
+    init = Interval.__init__
+    monkeypatch.setattr(Interval, "__init__", lambda self, lo, hi: built.append(1) or init(self, lo, hi))
+    return run(), len(built)
+
+
+def test_the_zero_searches_build_an_interval_only_for_their_records(monkeypatch):
+    # the searches run on float boxes: f6's critical search builds only its
+    # point's cluster, certified box and value, where it once built 3,385
+    cs, n = _intervals_built(monkeypatch, lambda: interior_critical_points(OBJECTIVES[ObjectiveId.F6], REGION, CFG))
+    assert len(cs.points) == 1 and not cs.boundary_zeros and n == 2 + 2 + 1
+    # the edge analysis builds its clusters, a value per candidate (the two
+    # ends and each cluster), its value and its argmax, where it once built 71
+    an, n = _intervals_built(monkeypatch, lambda: analyze_edge(ObjectiveId.F6, EdgeId.CURVE_LOW, CFG.max_boxes))
+    assert len(an.clusters) == 1 and n == len(an.clusters) + (2 + len(an.clusters)) + 2
 
 
 @pytest.mark.parametrize("oid", [ObjectiveId.F4, ObjectiveId.F5, ObjectiveId.F6])
