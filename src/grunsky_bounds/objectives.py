@@ -113,7 +113,9 @@ class RadicalForm1D:
 
     @cached_property
     def scaled_derivative(self) -> RadicalForm1D:
-        """2*sqrt(S) * d/dt of this form; same zeros and signs where S > 0.  Built once."""
+        """2*sqrt(S) * d/dt of this form, with the same zeros and signs where S > 0; W' itself where V = 0.  Built once."""
+        if self.v.is_zero():
+            return RadicalForm1D(self.label + "'", self.w.deriv(), self.v, self.s, self.lo, self.hi)
         s_prime = rp_deriv(self.s)
         new_w = self.v.deriv().mul_rational(self.s).scale(Fraction(2)).add(
             self.v.mul_rational(s_prime)
@@ -122,11 +124,14 @@ class RadicalForm1D:
         return RadicalForm1D(self.label + "'", new_w, new_v, self.s, self.lo, self.hi)
 
     def slope_pair(self, lo: float, hi: float) -> Pair | None:
-        """Enclosure of d/dt of this form over [lo, hi]; None where S is not positive there.
+        """Enclosure of d/dt of this form over [lo, hi]; None where V != 0 and S is not positive there.
 
         It is the scaled derivative divided by 2*sqrt(S(t)), the one place
-        where the form is differentiated without the scaling.
+        where the form is differentiated without the scaling; where V = 0 it
+        is the scaled derivative, W', as it is.
         """
+        if self._pairs[1] is None:
+            return self.scaled_derivative._value_pair(lo, hi)
         slo, shi = horner_pair(self._pairs[2], lo, hi)
         if slo <= 0.0:
             return None

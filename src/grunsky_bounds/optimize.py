@@ -77,9 +77,11 @@ class NoBracketError(RuntimeError):
 TOL_BOX = 1e-9
 
 #: width at which `_roots_1d` stops bisecting a piece that it can neither
-#: clear nor prove by Newton: a multiple zero, or a zero where the radicand S
-#: reaches 0 (f7 at the corners (a, d) and (b, c(b))), which leaves no slope
-#: enclosure.  Unproven pieces within this width of each other form one cluster.
+#: clear nor prove by Newton: a multiple zero, a zero where the radicand S of
+#: a form with a radical reaches 0, which leaves no slope enclosure, or a
+#: zero at an end of the range, against which Newton steps press the box
+#: (every unproven cluster of the edge analyses is one of these, at t = 0).
+#: Unproven pieces within this width of each other form one cluster.
 MIN_WIDTH = 1e-10
 
 
@@ -524,8 +526,9 @@ def maximize_2d(obj: Objective, region: OmegaRegion = REGION, cfg: BnBConfig | N
         # bounded.  Only the child at the parent's lower-left corner has a new
         # one: the other child's corner samples as its parent's (clipping
         # lowers its y2 no further than the cap at x2), and the root's corner
-        # samples as the seed point (x_in, cap(x_in)).
-        if children and children[0][0] == x1 and children[0][2] == y1:
+        # samples as the seed point (x_in, cap(x_in)).  Once a settle has put
+        # the incumbent at the low end of a certified value, none is taken.
+        if not raised and children and children[0][0] == x1 and children[0][2] == y1:
             return children, sample(children[0][1], children[0][3])
         return children, -math.inf
 
@@ -543,6 +546,7 @@ def maximize_2d(obj: Objective, region: OmegaRegion = REGION, cfg: BnBConfig | N
         On `face`, the face maximum, unless `ub` already prunes the box; with
         no face, the value `_concave` settles.  `ub` where neither settles.
         """
+        nonlocal raised
         x1, x2, y1, y2 = box
         left = cfg.max_boxes - work[1]
         if face is not None:
@@ -559,7 +563,7 @@ def maximize_2d(obj: Objective, region: OmegaRegion = REGION, cfg: BnBConfig | N
         work[1] += steps
         if v is None:
             return ub
-        work[0] = max(work[0], v.lo)
+        work[0], raised = max(work[0], v.lo), True
         return v.hi
 
     def bound(box: tuple[float, float, float, float]) -> float:
@@ -573,6 +577,8 @@ def maximize_2d(obj: Objective, region: OmegaRegion = REGION, cfg: BnBConfig | N
     settled: list[tuple[Box, Interval | None]] = []
     # [the incumbent, boxes split, Krawczyk steps and face-search pieces and steps]
     work = [-math.inf, 0]
+    # whether a settle has put the incumbent at the low end of a certified value
+    raised = False
     # coarse seed so pruning starts immediately
     xs = [x_in * i / 2 for i in range(3)]
     best = max(sample(x, cap_point_down(x) * j / 2) for x in xs for j in range(3))
@@ -682,28 +688,35 @@ def _gradient(ranges: MonotoneBounds, box: tuple[float, ...]) -> tuple[float, fl
     return (*_mul_pair(g1lo, g1hi, *u), *_mul_pair(g2lo, g2hi, *u))
 
 
-def _mean_value_upper(f_up: Callable[..., float], grad: tuple[float, ...], box: tuple[float, ...]) -> float:
-    """f(c) + sum of sup G_i*[lo_i - c_i, hi_i - c_i] over box = [lo_1, hi_1] x [lo_2, hi_2], rounded up.
+def _mean_value_upper(f_up: Callable[[float, float], float], grad: tuple[float, ...], box: tuple[float, ...]) -> float:
+    """f(c) + sup G_x*[x1 - c_x, x2 - c_x] + sup G_y*[y1 - c_y, y2 - c_y] over box = [x1, x2] x [y1, y2], rounded up.
 
-    `f_up(u, v)` bounds f from above at a point and grad = (g_lo_1, g_hi_1,
-    g_lo_2, g_hi_2) encloses grad f over the box, so by the mean value
+    `f_up(u, v)` bounds f from above at a point and grad = (g_lo_x, g_hi_x,
+    g_lo_y, g_hi_y) encloses grad f over the box, so by the mean value
     theorem the sum bounds f over the box for any c in it.  Each c_i is
-    Baumann's centre (BIT 28, 1988), which minimises its term: the end that
-    G_i points to where G_i has one sign, else the point
-    g_hi*(hi - c) = g_lo*(lo - c), clamped because rounding can put it an ulp outside.
+    Baumann's centre (`_baumann`).
     """
-    centre, excess = [], 0.0
-    for g_lo, g_hi, lo, hi in zip(grad[::2], grad[1::2], box[::2], box[1::2]):
-        if g_lo >= 0.0:
-            c = hi
-        elif g_hi <= 0.0:
-            c = lo
-        else:
-            c = max(lo, min(hi, (g_hi * hi - g_lo * lo) / (g_hi - g_lo)))
-        centre.append(c)
-        # lo - c <= 0 <= hi - c, so the supremum is one of these two products
-        excess = _add_up(excess, max(_mul_up(g_hi, _add_up(hi, -c)), _mul_up(g_lo, _add_down(lo, -c))))
-    return _add_up(f_up(*centre), excess)
+    x1, x2, y1, y2 = box
+    cx, ex = _baumann(grad[0], grad[1], x1, x2)
+    cy, ey = _baumann(grad[2], grad[3], y1, y2)
+    return _add_up(f_up(cx, cy), _add_up(ex, ey))
+
+
+def _baumann(g_lo: float, g_hi: float, lo: float, hi: float) -> tuple[float, float]:
+    """Baumann's centre c of [lo, hi] for a derivative in [g_lo, g_hi], and sup of [g_lo, g_hi]*[lo - c, hi - c], rounded up.
+
+    c minimises that term (BIT 28, 1988): the end that the derivative points
+    to where it has one sign, else the point g_hi*(hi - c) = g_lo*(lo - c),
+    clamped because rounding can put it an ulp outside.
+    """
+    if g_lo >= 0.0:
+        c = hi
+    elif g_hi <= 0.0:
+        c = lo
+    else:
+        c = max(lo, min(hi, (g_hi * hi - g_lo * lo) / (g_hi - g_lo)))
+    # lo - c <= 0 <= hi - c, so the supremum is one of these two products
+    return c, max(_mul_up(g_hi, _add_up(hi, -c)), _mul_up(g_lo, _add_down(lo, -c)))
 
 
 # ---------------------------------------------------------------------------
@@ -863,14 +876,19 @@ def interior_critical_points(
 
 
 def _split_clipped(box: tuple[float, float, float, float]) -> list[tuple[float, float, float, float]]:
+    """The two halves of a box across its longer side, clipped against the cap curve.
+
+    Only the children of an x-split are clipped.  A y-split child keeps its
+    parent's x-range, and every box split here descends from the clipped
+    root box by these splits, so the parent's top is already at most the cap
+    bound over that range, and so is each child's.
+    """
     x1, x2, y1, y2 = box
     if x2 - x1 >= y2 - y1:
         xm = 0.5 * (x1 + x2)
-        raw = ((x1, xm, y1, y2), (xm, x2, y1, y2))
-    else:
-        ym = 0.5 * (y1 + y2)
-        raw = ((x1, x2, y1, ym), (x1, x2, ym, y2))
-    return [clipped for clipped in (_clip_box(*child) for child in raw) if clipped is not None]
+        return [clipped for clipped in (_clip_box(x1, xm, y1, y2), _clip_box(xm, x2, y1, y2)) if clipped is not None]
+    ym = 0.5 * (y1 + y2)
+    return [(x1, x2, y1, ym), (x1, x2, ym, y2)]
 
 
 # ---------------------------------------------------------------------------

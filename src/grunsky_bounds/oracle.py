@@ -242,11 +242,13 @@ PRESETS: dict[str, Callable[[int], PowerSeries]] = {
 
 
 def random_test_vector(rng: np.random.Generator, max_len: int = 8) -> TestVector:
+    """1 to `max_len` coefficients with standard normal real and imaginary parts, drawn in that order."""
     k = int(rng.integers(1, max_len + 1))
-    vec = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-    if np.max(np.abs(vec)) == 0.0:
-        vec[0] = 1.0
-    return TestVector(tuple(complex(v) for v in vec))
+    real, imag = rng.standard_normal(k), rng.standard_normal(k)
+    x = [complex(a, b) for a, b in zip(real.tolist(), imag.tolist())]
+    if not any(x):
+        x[0] = 1 + 0j
+    return TestVector(tuple(x))
 
 
 def parse_coefficients(text: str) -> PowerSeries:

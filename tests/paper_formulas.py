@@ -147,7 +147,9 @@ def form_value_iv(form: RadicalForm1D, t: Interval) -> Interval:
 
 
 def form_slope_iv(form: RadicalForm1D, t: Interval) -> Interval | None:
-    """The scaled derivative over 2*sqrt(S); None where S is not positive."""
+    """W' where V = 0, else the scaled derivative over 2*sqrt(S); None where V != 0 and S is not positive."""
+    if form.v.is_zero():
+        return mixed_eval_iv(form.w.deriv(), t)
     s = horner_iv(form.s, t)
     if s.lo <= 0.0:
         return None

@@ -218,8 +218,10 @@ def _form_value_50(form, t: float) -> Decimal:
 
 
 def _form_slope(form):
-    """fn' of a scaled derivative form: its own scaled derivative over 2*sqrt(S)."""
+    """fn' of a scaled derivative form: its own scaled derivative, over 2*sqrt(S) where it has a radical."""
     def slope(t: Interval):
+        if form.v.is_zero():
+            return form.scaled_derivative.value_iv(t)
         s = rp_eval_iv(form.s, t)
         if s.lo <= 0.0:
             return None
@@ -290,14 +292,25 @@ def test_endpoint_zero_gives_one_cluster():
     assert an.end == 0
 
 
-def test_zero_where_the_radicand_vanishes_stays_a_min_width_cluster():
-    # f7 on x = a is stationary at the corner (a, d), where S = 0 leaves no slope
+def test_a_form_with_no_radical_searches_its_plain_derivative():
+    # f7 on x = a is a^2/2 + t, with no radical: its scaled derivative is W' = 1
+    # itself, not 2*sqrt(S)*W', which vanished at the corner (a, d) where S = 0
+    # and left a MIN_WIDTH cluster there at a zero the form does not have
+    form = OBJECTIVES[ObjectiveId.F7].restriction(EdgeId.X_A)
+    assert form.scaled_derivative._value_pair(0.0, D) == (1.0, 1.0)
     an = analyze_edge(ObjectiveId.F7, EdgeId.X_A, CFG.max_boxes)
-    [c] = an.clusters
-    assert c.intersects(EDGES[EdgeId.X_A].t_hi) and c.width <= MIN_WIDTH
-    assert an.interior_clusters() == []
-    # the cluster only meets the end enclosure, and that is enough for the corner
-    assert c.lo < EDGES[EdgeId.X_A].t_hi.lo and an.end == 1
+    # the one piece is cleared at once, and the maximum is the end at (a, d)
+    assert an.clusters == () and an.iterations == 1
+    assert an.end == 1 and an.argmax == EDGES[EdgeId.X_A].t_hi
+
+
+def test_a_plain_derivative_takes_newton_steps_where_the_radicand_is_not_positive():
+    # the slope of a form with V = 0 is W'', with no test of S: f7 on x = a
+    # has S = 0 at t = d and S < 0 beyond it
+    deriv = OBJECTIVES[ObjectiveId.F7].restriction(EdgeId.X_A).scaled_derivative
+    assert deriv.slope_pair(D, 2 * D) == (0.0, 0.0)
+    # a form with a radical still has no slope there
+    assert OBJECTIVES[ObjectiveId.F2].restriction(EdgeId.X_A).slope_pair(D, 2 * D) is None
 
 
 @pytest.mark.parametrize("oid, edge, end", [
@@ -716,11 +729,69 @@ def test_maximize_2d_bounds_each_box_once_and_samples_at_most_one_point_per_spli
     assert wide_upper == no_form and no_form
 
 
+@pytest.mark.parametrize("oid", list(ObjectiveId), ids=lambda oid: oid.value)
+def test_a_y_split_child_needs_no_clip(oid, monkeypatch):
+    # every box split descends from the clipped root box, so it is its own
+    # clip, and a y-split child, with its parent's x-range, is too
+    splits = []
+    real = optimize._split_clipped
+    monkeypatch.setattr(optimize, "_split_clipped", lambda box: splits.append((box, real(box))) or splits[-1][1])
+    maximize_2d(OBJECTIVES[oid], REGION, CFG)
+    interior_critical_points(OBJECTIVES[oid], REGION, CFG)
+    y_splits = [(box, children) for box, children in splits if box[1] - box[0] < box[3] - box[2]]
+    assert y_splits and len(y_splits) < len(splits)
+    for box, children in splits:
+        assert optimize._clip_box(*box) == box
+    for box, children in y_splits:
+        assert len(children) == 2 and all(optimize._clip_box(*child) == child for child in children)
+
+
+@pytest.mark.parametrize("oid", list(ObjectiveId), ids=lambda oid: oid.value)
+def test_no_corner_sample_follows_a_settle(oid, monkeypatch):
+    # the settles put the incumbent at the low end of a certified value, so
+    # no corner is sampled after the first one; f1 and f7 never settle, and
+    # sample a new corner at every split, after the 3 x 3 seed grid
+    events, corners = [], []
+    real_lower, real_face, real_concave = objectives.MonotoneBounds.lower, optimize._face_maximum, optimize._concave
+    real_split = optimize._split_clipped
+
+    def lower(self, *box):
+        events.append("sample")
+        return real_lower(self, *box)
+
+    def face(*args):
+        steps, v = real_face(*args)
+        events.append("settle" if v is not None else "search")
+        return steps, v
+
+    def concave(*args):
+        steps, s, v = real_concave(*args)
+        events.append("settle" if v is not None else "search")
+        return steps, s, v
+
+    def split(box):
+        children = real_split(box)
+        corners.append(bool(children) and children[0][0] == box[0] and children[0][2] == box[2])
+        return children
+
+    monkeypatch.setattr(objectives.MonotoneBounds, "lower", lower)
+    monkeypatch.setattr(optimize, "_face_maximum", face)
+    monkeypatch.setattr(optimize, "_concave", concave)
+    monkeypatch.setattr(optimize, "_split_clipped", split)
+    assert maximize_2d(OBJECTIVES[oid], REGION, CFG).converged
+    if oid in (ObjectiveId.F1, ObjectiveId.F7):
+        assert "settle" not in events
+        assert events.count("sample") == 9 + sum(corners)
+    else:
+        first = events.index("settle")
+        assert "sample" in events[:first] and "sample" not in events[first:]
+
+
 #: the edge analyses of f2-f9 and f1's y_zero analysis: value, argmax and
 #: every cluster, each "lo hi" by float.hex
 EDGE_PINS = {
     ('f1', 'y_zero'): ('0x1.36b4ba33fdc01p+1 0x1.36b4ba33fdc08p+1', '0x1.7c28f5c28f5c2p-1 0x1.7c28f5c28f5c3p-1', ('0x0.0p+0 0x1.8306000000000p-57',)),
-    ('f2', 'x_zero'): ('0x1.c9f25c5bfedd6p-1 0x1.c9f25c5bfeddep-1', '0x0.0p+0 0x1.8000000000000p-79', ('0x0.0p+0 0x1.8000000000000p-79',)),
+    ('f2', 'x_zero'): ('0x1.c9f25c5bfedd6p-1 0x1.c9f25c5bfeddep-1', '0x0.0p+0 0x1.0000000000000p-52', ('0x0.0p+0 0x1.0000000000000p-52',)),
     ('f2', 'x_a'): ('0x1.bb11ff6d4c46fp+1 0x1.bb11ff6d4c479p+1', '0x1.760c02923590fp-2 0x1.760c029235913p-2', ('0x1.760c02923590fp-2 0x1.760c029235913p-2',)),
     ('f2', 'y_zero'): ('0x1.1e45e5b566634p+1 0x1.1e45e5b56663cp+1', '0x1.7c28f5c28f5c2p-1 0x1.7c28f5c28f5c3p-1', ('0x0.0p+0 0x1.427f490000000p-61', '0x1.32277ade13b34p-4 0x1.32277ade13b42p-4')),
     ('f2', 'curve_low'): ('0x1.36524930f512dp+0 0x1.36524930f513bp+0', '0x1.31f350c15254ap-2 0x1.31f350c15254dp-2', ('0x1.31f350c15254ap-2 0x1.31f350c15254dp-2',)),
@@ -730,7 +801,7 @@ EDGE_PINS = {
     ('f3', 'y_zero'): ('0x1.ae2865038f534p+1 0x1.ae2865038f544p+1', '0x1.7c28f5c28f5c2p-1 0x1.7c28f5c28f5c3p-1', ()),
     ('f3', 'curve_low'): ('0x1.bfb620df0c1b1p+0 0x1.bfb620df0c1c5p+0', '0x1.26ddd4cbb73dep-2 0x1.26ddd4cbb73e2p-2', ('0x1.26ddd4cbb73dep-2 0x1.26ddd4cbb73e2p-2',)),
     ('f3', 'curve_high'): ('0x1.21b8cffd266adp+2 0x1.21b8cffd266b7p+2', '0x1.7c28f5c28f5c2p-1 0x1.7c28f5c28f5c3p-1', ()),
-    ('f4', 'x_zero'): ('0x1.c9f25c5bfedd6p-1 0x1.c9f25c5bfeddep-1', '0x0.0p+0 0x1.8000000000000p-79', ('0x0.0p+0 0x1.8000000000000p-79',)),
+    ('f4', 'x_zero'): ('0x1.c9f25c5bfedd6p-1 0x1.c9f25c5bfeddep-1', '0x0.0p+0 0x1.0000000000000p-52', ('0x0.0p+0 0x1.0000000000000p-52',)),
     ('f4', 'x_a'): ('0x1.23a31cdbe8f24p+0 0x1.23a31cdbe8f30p+0', '0x1.4ee9130b0bd5ep-2 0x1.4ee9130b0bd63p-2', ('0x1.4ee9130b0bd5ep-2 0x1.4ee9130b0bd63p-2',)),
     ('f4', 'y_zero'): ('0x1.c9f25c5bfedd6p-1 0x1.c9f25c5bfeddfp-1', '0x0.0p+0 0x1.8746940000000p-54', ('0x0.0p+0 0x1.8746940000000p-54',)),
     ('f4', 'curve_low'): ('0x1.6b31cdb559992p-1 0x1.6b31cdb5599a3p-1', '0x1.025d9aab2abedp-2 0x1.025d9aab2abf2p-2', ('0x1.025d9aab2abedp-2 0x1.025d9aab2abf2p-2',)),
@@ -740,17 +811,17 @@ EDGE_PINS = {
     ('f5', 'y_zero'): ('0x1.5fead8a2c08fbp+0 0x1.5fead8a2c0911p+0', '0x1.55ad34f27ac3cp-1 0x1.55ad34f27ac43p-1', ('0x1.55ad34f27ac3cp-1 0x1.55ad34f27ac43p-1',)),
     ('f5', 'curve_low'): ('0x1.514dcbeb9b73cp+0 0x1.514dcbeb9b749p+0', '0x1.fb7e3b09b85d1p-3 0x1.fb7e3b09b85dep-3', ('0x1.fb7e3b09b85d1p-3 0x1.fb7e3b09b85dep-3',)),
     ('f5', 'curve_high'): ('0x1.66e8de5c74abdp+0 0x1.66e8de5c74ac9p+0', '0x1.7c28f5c28f5c2p-1 0x1.7c28f5c28f5c3p-1', ()),
-    ('f6', 'x_zero'): ('0x1.ffffffffffffep-1 0x1.0000000000002p+0', '0x1.0000000000000p-1 0x1.0000000000000p-1', ('0x0.0p+0 0x1.11d2000000000p-55',)),
+    ('f6', 'x_zero'): ('0x1.ffffffffffffep-1 0x1.0000000000002p+0', '0x1.0000000000000p-1 0x1.0000000000000p-1', ('0x0.0p+0 0x1.8000000000000p-54',)),
     ('f6', 'x_a'): ('0x1.3ba49eef274d5p+0 0x1.3ba49eef274ebp+0', '0x1.08cbbeae6c5ddp-2 0x1.08cbbeae6c5ecp-2', ('0x0.0p+0 0x1.389a400000000p-53', '0x1.08cbbeae6c5ddp-2 0x1.08cbbeae6c5ecp-2')),
     ('f6', 'y_zero'): ('0x1.3192aed4d56fcp+0 0x1.3192aed4d5708p+0', '0x1.7c28f5c28f5c2p-1 0x1.7c28f5c28f5c3p-1', ()),
     ('f6', 'curve_low'): ('0x1.47ca4dd107668p+0 0x1.47ca4dd10766fp+0', '0x1.1fd6a644a82b4p-2 0x1.1fd6a644a82b8p-2', ('0x1.1fd6a644a82b4p-2 0x1.1fd6a644a82b8p-2',)),
     ('f6', 'curve_high'): ('0x1.369576d89f334p+0 0x1.369576d89f337p+0', '0x1.3f32c36c7d523p-2 0x1.3f32c36c7d524p-2', ()),
     ('f7', 'x_zero'): ('0x1.fffffffffffffp-2 0x1.0000000000001p-1', '0x1.0000000000000p-1 0x1.0000000000000p-1', ()),
-    ('f7', 'x_a'): ('0x1.5324a45452564p-1 0x1.5324a45452567p-1', '0x1.8c0478936f7e0p-2 0x1.8c047894fb828p-2', ('0x1.8c0478936f7e0p-2 0x1.8c047894fb828p-2',)),
-    ('f7', 'y_zero'): ('0x1.1a44d013a92a0p-2 0x1.1a44d013a92a5p-2', '0x1.7c28f5c28f5c2p-1 0x1.7c28f5c28f5c3p-1', ('0x0.0p+0 0x1.c050000000000p-61',)),
-    ('f7', 'curve_low'): ('0x1.31bff1a3297c4p-1 0x1.31bff1a3297c6p-1', '0x1.3f32c36b3e1f8p-2 0x1.3f32c36c7d524p-2', ('0x0.0p+0 0x1.4000000000000p-101', '0x1.3f32c36b3e1f8p-2 0x1.3f32c36c7d524p-2')),
+    ('f7', 'x_a'): ('0x1.5324a45452564p-1 0x1.5324a45452567p-1', '0x1.8c047894fb827p-2 0x1.8c047894fb828p-2', ()),
+    ('f7', 'y_zero'): ('0x1.1a44d013a92a0p-2 0x1.1a44d013a92a5p-2', '0x1.7c28f5c28f5c2p-1 0x1.7c28f5c28f5c3p-1', ('0x0.0p+0 0x1.8000000000000p-53',)),
+    ('f7', 'curve_low'): ('0x1.31bff1a3297c4p-1 0x1.31bff1a3297c6p-1', '0x1.3f32c36c7d523p-2 0x1.3f32c36c7d524p-2', ('0x0.0p+0 0x1.8000000000000p-54',)),
     ('f7', 'curve_high'): ('0x1.5324a45452561p-1 0x1.5324a45452569p-1', '0x1.7c28f5c28f5c2p-1 0x1.7c28f5c28f5c3p-1', ()),
-    ('f8', 'x_zero'): ('0x1.c9f25c5bfedd6p-2 0x1.c9f25c5bfeddep-2', '0x0.0p+0 0x1.8000000000000p-79', ('0x0.0p+0 0x1.8000000000000p-79',)),
+    ('f8', 'x_zero'): ('0x1.c9f25c5bfedd6p-2 0x1.c9f25c5bfeddep-2', '0x0.0p+0 0x1.0000000000000p-52', ('0x0.0p+0 0x1.0000000000000p-52',)),
     ('f8', 'x_a'): ('0x1.1a52a2f1697a3p-1 0x1.1a52a2f1697abp-1', '0x1.120a77a3800b6p-2 0x1.120a77a3800bbp-2', ('0x1.120a77a3800b6p-2 0x1.120a77a3800bbp-2',)),
     ('f8', 'y_zero'): ('0x1.c9f25c5bfedd6p-2 0x1.c9f25c5bfeddfp-2', '0x0.0p+0 0x1.e000000000000p-101', ('0x0.0p+0 0x1.e000000000000p-101', '0x1.0d2ca0da15305p-1 0x1.0d2ca0da15317p-1')),
     ('f8', 'curve_low'): ('0x1.1de201e9b52f4p-2 0x1.1de201e9b5300p-2', '0x1.9cbc7f13ea2edp-3 0x1.9cbc7f13ea2f8p-3', ('0x1.9cbc7f13ea2edp-3 0x1.9cbc7f13ea2f8p-3',)),
