@@ -113,7 +113,7 @@ class RadicalForm1D:
 
     @cached_property
     def scaled_derivative(self) -> RadicalForm1D:
-        """2*sqrt(S) * d/dt of this form, with the same zeros and signs where S > 0; W' itself where V = 0.  Built once."""
+        """2*sqrt(S) * d/dt of this form, with its zeros and signs where S > 0; W' itself where V = 0.  Built once."""
         if self.v.is_zero():
             return RadicalForm1D(self.label + "'", self.w.deriv(), self.v, self.s, self.lo, self.hi)
         s_prime = rp_deriv(self.s)

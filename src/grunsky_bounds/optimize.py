@@ -8,7 +8,9 @@
   (`_chart_upper`).  About a maximum a box settles instead of splitting on:
   in the interior on a concave box by Krawczyk steps (`_concave`; Schichl &
   Neumaier 2004), on x = a and curve_low by `analyze_form` on its face
-  segment (`_face_maximum`).
+  segment (`_face_maximum`).  The incumbent comes from a 3 x 3 seed grid,
+  then from one corner sample per split until a settle puts it at the low
+  end of a certified value.
 - `_isolate` is the one subdivision loop of every zero search, and
   `_contract` its steps B <- B ∩ step(B): an image inside the interior of
   its box proves that the box holds exactly one zero (Moore, Kearfott &
@@ -498,7 +500,9 @@ def maximize_2d(obj: Objective, region: OmegaRegion = REGION, cfg: BnBConfig | N
     Baumann's centre: in the chart for boxes that reach the cap curve within
     one branch, in (x, y) otherwise.  Only where that form has no bound, at
     the rim R = 0, does the box take `ranges.upper` instead.  The incumbent
-    comes from a 3 x 3 seed grid and at most one corner sample per split.
+    comes from a 3 x 3 seed grid, then from at most one corner sample per
+    split until the first settle, which puts it at the low end of a
+    certified value; f1 and f7, whose maxima lie at corners, never settle.
     An (x, y) box at most KRAWCZYK_WIDTH wide whose gradient holds zero, and
     that meets no concave box S of a settled maximum and lies in no box that
     a Krawczyk step proved free of gradient zeros, tries `_concave`.  A box on
@@ -703,7 +707,7 @@ def _mean_value_upper(f_up: Callable[[float, float], float], grad: tuple[float, 
 
 
 def _baumann(g_lo: float, g_hi: float, lo: float, hi: float) -> tuple[float, float]:
-    """Baumann's centre c of [lo, hi] for a derivative in [g_lo, g_hi], and sup of [g_lo, g_hi]*[lo - c, hi - c], rounded up.
+    """Baumann's centre c of [lo, hi] for a derivative in [g_lo, g_hi], and sup [g_lo, g_hi]*[lo - c, hi - c] rounded up.
 
     c minimises that term (BIT 28, 1988): the end that the derivative points
     to where it has one sign, else the point g_hi*(hi - c) = g_lo*(lo - c),
