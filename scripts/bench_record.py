@@ -12,17 +12,21 @@ Run it from the repository root on an otherwise idle machine.  It runs
 - `end_to_end`: the result line and the detail line of one `--trace 0` run
   of `suite`, `precision` and `oracle`;
 - `per_layer`: the metrics of one `--trace 1` run of `suite` and `precision`;
-- `tier1`: the wall time of the Tier-1 test run and its summary line;
-- `verify`: the wall time of `grunsky-bounds verify --format json`, split
-  into a bare interpreter, `import grunsky_bounds.cli` and the rest, each the
+- `tier1`: the time of the Tier-1 test run and its summary line;
+- `verify`: the time of `grunsky-bounds verify --format json`, split into a
+  bare interpreter, `import grunsky_bounds.cli` and the rest, each the
   median of `--repeats` rounds that alternate the three commands;
 - `work_precision`: `maximize_2d` for f1-f9 at widths 1e-5 to 1e-11, with
   the median time of `--repeats` calls after a warm-up call, the boxes and
   the width reached.
 
-Times outside the benchmark's own are raw wall times, not rescaled for the
-machine's speed.  Counts (boxes, tests, ops that failed) are deterministic;
-the numbers of passes and ops that fit in `--seconds` are not.
+The speed of a shared machine swings by half within seconds, so every time
+outside the benchmark's own is rescaled to the benchmark's reference speed
+the way its set-up probes are: divided by the slowdown of its calibration
+kernel (`perfbench/calibrate.py`), sampled twice just before and twice just
+after each timed command or call.  Counts (boxes, tests, ops that failed)
+are deterministic; the numbers of passes and ops that fit in `--seconds`
+are not.
 """
 
 from __future__ import annotations
@@ -40,6 +44,9 @@ SRC = os.path.join(ROOT, "src")
 TOLS = (1e-5, 1e-7, 1e-9, 1e-11)
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
 
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+import calibrate  # noqa: E402  the benchmark's machine-speed kernel, read as it is
+
 
 def _env() -> dict:
     return dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
@@ -56,16 +63,22 @@ def _perfbench(workload: str, seed: int, seconds: float, trace: int) -> dict:
     return {"env": env, "detail": detail, "result": lines[-1]}
 
 
-def _wall(cmd: list[str]) -> tuple[float, int]:
+def _timed(fn):
+    """fn()'s result and its time at the reference speed: wall time over the slowdown sampled around it."""
+    samples = [calibrate.sample() for _ in range(2)]
     start = time.perf_counter()
-    code = subprocess.run(cmd, cwd=ROOT, env=_env(), stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
-    return time.perf_counter() - start, code
+    out = fn()
+    seconds = time.perf_counter() - start
+    samples += [calibrate.sample() for _ in range(2)]
+    return out, seconds / calibrate.slowdown(samples)
+
+
+def _run(cmd: list[str], **kwargs) -> tuple[subprocess.CompletedProcess, float]:
+    return _timed(lambda: subprocess.run(cmd, cwd=ROOT, env=_env(), text=True, **kwargs))
 
 
 def _tier1() -> dict:
-    start = time.perf_counter()
-    run = subprocess.run(TIER1, cwd=ROOT, env=_env(), capture_output=True, text=True)
-    seconds = time.perf_counter() - start
+    run, seconds = _run(TIER1, capture_output=True)
     summary = run.stdout.strip().splitlines()[-1] if run.stdout.strip() else ""
     return {"seconds": seconds, "summary": summary, "exit_code": run.returncode}
 
@@ -80,10 +93,10 @@ def _verify(repeats: int) -> dict:
     codes = set()
     for _ in range(repeats):
         for name, cmd in commands.items():
-            seconds, code = _wall(cmd)
+            run, seconds = _run(cmd, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
             runs[name].append(seconds)
             if name == "verify":
-                codes.add(code)
+                codes.add(run.returncode)
     med = {name: statistics.median(times) for name, times in runs.items()}
     return {
         "repeats": repeats,
@@ -108,11 +121,7 @@ def _work_precision(repeats: int) -> list[dict]:
         for tol in TOLS:
             cfg = BnBConfig(tol_value=tol)
             ext = maximize_2d(obj, REGION, cfg)  # warms the lazily built caches
-            times = []
-            for _ in range(repeats):
-                start = time.perf_counter()
-                maximize_2d(obj, REGION, cfg)
-                times.append(time.perf_counter() - start)
+            times = [_timed(lambda: maximize_2d(obj, REGION, cfg))[1] for _ in range(repeats)]
             rows.append({"objective": oid.value, "tol": tol, "seconds": statistics.median(times),
                          "boxes": ext.iterations, "width": ext.value.hi - ext.value.lo,
                          "converged": ext.converged})

@@ -740,7 +740,7 @@ def test_a_y_split_child_needs_no_clip(oid, monkeypatch):
     interior_critical_points(OBJECTIVES[oid], REGION, CFG)
     y_splits = [(box, children) for box, children in splits if box[1] - box[0] < box[3] - box[2]]
     assert y_splits and len(y_splits) < len(splits)
-    for box, children in splits:
+    for box, _ in splits:
         assert optimize._clip_box(*box) == box
     for box, children in y_splits:
         assert len(children) == 2 and all(optimize._clip_box(*child) == child for child in children)
