@@ -49,7 +49,7 @@ import calibrate  # noqa: E402  the benchmark's machine-speed kernel, read as it
 
 
 def _env() -> dict:
-    return dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH")))))
 
 
 def _perfbench(workload: str, seed: int, seconds: float, trace: int) -> dict:
