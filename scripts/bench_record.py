@@ -1,10 +1,11 @@
 """Record one BENCH_<n>.json: the benchmark's results, both end-to-end wall times and the work-precision curve.
 
     python scripts/bench_record.py --out BENCH_1.json
-    python scripts/bench_record.py --out /tmp/bench.json --seconds 8 --repeats 5
+    python scripts/bench_record.py --out /tmp/bench.json --seconds 8
 
 Run it from the repository root on an otherwise idle machine.  It runs
-`perfbench/run.py` as it is, in child processes, and records:
+`perfbench/run.py` as it is, in child processes, at seed 1 (`SEED`), and
+records:
 
 - `env`: the benchmark's environment stamp, without the per-run fields, plus
   `PYTHONDONTWRITEBYTECODE`, which decides whether imports read cached
@@ -15,9 +16,9 @@ Run it from the repository root on an otherwise idle machine.  It runs
 - `tier1`: the time of the Tier-1 test run and its summary line;
 - `verify`: the time of `grunsky-bounds verify --format json`, split into a
   bare interpreter, `import grunsky_bounds.cli` and the rest, each the
-  median of `--repeats` rounds that alternate the three commands;
+  median of `REPEATS` rounds that alternate the three commands;
 - `work_precision`: `maximize_2d` for f1-f9 at widths 1e-5 to 1e-11, with
-  the median time of `--repeats` calls after a warm-up call, the boxes and
+  the median time of `REPEATS` calls after a warm-up call, the boxes and
   the width reached.
 
 The speed of a shared machine swings by half within seconds, so every time
@@ -42,6 +43,8 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
 TOLS = (1e-5, 1e-7, 1e-9, 1e-11)
+SEED = 1
+REPEATS = 5
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
 
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
@@ -52,9 +55,9 @@ def _env() -> dict:
     return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH")))))
 
 
-def _perfbench(workload: str, seed: int, seconds: float, trace: int) -> dict:
+def _perfbench(workload: str, seconds: float, trace: int) -> dict:
     """The env stamp, detail and result lines of one perfbench run."""
-    out = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+    out = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(SEED),
                           "--seconds", str(seconds), "--trace", str(trace)],
                          cwd=ROOT, check=True, capture_output=True, text=True).stdout
     lines = [json.loads(line) for line in out.splitlines() if line.startswith("{")]
@@ -83,7 +86,7 @@ def _tier1() -> dict:
     return {"seconds": seconds, "summary": summary, "exit_code": run.returncode}
 
 
-def _verify(repeats: int) -> dict:
+def _verify() -> dict:
     commands = {
         "interpreter": [sys.executable, "-c", "pass"],
         "import": [sys.executable, "-c", "import grunsky_bounds.cli"],
@@ -91,7 +94,7 @@ def _verify(repeats: int) -> dict:
     }
     runs: dict[str, list[float]] = {name: [] for name in commands}
     codes = set()
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         for name, cmd in commands.items():
             run, seconds = _run(cmd, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
             runs[name].append(seconds)
@@ -99,7 +102,7 @@ def _verify(repeats: int) -> dict:
                 codes.add(run.returncode)
     med = {name: statistics.median(times) for name, times in runs.items()}
     return {
-        "repeats": repeats,
+        "repeats": REPEATS,
         "interpreter_s": med["interpreter"],
         "import_s": med["import"] - med["interpreter"],
         "rest_s": med["verify"] - med["import"],
@@ -109,7 +112,7 @@ def _verify(repeats: int) -> dict:
     }
 
 
-def _work_precision(repeats: int) -> list[dict]:
+def _work_precision() -> list[dict]:
     sys.path.insert(0, SRC)
     from grunsky_bounds.domain import REGION
     from grunsky_bounds.objectives import OBJECTIVES, ObjectiveId
@@ -121,7 +124,7 @@ def _work_precision(repeats: int) -> list[dict]:
         for tol in TOLS:
             cfg = BnBConfig(tol_value=tol)
             ext = maximize_2d(obj, REGION, cfg)  # warms the lazily built caches
-            times = [_timed(lambda: maximize_2d(obj, REGION, cfg))[1] for _ in range(repeats)]
+            times = [_timed(lambda: maximize_2d(obj, REGION, cfg))[1] for _ in range(REPEATS)]
             rows.append({"objective": oid.value, "tol": tol, "seconds": statistics.median(times),
                          "boxes": ext.iterations, "width": ext.value.hi - ext.value.lo,
                          "converged": ext.converged})
@@ -131,15 +134,13 @@ def _work_precision(repeats: int) -> list[dict]:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", required=True, help="the JSON file to write")
-    parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--seconds", type=float, default=30.0, help="per perfbench run")
-    parser.add_argument("--repeats", type=int, default=5, help="rounds of the verify split and calls per width")
     args = parser.parse_args()
-    if args.repeats < 5 or args.seconds <= 0:
-        parser.error("--repeats must be at least 5 and --seconds positive")
+    if args.seconds <= 0:
+        parser.error("--seconds must be positive")
 
-    end_to_end = {w: _perfbench(w, args.seed, args.seconds, 0) for w in ("suite", "precision", "oracle")}
-    per_layer = {w: _perfbench(w, args.seed, args.seconds, 1) for w in ("suite", "precision")}
+    end_to_end = {w: _perfbench(w, args.seconds, 0) for w in ("suite", "precision", "oracle")}
+    per_layer = {w: _perfbench(w, args.seconds, 1) for w in ("suite", "precision")}
     env = {k: v for k, v in end_to_end["suite"]["env"].items() if k not in ("workload", "trace")}
     env["PYTHONDONTWRITEBYTECODE"] = os.environ.get("PYTHONDONTWRITEBYTECODE")
     record = {
@@ -149,8 +150,8 @@ def main() -> int:
                           "metrics": {k: m["value"] for k, m in r["result"]["metrics"].items()}}
                       for w, r in per_layer.items()},
         "tier1": _tier1(),
-        "verify": _verify(args.repeats),
-        "work_precision": _work_precision(args.repeats),
+        "verify": _verify(),
+        "work_precision": _work_precision(),
     }
     with open(args.out, "w", encoding="utf-8") as handle:
         json.dump(record, handle, indent=1)

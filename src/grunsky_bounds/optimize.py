@@ -9,8 +9,8 @@
   in the interior on a concave box by Krawczyk steps (`_concave`; Schichl &
   Neumaier 2004), on x = a and curve_low by `analyze_form` on its face
   segment (`_face_maximum`).  The incumbent comes from a 3 x 3 seed grid,
-  then from one corner sample per split until a settle puts it at the low
-  end of a certified value.
+  then from one corner sample per split until the first settle, and from
+  the low end of each settled value.
 - `_isolate` is the one subdivision loop of every zero search, and
   `_contract` its steps B <- B ∩ step(B): an image inside the interior of
   its box proves that the box holds exactly one zero (Moore, Kearfott &
@@ -501,8 +501,8 @@ def maximize_2d(obj: Objective, region: OmegaRegion = REGION, cfg: BnBConfig | N
     one branch, in (x, y) otherwise.  Only where that form has no bound, at
     the rim R = 0, does the box take `ranges.upper` instead.  The incumbent
     comes from a 3 x 3 seed grid, then from at most one corner sample per
-    split until the first settle, which puts it at the low end of a
-    certified value; f1 and f7, whose maxima lie at corners, never settle.
+    split until the first settle, and from the low end of each settled
+    value; f1 and f7, whose maxima lie at corners, never settle.
     An (x, y) box at most KRAWCZYK_WIDTH wide whose gradient holds zero, and
     that meets no concave box S of a settled maximum and lies in no box that
     a Krawczyk step proved free of gradient zeros, tries `_concave`.  A box on
@@ -530,8 +530,12 @@ def maximize_2d(obj: Objective, region: OmegaRegion = REGION, cfg: BnBConfig | N
         # bounded.  Only the child at the parent's lower-left corner has a new
         # one: the other child's corner samples as its parent's (clipping
         # lowers its y2 no further than the cap at x2), and the root's corner
-        # samples as the seed point (x_in, cap(x_in)).  Once a settle has put
-        # the incumbent at the low end of a certified value, none is taken.
+        # samples as the seed point (x_in, cap(x_in)).  After the first
+        # settle none is taken.  That costs no pruning because each objective
+        # that settles (f2-f6, f8, f9) first settles at its global maximum,
+        # as `test_no_corner_sample_follows_a_settle` checks; nothing here
+        # ensures it.  A sample only raises a lower bound, so the result
+        # stays sound either way.
         if not raised and children and children[0][0] == x1 and children[0][2] == y1:
             return children, sample(children[0][1], children[0][3])
         return children, -math.inf
@@ -581,7 +585,7 @@ def maximize_2d(obj: Objective, region: OmegaRegion = REGION, cfg: BnBConfig | N
     settled: list[tuple[Box, Interval | None]] = []
     # [the incumbent, boxes split, Krawczyk steps and face-search pieces and steps]
     work = [-math.inf, 0]
-    # whether a settle has put the incumbent at the low end of a certified value
+    # whether any settle has given a value, which ends the corner samples
     raised = False
     # coarse seed so pruning starts immediately
     xs = [x_in * i / 2 for i in range(3)]

@@ -233,6 +233,6 @@ def test_full_suite_is_green_and_fast(suite_ctx, monkeypatch):
     # 81 of them are the seed grids of the nine maximizers.  It was 575 while
     # every split sampled a corner: the seven objectives that settle their
     # maximum on a face or a concave box take none after the first settle,
-    # which puts the incumbent at the low end of a certified value.  f1 and f7
-    # never settle and take 14 each, as before
+    # which for each of them is at its global maximum.  f1 and f7 never
+    # settle and take 14 each, as before
     assert len(lower_calls) == 423

@@ -38,7 +38,7 @@ from grunsky_bounds.optimize import (
 from grunsky_bounds.poly import rp_deriv, rp_eval_iv
 from grunsky_bounds.report import run_suite
 from paper_formulas import (
-    full_grid_maximum, objective_value, omega_contains, prove_positive_1d
+    form_slope_iv, full_grid_maximum, objective_value, omega_contains, prove_positive_1d
 )
 
 A = CONSTANTS.a_float
@@ -218,10 +218,10 @@ def _form_value_50(form, t: float) -> Decimal:
 
 
 def _form_slope(form):
-    """fn' of a scaled derivative form: its own scaled derivative, over 2*sqrt(S) where it has a radical."""
+    """fn' of a scaled derivative form: the reference W' where V = 0, else its scaled derivative over 2*sqrt(S)."""
     def slope(t: Interval):
         if form.v.is_zero():
-            return form.scaled_derivative.value_iv(t)
+            return form_slope_iv(form, t)
         s = rp_eval_iv(form.s, t)
         if s.lo <= 0.0:
             return None
@@ -748,9 +748,10 @@ def test_a_y_split_child_needs_no_clip(oid, monkeypatch):
 
 @pytest.mark.parametrize("oid", list(ObjectiveId), ids=lambda oid: oid.value)
 def test_no_corner_sample_follows_a_settle(oid, monkeypatch):
-    # the settles put the incumbent at the low end of a certified value, so
-    # no corner is sampled after the first one; f1 and f7 never settle, and
-    # sample a new corner at every split, after the 3 x 3 seed grid
+    # no corner is sampled after the first settle, which pays because each
+    # objective that settles first settles at its global maximum (what this
+    # test, not the code, assures); f1 and f7 never settle, and sample a new
+    # corner at every split, after the 3 x 3 seed grid
     events, corners = [], []
     real_lower, real_face, real_concave = objectives.MonotoneBounds.lower, optimize._face_maximum, optimize._concave
     real_split = optimize._split_clipped
