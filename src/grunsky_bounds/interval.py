@@ -318,9 +318,6 @@ class Interval:
     def mid(self) -> float:
         return 0.5 * (self.lo + self.hi)
 
-    def contains(self, v: float) -> bool:
-        return self.lo <= v <= self.hi
-
     def contains_zero(self) -> bool:
         return self.lo <= 0.0 <= self.hi
 

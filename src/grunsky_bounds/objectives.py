@@ -162,6 +162,11 @@ class Objective:
     def has_radical(self) -> bool:
         return not self.mult.is_zero()
 
+    @property
+    def nonnegative(self) -> bool:
+        """No coefficient of P or M is negative, as `monotone_bounds` and the grid's sub-block bound need."""
+        return all(c >= 0 for c in self.poly.values()) and all(c >= 0 for part in self.mult.parts for c in part)
+
     # -- evaluation -----------------------------------------------------------
     # Each method runs the pair tables of `_prepared` through the operations
     # of its interval formula, in its order; only the results are `Interval`s.
@@ -474,7 +479,7 @@ def _corner_range(terms: PairTerms, x1: float, x2: float, y1: float, y2: float) 
 @lru_cache(maxsize=None)
 def monotone_bounds(oid: ObjectiveId) -> MonotoneBounds:
     obj = OBJECTIVES[oid]
-    if any(c < 0 for c in obj.poly.values()) or any(c < 0 for part in obj.mult.parts for c in part):
+    if not obj.nonnegative:
         raise ValueError(f"{oid} violates the monotone-coefficient assumption")
 
     prep = _prepared(oid)

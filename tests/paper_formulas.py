@@ -34,6 +34,11 @@ from grunsky_bounds.series import PowerSeries
 
 _A = CONSTANTS.a
 
+
+def contains(iv: Interval, v: float) -> bool:
+    """v lies in the enclosure iv."""
+    return iv.lo <= v <= iv.hi
+
 # -- the region in floats (Lemma 1) ---------------------------------------------------
 
 #: membership slack for points produced by floating-point parameterizations
@@ -222,16 +227,10 @@ def objective_hessian_iv(obj: Objective, x: Interval, y: Interval) -> tuple[Inte
 # -- the grid cross-check, on the full grid ---------------------------------------------
 
 
-def full_grid_maximum(oid: ObjectiveId, n: int = 500) -> float:
-    """`optimize.grid_maximum` with every factor on the whole n-by-n grid at once."""
-    a = CONSTANTS.a_float
-    if oid is ObjectiveId.F1:
-        x = np.linspace(0.0, a, n * n)
-        vals = 3.0 * x**2 + 2.0 / math.sqrt(3.0) * np.sqrt(1.0 - x**2)
-        return float(vals.max())
-
+def full_grid_values(oid: ObjectiveId, n: int = 500) -> np.ndarray:
+    """The n-by-n values of `optimize.grid_maximum`, row i at the i-th x, with every factor on the whole grid at once."""
     obj = OBJECTIVES[oid]
-    x = np.linspace(0.0, a, n)
+    x = np.linspace(0.0, CONSTANTS.a_float, n)
     cap = np.minimum(*(piece.cap(x) for piece in CAP_PIECES))
     t = np.linspace(0.0, 1.0, n)
     xs = np.repeat(x, n)
@@ -242,7 +241,16 @@ def full_grid_maximum(oid: ObjectiveId, n: int = 500) -> float:
     if obj.has_radical:
         r = np.maximum(1.0 - xs * xs - 3.0 * ys * ys, 0.0)
         out += mult_float(obj, xs) * np.sqrt(r)
-    return float(out.max())
+    return out.reshape(n, n)
+
+
+def full_grid_maximum(oid: ObjectiveId, n: int = 500) -> float:
+    """The maximum of `full_grid_values`; for f1, of its n*n-point line on [0, a] at y = 0, where it lies."""
+    if oid is ObjectiveId.F1:
+        x = np.linspace(0.0, CONSTANTS.a_float, n * n)
+        vals = 3.0 * x**2 + 2.0 / math.sqrt(3.0) * np.sqrt(1.0 - x**2)
+        return float(vals.max())
+    return float(full_grid_values(oid, n).max())
 
 
 # -- 1-D sign proofs --------------------------------------------------------------------

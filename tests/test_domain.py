@@ -19,7 +19,7 @@ from grunsky_bounds.domain import (
 )
 from grunsky_bounds.interval import Interval
 from grunsky_bounds.optimize import _root_box
-from paper_formulas import lemma1_bound, omega_contains
+from paper_formulas import contains, lemma1_bound, omega_contains
 
 A = CONSTANTS.a_float
 B = CONSTANTS.iv_b.mid
@@ -104,10 +104,10 @@ def test_omega_contains_examples():
 
 def test_edge_point_examples():
     x, y = EDGES[EdgeId.X_A].lift(Interval.point(0.0))
-    assert x.contains(A) and (y.lo, y.hi) == (0.0, 0.0)
+    assert contains(x, A) and (y.lo, y.hi) == (0.0, 0.0)
     low, high = EDGES[EdgeId.CURVE_LOW], EDGES[EdgeId.CURVE_HIGH]
     x, y = high.lift(high.t_hi)
-    assert x.contains(A) and abs(y.mid - D) <= 1e-12
+    assert contains(x, A) and abs(y.mid - D) <= 1e-12
     low_end, high_start = low.lift(low.t_hi), high.lift(high.t_lo)
     assert low_end[0] == high_start[0] == CONSTANTS.iv_b
     assert abs(low_end[1].mid - high_start[1].mid) <= 1e-12  # curve intersection identity

@@ -7,6 +7,7 @@ from dataclasses import replace
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from grunsky_bounds import objectives, optimize
@@ -35,10 +36,10 @@ from grunsky_bounds.optimize import (
     maximize_1d,
     maximize_2d,
 )
-from grunsky_bounds.poly import rp_deriv, rp_eval_iv
+from grunsky_bounds.poly import MixedPoly, rp_deriv, rp_eval_iv
 from grunsky_bounds.report import run_suite
 from paper_formulas import (
-    form_slope_iv, full_grid_maximum, objective_value, omega_contains, prove_positive_1d
+    contains, form_slope_iv, full_grid_maximum, full_grid_values, objective_value, omega_contains, prove_positive_1d
 )
 
 A = CONSTANTS.a_float
@@ -119,7 +120,7 @@ def test_uniqueness_rejects_three_roots():
     # with no slope nothing is proven: three bisection clusters
     proven, unproven, _ = _roots(_three_roots, -0.05, 0.3)
     assert proven == [] and len(unproven) == 3
-    assert [c.contains(r) for c, r in zip(unproven, (0.0, 0.1, 0.2))] == [True] * 3
+    assert [contains(c, r) for c, r in zip(unproven, (0.0, 0.1, 0.2))] == [True] * 3
     with pytest.raises(NoBracketError, match="single"):
         find_root_1d(_three_roots, -0.05, 0.3)
 
@@ -130,7 +131,7 @@ def test_uniqueness_no_root_at_all():
 
 
 def test_find_root_budget_exhausted():
-    assert find_root_1d(_three_roots, 0.15, 0.3).contains(0.2)
+    assert contains(find_root_1d(_three_roots, 0.15, 0.3), 0.2)
     with pytest.raises(NoBracketError, match="budget"):
         find_root_1d(_three_roots, 0.15, 0.3, max_boxes=3)
 
@@ -261,11 +262,11 @@ def test_root_on_a_bisection_midpoint_gives_one_cluster():
 
     # plain bisection: the two leaves that meet at 0.5 merge
     [], [c], _ = _roots(fn, 0.0, 1.0)
-    assert c.contains(0.5) and c.width <= 2 * MIN_WIDTH
+    assert contains(c, 0.5) and c.width <= 2 * MIN_WIDTH
     # Newton: both halves widen their box across 0.5 and prove it; the two
     # proven boxes overlap, so they hold one zero
     [c], [], _ = _roots(fn, 0.0, 1.0, slope=slope)
-    assert c.contains(0.5) and c.width <= 1e-13
+    assert contains(c, 0.5) and c.width <= 1e-13
 
 
 def test_double_root_falls_back_to_a_min_width_cluster():
@@ -276,7 +277,7 @@ def test_double_root_falls_back_to_a_min_width_cluster():
         return (t - Interval.point(0.2)).scale(2.0)
 
     [], [c], _ = _roots(fn, 0.0, 1.0, slope=slope)
-    assert c.contains(0.2)
+    assert contains(c, 0.2)
     # bisection leaves, not a proven box: fn' vanishes at the root
     assert MIN_WIDTH / 4 <= c.width <= 2 * MIN_WIDTH
     assert not _newton_holds(fn, slope, c)
@@ -286,7 +287,7 @@ def test_endpoint_zero_gives_one_cluster():
     # the restriction of f2 to x = 0 is stationary at t = 0, an end of the piece
     an = analyze_edge(ObjectiveId.F2, EdgeId.X_ZERO, CFG.max_boxes)
     [c] = an.clusters
-    assert c.contains(0.0) and c.intersects(EDGES[EdgeId.X_ZERO].t_lo)
+    assert contains(c, 0.0) and c.intersects(EDGES[EdgeId.X_ZERO].t_lo)
     assert an.interior_clusters() == []
     # the maximum lies there too, so the edge counts as the corner (0, 0)
     assert an.end == 0
@@ -365,7 +366,7 @@ def test_newton_steps_count_against_the_budget():
     # one piece evaluated, then Newton steps: a budget of one box runs out
     assert _roots(fn, 0.0, 1.0, max_boxes=1, slope=slope) is None
     [c], [], processed = _roots(fn, 0.0, 1.0, max_boxes=10, slope=slope)
-    assert c.contains(0.3) and _in_newton_proven_box(fn, slope, c)
+    assert contains(c, 0.3) and _in_newton_proven_box(fn, slope, c)
     # the count holds the piece and its steps, and is the least budget that suffices
     assert 1 < processed <= 10
     assert _roots(fn, 0.0, 1.0, max_boxes=processed - 1, slope=slope) is None
@@ -411,7 +412,7 @@ def test_maximize_f1_with_slope_converges_in_one_box(tol):
                       slope=F1_FORM.slope_iv)
     assert ext.converged and ext.iterations == 1
     assert ext.value.width <= 1e-14
-    assert ext.value.contains(F1_FORM.value_iv(Interval.point(F1_FORM.hi)).mid)
+    assert contains(ext.value, F1_FORM.value_iv(Interval.point(F1_FORM.hi)).mid)
 
 
 def test_maximize_1d_budget_flag():
@@ -609,7 +610,7 @@ def test_the_concave_settle_takes_at_most_the_steps_it_is_given(suite_ctx):
         steps, s, v = optimize._concave(obj, REGION, box, max_steps)
         assert steps <= max_steps
         # a settle cut short proves nothing, or a wider box about the same zero
-        assert v is None or v.contains(suite_ctx.locate(ObjectiveId.F4).value.mid)
+        assert v is None or contains(v, suite_ctx.locate(ObjectiveId.F4).value.mid)
     assert optimize._concave(obj, REGION, box, needed)[0] == needed
 
 
@@ -843,15 +844,62 @@ def test_edge_analyses_are_pinned(name, edge):
     assert (hexes[0], hexes[1], tuple(hexes[2:])) == EDGE_PINS[name, edge]
 
 
-@pytest.mark.parametrize("n", [500, 200, 123, 7])
+@pytest.mark.parametrize("n", [500, 200, 123, 11, 10, 7, 2, 1])
 def test_grid_maximum_matches_the_full_grid_bit_for_bit(n):
-    # 123 and 7 are not multiples of the block size
+    # 123, 11, 7, 2 and 1 are not multiples of the sub-block size; below it, one sub-block holds the grid
     want = [full_grid_maximum(oid, n).hex() for oid in ObjectiveId]
     assert [grid_maximum(oid, n).hex() for oid in ObjectiveId] == want
     # one sweep for all nine objectives, in any order
     assert [g.hex() for g in grid_maximum(tuple(ObjectiveId), n)] == want
     reverse = tuple(reversed(ObjectiveId))
     assert [g.hex() for g in grid_maximum(reverse, n)] == want[::-1]
+
+
+def test_grid_sub_block_bounds_hold_and_their_values_are_the_full_grids():
+    # 123 is not a multiple of the sub-block size, so the last row and column of sub-blocks are partial
+    n, size = 123, optimize.GRID_BLOCK
+    for oid, (bound, values) in zip(ObjectiveId, optimize._grid_blocks(tuple(ObjectiveId), n)):
+        full = full_grid_values(oid, n)
+        blocks = len(range(0, n, size))
+        got = values(np.arange(blocks * blocks)).reshape(blocks, blocks, size, size)
+        for i, j in np.ndindex(blocks, blocks):
+            want = full[i * size:(i + 1) * size, j * size:(j + 1) * size]
+            assert bound[i, j] >= want.max(), (oid, i, j)
+            # a partial sub-block repeats its last row and column
+            rows = np.minimum(np.arange(i * size, (i + 1) * size), n - 1)
+            cols = np.minimum(np.arange(j * size, (j + 1) * size), n - 1)
+            assert np.array_equal(got[i, j], full[np.ix_(rows, cols)]), (oid, i, j)
+
+
+def test_the_grid_sweep_evaluates_few_sub_blocks(monkeypatch):
+    evaluated = []
+    blocks = optimize._grid_blocks
+
+    def counted(oids, n):
+        for bound, values in blocks(oids, n):
+            yield bound, lambda cells, values=values: evaluated.append(len(cells)) or values(cells)
+    monkeypatch.setattr(optimize, "_grid_blocks", counted)
+    grid_maximum(tuple(ObjectiveId))
+    # 805 of the 22,500 sub-blocks of the nine objectives at n = 500; a sweep of every point took them all
+    assert 0 < sum(evaluated) < 1000
+
+
+def test_the_grid_bound_refuses_a_negative_coefficient(monkeypatch):
+    f2 = OBJECTIVES[ObjectiveId.F2]
+    monkeypatch.setitem(OBJECTIVES, ObjectiveId.F2, replace(f2, poly={**f2.poly, (1, 1): Fraction(-6)}))
+    with pytest.raises(ValueError, match="non-negative"):
+        grid_maximum(ObjectiveId.F2)
+    negative_mult = MixedPoly(inv_sqrt5=(Fraction(-2),))
+    monkeypatch.setitem(OBJECTIVES, ObjectiveId.F2, replace(f2, mult=negative_mult))
+    with pytest.raises(ValueError, match="non-negative"):
+        grid_maximum(ObjectiveId.F2)
+
+
+def test_the_grid_bound_refuses_a_y_power_above_2(monkeypatch):
+    f3 = OBJECTIVES[ObjectiveId.F3]
+    monkeypatch.setitem(OBJECTIVES, ObjectiveId.F3, replace(f3, poly={**f3.poly, (0, 3): Fraction(1)}))
+    with pytest.raises(ValueError, match="y-powers at most 2"):
+        grid_maximum(ObjectiveId.F3)
 
 
 #: the grid maxima of f1-f9 by float.hex, at n = 500 (the suite's), 120 and 37
@@ -880,7 +928,7 @@ def test_grid_maxima_are_pinned(n):
 
 
 def test_grid_sweep_builds_no_whole_grid_temporary():
-    # a 500x500 float array alone is 2 MB; the sweep's block arrays are 100 KB
+    # a 500x500 float array alone is 2 MB; a batch of the sweep makes arrays of 51 KB
     grid_maximum(tuple(ObjectiveId))
     tracemalloc.start()
     try:
@@ -1198,7 +1246,7 @@ def test_critical_f2_empty_with_corner_artifact():
     assert cs.points == []
     assert cs.certified
     [(bx, by)] = cs.boundary_zeros
-    assert bx.contains(0.0) and by.contains(0.0)
+    assert contains(bx, 0.0) and contains(by, 0.0)
 
 
 @pytest.mark.parametrize("oid", list(ObjectiveId)[1:], ids=lambda v: v.value)
@@ -1376,7 +1424,7 @@ def test_unsettled_leaf_gives_an_uncertified_point(monkeypatch):
         bx, by = cp.cluster
         assert max(bx.width, by.width) <= optimize.CLUSTER_WIDTH
         assert ranges.scaled_gradient_range(bx.lo, bx.hi, by.lo, by.hi)[4] > 0.0
-    assert any(cp.cluster[0].contains(_F6_ZERO[0]) and cp.cluster[1].contains(_F6_ZERO[1])
+    assert any(contains(cp.cluster[0], _F6_ZERO[0]) and contains(cp.cluster[1], _F6_ZERO[1])
                for cp in cs.points)
 
 
