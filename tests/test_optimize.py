@@ -871,17 +871,22 @@ def test_grid_sub_block_bounds_hold_and_their_values_are_the_full_grids():
             assert np.array_equal(got[i, j], full[np.ix_(rows, cols)]), (oid, i, j)
 
 
-def test_the_grid_sweep_evaluates_few_sub_blocks(monkeypatch):
-    evaluated = []
+def test_the_grid_sweep_evaluates_every_sub_block_above_the_maximum_and_few_others(monkeypatch):
+    bounds, evaluated = [], []
     blocks = optimize._grid_blocks
 
-    def counted(oids, n):
+    def recorded(oids, n):
         for bound, values in blocks(oids, n):
-            yield bound, lambda cells, values=values: evaluated.append(len(cells)) or values(cells)
-    monkeypatch.setattr(optimize, "_grid_blocks", counted)
-    grid_maximum(tuple(ObjectiveId))
+            bounds.append(bound.copy())
+            evaluated.append(set())
+            yield bound, lambda cells, seen=evaluated[-1], values=values: seen.update(cells.tolist()) or values(cells)
+    monkeypatch.setattr(optimize, "_grid_blocks", recorded)
+    maxima = grid_maximum(tuple(ObjectiveId))
+    for bound, seen, best in zip(bounds, evaluated, maxima):
+        # a sub-block whose bound lies above the maximum lay above every running maximum
+        assert set(np.flatnonzero(bound.ravel() > best).tolist()) <= seen
     # 805 of the 22,500 sub-blocks of the nine objectives at n = 500; a sweep of every point took them all
-    assert 0 < sum(evaluated) < 1000
+    assert sum(map(len, evaluated)) < 1000
 
 
 def test_the_grid_bound_refuses_a_negative_coefficient(monkeypatch):
