@@ -1,9 +1,12 @@
 """Print every branch-and-bound result of a fixed grid of runs, one line each.
 
-The grid covers f1-f9 through maximize_2d and f1's y = 0 form through
-maximize_1d, with and without its slope, at tol_value 1e-3 to 1e-11 and
-max_boxes 5, 50 and 1e7: 165 runs.  Each line gives the value enclosure by
-float.hex, the boxes split and whether the search converged.
+The grid covers f1-f9 through maximize_2d's best-first search and f1's
+y = 0 form through maximize_1d, with and without its slope, then f1-f9
+through the certificate that `verify` runs, of the decomposition located at
+the default budget, at tol_value 1e-3 to 1e-11 and max_boxes 5, 50 and 1e7:
+300 runs.  Each line gives the value enclosure by float.hex, the boxes split
+and whether the search converged; a certificate's line also gives the box
+that refutes the decomposition, or None.
 
     PYTHONPATH=src python scripts/bnb_results.py
     PYTHONPATH=src python scripts/bnb_results.py --compare OTHER/src
@@ -25,6 +28,7 @@ BUDGETS = (5, 50, 10_000_000)
 
 
 def results() -> list[str]:
+    from grunsky_bounds.claims import SuiteContext
     from grunsky_bounds.domain import REGION
     from grunsky_bounds.objectives import F1_FORM, OBJECTIVES, ObjectiveId
     from grunsky_bounds.optimize import BnBConfig, maximize_1d, maximize_2d
@@ -40,6 +44,14 @@ def results() -> list[str]:
                 ext = run(BnBConfig(tol_value=tol, max_boxes=budget))
                 lines.append(f"{name} tol={tol:g} max_boxes={budget}: {ext.value.lo.hex()} "
                              f"{ext.value.hi.hex()} iterations={ext.iterations} converged={ext.converged}")
+    ctx = SuiteContext()
+    for oid in ObjectiveId:
+        for tol in TOLS:
+            for budget in BUDGETS:
+                ext = maximize_2d(OBJECTIVES[oid], REGION, BnBConfig(tol, budget), **ctx.decomposition(oid))
+                lines.append(f"{oid.value}-certificate tol={tol:g} max_boxes={budget}: {ext.value.lo.hex()} "
+                             f"{ext.value.hi.hex()} iterations={ext.iterations} converged={ext.converged} "
+                             f"above={ext.above}")
     return lines
 
 

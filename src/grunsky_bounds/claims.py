@@ -8,21 +8,20 @@ the right endpoint, printed 1.402 for a true 1.40199...); its window is
 widened to the half-ulp rounding window and the row carries a note.
 
 Edge endpoints, (x, y) lifts, edge order and the five corners come from the
-table `domain.EDGES`.  Every value row, f1's too, takes the 2-D maximizer's
-value enclosure, and from `SuiteContext.locate` alone where the maximum lies
-and its argmax: an edge, a corner named by its two pieces ("x_a/y_zero"), or
-"interior".  The grid check's gap bound takes that argmax too.
+table `domain.EDGES`.  Every value row, f1's too, reports what
+`SuiteContext.locate` found: the value, where the maximum lies and its
+argmax, an edge, a corner named by its two pieces ("x_a/y_zero"), or
+"interior".  The 2-D maximizer certifies that no box lies above that value.
+The grid check's gap bound takes the argmax too.
 
 One rule sets every row's status, in `_settle`: FAIL if a settled result
 refutes the claim, else INCONCLUSIVE if anything the row rests on is
-unsettled, else PASS.  Unsettled are a maximizer or an edge analysis whose
+unsettled, else PASS.  Unsettled are a certificate or an edge analysis whose
 box budget ran out, an uncertified interior critical-point search, an
 attribution not separated from its runner-up on a row that names where the
-maximum lies (elsewhere a note), and an enclosure wider than
-`MAX_ENCLOSURE_WIDTH`.  A check that reads an unsettled result concludes
-nothing from it.  The global enclosure is verified however far its
-branch-and-bound got, so a window it misses refutes the claim even when it
-is wide or unconverged.
+maximum lies (elsewhere a note), and an enclosure that straddles an end of
+its window.  A check that reads an unsettled result concludes nothing from
+it, and a row whose decomposition is unsettled reports no value.
 """
 
 from __future__ import annotations
@@ -64,10 +63,6 @@ PASS = "PASS"
 FAIL = "FAIL"
 INCONCLUSIVE = "INCONCLUSIVE"
 
-#: widest enclosure that decides a row; a wider one leaves it INCONCLUSIVE
-MAX_ENCLOSURE_WIDTH = 1e-4
-
-
 #: random test vectors of ORACLE_INEQ
 INEQUALITY_VECTORS = 200
 
@@ -103,27 +98,25 @@ class ClaimSpec:
 PRINTED_ULP = Fraction(1, 1000)
 
 
-def window(target: str) -> tuple[Fraction, Fraction]:
+def window(target: str, rounded: bool = False) -> tuple[Fraction, Fraction]:
+    """[target, target + 10^-3), or the round-half window [target - 5e-4, target + 5e-4)."""
     v = Fraction(target)
-    return v, v + PRINTED_ULP
+    return (v - PRINTED_ULP / 2, v + PRINTED_ULP / 2) if rounded else (v, v + PRINTED_ULP)
 
 
-def in_window(iv: Interval, target: str) -> bool:
-    """Does the enclosure intersect [target, target + 10^-3)?"""
-    lo, hi = window(target)
-    return Fraction(iv.hi) >= lo and Fraction(iv.lo) < hi
+def window_verdict(iv: Interval, target: str, rounded: bool = False) -> str | None:
+    """None when the enclosure lies inside the window, "misses" when it lies
+    outside it, else "lower" or "upper", the end of the window it straddles."""
+    lo, hi = window(target, rounded)
+    a, b = Fraction(iv.lo), Fraction(iv.hi)
+    if b < lo or a >= hi:
+        return "misses"
+    return "lower" if a < lo else "upper" if b >= hi else None
 
 
 def inside_window(iv: Interval, target: str) -> bool:
     """Is the enclosure entirely inside [target, target + 10^-3)?"""
-    lo, hi = window(target)
-    return Fraction(iv.lo) >= lo and Fraction(iv.hi) < hi
-
-
-def in_rounding_window(iv: Interval, target: str) -> bool:
-    """Intersection with the round-half window [target - 5e-4, target + 5e-4)."""
-    v = Fraction(target)
-    return Fraction(iv.hi) >= v - PRINTED_ULP / 2 and Fraction(iv.lo) < v + PRINTED_ULP / 2
+    return window_verdict(iv, target) is None
 
 
 def _settle(unsettled: Sequence[str] = (), refuted: Sequence[str] = (), info: Sequence[str] = (),
@@ -186,9 +179,17 @@ class SuiteContext:
     # -- maximization layers -------------------------------------------------
 
     def extremum(self, oid: ObjectiveId) -> Extremum:
+        """The 2-D maximizer's certificate of a settled `locate`, else its own search."""
         if oid not in self._extrema:
-            self._extrema[oid] = maximize_2d(OBJECTIVES[oid], REGION, self.cfg.bnb())
+            self._extrema[oid] = maximize_2d(OBJECTIVES[oid], REGION, self.cfg.bnb(), **self.decomposition(oid))
         return self._extrema[oid]
+
+    def decomposition(self, oid: ObjectiveId) -> dict:
+        """A settled `locate` as `maximize_2d` takes it: the value, the
+        critical points and the analyses of x = a and curve_low; else {}."""
+        loc = self.locate(oid)
+        return {} if loc.unsettled else {"located": loc.value, "points": self.critical(oid).points,
+                                         "faces": [self.edge(oid, e) for e in (EdgeId.X_A, EdgeId.CURVE_LOW)]}
 
     def f1_extremum(self) -> Extremum:
         # no row reads f1's 1-D maximum; it stays, with `_f1`, because perfbench reads both
@@ -284,31 +285,35 @@ def _value_outcome(
     kind: str | None = None,
     checks: Callable[[], list[str]] | None = None,
 ) -> ClaimOutcome:
-    """A value row: the global enclosure against its window; then, once the
-    maximizer and the decomposition are settled, their agreement, the
-    expected `kind` of the maximum and the row's own `checks`.  A tie leaves
-    a row with an expected `kind` unsettled; on any other row it is info.
-    The row reports `loc`'s `kind` and `argmax`, None where the
-    decomposition is unsettled."""
+    """A value row once the decomposition `loc` is settled: its value against
+    the window, the certificate `ext` that no box lies above it, the expected
+    `kind` of the maximum and the row's own `checks`.  A tie leaves a row
+    with an expected `kind` unsettled; on any other row it is info.  The row
+    reports `loc`'s value, `kind` and `argmax`; an unsettled decomposition
+    reports none of them and concludes nothing."""
+    if loc.unsettled:
+        return _settle(loc.unsettled)
     unsettled: list[str] = []
+    refuted: list[str] = []
     info: list[str] = []
-    if not ext.converged:
-        unsettled.append("maximizer budget exhausted")
-    if ext.value.width > MAX_ENCLOSURE_WIDTH:
-        unsettled.append(f"enclosure width {ext.value.width:.2e} above bound")
-    unsettled += loc.unsettled
-    refuted = [] if in_window(ext.value, target) else [f"enclosure misses window {target}"]
-    if ext.converged and not loc.unsettled:
-        if not ext.value.intersects(loc.value):
-            refuted.append("edge/critical decomposition disagrees with global enclosure")
-        if loc.tied:
-            (info if kind is None else unsettled).append(
-                f"maximum on {loc.kind} not separated from {', '.join(loc.tied)}")
-        elif kind is not None and loc.kind != kind:
-            refuted.append(f"maximum attributed to {loc.kind}, expected {kind}")
-        if checks:
-            refuted += checks()
-    return _settle(unsettled, refuted, info, value=ext.value, argmax=loc.argmax, kind=loc.kind)
+    if ext.above is not None:
+        refuted.append("a point of box [{:.9g}, {:.9g}] x [{:.9g}, {:.9g}] lies above the located maximum"
+                       .format(*ext.above))
+    elif not ext.converged:
+        unsettled.append("certificate left boxes above the located maximum")
+    verdict = window_verdict(loc.value, target)
+    if verdict == "misses":
+        refuted.append(f"enclosure misses window {target}")
+    elif verdict is not None:
+        unsettled.append(f"enclosure straddles the {verdict} end of window {target}")
+    if loc.tied:
+        (info if kind is None else unsettled).append(
+            f"maximum on {loc.kind} not separated from {', '.join(loc.tied)}")
+    elif kind is not None and loc.kind != kind:
+        refuted.append(f"maximum attributed to {loc.kind}, expected {kind}")
+    if checks:
+        refuted += checks()
+    return _settle(unsettled, refuted, info, value=loc.value, argmax=loc.argmax, kind=loc.kind)
 
 
 def _run_thm1_a3(ctx: SuiteContext) -> ClaimOutcome:
@@ -380,10 +385,10 @@ def _run_thm3_h22(ctx: SuiteContext) -> ClaimOutcome:
             if not Fraction(value.lo) <= Fraction(1079, 900) <= Fraction(value.hi):
                 refuted.append(f"interior critical value [{value.lo!r}, {value.hi!r}] misses 1079/900")
         g10_at_b = OBJECTIVES[f6].restriction(EdgeId.CURVE_HIGH).value_iv(CONSTANTS.iv_b)
-        if not in_window(g10_at_b, "1.213"):
-            refuted.append("high-curve value at the crossover abscissa misses 1.213")
-        if not in_window(ctx.edge(f6, EdgeId.X_A).value, "1.232"):
-            refuted.append("right-endpoint edge maximum misses 1.232")
+        if not inside_window(g10_at_b, "1.213"):
+            refuted.append("high-curve value at the crossover abscissa outside [1.213, 1.213+1e-3)")
+        if not inside_window(ctx.edge(f6, EdgeId.X_A).value, "1.232"):
+            refuted.append("right-endpoint edge maximum outside [1.232, 1.232+1e-3)")
         return refuted
 
     return _value_outcome(ctx.extremum(f6), ctx.locate(f6), "1.280", kind=EdgeId.CURVE_LOW.value,
@@ -521,25 +526,20 @@ def _run_edge_table(ctx: SuiteContext) -> ClaimOutcome:
         except ArithmeticError as exc:
             failures.append(f"{spec.label}: {exc}")
             continue
-        if iv.width > MAX_ENCLOSURE_WIDTH:
-            unsettled.append(f"{spec.label}: enclosure width {iv.width:.2e} above bound")
-            continue
         if spec.mode == "exact":
             if not Fraction(iv.lo) <= Fraction(spec.target) <= Fraction(iv.hi):
                 failures.append(f"{spec.label}: [{iv.lo!r}, {iv.hi!r}] misses {spec.target}")
-        elif spec.mode == "rounded":
-            if not in_rounding_window(iv, spec.target):
-                failures.append(f"{spec.label}: outside rounding window of {spec.target}")
-            else:
-                notes.append(
-                    f"{spec.label}: computed {iv.mid:.7f}; printed {spec.target} is rounded, "
-                    "not truncated"
-                )
-        else:
-            if not in_window(iv, spec.target):
-                failures.append(
-                    f"{spec.label}: [{iv.lo:.7f}, {iv.hi:.7f}] misses [{spec.target}, +1e-3)"
-                )
+            continue
+        rounded = spec.mode == "rounded"
+        verdict = window_verdict(iv, spec.target, rounded)
+        where = f"[{iv.lo:.7f}, {iv.hi:.7f}]"
+        shown = f"the rounding window of {spec.target}" if rounded else f"[{spec.target}, +1e-3)"
+        if verdict == "misses":
+            failures.append(f"{spec.label}: {where} misses {shown}")
+        elif verdict is not None:
+            unsettled.append(f"{spec.label}: {where} straddles the {verdict} end of {shown}")
+        elif rounded:
+            notes.append(f"{spec.label}: computed {iv.mid:.7f}; printed {spec.target} is rounded, not truncated")
     return _settle(unsettled, failures, notes)
 
 

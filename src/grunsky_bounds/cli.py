@@ -134,7 +134,8 @@ def _cmd_maximize(args) -> int:
         ax, ay = loc.argmax
         print(f"  argmax x in [{ax.lo:.9f}, {ax.hi:.9f}], y in [{ay.lo:.9f}, {ay.hi:.9f}]")
     print(f"  location {loc.kind or 'not settled'}, boxes {ext.iterations}, converged {ext.converged}")
-    notes = [*loc.unsettled, *([f"not separated from {', '.join(loc.tied)}"] if loc.tied and loc.kind else [])]
+    notes = [*loc.unsettled, *([f"not separated from {', '.join(loc.tied)}"] if loc.tied and loc.kind else []),
+             *([f"a point of box {ext.above} lies above the located maximum"] if ext.above else [])]
     if notes:
         print(f"  note: {'; '.join(notes)}")
     return 0 if ext.converged and not loc.unsettled else 1

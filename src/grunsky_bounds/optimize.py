@@ -1,16 +1,18 @@
 """Verified global maximization over the admissible region.
 
-- `maximize_2d` and `maximize_1d` share one best-first branch-and-bound,
-  `_best_first`, which gives a value enclosure only: where the maximum lies
-  is for `claims.SuiteContext.locate`.  A 2-D box is bounded once, by a
-  mean-value form about Baumann's centre (`_centred_upper`; Baumann 1988),
-  in the chart (x, s = y/c(x)) where it reaches the cap curve
-  (`_chart_upper`).  About a maximum a box settles instead of splitting on:
-  in the interior on a concave box by Krawczyk steps (`_concave`; Schichl &
-  Neumaier 2004), on x = a and curve_low by `analyze_form` on its face
-  segment (`_face_maximum`).  The incumbent comes from a 3 x 3 seed grid,
-  then from one corner sample per split until the first settle, and from
-  the low end of each settled value.
+- Given the maximum that the edge/critical decomposition located
+  (`claims.SuiteContext.locate`), `maximize_2d` certifies its value: one
+  depth-first exclusion pass, `_certify`, shows that no box lies above it
+  (Schichl & Neumaier 2004; Kearfott 1996, ch. 5).  A 2-D box is bounded
+  once, by a mean-value form about Baumann's centre (`_centred_upper`;
+  Baumann 1988), in the chart (x, s = y/c(x)) where it reaches the cap
+  curve (`_chart_upper`).  Without a decomposition, `maximize_2d` and
+  `maximize_1d` share a best-first branch-and-bound, `_best_first`, in which
+  a box about a maximum settles instead of splitting on: in the interior on
+  a concave box by Krawczyk steps (`_concave`), on x = a and curve_low by
+  `analyze_form` on its face segment (`_face_maximum`).  Its incumbent
+  comes from a 3 x 3 seed grid, one corner sample per split until the first
+  settle, and the low end of each settled value.
 - `_isolate` is the one subdivision loop of every zero search, and
   `_contract` its steps B <- B ∩ step(B): an image inside the interior of
   its box proves that the box holds exactly one zero (Moore, Kearfott &
@@ -65,11 +67,9 @@ Step = Callable[[Box], Box | None]
 #: sign test nor a Krawczyk step settles
 CLUSTER_WIDTH = 2e-5
 
-#: widest box on which the critical search tries Krawczyk steps.  One step
-#: costs about a dozen sign tests, mostly for the Hessian.  Over the eight
-#: searches of f2-f9, 1/16 takes 1,030 boxes and steps for 274 `_krawczyk`
-#: calls, 1e-2 takes 1,219 for 103 and 1e-3 takes 1,788 for 72: wider boxes
-#: mostly fail the proof, narrower ones are bisected longer before it.
+#: widest box on which the critical search tries Krawczyk steps: one step
+#: costs about a dozen sign tests, wider boxes mostly fail the proof, and
+#: narrower ones are bisected longer before it
 KRAWCZYK_WIDTH = 1e-2
 
 
@@ -101,11 +101,15 @@ class BnBConfig:
 
 @dataclass(frozen=True)
 class Extremum:
-    """A verified enclosure of a maximum, the boxes split and steps taken for it, and whether it converged."""
+    """A verified enclosure of a maximum, the boxes split and steps taken for it, and whether it converged.
+
+    `above` is a box with a point that refutes a located maximum by lying above it.
+    """
 
     value: Interval
     iterations: int
     converged: bool
+    above: Box | None = None
 
 
 @dataclass(frozen=True)
@@ -495,26 +499,31 @@ def _root_box(region: OmegaRegion) -> tuple[float, float, float, float]:
     return _clip_box(0.0, region.constants.iv_a.hi, 0.0, low.lift(low.t_hi)[1].hi)
 
 
-def maximize_2d(obj: Objective, region: OmegaRegion = REGION, cfg: BnBConfig | None = None) -> Extremum:
+def maximize_2d(
+    obj: Objective, region: OmegaRegion = REGION, cfg: BnBConfig | None = None, located: Interval | None = None,
+    faces: Sequence[EdgeAnalysis] = (), points: Sequence[CriticalPoint] = (),
+) -> Extremum:
     """Verified enclosure of the global maximum of a 2-D objective over the region.
 
-    Each box is bounded once, by `_centred_upper`, a mean-value form about
-    Baumann's centre: in the chart for boxes that reach the cap curve within
-    one branch, in (x, y) otherwise.  Only where that form has no bound, at
-    the rim R = 0, does the box take `ranges.upper` instead.  The incumbent
-    comes from a 3 x 3 seed grid, then from at most one corner sample per
-    split until the first settle, and from the low end of each settled
-    value; f1 and f7, whose maxima lie at corners, never settle.
-    An (x, y) box at most KRAWCZYK_WIDTH wide whose gradient holds zero, and
-    that meets no concave box S of a settled maximum and lies in no box that
-    a Krawczyk step proved free of gradient zeros, tries `_concave`.  A box on
-    the face x = a or on curve_low, where f rises towards the face, takes the
-    maximum of that piece's restriction over the face from `_face_maximum`.
-    Krawczyk steps and the face searches' pieces and Newton steps count as
-    boxes, and each settle gets only the budget left, so `iterations` never
-    exceeds `max_boxes`.
+    With `located`, the value that the edge/critical decomposition found,
+    `_certify` shows that no box lies above it, from the decomposition's
+    `faces` and `points`.  Without, a best-first search bounds each box once
+    by `_centred_upper`, or by `ranges.upper` where that form has no bound,
+    at the rim R = 0.  The incumbent comes from a 3 x 3 seed grid, then from
+    at most one corner sample per split until the first settle, and from the
+    low end of each settled value; f1 and f7, whose maxima lie at corners,
+    never settle.  An (x, y) box at most KRAWCZYK_WIDTH wide whose gradient
+    holds zero, and that meets no concave box S of a settled maximum and
+    lies in no box that a Krawczyk step proved free of gradient zeros, tries
+    `_concave`.  A box on the face x = a or on curve_low, where f rises
+    towards the face, takes the maximum of that piece's restriction over the
+    face from `_face_maximum`.  Krawczyk steps and the face searches' pieces
+    and Newton steps count as boxes, and each settle gets only the budget
+    left, so `iterations` never exceeds `max_boxes`.
     """
     cfg = cfg or BnBConfig()
+    if located is not None:
+        return _certify(obj, region, cfg, located, faces, points)
     ranges = monotone_bounds(obj.id)
     x_in = region.constants.iv_a.lo
 
@@ -593,6 +602,64 @@ def maximize_2d(obj: Objective, region: OmegaRegion = REGION, cfg: BnBConfig | N
     xs = [x_in * i / 2 for i in range(3)]
     best = max(sample(x, cap_point_down(x) * j / 2) for x in xs for j in range(3))
     return _best_first(_root_box(region), bound, split, best, cfg, work)
+
+
+def _certify(obj: Objective, region: OmegaRegion, cfg: BnBConfig, located: Interval,
+             faces: Sequence[EdgeAnalysis], points: Sequence[CriticalPoint]) -> Extremum:
+    """Show that no point of the region lies above located = [L, U], depth-first over `_split_clipped`.
+
+    A box is bounded once, by `_centred_upper`, and dropped once its bound
+    is at most max(U, L + tol_value).  A box on x = a or curve_low that
+    `_centred_upper` hands to `settle` lies below its face segment: where
+    that lies on the piece, the box takes the top of the piece's conclusive
+    analysis in `faces`, if lower.  S is a certified X* of `points` grown by
+    w on each side, w halved from KRAWCZYK_WIDTH until f is concave on S,
+    where f is then at most f(x*): an (x, y) box inside S takes f(X*).hi, if
+    lower.  A box left at TOL_BOX refutes `located` where f at its centre
+    lies verifiably above U, and else leaves the result unconverged, as a
+    spent budget does.  `iterations` counts the boxes split.
+    """
+    ranges = monotone_bounds(obj.id)
+    top = max(located.hi, _add_up(located.lo, cfg.tol_value))
+    tops = {an.edge: an.value.hi for an in faces if an.conclusive}
+    peaks: list[tuple[Box, float]] = []
+    for point in (p for p in points if p.certified):
+        x, y = point.certified_box
+        # f is not concave even on X* about a saddle, and no S is sought there
+        w = KRAWCZYK_WIDTH if _negative_definite(obj, (x.lo, x.hi, y.lo, y.hi)) is not None else 0.0
+        while w >= TOL_BOX:
+            s = (x.lo - w, x.hi + w, y.lo - w, y.hi + w)
+            if _negative_definite(obj, s) is not None:
+                peaks.append((s, point.value.hi))
+                break
+            w *= 0.5
+
+    def settle(box: Box, face: EdgeId | None, ub: float) -> float:
+        x1, x2, y1, y2 = box
+        if face is None:
+            return min([ub, *(v for s, v in peaks if s[0] <= x1 and x2 <= s[1] and s[2] <= y1 and y2 <= s[3])])
+        on_piece = (y2 if face is EdgeId.X_A else x2) <= EDGES[face].t_hi.lo
+        return min(ub, tops[face]) if on_piece and face in tops else ub
+
+    stack, splits, left = [_root_box(region)], 0, False
+    while stack:
+        box = stack.pop()
+        ub = _centred_upper(ranges, region, box, settle)
+        if (ranges.upper(*box) if ub == math.inf else ub) <= top:
+            continue
+        x1, x2, y1, y2 = box
+        if max(x2 - x1, y2 - y1) <= TOL_BOX:
+            x = min(0.5 * (x1 + x2), region.constants.iv_a.lo)
+            y = min(0.5 * (y1 + y2), cap_point_down(x))
+            if ranges.lower(x, x, y, y) > located.hi:
+                return Extremum(located, splits, False, box)
+            left = True
+        elif splits == cfg.max_boxes:
+            return Extremum(located, splits, False)
+        else:
+            splits += 1
+            stack += _split_clipped(box)
+    return Extremum(located, splits, not left)
 
 
 def _centred_upper(ranges: MonotoneBounds, region: OmegaRegion, box: tuple[float, ...], settle=None) -> float:
@@ -907,17 +974,11 @@ def _split_clipped(box: tuple[float, float, float, float]) -> list[tuple[float, 
 
 
 #: side of the sub-blocks of the grid sweep, in x-values and in cap fractions
-#: t.  Smaller sub-blocks have tighter bounds, so fewer points survive, but
-#: more bounds and more gathering.  One nine-objective call at n = 500, with
-#: 6,400 points per batch, took 2.2-2.4 ms at 5, 2.6-2.7 ms at 10 (805 of
-#: 22,500 sub-blocks evaluated), 4.4-4.5 ms at 20, 5.5-5.6 ms at 25 and
-#: 8.4-10.8 ms at 50, against 10.9 ms for every point in blocks of 25
-#: x-values (a shared 2-core Xeon, numpy 2.4.6).  At 5 the call's
-#: `tracemalloc` peak is 709 KB, at 10 470 KB.
+#: t: smaller sub-blocks have tighter bounds, so fewer points survive, but
+#: take more bounds, more gathering and more memory
 GRID_BLOCK = 10
 
-#: sub-blocks evaluated at once: a batch of 64 makes arrays of 51 KB, and
-#: gathering every surviving sub-block at once peaked at 1.3 MB
+#: sub-blocks evaluated at once, which bounds the arrays a batch makes
 GRID_BATCH = 64
 
 

@@ -19,7 +19,6 @@ from grunsky_bounds.claims import (
     EDGE_CONSTANTS,
     SuiteConfig,
     _grid_gap_bound,
-    in_window,
     inside_window,
 )
 from grunsky_bounds.domain import CONSTANTS, EdgeId
@@ -44,7 +43,7 @@ def test_criterion_01_third_coefficient(suite_ctx):
     out = _run(suite_ctx, "THM1_A3")
     assert out.status == "PASS", out.note
     value = suite_ctx.extremum(ObjectiveId.F1).value
-    assert in_window(value, "2.427") and value.width <= 1e-4
+    assert inside_window(value, "2.427") and value.width <= 1e-12
     assert out.kind == "x_a/y_zero"
     arg_x, arg_y = out.argmax
     assert Fraction(arg_x.lo) <= CONSTANTS.a <= Fraction(arg_x.hi) and arg_y == Interval.point(0.0)
@@ -54,7 +53,7 @@ def test_criterion_02_fourth_coefficient(suite_ctx):
     out = _run(suite_ctx, "THM1_A4")
     assert out.status == "PASS", out.note
     value = suite_ctx.extremum(ObjectiveId.F2).value
-    assert in_window(value, "3.461") and value.width <= 1e-4
+    assert inside_window(value, "3.461") and value.width <= 1e-12
     assert out.kind == "x_a"
     roots = suite_ctx.edge(ObjectiveId.F2, EdgeId.X_A).interior_clusters()
     assert len(roots) == 1 and inside_window(roots[0], "0.365")
@@ -64,7 +63,7 @@ def test_criterion_03_fifth_coefficient(suite_ctx):
     out = _run(suite_ctx, "THM1_A5")
     assert out.status == "PASS", out.note
     value = suite_ctx.extremum(ObjectiveId.F3).value
-    assert in_window(value, "4.993") and value.width <= 1e-4
+    assert inside_window(value, "4.993") and value.width <= 1e-12
     assert suite_ctx.critical(ObjectiveId.F3).points == []
     roots = suite_ctx.edge(ObjectiveId.F3, EdgeId.X_A).interior_clusters()
     assert len(roots) == 1 and inside_window(roots[0], "0.338")
@@ -74,7 +73,7 @@ def test_criterion_04_fourth_third_difference(suite_ctx):
     out = _run(suite_ctx, "THM2_D43")
     assert out.status == "PASS", out.note
     value = suite_ctx.extremum(ObjectiveId.F4).value
-    assert in_window(value, "1.174") and value.width <= 1e-4
+    assert inside_window(value, "1.174") and value.width <= 1e-12
     assert out.kind == "interior"
     bx, by = suite_ctx.critical(ObjectiveId.F4).points[0].certified_box
     assert inside_window(bx, "0.634") and inside_window(by, "0.358")
@@ -84,7 +83,7 @@ def test_criterion_05_fifth_fourth_difference(suite_ctx):
     out = _run(suite_ctx, "THM2_D54")
     assert out.status == "PASS", out.note
     value = suite_ctx.extremum(ObjectiveId.F5).value
-    assert in_window(value, "1.822") and value.width <= 1e-4
+    assert inside_window(value, "1.822") and value.width <= 1e-12
     assert out.kind == "interior"
     bx, by = suite_ctx.critical(ObjectiveId.F5).points[0].certified_box
     assert inside_window(bx, "0.717") and inside_window(by, "0.312")
@@ -94,20 +93,20 @@ def test_criterion_06_second_hankel(suite_ctx):
     out = _run(suite_ctx, "THM3_H22")
     assert out.status == "PASS", out.note
     value = suite_ctx.extremum(ObjectiveId.F6).value
-    assert in_window(value, "1.280") and value.width <= 1e-4
+    assert inside_window(value, "1.280") and value.width <= 1e-12
     point = suite_ctx.critical(ObjectiveId.F6).points[0]
     assert point.certified
     assert Fraction(point.value.lo) <= Fraction(1079, 900) <= Fraction(point.value.hi)
     g10_b = OBJECTIVES[ObjectiveId.F6].restriction(EdgeId.CURVE_HIGH).value_iv(CONSTANTS.iv_b)
-    assert in_window(g10_b, "1.213")
-    assert in_window(suite_ctx.edge(ObjectiveId.F6, EdgeId.X_A).value, "1.232")
+    assert inside_window(g10_b, "1.213")
+    assert inside_window(suite_ctx.edge(ObjectiveId.F6, EdgeId.X_A).value, "1.232")
 
 
 def test_criterion_07_second_log_coefficient(suite_ctx):
     out = _run(suite_ctx, "GAMMA2")
     assert out.status == "PASS", out.note
     value = suite_ctx.extremum(ObjectiveId.F7).value
-    assert in_window(value, "0.662") and value.width <= 1e-4
+    assert inside_window(value, "0.662") and value.width <= 1e-12
     assert out.kind == "x_a/curve_high"
 
 
@@ -115,7 +114,7 @@ def test_criterion_08_third_log_coefficient(suite_ctx):
     out = _run(suite_ctx, "THM4_GAMMA3")
     assert out.status == "PASS", out.note
     value = suite_ctx.extremum(ObjectiveId.F8).value
-    assert in_window(value, "0.551") and value.width <= 1e-4
+    assert inside_window(value, "0.551") and value.width <= 1e-12
     assert suite_ctx.critical(ObjectiveId.F8).points == []
     assert out.kind == "x_a"
     roots = suite_ctx.edge(ObjectiveId.F8, EdgeId.X_A).interior_clusters()
@@ -126,7 +125,7 @@ def test_criterion_09_fourth_log_coefficient(suite_ctx):
     out = _run(suite_ctx, "GAMMA4")
     assert out.status == "PASS", out.note
     value = suite_ctx.extremum(ObjectiveId.F9).value
-    assert in_window(value, "0.613") and value.width <= 1e-4
+    assert inside_window(value, "0.613") and value.width <= 1e-12
 
 
 def test_criterion_10_edge_table(suite_ctx):
@@ -220,7 +219,9 @@ def test_criterion_15_curve_identities(suite_ctx):
 def test_full_suite_is_green_and_fast(suite_ctx, monkeypatch):
     from grunsky_bounds.report import all_passed, run_suite
 
-    # the BnB's point samples: the 3 x 3 seed grid, then at most one box corner per split until a settle
+    # point samples of the 2-D maximizer: its best-first search takes a 3 x 3
+    # seed grid and box corners, and its certificate only a point of a box
+    # left at TOL_BOX
     lower_calls = []
     lower = MonotoneBounds.lower
     monkeypatch.setattr(MonotoneBounds, "lower", lambda *a: lower_calls.append(1) or lower(*a))
@@ -230,9 +231,6 @@ def test_full_suite_is_green_and_fast(suite_ctx, monkeypatch):
     print(f"full suite: {len(rows)} rows in {elapsed:.1f}s")
     assert all_passed(rows)
     assert elapsed <= 60.0
-    # 81 of them are the seed grids of the nine maximizers.  It was 575 while
-    # every split sampled a corner: the seven objectives that settle their
-    # maximum on a face or a concave box take none after the first settle,
-    # which for each of them is at its global maximum.  f1 and f7 never
-    # settle and take 14 each, as before
-    assert len(lower_calls) == 423
+    # every decomposition is settled, so each maximizer certifies it, and no
+    # box is left at TOL_BOX.  The best-first search took 423 samples
+    assert len(lower_calls) == 0
