@@ -11,13 +11,16 @@ Edge endpoints, (x, y) lifts, edge order and the five corners come from the
 table `domain.EDGES`.  Every value row, f1's too, reports what
 `SuiteContext.locate` found: the value, where the maximum lies and its
 argmax, an edge, a corner named by its two pieces ("x_a/y_zero"), or
-"interior".  The 2-D maximizer certifies that no box lies above that value.
-The grid check's gap bound takes the argmax too.
+"interior".  The 2-D maximizer certifies that no box lies above that value,
+but it bounds the boxes on x = a and curve_low by the tops of those edge
+analyses, and the boxes about a certified critical point by its f(X*): the
+grid check of PROPERTY_BNB_SOUND is the one independent guard of those
+values.  The grid check's gap bound takes the argmax too.
 
 One rule sets every row's status, in `_settle`: FAIL if a settled result
 refutes the claim, else INCONCLUSIVE if anything the row rests on is
 unsettled, else PASS.  Unsettled are a certificate or an edge analysis whose
-box budget ran out, an uncertified interior critical-point search, an
+box budget ran out, a certificate that left a box at TOL_BOX, an uncertified interior critical-point search, an
 attribution not separated from its runner-up on a row that names where the
 maximum lies (elsewhere a note), and an enclosure that straddles an end of
 its window.  A check that reads an unsettled result concludes nothing from
@@ -599,8 +602,12 @@ def _run_property_bnb(ctx: SuiteContext) -> ClaimOutcome:
     margins = []
     for oid, gmax in zip(ObjectiveId, grid_maximum(tuple(ObjectiveId))):
         ext, loc = ctx.extremum(oid), ctx.locate(oid)
-        if not ext.converged:
-            unsettled.append(f"{oid.value}: maximizer budget exhausted")
+        if ext.above is not None:
+            problems.append("{}: a point of box [{:.9g}, {:.9g}] x [{:.9g}, {:.9g}] lies above the located maximum"
+                            .format(oid.value, *ext.above))
+        elif not ext.converged:
+            spent = ext.iterations >= ctx.cfg.max_boxes
+            unsettled.append(f"{oid.value}: maximizer {'budget exhausted' if spent else 'left boxes at TOL_BOX'}")
         value = ext.value
         # 1e-12 allows for plain-float rounding in the grid evaluation itself
         if gmax > value.hi + 1e-12:

@@ -94,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", parents=[report, budget, seed], help="run the verification suite")
     p_verify.add_argument("--claims", nargs="+", metavar="ID", choices=CLAIM_IDS,
                           help="subset of claim ids (default: all)")
-    p_verify.add_argument("--tol", type=_positive_float, default=1e-5, help="enclosure width target")
+    p_verify.add_argument("--tol", type=_positive_float, default=1e-5, help="stopping tolerance of the best-first search")
 
     p_max = sub.add_parser("maximize", parents=[budget],
                            help="maximize one objective over the region")

@@ -3,7 +3,9 @@
 - Given the maximum that the edge/critical decomposition located
   (`claims.SuiteContext.locate`), `maximize_2d` certifies its value: one
   depth-first exclusion pass, `_certify`, shows that no box lies above it
-  (Schichl & Neumaier 2004; Kearfott 1996, ch. 5).  A 2-D box is bounded
+  (Schichl & Neumaier 2004; Kearfott 1996, ch. 5).  Its face and concave
+  bounds are the decomposition's own edge-analysis tops and f(X*), which it
+  therefore does not check.  A 2-D box is bounded
   once, by a mean-value form about Baumann's centre (`_centred_upper`;
   Baumann 1988), in the chart (x, s = y/c(x)) where it reaches the cap
   curve (`_chart_upper`).  Without a decomposition, `maximize_2d` and
@@ -609,7 +611,7 @@ def _certify(obj: Objective, region: OmegaRegion, cfg: BnBConfig, located: Inter
     """Show that no point of the region lies above located = [L, U], depth-first over `_split_clipped`.
 
     A box is bounded once, by `_centred_upper`, and dropped once its bound
-    is at most max(U, L + tol_value).  A box on x = a or curve_low that
+    is at most U; `tol_value` does not enter.  A box on x = a or curve_low that
     `_centred_upper` hands to `settle` lies below its face segment: where
     that lies on the piece, the box takes the top of the piece's conclusive
     analysis in `faces`, if lower.  S is a certified X* of `points` grown by
@@ -620,7 +622,6 @@ def _certify(obj: Objective, region: OmegaRegion, cfg: BnBConfig, located: Inter
     spent budget does.  `iterations` counts the boxes split.
     """
     ranges = monotone_bounds(obj.id)
-    top = max(located.hi, _add_up(located.lo, cfg.tol_value))
     tops = {an.edge: an.value.hi for an in faces if an.conclusive}
     peaks: list[tuple[Box, float]] = []
     for point in (p for p in points if p.certified):
@@ -645,7 +646,7 @@ def _certify(obj: Objective, region: OmegaRegion, cfg: BnBConfig, located: Inter
     while stack:
         box = stack.pop()
         ub = _centred_upper(ranges, region, box, settle)
-        if (ranges.upper(*box) if ub == math.inf else ub) <= top:
+        if (ranges.upper(*box) if ub == math.inf else ub) <= located.hi:
             continue
         x1, x2, y1, y2 = box
         if max(x2 - x1, y2 - y1) <= TOL_BOX:

@@ -233,7 +233,7 @@ def test_cli_verify_budget_gives_no_fail_row(max_boxes, capsys):
 
 @pytest.mark.parametrize("tol", ["1e-3", "1e-2"])
 def test_cli_verify_coarse_tol_gives_no_fail_row(tol, capsys):
-    # --tol is only the certificate's slack: every row reports `locate`'s
+    # the certificate does not read --tol: every row reports `locate`'s
     # value, a few ulps wide, so a coarse tol leaves no row unsettled.  The
     # best-first search left THM2_D43, THM2_D54, THM3_H22, THM4_GAMMA3 and
     # GAMMA4 up to 1e-3 wide at 1e-3, and THM1_A3 and GAMMA2 too at 1e-2
@@ -360,8 +360,8 @@ def test_a_decomposition_without_its_best_candidate_disagrees_with_the_global_en
     # f2's maximum is the interior root of its x = a edge; an analysis of that
     # edge whose value is the restriction at t = 0.3, below the root, leaves
     # the decomposition without its best candidate, so it locates the
-    # maximum at the corner (a, d).  The certificate trusts the tampered
-    # value on the face x = a, but off that face, near the corner, it finds
+    # maximum at the corner (a, d).  The certificate bounds the face x = a
+    # by the tampered analysis, but off that face, near the corner, it finds
     # a point above the located value.  The window check and the grid check
     # of PROPERTY_BNB_SOUND catch it too, so the row cannot pass
     ctx = claims.SuiteContext(SuiteConfig())
@@ -375,7 +375,33 @@ def test_a_decomposition_without_its_best_candidate_disagrees_with_the_global_en
     assert row.status != "PASS"
     assert "lies above the located maximum" in row.note and "misses window 3.461" in row.note
     (grid,) = run_suite(["PROPERTY_BNB_SOUND"], ctx=ctx)
-    assert grid.status == "FAIL" and grid.note.startswith("f2: grid max")
+    assert grid.status == "FAIL" and grid.note.startswith("f2: a point of box [")
+    assert "f2: grid max" in grid.note and "budget exhausted" not in grid.note
+
+
+def test_a_refuting_certificate_fails_grid_soundness():
+    # the tampered f2 certificate of the test above, on its own: the grid
+    # check of the true (located) value passes, and the refuting box fails the row
+    ctx = claims.SuiteContext(SuiteConfig())
+    ext = ctx.extremum(ObjectiveId.F2)
+    box = (0.36, 0.36 + 1e-9, 0.5, 0.5 + 1e-9)
+    ctx._extrema[ObjectiveId.F2] = dataclasses.replace(ext, converged=False, above=box)
+    out = claims._run_property_bnb(ctx)
+    assert (out.status, out.note) == (
+        "FAIL", "f2: a point of box [0.36, 0.360000001] x [0.5, 0.500000001] lies above the located maximum; "
+        "max grid-discretization gap 3.37e-06")
+
+
+def test_an_unconverged_certificate_with_budget_left_is_not_a_spent_budget(suite_ctx):
+    # without the top of f2's face analyses the certificate stops at TOL_BOX
+    # about the face maximum after 108 splits of a 10,000,000 budget
+    ctx = claims.SuiteContext(SuiteConfig())
+    ctx._edges.update(((ObjectiveId.F2, e), dataclasses.replace(suite_ctx.edge(ObjectiveId.F2, e), conclusive=False))
+                      for e in (EdgeId.X_A, EdgeId.CURVE_LOW))
+    ctx._locations[ObjectiveId.F2] = suite_ctx.locate(ObjectiveId.F2)
+    assert ctx.extremum(ObjectiveId.F2).iterations == 108
+    out = claims._run_property_bnb(ctx)
+    assert out.status == "INCONCLUSIVE" and out.note.startswith("f2: maximizer left boxes at TOL_BOX; ")
 
 
 #: wrong targets for entries of each kind: a point value, an edge maximum, an
