@@ -1,7 +1,7 @@
 """Verified maxima of Grunsky-coefficient bound objectives for bi-univalent functions."""
 
 from .domain import CONSTANTS, REGION, DomainConstants, EdgeId, OmegaRegion
-from .interval import CLAMP_TOL, Interval, NegativeRadicandError
+from .interval import Interval, NegativeRadicandError
 from .objectives import CLAIM_NAMES, F1_FORM, OBJECTIVES, Objective, ObjectiveId
 from .optimize import (
     BnBConfig,

@@ -185,13 +185,16 @@ class SuiteContext:
         """The 2-D maximizer's certificate of a settled `locate`, else its own search."""
         if oid not in self._extrema:
             self._extrema[oid] = maximize_2d(OBJECTIVES[oid], REGION, self.cfg.bnb(), **self.decomposition(oid))
+            # the certificate was the last reader of the critical search's gradient ranges
+            if (cs := self._critical.get(oid)) is not None:
+                cs.gradient_ranges.clear()
         return self._extrema[oid]
 
     def decomposition(self, oid: ObjectiveId) -> dict:
         """A settled `locate` as `maximize_2d` takes it: the value, the
-        critical points and the analyses of x = a and curve_low; else {}."""
+        critical search and the analyses of x = a and curve_low; else {}."""
         loc = self.locate(oid)
-        return {} if loc.unsettled else {"located": loc.value, "points": self.critical(oid).points,
+        return {} if loc.unsettled else {"located": loc.value, "critical": self.critical(oid),
                                          "faces": [self.edge(oid, e) for e in (EdgeId.X_A, EdgeId.CURVE_LOW)]}
 
     def f1_extremum(self) -> Extremum:

@@ -46,15 +46,11 @@ import math
 from fractions import Fraction
 from typing import Callable
 
-# Negative radicands at least this small are treated as rounding artifacts of
-# points on the region boundary, where the radicand vanishes exactly.
-CLAMP_TOL = 1e-12
-
 _INF = math.inf
 
 
 class NegativeRadicandError(ArithmeticError):
-    """Radicand is entirely below the clamp tolerance: point outside the domain."""
+    """Radicand enclosure lies wholly below zero: every point of it is outside the domain."""
 
 
 def _add_down(x: float, y: float) -> float:
@@ -181,9 +177,9 @@ def _pow_pair(lo: float, hi: float, n: int) -> tuple[float, float]:
             _pow_up(hi, n) if hi >= 0.0 else -_pow_down(-hi, n))
 
 
-def _sqrt_pair(lo: float, hi: float, tol: float = CLAMP_TOL) -> tuple[float, float]:
+def _sqrt_pair(lo: float, hi: float) -> tuple[float, float]:
     """(lo, hi) of sqrt([lo, hi] ∩ [0, inf)); see `Interval.sqrt_clamped`."""
-    if hi < -tol:
+    if hi < 0.0:
         raise NegativeRadicandError(f"radicand enclosure [{lo}, {hi}] is negative")
     return _sqrt_down(lo), _sqrt_up(hi)
 
@@ -287,14 +283,15 @@ class Interval:
     def scale(self, s: float) -> Interval:
         return Interval(*_scale_pair(self.lo, self.hi, s))
 
-    def sqrt_clamped(self, tol: float = CLAMP_TOL) -> Interval:
+    def sqrt_clamped(self) -> Interval:
         """Enclosure of sqrt(self intersected with [0, inf)).
 
-        Lower endpoints below zero are clamped; an interval entirely below
-        -tol is rejected as a genuine domain violation rather than rounding
-        noise.
+        Lower endpoints below zero are clamped: an enclosure of a radicand
+        that vanishes at a boundary point reaches below zero by rounding, but
+        holds the exact 0.  An interval wholly below zero holds no radicand of
+        the domain and raises NegativeRadicandError.
         """
-        return Interval(*_sqrt_pair(self.lo, self.hi, tol))
+        return Interval(*_sqrt_pair(self.lo, self.hi))
 
     def recip(self) -> Interval:
         """Enclosure of 1/x over a strictly positive interval."""

@@ -8,7 +8,10 @@
   therefore does not check.  A 2-D box is bounded
   once, by a mean-value form about Baumann's centre (`_centred_upper`;
   Baumann 1988), in the chart (x, s = y/c(x)) where it reaches the cap
-  curve (`_chart_upper`).  Without a decomposition, `maximize_2d` and
+  curve (`_chart_upper`).  The certificate and the critical search split
+  the same bisection grid, so the certificate reads the gradient range of
+  each cell that the critical search tested
+  (`CriticalSearch.gradient_ranges`) and computes only the others.  Without a decomposition, `maximize_2d` and
   `maximize_1d` share a best-first branch-and-bound, `_best_first`, in which
   a box about a maximum settles instead of splitting on: in the interior on
   a concave box by Krawczyk steps (`_concave`), on x = a and curve_low by
@@ -64,6 +67,8 @@ PairFunc = Callable[[float, float], tuple[float, float] | None]
 Box = tuple[float, ...]
 #: an image of a box that holds every zero in it, or None where there is none
 Step = Callable[[Box], Box | None]
+#: `MonotoneBounds.scaled_gradient_range` of one objective, by flat 2-D box
+GradientRanges = dict[Box, tuple[float, ...]]
 
 #: width at which the critical search stops splitting a box that neither the
 #: sign test nor a Krawczyk step settles
@@ -142,6 +147,9 @@ class CriticalSearch:
     CLUSTER_WIDTH that reach the rim R = 0 and that neither the sign test nor
     a Krawczyk step settled; any of them leaves the search uncertified.
     `iterations` counts the boxes tested and the Krawczyk steps taken.
+    `gradient_ranges` maps each piece tested, a flat box, to its
+    `scaled_gradient_range` for `objective`, so that the certificate of the
+    same objective (`_certify`) need not compute a cell's range again.
     """
 
     points: list[CriticalPoint] = field(default_factory=list)
@@ -149,6 +157,8 @@ class CriticalSearch:
     rim_boxes: list[tuple[float, float, float, float]] = field(default_factory=list)
     certified: bool = True
     iterations: int = 0
+    objective: ObjectiveId | None = None
+    gradient_ranges: GradientRanges = field(default_factory=dict, repr=False, compare=False)
 
 
 # ---------------------------------------------------------------------------
@@ -503,18 +513,18 @@ def _root_box(region: OmegaRegion) -> tuple[float, float, float, float]:
 
 def maximize_2d(
     obj: Objective, region: OmegaRegion = REGION, cfg: BnBConfig | None = None, located: Interval | None = None,
-    faces: Sequence[EdgeAnalysis] = (), points: Sequence[CriticalPoint] = (),
+    faces: Sequence[EdgeAnalysis] = (), critical: CriticalSearch | None = None,
 ) -> Extremum:
     """Verified enclosure of the global maximum of a 2-D objective over the region.
 
     With `located`, the value that the edge/critical decomposition found,
     `_certify` shows that no box lies above it, from the decomposition's
-    `faces` and `points`.  Without, a best-first search bounds each box once
-    by `_centred_upper`, or by `ranges.upper` where that form has no bound,
-    at the rim R = 0.  The incumbent comes from a 3 x 3 seed grid, then from
-    at most one corner sample per split until the first settle, and from the
-    low end of each settled value; f1 and f7, whose maxima lie at corners,
-    never settle.  An (x, y) box at most KRAWCZYK_WIDTH wide whose gradient
+    `faces` and interior `critical` search.  Without, a best-first search
+    bounds each box once by `_centred_upper`, or by `ranges.upper` where
+    that form has no bound, at the rim R = 0.  The incumbent comes from a
+    3 x 3 seed grid, then from at most one corner sample per split until the
+    first settle, and from the low end of each settled value; f1 and f7,
+    whose maxima lie at corners, never settle.  An (x, y) box at most KRAWCZYK_WIDTH wide whose gradient
     holds zero, and that meets no concave box S of a settled maximum and
     lies in no box that a Krawczyk step proved free of gradient zeros, tries
     `_concave`.  A box on the face x = a or on curve_low, where f rises
@@ -525,7 +535,7 @@ def maximize_2d(
     """
     cfg = cfg or BnBConfig()
     if located is not None:
-        return _certify(obj, region, cfg, located, faces, points)
+        return _certify(obj, region, cfg, located, faces, critical)
     ranges = monotone_bounds(obj.id)
     x_in = region.constants.iv_a.lo
 
@@ -607,24 +617,31 @@ def maximize_2d(
 
 
 def _certify(obj: Objective, region: OmegaRegion, cfg: BnBConfig, located: Interval,
-             faces: Sequence[EdgeAnalysis], points: Sequence[CriticalPoint]) -> Extremum:
+             faces: Sequence[EdgeAnalysis], critical: CriticalSearch | None) -> Extremum:
     """Show that no point of the region lies above located = [L, U], depth-first over `_split_clipped`.
 
     A box is bounded once, by `_centred_upper`, and dropped once its bound
     is at most U; `tol_value` does not enter.  A box on x = a or curve_low that
     `_centred_upper` hands to `settle` lies below its face segment: where
     that lies on the piece, the box takes the top of the piece's conclusive
-    analysis in `faces`, if lower.  S is a certified X* of `points` grown by
-    w on each side, w halved from KRAWCZYK_WIDTH until f is concave on S,
-    where f is then at most f(x*): an (x, y) box inside S takes f(X*).hi, if
-    lower.  A box left at TOL_BOX refutes `located` where f at its centre
-    lies verifiably above U, and else leaves the result unconverged, as a
-    spent budget does.  `iterations` counts the boxes split.
+    analysis in `faces`, if lower.  S is a certified X* of the `critical`
+    search grown by w on each side, w halved from KRAWCZYK_WIDTH until f is
+    concave on S, where f is then at most f(x*): an (x, y) box inside S takes
+    f(X*).hi, if lower.  Both searches split `_root_box` by `_split_clipped`,
+    so an (x, y) box that the critical search tested takes its gradient range
+    from that search's `gradient_ranges`, whose objective must be this one
+    (ValueError otherwise).  A box left at TOL_BOX refutes `located` where f
+    at its centre lies verifiably above U, and else leaves the result
+    unconverged, as a spent budget does.  `iterations` counts the boxes split.
     """
+    if critical is None:
+        critical = CriticalSearch(objective=obj.id)
+    elif critical.objective is not obj.id:
+        raise ValueError(f"a critical search of {critical.objective} handed to the certificate of {obj.id}")
     ranges = monotone_bounds(obj.id)
     tops = {an.edge: an.value.hi for an in faces if an.conclusive}
     peaks: list[tuple[Box, float]] = []
-    for point in (p for p in points if p.certified):
+    for point in (p for p in critical.points if p.certified):
         x, y = point.certified_box
         # f is not concave even on X* about a saddle, and no S is sought there
         w = KRAWCZYK_WIDTH if _negative_definite(obj, (x.lo, x.hi, y.lo, y.hi)) is not None else 0.0
@@ -645,7 +662,7 @@ def _certify(obj: Objective, region: OmegaRegion, cfg: BnBConfig, located: Inter
     stack, splits, left = [_root_box(region)], 0, False
     while stack:
         box = stack.pop()
-        ub = _centred_upper(ranges, region, box, settle)
+        ub = _centred_upper(ranges, region, box, settle, critical.gradient_ranges)
         if (ranges.upper(*box) if ub == math.inf else ub) <= located.hi:
             continue
         x1, x2, y1, y2 = box
@@ -663,7 +680,8 @@ def _certify(obj: Objective, region: OmegaRegion, cfg: BnBConfig, located: Inter
     return Extremum(located, splits, not left)
 
 
-def _centred_upper(ranges: MonotoneBounds, region: OmegaRegion, box: tuple[float, ...], settle=None) -> float:
+def _centred_upper(ranges: MonotoneBounds, region: OmegaRegion, box: tuple[float, ...], settle=None,
+                   known: GradientRanges | None = None) -> float:
     """Mean-value upper bound of the objective over box ∩ region, about Baumann's centre.
 
     A box that reaches the cap curve within one cap branch is bounded in that
@@ -673,7 +691,8 @@ def _centred_upper(ranges: MonotoneBounds, region: OmegaRegion, box: tuple[float
     ub)` in place of its bound ub where both gradient components hold zero,
     and `settle(box, EdgeId.X_A, ub)` where it reaches x = a, f_x > 0 and f_y
     takes both signs; where f_y has one sign, ub is already f at a corner.
-    A low-chart box goes to `settle` as `_chart_upper` says.
+    A low-chart box goes to `settle` as `_chart_upper` says.  An (x, y) box
+    takes its gradient range from `known` where it is there (see `_gradient`).
     """
     x1, x2, y1, y2 = box
     iv_b = region.constants.iv_b
@@ -684,7 +703,7 @@ def _centred_upper(ranges: MonotoneBounds, region: OmegaRegion, box: tuple[float
     if x1 >= iv_b.lo and 3.0 * y2 * y2 >= 1.0 - x2 * x2:
         # the high branch is the rim R = 0, which the chart box then contains
         return math.inf if ranges.has_radical else _chart_upper(ranges, high_chart, box)
-    grad = _gradient(ranges, box)
+    grad = _gradient(ranges, box, known)
     if grad is None:
         return math.inf
     ub = _mean_value_upper(lambda x, y: ranges.upper(x, x, y, y), grad, box)
@@ -752,12 +771,16 @@ def _face_maximum(
     return an.iterations, an.value if an.conclusive else None
 
 
-def _gradient(ranges: MonotoneBounds, box: tuple[float, ...]) -> tuple[float, float, float, float] | None:
+def _gradient(
+    ranges: MonotoneBounds, box: tuple[float, ...], known: GradientRanges | None = None
+) -> tuple[float, float, float, float] | None:
     """(fx_lo, fx_hi, fy_lo, fy_hi) over a box: sqrt(R)*grad f times [1/sqrt(r_hi), 1/sqrt(r_lo)].
 
+    The scaled gradient range is `known[box]` where `known` holds the box,
+    as computed for the same objective, else `ranges.scaled_gradient_range`.
     None unless R > 0.
     """
-    g1lo, g1hi, g2lo, g2hi, r_lo, r_hi = ranges.scaled_gradient_range(*box)
+    g1lo, g1hi, g2lo, g2hi, r_lo, r_hi = known and known.get(box) or ranges.scaled_gradient_range(*box)
     if r_lo <= 0.0:
         return None
     if not ranges.has_radical:
@@ -902,11 +925,12 @@ def interior_critical_points(
     """
     cfg = cfg or BnBConfig()
     ranges = monotone_bounds(obj.id)
+    tested: GradientRanges = {}
 
     def excluded(box: Box) -> bool:
         """One scaled-gradient component has one sign on the box."""
-        g1lo, g1hi, g2lo, g2hi = ranges.scaled_gradient_range(*box)[:4]
-        return g1lo > 0.0 or g1hi < 0.0 or g2lo > 0.0 or g2hi < 0.0
+        g = tested[box] = ranges.scaled_gradient_range(*box)
+        return g[0] > 0.0 or g[1] < 0.0 or g[2] > 0.0 or g[3] < 0.0
 
     def step(box: Box) -> Box | None:
         return _krawczyk(obj, box) if _width(box) <= KRAWCZYK_WIDTH else None
@@ -915,9 +939,9 @@ def interior_critical_points(
     found = _isolate(_root_box(region), excluded, step, _split_clipped, (-1.0, 1.0, -1.0, 1.0),
                      CLUSTER_WIDTH, cfg.max_boxes)
     if found is None:
-        return CriticalSearch(certified=False, iterations=cfg.max_boxes)
+        return CriticalSearch(certified=False, iterations=cfg.max_boxes, objective=obj.id)
     proven, leaves, processed = found
-    out = CriticalSearch(iterations=processed)
+    out = CriticalSearch(iterations=processed, objective=obj.id, gradient_ranges=tested)
 
     zeros: list[tuple[Box, Box]] = []  # (piece the proof started from, contracted box), one per zero
     unsettled: list[Box] = []

@@ -24,7 +24,7 @@ import numpy as np
 
 from grunsky_bounds.domain import CAP_PIECES, CONSTANTS, EdgeId
 from grunsky_bounds.interval import (
-    CLAMP_TOL, INV_SQRT3, INV_SQRT5, INV_SQRT7, Interval, NegativeRadicandError
+    INV_SQRT3, INV_SQRT5, INV_SQRT7, Interval, NegativeRadicandError
 )
 from grunsky_bounds.objectives import OBJECTIVES, Objective, ObjectiveId, RadicalForm1D, _diff
 from grunsky_bounds.optimize import IvFunc
@@ -43,6 +43,11 @@ def contains(iv: Interval, v: float) -> bool:
 
 #: membership slack for points produced by floating-point parameterizations
 BOUNDARY_SLACK = 1e-12
+
+#: float guard of the reference formulas: a radicand computed in floats at a
+#: point of the boundary, where it vanishes, may round below 0; one at least
+#: this far below 0 is taken for a point outside the region
+RADICAND_SLACK = 1e-12
 
 
 def lemma1_bound(x: float) -> float:
@@ -84,7 +89,7 @@ def form_value(form: RadicalForm1D, t: float) -> float:
     out = mixed_eval_float(form.w, t)
     if not form.v.is_zero():
         s = rp_eval_iv(form.s, Interval.point(t))
-        if s.hi < -CLAMP_TOL:
+        if s.hi < -RADICAND_SLACK:
             raise NegativeRadicandError(f"{form.label}: radicand negative at t={t}")
         out += mixed_eval_float(form.v, t) * math.sqrt(max(s.mid, 0.0))
     return out
@@ -113,7 +118,7 @@ def objective_value(obj: Objective, x: float, y: float) -> float:
         out += float(c) * x**i * y**j
     if obj.has_radical:
         r = radicand(x, y)
-        if r < -CLAMP_TOL:
+        if r < -RADICAND_SLACK:
             raise NegativeRadicandError(f"radicand {r} at ({x}, {y})")
         out += mult_float(obj, x) * math.sqrt(max(r, 0.0))
     return out
@@ -333,7 +338,7 @@ def reduction_residual(oid: ObjectiveId, x: float, y: float) -> float:
     out = 3.0 * y * poly_dx(oid, x, y) - x * poly_dy(oid, x, y)
     if beta := mult_slope_float(obj):
         r = radicand(x, y)
-        if r < -CLAMP_TOL:
+        if r < -RADICAND_SLACK:
             raise NegativeRadicandError(f"radicand {r} at ({x}, {y})")
         out += 3.0 * beta * y * math.sqrt(max(r, 0.0))
     return out

@@ -8,7 +8,6 @@ from fractions import Fraction
 import pytest
 
 from grunsky_bounds.interval import (
-    CLAMP_TOL,
     Interval,
     NegativeRadicandError,
     _add_down,
@@ -78,22 +77,27 @@ def test_sqrt_exact():
 
 
 def test_sqrt_clamp_rule():
+    # an enclosure that holds 0 is clamped there, however far below 0 it reaches
     s = Interval(-1e-15, 1e-15).sqrt_clamped()
     assert s.lo == 0.0
     assert abs(s.hi - math.sqrt(1e-15)) <= math.ulp(s.hi)
+    assert Interval(-1.0, 0.0).sqrt_clamped() == Interval(0.0, 0.0)
+    # one wholly below 0 raises, however near 0 it ends
+    for lo, hi in ((-1e-12, -1e-15), (-1e-12, -1e-12), (-1e-300, -5e-324)):
+        with pytest.raises(NegativeRadicandError):
+            Interval(lo, hi).sqrt_clamped()
 
 
 def test_sqrt_rejects_genuinely_negative():
     with pytest.raises(NegativeRadicandError):
-        Interval(-1.0, -2 * CLAMP_TOL).sqrt_clamped()
+        Interval(-1.0, -0.5).sqrt_clamped()
 
 
 def test_sqrt_clamped_square_covers_clamped_point():
-    for x in (-1e-13, 0.0, 1e-13, 0.5, 2.0):
-        s = Interval(x, x).sqrt_clamped()
-        sq = s**2
-        want = max(x, 0.0)
-        assert sq.lo <= want <= sq.hi
+    # a point below 0 raises (test_sqrt_clamp_rule); an enclosure that reaches below 0 is clamped at 0
+    for lo, hi in ((-1e-13, 0.0), (-1e-13, 1e-13), (0.0, 0.0), (1e-13, 1e-13), (0.5, 0.5), (2.0, 2.0)):
+        sq = Interval(lo, hi).sqrt_clamped() ** 2
+        assert sq.lo <= max(lo, 0.0) and hi <= sq.hi
 
 
 def test_from_fraction_tight():

@@ -765,10 +765,58 @@ def test_the_concave_box_drops_the_boxes_about_an_interior_maximum(name, splits,
     # without the critical point, the boxes about it are split until their
     # mean-value bound lies at or below the located value
     oid = ObjectiveId(name)
-    located = {**suite_ctx.decomposition(oid), "points": []}
+    located = suite_ctx.decomposition(oid)
+    located["critical"] = replace(located["critical"], points=[])
     ext = maximize_2d(OBJECTIVES[oid], REGION, BnBConfig(1e-5), **located)
     assert (ext.iterations, ext.converged) == (splits, True)
     assert splits > CERTIFICATE_SPLITS[name]
+
+
+#: the scaled gradient ranges that each objective's certificate computes,
+#: reading the critical search's (249 in all) and on its own (676)
+CERTIFICATE_GRADIENT_RANGES = {
+    "f1": (3, 6), "f2": (4, 11), "f3": (4, 19), "f4": (64, 147), "f5": (75, 219),
+    "f6": (61, 126), "f7": (10, 11), "f8": (17, 54), "f9": (11, 83),
+}
+
+
+@pytest.mark.parametrize("oid", list(ObjectiveId), ids=lambda oid: oid.value)
+def test_the_critical_search_s_gradient_ranges_change_no_certificate(oid, monkeypatch):
+    calls = []
+    real = objectives.MonotoneBounds.scaled_gradient_range
+    monkeypatch.setattr(objectives.MonotoneBounds, "scaled_gradient_range",
+                        lambda self, *box: calls.append(box) or real(self, *box))
+    obj, located = OBJECTIVES[oid], SuiteContext().decomposition(oid)
+    assert located["critical"].gradient_ranges
+    calls.clear()
+    shared = maximize_2d(obj, REGION, BnBConfig(), **located)
+    counts = [len(calls)]
+    calls.clear()
+    alone = maximize_2d(obj, REGION, BnBConfig(), **{**located, "critical": replace(located["critical"],
+                                                                                     gradient_ranges={})})
+    counts.append(len(calls))
+    bits = [(e.value.lo.hex(), e.value.hi.hex(), e.iterations, e.converged, e.above) for e in (shared, alone)]
+    assert bits[0] == bits[1] and bits[0][2:] == (CERTIFICATE_SPLITS[oid.value], True, None)
+    assert tuple(counts) == CERTIFICATE_GRADIENT_RANGES[oid.value]
+
+
+def test_a_critical_search_of_another_objective_is_refused():
+    ctx = SuiteContext()
+    f4, f5 = ObjectiveId.F4, ObjectiveId.F5
+    for critical in (ctx.critical(f5), replace(ctx.critical(f5), gradient_ranges={}), optimize.CriticalSearch()):
+        with pytest.raises(ValueError, match="critical search"):
+            maximize_2d(OBJECTIVES[f4], REGION, BnBConfig(), **{**ctx.decomposition(f4), "critical": critical})
+
+
+def test_the_context_drops_the_gradient_ranges_once_the_certificate_has_run():
+    ctx = SuiteContext()
+    f4 = ObjectiveId.F4
+    ranges = ctx.critical(f4).gradient_ranges
+    # one range for each piece tested; the rest of the iterations are Krawczyk steps
+    assert 0 < len(ranges) < ctx.critical(f4).iterations
+    ext = ctx.extremum(f4)
+    assert ranges == {} and ctx.critical(f4).gradient_ranges is ranges
+    assert maximize_2d(OBJECTIVES[f4], REGION, BnBConfig(), **ctx.decomposition(f4)) == ext
 
 
 def test_maximize_2d_bounds_each_box_once_and_samples_at_most_one_point_per_split(monkeypatch):
