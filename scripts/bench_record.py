@@ -16,7 +16,12 @@ records:
 - `tier1`: the time of the Tier-1 test run and its summary line;
 - `verify`: the time of `grunsky-bounds verify --format json`, split into a
   bare interpreter, `import grunsky_bounds.cli` and the rest, each the
-  median of `REPEATS` rounds that alternate the three commands;
+  median of `REPEATS` rounds that alternate the three commands.  The split
+  is taken in the environment as it is, and again, under `cached_bytecode`,
+  with the bytecode of every module cached: `PYTHONPYCACHEPREFIX` names a
+  temporary directory that one run fills first, and `PYTHONDONTWRITEBYTECODE`
+  is unset.  The import then no longer compiles the sources, while the rest
+  still pays for what the program compiles on its first calls;
 - `work_precision`: `maximize_2d` for f1-f9 at widths 1e-5 to 1e-11, with
   the median time of `REPEATS` calls after a warm-up call, the boxes and
   the width reached.
@@ -38,6 +43,7 @@ import os
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -46,6 +52,7 @@ TOLS = (1e-5, 1e-7, 1e-9, 1e-11)
 SEED = 1
 REPEATS = 5
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
+VERIFY = [sys.executable, "-m", "grunsky_bounds.cli", "verify", "--format", "json"]
 
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 import calibrate  # noqa: E402  the benchmark's machine-speed kernel, read as it is
@@ -76,8 +83,8 @@ def _timed(fn):
     return out, seconds / calibrate.slowdown(samples)
 
 
-def _run(cmd: list[str], **kwargs) -> tuple[subprocess.CompletedProcess, float]:
-    return _timed(lambda: subprocess.run(cmd, cwd=ROOT, env=_env(), text=True, **kwargs))
+def _run(cmd: list[str], env: dict | None = None, **kwargs) -> tuple[subprocess.CompletedProcess, float]:
+    return _timed(lambda: subprocess.run(cmd, cwd=ROOT, env=env or _env(), text=True, **kwargs))
 
 
 def _tier1() -> dict:
@@ -87,16 +94,26 @@ def _tier1() -> dict:
 
 
 def _verify() -> dict:
+    split = _verify_split(_env())
+    with tempfile.TemporaryDirectory() as cache:
+        env = dict(_env(), PYTHONPYCACHEPREFIX=cache)
+        env.pop("PYTHONDONTWRITEBYTECODE", None)
+        subprocess.run(VERIFY, cwd=ROOT, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        split["cached_bytecode"] = _verify_split(env)
+    return split
+
+
+def _verify_split(env: dict) -> dict:
     commands = {
         "interpreter": [sys.executable, "-c", "pass"],
         "import": [sys.executable, "-c", "import grunsky_bounds.cli"],
-        "verify": [sys.executable, "-m", "grunsky_bounds.cli", "verify", "--format", "json"],
+        "verify": VERIFY,
     }
     runs: dict[str, list[float]] = {name: [] for name in commands}
     codes = set()
     for _ in range(REPEATS):
         for name, cmd in commands.items():
-            run, seconds = _run(cmd, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+            run, seconds = _run(cmd, env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
             runs[name].append(seconds)
             if name == "verify":
                 codes.add(run.returncode)

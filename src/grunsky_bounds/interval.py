@@ -17,6 +17,12 @@ The scalar helpers round as follows:
   and step only when the sum rounded, so exact sums keep exact endpoints.
   The error is NaN when the sum overflows; the test then steps too.
 
+`_mul_text`, `_add_text` and `_sqrt_text` write the same operations as
+`_mul_*`, `_add_*` and `_sqrt_*` as source text, zero-operand rule and TwoSum
+test included, for the straight-line range bounds that
+`objectives.MonotoneBounds` compiles, so the rounding rules live in this
+module alone.
+
 The pair kernel `_mul_pair`, `_pow_pair`, `_sqrt_pair` and `_scale_pair`
 works on plain (lo, hi) float pairs and builds no object.  `Interval.__mul__`,
 `__pow__`, `sqrt_clamped` and `scale` are one-line wrappers of it, and the
@@ -91,6 +97,31 @@ def _sqrt_up(x: float) -> float:
     if x <= 0.0:
         return 0.0
     return math.nextafter(math.sqrt(x), _INF)
+
+
+# The texts take names or float literals as operands, since they read each
+# operand more than once.
+
+#: the names the texts read, for the namespace their code runs in
+TEXT_NAMES = {"_nextafter": math.nextafter, "_sqrt": math.sqrt, "_UP": _INF, "_DOWN": -_INF}
+
+
+def _mul_text(x: str, y: str, up: bool) -> str:
+    """An expression for `_mul_up(x, y)`, or `_mul_down`."""
+    test = x if x == y else f"{x} and {y}"
+    return f"_nextafter({x} * {y}, {'_UP' if up else '_DOWN'}) if {test} else {x} * {y}"
+
+
+def _add_text(s: str, x: str, y: str, up: bool) -> list[str]:
+    """Statements that set the new name s to `_add_up(x, y)`, or `_add_down`."""
+    return [f"{s} = {x} + {y}", f"_b = {s} - {x}",
+            f"if not ({x} - ({s} - _b)) + ({y} - _b) {'<=' if up else '>='} 0.0: "
+            f"{s} = _nextafter({s}, {'_UP' if up else '_DOWN'})"]
+
+
+def _sqrt_text(x: str, up: bool) -> str:
+    """An expression for `_sqrt_up(x)`, or `_sqrt_down`."""
+    return f"0.0 if {x} <= 0.0 else _nextafter(_sqrt({x}), {'_UP' if up else '_DOWN'})"
 
 
 def _recip_up(v: float) -> float:

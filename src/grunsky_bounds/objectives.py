@@ -16,7 +16,8 @@ compiles them, on first evaluation, into (i, j, c_lo, c_hi) pair tables: the
 one evaluator of the family.  `Objective.value_iv`, `gradient_pairs` and
 `hessian_pairs` run the operations of the interval formula on them, in its
 order, through the pair kernel of `interval`, with no `Interval` per operation
-(edge forms likewise, through `poly`); `MonotoneBounds` reads the same tables.
+(edge forms likewise, through `poly`).  `MonotoneBounds` reads the same tables
+and compiles them, on first call, to straight-line corner bounds.
 The `*_pairs` forms return flat (lo, hi) pairs for the zero searches of
 `optimize`, and `gradient_iv` and `hessian_iv` wrap them in `Interval`s.
 
@@ -41,11 +42,12 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from typing import Callable
 
 from .domain import CONSTANTS, EDGES, Edge, EdgeId
 from .interval import (
-    Interval, _add, _add_down, _add_up, _intervals, _mul, _mul_down, _mul_pair, _mul_up, _pow_down, _pow_pair,
-    _pow_up, _recip_down, _recip_up, _scale_pair, _sqrt_down, _sqrt_pair, _sqrt_up, _sub
+    TEXT_NAMES, Interval, _add, _add_down, _add_text, _add_up, _intervals, _mul, _mul_down, _mul_pair, _mul_text,
+    _mul_up, _pow_pair, _recip_down, _recip_up, _scale_pair, _sqrt_pair, _sqrt_text, _sub
 )
 from .poly import (
     MixedPoly, Pair, RatPoly, horner_pair, mixed_pair, rp_add, rp_deriv, rp_mul, rp_pairs, rp_pow,
@@ -375,7 +377,7 @@ OBJECTIVES: dict[ObjectiveId, Objective] = {
 F1_FORM = OBJECTIVES[ObjectiveId.F1].restriction(EdgeId.Y_ZERO)
 
 
-# -- fast directed-rounded range bounds for branch-and-bound ---------------------
+# -- fast directed-rounded range bounds for the 2-D searches -------------------------
 #
 # Every catalog objective has non-negative polynomial coefficients and a
 # non-negative, non-decreasing linear radical multiplier, while the shared radicand
@@ -383,12 +385,27 @@ F1_FORM = OBJECTIVES[ObjectiveId.F1].restriction(EdgeId.Y_ZERO)
 # [x1,x2] x [y1,y2] inside the region the range is therefore bounded by
 # evaluating the monotone pieces at opposite corners, which matches the
 # generic interval evaluation but avoids allocating intervals in the hot
-# branch-and-bound loop.
+# search loops.
 
 
 @dataclass(frozen=True)
 class MonotoneBounds:
-    """Scalar lower/upper range bounds over first-quadrant boxes."""
+    """Scalar lower/upper range bounds over first-quadrant boxes.
+
+    Each method calls a straight-line function that `_compiled` builds on
+    the method's first call: the term loop unrolled, each power of a corner
+    coordinate formed once, and every rounded product and sum written out
+    in place by `interval`.  It runs the float operations of the loops that
+    `tests/paper_formulas.py` keeps as the reference, in their order, so
+    every bit matches them.  The methods stay on the class, where the tracer
+    and the tests patch them.
+
+    Only the catalog's `Fraction` tables reach `exec`, through
+    `monotone_bounds`, which refuses a negative coefficient: the source is
+    built from their (i, j) exponents and `interval`'s texts alone, and
+    their enclosed coefficients are arguments, never text.  No outside input
+    reaches it.
+    """
 
     terms: PairTerms  # P, Px and Py, from `_prepared`
     dx_terms: PairTerms
@@ -398,36 +415,10 @@ class MonotoneBounds:
     has_radical: bool
 
     def upper(self, x1: float, x2: float, y1: float, y2: float) -> float:
-        out = 0.0
-        for i, j, _, c_hi in self.terms:
-            t = c_hi
-            if i:
-                t = _mul_up(t, _pow_up(x2, i))
-            if j:
-                t = _mul_up(t, _pow_up(y2, j))
-            out = _add_up(out, t)
-        if self.has_radical:
-            r = _add_up(_add_up(1.0, -_mul_down(x1, x1)), -_mul_down(3.0, _mul_down(y1, y1)))
-            if r > 0.0:
-                m = _add_up(self.m0[1], _mul_up(self.m_lin[1], x2))
-                out = _add_up(out, _mul_up(m, _sqrt_up(r)))
-        return out
+        return self._upper(x1, x2, y1, y2)
 
     def lower(self, x1: float, x2: float, y1: float, y2: float) -> float:
-        out = 0.0
-        for i, j, c_lo, _ in self.terms:
-            t = c_lo
-            if i:
-                t = _mul_down(t, _pow_down(x1, i))
-            if j:
-                t = _mul_down(t, _pow_down(y1, j))
-            out = _add_down(out, t)
-        if self.has_radical:
-            r = _add_down(_add_down(1.0, -_mul_up(x2, x2)), -_mul_up(3.0, _mul_up(y2, y2)))
-            if r > 0.0:
-                m = _add_down(self.m0[0], _mul_down(self.m_lin[0], x1))
-                out = _add_down(out, _mul_down(m, _sqrt_down(r)))
-        return out
+        return self._lower(x1, x2, y1, y2)
 
     def scaled_gradient_range(
         self, x1: float, x2: float, y1: float, y2: float
@@ -438,42 +429,19 @@ class MonotoneBounds:
         encloses the radicand range; the gradient bounds certify signs only
         where the radicand is positive.
         """
-        px_lo, px_hi = _corner_range(self.dx_terms, x1, x2, y1, y2)
-        py_lo, py_hi = _corner_range(self.dy_terms, x1, x2, y1, y2)
-        if not self.has_radical:
-            return px_lo, px_hi, py_lo, py_hi, 1.0, 1.0
+        return self._gradient_range(x1, x2, y1, y2)
 
-        r_hi = _add_up(_add_up(1.0, -_mul_down(x1, x1)), -_mul_down(3.0, _mul_down(y1, y1)))
-        r_lo = _add_down(_add_down(1.0, -_mul_up(x2, x2)), -_mul_up(3.0, _mul_up(y2, y2)))
-        sq_hi = _sqrt_up(max(r_hi, 0.0))
-        sq_lo = _sqrt_down(max(r_lo, 0.0))
-        m_hi = _add_up(self.m0[1], _mul_up(self.m_lin[1], x2))
-        m_lo = _add_down(self.m0[0], _mul_down(self.m_lin[0], x1))
+    @cached_property
+    def _upper(self) -> Callable[..., float]:
+        return _compiled(self, "upper")
 
-        # G1 = Px*sqrt(R) + M'*R - M*x  with M' >= 0
-        t_hi = _mul_up(px_hi, sq_hi)
-        t_hi = _add_up(t_hi, _mul_up(self.m_lin[1], r_hi) if r_hi >= 0.0 else _mul_up(self.m_lin[0], r_hi))
-        g1_hi = _add_up(t_hi, -_mul_down(m_lo, x1))
-        t_lo = _mul_down(px_lo, sq_lo)
-        t_lo = _add_down(t_lo, _mul_down(self.m_lin[0], r_lo) if r_lo >= 0.0 else _mul_down(self.m_lin[1], r_lo))
-        g1_lo = _add_down(t_lo, -_mul_up(m_hi, x2))
+    @cached_property
+    def _lower(self) -> Callable[..., float]:
+        return _compiled(self, "lower")
 
-        # G2 = Py*sqrt(R) - 3*M*y
-        g2_hi = _add_up(_mul_up(py_hi, sq_hi), -_mul_down(3.0, _mul_down(m_lo, y1)))
-        g2_lo = _add_down(_mul_down(py_lo, sq_lo), -_mul_up(3.0, _mul_up(m_hi, y2)))
-        return g1_lo, g1_hi, g2_lo, g2_hi, r_lo, r_hi
-
-
-def _corner_range(terms: PairTerms, x1: float, x2: float, y1: float, y2: float) -> Pair:
-    """A table with c >= 0 over a first-quadrant box: each term at the lower-left and upper-right corner."""
-    lo = hi = 0.0
-    for i, j, c_lo, c_hi in terms:
-        if i:
-            c_lo, c_hi = _mul_down(c_lo, _pow_down(x1, i)), _mul_up(c_hi, _pow_up(x2, i))
-        if j:
-            c_lo, c_hi = _mul_down(c_lo, _pow_down(y1, j)), _mul_up(c_hi, _pow_up(y2, j))
-        lo, hi = _add_down(lo, c_lo), _add_up(hi, c_hi)
-    return lo, hi
+    @cached_property
+    def _gradient_range(self) -> Callable[..., tuple[float, ...]]:
+        return _compiled(self, "gradient_range")
 
 
 @lru_cache(maxsize=None)
@@ -485,6 +453,157 @@ def monotone_bounds(oid: ObjectiveId) -> MonotoneBounds:
     prep = _prepared(oid)
     return MonotoneBounds(prep.p, prep.px, prep.py, mixed_pair(prep.mult.pairs, 0.0, 0.0), prep.m_lin,
                           obj.has_radical)
+
+
+# A range bound is compiled in two parts.  The sums of the term tables depend
+# only on the (i, j) exponents of the three tables, so objectives of one shape
+# (f2, f4 and f8; f3, f5 and f9) share one compile: its constants are the
+# arguments of a factory, which returns the bound as a closure over them.  The
+# radical part, from R = 1 - x^2 - 3*y^2 and M(x) = M(0) + M'*x, is the same
+# for every objective, so it is compiled once for each bound and takes M(0)
+# and M' as arguments.
+
+_M_PARAMS = ("m0_lo", "m0_hi", "ml_lo", "ml_hi")
+
+
+def _compiled(b: MonotoneBounds, kind: str) -> Callable:
+    """The straight-line `kind` bound ("upper", "lower" or "gradient_range") of b's tables."""
+    tables = (b.terms, b.dx_terms, b.dy_terms)
+    shape = tuple(tuple((i, j) for i, j, _, _ in t) for t in tables)
+    constants = [c for t in tables for _, _, lo, hi in t for c in (lo, hi)]
+    return _factory(kind, shape, b.has_radical)(*constants, *b.m0, *b.m_lin)
+
+
+@lru_cache(maxsize=None)
+def _factory(kind: str, shape: tuple[tuple[tuple[int, int], ...], ...], has_radical: bool) -> Callable:
+    """make(<c_lo, c_hi of each term of P, Px, Py>, *M(0), *M'), which returns the `kind` bound over them."""
+    src = _Source()
+    if kind == "gradient_range":
+        sums = [_corner_sum(src, shape[t], t, up) for t in (1, 2) for up in (False, True)]
+        plain = [*sums, "1.0", "1.0"]
+    else:
+        sums = plain = [_corner_sum(src, shape[0], 0, kind == "upper")]
+    result = f"_radical(x1, x2, y1, y2, {', '.join(sums + list(_M_PARAMS))})" if has_radical else ", ".join(plain)
+    params = [_coefficient(t, k, up) for t, table in enumerate(shape) for k in range(len(table))
+              for up in (False, True)]
+    lines = [f"def make({', '.join(params + list(_M_PARAMS))}):", f"    def {kind}(x1, x2, y1, y2):",
+             *(f"        {line}" for line in src.lines), f"        return {result}", f"    return {kind}"]
+    return _define(lines, "make", **({"_radical": _radical_tail(kind)} if has_radical else {}))
+
+
+@lru_cache(maxsize=None)
+def _radical_tail(kind: str) -> Callable:
+    """The `kind` bound's radical part, from the corner sums of `_factory` and M(0), M' on."""
+    src = _Source()
+    if kind == "gradient_range":
+        sums = ["px_lo", "px_hi", "py_lo", "py_hi"]
+        result = ", ".join(_gradient_tail(src, *sums))
+    else:
+        sums = ["out"]
+        result = _bound_tail(src, "out", kind == "upper")
+    lines = [f"def {kind}({', '.join(['x1', 'x2', 'y1', 'y2', *sums, *_M_PARAMS])}):",
+             *(f"    {line}" for line in src.lines), f"    return {result}"]
+    return _define(lines, kind)
+
+
+def _define(lines: list[str], name: str, **names: object) -> Callable:
+    """The function `name` that the source lines define, with `interval`'s names and `names` as globals."""
+    namespace = dict(TEXT_NAMES, **names)
+    exec(compile("\n".join(lines), f"<{name} bound>", "exec"), namespace)
+    return namespace[name]
+
+
+def _coefficient(table: int, k: int, up: bool) -> str:
+    """The parameter that holds c_hi (up) or c_lo of term k of table 0 (P), 1 (Px) or 2 (Py)."""
+    return f"c{table}_{k}_{'hi' if up else 'lo'}"
+
+
+class _Source:
+    """Straight-line statements, each rounded operation written once on a fresh name."""
+
+    def __init__(self) -> None:
+        self.lines: list[str] = []
+        self._names: dict[object, str] = {}
+
+    def _new(self, key: object, lines: Callable[[str], list[str]]) -> str:
+        if key not in self._names:
+            name = self._names[key] = f"v{len(self._names)}"
+            self.lines += lines(name)
+        return self._names[key]
+
+    def let(self, text: str) -> str:
+        return self._new(text, lambda name: [f"{name} = {text}"])
+
+    def mul(self, x: str, y: str, up: bool) -> str:
+        return self.let(_mul_text(x, y, up))
+
+    def add(self, x: str, y: str, up: bool) -> str:
+        return self._new(("+", x, y, up), lambda name: _add_text(name, x, y, up))
+
+    def pow(self, x: str, n: int, up: bool) -> str:
+        """x**n as `_pow_up` (or `_pow_down`) forms it: x, then one product per further power."""
+        r = x
+        for _ in range(n - 1):
+            r = self.mul(r, x, up)
+        return r
+
+
+def _corner_sum(src: _Source, shape: tuple[tuple[int, int], ...], table: int, up: bool) -> str:
+    """The table at the upper-right corner with c_hi (up), or at the lower-left with c_lo, summed from 0.0."""
+    x, y = ("x2", "y2") if up else ("x1", "y1")
+    out = "0.0"
+    for k, (i, j) in enumerate(shape):
+        c = _coefficient(table, k, up)
+        if i:
+            c = src.mul(c, src.pow(x, i, up), up)
+        if j:
+            c = src.mul(c, src.pow(y, j, up), up)
+        out = src.add(out, c, up)
+    return out
+
+
+def _corner_radicand(src: _Source, up: bool) -> str:
+    """R = 1 - x^2 - 3*y^2 at the corner where it is largest (up: x1, y1) or smallest."""
+    x, y = ("x1", "y1") if up else ("x2", "y2")
+    x2 = src.mul(x, x, not up)
+    y2 = src.mul("3.0", src.mul(y, y, not up), not up)
+    return src.add(src.add("1.0", f"-{x2}", up), f"-{y2}", up)
+
+
+def _corner_multiplier(src: _Source, up: bool) -> str:
+    """M(x) = M(0) + M'*x at x2 (up) or x1."""
+    return src.add("m0_hi", src.mul("ml_hi", "x2", True), True) if up else \
+        src.add("m0_lo", src.mul("ml_lo", "x1", False), False)
+
+
+def _bound_tail(src: _Source, out: str, up: bool) -> str:
+    """`MonotoneBounds.upper` (up) or `lower` from P's corner sum: plus M*sqrt(R) where that R > 0."""
+    r = _corner_radicand(src, up)
+    src.lines.append(f"if not {r} > 0.0: return {out}")
+    return src.add(out, src.mul(_corner_multiplier(src, up), src.let(_sqrt_text(r, up)), up), up)
+
+
+def _gradient_tail(src: _Source, px_lo: str, px_hi: str, py_lo: str, py_hi: str) -> list[str]:
+    """`MonotoneBounds.scaled_gradient_range` from the corner sums of Px and Py."""
+    r_lo, r_hi = _corner_radicand(src, False), _corner_radicand(src, True)
+    # _sqrt_* is 0.0 for every r <= 0, so it takes R as it is where R reaches below 0
+    sq_lo, sq_hi = src.let(_sqrt_text(r_lo, False)), src.let(_sqrt_text(r_hi, True))
+    m_lo, m_hi = _corner_multiplier(src, False), _corner_multiplier(src, True)
+
+    def m_lin_r(r: str, up: bool) -> str:
+        # M'*R with M' >= 0: the end of M' that R's sign calls for
+        near, far = ("ml_hi", "ml_lo") if up else ("ml_lo", "ml_hi")
+        return src.let(f"({_mul_text(near, r, up)}) if {r} >= 0.0 else ({_mul_text(far, r, up)})")
+
+    # G1 = Px*sqrt(R) + M'*R - M*x
+    g1_hi = src.add(src.add(src.mul(px_hi, sq_hi, True), m_lin_r(r_hi, True), True),
+                    f"-{src.mul(m_lo, 'x1', False)}", True)
+    g1_lo = src.add(src.add(src.mul(px_lo, sq_lo, False), m_lin_r(r_lo, False), False),
+                    f"-{src.mul(m_hi, 'x2', True)}", False)
+    # G2 = Py*sqrt(R) - 3*M*y
+    g2_hi = src.add(src.mul(py_hi, sq_hi, True), f"-{src.mul('3.0', src.mul(m_lo, 'y1', False), False)}", True)
+    g2_lo = src.add(src.mul(py_lo, sq_lo, False), f"-{src.mul('3.0', src.mul(m_hi, 'y2', True), True)}", False)
+    return [g1_lo, g1_hi, g2_lo, g2_hi, r_lo, r_hi]
 
 
 # -- the reduced stationarity equation of f2, whose root leaves the region --------

@@ -106,7 +106,8 @@ class BnBConfig:
             raise ValueError("BnBConfig fields must be positive")
 
 
-@dataclass(frozen=True)
+# slots: a caller may keep many of these records, as perfbench keeps one per op
+@dataclass(frozen=True, slots=True)
 class Extremum:
     """A verified enclosure of a maximum, the boxes split and steps taken for it, and whether it converged.
 

@@ -10,7 +10,8 @@ with interval enclosures instead.
 
 The interval formulas of the objectives and their edge forms, with one
 `Interval` object per operation, are kept here as the reference that the
-library's compiled pair evaluators must match bit for bit.
+library's compiled pair evaluators must match bit for bit; so are the loops
+over the term tables that `MonotoneBounds` compiles to straight-line code.
 """
 
 from __future__ import annotations
@@ -24,9 +25,12 @@ import numpy as np
 
 from grunsky_bounds.domain import CAP_PIECES, CONSTANTS, EdgeId
 from grunsky_bounds.interval import (
-    INV_SQRT3, INV_SQRT5, INV_SQRT7, Interval, NegativeRadicandError
+    INV_SQRT3, INV_SQRT5, INV_SQRT7, Interval, NegativeRadicandError, _add_down, _add_up, _mul_down, _mul_up,
+    _pow_down, _pow_up, _sqrt_down, _sqrt_up
 )
-from grunsky_bounds.objectives import OBJECTIVES, Objective, ObjectiveId, RadicalForm1D, _diff
+from grunsky_bounds.objectives import (
+    OBJECTIVES, MonotoneBounds, Objective, ObjectiveId, PairTerms, RadicalForm1D, _diff
+)
 from grunsky_bounds.optimize import IvFunc
 from grunsky_bounds.oracle import GrunskyTable
 from grunsky_bounds.poly import MixedPoly, RatPoly, rp_eval_iv
@@ -227,6 +231,86 @@ def objective_hessian_iv(obj: Objective, x: Interval, y: Interval) -> tuple[Inte
     fxy = pxy - (beta * y * u).scale(3.0) - (m * x * y * u3).scale(3.0)
     fyy = pyy - (m * (u + (y**2 * u3).scale(3.0))).scale(3.0)
     return fxx, fxy, fyy
+
+
+# -- the monotone corner bounds, as loops over the term tables ---------------------------
+# `MonotoneBounds` compiles each of these to straight-line code; the compiled
+# functions must match them bit for bit, the sign of zero included.
+
+
+def _corner_range(terms: PairTerms, x1: float, x2: float, y1: float, y2: float) -> tuple[float, float]:
+    """A table with c >= 0 over a first-quadrant box: each term at the lower-left and upper-right corner."""
+    lo = hi = 0.0
+    for i, j, c_lo, c_hi in terms:
+        if i:
+            c_lo, c_hi = _mul_down(c_lo, _pow_down(x1, i)), _mul_up(c_hi, _pow_up(x2, i))
+        if j:
+            c_lo, c_hi = _mul_down(c_lo, _pow_down(y1, j)), _mul_up(c_hi, _pow_up(y2, j))
+        lo, hi = _add_down(lo, c_lo), _add_up(hi, c_hi)
+    return lo, hi
+
+
+def monotone_upper(b: MonotoneBounds, x1: float, x2: float, y1: float, y2: float) -> float:
+    out = 0.0
+    for i, j, _, c_hi in b.terms:
+        t = c_hi
+        if i:
+            t = _mul_up(t, _pow_up(x2, i))
+        if j:
+            t = _mul_up(t, _pow_up(y2, j))
+        out = _add_up(out, t)
+    if b.has_radical:
+        r = _add_up(_add_up(1.0, -_mul_down(x1, x1)), -_mul_down(3.0, _mul_down(y1, y1)))
+        if r > 0.0:
+            m = _add_up(b.m0[1], _mul_up(b.m_lin[1], x2))
+            out = _add_up(out, _mul_up(m, _sqrt_up(r)))
+    return out
+
+
+def monotone_lower(b: MonotoneBounds, x1: float, x2: float, y1: float, y2: float) -> float:
+    out = 0.0
+    for i, j, c_lo, _ in b.terms:
+        t = c_lo
+        if i:
+            t = _mul_down(t, _pow_down(x1, i))
+        if j:
+            t = _mul_down(t, _pow_down(y1, j))
+        out = _add_down(out, t)
+    if b.has_radical:
+        r = _add_down(_add_down(1.0, -_mul_up(x2, x2)), -_mul_up(3.0, _mul_up(y2, y2)))
+        if r > 0.0:
+            m = _add_down(b.m0[0], _mul_down(b.m_lin[0], x1))
+            out = _add_down(out, _mul_down(m, _sqrt_down(r)))
+    return out
+
+
+def monotone_gradient_range(
+    b: MonotoneBounds, x1: float, x2: float, y1: float, y2: float
+) -> tuple[float, ...]:
+    px_lo, px_hi = _corner_range(b.dx_terms, x1, x2, y1, y2)
+    py_lo, py_hi = _corner_range(b.dy_terms, x1, x2, y1, y2)
+    if not b.has_radical:
+        return px_lo, px_hi, py_lo, py_hi, 1.0, 1.0
+
+    r_hi = _add_up(_add_up(1.0, -_mul_down(x1, x1)), -_mul_down(3.0, _mul_down(y1, y1)))
+    r_lo = _add_down(_add_down(1.0, -_mul_up(x2, x2)), -_mul_up(3.0, _mul_up(y2, y2)))
+    sq_hi = _sqrt_up(max(r_hi, 0.0))
+    sq_lo = _sqrt_down(max(r_lo, 0.0))
+    m_hi = _add_up(b.m0[1], _mul_up(b.m_lin[1], x2))
+    m_lo = _add_down(b.m0[0], _mul_down(b.m_lin[0], x1))
+
+    # G1 = Px*sqrt(R) + M'*R - M*x  with M' >= 0
+    t_hi = _mul_up(px_hi, sq_hi)
+    t_hi = _add_up(t_hi, _mul_up(b.m_lin[1], r_hi) if r_hi >= 0.0 else _mul_up(b.m_lin[0], r_hi))
+    g1_hi = _add_up(t_hi, -_mul_down(m_lo, x1))
+    t_lo = _mul_down(px_lo, sq_lo)
+    t_lo = _add_down(t_lo, _mul_down(b.m_lin[0], r_lo) if r_lo >= 0.0 else _mul_down(b.m_lin[1], r_lo))
+    g1_lo = _add_down(t_lo, -_mul_up(m_hi, x2))
+
+    # G2 = Py*sqrt(R) - 3*M*y
+    g2_hi = _add_up(_mul_up(py_hi, sq_hi), -_mul_down(3.0, _mul_down(m_lo, y1)))
+    g2_lo = _add_down(_mul_down(py_lo, sq_lo), -_mul_up(3.0, _mul_up(m_hi, y2)))
+    return g1_lo, g1_hi, g2_lo, g2_hi, r_lo, r_hi
 
 
 # -- the grid cross-check, on the full grid ---------------------------------------------

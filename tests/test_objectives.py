@@ -34,6 +34,9 @@ from paper_formulas import (
     grad,
     lemma1_bound,
     mixed_eval_iv,
+    monotone_gradient_range,
+    monotone_lower,
+    monotone_upper,
     objective_gradient_iv,
     objective_hessian_iv,
     objective_value,
@@ -285,6 +288,87 @@ def test_scaled_gradient_range_encloses_float_scaled_gradient():
             assert g1lo - _FLOAT_SLACK <= g1 <= g1hi + _FLOAT_SLACK, (oid, x, y)
             assert g2lo - _FLOAT_SLACK <= g2 <= g2hi + _FLOAT_SLACK, (oid, x, y)
     assert kinds["rim"] >= 100 and kinds["interior"] >= 100 and kinds["R == 0"] >= 1
+
+
+# The compiled corner bounds against the loops they unroll: every value, the
+# sign of zero included, on boxes that reach every branch of the loops.
+
+_KERNELS = (("upper", monotone_upper), ("lower", monotone_lower),
+            ("scaled_gradient_range", monotone_gradient_range))
+_TINY = (0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-200)
+
+
+def _float_bits(v: float | tuple[float, ...]) -> tuple[str, ...]:
+    """float.hex of each value, which tells -0.0 from 0.0."""
+    return tuple(map(float.hex, v if isinstance(v, tuple) else (v,)))
+
+
+def _corner_boxes(rng: random.Random) -> list[tuple[float, float, float, float]]:
+    boxes = []
+    for _ in range(300):  # seeded random first-quadrant boxes
+        x1, x2 = sorted(rng.uniform(0.0, A) for _ in range(2))
+        y1, y2 = sorted(rng.uniform(0.0, 0.6) for _ in range(2))
+        boxes.append((x1, x2, y1, y2))
+    for _ in range(100):  # 0.0 and subnormal endpoints, and point boxes
+        x1, y1 = rng.choice(_TINY), rng.choice(_TINY)
+        x2, y2 = rng.choice((x1, rng.choice(_TINY), rng.uniform(x1, A))), rng.choice((y1, rng.uniform(y1, 0.6)))
+        boxes.append((x1, max(x1, x2), y1, y2))
+        x, y = rng.uniform(0.0, A), rng.uniform(0.0, 0.6)
+        boxes.append((x, x, y, y))
+    for _ in range(100):  # R <= 0 on part of the box, then on all of it
+        x1 = rng.uniform(0.3, 0.9)
+        y1 = math.sqrt(max(1.0 - x1 * x1, 0.0) / 3.0) * rng.uniform(0.7, 0.99)
+        boxes.append((x1, x1 + rng.uniform(0.05, 0.3), y1, y1 + rng.uniform(0.1, 0.4)))
+        boxes.append((x1 + 0.2, x1 + rng.uniform(0.3, 0.6), y1 + 0.2, y1 + rng.uniform(0.3, 0.6)))
+    return boxes
+
+
+def test_compiled_corner_bounds_match_the_loops_bit_for_bit():
+    boxes = _corner_boxes(random.Random(33))
+    radicand = {"positive": 0, "partly": 0, "nowhere positive": 0}
+    for oid in ObjectiveId:
+        b = monotone_bounds(oid)
+        for box in boxes:
+            for name, reference in _KERNELS:
+                got, want = getattr(b, name)(*box), reference(b, *box)
+                assert _float_bits(got) == _float_bits(want), (oid, name, box)
+            r_lo, r_hi = monotone_gradient_range(b, *box)[4:] if b.has_radical else (1.0, 1.0)
+            radicand["positive" if r_lo > 0.0 else "partly" if r_hi > 0.0 else "nowhere positive"] += 1
+    assert min(radicand.values()) >= 300, radicand
+
+
+def test_compiled_corner_bounds_keep_the_zero_operand_rule():
+    """A zero coefficient or a zero M' gives an exact zero product, never a step to 5e-324."""
+    assert all(monotone_bounds(oid).m_lin == (0.0, 0.0) for oid in (ObjectiveId.F1, ObjectiveId.F2,
+                                                                     ObjectiveId.F4, ObjectiveId.F8))
+    b = objectives.MonotoneBounds(((0, 1, 0.0, 0.0), (2, 0, 0.5, 0.5)), ((1, 0, 1.0, 1.0),),
+                                  ((0, 0, 0.0, 0.0),), (0.25, 0.25), (0.0, 0.0), True)
+    boxes = _corner_boxes(random.Random(34)) + [(t, t, u, u) for t in _TINY for u in _TINY]
+    for box in boxes:
+        for name, reference in _KERNELS:
+            assert _float_bits(getattr(b, name)(*box)) == _float_bits(reference(b, *box)), (name, box)
+    # a zero coefficient times a tiny power stays 0.0; a nonzero one that underflows steps
+    zero = dataclasses.replace(b, terms=((0, 1, 0.0, 0.0),), has_radical=False)
+    tiny = dataclasses.replace(b, terms=((0, 1, 0.5, 0.5),), has_radical=False)
+    for bound, up, down in ((zero, 0.0, 0.0), (tiny, 5e-324, -5e-324)):
+        assert _float_bits(bound.upper(5e-324, 5e-324, 5e-324, 5e-324)) == _float_bits(up)
+        assert _float_bits(bound.lower(5e-324, 5e-324, 5e-324, 5e-324)) == _float_bits(down)
+
+
+def test_a_negative_coefficient_is_refused(monkeypatch):
+    f2 = OBJECTIVES[ObjectiveId.F2]
+    bad = dataclasses.replace(f2, poly={**f2.poly, (1, 1): Fraction(-6)})
+    monkeypatch.setitem(objectives.OBJECTIVES, ObjectiveId.F2, bad)
+    with pytest.raises(ValueError, match="monotone-coefficient"):
+        objectives.monotone_bounds.__wrapped__(ObjectiveId.F2)
+
+
+def test_the_corner_bounds_compile_on_first_call():
+    """The table build compiles nothing, and `lower` compiles only when it is called."""
+    b = objectives.monotone_bounds.__wrapped__(ObjectiveId.F3)
+    assert not {"_upper", "_lower", "_gradient_range"} & set(vars(b))
+    b.upper(0.1, 0.2, 0.1, 0.2), b.scaled_gradient_range(0.1, 0.2, 0.1, 0.2)
+    assert {"_upper", "_gradient_range"} <= set(vars(b)) and "_lower" not in vars(b)
 
 
 # ---------------------------------------------------------------------------
