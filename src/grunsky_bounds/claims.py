@@ -24,7 +24,8 @@ box budget ran out, a certificate that left a box at TOL_BOX, an uncertified int
 attribution not separated from its runner-up on a row that names where the
 maximum lies (elsewhere a note), and an enclosure that straddles an end of
 its window.  A check that reads an unsettled result concludes nothing from
-it, and a row whose decomposition is unsettled reports no value.
+it, and an unsettled decomposition, which locates no maximum, runs no
+certificate and reports no value.
 """
 
 from __future__ import annotations
@@ -72,12 +73,11 @@ INEQUALITY_VECTORS = 200
 
 @dataclass(frozen=True)
 class SuiteConfig:
-    tol_value: float = 1e-5
     max_boxes: int = 10_000_000
     seed: int = 0
 
     def bnb(self) -> BnBConfig:
-        return BnBConfig(self.tol_value, self.max_boxes)
+        return BnBConfig(max_boxes=self.max_boxes)
 
 
 @dataclass(frozen=True)
@@ -182,7 +182,7 @@ class SuiteContext:
     # -- maximization layers -------------------------------------------------
 
     def extremum(self, oid: ObjectiveId) -> Extremum:
-        """The 2-D maximizer's certificate of a settled `locate`, else its own search."""
+        """The 2-D maximizer's certificate of the settled `locate` (see `decomposition`)."""
         if oid not in self._extrema:
             self._extrema[oid] = maximize_2d(OBJECTIVES[oid], REGION, self.cfg.bnb(), **self.decomposition(oid))
             # the certificate was the last reader of the critical search's gradient ranges
@@ -191,11 +191,14 @@ class SuiteContext:
         return self._extrema[oid]
 
     def decomposition(self, oid: ObjectiveId) -> dict:
-        """A settled `locate` as `maximize_2d` takes it: the value, the
-        critical search and the analyses of x = a and curve_low; else {}."""
+        """The settled `locate` as `maximize_2d` takes it: the value, the
+        critical search and the analyses of x = a and curve_low.  An
+        unsettled one has located no maximum to certify: ValueError."""
         loc = self.locate(oid)
-        return {} if loc.unsettled else {"located": loc.value, "critical": self.critical(oid),
-                                         "faces": [self.edge(oid, e) for e in (EdgeId.X_A, EdgeId.CURVE_LOW)]}
+        if loc.unsettled:
+            raise ValueError(f"the maximum of {oid.value} is not located: {'; '.join(loc.unsettled)}")
+        return {"located": loc.value, "critical": self.critical(oid),
+                "faces": [self.edge(oid, e) for e in (EdgeId.X_A, EdgeId.CURVE_LOW)]}
 
     def f1_extremum(self) -> Extremum:
         # no row reads f1's 1-D maximum; it stays, with `_f1`, because perfbench reads both
@@ -284,21 +287,19 @@ class SuiteContext:
 # ---------------------------------------------------------------------------
 
 
-def _value_outcome(
-    ext: Extremum,
-    loc: Location,
-    target: str,
-    kind: str | None = None,
-    checks: Callable[[], list[str]] | None = None,
-) -> ClaimOutcome:
-    """A value row once the decomposition `loc` is settled: its value against
-    the window, the certificate `ext` that no box lies above it, the expected
-    `kind` of the maximum and the row's own `checks`.  A tie leaves a row
-    with an expected `kind` unsettled; on any other row it is info.  The row
-    reports `loc`'s value, `kind` and `argmax`; an unsettled decomposition
-    reports none of them and concludes nothing."""
+def _value_outcome(ctx: SuiteContext, oid: ObjectiveId, target: str, kind: str | None = None,
+                   checks: Callable[[], list[str]] | None = None) -> ClaimOutcome:
+    """A value row once the decomposition `ctx.locate(oid)` is settled: its
+    value against the window, the certificate `ctx.extremum(oid)` that no
+    box lies above it, the expected `kind` of the maximum and the row's own
+    `checks`.  A tie leaves a row with an expected `kind` unsettled; on any
+    other row it is info.  The row reports the located value, `kind` and
+    `argmax`; an unsettled decomposition runs no certificate and concludes
+    nothing."""
+    loc = ctx.locate(oid)
     if loc.unsettled:
         return _settle(loc.unsettled)
+    ext = ctx.extremum(oid)
     unsettled: list[str] = []
     refuted: list[str] = []
     info: list[str] = []
@@ -323,8 +324,7 @@ def _value_outcome(
 
 
 def _run_thm1_a3(ctx: SuiteContext) -> ClaimOutcome:
-    return _value_outcome(ctx.extremum(ObjectiveId.F1), ctx.locate(ObjectiveId.F1), "2.427",
-                          kind="x_a/y_zero")
+    return _value_outcome(ctx, ObjectiveId.F1, "2.427", kind="x_a/y_zero")
 
 
 def _edge_maximum(ctx: SuiteContext, oid: ObjectiveId, target: str, root: str,
@@ -341,8 +341,7 @@ def _edge_maximum(ctx: SuiteContext, oid: ObjectiveId, target: str, root: str,
                            f"{[(c.lo, c.hi) for c in clusters]}")
         return refuted
 
-    return _value_outcome(ctx.extremum(oid), ctx.locate(oid), target, kind=EdgeId.X_A.value,
-                          checks=checks)
+    return _value_outcome(ctx, oid, target, kind=EdgeId.X_A.value, checks=checks)
 
 
 def _run_thm1_a4(ctx: SuiteContext) -> ClaimOutcome:
@@ -365,8 +364,7 @@ def _interior_claim(
                 for axis, box, w in (("x", bx, x_window), ("y", by, y_window))
                 if not inside_window(box, w)]
 
-    return _value_outcome(ctx.extremum(oid), ctx.locate(oid), target, kind="interior",
-                          checks=checks)
+    return _value_outcome(ctx, oid, target, kind="interior", checks=checks)
 
 
 def _run_thm2_d43(ctx: SuiteContext) -> ClaimOutcome:
@@ -397,12 +395,11 @@ def _run_thm3_h22(ctx: SuiteContext) -> ClaimOutcome:
             refuted.append("right-endpoint edge maximum outside [1.232, 1.232+1e-3)")
         return refuted
 
-    return _value_outcome(ctx.extremum(f6), ctx.locate(f6), "1.280", kind=EdgeId.CURVE_LOW.value,
-                          checks=checks)
+    return _value_outcome(ctx, f6, "1.280", kind=EdgeId.CURVE_LOW.value, checks=checks)
 
 
 def _run_gamma2(ctx: SuiteContext) -> ClaimOutcome:
-    return _value_outcome(ctx.extremum(ObjectiveId.F7), ctx.locate(ObjectiveId.F7), "0.662")
+    return _value_outcome(ctx, ObjectiveId.F7, "0.662")
 
 
 def _run_thm4_gamma3(ctx: SuiteContext) -> ClaimOutcome:
@@ -410,7 +407,7 @@ def _run_thm4_gamma3(ctx: SuiteContext) -> ClaimOutcome:
 
 
 def _run_gamma4(ctx: SuiteContext) -> ClaimOutcome:
-    return _value_outcome(ctx.extremum(ObjectiveId.F9), ctx.locate(ObjectiveId.F9), "0.613")
+    return _value_outcome(ctx, ObjectiveId.F9, "0.613")
 
 
 # -- edge-constant table -------------------------------------------------------
@@ -604,7 +601,12 @@ def _run_property_bnb(ctx: SuiteContext) -> ClaimOutcome:
     unsettled = []
     margins = []
     for oid, gmax in zip(ObjectiveId, grid_maximum(tuple(ObjectiveId))):
-        ext, loc = ctx.extremum(oid), ctx.locate(oid)
+        loc = ctx.locate(oid)
+        if loc.unsettled:
+            # nothing located, so nothing certified or checked
+            unsettled.append(f"{oid.value}: maximum not located")
+            continue
+        ext = ctx.extremum(oid)
         if ext.above is not None:
             problems.append("{}: a point of box [{:.9g}, {:.9g}] x [{:.9g}, {:.9g}] lies above the located maximum"
                             .format(oid.value, *ext.above))
@@ -623,7 +625,7 @@ def _run_property_bnb(ctx: SuiteContext) -> ClaimOutcome:
                 f"{oid.value}: grid max {gmax!r} below enclosure low - gap bound {value.lo!r}"
             )
         margins.append(value.lo - gmax)
-    return _settle(unsettled, problems, [f"max grid-discretization gap {max(margins):.2e}"])
+    return _settle(unsettled, problems, [f"max grid-discretization gap {max(margins):.2e}"] if margins else [])
 
 
 def _run_property_curves(ctx: SuiteContext) -> ClaimOutcome:

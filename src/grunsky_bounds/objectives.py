@@ -19,7 +19,7 @@ order, through the pair kernel of `interval`, with no `Interval` per operation
 (edge forms likewise, through `poly`).  `MonotoneBounds` reads the same tables
 and compiles them, on first call, to straight-line corner bounds.
 The `*_pairs` forms return flat (lo, hi) pairs for the zero searches of
-`optimize`, and `gradient_iv` and `hessian_iv` wrap them in `Interval`s.
+`optimize`, and `gradient_iv` wraps its pairs in `Interval`s.
 
 For verified sign certificates the gradient is used in its radical-scaled
 form
@@ -151,8 +151,10 @@ class RadicalForm1D:
 class Objective:
     """f = P + M(x) * sqrt(R): the term table of P and the multiplier M, at most linear in x.
 
-    `dimension` is 1 for f1.  Only perfbench reads it, and maximizes f1 on
-    `F1_FORM` through `SuiteContext.f1_extremum`; no row does either.
+    `dimension` is 1 for f1.  Only perfbench reads it, and its `precision`
+    workload maximizes f1 on `F1_FORM` by `optimize.maximize_1d` directly;
+    no row does either.  `SuiteContext.f1_extremum` stays only for
+    perfbench's tracer, which patches it.
     """
 
     id: ObjectiveId
@@ -225,9 +227,6 @@ class Objective:
             # fyy = Pyy - 3*M*(u + 3*y^2*u^3)
             fyy = _sub(fyy, _scale_pair(*_mul(m, _add(u, _scale_pair(*_mul(_pow_pair(*yp, 2), u3), 3.0))), 3.0))
         return *fxx, *fxy, *fyy
-
-    def hessian_iv(self, x: Interval, y: Interval) -> tuple[Interval, Interval, Interval] | None:
-        return _intervals(self.hessian_pairs(x.lo, x.hi, y.lo, y.hi))
 
     def stationary_at_origin(self) -> bool:
         """grad f(0, 0) = (P_x(0, 0) + M'(0), P_y(0, 0)) is zero, decided exactly on the term tables."""

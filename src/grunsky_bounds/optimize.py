@@ -5,19 +5,21 @@
   depth-first exclusion pass, `_certify`, shows that no box lies above it
   (Schichl & Neumaier 2004; Kearfott 1996, ch. 5).  Its face and concave
   bounds are the decomposition's own edge-analysis tops and f(X*), which it
-  therefore does not check.  A 2-D box is bounded
-  once, by a mean-value form about Baumann's centre (`_centred_upper`;
-  Baumann 1988), in the chart (x, s = y/c(x)) where it reaches the cap
-  curve (`_chart_upper`).  The certificate and the critical search split
-  the same bisection grid, so the certificate reads the gradient range of
-  each cell that the critical search tested
-  (`CriticalSearch.gradient_ranges`) and computes only the others.  Without a decomposition, `maximize_2d` and
-  `maximize_1d` share a best-first branch-and-bound, `_best_first`, in which
-  a box about a maximum settles instead of splitting on: in the interior on
-  a concave box by Krawczyk steps (`_concave`), on x = a and curve_low by
-  `analyze_form` on its face segment (`_face_maximum`).  Its incumbent
-  comes from a 3 x 3 seed grid, one corner sample per split until the first
-  settle, and the low end of each settled value.
+  therefore does not check.  A 2-D box is bounded once, by a mean-value form
+  about Baumann's centre (`_centred_upper`; Baumann 1988), in the chart (x,
+  s = y/c(x)) where it reaches the cap curve (`_chart_upper`).  The
+  certificate and the critical search split the same bisection grid, so the
+  certificate reads the gradient range of each cell that the critical search
+  tested (`CriticalSearch.gradient_ranges`) and computes only the others.
+  No subcommand reports any other maximum.  Without a decomposition, as only
+  the `precision` benchmark, `scripts/` and the tests call them,
+  `maximize_2d` and `maximize_1d` share a best-first branch-and-bound,
+  `_best_first`, in which a box about a maximum settles instead of splitting
+  on: in the interior on a concave box by Krawczyk steps (`_concave`), on
+  x = a and curve_low by `analyze_form` on its face segment
+  (`_face_maximum`).  Its incumbent comes from a 3 x 3 seed grid, one corner
+  sample per split until the first settle, and the low end of each settled
+  value.
 - `_isolate` is the one subdivision loop of every zero search, and
   `_contract` its steps B <- B ∩ step(B): an image inside the interior of
   its box proves that the box holds exactly one zero (Moore, Kearfott &
@@ -210,6 +212,11 @@ def _inside(image: Box, box: Box) -> bool:
 
 def _meets(a: Box, b: Box) -> bool:
     return a[0] <= b[1] and b[0] <= a[1] and (len(a) == 2 or a[2] <= b[3] and b[2] <= a[3])
+
+
+def _within(box: Box, s: Box) -> bool:
+    """box ⊆ s, both 2-D."""
+    return s[0] <= box[0] and box[1] <= s[1] and s[2] <= box[2] and box[3] <= s[3]
 
 
 def _intersect(a: Box, b: Box) -> Box:
@@ -520,12 +527,14 @@ def maximize_2d(
 
     With `located`, the value that the edge/critical decomposition found,
     `_certify` shows that no box lies above it, from the decomposition's
-    `faces` and interior `critical` search.  Without, a best-first search
-    bounds each box once by `_centred_upper`, or by `ranges.upper` where
-    that form has no bound, at the rim R = 0.  The incumbent comes from a
-    3 x 3 seed grid, then from at most one corner sample per split until the
-    first settle, and from the low end of each settled value; f1 and f7,
-    whose maxima lie at corners, never settle.  An (x, y) box at most KRAWCZYK_WIDTH wide whose gradient
+    `faces` and interior `critical` search: the one path of every
+    subcommand.  Without, a best-first search, which only the `precision`
+    benchmark, `scripts/` and the tests call, bounds each box once by
+    `_centred_upper`, or by `ranges.upper` where that form has no bound, at
+    the rim R = 0.  The incumbent comes from a 3 x 3 seed grid, then from at
+    most one corner sample per split until the first settle, and from the
+    low end of each settled value; f1 and f7, whose maxima lie at corners,
+    never settle.  An (x, y) box at most KRAWCZYK_WIDTH wide whose gradient
     holds zero, and that meets no concave box S of a settled maximum and
     lies in no box that a Krawczyk step proved free of gradient zeros, tries
     `_concave`.  A box on the face x = a or on curve_low, where f rises
@@ -564,13 +573,9 @@ def maximize_2d(
             return children, sample(children[0][1], children[0][3])
         return children, -math.inf
 
-    def within(box: Box, s: Box) -> bool:
-        x1, x2, y1, y2 = box
-        return s[0] <= x1 and x2 <= s[1] and s[2] <= y1 and y2 <= s[3]
-
     def covered(box: Box) -> float | None:
         """sup f over a box inside a settled concave box, else None."""
-        return next((v.hi for s, v in settled if v is not None and within(box, s)), None)
+        return next((v.hi for s, v in settled if v is not None and _within(box, s)), None)
 
     def settle(box: tuple[float, float, float, float], face: EdgeId | None, ub: float) -> float:
         """A bound of sup f over the box in place of its mean-value bound `ub`.
@@ -586,7 +591,7 @@ def maximize_2d(
                 return ub
             steps, v = _face_maximum(obj, box, face, left)
         elif max(x2 - x1, y2 - y1) > KRAWCZYK_WIDTH or any(
-                _meets(s, box) if v is not None else within(box, s) for s, v in settled):
+                _meets(s, box) if v is not None else _within(box, s) for s, v in settled):
             return ub
         else:
             steps, s, v = _concave(obj, region, box, left)
@@ -654,10 +659,9 @@ def _certify(obj: Objective, region: OmegaRegion, cfg: BnBConfig, located: Inter
             w *= 0.5
 
     def settle(box: Box, face: EdgeId | None, ub: float) -> float:
-        x1, x2, y1, y2 = box
         if face is None:
-            return min([ub, *(v for s, v in peaks if s[0] <= x1 and x2 <= s[1] and s[2] <= y1 and y2 <= s[3])])
-        on_piece = (y2 if face is EdgeId.X_A else x2) <= EDGES[face].t_hi.lo
+            return min([ub, *(v for s, v in peaks if _within(box, s))])
+        on_piece = (box[3] if face is EdgeId.X_A else box[1]) <= EDGES[face].t_hi.lo
         return min(ub, tops[face]) if on_piece and face in tops else ub
 
     stack, splits, left = [_root_box(region)], 0, False

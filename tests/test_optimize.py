@@ -717,15 +717,16 @@ def test_the_certificate_box_counts_are_pinned(oid, suite_ctx):
         assert (ext.iterations, ext.converged, ext.above) == (max_boxes, False, None)
 
 
-def test_a_spent_certificate_budget_leaves_the_row_inconclusive(suite_ctx):
+def test_a_spent_certificate_budget_leaves_the_row_inconclusive(suite_ctx, monkeypatch):
     f4 = ObjectiveId.F4
     ext = maximize_2d(OBJECTIVES[f4], REGION, BnBConfig(1e-5, 10), **suite_ctx.decomposition(f4))
-    out = _value_outcome(ext, suite_ctx.locate(f4), "1.174", kind="interior")
+    monkeypatch.setitem(suite_ctx._extrema, f4, ext)
+    out = _value_outcome(suite_ctx, f4, "1.174", kind="interior")
     assert (out.status, out.note) == ("INCONCLUSIVE", "certificate left boxes above the located maximum")
 
 
 @pytest.mark.parametrize("drop, tol", [(1e-3, 1e-5), (1e-6, 1e-5), (1e-6, 1e-3), (1e-12, 1e-5)])
-def test_a_located_value_below_the_true_maximum_is_refuted(drop, tol, suite_ctx):
+def test_a_located_value_below_the_true_maximum_is_refuted(drop, tol, suite_ctx, monkeypatch):
     # the certificate drops a box only at or below the located U, so no tol
     # lets a U below the true maximum pass
     f4 = ObjectiveId.F4
@@ -737,14 +738,16 @@ def test_a_located_value_below_the_true_maximum_is_refuted(drop, tol, suite_ctx)
     x1, x2, y1, y2 = ext.above
     assert max(x2 - x1, y2 - y1) <= optimize.TOL_BOX
     assert obj.value_iv(Interval.point(0.5 * (x1 + x2)), Interval.point(0.5 * (y1 + y2))).lo > lowered.hi
-    out = _value_outcome(ext, replace(loc, value=lowered), "1.174", kind="interior")
+    monkeypatch.setitem(suite_ctx._locations, f4, replace(loc, value=lowered))
+    monkeypatch.setitem(suite_ctx._extrema, f4, ext)
+    out = _value_outcome(suite_ctx, f4, "1.174", kind="interior")
     assert out.status == "FAIL" and out.note.startswith(f"a point of box [{x1:.9g}, ")
     # the search needs 94 to 172 splits to reach TOL_BOX, and a budget that ends sooner refutes nothing
     ext = maximize_2d(obj, REGION, BnBConfig(tol, 50), **{**located, "located": lowered})
     assert (ext.converged, ext.above) == (False, None)
 
 
-def test_an_inconclusive_face_analysis_falls_back_to_the_mean_value_bound(suite_ctx):
+def test_an_inconclusive_face_analysis_falls_back_to_the_mean_value_bound(suite_ctx, monkeypatch):
     # f2's maximum lies on x = a, where f rises towards the face: without the
     # top of that face's analysis, the mean-value bound of a box about the
     # maximum stays above the located value down to TOL_BOX, as with no face
@@ -756,7 +759,8 @@ def test_an_inconclusive_face_analysis_falls_back_to_the_mean_value_bound(suite_
         ext = maximize_2d(obj, REGION, BnBConfig(tol), **{**located, "faces": inconclusive})
         assert ext == maximize_2d(obj, REGION, BnBConfig(tol), **{**located, "faces": []})
         assert (ext.iterations, ext.converged, ext.above) == (108, False, None)
-    out = _value_outcome(ext, suite_ctx.locate(f2), "3.461")
+    monkeypatch.setitem(suite_ctx._extrema, f2, ext)
+    out = _value_outcome(suite_ctx, f2, "3.461")
     assert (out.status, out.note) == ("INCONCLUSIVE", "certificate left boxes above the located maximum")
 
 

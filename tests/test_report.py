@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from grunsky_bounds import claims, cli, oracle
+from grunsky_bounds import claims, cli, optimize, oracle
 from grunsky_bounds.claims import SuiteConfig
 from grunsky_bounds.cli import main
 from grunsky_bounds.domain import EdgeId
@@ -187,18 +187,20 @@ def test_cli_verify_budget_gives_no_fail_row(max_boxes, capsys):
         located = not ("edge analysis of" in r["note"] or "critical-point search not certified" in r["note"])
         assert {k: r[k] is not None for k in ("lo", "hi", "kind", "argmax_x", "argmax_y")} == dict.fromkeys(
             ("lo", "hi", "kind", "argmax_x", "argmax_y"), located)
+    bnb_sound = records["PROPERTY_BNB_SOUND"]
     if max_boxes == 1:
         assert records["THM1_A3"]["status"] == "INCONCLUSIVE"
         assert records["THM1_A3"]["note"].startswith("edge analysis of f1/x_zero inconclusive; ")
-    bnb_sound = records["PROPERTY_BNB_SOUND"]
-    if max_boxes in (1, 10, 100):
-        # f4 needs 148 boxes and f5 201: an unconverged maximizer settles no
-        # grid check, and neither does an unsettled location
+        # nothing is located, so nothing is certified and there is no gap to report
         assert bnb_sound["status"] == "INCONCLUSIVE"
-        assert ("f4: maximizer budget exhausted; f4: maximum not located; "
-                "f5: maximizer budget exhausted; f5: maximum not located") in bnb_sound["note"]
+        assert bnb_sound["note"] == "; ".join(f"{oid.value}: maximum not located" for oid in ObjectiveId)
+    if max_boxes in (1, 10, 100):
+        # f4's critical search needs 148 boxes and f5's 201: an unsettled
+        # location runs no certificate and settles no grid check
+        assert bnb_sound["status"] == "INCONCLUSIVE"
+        assert "f4: maximum not located; f5: maximum not located" in bnb_sound["note"]
     if max_boxes == 10:
-        # f1's maximizer converges in 5 boxes, but its decomposition does not
+        # f1's certificate needs only 5 boxes, but its decomposition is unsettled
         assert records["THM1_A3"]["status"] == "INCONCLUSIVE"
         assert records["THM1_A3"]["note"] == ("edge analysis of f1/curve_low inconclusive; "
                                               "interior critical-point search not certified")
@@ -211,8 +213,7 @@ def test_cli_verify_budget_gives_no_fail_row(max_boxes, capsys):
         # nothing is concluded from an unsettled decomposition
         value_notes = [records[cid]["note"] for cid in claims.CLAIM_IDS[:9]]
         assert not any("misses window" in note or "found 0" in note for note in value_notes)
-        # THM1_A4 reports no value: the best-first search, which a budget-starved
-        # face search left 0.78 wide, is not what a row reports
+        # THM1_A4 reports no value: its decomposition is unsettled, so no certificate runs
         assert records["THM1_A4"]["status"] == "INCONCLUSIVE" and records["THM1_A4"]["lo"] is None
     if max_boxes == 100:
         # f9's critical search needs 101 boxes
@@ -231,27 +232,32 @@ def test_cli_verify_budget_gives_no_fail_row(max_boxes, capsys):
                    for cid in ("EDGE_TABLE", "THM3_H22"))
 
 
-@pytest.mark.parametrize("tol", ["1e-3", "1e-2"])
-def test_cli_verify_coarse_tol_gives_no_fail_row(tol, capsys):
-    # the certificate does not read --tol: every row reports `locate`'s
-    # value, a few ulps wide, so a coarse tol leaves no row unsettled.  The
-    # best-first search left THM2_D43, THM2_D54, THM3_H22, THM4_GAMMA3 and
-    # GAMMA4 up to 1e-3 wide at 1e-3, and THM1_A3 and GAMMA2 too at 1e-2
-    code = main(["verify", "--tol", tol, "--format", "json"])
+def test_cli_verify_reports_located_values_a_few_ulps_wide(capsys):
+    # every row reports `locate`'s value, a few ulps wide, which the
+    # certificate shows no box lies above; the grid's discretization gap
+    # (about 3.4e-6) is checked against its own verified bound
+    code = main(["verify", "--format", "json"])
     records = {r["claim_id"]: r for r in json.loads(capsys.readouterr().out)}
     assert code == 0
     assert [cid for cid, r in records.items() if r["status"] != "PASS"] == []
     assert max(r["hi"] - r["lo"] for r in list(records.values())[:9]) <= 1e-12
 
 
-@pytest.mark.parametrize("tol", ["1e-9", "1e-12"])
-def test_cli_verify_fine_tol_gives_no_fail_row(tol, capsys):
-    # the grid's discretization gap (about 3.4e-6) is checked against its own
-    # verified bound, not against the solver tolerance
-    code = main(["verify", "--tol", tol, "--format", "json"])
-    records = {r["claim_id"]: r for r in json.loads(capsys.readouterr().out)}
-    assert code == 0
-    assert [cid for cid, r in records.items() if r["status"] != "PASS"] == []
+@pytest.mark.parametrize("argv", [
+    ["verify"], *(["verify", "--max-boxes", str(n)] for n in (1, 10, 100, 300, 400)),
+    *(["maximize", "--objective", oid.value] for oid in ObjectiveId),
+    # f6's location is unsettled at 400 boxes
+    ["maximize", "--objective", "f6", "--max-boxes", "400"],
+], ids=lambda argv: "-".join(a.lstrip("-") for a in argv))
+def test_no_subcommand_reaches_the_best_first_search(argv, monkeypatch, capsys):
+    # every reported maximum is a located value and its certificate; an
+    # unsettled location reports no value rather than searching for one
+    calls = []
+    search = optimize._best_first
+    monkeypatch.setattr(optimize, "_best_first", lambda *a: calls.append(a) or search(*a))
+    main(argv)
+    capsys.readouterr()
+    assert calls == []
 
 
 def test_an_enclosure_above_the_grid_gap_bound_fails_grid_soundness(monkeypatch):
@@ -284,14 +290,14 @@ def test_an_unlocated_maximum_leaves_grid_soundness_inconclusive(unlocated):
 
 def test_a_wide_enclosure_that_misses_its_window_still_fails():
     # f6's located value widened to 6.7e-4, as wide as the best-first search
-    # left it at --tol 1e-3: it straddles the upper end of [1.280, 1.281),
+    # left it at a 1e-3 tolerance: it straddles the upper end of [1.280, 1.281),
     # which leaves the row unsettled, and misses [1.300, 1.301)
-    ctx = claims.SuiteContext(SuiteConfig(tol_value=1e-3))
-    ext, loc = ctx.extremum(ObjectiveId.F6), ctx.locate(ObjectiveId.F6)
-    wide = dataclasses.replace(loc, value=Interval(loc.value.lo, loc.value.lo + 6.7e-4))
-    meets = claims._value_outcome(ext, wide, "1.280")
+    ctx = claims.SuiteContext(SuiteConfig())
+    loc = ctx.locate(ObjectiveId.F6)
+    ctx._locations[ObjectiveId.F6] = dataclasses.replace(loc, value=Interval(loc.value.lo, loc.value.lo + 6.7e-4))
+    meets = claims._value_outcome(ctx, ObjectiveId.F6, "1.280")
     assert (meets.status, meets.note) == ("INCONCLUSIVE", "enclosure straddles the upper end of window 1.280")
-    out = claims._value_outcome(ext, wide, "1.300")
+    out = claims._value_outcome(ctx, ObjectiveId.F6, "1.300")
     assert (out.status, out.note) == ("FAIL", "enclosure misses window 1.300")
 
 
@@ -299,18 +305,18 @@ def test_a_narrowed_window_leaves_a_value_row_inconclusive(monkeypatch):
     # THM3_H22's enclosure lies inside [1.280, 1.281); a window [1.280, e)
     # whose end e lies between its two ends is straddled
     ctx = claims.SuiteContext(SuiteConfig())
-    ext, loc = ctx.extremum(ObjectiveId.F6), ctx.locate(ObjectiveId.F6)
-    assert claims._value_outcome(ext, loc, "1.280").status == "PASS"
+    assert claims._value_outcome(ctx, ObjectiveId.F6, "1.280").status == "PASS"
+    loc = ctx.locate(ObjectiveId.F6)
     end = (Fraction(loc.value.lo) + Fraction(loc.value.hi)) / 2
     monkeypatch.setattr(claims, "PRINTED_ULP", end - Fraction("1.280"))
-    out = claims._value_outcome(ext, loc, "1.280")
+    out = claims._value_outcome(ctx, ObjectiveId.F6, "1.280")
     assert (out.status, out.note) == ("INCONCLUSIVE", "enclosure straddles the upper end of window 1.280")
 
 
 def test_a_moved_window_fails_a_value_row():
     # [1.279, 1.280) ends below THM3_H22's enclosure
     ctx = claims.SuiteContext(SuiteConfig())
-    out = claims._value_outcome(ctx.extremum(ObjectiveId.F6), ctx.locate(ObjectiveId.F6), "1.279")
+    out = claims._value_outcome(ctx, ObjectiveId.F6, "1.279")
     assert (out.status, out.note) == ("FAIL", "enclosure misses window 1.279")
 
 
@@ -337,7 +343,7 @@ def test_an_attribution_tie_leaves_a_row_with_an_expected_kind_inconclusive():
     assert row.status == "INCONCLUSIVE"
     assert row.note == "maximum on x_a not separated from curve_low"
     # without an expected kind the tie decides nothing, and the note says so
-    out = claims._value_outcome(ctx.extremum(ObjectiveId.F2), loc, "3.461")
+    out = claims._value_outcome(ctx, ObjectiveId.F2, "3.461")
     assert (out.status, out.note) == ("PASS", "maximum on x_a not separated from curve_low")
 
 
@@ -465,8 +471,8 @@ def test_cli_maximize_f1(capsys):
 
 
 def test_cli_maximize_f1_converges_at_1e_11(capsys):
-    # f1 runs through the 2-D maximizer like f2-f9
-    code = main(["maximize", "--objective", "f1", "--tol", "1e-11"])
+    # f1 runs through the 2-D certificate like f2-f9, which reads no tolerance
+    code = main(["maximize", "--objective", "f1"])
     out = capsys.readouterr().out
     assert code == 0
     assert "boxes 5, converged True" in out
@@ -485,25 +491,25 @@ def test_cli_maximize_names_the_location_of_the_verify_row(capsys):
 
 
 def test_cli_maximize_exits_1_when_an_analysis_under_locate_runs_out(capsys):
-    # f7's branch-and-bound converges in 5 boxes, but its curve_high analysis needs more than 5
+    # f7's certificate needs 5 boxes, but its curve_high analysis needs more
+    # than 5: nothing is located, so no value is certified or printed
     code = main(["maximize", "--objective", "f7", "--max-boxes", "5"])
     out = capsys.readouterr().out
     assert code == 1
-    assert "converged True" in out
+    assert "max in" not in out and "converged" not in out
     assert "note: edge analysis of f7/curve_high inconclusive" in out
 
 
 def test_cli_maximize_names_no_location_when_the_decomposition_is_unsettled(capsys):
     # f8's maximum is on x = a, but with 10 boxes its y_zero and curve_low
     # analyses and its critical search run out, and y_zero's whole-piece range
-    # ranks first: that is no location, so no argmax and no tie is printed
+    # ranks first: that is no location, so no value, no argmax and no tie is printed
     code = main(["maximize", "--objective", "f8", "--max-boxes", "10"])
     lines = capsys.readouterr().out.splitlines()
     assert code == 1
-    assert not any("argmax" in line for line in lines)
-    assert lines[2] == "  location not settled, boxes 10, converged False"
-    assert lines[3] == ("  note: edge analysis of f8/y_zero inconclusive; edge analysis of f8/curve_low "
-                        "inconclusive; interior critical-point search not certified")
+    assert lines[1:] == ["  location not settled",
+                         "  note: edge analysis of f8/y_zero inconclusive; edge analysis of f8/curve_low "
+                         "inconclusive; interior critical-point search not certified"]
 
 
 def test_cli_grunsky_with_coefficient_file(tmp_path, capsys):
@@ -573,9 +579,9 @@ def test_cli_writes_report_file(tmp_path):
     "argv, flag",
     [
         (["verify", "--max-boxes", "0"], "--max-boxes"),
-        (["verify", "--tol", "-1"], "--tol"),
-        (["verify", "--tol", "nan"], "--tol"),
-        (["maximize", "--objective", "f2", "--tol", "0"], "--tol"),
+        (["maximize", "--objective", "f2", "--max-boxes", "0"], "--max-boxes"),
+        (["edges", "--objective", "f2", "--max-boxes", "-1"], "--max-boxes"),
+        (["grunsky", "--preset", "identity", "--vectors", "-1"], "--vectors"),
         (["edges", "--objective", "f2", "--max-boxes", "0"], "--max-boxes"),
         (["grunsky", "--preset", "identity", "--order", "0"], "--order"),
         (["grunsky", "--preset", "identity", "--vectors", "0"], "--vectors"),
@@ -654,6 +660,9 @@ def test_an_unsettled_decomposition_reports_no_kind_and_no_argmax(capsys):
         ["edges", "--objective", "f2", "--tol", "inf"],
         ["grunsky", "--preset", "identity", "--max-boxes", "5"],
         ["grunsky", "--preset", "identity", "--format", "csv"],
+        # every reported maximum is certified, and no search stops at a tolerance
+        ["verify", "--tol", "1e-3"],
+        ["maximize", "--objective", "f2", "--tol", "1e-6"],
     ],
 )
 def test_cli_rejects_an_option_its_subcommand_does_not_read(argv, capsys):
