@@ -24,7 +24,7 @@ from grunsky_bounds.claims import (
 from grunsky_bounds.domain import CONSTANTS, EdgeId
 from grunsky_bounds.interval import Interval
 from grunsky_bounds.objectives import OBJECTIVES, MonotoneBounds, ObjectiveId
-from grunsky_bounds.optimize import grid_maximum
+from grunsky_bounds.optimize import BnBConfig, grid_maximum
 from grunsky_bounds.oracle import PRESETS, check_coefficient_identities, gamma_from_series
 
 
@@ -196,12 +196,17 @@ def test_criterion_14_grid_gap_motivates_tolerance(suite_ctx):
     assert 1e-6 < gap <= _grid_gap_bound(ObjectiveId.F2, suite_ctx.locate(ObjectiveId.F2).argmax)
 
 
-def test_criterion_14_grid_gap_bounds_are_small(suite_ctx):
+@pytest.mark.parametrize("tol", [None, 1e-9], ids=["default", "1e-9"])
+def test_criterion_14_grid_gap_bounds_are_small(tol, suite_ctx, monkeypatch):
     """`locate`'s argmax is a few ulps wide, so each gap bound is about the
-    grid's own gap: at most 1e-5 for every objective.  Over the
-    branch-and-bound's box hull it reached 6.7e-2 for f7."""
+    grid's own gap: at most 1e-5 for every objective, whatever the solver
+    tolerance.  Over the branch-and-bound's box hull it reached 6.7e-2 for f7."""
+    ctx = suite_ctx
+    if tol is not None:
+        monkeypatch.setattr(SuiteConfig, "bnb", lambda self: BnBConfig(tol_value=tol, max_boxes=self.max_boxes))
+        ctx = claims.SuiteContext(SuiteConfig())
     for oid in ObjectiveId:
-        loc = suite_ctx.locate(oid)
+        loc = ctx.locate(oid)
         assert loc.kind is not None and not loc.tied, oid
         assert _grid_gap_bound(oid, loc.argmax) <= 1e-5, oid
 
