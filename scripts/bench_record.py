@@ -21,7 +21,9 @@ records:
   with the bytecode of every module cached: `PYTHONPYCACHEPREFIX` names a
   temporary directory that one run fills first, and `PYTHONDONTWRITEBYTECODE`
   is unset.  The import then no longer compiles the sources, while the rest
-  still pays for what the program compiles on its first calls;
+  still pays for what the program compiles on its first calls.  `define_s`
+  is that compile: the time a cold `verify` spends in `objectives._define`,
+  the median of `REPEATS` runs;
 - `work_precision`: `maximize_2d` for f1-f9 at widths 1e-5 to 1e-11, with
   the median time of `REPEATS` calls after a warm-up call, the boxes and
   the width reached.
@@ -93,8 +95,39 @@ def _tier1() -> dict:
     return {"seconds": seconds, "summary": summary, "exit_code": run.returncode}
 
 
+#: a cold `verify --format json`, which prints the seconds it spent in `objectives._define`
+DEFINE_PROBE = """
+import contextlib, io, time
+from grunsky_bounds import cli, objectives
+define, spent = objectives._define, []
+def timed(*args, **names):
+    start = time.perf_counter()
+    try:
+        return define(*args, **names)
+    finally:
+        spent.append(time.perf_counter() - start)
+objectives._define = timed
+with contextlib.redirect_stdout(io.StringIO()):
+    cli.main(["verify", "--format", "json"])
+print(sum(spent))
+"""
+
+
+def _define_s(env: dict) -> float:
+    """The median time a cold `verify` spends compiling in `objectives._define`, at the reference speed."""
+    times = []
+    for _ in range(REPEATS):
+        samples = [calibrate.sample() for _ in range(2)]
+        run = subprocess.run([sys.executable, "-c", DEFINE_PROBE], cwd=ROOT, env=env, capture_output=True,
+                             text=True, check=True)
+        samples += [calibrate.sample() for _ in range(2)]
+        times.append(float(run.stdout.split()[-1]) / calibrate.slowdown(samples))
+    return statistics.median(times)
+
+
 def _verify() -> dict:
     split = _verify_split(_env())
+    split["define_s"] = _define_s(_env())
     with tempfile.TemporaryDirectory() as cache:
         env = dict(_env(), PYTHONPYCACHEPREFIX=cache)
         env.pop("PYTHONDONTWRITEBYTECODE", None)

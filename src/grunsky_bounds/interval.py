@@ -17,25 +17,30 @@ The scalar helpers round as follows:
   and step only when the sum rounded, so exact sums keep exact endpoints.
   The error is NaN when the sum overflows; the test then steps too.
 
-`_mul_text`, `_add_text` and `_sqrt_text` write the same operations as
-`_mul_*`, `_add_*` and `_sqrt_*` as source text, zero-operand rule and TwoSum
-test included, for the straight-line range bounds that
-`objectives.MonotoneBounds` compiles, so the rounding rules live in this
-module alone.
-
 The pair kernel `_mul_pair`, `_pow_pair`, `_sqrt_pair` and `_scale_pair`
 works on plain (lo, hi) float pairs and builds no object.  `Interval.__mul__`,
 `__pow__`, `sqrt_clamped` and `scale` are one-line wrappers of it, and the
-compiled evaluators of `poly` and `objectives` and the zero searches of
-`optimize` call it directly, so both paths give the same bits.  The searches
-run on flat boxes (lo_1, hi_1, lo_2, hi_2, ...); `_checked` makes on such a
-box the check that `Interval` makes on each of its results.  `_mul_pair`
-forms only the endpoint products its sign case needs (two when either
-operand is one-signed, four when both straddle zero).  Round to nearest is
-monotone and so is the step, so the product with the extreme exact value
-rounds to the extreme endpoint.  When an endpoint comes out as zero, its
-sign can depend on which of several equal products is taken, so the product
-is then formed from all four in the fixed order.
+zero searches of `optimize` call it directly, so both paths give the same
+bits.  The searches run on flat boxes (lo_1, hi_1, lo_2, hi_2, ...);
+`_checked` makes on such a box the check that `Interval` makes on each of its
+results.  `_mul_pair` forms only the endpoint products its sign case needs
+(two when either operand is one-signed, four when both straddle zero).
+Round to nearest is monotone and so is the step, so the product with the
+extreme exact value rounds to the extreme endpoint.  When an endpoint comes
+out as zero, its sign can depend on which of several equal products is
+taken, so the product is then formed from all four in the fixed order.
+
+The evaluators of the objectives and their edge forms make no call per
+operation.  `_horner_sum` (the sum of factor * Horner(coeffs, t) over a
+table, for every edge form and M(x)) and `_terms_sum` (the sum of
+c * x^i * y^j over a term table, on the powers that `_powers` forms once)
+write each product and rounded sum out in one loop.  `_mul_text`,
+`_add_text`, `_sqrt_text`, `_recip_text` and `_mul_pair_text` write the same
+operations as source text, zero-operand rule and TwoSum test included, for
+the straight-line code that `objectives` compiles.  A written-out product
+takes the sign case of `_mul_pair` where the operands' signs name it and its
+products are not zero, and calls `_mul_pair` otherwise, so every result has
+the kernel's bits and the rounding rules live in this module alone.
 
 General division is not provided.  The quotients in the toolkit are
 1/sqrt(R) over boxes where the radicand R is strictly positive (in the true
@@ -53,6 +58,8 @@ from fractions import Fraction
 from typing import Callable
 
 _INF = math.inf
+_NINF = -math.inf
+_nextafter = math.nextafter
 
 
 class NegativeRadicandError(ArithmeticError):
@@ -97,31 +104,6 @@ def _sqrt_up(x: float) -> float:
     if x <= 0.0:
         return 0.0
     return math.nextafter(math.sqrt(x), _INF)
-
-
-# The texts take names or float literals as operands, since they read each
-# operand more than once.
-
-#: the names the texts read, for the namespace their code runs in
-TEXT_NAMES = {"_nextafter": math.nextafter, "_sqrt": math.sqrt, "_UP": _INF, "_DOWN": -_INF}
-
-
-def _mul_text(x: str, y: str, up: bool) -> str:
-    """An expression for `_mul_up(x, y)`, or `_mul_down`."""
-    test = x if x == y else f"{x} and {y}"
-    return f"_nextafter({x} * {y}, {'_UP' if up else '_DOWN'}) if {test} else {x} * {y}"
-
-
-def _add_text(s: str, x: str, y: str, up: bool) -> list[str]:
-    """Statements that set the new name s to `_add_up(x, y)`, or `_add_down`."""
-    return [f"{s} = {x} + {y}", f"_b = {s} - {x}",
-            f"if not ({x} - ({s} - _b)) + ({y} - _b) {'<=' if up else '>='} 0.0: "
-            f"{s} = _nextafter({s}, {'_UP' if up else '_DOWN'})"]
-
-
-def _sqrt_text(x: str, up: bool) -> str:
-    """An expression for `_sqrt_up(x)`, or `_sqrt_down`."""
-    return f"0.0 if {x} <= 0.0 else _nextafter(_sqrt({x}), {'_UP' if up else '_DOWN'})"
 
 
 def _recip_up(v: float) -> float:
@@ -191,6 +173,133 @@ def _mul_pair(a: float, b: float, c: float, d: float) -> tuple[float, float]:
     return lo, hi
 
 
+def _horner_sum(parts: tuple[tuple[tuple[tuple[float, float], ...], tuple[float, float] | None], ...],
+                lo: float, hi: float) -> tuple[float, float]:
+    """(lo, hi) of the sum over parts (coeffs, factor) of factor * Horner(coeffs, [lo, hi]), from [0, 0].
+
+    coeffs are the enclosed coefficients of a polynomial, highest power
+    first, and a factor of None is 1.  Each Horner product, factor product
+    and rounded sum is written out here, so a call runs no Python call per
+    operation, and each gives the bits of `_mul_pair`, `_add_down` and
+    `_add_up` in interval Horner's order.  Interval Horner starts from
+    [0, 0]; its first step [0, 0]*t + c is c exactly for finite t, so the
+    loop starts from the leading coefficient.  Where the multiplier's lower
+    end is >= 0, as t is on every edge piece and every factor (1/sqrt3,
+    1/sqrt5, 1/sqrt7) is, a product takes the two endpoint products that the
+    signs of the other operand name, the case `_mul_pair` takes there.  A
+    product that is 0 before or after its outward step falls back to
+    `_mul_pair`, whose four-product rule settles the sign of a zero and an
+    underflow; so does every product where t reaches below 0.
+    """
+    slo = shi = 0.0
+    for coeffs, factor in parts:
+        alo, ahi = coeffs[0]
+        for clo, chi in coeffs[1:]:
+            p = q = 0.0
+            if lo >= 0.0:
+                if alo >= 0.0:
+                    p, q = alo * lo, ahi * hi
+                elif ahi <= 0.0:
+                    p, q = alo * hi, ahi * lo
+                else:
+                    p, q = alo * hi, ahi * hi
+                if p and q:
+                    p, q = _nextafter(p, _NINF), _nextafter(q, _INF)
+            if not (p and q):
+                p, q = _mul_pair(alo, ahi, lo, hi)
+            alo = p + clo
+            b = alo - p
+            if not (p - (alo - b)) + (clo - b) >= 0.0:
+                alo = _nextafter(alo, _NINF)
+            ahi = q + chi
+            b = ahi - q
+            if not (q - (ahi - b)) + (chi - b) <= 0.0:
+                ahi = _nextafter(ahi, _INF)
+        if factor is not None:
+            flo, fhi = factor
+            p = q = 0.0
+            if flo >= 0.0:
+                if alo >= 0.0:
+                    p, q = alo * flo, ahi * fhi
+                elif ahi <= 0.0:
+                    p, q = alo * fhi, ahi * flo
+                else:
+                    p, q = alo * fhi, ahi * fhi
+                if p and q:
+                    p, q = _nextafter(p, _NINF), _nextafter(q, _INF)
+            if not (p and q):
+                p, q = _mul_pair(alo, ahi, flo, fhi)
+            alo, ahi = p, q
+        s = slo + alo
+        b = s - slo
+        if not (slo - (s - b)) + (alo - b) >= 0.0:
+            s = _nextafter(s, _NINF)
+        slo = s
+        s = shi + ahi
+        b = s - shi
+        if not (shi - (s - b)) + (ahi - b) <= 0.0:
+            s = _nextafter(s, _INF)
+        shi = s
+    return slo, shi
+
+
+def _powers(lo: float, hi: float, n: int) -> list[tuple[float, float]]:
+    """[(1.0, 1.0), (lo, hi), ..., [lo, hi]**n], each power as `_pow_pair` forms it.
+
+    Where lo >= 0, `_pow_pair` takes `_pow_down(lo, k)` and `_pow_up(hi, k)`,
+    one product per further power, so each power here is one product on the
+    one before.
+    """
+    out = [(1.0, 1.0), (lo, hi)]
+    if lo >= 0.0:
+        plo, phi = lo, hi
+        for _ in range(n - 1):
+            plo = _nextafter(plo * lo, _NINF) if plo and lo else plo * lo
+            phi = _nextafter(phi * hi, _INF) if phi and hi else phi * hi
+            out.append((plo, phi))
+    else:
+        out += [_pow_pair(lo, hi, k) for k in range(2, n + 1)]
+    return out
+
+
+def _terms_sum(terms: tuple[tuple[int, int, float, float], ...], xs: list[tuple[float, float]],
+               ys: list[tuple[float, float]]) -> tuple[float, float]:
+    """(lo, hi) of the sum over terms (i, j, c_lo, c_hi) of c * x^i * y^j, from [0, 0] in table order.
+
+    xs[i] and ys[j] are x^i and y^j from `_powers`.  Each product and rounded
+    sum is written out here, with the bits of `_mul_pair`, `_add_down` and
+    `_add_up`.  Where both lower ends are >= 0, `_mul_pair` takes a*c and
+    b*d, each stepped outward; this loop takes them too where the lower one
+    is still > 0 after its step, which rules out a zero operand, an
+    underflow and a step to 0, and calls `_mul_pair` otherwise.
+    """
+    slo = shi = 0.0
+    for i, j, alo, ahi in terms:
+        if i:
+            flo, fhi = xs[i]
+            p, q = _nextafter(alo * flo, _NINF), _nextafter(ahi * fhi, _INF)
+            if not (p > 0.0 and alo >= 0.0 <= flo):
+                p, q = _mul_pair(alo, ahi, flo, fhi)
+            alo, ahi = p, q
+        if j:
+            flo, fhi = ys[j]
+            p, q = _nextafter(alo * flo, _NINF), _nextafter(ahi * fhi, _INF)
+            if not (p > 0.0 and alo >= 0.0 <= flo):
+                p, q = _mul_pair(alo, ahi, flo, fhi)
+            alo, ahi = p, q
+        s = slo + alo
+        b = s - slo
+        if not (slo - (s - b)) + (alo - b) >= 0.0:
+            s = _nextafter(s, _NINF)
+        slo = s
+        s = shi + ahi
+        b = s - shi
+        if not (shi - (s - b)) + (ahi - b) <= 0.0:
+            s = _nextafter(s, _INF)
+        shi = s
+    return slo, shi
+
+
 def _pow_pair(lo: float, hi: float, n: int) -> tuple[float, float]:
     """(lo, hi) of [lo, hi]**n for an integer n >= 0."""
     if n == 0:
@@ -220,6 +329,48 @@ def _scale_pair(lo: float, hi: float, s: float) -> tuple[float, float]:
     if s >= 0.0:
         return _mul_down(lo, s), _mul_up(hi, s)
     return _mul_down(hi, s), _mul_up(lo, s)
+
+
+# The texts take names or float literals as operands, since they read each
+# operand more than once.
+
+#: the names the texts read, for the namespace their code runs in
+TEXT_NAMES = {"_nextafter": math.nextafter, "_sqrt": math.sqrt, "_UP": _INF, "_DOWN": -_INF, "_mul_pair": _mul_pair}
+
+
+def _mul_text(x: str, y: str, up: bool) -> str:
+    """An expression for `_mul_up(x, y)`, or `_mul_down`."""
+    test = x if x == y else f"{x} and {y}"
+    return f"_nextafter({x} * {y}, {'_UP' if up else '_DOWN'}) if {test} else {x} * {y}"
+
+
+def _add_text(s: str, x: str, y: str, up: bool) -> list[str]:
+    """Statements that set the new name s to `_add_up(x, y)`, or `_add_down`."""
+    return [f"{s} = {x} + {y}", f"_b = {s} - {x}",
+            f"if not ({x} - ({s} - _b)) + ({y} - _b) {'<=' if up else '>='} 0.0: "
+            f"{s} = _nextafter({s}, {'_UP' if up else '_DOWN'})"]
+
+
+def _sqrt_text(x: str, up: bool) -> str:
+    """An expression for `_sqrt_up(x)`, or `_sqrt_down`."""
+    return f"0.0 if {x} <= 0.0 else _nextafter(_sqrt({x}), {'_UP' if up else '_DOWN'})"
+
+
+def _recip_text(x: str, up: bool) -> str:
+    """An expression for `_recip_up(x)`, or `_recip_down`."""
+    return f"_nextafter(1.0 / {x}, {'_UP' if up else '_DOWN'})"
+
+
+def _mul_pair_text(lo: str, hi: str, a: str, b: str, c: str, d: str) -> list[str]:
+    """Statements that set the new names lo, hi to `_mul_pair(a, b, c, d)`.
+
+    Where a >= 0 and c >= 0, `_mul_pair` takes a*c and b*d, each stepped
+    outward.  The text takes them too where the lower one is still > 0
+    after its step, which rules out a zero operand, an underflow and a step
+    to 0, and calls `_mul_pair` otherwise.  No operand needs a known sign.
+    """
+    return [f"{lo}, {hi} = _nextafter({a} * {c}, _DOWN), _nextafter({b} * {d}, _UP)",
+            f"if not ({lo} > 0.0 and {a} >= 0.0 <= {c}): {lo}, {hi} = _mul_pair({a}, {b}, {c}, {d})"]
 
 
 # Interval +, - and * on (lo, hi) pairs, as `Interval` forms them.

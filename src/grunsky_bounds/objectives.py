@@ -15,9 +15,12 @@ the tables of its first and second partial derivatives from it.  `_prepared`
 compiles them, on first evaluation, into (i, j, c_lo, c_hi) pair tables: the
 one evaluator of the family.  `Objective.value_iv`, `gradient_pairs` and
 `hessian_pairs` run the operations of the interval formula on them, in its
-order, through the pair kernel of `interval`, with no `Interval` per operation
-(edge forms likewise, through `poly`).  `MonotoneBounds` reads the same tables
-and compiles them, on first call, to straight-line corner bounds.
+order, with no Python call per operation: each calls a function that
+`_evaluator` compiles on its first call, once for each kind and every
+objective, which sums the tables with `interval._terms_sum` and writes the
+radical part out as straight-line code (edge forms run `interval._horner_sum`
+on the tables of `poly`).  `MonotoneBounds` reads the same tables and
+compiles them, on first call, to straight-line corner bounds.
 The `*_pairs` forms return flat (lo, hi) pairs for the zero searches of
 `optimize`, and `gradient_iv` wraps its pairs in `Interval`s.
 
@@ -42,17 +45,15 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .domain import CONSTANTS, EDGES, Edge, EdgeId
 from .interval import (
-    TEXT_NAMES, Interval, _add, _add_down, _add_text, _add_up, _intervals, _mul, _mul_down, _mul_pair, _mul_text,
-    _mul_up, _pow_pair, _recip_down, _recip_up, _scale_pair, _sqrt_pair, _sqrt_text, _sub
+    TEXT_NAMES, Interval, _add_down, _add_text, _add_up, _horner_sum, _intervals, _mul_down, _mul_pair,
+    _mul_pair_text, _mul_text, _mul_up, _powers, _recip_down, _recip_text, _recip_up, _sqrt_pair, _sqrt_text,
+    _terms_sum
 )
-from .poly import (
-    MixedPoly, Pair, RatPoly, horner_pair, mixed_pair, rp_add, rp_deriv, rp_mul, rp_pairs, rp_pow,
-    rp_scale
-)
+from .poly import MixedPoly, Pair, RatPoly, rp_add, rp_deriv, rp_mul, rp_pairs, rp_pow, rp_scale
 
 _A = CONSTANTS.a  # Fraction(297, 400)
 _F0 = Fraction(0)
@@ -98,15 +99,15 @@ class RadicalForm1D:
 
     @cached_property
     def _pairs(self) -> tuple:
-        """W, V (None when zero) and S compiled for `mixed_pair` and `horner_pair`; built on first evaluation."""
-        return self.w.pairs, None if self.v.is_zero() else self.v.pairs, rp_pairs(self.s)
+        """W, V (None when zero) and S as tables of `interval._horner_sum`; built on first evaluation."""
+        return self.w.pairs, None if self.v.is_zero() else self.v.pairs, ((rp_pairs(self.s), None),)
 
     def _value_pair(self, lo: float, hi: float, sq: Pair | None = None) -> Pair:
         """W + V * sqrt(S) at the pair (lo, hi); `sq` is sqrt(S) there if the caller has it."""
         w, v, s = self._pairs
-        olo, ohi = mixed_pair(w, lo, hi)
+        olo, ohi = _horner_sum(w, lo, hi)
         if v is not None:
-            vlo, vhi = _mul_pair(*mixed_pair(v, lo, hi), *(sq or _sqrt_pair(*horner_pair(s, lo, hi))))
+            vlo, vhi = _mul_pair(*_horner_sum(v, lo, hi), *(sq or _sqrt_pair(*_horner_sum(s, lo, hi))))
             olo, ohi = _add_down(olo, vlo), _add_up(ohi, vhi)
         return olo, ohi
 
@@ -134,7 +135,7 @@ class RadicalForm1D:
         """
         if self._pairs[1] is None:
             return self.scaled_derivative._value_pair(lo, hi)
-        slo, shi = horner_pair(self._pairs[2], lo, hi)
+        slo, shi = _horner_sum(self._pairs[2], lo, hi)
         if slo <= 0.0:
             return None
         slo, shi = _sqrt_pair(slo, shi)
@@ -172,61 +173,34 @@ class Objective:
         return all(c >= 0 for c in self.poly.values()) and all(c >= 0 for part in self.mult.parts for c in part)
 
     # -- evaluation -----------------------------------------------------------
-    # Each method runs the pair tables of `_prepared` through the operations
-    # of its interval formula, in its order; only the results are `Interval`s.
+    # Each method calls a straight-line function that `_evaluator` compiles on
+    # its first call; only the results are `Interval`s.
 
     def value_iv(self, x: Interval, y: Interval) -> Interval:
-        prep = _prepared(self.id)
-        xp, yp = (x.lo, x.hi), (y.lo, y.hi)
-        out = _terms_pair(prep.p, xp, yp)
-        if self.has_radical:
-            out = _add(out, _mul(mixed_pair(prep.mult.pairs, *xp), _sqrt_pair(*_radicand(xp, yp))))
-        return Interval(*out)
-
-    def _radical(self, xp: Pair, yp: Pair) -> tuple[Pair, Pair, Pair] | None:
-        """sqrt(R), u = 1/sqrt(R) and M(x) over the box; None unless R > 0 on it."""
-        r = _radicand(xp, yp)
-        if r[0] <= 0.0:
-            return None
-        sq = _sqrt_pair(*r)
-        return sq, (_recip_down(sq[1]), _recip_up(sq[0])), mixed_pair(_prepared(self.id).mult.pairs, *xp)
+        return Interval(*self._value(x.lo, x.hi, y.lo, y.hi))
 
     def gradient_pairs(self, x1: float, x2: float, y1: float, y2: float) -> tuple[float, ...] | None:
         """(fx_lo, fx_hi, fy_lo, fy_hi), the true gradient over the box; None unless the radicand is positive on it."""
-        prep = _prepared(self.id)
-        xp, yp = (x1, x2), (y1, y2)
-        fx, fy = _terms_pair(prep.px, xp, yp), _terms_pair(prep.py, xp, yp)
-        if self.has_radical:
-            if (rad := self._radical(xp, yp)) is None:
-                return None
-            sq, u, m = rad
-            # fx = Px + M'*sqrt(R) - M*x*u,  fy = Py - 3*M*y*u
-            fx = _sub(_add(fx, _mul(prep.m_lin, sq)), _mul(_mul(m, xp), u))
-            fy = _sub(fy, _scale_pair(*_mul(_mul(m, yp), u), 3.0))
-        return *fx, *fy
+        return self._gradient(x1, x2, y1, y2)
 
     def gradient_iv(self, x: Interval, y: Interval) -> tuple[Interval, Interval] | None:
         return _intervals(self.gradient_pairs(x.lo, x.hi, y.lo, y.hi))
 
     def hessian_pairs(self, x1: float, x2: float, y1: float, y2: float) -> tuple[float, ...] | None:
         """(fxx, fxy, fyy) over the box, each a (lo, hi) pair, flat; None unless the radicand is positive on it."""
-        prep = _prepared(self.id)
-        xp, yp = (x1, x2), (y1, y2)
-        fxx, fxy, fyy = (_terms_pair(t, xp, yp) for t in (prep.pxx, prep.pxy, prep.pyy))
-        if self.has_radical:
-            if (rad := self._radical(xp, yp)) is None:
-                return None
-            _, u, m = rad
-            u3, dm = _mul(_mul(u, u), u), prep.m_lin
-            # fxx = Pxx - 2*M'*x*u - M*u - M*x^2*u^3
-            fxx = _sub(_sub(_sub(fxx, _scale_pair(*_mul(_mul(dm, xp), u), 2.0)), _mul(m, u)),
-                       _mul(_mul(m, _pow_pair(*xp, 2)), u3))
-            # fxy = Pxy - 3*M'*y*u - 3*M*x*y*u^3
-            fxy = _sub(_sub(fxy, _scale_pair(*_mul(_mul(dm, yp), u), 3.0)),
-                       _scale_pair(*_mul(_mul(_mul(m, xp), yp), u3), 3.0))
-            # fyy = Pyy - 3*M*(u + 3*y^2*u^3)
-            fyy = _sub(fyy, _scale_pair(*_mul(m, _add(u, _scale_pair(*_mul(_pow_pair(*yp, 2), u3), 3.0))), 3.0))
-        return *fxx, *fxy, *fyy
+        return self._hessian(x1, x2, y1, y2)
+
+    @cached_property
+    def _value(self) -> Callable[..., tuple[float, ...]]:
+        return _evaluator(self.id, "value")
+
+    @cached_property
+    def _gradient(self) -> Callable[..., tuple[float, ...] | None]:
+        return _evaluator(self.id, "gradient")
+
+    @cached_property
+    def _hessian(self) -> Callable[..., tuple[float, ...] | None]:
+        return _evaluator(self.id, "hessian")
 
     def stationary_at_origin(self) -> bool:
         """grad f(0, 0) = (P_x(0, 0) + M'(0), P_y(0, 0)) is zero, decided exactly on the term tables."""
@@ -293,25 +267,7 @@ def _pair_terms(terms: Terms) -> PairTerms:
     return tuple((i, j, *rp_pairs((c,))[0]) for (i, j), c in sorted(terms.items()))
 
 
-def _terms_pair(terms: PairTerms, xp: Pair, yp: Pair) -> Pair:
-    """Sum of c * x^i * y^j over a table, from [0, 0] in table order."""
-    olo = ohi = 0.0
-    for i, j, clo, chi in terms:
-        if i:
-            clo, chi = _mul_pair(clo, chi, *_pow_pair(*xp, i))
-        if j:
-            clo, chi = _mul_pair(clo, chi, *_pow_pair(*yp, j))
-        olo, ohi = _add_down(olo, clo), _add_up(ohi, chi)
-    return olo, ohi
-
-
-def _radicand(xp: Pair, yp: Pair) -> Pair:
-    """R = (1 - x^2) - 3*y^2 over the box."""
-    return _sub(_sub((1.0, 1.0), _pow_pair(*xp, 2)), _scale_pair(*_pow_pair(*yp, 2), 3.0))
-
-
-@dataclass(frozen=True)
-class _Prepared:
+class _Prepared(NamedTuple):
     """Pair tables of P and its partial derivatives, M(x), and the constant M' as a pair, built once per objective."""
 
     p: PairTerms
@@ -333,7 +289,7 @@ def _prepared(oid: ObjectiveId) -> _Prepared:
     # P, Px, Py, Pxx, Pxy, Pyy in the field order of _Prepared
     orders = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
     tables = [_pair_terms(_diff(obj.poly, di, dj)) for di, dj in orders]
-    return _Prepared(*tables, obj.mult, mixed_pair(obj.mult.deriv().pairs, 0.0, 0.0))
+    return _Prepared(*tables, obj.mult, _horner_sum(obj.mult.deriv().pairs, 0.0, 0.0))
 
 
 OBJECTIVES: dict[ObjectiveId, Objective] = {
@@ -450,7 +406,7 @@ def monotone_bounds(oid: ObjectiveId) -> MonotoneBounds:
         raise ValueError(f"{oid} violates the monotone-coefficient assumption")
 
     prep = _prepared(oid)
-    return MonotoneBounds(prep.p, prep.px, prep.py, mixed_pair(prep.mult.pairs, 0.0, 0.0), prep.m_lin,
+    return MonotoneBounds(prep.p, prep.px, prep.py, _horner_sum(prep.mult.pairs, 0.0, 0.0), prep.m_lin,
                           obj.has_radical)
 
 
@@ -485,9 +441,8 @@ def _factory(kind: str, shape: tuple[tuple[tuple[int, int], ...], ...], has_radi
     result = f"_radical(x1, x2, y1, y2, {', '.join(sums + list(_M_PARAMS))})" if has_radical else ", ".join(plain)
     params = [_coefficient(t, k, up) for t, table in enumerate(shape) for k in range(len(table))
               for up in (False, True)]
-    lines = [f"def make({', '.join(params + list(_M_PARAMS))}):", f"    def {kind}(x1, x2, y1, y2):",
-             *(f"        {line}" for line in src.lines), f"        return {result}", f"    return {kind}"]
-    return _define(lines, "make", **({"_radical": _radical_tail(kind)} if has_radical else {}))
+    return _make(kind, params + list(_M_PARAMS), src, result,
+                 **({"_radical": _radical_tail(kind)} if has_radical else {}))
 
 
 @lru_cache(maxsize=None)
@@ -505,10 +460,89 @@ def _radical_tail(kind: str) -> Callable:
     return _define(lines, kind)
 
 
+# An interval evaluator is compiled once for each kind, for every objective:
+# `interval._terms_sum` sums its term tables in one loop, so only the radical
+# part is straight-line code, and the factory takes the tables, M's table and
+# M' as arguments.  Term sums compiled for each shape of the tables would run
+# a little faster, but their compile, paid on every cold run, costs more than
+# a run's few hundred calls save.
+
+#: the `_Prepared` tables that each interval evaluator sums
+_EVALUATOR_TABLES = {"value": ("p",), "gradient": ("px", "py"), "hessian": ("pxx", "pxy", "pyy")}
+
+
+def _evaluator(oid: ObjectiveId, kind: str) -> Callable:
+    """The `kind` evaluator ("value", "gradient" or "hessian") of the objective, compiled once per kind.
+
+    It runs the operations of the interval formula in
+    `tests/paper_formulas.py`, in its order, so each result has its bits:
+    `interval._powers` forms each power of x and y once, `interval._terms_sum`
+    sums each term table over them, and the radical part is straight-line
+    code from `interval`'s texts.  Only `interval`'s texts and the kind's
+    names reach `exec`; the tables, M and M' are arguments, never text.
+    """
+    prep = _prepared(oid)
+    tables = [getattr(prep, name) for name in _EVALUATOR_TABLES[kind]]
+    has_radical = not prep.mult.is_zero()
+    # the radical part reads x^2 and y^2
+    nx, ny = (max([2 * has_radical, *(term[k] for table in tables for term in table)]) for k in (0, 1))
+    return _evaluator_factory(kind, has_radical)(*tables, nx, ny, prep.mult.pairs, *prep.m_lin)
+
+
+@lru_cache(maxsize=None)
+def _evaluator_factory(kind: str, has_radical: bool) -> Callable:
+    """make(<the kind's tables>, nx, ny, M's table, *M'), which returns the `kind` evaluator over them."""
+    src = _Source()
+    tables = [f"t{k}" for k in range(len(_EVALUATOR_TABLES[kind]))]
+    sums = [(f"s{k}_lo", f"s{k}_hi") for k in range(len(tables))]
+    src.lines += ["xs, ys = _powers(x1, x2, nx), _powers(y1, y2, ny)",
+                  *(f"{lo}, {hi} = _terms_sum({t}, xs, ys)" for t, (lo, hi) in zip(tables, sums))]
+    out = _radical_part(src, kind, sums) if has_radical else sums
+    return _make(kind, [*tables, "nx", "ny", "mult", "ml_lo", "ml_hi"], src,
+                 ", ".join(name for pair in out for name in pair),
+                 _powers=_powers, _terms_sum=_terms_sum, _horner_sum=_horner_sum, _sqrt_pair=_sqrt_pair)
+
+
+def _radical_part(src: _Source, kind: str, sums: list[tuple[str, str]]) -> list[tuple[str, str]]:
+    """The `kind` evaluator's results from the table sums, where f = P + M(x) * sqrt(R) has a radical."""
+    src.lines += ["(xx_lo, xx_hi), (yy_lo, yy_hi) = xs[2], ys[2]", "m_lo, m_hi = _horner_sum(mult, x1, x2)"]
+    x, y, xx, yy = ("x1", "x2"), ("y1", "y2"), ("xx_lo", "xx_hi"), ("yy_lo", "yy_hi")
+    m, dm = ("m_lo", "m_hi"), ("ml_lo", "ml_hi")
+    # R = (1 - x^2) - 3*y^2
+    r = src.pair_sub(src.pair_sub(("1.0", "1.0"), xx), src.pair_scale(yy, "3.0"))
+    if kind == "value":
+        # f = P + M*sqrt(R); `_sqrt_pair` raises where R < 0 on the whole box
+        src.lines.append(f"sq_lo, sq_hi = _sqrt_pair({r[0]}, {r[1]})")
+        return [src.pair_add(sums[0], src.pair_mul(m, ("sq_lo", "sq_hi")))]
+    src.lines.append(f"if {r[0]} <= 0.0: return None")
+    sq = src.let(_sqrt_text(r[0], False)), src.let(_sqrt_text(r[1], True))
+    u = src.let(_recip_text(sq[1], False)), src.let(_recip_text(sq[0], True))  # 1/sqrt(R)
+    mul, sub, scale = src.pair_mul, src.pair_sub, src.pair_scale
+    if kind == "gradient":
+        # fx = Px + M'*sqrt(R) - M*x*u,  fy = Py - 3*M*y*u
+        return [sub(src.pair_add(sums[0], mul(dm, sq)), mul(mul(m, x), u)),
+                sub(sums[1], scale(mul(mul(m, y), u), "3.0"))]
+    u3 = mul(mul(u, u), u)
+    # fxx = Pxx - 2*M'*x*u - M*u - M*x^2*u^3
+    fxx = sub(sub(sub(sums[0], scale(mul(mul(dm, x), u), "2.0")), mul(m, u)), mul(mul(m, xx), u3))
+    # fxy = Pxy - 3*M'*y*u - 3*M*x*y*u^3
+    fxy = sub(sub(sums[1], scale(mul(mul(dm, y), u), "3.0")), scale(mul(mul(mul(m, x), y), u3), "3.0"))
+    # fyy = Pyy - 3*M*(u + 3*y^2*u^3)
+    fyy = sub(sums[2], scale(mul(m, src.pair_add(u, scale(mul(yy, u3), "3.0"))), "3.0"))
+    return [fxx, fxy, fyy]
+
+
+def _make(kind: str, params: list[str], src: _Source, result: str, **names: object) -> Callable:
+    """make(*params), which returns kind(x1, x2, y1, y2): src's lines, then `return result`."""
+    lines = [f"def make({', '.join(params)}):", f"    def {kind}(x1, x2, y1, y2):",
+             *(f"        {line}" for line in src.lines), f"        return {result}", f"    return {kind}"]
+    return _define(lines, "make", **names)
+
+
 def _define(lines: list[str], name: str, **names: object) -> Callable:
     """The function `name` that the source lines define, with `interval`'s names and `names` as globals."""
     namespace = dict(TEXT_NAMES, **names)
-    exec(compile("\n".join(lines), f"<{name} bound>", "exec"), namespace)
+    exec(compile("\n".join(lines), f"<{name}>", "exec"), namespace)
     return namespace[name]
 
 
@@ -538,6 +572,20 @@ class _Source:
 
     def add(self, x: str, y: str, up: bool) -> str:
         return self._new(("+", x, y, up), lambda name: _add_text(name, x, y, up))
+
+    def pair_mul(self, p: tuple[str, str], q: tuple[str, str]) -> tuple[str, str]:
+        name = self._new(("*", p, q), lambda name: _mul_pair_text(f"{name}_lo", f"{name}_hi", *p, *q))
+        return f"{name}_lo", f"{name}_hi"
+
+    def pair_add(self, p: tuple[str, str], q: tuple[str, str]) -> tuple[str, str]:
+        return self.add(p[0], q[0], False), self.add(p[1], q[1], True)
+
+    def pair_sub(self, p: tuple[str, str], q: tuple[str, str]) -> tuple[str, str]:
+        return self.add(p[0], f"-{q[1]}", False), self.add(p[1], f"-{q[0]}", True)
+
+    def pair_scale(self, p: tuple[str, str], s: str) -> tuple[str, str]:
+        """p times the literal s >= 0, as `_scale_pair` forms it."""
+        return self.mul(p[0], s, False), self.mul(p[1], s, True)
 
     def pow(self, x: str, n: int, up: bool) -> str:
         """x**n as `_pow_up` (or `_pow_down`) forms it: x, then one product per further power."""

@@ -6,9 +6,10 @@ parts exact (Fractions) until evaluation means the only rounding happens in
 the final interval arithmetic.
 
 Evaluation runs on (lo, hi) float pairs: `rp_pairs` encloses coefficients
-once, and `horner_pair` and `mixed_pair` run the operations of interval Horner,
-in its order, through the pair kernel of `interval`, with no `Interval` per
-step.  Callers wrap the result in an `Interval`, which rejects a NaN pair.
+once, and `MixedPoly.pairs` lists each part with its factor, the table that
+`interval._horner_sum` evaluates in one loop, with the operations of interval
+Horner in its order.  Callers wrap the result in an `Interval`, which
+rejects a NaN pair.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import zip_longest
 
-from .interval import INV_SQRT3, INV_SQRT5, INV_SQRT7, Interval, _add_down, _add_up, _mul_pair
+from .interval import INV_SQRT3, INV_SQRT5, INV_SQRT7, Interval, _horner_sum
 
 RatPoly = tuple[Fraction, ...]  # coefficient i is the x**i coefficient
 Pair = tuple[float, float]  # (lo, hi) of an interval
@@ -68,31 +69,7 @@ def rp_deriv(p: RatPoly) -> RatPoly:
 
 
 def rp_eval_iv(p: RatPoly, x: Interval) -> Interval:
-    return Interval(*horner_pair(rp_pairs(p), x.lo, x.hi))
-
-
-def horner_pair(coeffs: tuple[Pair, ...], lo: float, hi: float) -> Pair:
-    """Horner's scheme on pairs over `rp_pairs` coefficients, at the pair (lo, hi).
-
-    Interval Horner starts from [0, 0]; its first step [0, 0]*x + c is c
-    exactly for finite x, so this starts from the leading coefficient.
-    """
-    alo, ahi = coeffs[0]
-    for clo, chi in coeffs[1:]:
-        alo, ahi = _mul_pair(alo, ahi, lo, hi)
-        alo, ahi = _add_down(alo, clo), _add_up(ahi, chi)
-    return alo, ahi
-
-
-def mixed_pair(parts: tuple[tuple[tuple[Pair, ...], Pair | None], ...], lo: float, hi: float) -> Pair:
-    """A `MixedPoly.pairs` table at the pair (lo, hi): each part times its factor, summed from [0, 0]."""
-    olo = ohi = 0.0
-    for coeffs, factor in parts:
-        vlo, vhi = horner_pair(coeffs, lo, hi)
-        if factor is not None:
-            vlo, vhi = _mul_pair(vlo, vhi, *factor)
-        olo, ohi = _add_down(olo, vlo), _add_up(ohi, vhi)
-    return olo, ohi
+    return Interval(*_horner_sum(((rp_pairs(p), None),), x.lo, x.hi))
 
 
 @dataclass(frozen=True)
@@ -114,7 +91,7 @@ class MixedPoly:
 
     @cached_property
     def pairs(self) -> tuple[tuple[tuple[Pair, ...], Pair | None], ...]:
-        """`rp_pairs` of each non-zero part with its irrational factor, for `mixed_pair`; built on first use."""
+        """Each non-zero part's `rp_pairs` and irrational factor, for `interval._horner_sum`; built on first use."""
         factors = (None, (INV_SQRT3.lo, INV_SQRT3.hi), (INV_SQRT5.lo, INV_SQRT5.hi), (INV_SQRT7.lo, INV_SQRT7.hi))
         return tuple((rp_pairs(p), f) for p, f in zip(self.parts, factors) if p)
 

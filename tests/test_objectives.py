@@ -1,15 +1,19 @@
 """Objective formulas, gradients, boundary restrictions and reductions."""
 
 import dataclasses
+import functools
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
 from grunsky_bounds import objectives
 from grunsky_bounds.domain import CONSTANTS, EdgeId, cap_point_down, cap_sup_up
-from grunsky_bounds.interval import Interval, NegativeRadicandError, _intervals
+from grunsky_bounds.interval import Interval, NegativeRadicandError, _horner_sum, _intervals
 from grunsky_bounds.objectives import (
     F1_FORM,
     F2_REDUCED_POLY,
@@ -18,7 +22,7 @@ from grunsky_bounds.objectives import (
     monotone_bounds,
 )
 from grunsky_bounds.optimize import find_root_1d, interior_critical_points
-from grunsky_bounds.poly import MixedPoly, mixed_pair, rp_eval_iv
+from grunsky_bounds.poly import MixedPoly, rp_eval_iv
 from paper_formulas import (
     F6_CUBIC,
     BoundaryRestrictionId,
@@ -626,25 +630,50 @@ def _reference(fn, *args):
 _FORMS = [OBJECTIVES[oid].restriction(edge) for oid in ObjectiveId for edge in EdgeId]
 
 
+#: widths at which a product underflows: 1e-300 and subnormal ones
+_TINY_WIDTHS = (1e-300, 2.2250738585072014e-308, 1e-310, 5e-324)
+
+
+def _search_pieces(form, rng: random.Random) -> list[Interval]:
+    """Pieces as the edge searches give them, and the underflow and t < 0 cases of the kernel.
+
+    Every search piece is [0, m] from t = 0.0 (or -0.0, once a split has
+    negated it); a Newton step evaluates the point at a piece's midpoint.
+    """
+    pieces = []
+    for w in _TINY_WIDTHS:
+        pieces += [Interval(0.0, w), Interval(-0.0, w), Interval(w, 2 * w), Interval(-w, 0.0), Interval(-w, w)]
+    for _ in range(10):
+        m = rng.uniform(0.0, form.hi)
+        pieces += [Interval(0.0, m), Interval(-0.0, m), Interval.point(m), Interval(m, math.nextafter(m, 1.0)),
+                   Interval(-m, 0.0), Interval(-m, 0.5 * m)]
+    return pieces
+
+
 @pytest.mark.parametrize("form", _FORMS + [f.scaled_derivative for f in _FORMS],
                          ids=lambda f: f.label)
 def test_pre_enclosed_coefficients_match_per_call_path(form):
-    # the compiled pair path against the interval formulas, which enclose the
+    # the fused pair kernel against the interval formulas, which enclose the
     # coefficients on each call and build one Interval object per operation;
-    # boxes that reach below t = 0 take the zero-endpoint products too
+    # boxes that reach below t = 0 take the zero-endpoint products too.  The
+    # slope of a scaled derivative evaluates the second scaled derivative.  A
+    # kernel without its zero-endpoint fallback gave f1|y_zero on [0, 1e-300]
+    # another lower end, as the four-product rule also settles an underflow
     rng = random.Random(form.label)
+    pieces = []
     for k in range(60):
         a, b = sorted(rng.uniform(form.lo - 0.1 * (k % 3 == 0), form.hi) for _ in range(2))
-        t = Interval(a, b)
+        pieces.append(Interval(a, b))
+    for t in pieces + _search_pieces(form, rng):
         want = _reference(form_value_iv, form, t)
         if want is None:
             with pytest.raises(NegativeRadicandError):
                 form.value_iv(t)
         else:
-            assert _hex(form.value_iv(t)) == _hex(want)
-        assert _same_bits(form.slope_iv(t), _reference(form_slope_iv, form, t))
+            assert _hex(form.value_iv(t)) == _hex(want), t
+        assert _same_bits(form.slope_iv(t), _reference(form_slope_iv, form, t)), t
         for m in (form.w, form.v):
-            assert tuple(v.hex() for v in mixed_pair(m.pairs, a, b)) == _hex(mixed_eval_iv(m, t))
+            assert tuple(v.hex() for v in _horner_sum(m.pairs, t.lo, t.hi)) == _hex(mixed_eval_iv(m, t)), t
 
 
 def _random_box(rng: random.Random, straddle: bool) -> tuple[Interval, Interval]:
@@ -659,23 +688,45 @@ def _random_box(rng: random.Random, straddle: bool) -> tuple[Interval, Interval]
     return Interval(x1, x1 + rng.uniform(0.0, 0.3)), Interval(y1, y1 + rng.uniform(0.0, 0.3))
 
 
+def _krawczyk_boxes(rng: random.Random) -> list[tuple[Interval, Interval]]:
+    """Boxes that straddle x = 0, y = 0 or both, as the widened Krawczyk retest about (0, 0) does; boxes
+    with 0.0, -0.0 and subnormal endpoints; point boxes; and boxes where R <= 0 on part or all of them."""
+    boxes = []
+    for _ in range(40):
+        x, y, h = rng.uniform(0.0, A), rng.uniform(0.0, 0.5), rng.uniform(1e-9, 0.3)
+        boxes += [(-h, h, y, y + h), (x, x + h, -h, h), (-h, h, -h, h), (x, x, y, y), (-h, -h, -h, -h)]
+        boxes += [(x + 0.5, x + 0.6, y + 0.3, y + 0.4), (x + 0.7, x + 0.9, y + 0.6, y + 0.7)]
+    ends = (0.0, -0.0, *_TINY_WIDTHS)
+    for x1 in ends:
+        for y1 in ends:
+            x2, y2 = max(abs(x1), rng.choice((1e-300, 0.3))), max(abs(y1), rng.choice((5e-324, 0.2)))
+            boxes += [(x1, x2, y1, y2), (-x2, x1, -y2, y1)]
+    return [(Interval(x1, x2), Interval(y1, y2)) for x1, x2, y1, y2 in boxes]
+
+
 @pytest.mark.parametrize("oid", ObjectiveId, ids=lambda o: o.value)
 def test_compiled_objective_matches_the_interval_formulas(oid):
     obj = OBJECTIVES[oid]
     rng = random.Random(oid.value)
+    boxes = []
     for k in range(300):
         x, y = _random_box(rng, straddle=k % 2 == 1)
+        # and its midpoint, as the Krawczyk step evaluates the gradient there
+        boxes += [(x, y), (Interval.point(x.mid), Interval.point(y.mid))]
+    outcomes = set()
+    for x, y in boxes + _krawczyk_boxes(rng):
         want = _reference(objective_value_iv, obj, x, y)
         if want is None:
             with pytest.raises(NegativeRadicandError):
                 obj.value_iv(x, y)
         else:
-            assert _hex(obj.value_iv(x, y)) == _hex(want)
-        assert _same_bits(obj.gradient_iv(x, y), _reference(objective_gradient_iv, obj, x, y))
-        assert _same_bits(_hessian(obj, x, y), _reference(objective_hessian_iv, obj, x, y))
-        # point boxes, as the Krawczyk step evaluates the gradient
-        p, q = Interval.point(x.mid), Interval.point(y.mid)
-        assert _same_bits(obj.gradient_iv(p, q), _reference(objective_gradient_iv, obj, p, q))
+            assert _hex(obj.value_iv(x, y)) == _hex(want), (x, y)
+        gradient, hessian = obj.gradient_iv(x, y), _hessian(obj, x, y)
+        assert _same_bits(gradient, _reference(objective_gradient_iv, obj, x, y)), (x, y)
+        assert _same_bits(hessian, _reference(objective_hessian_iv, obj, x, y)), (x, y)
+        outcomes.add((gradient is None, hessian is None))
+    # f7 has no radical, so it has derivatives on every box
+    assert outcomes == ({(False, False)} if oid is ObjectiveId.F7 else {(False, False), (True, True)})
 
 
 def test_gradient_and_hessian_are_none_where_the_radicand_is_not_positive():
@@ -686,6 +737,48 @@ def test_gradient_and_hessian_are_none_where_the_radicand_is_not_positive():
     assert obj.gradient_iv(x, y) is None and _hessian(obj, x, y) is None
     # f7 has no radical term, so its derivatives are defined up to the rim
     assert _hessian(OBJECTIVES[ObjectiveId.F7], x, y) is not None
+
+
+def test_the_evaluators_compile_once_per_kind_on_first_call(monkeypatch):
+    defined = []
+    define = objectives._define
+    monkeypatch.setattr(objectives, "_define", lambda lines, name, **names: defined.append(lines[1].strip())
+                        or define(lines, name, **names))
+    # a fresh cache of compiles, and fresh objectives, which hold no evaluator yet
+    monkeypatch.setattr(objectives, "_evaluator_factory",
+                        functools.lru_cache(objectives._evaluator_factory.__wrapped__))
+    fresh = [dataclasses.replace(OBJECTIVES[oid]) for oid in ObjectiveId]
+    x, y = Interval(0.1, 0.2), Interval(0.1, 0.2)
+    for kind, call in (("hessian", lambda o: o.hessian_pairs(0.1, 0.2, 0.1, 0.2)),
+                       ("gradient", lambda o: o.gradient_pairs(0.1, 0.2, 0.1, 0.2)),
+                       ("value", lambda o: o.value_iv(x, y))):
+        before = len(defined)
+        for obj in fresh + fresh:
+            call(obj)
+        # one compile with the radical part and one without it (f7), for every table
+        assert defined[before:] == [f"def {kind}(x1, x2, y1, y2):"] * 2
+
+
+def test_import_and_table_builds_compile_nothing():
+    # perfbench's set-up probe times the import, `restriction` and `monotone_bounds`
+    script = (
+        "from grunsky_bounds import cli, objectives\n"
+        "from grunsky_bounds.domain import EdgeId\n"
+        "defined = []\n"
+        "define = objectives._define\n"
+        "objectives._define = lambda *args, **names: defined.append(args) or define(*args, **names)\n"
+        "for oid, obj in objectives.OBJECTIVES.items():\n"
+        "    objectives._prepared(oid), objectives.monotone_bounds(oid)\n"
+        "    for edge in EdgeId:\n"
+        "        obj.restriction(edge)\n"
+        "caches = (objectives._factory, objectives._radical_tail, objectives._evaluator_factory)\n"
+        "print(len(defined), sum(cache.cache_info().currsize for cache in caches))\n"
+    )
+    src = os.path.dirname(os.path.dirname(objectives.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120,
+                          check=True)
+    assert done.stdout.split() == ["0", "0"]
 
 
 def _f1_exact(t: Fraction) -> tuple[Fraction, Fraction]:

@@ -1479,12 +1479,18 @@ def test_krawczyk_gives_no_step_on_a_box_that_reaches_the_rim():
     assert optimize._krawczyk(OBJECTIVES[ObjectiveId.F5], box) is None
 
 
+def _nan_in_pxx(monkeypatch, oid: ObjectiveId) -> None:
+    """Give the objective a Hessian evaluator compiled from a Pxx table with a NaN coefficient."""
+    prep = objectives._prepared(oid)
+    broken = prep._replace(pxx=((0, 0, math.nan, math.nan),) + prep.pxx)
+    monkeypatch.setattr(objectives, "_prepared", lambda o: broken if o is oid else prep)
+    monkeypatch.setitem(vars(OBJECTIVES[oid]), "_hessian", objectives._evaluator(oid, "hessian"))
+
+
 def test_krawczyk_raises_on_a_nan_in_the_hessian(monkeypatch):
     # a fault in the evaluator is not a box without a step
     oid = ObjectiveId.F6
-    prep = objectives._prepared(oid)
-    broken = replace(prep, pxx=((0, 0, math.nan, math.nan),) + prep.pxx)
-    monkeypatch.setattr(objectives, "_prepared", lambda o: broken if o is oid else prep)
+    _nan_in_pxx(monkeypatch, oid)
     with pytest.raises(ValueError, match="NaN"):
         optimize._krawczyk(OBJECTIVES[oid], _offset_box(0.0, 0.0))
 
@@ -1492,10 +1498,7 @@ def test_krawczyk_raises_on_a_nan_in_the_hessian(monkeypatch):
 def test_a_nan_hessian_entry_raises_in_the_critical_search(monkeypatch):
     # the search runs on plain floats, so the check `Interval` made on every
     # result must still meet the Hessian before it decides anything
-    pxx = objectives._prepared(ObjectiveId.F6).pxx
-    real = objectives._terms_pair
-    monkeypatch.setattr(objectives, "_terms_pair",
-                        lambda terms, xp, yp: (math.nan, math.nan) if terms is pxx else real(terms, xp, yp))
+    _nan_in_pxx(monkeypatch, ObjectiveId.F6)
     with pytest.raises(ValueError, match="NaN"):
         interior_critical_points(OBJECTIVES[ObjectiveId.F6], REGION, CFG)
 
